@@ -9,7 +9,8 @@ bonus consumes.
 """
 import numpy as np
 
-from coso.counterfactual import causal_weights, normalize_weights, weight_stats
+from coso.counterfactual import (causal_weights_batch, normalize_weights_batch,
+                                 weight_stats)
 from coso.scm import ScmParams, accuracy, train_scm
 from coso.textmdp import make_env
 
@@ -32,20 +33,19 @@ print(f"classifier: final loss {loss:.4f}, "
       f"held-out accuracy {accuracy(phi, ys[3000:], labels[3000:]):.3f}")
 
 print("\nslot roles:", env.grammar.roles)
-for y in [(12, 9, 2), (5, 14, 3), (8, 8, 4)]:
-    action, _ = env.parse_or_noop(y)
-    raw = causal_weights(phi, y, env.action_index(action))
-    norm = normalize_weights(raw)
-    print(f"y={y} -> {str(action):6s} raw={np.round(raw.values, 4)} "
-          f"normalized={np.round(norm.values, 4)}")
+examples = [(12, 9, 2), (5, 14, 3), (8, 8, 4)]
+actions = [env.parse_or_noop(y)[0] for y in examples]
+# one batch: n + 1 classifier evaluations per utterance
+raw = causal_weights_batch(phi, examples,
+                           [env.action_index(a) for a in actions])
+norm = normalize_weights_batch(raw)
+for y, action, r, w in zip(examples, actions, raw, norm):
+    print(f"y={y} -> {str(action):6s} raw={np.round(r, 4)} "
+          f"normalized={np.round(w, 4)}")
 
 # aggregate histogram over many sampled utterances
-vecs = []
-for k in range(500):
-    y = tuple(ys[k])
-    raw = causal_weights(phi, y, int(labels[k]))
-    vecs.append(normalize_weights(raw))
-hist = weight_stats(vecs)
+hist = weight_stats(normalize_weights_batch(
+    causal_weights_batch(phi, ys[:500], labels[:500])))
 print("\nnormalized-weight histogram (bin edges", hist.edges, ")")
 print("fractions:", np.round(hist.fractions, 3))
 print(f"fraction in [0, 0.2): {hist.fractions[0]:.3f} "

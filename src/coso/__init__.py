@@ -8,8 +8,10 @@ exactly.
 """
 
 from .coso_rl import Hyperparams, Trainer, augmented_reward, weighted_entropy
-from .counterfactual import causal_weights, normalize_weights, nullify, weight_stats
-from .policy import FeatureSpec, PolicyParams, next_token_dist, sample_utterance
+from .counterfactual import (causal_weights_batch, normalize_weights_batch,
+                             nullify, weight_stats)
+from .policy import (FeatureSpec, PolicyParams, sample_utterance,
+                     sample_utterances_batch)
 from .scm import ScmParams, scm_likelihood, scm_predict, scm_update
 from .textmdp import Action, EnvState, ParseError, grammar_spec, make_env
 
@@ -23,13 +25,13 @@ __all__ = [
     "ScmParams",
     "Trainer",
     "augmented_reward",
-    "causal_weights",
+    "causal_weights_batch",
     "grammar_spec",
     "make_env",
-    "next_token_dist",
-    "normalize_weights",
+    "normalize_weights_batch",
     "nullify",
     "sample_utterance",
+    "sample_utterances_batch",
     "scm_likelihood",
     "scm_predict",
     "scm_update",

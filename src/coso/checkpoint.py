@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .policy import FeatureSpec, PolicyParams
-from .scm import AdamState, ScmParams
+from .scm import ScmParams
 
 FORMAT_VERSION = 1
 
@@ -63,8 +63,7 @@ def scm_to_dict(p: ScmParams) -> dict:
 def scm_from_dict(d: dict) -> ScmParams:
     return ScmParams(n=d["n"], vocab_size=d["vocab_size"],
                      num_actions=d["num_actions"],
-                     weights=_unpack(d["weights"]), bias=_unpack(d["bias"]),
-                     opt=AdamState())
+                     weights=_unpack(d["weights"]), bias=_unpack(d["bias"]))
 
 
 def save_bundle(path, policy: PolicyParams, scm: ScmParams,

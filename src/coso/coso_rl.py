@@ -3,8 +3,9 @@
 The objective augments the usual entropy-regularized return with per-token
 causal weights: the regularizer is sum_i B_i * H(y_i | y_<i) instead of the
 plain conditional-entropy sum.  Two optimizer instantiations are provided
-(clipped-surrogate PPO and advantage-weighted regression), plus the online
-loop: rollout, counterfactual weighting, classifier update, policy update.
+(clipped-surrogate PPO and advantage-weighted regression), both stepping on
+the gradient of policy.grad_objective, plus the online loop: rollout,
+counterfactual weighting, classifier update, policy update.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from . import policy as pol
 from . import scm as scm_mod
 from .policy import FeatureSpec, PolicyParams
 from .scm import AdamState, ScmParams
-from .textmdp import NULL, EnvState, TextEnv
+from .textmdp import EnvState, TextEnv
 
 
 @dataclass
@@ -51,6 +52,19 @@ class Hyperparams:
             raise ValueError("gamma must be in (0, 1)")
         if self.clip_eps <= 0:
             raise ValueError("clip_eps must be > 0")
+        for name, allowed in (("awr_mode", ("exp", "filter")),
+                              ("weight_mode", ("raw", "maxnorm")),
+                              ("entropy_placement",
+                               ("loss_bonus", "reward_bonus"))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, not "
+                                 f"{getattr(self, name)!r}")
+        for name in ("rollout_steps", "num_envs", "minibatch_size",
+                     "scm_batch_size", "ppo_epochs"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        if self.rollout_steps % self.num_envs:
+            raise ValueError("rollout_steps must be a multiple of num_envs")
 
 
 @dataclass
@@ -64,7 +78,6 @@ class UpdateReport:
     grad_norm: float
     buffer_size: int = 0
     env_steps: int = 0
-    success_rate: float = 0.0
     skipped: bool = False
     events: tuple[str, ...] = ()
 
@@ -111,19 +124,12 @@ def augmented_reward(r: float, next_weighted_entropy: float, alpha: float,
 # Value baseline and advantages
 
 
-def state_features_matrix(spec: FeatureSpec, states) -> np.ndarray:
-    """State-only one-hot block (batch, sum of cards + 1 bias)."""
-    m = len(states)
-    dim = sum(spec.state_cards) + 1
-    F = np.zeros((m, dim))
-    off = 0
-    for j, card in enumerate(spec.state_cards):
-        vals = np.fromiter((s.features[j] for s in states), dtype=np.intp,
-                           count=m)
-        F[np.arange(m), off + vals] = 1.0
-        off += card
-    F[:, -1] = 1.0
-    return F
+def _value_features(spec: FeatureSpec, states) -> np.ndarray:
+    """State one-hots plus a bias column: (batch, sum of cards + 1)."""
+    sidx = pol.state_index(spec.state_cards, states)
+    bias = sum(spec.state_cards)
+    return pol.one_hot(np.hstack([sidx, np.full((len(states), 1), bias)]),
+                       bias + 1)
 
 
 def fit_value(spec: FeatureSpec, batch: RolloutBatch, gamma: float,
@@ -131,10 +137,10 @@ def fit_value(spec: FeatureSpec, batch: RolloutBatch, gamma: float,
     """Ridge fit of a linear state value on bootstrapped returns-to-go."""
     m = batch.size
     ns = batch.num_streams
-    F = state_features_matrix(spec, batch.states)
+    F = _value_features(spec, batch.states)
     boot = np.zeros(m)
     if prev_beta is not None:
-        boot = state_features_matrix(spec, batch.next_states) @ prev_beta
+        boot = _value_features(spec, batch.next_states) @ prev_beta
     returns = np.zeros(m)
     ticks = m // ns
     for s in range(ns):
@@ -159,8 +165,8 @@ def gae_advantages(spec: FeatureSpec, batch: RolloutBatch, gamma: float,
     """Generalized advantage estimates per step, stream by stream."""
     m = batch.size
     ns = batch.num_streams
-    v = state_features_matrix(spec, batch.states) @ beta
-    v_next = state_features_matrix(spec, batch.next_states) @ beta
+    v = _value_features(spec, batch.states) @ beta
+    v_next = _value_features(spec, batch.next_states) @ beta
     adv = np.zeros(m)
     ticks = m // ns
     for s in range(ns):
@@ -178,41 +184,31 @@ def gae_advantages(spec: FeatureSpec, batch: RolloutBatch, gamma: float,
 # Policy updates
 
 
-def _policy_gradient_step(params: PolicyParams, batch: RolloutBatch,
-                          coef: np.ndarray, hyper: Hyperparams,
-                          opt: AdamState, idx: np.ndarray) -> tuple[PolicyParams, float]:
-    """Adam step on loss = -(1/m) sum coef * logp(y) - alpha * mean(H^B).
+def _descend(params: PolicyParams, batch: RolloutBatch, coef: np.ndarray,
+             hyper: Hyperparams, opt: AdamState,
+             rng: np.random.Generator) -> tuple[PolicyParams, float]:
+    """Adam steps over shuffled minibatches on
+    loss = -(1/m) sum coef * logp(y) - alpha * mean(H^B).
 
     coef is treated as constant (ratio/advantage weighting evaluated by the
-    caller); the entropy term is differentiated analytically.
+    caller).  Returns the params and the last step's gradient norm.
     """
-    spec = params.spec
-    states = [batch.states[j] for j in idx]
-    utterances = [tuple(batch.utterances[j]) for j in idx]
-    m = len(idx)
-    probs, logprobs, _, tok_ent = pol.teacher_forced_batch(params, states,
-                                                           utterances)
     use_entropy = (hyper.alpha > 0.0
                    and hyper.entropy_placement == "loss_bonus")
-    grad = np.zeros_like(params.weights)
-    for i in range(spec.n):
-        prefixes = [u[:i] for u in utterances]
-        F = pol.features_batch(spec, states, prefixes, i)
-        dz = -probs[:, i].copy()
-        dz[:, NULL] = 0.0
-        toks = np.fromiter((u[i] for u in utterances), dtype=np.intp, count=m)
-        dz[np.arange(m), toks] += 1.0
-        dz *= coef[idx][:, None]
-        if use_entropy:
-            dent = pol._entropy_dlogits(probs[:, i], logprobs[:, i],
-                                        tok_ent[:, i])
-            dz += hyper.alpha * batch.weights[idx, i][:, None] * dent
-        grad += F.T @ dz
-    grad = -grad / m  # gradient of the loss (objective negated)
-    new_w = opt.update(params.weights, grad, hyper.policy_lr)
-    gnorm = float(np.sqrt(np.sum(grad * grad)))
-    out = PolicyParams(spec=params.spec, weights=new_w)
-    return out, gnorm
+    order = rng.permutation(batch.size)
+    gnorm = 0.0
+    for lo in range(0, batch.size, hyper.minibatch_size):
+        idx = order[lo:lo + hyper.minibatch_size]
+        grad = pol.grad_objective(
+            params, [batch.states[j] for j in idx], batch.utterances[idx],
+            sample_weights=coef[idx],
+            token_weights=(hyper.alpha * batch.weights[idx] if use_entropy
+                           else None))
+        grad = -grad / len(idx)  # gradient of the loss (objective negated)
+        params = PolicyParams(spec=params.spec, weights=opt.update(
+            params.weights, grad, hyper.policy_lr))
+        gnorm = float(np.sqrt(np.sum(grad * grad)))
+    return params, gnorm
 
 
 def _loss_value(coef_term: np.ndarray, hyper: Hyperparams,
@@ -234,10 +230,8 @@ def ppo_update(params: PolicyParams, batch: RolloutBatch, hyper: Hyperparams,
     """
     if batch.snapshot_id != snapshot_id:
         raise ValueError("stale trajectories: snapshot id mismatch")
-    m = batch.size
-    states = batch.states
-    utterances = [tuple(u) for u in batch.utterances]
-    _, _, tok_lp, _ = pol.teacher_forced_batch(params, states, utterances)
+    _, _, tok_lp, _ = pol.teacher_forced_batch(params, batch.states,
+                                               batch.utterances)
     old = np.sum(batch.old_logprob, axis=1)
     ratio = np.exp(np.sum(tok_lp, axis=1) - old)
     clipped = np.clip(ratio, 1.0 - hyper.clip_eps, 1.0 + hyper.clip_eps)
@@ -247,12 +241,7 @@ def ppo_update(params: PolicyParams, batch: RolloutBatch, hyper: Hyperparams,
     # branch is active, zero where the clip binds
     active = ratio * advantages <= clipped * advantages
     coef = np.where(active, advantages * ratio, 0.0)
-    order = rng.permutation(m)
-    gnorm = 0.0
-    for lo in range(0, m, hyper.minibatch_size):
-        idx = order[lo:lo + hyper.minibatch_size]
-        params, gnorm = _policy_gradient_step(params, batch, coef, hyper,
-                                              opt, idx)
+    params, gnorm = _descend(params, batch, coef, hyper, opt, rng)
     return params, loss, float(np.mean(ratio)), gnorm
 
 
@@ -264,26 +253,17 @@ def awr_update(params: PolicyParams, batch: RolloutBatch, hyper: Hyperparams,
     Returns (params, loss, grad norm, skipped).  With the hard filter and no
     positive advantages the step is skipped and reported.
     """
-    m = batch.size
     if hyper.awr_mode == "filter":
         w = (advantages > hyper.adv_filter_threshold).astype(np.float64)
-    elif hyper.awr_mode == "exp":
+    else:
         w = np.clip(np.exp(advantages / hyper.awr_beta), 0.0,
                     hyper.awr_weight_clamp)
-    else:
-        raise ValueError(f"unknown awr mode {hyper.awr_mode!r}")
     if not np.any(w > 0.0):
         return params, 0.0, 0.0, True
-    states = batch.states
-    utterances = [tuple(u) for u in batch.utterances]
-    _, _, tok_lp, _ = pol.teacher_forced_batch(params, states, utterances)
+    _, _, tok_lp, _ = pol.teacher_forced_batch(params, batch.states,
+                                               batch.utterances)
     loss = _loss_value(w * np.sum(tok_lp, axis=1), hyper, batch)
-    order = rng.permutation(m)
-    gnorm = 0.0
-    for lo in range(0, m, hyper.minibatch_size):
-        idx = order[lo:lo + hyper.minibatch_size]
-        params, gnorm = _policy_gradient_step(params, batch, w, hyper, opt,
-                                              idx)
+    params, gnorm = _descend(params, batch, w, hyper, opt, rng)
     return params, loss, gnorm, False
 
 
@@ -334,26 +314,28 @@ class Trainer:
     def collect_rollouts(self) -> RolloutBatch:
         env, hyper = self.env, self.hyper
         ns = hyper.num_envs
-        ticks = max(1, hyper.rollout_steps // ns)
         states, next_states, utts, acts = [], [], [], []
         rewards, dones, oks = [], [], []
         lps, ents = [], []
-        for _ in range(ticks):
+        for _ in range(hyper.rollout_steps // ns):
             cur = list(self._streams)
-            samples = pol.sample_utterances_batch(self.policy, cur, self.rng)
-            for s_i, (st, samp) in enumerate(zip(cur, samples)):
-                action, ok = env.parse_or_noop(samp.utterance)
+            # one row of uniforms per token position: the stream of n
+            # successive draws of ns
+            toks, lp, ent = pol.sample_utterances_batch(
+                self.policy, cur, self.rng.random((self.policy.spec.n, ns)).T)
+            for s_i, (st, y) in enumerate(zip(cur, toks.tolist())):
+                action, ok = env.parse_or_noop(y)
                 nxt, r, done = env.step(st, action)
                 states.append(st)
                 next_states.append(nxt)
-                utts.append(samp.utterance)
+                utts.append(y)
                 acts.append(env.action_index(action))
                 rewards.append(r)
                 dones.append(done)
                 oks.append(ok)
-                lps.append(samp.per_token_logprob)
-                ents.append(samp.per_token_entropy)
                 self._streams[s_i] = self._fresh_state() if done else nxt
+            lps.append(lp)
+            ents.append(ent)
             self.total_env_steps += ns
         return RolloutBatch(
             states=states, next_states=next_states,
@@ -436,7 +418,6 @@ class Trainer:
             raise RuntimeError("SCM update diverged; policy update aborted")
         events.append("policy_update")
         policy_loss, gnorm, skipped = self.update_policy(batch)
-        succ = float(np.mean(batch.rewards >= self.env.r_max)) if batch.size else 0.0
         return UpdateReport(
             mean_return=float(np.mean(batch.rewards)),
             mean_weighted_entropy=(None if self.arm == "rl"
@@ -445,5 +426,5 @@ class Trainer:
             policy_loss=policy_loss, scm_loss=scm_loss,
             invalid_rate=float(np.mean(~batch.parse_ok)),
             grad_norm=gnorm, buffer_size=batch.size,
-            env_steps=self.total_env_steps, success_rate=succ,
-            skipped=skipped, events=tuple(events))
+            env_steps=self.total_env_steps, skipped=skipped,
+            events=tuple(events))

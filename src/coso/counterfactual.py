@@ -22,12 +22,6 @@ DEFAULT_BIN_EDGES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 
 @dataclass(frozen=True)
-class CausalWeights:
-    values: np.ndarray
-    mode: str  # 'raw' or 'maxnorm'
-
-
-@dataclass(frozen=True)
 class WeightHistogram:
     edges: tuple[float, ...]
     counts: np.ndarray
@@ -42,22 +36,12 @@ def nullify(y, i: int) -> tuple[int, ...]:
     return y[:i] + (NULL,) + y[i + 1:]
 
 
-def causal_weights(phi, y, a: int) -> CausalWeights:
-    """Raw weights for one (utterance, parsed action) pair.
-
-    Runs exactly n+1 classifier evaluations: the base sequence plus one
-    nullified variant per position, in a single batch.
-    """
-    y = tuple(y)
-    n = len(y)
-    batch = [list(y)] + [list(nullify(y, i)) for i in range(n)]
-    probs = scm_mod.scm_likelihood_batch(phi, batch)[:, a]
-    raw = np.abs(probs[0] - probs[1:])
-    return CausalWeights(values=raw, mode="raw")
-
-
 def causal_weights_batch(phi, ys, actions) -> np.ndarray:
-    """(m, n) raw weight matrix for m utterances, fully batched."""
+    """(m, n) raw weights for m (utterance, parsed action) pairs.
+
+    Scores exactly n+1 sequences per utterance: the utterance itself plus one
+    nullified variant per position.
+    """
     ys = np.asarray(ys, dtype=np.intp)
     actions = np.asarray(actions, dtype=np.intp)
     m, n = ys.shape
@@ -69,23 +53,10 @@ def causal_weights_batch(phi, ys, actions) -> np.ndarray:
     return np.abs(probs[:, :1] - probs[:, 1:])
 
 
-def normalize_weights(w: CausalWeights, mode: str = "maxnorm",
-                      eps: float = EPS_B, floor: float = W_FLOOR) -> CausalWeights:
-    if mode == "raw":
-        return CausalWeights(values=w.values.copy(), mode="raw")
-    if mode != "maxnorm":
-        raise ValueError(f"unknown weight mode {mode!r}")
-    top = float(np.max(w.values))
-    if top > eps:
-        vals = np.maximum(w.values / top, floor)
-    else:
-        vals = np.full_like(w.values, floor)
-    return CausalWeights(values=vals, mode="maxnorm")
-
-
 def normalize_weights_batch(raw: np.ndarray, mode: str = "maxnorm",
                             eps: float = EPS_B,
                             floor: float = W_FLOOR) -> np.ndarray:
+    """Row-wise max-normalization with a floor; 'raw' returns a copy."""
     if mode == "raw":
         return raw.copy()
     if mode != "maxnorm":
@@ -96,16 +67,9 @@ def normalize_weights_batch(raw: np.ndarray, mode: str = "maxnorm",
     return out
 
 
-def weight_stats(batch, edges=DEFAULT_BIN_EDGES) -> WeightHistogram:
-    """Histogram over every position of every normalized weight vector."""
-    if isinstance(batch, np.ndarray):
-        flat = batch.ravel()
-    else:
-        vecs = [w.values if isinstance(w, CausalWeights) else np.asarray(w)
-                for w in batch]
-        if not vecs:
-            raise ValueError("empty weight batch")
-        flat = np.concatenate(vecs)
+def weight_stats(weights, edges=DEFAULT_BIN_EDGES) -> WeightHistogram:
+    """Histogram over every position of an (m, n) normalized weight array."""
+    flat = np.asarray(weights, dtype=np.float64).ravel()
     if flat.size == 0:
         raise ValueError("empty weight batch")
     counts, _ = np.histogram(flat, bins=np.asarray(edges))

@@ -49,6 +49,8 @@ class RunConfig:
             raise ValueError("seeds must be nonempty")
         if self.arm not in ARMS:
             raise ValueError(f"unknown arm {self.arm!r}")
+        if self.optimizer not in ("ppo", "awr"):
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -113,16 +115,25 @@ class RunSummary:
 
 
 def evaluate_greedy(env: TextEnv, policy_params, episodes: int) -> float:
-    """Greedy-decoding success rate over a fixed eval seed set."""
+    """Greedy-decoding success rate over a fixed eval seed set.
+
+    The episodes run in lockstep: each step decodes every unfinished episode
+    in one batch.
+    """
+    states = [env.reset(EVAL_SEED_BASE + e) for e in range(episodes)]
+    live = list(range(episodes))
     wins = 0
-    for e in range(episodes):
-        state = env.reset(EVAL_SEED_BASE + e)
-        done = False
-        while not done:
-            y = pol.greedy_utterance(policy_params, state)
+    while live:
+        ys = pol.greedy_utterance(policy_params, [states[e] for e in live])
+        still = []
+        for e, y in zip(live, ys.tolist()):
             action, _ = env.parse_or_noop(y)
-            state, reward, done = env.step(state, action)
-        wins += int(reward >= env.r_max)
+            states[e], reward, done = env.step(states[e], action)
+            if done:
+                wins += int(reward >= env.r_max)
+            else:
+                still.append(e)
+        live = still
     return wins / episodes
 
 
@@ -291,33 +302,36 @@ def cf_report(ckpt_path, env_id: str, num_episodes: int,
         raise ValueError(f"checkpoint is for env {ckpt_env!r}, not {env_id!r}")
     env = make_env(env_id)
     rng = np.random.default_rng(sample_seed)
-    records = []
-    all_norm = []
+    records, ys, acts = [], [], []
     for ep in range(num_episodes):
         state = env.reset(EVAL_SEED_BASE + ep)
         done = False
         t = 0
         while not done:
-            samp = pol.sample_utterance(policy_params, state, rng)
-            action, ok = env.parse_or_noop(samp.utterance)
-            a_idx = env.action_index(action)
-            raw = cf.causal_weights(scm_params, samp.utterance, a_idx)
-            norm = cf.normalize_weights(raw, mode="maxnorm")
-            all_norm.append(norm.values)
+            y, _, _ = pol.sample_utterance(policy_params, state, rng)
+            action, ok = env.parse_or_noop(y)
+            ys.append(y)
+            acts.append(env.action_index(action))
             records.append({
                 "episode": ep,
                 "step": t,
-                "tokens": list(samp.utterance),
-                "token_names": [env.vocab.name(x) for x in samp.utterance],
+                "tokens": list(y),
+                "token_names": [env.vocab.name(x) for x in y],
                 "slot_roles": list(env.grammar.roles),
-                "raw_weights": [float(v) for v in raw.values],
-                "normalized_weights": [float(v) for v in norm.values],
+                "raw_weights": None,  # filled below, in one batch
+                "normalized_weights": None,
                 "action": str(action),
                 "parse_ok": ok,
             })
             state, _, done = env.step(state, action)
             t += 1
-    hist = cf.weight_stats(np.vstack(all_norm))
+    raw = cf.causal_weights_batch(scm_params,
+                                  np.reshape(ys, (-1, env.grammar.n)), acts)
+    norm = cf.normalize_weights_batch(raw)
+    for rec, raw_row, norm_row in zip(records, raw.tolist(), norm.tolist()):
+        rec["raw_weights"] = raw_row
+        rec["normalized_weights"] = norm_row
+    hist = cf.weight_stats(norm)
     return {
         "env_id": env_id,
         "num_episodes": num_episodes,
@@ -339,11 +353,13 @@ def repeated_sampling_probe(ckpt_path, state_spec: str, k: int,
     env = make_env(env_id)
     state = env.state_from_spec(state_spec)
     rng = np.random.default_rng(sample_seed)
+    # k rows of n uniforms: the stream of k successive single samples
+    toks, _, _ = pol.sample_utterances_batch(
+        policy_params, [state] * k, rng.random((k, policy_params.spec.n)))
     counts: Counter = Counter()
     invalid = 0
-    for _ in range(k):
-        samp = pol.sample_utterance(policy_params, state, rng)
-        action, ok = env.parse_or_noop(samp.utterance)
+    for y in toks.tolist():
+        action, ok = env.parse_or_noop(y)
         counts[str(action)] += 1
         invalid += int(not ok)
     return {

@@ -5,12 +5,15 @@ one-hots of the last K previous tokens, and a position one-hot.  The NULL
 token is masked before normalization so the policy can never emit it; NULL is
 reserved for counterfactual interventions.
 
-All entropies are exact (computed from the full conditional distribution, not
-estimated), and the gradients of all supported objectives are analytic.
+Every operation takes a batch: m states and, where tokens are involved, an
+(m, n) token array.  One example is a batch of one.  All entropies are exact
+(computed from the full conditional distribution, not estimated), and the
+gradient of the training objective is analytic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,148 +52,112 @@ class PolicyParams:
         return PolicyParams(spec=self.spec, weights=self.weights.copy())
 
 
-@dataclass(frozen=True)
-class TokenDist:
-    probs: np.ndarray
-    logprobs: np.ndarray  # -inf on masked entries
+def state_index(state_cards, states) -> np.ndarray:
+    """(m, len(state_cards)) one-hot column of each state feature.
+
+    Feature j's block starts after the blocks of features 0..j-1.
+    """
+    offsets = np.cumsum((0,) + tuple(state_cards[:-1]))
+    feats = np.array([s.features for s in states], dtype=np.intp)
+    return feats.reshape(len(states), len(state_cards)) + offsets
 
 
-@dataclass(frozen=True)
-class SampledUtterance:
-    utterance: tuple[int, ...]
-    per_token_logprob: np.ndarray
-    per_token_entropy: np.ndarray
-
-
-def features(spec: FeatureSpec, state: EnvState, prefix,
-             position: int) -> np.ndarray:
-    """Feature vector for one next-token decision."""
-    f = np.zeros(spec.dim)
-    off = 0
-    for card, v in zip(spec.state_cards, state.features):
-        f[off + v] = 1.0
-        off += card
-    # most recent K tokens, newest first; absent slots stay zero
-    for k in range(spec.context):
-        idx = position - 1 - k
-        if idx >= 0:
-            f[off + prefix[idx]] = 1.0
-        off += spec.vocab_size
-    f[off + position] = 1.0
-    return f
-
-
-def features_batch(spec: FeatureSpec, states, prefixes,
-                   position: int) -> np.ndarray:
-    """(batch, dim) feature matrix; all rows share one position."""
-    m = len(states)
-    F = np.zeros((m, spec.dim))
-    off = 0
-    for j, card in enumerate(spec.state_cards):
-        vals = np.fromiter((s.features[j] for s in states), dtype=np.intp,
-                           count=m)
-        F[np.arange(m), off + vals] = 1.0
-        off += card
-    for k in range(spec.context):
-        idx = position - 1 - k
-        if idx >= 0:
-            toks = np.fromiter((p[idx] for p in prefixes), dtype=np.intp,
-                               count=m)
-            F[np.arange(m), off + toks] = 1.0
-        off += spec.vocab_size
-    F[:, off + position] = 1.0
+def one_hot(cols: np.ndarray, dim: int) -> np.ndarray:
+    """(m, dim) matrix with a 1 at each column of cols[b] in row b."""
+    F = np.zeros((cols.shape[0], dim))
+    F[np.arange(cols.shape[0])[:, None], cols] = 1.0
     return F
+
+
+def _features(spec: FeatureSpec, sidx: np.ndarray, toks: np.ndarray,
+              position: int) -> np.ndarray:
+    """(m, dim) features of the decisions at one position.
+
+    The K most recent tokens toks[:, position-1], ... come newest first;
+    absent slots stay zero.
+    """
+    off = sum(spec.state_cards)
+    cols = [sidx]
+    for k in range(spec.context):
+        idx = position - 1 - k
+        if idx >= 0:
+            cols.append(off + k * spec.vocab_size + toks[:, idx:idx + 1])
+    off += spec.context * spec.vocab_size
+    cols.append(np.full((sidx.shape[0], 1), off + position))
+    return one_hot(np.concatenate(cols, axis=1), spec.dim)
 
 
 def _masked_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise softmax with the NULL column forced to zero probability."""
     z = np.array(logits, dtype=np.float64, copy=True)
     z[..., NULL] = -np.inf
-    zmax = np.max(z, axis=-1, keepdims=True)
+    zmax = z.max(axis=-1, keepdims=True)
     ez = np.exp(z - zmax)
-    total = np.sum(ez, axis=-1, keepdims=True)
+    total = ez.sum(axis=-1, keepdims=True)
     probs = ez / total
-    with np.errstate(divide="ignore"):
-        logprobs = (z - zmax) - np.log(total)
+    # total >= 1 (the max term is exp(0)), so only NULL's entry is -inf
+    logprobs = (z - zmax) - np.log(total)
     return probs, logprobs
 
 
 def _entropy(probs: np.ndarray, logprobs: np.ndarray) -> np.ndarray:
     terms = probs * np.where(probs > 0.0, logprobs, 0.0)
-    return -np.sum(terms, axis=-1)
+    return -terms.sum(axis=-1)
 
 
-def next_token_dist(params: PolicyParams, state: EnvState, prefix) -> TokenDist:
-    if len(prefix) >= params.spec.n:
-        raise ValueError("prefix already has n tokens")
-    f = features(params.spec, state, prefix, len(prefix))
-    probs, logprobs = _masked_softmax(f @ params.weights)
-    return TokenDist(probs=probs, logprobs=logprobs)
+def _decode(params: PolicyParams, states, u: np.ndarray | None):
+    """Left-to-right decoding, by inverse CDF on u or by argmax if u is None.
 
-
-def sample_utterance(params: PolicyParams, state: EnvState,
-                     rng: np.random.Generator) -> SampledUtterance:
-    toks: list[int] = []
-    lps = np.empty(params.spec.n)
-    ents = np.empty(params.spec.n)
-    for i in range(params.spec.n):
-        d = next_token_dist(params, state, toks)
-        u = rng.random()
-        t = int(np.searchsorted(np.cumsum(d.probs), u, side="right"))
-        t = min(t, params.spec.vocab_size - 1)
-        toks.append(t)
-        lps[i] = d.logprobs[t]
-        ents[i] = _entropy(d.probs, d.logprobs)
-    return SampledUtterance(utterance=tuple(toks), per_token_logprob=lps,
-                            per_token_entropy=ents)
-
-
-def sample_utterances_batch(params: PolicyParams, states,
-                            rng: np.random.Generator) -> list[SampledUtterance]:
-    """Sample one utterance per state, vectorized across the batch.
-
-    Consumes exactly n * len(states) uniforms in row-major order, so a batch
-    of one is bit-identical to sample_utterance with the same generator.
+    Returns (tokens, per-token log-probs, exact conditional entropies), each
+    of shape (m, n).
     """
     spec = params.spec
     m = len(states)
-    toks = [[] for _ in range(m)]
+    sidx = state_index(spec.state_cards, states)
+    rows = np.arange(m)
+    toks = np.zeros((m, spec.n), dtype=np.intp)
     lps = np.empty((m, spec.n))
     ents = np.empty((m, spec.n))
     for i in range(spec.n):
-        F = features_batch(spec, states, toks, i)
+        F = _features(spec, sidx, toks, i)
         probs, logprobs = _masked_softmax(F @ params.weights)
-        u = rng.random(m)
-        cum = np.cumsum(probs, axis=1)
-        picks = np.empty(m, dtype=np.intp)
-        for b in range(m):
-            picks[b] = np.searchsorted(cum[b], u[b], side="right")
-        picks = np.minimum(picks, spec.vocab_size - 1)
-        for b in range(m):
-            toks[b].append(int(picks[b]))
-        lps[:, i] = logprobs[np.arange(m), picks]
+        if u is None:
+            picks = np.argmax(probs, axis=1)
+        else:
+            # first token whose cumulative probability exceeds the uniform
+            below = probs.cumsum(axis=1) <= u[:, i:i + 1]
+            picks = np.minimum(below.sum(axis=1), spec.vocab_size - 1)
+        toks[:, i] = picks
+        lps[:, i] = logprobs[rows, picks]
         ents[:, i] = _entropy(probs, logprobs)
-    return [SampledUtterance(utterance=tuple(toks[b]),
-                             per_token_logprob=lps[b].copy(),
-                             per_token_entropy=ents[b].copy())
-            for b in range(m)]
+    return toks, lps, ents
 
 
-def logprob_and_entropy(params: PolicyParams, state: EnvState,
-                        utterance) -> tuple[np.ndarray, np.ndarray]:
-    """Teacher-forced per-token log-probs and exact conditional entropies."""
-    spec = params.spec
-    if len(utterance) != spec.n:
-        raise ValueError("utterance length mismatch")
-    lps = np.empty(spec.n)
-    ents = np.empty(spec.n)
-    for i, t in enumerate(utterance):
-        if not (0 <= t < spec.vocab_size):
-            raise ValueError(f"token {t} out of vocab")
-        d = next_token_dist(params, state, utterance[:i])
-        lps[i] = d.logprobs[t]
-        ents[i] = _entropy(d.probs, d.logprobs)
-    return lps, ents
+def sample_utterances_batch(params: PolicyParams, states, u):
+    """Sample one utterance per state from the (m, n) uniforms u.
+
+    Token i of row b is drawn by inverse CDF on u[b, i].  Returns (tokens,
+    per-token log-probs, exact conditional entropies), each (m, n).
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != (len(states), params.spec.n):
+        raise ValueError(f"uniforms of shape {u.shape}, not ({len(states)}, "
+                         f"{params.spec.n})")
+    return _decode(params, states, u)
+
+
+def sample_utterance(params: PolicyParams, state: EnvState,
+                     rng: np.random.Generator):
+    """Batch of one: draws n uniforms and returns (tokens tuple, log-probs,
+    entropies) of the single row."""
+    toks, lps, ents = sample_utterances_batch(
+        params, [state], rng.random((1, params.spec.n)))
+    return tuple(toks[0].tolist()), lps[0], ents[0]
+
+
+def greedy_utterance(params: PolicyParams, states) -> np.ndarray:
+    """(m, n) per-position argmax decoding (ties to lowest token id)."""
+    return _decode(params, states, None)[0]
 
 
 def teacher_forced_batch(params: PolicyParams, states, utterances):
@@ -200,37 +167,33 @@ def teacher_forced_batch(params: PolicyParams, states, utterances):
     (m, n, V), (m, n, V), (m, n), (m, n).
     """
     spec = params.spec
+    toks = np.asarray(utterances, dtype=np.intp)
     m = len(states)
+    if toks.shape != (m, spec.n):
+        raise ValueError(f"utterances of shape {toks.shape}, not ({m}, "
+                         f"{spec.n})")
+    if np.any((toks < 0) | (toks >= spec.vocab_size)):
+        raise ValueError("token out of vocab")
+    sidx = state_index(spec.state_cards, states)
     probs = np.empty((m, spec.n, spec.vocab_size))
     logprobs = np.empty_like(probs)
     for i in range(spec.n):
-        prefixes = [u[:i] for u in utterances]
-        F = features_batch(spec, states, prefixes, i)
+        F = _features(spec, sidx, toks, i)
         probs[:, i], logprobs[:, i] = _masked_softmax(F @ params.weights)
-    tok = np.asarray(utterances, dtype=np.intp)
     rows = np.arange(m)[:, None]
     cols = np.arange(spec.n)[None, :]
-    tok_lp = logprobs[rows, cols, tok]
+    tok_lp = logprobs[rows, cols, toks]
     tok_ent = _entropy(probs, logprobs)
     return probs, logprobs, tok_lp, tok_ent
 
 
 # ---------------------------------------------------------------------------
-# Objectives and analytic gradients
-
-
-@dataclass(frozen=True)
-class ObjectiveSpec:
-    """Which differentiable objective to evaluate over a batch.
-
-    kind: 'logprob-weighted' | 'entropy' | 'weighted-entropy'
-    sample_weights: per-sample coefficients for logprob-weighted
-    token_weights: per-sample length-n entropy weights for weighted-entropy
-    """
-
-    kind: str
-    sample_weights: np.ndarray | None = None
-    token_weights: np.ndarray | None = None
+# The objective and its analytic gradient
+#
+#   J = sum_b w_b log pi(y_b | s_b) + sum_{b,i} B_bi H(y_bi | y_b,<i, s_b)
+#
+# w are the per-sample weights (ratio/advantage coefficients), B the
+# per-token entropy weights; a term whose weights are None is left out.
 
 
 def _entropy_dlogits(probs: np.ndarray, logprobs: np.ndarray,
@@ -240,64 +203,51 @@ def _entropy_dlogits(probs: np.ndarray, logprobs: np.ndarray,
     return -probs * (safe_lp + ent[..., None]) * (probs > 0.0)
 
 
-def objective_value(params: PolicyParams, batch, spec: ObjectiveSpec) -> float:
-    """Scalar objective over a batch of (state, utterance) pairs."""
-    states = [b[0] for b in batch]
-    utterances = [b[1] for b in batch]
+def objective_value(params: PolicyParams, states, utterances,
+                    sample_weights=None, token_weights=None) -> float:
+    """J over a batch of (state, utterance) pairs."""
     _, _, tok_lp, tok_ent = teacher_forced_batch(params, states, utterances)
-    if spec.kind == "logprob-weighted":
-        w = np.asarray(spec.sample_weights, dtype=np.float64)
-        return float(np.sum(w * np.sum(tok_lp, axis=1)))
-    if spec.kind == "entropy":
-        return float(np.sum(tok_ent))
-    if spec.kind == "weighted-entropy":
-        B = np.asarray(spec.token_weights, dtype=np.float64)
-        return float(np.sum(B * tok_ent))
-    raise ValueError(f"unknown objective kind {spec.kind!r}")
+    value = 0.0
+    if sample_weights is not None:
+        w = np.asarray(sample_weights, dtype=np.float64)
+        value += float(np.sum(w * np.sum(tok_lp, axis=1)))
+    if token_weights is not None:
+        B = np.asarray(token_weights, dtype=np.float64)
+        value += float(np.sum(B * tok_ent))
+    return value
 
 
-def grad_objective(params: PolicyParams, batch,
-                   spec: ObjectiveSpec) -> np.ndarray:
+def grad_objective(params: PolicyParams, states, utterances,
+                   sample_weights=None, token_weights=None) -> np.ndarray:
     """Analytic gradient of objective_value w.r.t. the weight matrix."""
-    if not batch:
+    if len(states) == 0:
         raise ValueError("empty batch")
-    pspec = params.spec
-    states = [b[0] for b in batch]
-    utterances = [b[1] for b in batch]
-    m = len(batch)
-    probs, logprobs, _, tok_ent = teacher_forced_batch(params, states,
-                                                       utterances)
+    if sample_weights is None and token_weights is None:
+        raise ValueError("objective has no term")
+    spec = params.spec
+    toks = np.asarray(utterances, dtype=np.intp)
+    probs, logprobs, _, tok_ent = teacher_forced_batch(params, states, toks)
+    if sample_weights is not None:
+        w = np.asarray(sample_weights, dtype=np.float64)[:, None]
+    if token_weights is not None:
+        B = np.asarray(token_weights, dtype=np.float64)
+    sidx = state_index(spec.state_cards, states)
+    rows = np.arange(len(states))
     grad = np.zeros_like(params.weights)
-    for i in range(pspec.n):
-        prefixes = [u[:i] for u in utterances]
-        F = features_batch(pspec, states, prefixes, i)  # (m, dim)
-        if spec.kind == "logprob-weighted":
-            w = np.asarray(spec.sample_weights, dtype=np.float64)
+    for i in range(spec.n):
+        dz = None
+        if sample_weights is not None:
+            # d log p(y_i) / dz = onehot(y_i) - p
             dz = -probs[:, i].copy()
             dz[:, NULL] = 0.0
-            toks = np.fromiter((u[i] for u in utterances), dtype=np.intp,
-                               count=m)
-            dz[np.arange(m), toks] += 1.0
-            dz *= w[:, None]
-        elif spec.kind == "entropy":
-            dz = _entropy_dlogits(probs[:, i], logprobs[:, i], tok_ent[:, i])
-        elif spec.kind == "weighted-entropy":
-            B = np.asarray(spec.token_weights, dtype=np.float64)
-            dz = _entropy_dlogits(probs[:, i], logprobs[:, i], tok_ent[:, i])
-            dz *= B[:, i][:, None]
-        else:
-            raise ValueError(f"unknown objective kind {spec.kind!r}")
-        grad += F.T @ dz
+            dz[rows, toks[:, i]] += 1.0
+            dz *= w
+        if token_weights is not None:
+            dent = B[:, i][:, None] * _entropy_dlogits(
+                probs[:, i], logprobs[:, i], tok_ent[:, i])
+            dz = dent if dz is None else dz + dent
+        grad += _features(spec, sidx, toks, i).T @ dz
     return grad
-
-
-def greedy_utterance(params: PolicyParams, state: EnvState) -> tuple[int, ...]:
-    """Per-position argmax decoding (ties to lowest token id)."""
-    toks: list[int] = []
-    for _ in range(params.spec.n):
-        d = next_token_dist(params, state, toks)
-        toks.append(int(np.argmax(d.probs)))
-    return tuple(toks)
 
 
 def joint_entropy_bruteforce(params: PolicyParams, state: EnvState) -> float:
@@ -308,17 +258,9 @@ def joint_entropy_bruteforce(params: PolicyParams, state: EnvState) -> float:
     """
     spec = params.spec
     support = [t for t in range(spec.vocab_size) if t != NULL]
-    total = 0.0
-
-    def rec(prefix, logp):
-        nonlocal total
-        if len(prefix) == spec.n:
-            total -= np.exp(logp) * logp
-            return
-        d = next_token_dist(params, state, prefix)
-        for t in support:
-            if d.probs[t] > 0.0:
-                rec(prefix + [t], logp + d.logprobs[t])
-
-    rec([], 0.0)
-    return float(total)
+    ys = list(itertools.product(support, repeat=spec.n))
+    _, _, tok_lp, _ = teacher_forced_batch(params, [state] * len(ys), ys)
+    logp = np.sum(tok_lp, axis=1)
+    p = np.exp(logp)
+    with np.errstate(invalid="ignore"):  # 0 * -inf off the support
+        return float(-np.sum(np.where(p > 0.0, p * logp, 0.0)))

@@ -7,7 +7,7 @@ sequences are always in-domain.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,7 +39,8 @@ class ScmParams:
     num_actions: int
     weights: np.ndarray  # (n * vocab, actions)
     bias: np.ndarray  # (actions,)
-    opt: AdamState = field(default_factory=AdamState)
+    opt_w: AdamState = field(default_factory=AdamState)  # Adam on weights
+    opt_b: AdamState = field(default_factory=AdamState)  # Adam on bias
 
     @classmethod
     def zeros(cls, n: int, vocab_size: int, num_actions: int) -> "ScmParams":
@@ -48,12 +49,11 @@ class ScmParams:
                    bias=np.zeros(num_actions))
 
     def copy(self) -> "ScmParams":
-        return ScmParams(n=self.n, vocab_size=self.vocab_size,
-                         num_actions=self.num_actions,
-                         weights=self.weights.copy(), bias=self.bias.copy(),
-                         opt=AdamState(step=self.opt.step,
-                                       m=None if self.opt.m is None else self.opt.m.copy(),
-                                       v=None if self.opt.v is None else self.opt.v.copy()))
+        # AdamState.update rebinds its moments to new arrays and never writes
+        # into them, so a shallow copy of an optimizer state is independent
+        return replace(self, weights=self.weights.copy(),
+                       bias=self.bias.copy(), opt_w=replace(self.opt_w),
+                       opt_b=replace(self.opt_b))
 
 
 # Module-level counter auditing how many sequences the SCM has scored;
@@ -130,13 +130,11 @@ def scm_update(phi: ScmParams, ys, labels, lr: float = 1e-3) -> tuple["ScmParams
         np.add.at(grad_w, idx[:, i], dz)
     grad_b = np.sum(dz, axis=0)
 
-    out = phi.copy()
-    flat = np.concatenate([grad_w.ravel(), grad_b])
-    packed = np.concatenate([phi.weights.ravel(), phi.bias])
-    new_packed = out.opt.update(packed, flat, lr)
-    out.weights = new_packed[:grad_w.size].reshape(grad_w.shape)
-    out.bias = new_packed[grad_w.size:]
-    return out, loss
+    # phi stays untouched: the new arrays go into a shallow copy of it
+    opt_w, opt_b = replace(phi.opt_w), replace(phi.opt_b)
+    return replace(phi, weights=opt_w.update(phi.weights, grad_w, lr),
+                   bias=opt_b.update(phi.bias, grad_b, lr),
+                   opt_w=opt_w, opt_b=opt_b), loss
 
 
 def train_scm(phi: ScmParams, ys, labels, lr: float, steps: int,

@@ -76,17 +76,6 @@ class EnvState:
     step_count: int = 0
 
 
-@dataclass(frozen=True)
-class Transition:
-    state: EnvState
-    utterance: tuple[int, ...]
-    action: Action
-    reward: float
-    next_state: EnvState
-    done: bool
-    parse_ok: bool
-
-
 def check_utterance(y: Sequence[int], n: int, vocab_size: int,
                     allow_null: bool = False) -> None:
     if len(y) != n:
@@ -154,9 +143,6 @@ class TextEnv:
 
     def step(self, state: EnvState, action: Action) -> tuple[EnvState, float, bool]:
         raise NotImplementedError
-
-    def is_success(self, reward: float, done: bool) -> bool:
-        return done and reward >= self.r_max
 
     def state_feature_cards(self) -> tuple[int, ...]:
         """Cardinality of each integer state feature (for one-hot encoders)."""

@@ -21,7 +21,7 @@ from coso.harness import (RunConfig, TheoryCheckSpec, check_contraction,
                           check_decomposition, check_improvement,
                           check_iteration, evaluate_greedy,
                           repeated_sampling_probe, run_single_seed)
-from coso.policy import FeatureSpec, ObjectiveSpec, PolicyParams
+from coso.policy import FeatureSpec, PolicyParams
 from coso.scm import ScmParams, accuracy, train_scm
 from coso.textmdp import ACTION_ARG, ACTION_KIND, EnvState, make_env
 
@@ -214,17 +214,23 @@ def test_criterion_6_gradient_correctness():
         params = PolicyParams(
             spec=spec, weights=rng.normal(0, 0.7, (spec.dim,
                                                    spec.vocab_size)))
-        batch = []
+        states, ys = [], []
         for _ in range(2):
-            state = EnvState(features=(int(rng.integers(0, 2)),))
-            y = tuple(int(rng.integers(1, spec.vocab_size))
-                      for _ in range(spec.n))
-            batch.append((state, y))
-        for kind in ("logprob-weighted", "entropy", "weighted-entropy"):
-            ospec = ObjectiveSpec(
-                kind=kind, sample_weights=rng.normal(size=len(batch)),
-                token_weights=rng.uniform(0, 1, (len(batch), spec.n)))
-            g = pol.grad_objective(params, batch, ospec)
+            states.append(EnvState(features=(int(rng.integers(0, 2)),)))
+            ys.append(tuple(int(rng.integers(1, spec.vocab_size))
+                            for _ in range(spec.n)))
+        # one (sample, token) weight draw per objective kind; the entropy
+        # kind uses unit token weights and None drops a term
+        draws = [(rng.normal(size=len(ys)),
+                  rng.uniform(0, 1, (len(ys), spec.n))) for _ in range(3)]
+        sw, tw = draws[0][0], draws[2][1]
+        cases = {"logprob-weighted": (sw, None),
+                 "entropy": (None, np.ones((len(ys), spec.n))),
+                 "weighted-entropy": (None, tw),
+                 # the training objective, as PPO and AWR call it
+                 "combined": (sw, tw)}
+        for kind, (sw, tw) in cases.items():
+            g = pol.grad_objective(params, states, ys, sw, tw)
             fd = np.zeros_like(g)
             for i in range(g.shape[0]):
                 for j in range(g.shape[1]):
@@ -232,15 +238,17 @@ def test_criterion_6_gradient_correctness():
                     up.weights[i, j] += h
                     dn = params.copy()
                     dn.weights[i, j] -= h
-                    fd[i, j] = (pol.objective_value(up, batch, ospec)
-                                - pol.objective_value(dn, batch, ospec)) / (2 * h)
+                    fd[i, j] = (pol.objective_value(up, states, ys, sw, tw)
+                                - pol.objective_value(dn, states, ys, sw, tw)
+                                ) / (2 * h)
             denom = max(np.max(np.abs(fd)), 1e-8)
             rel = np.max(np.abs(g - fd)) / denom
             assert rel <= 1e-4, f"trial {trial} kind {kind} rel {rel:.2e}"
     elapsed = time.time() - t0
     assert elapsed < 30.0
     ok(6, f"analytic gradients match central differences (h=1e-5, rel "
-          f"tol 1e-4) for all 3 objectives x 20 instances, {elapsed:.1f}s")
+          f"tol 1e-4) for 3 objectives plus the combined training "
+          f"objective x 20 instances, {elapsed:.1f}s")
 
 
 # -- 7..9: classifier fidelity and weight structure ---------------------------

@@ -49,6 +49,27 @@ def test_hyperparam_validation():
         Trainer(make_env("numberline"), Hyperparams(), seed=0, arm="bogus")
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("entropy_placement", "loss-bonus"),  # a typo once disabled the bonus
+    ("entropy_placement", "none"),
+    ("weight_mode", "max"),
+    ("awr_mode", "exponential"),
+])
+def test_hyperparam_enum_validation(field, bad):
+    with pytest.raises(ValueError, match=field):
+        Hyperparams(**{field: bad})
+
+
+def test_hyperparam_size_validation():
+    with pytest.raises(ValueError, match="multiple"):
+        Hyperparams(rollout_steps=100, num_envs=16)
+    for name in ("rollout_steps", "num_envs", "minibatch_size",
+                 "scm_batch_size", "ppo_epochs"):
+        for bad in (0, -16):
+            with pytest.raises(ValueError, match=name):
+                Hyperparams(**{name: bad})
+
+
 # -- value baseline and advantages -------------------------------------------
 
 

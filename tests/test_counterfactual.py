@@ -2,14 +2,23 @@ import numpy as np
 import pytest
 
 from coso import scm as scm_mod
-from coso.counterfactual import (CausalWeights, causal_weights,
-                                 causal_weights_batch, normalize_weights,
+from coso.counterfactual import (causal_weights_batch,
                                  normalize_weights_batch, nullify,
                                  weight_stats)
 from coso.scm import ScmParams, train_scm
 from coso.textmdp import NULL, make_env
 
 from test_scm import rollout_pairs
+
+
+def weights_of(phi, y, a):
+    """Raw weights of one (utterance, action) pair: a batch of one."""
+    return causal_weights_batch(phi, [y], [a])[0]
+
+
+def normalized(values, mode="maxnorm"):
+    return normalize_weights_batch(np.asarray(values, dtype=float)[None, :],
+                                   mode)[0]
 
 
 def converged_numberline_scm(seed=0, samples=3000):
@@ -50,8 +59,7 @@ def test_nullify_out_of_range():
 
 def test_uniform_scm_gives_zero_weights():
     phi = ScmParams.zeros(n=3, vocab_size=16, num_actions=3)
-    w = causal_weights(phi, (5, 6, 2), 0)
-    np.testing.assert_array_equal(w.values, 0.0)
+    np.testing.assert_array_equal(weights_of(phi, (5, 6, 2), 0), 0.0)
 
 
 def test_weights_bounded_and_deterministic():
@@ -61,10 +69,10 @@ def test_weights_bounded_and_deterministic():
     for _ in range(100):
         y = tuple(int(t) for t in rng.integers(1, 16, size=3))
         a = int(rng.integers(0, 3))
-        w1 = causal_weights(phi, y, a)
-        w2 = causal_weights(phi, y, a)
-        assert np.all(w1.values >= 0.0) and np.all(w1.values <= 1.0)
-        np.testing.assert_array_equal(w1.values, w2.values)
+        w1 = weights_of(phi, y, a)
+        w2 = weights_of(phi, y, a)
+        assert np.all(w1 >= 0.0) and np.all(w1 <= 1.0)
+        np.testing.assert_array_equal(w1, w2)
 
 
 def test_null_column_equal_to_token_column_gives_zero_weight():
@@ -74,15 +82,14 @@ def test_null_column_equal_to_token_column_gives_zero_weight():
     phi.weights = rng.normal(size=phi.weights.shape)
     i, tok = 1, 7
     phi.weights[i * 16 + NULL] = phi.weights[i * 16 + tok]
-    w = causal_weights(phi, (5, tok, 2), 0)
-    assert abs(w.values[i]) <= 1e-12
+    assert abs(weights_of(phi, (5, tok, 2), 0)[i]) <= 1e-12
 
 
 def test_exactly_n_interventions_per_utterance():
     phi = ScmParams.zeros(n=3, vocab_size=16, num_actions=3)
     before = scm_mod.eval_count()
-    causal_weights(phi, (5, 6, 2), 0)
-    assert scm_mod.eval_count() - before == 4  # base + n nullifications
+    causal_weights_batch(phi, [(5, 6, 2), (1, 2, 3)], [0, 1])
+    assert scm_mod.eval_count() - before == 8  # base + n nullifications
 
 
 def test_batch_weights_match_single():
@@ -93,33 +100,29 @@ def test_batch_weights_match_single():
     acts = rng.integers(0, 3, size=20)
     batch = causal_weights_batch(phi, ys, acts)
     for k in range(20):
-        single = causal_weights(phi, tuple(ys[k]), int(acts[k]))
-        np.testing.assert_allclose(batch[k], single.values, atol=1e-15)
+        single = weights_of(phi, tuple(ys[k]), int(acts[k]))
+        np.testing.assert_array_equal(batch[k], single)
 
 
 def test_normalize_maxnorm_with_floor():
-    w = CausalWeights(values=np.array([0.0, 0.0, 0.5]), mode="raw")
-    out = normalize_weights(w, "maxnorm")
-    np.testing.assert_allclose(out.values, [0.01, 0.01, 1.0])
+    np.testing.assert_allclose(normalized([0.0, 0.0, 0.5]),
+                               [0.01, 0.01, 1.0])
 
 
 def test_normalize_all_zero_floors():
-    w = CausalWeights(values=np.zeros(3), mode="raw")
-    out = normalize_weights(w, "maxnorm")
-    np.testing.assert_allclose(out.values, [0.01, 0.01, 0.01])
+    np.testing.assert_allclose(normalized(np.zeros(3)), [0.01, 0.01, 0.01])
 
 
 def test_normalize_idempotent():
-    w = CausalWeights(values=np.array([0.2, 0.03, 0.9]), mode="raw")
-    once = normalize_weights(w, "maxnorm")
-    twice = normalize_weights(once, "maxnorm")
-    np.testing.assert_allclose(once.values, twice.values)
+    once = normalized([0.2, 0.03, 0.9])
+    np.testing.assert_allclose(once, normalized(once))
 
 
 def test_normalize_raw_is_identity():
-    w = CausalWeights(values=np.array([0.2, 0.03, 0.9]), mode="raw")
-    np.testing.assert_array_equal(normalize_weights(w, "raw").values,
-                                  w.values)
+    w = np.array([[0.2, 0.03, 0.9]])
+    out = normalize_weights_batch(w, "raw")
+    np.testing.assert_array_equal(out, w)
+    assert out is not w
 
 
 def test_normalize_batch_matches_single():
@@ -128,13 +131,11 @@ def test_normalize_batch_matches_single():
     raw[5] = 0.0  # degenerate row
     batch = normalize_weights_batch(raw, "maxnorm")
     for k in range(30):
-        single = normalize_weights(CausalWeights(raw[k], "raw"), "maxnorm")
-        np.testing.assert_allclose(batch[k], single.values)
+        np.testing.assert_array_equal(batch[k], normalized(raw[k]))
 
 
 def test_weight_stats_counting():
-    hist = weight_stats([CausalWeights(np.array([0.01, 0.01, 1.0]),
-                                       "maxnorm")])
+    hist = weight_stats(np.array([[0.01, 0.01, 1.0]]))
     assert hist.fractions[0] == pytest.approx(2 / 3)
     assert abs(hist.fractions.sum() - 1.0) <= 1e-9
 
@@ -152,10 +153,9 @@ def test_converged_scm_localizes_on_action_slot():
     for _ in range(200):
         y = tuple(int(t) for t in rng.integers(1, env.vocab.size, size=3))
         action, _ = env.parse_or_noop(y)
-        w = causal_weights(phi, y, env.action_index(action))
-        filler_mean = np.mean([w.values[i] for i in range(3)
-                               if i != kind_slot])
-        ratios.append(w.values[kind_slot] / max(filler_mean, 1e-9))
+        w = weights_of(phi, y, env.action_index(action))
+        filler_mean = np.mean([w[i] for i in range(3) if i != kind_slot])
+        ratios.append(w[kind_slot] / max(filler_mean, 1e-9))
     assert np.median(ratios) >= 5.0
 
 
@@ -168,8 +168,8 @@ def test_duplicate_filler_positions_have_similar_weights():
         kind = int(rng.choice([2, 3, 4]))
         y = (tok, tok, kind)  # both filler slots hold the same token
         action, _ = env.parse_or_noop(y)
-        w = causal_weights(phi, y, env.action_index(action))
-        a, b = sorted([w.values[0], w.values[1]])
+        w = weights_of(phi, y, env.action_index(action))
+        a, b = sorted([w[0], w[1]])
         lo.append(a)
         hi.append(b)
     assert np.mean(hi) <= 2.0 * np.mean(lo) + 1e-6

@@ -7,11 +7,12 @@ import pytest
 from coso import checkpoint as ckpt
 from coso import cli
 from coso.coso_rl import Hyperparams, Trainer
-from coso.harness import (ARMS, RunConfig, TheoryCheckSpec, ablation_matrix,
-                          cf_report, evaluate_greedy, repeated_sampling_probe,
-                          run_experiment, run_single_seed, theory_check,
-                          theory_report)
-from coso.policy import FeatureSpec, PolicyParams
+from coso.harness import (ARMS, EVAL_SEED_BASE, RunConfig, TheoryCheckSpec,
+                          ablation_matrix, cf_report, evaluate_greedy,
+                          repeated_sampling_probe, run_experiment,
+                          run_single_seed, theory_check, theory_report)
+from coso.policy import (FeatureSpec, PolicyParams, greedy_utterance,
+                         sample_utterance, sample_utterances_batch)
 from coso.scm import ScmParams
 from coso.textmdp import make_env
 
@@ -44,6 +45,8 @@ def test_config_validation():
         tiny_config(seeds=())
     with pytest.raises(ValueError):
         tiny_config(arm="nope")
+    with pytest.raises(ValueError):
+        tiny_config(optimizer="sgd")
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -169,6 +172,29 @@ def test_probe_counts_and_bounds(tmp_path):
         repeated_sampling_probe(path, "c=3,tau=7", k=0)
 
 
+def test_probe_matches_sequential_samples(tmp_path):
+    path = trained_checkpoint(tmp_path, iters=5)
+    policy, _, _, _ = ckpt.load_bundle(path)
+    env = make_env("numberline")
+    state = env.state_from_spec("c=3,tau=7")
+    rng = np.random.default_rng(1234)
+    seq = [sample_utterance(policy, state, rng)[0] for _ in range(300)]
+    # one batch on k rows of n uniforms is the stream of k single samples
+    toks, _, _ = sample_utterances_batch(
+        policy, [state] * 300,
+        np.random.default_rng(1234).random((300, policy.spec.n)))
+    assert [tuple(y) for y in toks.tolist()] == seq
+    out = repeated_sampling_probe(path, "c=3,tau=7", k=300,
+                                  sample_seed=1234)
+    tally = {}
+    for y in seq:
+        a = str(env.parse_or_noop(y)[0])
+        tally[a] = tally.get(a, 0) + 1
+    assert out["actions"] == dict(sorted(tally.items()))
+    assert out["invalid_count"] == sum(not env.parse_or_noop(y)[1]
+                                       for y in seq)
+
+
 def test_probe_deterministic_policy_single_action(tmp_path):
     env = make_env("numberline")
     spec = FeatureSpec.for_env(env)
@@ -186,6 +212,41 @@ def test_evaluate_greedy_bounds():
     p = PolicyParams.zeros(FeatureSpec.for_env(env))
     sr = evaluate_greedy(env, p, episodes=8)
     assert 0.0 <= sr <= 1.0
+
+
+def greedy_reference(env, params, episodes):
+    """Per-episode reference: one episode at a time, one state per decode."""
+    wins = 0
+    for e in range(episodes):
+        state = env.reset(EVAL_SEED_BASE + e)
+        done = False
+        while not done:
+            y = greedy_utterance(params, [state])[0]
+            action, _ = env.parse_or_noop(y.tolist())
+            state, reward, done = env.step(state, action)
+        wins += int(reward >= env.r_max)
+    return wins / episodes
+
+
+@pytest.mark.parametrize("env_id", ["numberline", "menunav"])
+def test_evaluate_greedy_matches_per_episode_loop(env_id):
+    env = make_env(env_id)
+    tr = Trainer(env, Hyperparams(alpha=0.1, policy_lr=0.15), seed=1)
+    rates = []
+    for it in range(30):
+        tr.train_iteration()
+        if it % 3 == 2:
+            rates.append(evaluate_greedy(env, tr.policy, 32))
+            assert rates[-1] == greedy_reference(env, tr.policy, 32)
+    # random policies end episodes at many different steps
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        p = PolicyParams(spec=tr.policy.spec,
+                         weights=rng.normal(0, 2.0, tr.policy.weights.shape))
+        rates.append(evaluate_greedy(env, p, 16))
+        assert rates[-1] == greedy_reference(env, p, 16)
+    if env_id == "numberline":  # menunav resets every episode alike
+        assert len(set(rates)) > 2
 
 
 def test_theory_check_passes_small():

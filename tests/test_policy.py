@@ -1,13 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from coso.policy import (FeatureSpec, ObjectiveSpec, PolicyParams,
-                         grad_objective, greedy_utterance,
-                         joint_entropy_bruteforce, logprob_and_entropy,
-                         next_token_dist, objective_value, sample_utterance,
+from coso.policy import (FeatureSpec, PolicyParams, grad_objective,
+                         greedy_utterance, joint_entropy_bruteforce,
+                         objective_value, sample_utterance,
                          sample_utterances_batch, teacher_forced_batch)
-from coso.textmdp import NULL, EnvState, make_env
+from coso.textmdp import NULL, EnvState
 
 
 def small_spec(vocab=5, n=3, cards=(3,), context=2):
@@ -24,12 +25,26 @@ def random_params(spec, rng, scale=0.7):
 STATE = EnvState(features=(1,), step_count=0)
 
 
+def dist(p, state, prefix):
+    """(probs, logprobs) of the next token after prefix, by teacher forcing
+    the prefix padded to length n (later tokens cannot change it)."""
+    y = tuple(prefix) + (1,) * (p.spec.n - len(prefix))
+    probs, logprobs, _, _ = teacher_forced_batch(p, [state], [y])
+    return probs[0, len(prefix)], logprobs[0, len(prefix)]
+
+
+def random_states(spec, rng, m):
+    return [EnvState(features=tuple(int(rng.integers(0, c))
+                                    for c in spec.state_cards))
+            for _ in range(m)]
+
+
 def test_zero_params_uniform_over_non_null():
     spec = FeatureSpec(state_cards=(10, 10), vocab_size=16, n=3)
     p = PolicyParams.zeros(spec)
-    d = next_token_dist(p, EnvState(features=(2, 7)), ())
-    assert d.probs[NULL] == 0.0
-    np.testing.assert_allclose(d.probs[1:], 1.0 / 15, atol=1e-15)
+    probs, _ = dist(p, EnvState(features=(2, 7)), ())
+    assert probs[NULL] == 0.0
+    np.testing.assert_allclose(probs[1:], 1.0 / 15, atol=1e-15)
 
 
 def test_probs_sum_to_one():
@@ -37,52 +52,51 @@ def test_probs_sum_to_one():
     spec = small_spec()
     for _ in range(50):
         p = random_params(spec, rng, scale=3.0)
-        for plen in range(spec.n):
-            prefix = tuple(int(rng.integers(1, spec.vocab_size))
-                           for _ in range(plen))
-            d = next_token_dist(p, STATE, prefix)
-            assert abs(d.probs.sum() - 1.0) <= 1e-12
-            assert d.probs[NULL] == 0.0
-            assert np.all(d.probs >= 0.0)
+        y = tuple(int(t) for t in rng.integers(1, spec.vocab_size,
+                                               size=spec.n))
+        probs, _, _, _ = teacher_forced_batch(p, [STATE], [y])
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=0,
+                                   atol=1e-12)
+        assert np.all(probs[..., NULL] == 0.0)
+        assert np.all(probs >= 0.0)
 
 
 def test_dominant_logit_concentrates():
     spec = FeatureSpec(state_cards=(2,), vocab_size=16, n=3)
     p = PolicyParams.zeros(spec)
-    p.weights[:, 5] = 10.0 / spec.dim * 0  # keep zero; boost via one feature
     # state feature 0 is active for features=(0,)
     p.weights[0, 5] = 10.0
-    d = next_token_dist(p, EnvState(features=(0,)), ())
+    probs, _ = dist(p, EnvState(features=(0,)), ())
     # closed form: e^10 / (e^10 + 14) over the 15-token support
     expected = np.exp(10.0) / (np.exp(10.0) + 14.0)
-    np.testing.assert_allclose(d.probs[5], expected, atol=1e-12)
-    assert d.probs[5] >= 0.999
+    np.testing.assert_allclose(probs[5], expected, atol=1e-12)
+    assert probs[5] >= 0.999
 
 
 def test_prefix_too_long_raises():
+    # teacher forcing takes exactly n tokens per utterance
     spec = small_spec()
     p = PolicyParams.zeros(spec)
     with pytest.raises(ValueError):
-        next_token_dist(p, STATE, (1, 2, 3))
+        teacher_forced_batch(p, [STATE], [(1, 2, 3, 4)])
 
 
 def test_uniform_entropy_value():
     spec = FeatureSpec(state_cards=(10, 10), vocab_size=16, n=3)
     p = PolicyParams.zeros(spec)
-    samp = sample_utterance(p, EnvState(features=(1, 2)),
-                            np.random.default_rng(0))
-    np.testing.assert_allclose(samp.per_token_entropy, np.log(15), atol=1e-12)
-    np.testing.assert_allclose(samp.per_token_logprob, -np.log(15),
-                               atol=1e-12)
+    _, lps, ents = sample_utterance(p, EnvState(features=(1, 2)),
+                                    np.random.default_rng(0))
+    np.testing.assert_allclose(ents, np.log(15), atol=1e-12)
+    np.testing.assert_allclose(lps, -np.log(15), atol=1e-12)
 
 
 def test_degenerate_policy_entropy_near_zero():
     spec = small_spec()
     p = PolicyParams.zeros(spec)
     p.weights[:, 2] = 50.0  # every feature pushes token 2
-    samp = sample_utterance(p, STATE, np.random.default_rng(0))
-    assert samp.utterance == (2, 2, 2)
-    assert np.all(samp.per_token_entropy < 1e-6)
+    y, _, ents = sample_utterance(p, STATE, np.random.default_rng(0))
+    assert y == (2, 2, 2)
+    assert np.all(ents < 1e-6)
 
 
 def test_sampling_deterministic_under_seed():
@@ -92,43 +106,58 @@ def test_sampling_deterministic_under_seed():
     p = random_params(spec, np.random.default_rng(5))
     s1 = sample_utterance(p, STATE, rng1)
     s2 = sample_utterance(p, STATE, rng2)
-    assert s1.utterance == s2.utterance
-    np.testing.assert_array_equal(s1.per_token_logprob, s2.per_token_logprob)
+    assert s1[0] == s2[0]
+    np.testing.assert_array_equal(s1[1], s2[1])
 
 
 def test_batch_sampling_matches_single():
     spec = small_spec()
-    p = random_params(spec, np.random.default_rng(9))
-    single = sample_utterance(p, STATE, np.random.default_rng(123))
-    batched = sample_utterances_batch(p, [STATE], np.random.default_rng(123))
-    assert batched[0].utterance == single.utterance
-    np.testing.assert_array_equal(batched[0].per_token_entropy,
-                                  single.per_token_entropy)
+    rng = np.random.default_rng(9)
+    p = random_params(spec, rng)
+    states = random_states(spec, rng, 16)
+    u = rng.random((16, spec.n))
+    toks, lps, ents = sample_utterances_batch(p, states, u)
+    for b in range(16):
+        t1, l1, e1 = sample_utterances_batch(p, [states[b]], u[b:b + 1])
+        np.testing.assert_array_equal(toks[b], t1[0])
+        np.testing.assert_allclose(lps[b], l1[0], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(ents[b], e1[0], rtol=0, atol=1e-14)
+    with pytest.raises(ValueError):
+        sample_utterances_batch(p, states, u[:, :2])
+    # sample_utterance is the batch of one on the next n uniforms
+    y, lp, ent = sample_utterance(p, STATE, np.random.default_rng(123))
+    t1, l1, e1 = sample_utterances_batch(
+        p, [STATE], np.random.default_rng(123).random((1, spec.n)))
+    assert y == tuple(t1[0].tolist())
+    np.testing.assert_array_equal(lp, l1[0])
+    np.testing.assert_array_equal(ent, e1[0])
 
 
 def test_rescoring_matches_sampling():
     spec = small_spec()
     rng = np.random.default_rng(1)
     p = random_params(spec, rng)
-    for _ in range(20):
-        samp = sample_utterance(p, STATE, rng)
-        lps, ents = logprob_and_entropy(p, STATE, samp.utterance)
-        np.testing.assert_array_equal(lps, samp.per_token_logprob)
-        np.testing.assert_array_equal(ents, samp.per_token_entropy)
+    states = random_states(spec, rng, 20)
+    toks, lps, ents = sample_utterances_batch(p, states,
+                                              rng.random((20, spec.n)))
+    _, _, tok_lp, tok_ent = teacher_forced_batch(p, states, toks)
+    np.testing.assert_array_equal(tok_lp, lps)
+    np.testing.assert_array_equal(tok_ent, ents)
 
 
 def test_uniform_total_logprob():
     spec = FeatureSpec(state_cards=(4,), vocab_size=16, n=3)
     p = PolicyParams.zeros(spec)
-    lps, _ = logprob_and_entropy(p, EnvState(features=(0,)), (5, 6, 7))
-    np.testing.assert_allclose(lps.sum(), -3 * np.log(15), atol=1e-12)
+    _, _, tok_lp, _ = teacher_forced_batch(p, [EnvState(features=(0,))],
+                                           [(5, 6, 7)])
+    np.testing.assert_allclose(tok_lp.sum(), -3 * np.log(15), atol=1e-12)
 
 
 def test_token_out_of_vocab_raises():
     spec = small_spec()
     p = PolicyParams.zeros(spec)
     with pytest.raises(ValueError):
-        logprob_and_entropy(p, STATE, (1, 2, 99))
+        teacher_forced_batch(p, [STATE], [(1, 2, 99)])
 
 
 def test_entropy_bounds():
@@ -136,34 +165,27 @@ def test_entropy_bounds():
     rng = np.random.default_rng(2)
     for _ in range(50):
         p = random_params(spec, rng, scale=2.0)
-        samp = sample_utterance(p, STATE, rng)
-        assert np.all(samp.per_token_entropy >= 0.0)
-        assert np.all(samp.per_token_entropy
-                      <= np.log(spec.vocab_size - 1) + 1e-12)
+        _, _, ents = sample_utterances_batch(p, [STATE] * 4,
+                                             rng.random((4, spec.n)))
+        assert np.all(ents >= 0.0)
+        assert np.all(ents <= np.log(spec.vocab_size - 1) + 1e-12)
 
 
 def test_entropy_decomposition_vs_bruteforce():
     # sum of exact conditional entropies equals the joint utterance entropy
     rng = np.random.default_rng(3)
     spec = FeatureSpec(state_cards=(3,), vocab_size=4, n=3, context=2)
+    support = [t for t in range(spec.vocab_size) if t != NULL]
+    ys = list(itertools.product(support, repeat=spec.n))
     for _ in range(10):
         p = random_params(spec, rng)
         joint = joint_entropy_bruteforce(p, STATE)
-        # conditional sum: E over prefixes of conditional entropies
-        support = [t for t in range(spec.vocab_size) if t != NULL]
-        total = 0.0
-
-        def rec(prefix, prob):
-            nonlocal total
-            d = next_token_dist(p, STATE, prefix)
-            ent = -np.sum(np.where(d.probs > 0, d.probs *
-                                   np.where(d.probs > 0, d.logprobs, 0), 0))
-            total += prob * ent
-            if len(prefix) + 1 < spec.n:
-                for t in support:
-                    rec(prefix + (t,), prob * d.probs[t])
-
-        rec((), 1.0)
+        # E_y sum_i H(y_i | y_<i): each conditional entropy depends only on
+        # its prefix, so weighting full sequences by p(y) averages prefixes
+        _, _, tok_lp, tok_ent = teacher_forced_batch(p, [STATE] * len(ys),
+                                                     ys)
+        total = float(np.sum(np.exp(tok_lp.sum(axis=1))
+                             * tok_ent.sum(axis=1)))
         assert abs(joint - total) <= 1e-10
 
 
@@ -171,36 +193,45 @@ def test_sampling_frequencies_match_dist():
     spec = FeatureSpec(state_cards=(2,), vocab_size=8, n=3, context=1)
     p = random_params(spec, np.random.default_rng(8), scale=0.5)
     state = EnvState(features=(0,))
-    d = next_token_dist(p, state, ())
+    probs, _ = dist(p, state, ())
     rng = np.random.default_rng(77)
     n_samples = 100_000
-    samples = sample_utterances_batch(p, [state] * 1000, rng)
     counts = np.zeros(spec.vocab_size)
     for _ in range(n_samples // 1000):
-        for s in samples:
-            counts[s.utterance[0]] += 1
-        samples = sample_utterances_batch(p, [state] * 1000, rng)
-    support = d.probs > 0
-    chi2, pval = stats.chisquare(counts[support],
-                                 n_samples * d.probs[support])
+        toks, _, _ = sample_utterances_batch(p, [state] * 1000,
+                                             rng.random((1000, spec.n)))
+        counts += np.bincount(toks[:, 0], minlength=spec.vocab_size)
+    support = probs > 0
+    chi2, pval = stats.chisquare(counts[support], n_samples * probs[support])
     assert pval > 1e-3
 
 
 def test_greedy_is_argmax_path():
     spec = small_spec()
-    p = random_params(spec, np.random.default_rng(10))
-    y = greedy_utterance(p, STATE)
-    toks = []
-    for i in range(spec.n):
-        d = next_token_dist(p, STATE, tuple(toks))
-        toks.append(int(np.argmax(d.probs)))
-    assert y == tuple(toks)
+    rng = np.random.default_rng(10)
+    p = random_params(spec, rng)
+    states = [STATE] + random_states(spec, rng, 7)
+    ys = greedy_utterance(p, states)
+    for state, y in zip(states, ys):
+        toks = []
+        for i in range(spec.n):
+            probs, _ = dist(p, state, toks)
+            toks.append(int(np.argmax(probs)))
+        assert tuple(y.tolist()) == tuple(toks)
 
 
 # -- gradients ---------------------------------------------------------------
 
 
-def finite_difference(params, batch, spec, h=1e-5):
+def objective_terms(kind, sample_weights, token_weights):
+    """(sample_weights, token_weights) of one objective; None drops a term."""
+    return {"logprob-weighted": (sample_weights, None),
+            "entropy": (None, np.ones_like(token_weights)),
+            "weighted-entropy": (None, token_weights),
+            "combined": (sample_weights, token_weights)}[kind]
+
+
+def finite_difference(params, states, ys, sw, tw, h=1e-5):
     g = np.zeros_like(params.weights)
     for i in range(params.weights.shape[0]):
         for j in range(params.weights.shape[1]):
@@ -208,27 +239,26 @@ def finite_difference(params, batch, spec, h=1e-5):
             up.weights[i, j] += h
             dn = params.copy()
             dn.weights[i, j] -= h
-            g[i, j] = (objective_value(up, batch, spec)
-                       - objective_value(dn, batch, spec)) / (2 * h)
+            g[i, j] = (objective_value(up, states, ys, sw, tw)
+                       - objective_value(dn, states, ys, sw, tw)) / (2 * h)
     return g
 
 
 def make_batch(spec, rng, size=3):
-    batch = []
+    states, ys = [], []
     for _ in range(size):
-        state = EnvState(features=tuple(int(rng.integers(0, c))
-                                        for c in spec.state_cards))
-        y = tuple(int(rng.integers(1, spec.vocab_size))
-                  for _ in range(spec.n))
-        batch.append((state, y))
-    return batch
+        states.append(EnvState(features=tuple(int(rng.integers(0, c))
+                                              for c in spec.state_cards)))
+        ys.append(tuple(int(rng.integers(1, spec.vocab_size))
+                        for _ in range(spec.n)))
+    return states, ys
 
 
 def test_entropy_gradient_zero_at_uniform():
     spec = small_spec()
     p = PolicyParams.zeros(spec)
-    batch = make_batch(spec, np.random.default_rng(0))
-    g = grad_objective(p, batch, ObjectiveSpec(kind="entropy"))
+    states, ys = make_batch(spec, np.random.default_rng(0))
+    g = grad_objective(p, states, ys, token_weights=np.ones((3, spec.n)))
     np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
 
@@ -236,29 +266,30 @@ def test_weighted_entropy_with_unit_weights_equals_entropy():
     spec = small_spec()
     rng = np.random.default_rng(4)
     p = random_params(spec, rng)
-    batch = make_batch(spec, rng)
-    ones = np.ones((len(batch), spec.n))
-    g_w = grad_objective(p, batch,
-                         ObjectiveSpec(kind="weighted-entropy",
-                                       token_weights=ones))
-    g_e = grad_objective(p, batch, ObjectiveSpec(kind="entropy"))
-    np.testing.assert_array_equal(g_w, g_e)
+    states, ys = make_batch(spec, rng)
+    ones = np.ones((len(ys), spec.n))
+    _, _, _, tok_ent = teacher_forced_batch(p, states, ys)
+    assert objective_value(p, states, ys, token_weights=ones) == \
+        pytest.approx(tok_ent.sum(), abs=1e-12)
+    # the entropy sum's gradient is the sum of its per-position gradients
+    g = grad_objective(p, states, ys, token_weights=ones)
+    parts = sum(grad_objective(p, states, ys, token_weights=np.eye(spec.n)[
+        [i] * len(ys)]) for i in range(spec.n))
+    np.testing.assert_allclose(g, parts, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["logprob-weighted", "entropy",
-                                  "weighted-entropy"])
+                                  "weighted-entropy", "combined"])
 def test_gradients_match_finite_differences(kind):
     rng = np.random.default_rng(6)
     spec = FeatureSpec(state_cards=(2,), vocab_size=4, n=2, context=1)
     for trial in range(20):
         p = random_params(spec, rng)
-        batch = make_batch(spec, rng, size=2)
-        ospec = ObjectiveSpec(
-            kind=kind,
-            sample_weights=rng.normal(size=len(batch)),
-            token_weights=rng.uniform(0, 1, (len(batch), spec.n)))
-        g = grad_objective(p, batch, ospec)
-        fd = finite_difference(p, batch, ospec)
+        states, ys = make_batch(spec, rng, size=2)
+        sw, tw = objective_terms(kind, rng.normal(size=len(ys)),
+                                 rng.uniform(0, 1, (len(ys), spec.n)))
+        g = grad_objective(p, states, ys, sw, tw)
+        fd = finite_difference(p, states, ys, sw, tw)
         denom = max(np.max(np.abs(fd)), 1e-8)
         assert np.max(np.abs(g - fd)) / denom <= 1e-4, f"trial {trial}"
 
@@ -267,18 +298,20 @@ def test_grad_empty_batch_raises():
     spec = small_spec()
     p = PolicyParams.zeros(spec)
     with pytest.raises(ValueError):
-        grad_objective(p, [], ObjectiveSpec(kind="entropy"))
+        grad_objective(p, [], np.zeros((0, spec.n), dtype=int),
+                       token_weights=np.zeros((0, spec.n)))
+    states, ys = make_batch(spec, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        grad_objective(p, states, ys)  # no objective term
 
 
 def test_teacher_forced_batch_consistency():
     spec = small_spec()
     rng = np.random.default_rng(12)
     p = random_params(spec, rng)
-    batch = make_batch(spec, rng, size=4)
-    states = [b[0] for b in batch]
-    utts = [b[1] for b in batch]
-    _, _, tok_lp, tok_ent = teacher_forced_batch(p, states, utts)
-    for k, (state, y) in enumerate(batch):
-        lps, ents = logprob_and_entropy(p, state, y)
-        np.testing.assert_allclose(tok_lp[k], lps, atol=1e-14)
-        np.testing.assert_allclose(tok_ent[k], ents, atol=1e-14)
+    states, ys = make_batch(spec, rng, size=4)
+    _, _, tok_lp, tok_ent = teacher_forced_batch(p, states, ys)
+    for k in range(4):
+        _, _, lps, ents = teacher_forced_batch(p, states[k:k + 1], ys[k:k + 1])
+        np.testing.assert_allclose(tok_lp[k], lps[0], atol=1e-14)
+        np.testing.assert_allclose(tok_ent[k], ents[0], atol=1e-14)

@@ -106,3 +106,21 @@ def test_numberline_convergence_matches_parser():
     phi, _ = train_scm(phi, ys[:3000], labels[:3000], lr=1e-2, steps=1500,
                        batch_size=256, rng=rng)
     assert accuracy(phi, ys[3000:], labels[3000:]) >= 0.99
+
+
+def test_update_leaves_input_untouched():
+    env = make_env("menunav")
+    rng = np.random.default_rng(3)
+    ys, labels = rollout_pairs(env, rng, 64)
+    phi = ScmParams.zeros(env.grammar.n, env.vocab.size, env.num_actions)
+    phi, _ = scm_update(phi, ys[:32], labels[:32], lr=1e-2)
+    arrays = [phi.weights, phi.bias, phi.opt_w.m, phi.opt_w.v, phi.opt_b.m,
+              phi.opt_b.v]
+    before = [a.copy() for a in arrays]
+    new, _ = scm_update(phi, ys[32:], labels[32:], lr=1e-2)
+    assert not np.array_equal(new.weights, phi.weights)
+    for a, b in zip([phi.weights, phi.bias, phi.opt_w.m, phi.opt_w.v,
+                     phi.opt_b.m, phi.opt_b.v], before):
+        np.testing.assert_array_equal(a, b)
+    assert phi.opt_w.step == phi.opt_b.step == 1
+    assert new.opt_w.step == new.opt_b.step == 2
