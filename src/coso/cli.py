@@ -48,8 +48,12 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_theory_check(args) -> int:
-    spec = TheoryCheckSpec(instances=args.instances,
-                           contraction_tol=args.tol)
+    try:
+        spec = TheoryCheckSpec(instances=args.instances,
+                               contraction_tol=args.tol)
+    except ValueError as exc:
+        print(f"coso theory-check: {exc}", file=sys.stderr)
+        return 2
     results = harness.theory_check(spec)
     print(harness.theory_report(results))
     return 0 if all(r.passed for r in results) else 1

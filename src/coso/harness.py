@@ -388,6 +388,17 @@ class TheoryCheckSpec:
     decomposition_tol: float = 1e-10
     corrupt_gamma: float | None = None  # negative-control hook
 
+    def __post_init__(self):
+        # zero instances or Q pairs would pass a suite vacuously, and a
+        # non-positive tolerance would fail every instance
+        for name in ("instances", "q_pairs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("contraction_tol", "fixed_point_tol", "improvement_tol",
+                     "monotonicity_tol", "decomposition_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+
 
 @dataclass
 class SuiteResult:
@@ -428,14 +439,16 @@ def check_contraction(spec: TheoryCheckSpec) -> SuiteResult:
                                               mdp.n, rng)
         B = rng.uniform(0.0, 1.0, size=mdp.n)
         alpha = float(rng.uniform(0.0, 2.0))
-        gamma = spec.corrupt_gamma if spec.corrupt_gamma is not None else None
+        terms = tabular.policy_terms(mdp, policy, B)
         bad = False
         for _ in range(spec.q_pairs):
             shape = (mdp.num_states, mdp.num_actions)
             q1 = rng.uniform(-5, 5, size=shape)
             q2 = rng.uniform(-5, 5, size=shape)
-            t1 = tabular.bellman_backup(mdp, q1, policy, B, alpha, gamma=gamma)
-            t2 = tabular.bellman_backup(mdp, q2, policy, B, alpha, gamma=gamma)
+            t1 = tabular.bellman_backup(mdp, q1, terms, alpha,
+                                        gamma=spec.corrupt_gamma)
+            t2 = tabular.bellman_backup(mdp, q2, terms, alpha,
+                                        gamma=spec.corrupt_gamma)
             denom = float(np.max(np.abs(q1 - q2)))
             lip = float(np.max(np.abs(t1 - t2))) / denom
             excess = lip - mdp.gamma

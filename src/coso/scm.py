@@ -81,7 +81,12 @@ def _logits(phi: ScmParams, ys: np.ndarray) -> np.ndarray:
         raise ValueError("token id outside vocab")
     _EVAL_COUNT += ys.shape[0]
     idx = _feature_indices(phi, ys)
-    return np.sum(phi.weights[idx], axis=1) + phi.bias
+    # slot by slot into one (M, A) array, never the (M, n, A) gather; the
+    # same additions in the same order as summing that gather over n
+    out = phi.weights[idx[:, 0]]
+    for i in range(1, phi.n):
+        out += phi.weights[idx[:, i]]
+    return out + phi.bias
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

@@ -8,6 +8,11 @@ independent oracles (linear solves, brute-force enumeration).
 
 Token ids in this module index the effective alphabet (NULL excluded); the
 weight profile B is exogenous and state-independent.
+
+The backup operator's entropy and action-distribution terms depend only on
+the policy (and B), not on Q: they are computed once per policy by
+``policy_terms`` and passed to every ``bellman_backup`` for that policy, as in
+soft policy evaluation, where the entropy term is fixed while the policy is.
 """
 from __future__ import annotations
 
@@ -132,12 +137,28 @@ def _state_entropies(mdp: TabularMdp, policy: TabularPolicy, B) -> np.ndarray:
                      for s in range(mdp.num_states)])
 
 
-def bellman_backup(mdp: TabularMdp, Q: np.ndarray, policy: TabularPolicy,
-                   B, alpha: float, gamma: float | None = None) -> np.ndarray:
-    """One exact application of the weighted-entropy backup operator."""
-    g = mdp.gamma if gamma is None else gamma
-    h = _state_entropies(mdp, policy, B)  # (S,)
+def policy_terms(mdp: TabularMdp, policy: TabularPolicy,
+                 B) -> tuple[np.ndarray, np.ndarray]:
+    """The backup's policy-only terms for one policy: (h, d).
+
+    h is the (S,) weighted entropy per state and d the (S, A) action
+    distribution per state.  Both belong to this one policy and weight
+    profile; recompute them whenever the policy changes.
+    """
+    h = _state_entropies(mdp, policy, B)
     d = np.array([action_dist(mdp, policy, s) for s in range(mdp.num_states)])
+    return h, d
+
+
+def bellman_backup(mdp: TabularMdp, Q: np.ndarray, terms, alpha: float,
+                   gamma: float | None = None) -> np.ndarray:
+    """One exact application of the weighted-entropy backup operator.
+
+    ``terms`` is ``policy_terms(mdp, policy, B)`` of the policy being
+    evaluated; the backup is only valid for that one policy.
+    """
+    g = mdp.gamma if gamma is None else gamma
+    h, d = terms
     ev = np.sum(d * Q, axis=1)  # (S,) expected next Q under the policy
     return mdp.r + g * mdp.P @ (alpha * h + ev)
 
@@ -148,10 +169,11 @@ def policy_evaluation(mdp: TabularMdp, policy: TabularPolicy, B,
     """Iterate the backup to its fixed point; returns (Q, residual trace)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    terms = policy_terms(mdp, policy, B)
     Q = np.zeros((mdp.num_states, mdp.num_actions))
     trace = []
     for _ in range(max_iters):
-        nxt = bellman_backup(mdp, Q, policy, B, alpha)
+        nxt = bellman_backup(mdp, Q, terms, alpha)
         res = float(np.max(np.abs(nxt - Q)))
         trace.append(res)
         Q = nxt
@@ -164,8 +186,7 @@ def policy_evaluation_direct(mdp: TabularMdp, policy: TabularPolicy, B,
                              alpha: float) -> np.ndarray:
     """Closed-form fixed point via a linear solve (independent oracle)."""
     S, A = mdp.num_states, mdp.num_actions
-    h = _state_entropies(mdp, policy, B)
-    d = np.array([action_dist(mdp, policy, s) for s in range(S)])  # (S, A)
+    h, d = policy_terms(mdp, policy, B)
     # Q = r + gamma * P (alpha h + D Q) with D: (S, S*A) selecting E_a'[Q]
     D = np.zeros((S, S * A))
     for s in range(S):

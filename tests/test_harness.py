@@ -267,6 +267,25 @@ def test_theory_check_negative_control():
     assert contraction.failing_seeds
 
 
+@pytest.mark.parametrize("field,value", [
+    ("instances", 0), ("instances", -3), ("q_pairs", 0),
+    ("contraction_tol", -1.0), ("contraction_tol", 0.0),
+    ("fixed_point_tol", 0.0), ("improvement_tol", -1e-8),
+    ("monotonicity_tol", 0.0), ("decomposition_tol", float("nan")),
+])
+def test_theory_spec_validation(field, value):
+    with pytest.raises(ValueError, match=field):
+        TheoryCheckSpec(**{field: value})
+
+
+@pytest.mark.parametrize("args", [["--instances", "0"], ["--tol", "-1"]])
+def test_cli_theory_check_rejects_bad_spec(args, capsys):
+    assert cli.main(["theory-check", *args]) != 0
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert "must be" in captured.err
+
+
 def test_cli_envs_listing(capsys):
     assert cli.main(["envs"]) == 0
     out = capsys.readouterr().out

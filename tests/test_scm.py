@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coso import scm
 from coso.scm import (ScmParams, accuracy, scm_likelihood, scm_predict,
                       scm_update, train_scm)
 from coso.textmdp import NULL, make_env
@@ -48,6 +49,21 @@ def test_null_tokens_are_in_domain():
         probs = scm_likelihood(phi, y)
         assert np.all(np.isfinite(probs))
         assert abs(probs.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_logits_match_summed_gather(n):
+    rng = np.random.default_rng(n)
+    vocab, actions = 16, 8
+    phi = ScmParams.zeros(n=n, vocab_size=vocab, num_actions=actions)
+    phi.weights = rng.normal(size=phi.weights.shape)
+    phi.bias = rng.normal(size=actions)
+    ys = rng.integers(1, vocab, size=(500, n))
+    ys[rng.random(ys.shape) < 0.3] = NULL  # nullified slots, as interventions
+    ys[0] = NULL
+    idx = ys + np.arange(n)[None, :] * vocab
+    reference = np.sum(phi.weights[idx], axis=1) + phi.bias
+    assert np.array_equal(scm._logits(phi, ys), reference)
 
 
 def test_bad_inputs_raise():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from coso.tabular import (TabularMdp, TabularPolicy, bellman_backup,
-                          brute_force_optimal_q, entropy_decomposition_check,
-                          policy_evaluation, policy_evaluation_direct,
-                          policy_iteration, random_mdp, soft_improve,
+from coso import tabular
+from coso.tabular import (TabularMdp, TabularPolicy, action_dist,
+                          bellman_backup, brute_force_optimal_q,
+                          entropy_decomposition_check, policy_evaluation,
+                          policy_evaluation_direct, policy_iteration,
+                          policy_terms, random_mdp, soft_improve,
                           weighted_entropy_exact)
 
 
@@ -74,8 +76,8 @@ def test_gamma_zero_backup_is_reward():
     mdp = random_mdp(rng)
     pi = TabularPolicy.random(mdp.num_states, mdp.vocab_eff, mdp.n, rng)
     Q = rng.normal(size=(mdp.num_states, mdp.num_actions))
-    out = bellman_backup(mdp, Q, pi, random_B(rng, mdp.n), alpha=0.7,
-                         gamma=0.0)
+    out = bellman_backup(mdp, Q, policy_terms(mdp, pi, random_B(rng, mdp.n)),
+                         alpha=0.7, gamma=0.0)
     np.testing.assert_allclose(out, mdp.r, atol=1e-14)
 
 
@@ -84,8 +86,10 @@ def test_alpha_zero_backup_is_standard():
     mdp = random_mdp(rng)
     pi = TabularPolicy.random(mdp.num_states, mdp.vocab_eff, mdp.n, rng)
     Q = rng.normal(size=(mdp.num_states, mdp.num_actions))
-    a = bellman_backup(mdp, Q, pi, np.zeros(mdp.n), alpha=0.0)
-    b = bellman_backup(mdp, Q, pi, random_B(rng, mdp.n), alpha=0.0)
+    a = bellman_backup(mdp, Q, policy_terms(mdp, pi, np.zeros(mdp.n)),
+                       alpha=0.0)
+    b = bellman_backup(mdp, Q, policy_terms(mdp, pi, random_B(rng, mdp.n)),
+                       alpha=0.0)
     np.testing.assert_array_equal(a, b)
 
 
@@ -94,15 +98,63 @@ def test_contraction_on_random_pairs():
     for _ in range(10):
         mdp = random_mdp(rng)
         pi = TabularPolicy.random(mdp.num_states, mdp.vocab_eff, mdp.n, rng)
-        B = random_B(rng, mdp.n)
+        terms = policy_terms(mdp, pi, random_B(rng, mdp.n))
         for _ in range(100):
             Q1 = rng.normal(scale=3.0, size=(mdp.num_states, mdp.num_actions))
             Q2 = rng.normal(scale=3.0, size=(mdp.num_states, mdp.num_actions))
             d0 = np.max(np.abs(Q1 - Q2))
-            t1 = bellman_backup(mdp, Q1, pi, B, alpha=0.5)
-            t2 = bellman_backup(mdp, Q2, pi, B, alpha=0.5)
+            t1 = bellman_backup(mdp, Q1, terms, alpha=0.5)
+            t2 = bellman_backup(mdp, Q2, terms, alpha=0.5)
             d1 = np.max(np.abs(t1 - t2))
             assert d1 <= mdp.gamma * d0 + 1e-9
+
+
+def reference_backup(mdp, Q, pi, B, alpha, gamma=None):
+    """The backup built from scratch: every policy term recomputed per call."""
+    g = mdp.gamma if gamma is None else gamma
+    h = np.array([weighted_entropy_exact(pi, s, B)
+                  for s in range(mdp.num_states)])
+    d = np.array([action_dist(mdp, pi, s) for s in range(mdp.num_states)])
+    ev = np.sum(d * Q, axis=1)
+    return mdp.r + g * mdp.P @ (alpha * h + ev)
+
+
+def test_backup_with_policy_terms_matches_reference():
+    rng = np.random.default_rng(16)
+    for k in range(20):
+        mdp = random_mdp(rng, num_states=int(rng.integers(1, 6)),
+                         num_actions=int(rng.integers(1, 4)),
+                         vocab_eff=int(rng.integers(2, 4)),
+                         n=int(rng.integers(1, 4)),
+                         surjective_parse=False)
+        pi = TabularPolicy.random(mdp.num_states, mdp.vocab_eff, mdp.n, rng)
+        B = random_B(rng, mdp.n)
+        terms = policy_terms(mdp, pi, B)
+        gamma = (None, 0.0, 1.5, float(rng.uniform(0.0, 1.0)))[k % 4]
+        for alpha in (0.0, float(rng.uniform(0.0, 2.0))):
+            for _ in range(3):
+                Q = rng.normal(scale=3.0,
+                               size=(mdp.num_states, mdp.num_actions))
+                np.testing.assert_array_equal(
+                    bellman_backup(mdp, Q, terms, alpha, gamma=gamma),
+                    reference_backup(mdp, Q, pi, B, alpha, gamma=gamma))
+
+
+def test_policy_evaluation_computes_policy_terms_once(monkeypatch):
+    calls = []
+    original = tabular._state_entropies
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(tabular, "_state_entropies", counting)
+    rng = np.random.default_rng(17)
+    mdp = random_mdp(rng, gamma=0.9)
+    pi = TabularPolicy.random(mdp.num_states, mdp.vocab_eff, mdp.n, rng)
+    _, trace = policy_evaluation(mdp, pi, random_B(rng, mdp.n), alpha=0.5)
+    assert len(trace) > 1
+    assert len(calls) == 1
 
 
 def test_evaluation_matches_direct_solve():
@@ -147,7 +199,7 @@ def test_fixed_point_is_stable_under_backup():
     pi = TabularPolicy.random(mdp.num_states, mdp.vocab_eff, mdp.n, rng)
     B = random_B(rng, mdp.n)
     Q = policy_evaluation_direct(mdp, pi, B, alpha=0.6)
-    again = bellman_backup(mdp, Q, pi, B, alpha=0.6)
+    again = bellman_backup(mdp, Q, policy_terms(mdp, pi, B), alpha=0.6)
     np.testing.assert_allclose(again, Q, atol=1e-9)
 
 
@@ -175,7 +227,6 @@ def test_soft_improve_alpha_zero_is_greedy_on_actions():
     pi = TabularPolicy.uniform(mdp.num_states, mdp.vocab_eff, mdp.n)
     Q = rng.normal(size=(mdp.num_states, mdp.num_actions))
     out = soft_improve(mdp, Q, pi, np.zeros(mdp.n), alpha=0.0)
-    from coso.tabular import action_dist
     for s in range(mdp.num_states):
         d = action_dist(mdp, out, s)
         assert d @ Q[s] == pytest.approx(np.max(Q[s]), abs=1e-9)
@@ -218,8 +269,9 @@ def test_policy_iteration_negative_control_diverges_detectably():
     pi = TabularPolicy.random(mdp.num_states, mdp.vocab_eff, mdp.n, rng)
     Q1 = rng.normal(size=(mdp.num_states, mdp.num_actions))
     Q2 = rng.normal(size=(mdp.num_states, mdp.num_actions))
-    t1 = bellman_backup(mdp, Q1, pi, np.ones(mdp.n), 0.5, gamma=1.5)
-    t2 = bellman_backup(mdp, Q2, pi, np.ones(mdp.n), 0.5, gamma=1.5)
+    terms = policy_terms(mdp, pi, np.ones(mdp.n))
+    t1 = bellman_backup(mdp, Q1, terms, 0.5, gamma=1.5)
+    t2 = bellman_backup(mdp, Q2, terms, 0.5, gamma=1.5)
     ratio = np.max(np.abs(t1 - t2)) / np.max(np.abs(Q1 - Q2))
     assert ratio > 1.0 or ratio <= 1.5  # expansion is possible, not certain
     # and evaluation refuses to converge quickly for an expansive operator
