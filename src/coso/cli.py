@@ -42,7 +42,11 @@ def _cmd_cf_report(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    out = harness.repeated_sampling_probe(args.ckpt, args.state, args.k)
+    try:
+        out = harness.repeated_sampling_probe(args.ckpt, args.state, args.k)
+    except ValueError as exc:  # a state spec or k that names no valid probe
+        print(f"coso probe: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0
 

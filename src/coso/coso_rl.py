@@ -18,7 +18,7 @@ from . import policy as pol
 from . import scm as scm_mod
 from .policy import FeatureSpec, PolicyParams
 from .scm import AdamState, ScmParams
-from .textmdp import EnvState, TextEnv
+from .textmdp import EnvState, TextEnv, state_arrays
 
 
 @dataclass
@@ -84,8 +84,8 @@ class UpdateReport:
 
 @dataclass
 class RolloutBatch:
-    states: list
-    next_states: list
+    states: np.ndarray  # (m, k) int state features
+    next_states: np.ndarray  # (m, k) features after the step
     utterances: np.ndarray  # (m, n) token ids
     action_idx: np.ndarray  # (m,) env action-class labels from the parser
     rewards: np.ndarray
@@ -112,9 +112,9 @@ def weighted_entropy(entropies, weights) -> float:
     return float(np.dot(h, b))
 
 
-def augmented_reward(r: float, next_weighted_entropy: float, alpha: float,
-                     gamma: float) -> float:
-    """Reward absorbed with the discounted successor entropy bonus."""
+def augmented_reward(r, next_weighted_entropy, alpha: float, gamma: float):
+    """Reward absorbed with the discounted successor entropy bonus (scalars
+    or arrays)."""
     if alpha == 0.0:
         return r
     return r + gamma * alpha * next_weighted_entropy
@@ -124,60 +124,55 @@ def augmented_reward(r: float, next_weighted_entropy: float, alpha: float,
 # Value baseline and advantages
 
 
-def _value_features(spec: FeatureSpec, states) -> np.ndarray:
+def _value_features(spec: FeatureSpec, feats: np.ndarray) -> np.ndarray:
     """State one-hots plus a bias column: (batch, sum of cards + 1)."""
-    sidx = pol.state_index(spec.state_cards, states)
+    sidx = pol.state_index(spec.state_cards, feats)
     bias = sum(spec.state_cards)
-    return pol.one_hot(np.hstack([sidx, np.full((len(states), 1), bias)]),
+    return pol.one_hot(np.hstack([sidx, np.full((len(feats), 1), bias)]),
                        bias + 1)
+
+
+def _by_tick(batch: RolloutBatch, a: np.ndarray) -> np.ndarray:
+    """(ticks, streams) view of a per-row array: row j is tick
+    j // num_streams of stream j % num_streams."""
+    return a.reshape(-1, batch.num_streams)
 
 
 def fit_value(spec: FeatureSpec, batch: RolloutBatch, gamma: float,
               ridge: float, prev_beta: np.ndarray | None) -> np.ndarray:
     """Ridge fit of a linear state value on bootstrapped returns-to-go."""
     m = batch.size
-    ns = batch.num_streams
     F = _value_features(spec, batch.states)
     boot = np.zeros(m)
     if prev_beta is not None:
         boot = _value_features(spec, batch.next_states) @ prev_beta
-    returns = np.zeros(m)
-    ticks = m // ns
-    for s in range(ns):
-        idx = np.arange(ticks) * ns + s
-        g = 0.0
-        last = True
-        for j in idx[::-1]:
-            if batch.dones[j]:
-                g = batch.rewards[j]
-            elif last:
-                g = batch.rewards[j] + gamma * boot[j]
-            else:
-                g = batch.rewards[j] + gamma * g
-            returns[j] = g
-            last = False
+    r, done, boot = (_by_tick(batch, a) for a in (batch.rewards, batch.dones,
+                                                  boot))
+    returns = np.empty_like(r)
+    # backward over ticks, all streams at once; the last tick bootstraps
+    g = np.where(done[-1], r[-1], r[-1] + gamma * boot[-1])
+    returns[-1] = g
+    for t in range(len(r) - 2, -1, -1):
+        g = np.where(done[t], r[t], r[t] + gamma * g)
+        returns[t] = g
     A = F.T @ F + ridge * np.eye(F.shape[1])
-    return np.linalg.solve(A, F.T @ returns)
+    return np.linalg.solve(A, F.T @ returns.ravel())
 
 
 def gae_advantages(spec: FeatureSpec, batch: RolloutBatch, gamma: float,
                    lam: float, beta: np.ndarray) -> np.ndarray:
-    """Generalized advantage estimates per step, stream by stream."""
-    m = batch.size
-    ns = batch.num_streams
-    v = _value_features(spec, batch.states) @ beta
-    v_next = _value_features(spec, batch.next_states) @ beta
-    adv = np.zeros(m)
-    ticks = m // ns
-    for s in range(ns):
-        idx = np.arange(ticks) * ns + s
-        acc = 0.0
-        for j in idx[::-1]:
-            nonterm = 0.0 if batch.dones[j] else 1.0
-            delta = batch.rewards[j] + gamma * nonterm * v_next[j] - v[j]
-            acc = delta + gamma * lam * nonterm * acc
-            adv[j] = acc
-    return adv
+    """Generalized advantage estimates per step, all streams at once."""
+    v = _by_tick(batch, _value_features(spec, batch.states) @ beta)
+    v_next = _by_tick(batch, _value_features(spec, batch.next_states) @ beta)
+    r = _by_tick(batch, batch.rewards)
+    nonterm = np.where(_by_tick(batch, batch.dones), 0.0, 1.0)
+    adv = np.empty_like(r)
+    acc = np.zeros(batch.num_streams)
+    for t in range(len(r) - 1, -1, -1):
+        delta = r[t] + gamma * nonterm[t] * v_next[t] - v[t]
+        acc = delta + gamma * lam * nonterm[t] * acc
+        adv[t] = acc
+    return adv.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +180,16 @@ def gae_advantages(spec: FeatureSpec, batch: RolloutBatch, gamma: float,
 
 
 def _descend(params: PolicyParams, batch: RolloutBatch, coef: np.ndarray,
-             hyper: Hyperparams, opt: AdamState,
-             rng: np.random.Generator) -> tuple[PolicyParams, float]:
+             hyper: Hyperparams, opt: AdamState, rng: np.random.Generator,
+             forced: tuple) -> tuple[PolicyParams, float]:
     """Adam steps over shuffled minibatches on
     loss = -(1/m) sum coef * logp(y) - alpha * mean(H^B).
 
     coef is treated as constant (ratio/advantage weighting evaluated by the
-    caller).  Returns the params and the last step's gradient norm.
+    caller).  forced is teacher_forced_batch of the whole batch at params:
+    the first minibatch takes its rows, later ones teacher-force again
+    because the params have moved.  Returns the params and the last step's
+    gradient norm.
     """
     use_entropy = (hyper.alpha > 0.0
                    and hyper.entropy_placement == "loss_bonus")
@@ -200,10 +198,12 @@ def _descend(params: PolicyParams, batch: RolloutBatch, coef: np.ndarray,
     for lo in range(0, batch.size, hyper.minibatch_size):
         idx = order[lo:lo + hyper.minibatch_size]
         grad = pol.grad_objective(
-            params, [batch.states[j] for j in idx], batch.utterances[idx],
+            params, batch.states[idx], batch.utterances[idx],
             sample_weights=coef[idx],
             token_weights=(hyper.alpha * batch.weights[idx] if use_entropy
-                           else None))
+                           else None),
+            forced=None if forced is None else tuple(a[idx] for a in forced))
+        forced = None
         grad = -grad / len(idx)  # gradient of the loss (objective negated)
         params = PolicyParams(spec=params.spec, weights=opt.update(
             params.weights, grad, hyper.policy_lr))
@@ -230,8 +230,8 @@ def ppo_update(params: PolicyParams, batch: RolloutBatch, hyper: Hyperparams,
     """
     if batch.snapshot_id != snapshot_id:
         raise ValueError("stale trajectories: snapshot id mismatch")
-    _, _, tok_lp, _ = pol.teacher_forced_batch(params, batch.states,
-                                               batch.utterances)
+    forced = pol.teacher_forced_batch(params, batch.states, batch.utterances)
+    tok_lp = forced[2]
     old = np.sum(batch.old_logprob, axis=1)
     ratio = np.exp(np.sum(tok_lp, axis=1) - old)
     clipped = np.clip(ratio, 1.0 - hyper.clip_eps, 1.0 + hyper.clip_eps)
@@ -241,7 +241,7 @@ def ppo_update(params: PolicyParams, batch: RolloutBatch, hyper: Hyperparams,
     # branch is active, zero where the clip binds
     active = ratio * advantages <= clipped * advantages
     coef = np.where(active, advantages * ratio, 0.0)
-    params, gnorm = _descend(params, batch, coef, hyper, opt, rng)
+    params, gnorm = _descend(params, batch, coef, hyper, opt, rng, forced)
     return params, loss, float(np.mean(ratio)), gnorm
 
 
@@ -260,10 +260,9 @@ def awr_update(params: PolicyParams, batch: RolloutBatch, hyper: Hyperparams,
                     hyper.awr_weight_clamp)
     if not np.any(w > 0.0):
         return params, 0.0, 0.0, True
-    _, _, tok_lp, _ = pol.teacher_forced_batch(params, batch.states,
-                                               batch.utterances)
-    loss = _loss_value(w * np.sum(tok_lp, axis=1), hyper, batch)
-    params, gnorm = _descend(params, batch, w, hyper, opt, rng)
+    forced = pol.teacher_forced_batch(params, batch.states, batch.utterances)
+    loss = _loss_value(w * np.sum(forced[2], axis=1), hyper, batch)
+    params, gnorm = _descend(params, batch, w, hyper, opt, rng, forced)
     return params, loss, gnorm, False
 
 
@@ -302,7 +301,9 @@ class Trainer:
         self.snapshot_id = 0
         self.total_env_steps = 0
         self._episode_counter = 0
-        self._streams = [self._fresh_state() for _ in range(hyper.num_envs)]
+        # stream s is row s: (num_envs, k) features and (num_envs,) steps
+        self._feats, self._steps = state_arrays(
+            [self._fresh_state() for _ in range(hyper.num_envs)])
 
     def _fresh_state(self) -> EnvState:
         s = np.random.SeedSequence([self.seed, self._episode_counter])
@@ -313,38 +314,40 @@ class Trainer:
 
     def collect_rollouts(self) -> RolloutBatch:
         env, hyper = self.env, self.hyper
-        ns = hyper.num_envs
-        states, next_states, utts, acts = [], [], [], []
-        rewards, dones, oks = [], [], []
-        lps, ents = [], []
-        for _ in range(hyper.rollout_steps // ns):
-            cur = list(self._streams)
+        ns, n = hyper.num_envs, self.policy.spec.n
+        ticks = hyper.rollout_steps // ns
+        states = np.empty((ticks,) + self._feats.shape, dtype=np.intp)
+        next_states = np.empty_like(states)
+        utts = np.empty((ticks, ns, n), dtype=np.intp)
+        acts = np.empty((ticks, ns), dtype=np.intp)
+        rewards = np.empty((ticks, ns))
+        dones = np.empty((ticks, ns), dtype=bool)
+        oks = np.empty((ticks, ns), dtype=bool)
+        lps = np.empty((ticks, ns, n))
+        ents = np.empty((ticks, ns, n))
+        for t in range(ticks):
             # one row of uniforms per token position: the stream of n
             # successive draws of ns
-            toks, lp, ent = pol.sample_utterances_batch(
-                self.policy, cur, self.rng.random((self.policy.spec.n, ns)).T)
-            for s_i, (st, y) in enumerate(zip(cur, toks.tolist())):
-                action, ok = env.parse_or_noop(y)
-                nxt, r, done = env.step(st, action)
-                states.append(st)
-                next_states.append(nxt)
-                utts.append(y)
-                acts.append(env.action_index(action))
-                rewards.append(r)
-                dones.append(done)
-                oks.append(ok)
-                self._streams[s_i] = self._fresh_state() if done else nxt
-            lps.append(lp)
-            ents.append(ent)
+            utts[t], lps[t], ents[t] = pol.sample_utterances_batch(
+                self.policy, self._feats, self.rng.random((n, ns)).T)
+            acts[t], oks[t] = env.parse_batch(utts[t])
+            states[t] = self._feats
+            (next_states[t], self._steps, rewards[t],
+             dones[t]) = env.step_batch(self._feats, self._steps, acts[t])
+            self._feats = next_states[t].copy()
+            for s_i in np.flatnonzero(dones[t]):
+                fresh = self._fresh_state()
+                self._feats[s_i], self._steps[s_i] = (fresh.features,
+                                                      fresh.step_count)
             self.total_env_steps += ns
+        m = ticks * ns
         return RolloutBatch(
-            states=states, next_states=next_states,
-            utterances=np.asarray(utts, dtype=np.intp),
-            action_idx=np.asarray(acts, dtype=np.intp),
-            rewards=np.asarray(rewards), dones=np.asarray(dones, dtype=bool),
-            parse_ok=np.asarray(oks, dtype=bool),
-            old_logprob=np.vstack(lps), entropy=np.vstack(ents),
-            num_streams=ns, snapshot_id=self.snapshot_id)
+            states=states.reshape(m, -1), next_states=next_states.reshape(m, -1),
+            utterances=utts.reshape(m, n), action_idx=acts.reshape(m),
+            rewards=rewards.reshape(m), dones=dones.reshape(m),
+            parse_ok=oks.reshape(m), old_logprob=lps.reshape(m, n),
+            entropy=ents.reshape(m, n), num_streams=ns,
+            snapshot_id=self.snapshot_id)
 
     def compute_weights(self, batch: RolloutBatch) -> None:
         """Fill batch.weights/hb according to the arm (B for every (y, a))."""
@@ -396,14 +399,12 @@ class Trainer:
     def _augment_rewards(self, batch: RolloutBatch) -> np.ndarray:
         """Fold the successor weighted-entropy bonus into rewards."""
         hyper = self.hyper
-        m = batch.size
         ns = batch.num_streams
         out = batch.rewards.copy()
-        for j in range(m):
-            nxt = j + ns  # same stream, next tick
-            if not batch.dones[j] and nxt < m:
-                out[j] = augmented_reward(batch.rewards[j], batch.hb[nxt],
-                                          hyper.alpha, hyper.gamma)
+        # row j + ns is the same stream's next tick; the last tick has none
+        r = batch.rewards[:-ns]
+        out[:-ns] = np.where(batch.dones[:-ns], r, augmented_reward(
+            r, batch.hb[ns:], hyper.alpha, hyper.gamma))
         return out
 
     def train_iteration(self) -> UpdateReport:

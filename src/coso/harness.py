@@ -23,7 +23,7 @@ from . import counterfactual as cf
 from . import policy as pol
 from . import tabular
 from .coso_rl import Hyperparams, Trainer
-from .textmdp import TextEnv, make_env
+from .textmdp import TextEnv, env_ids, make_env, state_arrays
 
 EVAL_SEED_BASE = 990_000  # fixed eval episode seeds, shared by every run
 
@@ -45,8 +45,16 @@ class RunConfig:
     force_uniform_weights: bool = False  # test hook (arm-consistency checks)
 
     def __post_init__(self):
+        if self.env_id not in env_ids():
+            raise ValueError(f"unknown env_id {self.env_id!r}; known: "
+                             f"{list(env_ids())}")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
+        # zero steps would train nothing and report a success of 0.0, and
+        # eval_every_iters = 0 would divide by zero after the first iteration
+        for name in ("total_env_steps", "eval_every_iters", "eval_episodes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.arm not in ARMS:
             raise ValueError(f"unknown arm {self.arm!r}")
         if self.optimizer not in ("ppo", "awr"):
@@ -118,22 +126,17 @@ def evaluate_greedy(env: TextEnv, policy_params, episodes: int) -> float:
     """Greedy-decoding success rate over a fixed eval seed set.
 
     The episodes run in lockstep: each step decodes every unfinished episode
-    in one batch.
+    in one batch and steps them through the env's tables.
     """
-    states = [env.reset(EVAL_SEED_BASE + e) for e in range(episodes)]
-    live = list(range(episodes))
+    feats, steps = state_arrays([env.reset(EVAL_SEED_BASE + e)
+                                 for e in range(episodes)])
     wins = 0
-    while live:
-        ys = pol.greedy_utterance(policy_params, [states[e] for e in live])
-        still = []
-        for e, y in zip(live, ys.tolist()):
-            action, _ = env.parse_or_noop(y)
-            states[e], reward, done = env.step(states[e], action)
-            if done:
-                wins += int(reward >= env.r_max)
-            else:
-                still.append(e)
-        live = still
+    while len(feats):
+        ys = pol.greedy_utterance(policy_params, feats)
+        actions, _ = env.parse_batch(ys)
+        feats, steps, rewards, dones = env.step_batch(feats, steps, actions)
+        wins += int(np.count_nonzero(rewards[dones] >= env.r_max))
+        feats, steps = feats[~dones], steps[~dones]
     return wins / episodes
 
 
@@ -301,30 +304,51 @@ def cf_report(ckpt_path, env_id: str, num_episodes: int,
     if ckpt_env != env_id:
         raise ValueError(f"checkpoint is for env {ckpt_env!r}, not {env_id!r}")
     env = make_env(env_id)
-    rng = np.random.default_rng(sample_seed)
+    names = [str(a) for a in env.action_classes()]
+    n, horizon = policy_params.spec.n, env.horizon
+    # Step g of the run (episodes one after another) samples on row g: the
+    # stream of one draw of n uniforms per step.  Episodes are short and
+    # revisit states, so a state is decoded once per episode, on every row
+    # from its first visit to the horizon; rows are decoded independently,
+    # so each step's tokens are those of a batch of one on its row.
+    uniforms = np.random.default_rng(sample_seed).random(
+        (num_episodes * horizon, n))
+    used = 0
     records, ys, acts = [], [], []
     for ep in range(num_episodes):
-        state = env.reset(EVAL_SEED_BASE + ep)
+        feats, steps = state_arrays([env.reset(EVAL_SEED_BASE + ep)])
+        rows = uniforms[used:used + horizon]
+        decoded = {}  # state -> (first step, tokens, actions, parse_ok)
         done = False
         t = 0
         while not done:
-            y, _, _ = pol.sample_utterance(policy_params, state, rng)
-            action, ok = env.parse_or_noop(y)
+            key = tuple(feats[0].tolist())
+            if key not in decoded:
+                toks, _, _ = pol.sample_utterances_batch(
+                    policy_params, np.repeat(feats, horizon - t, axis=0),
+                    rows[t:])
+                actions, oks = env.parse_batch(toks)
+                decoded[key] = (t, toks.tolist(), actions, oks)
+            first, toks, actions, oks = decoded[key]
+            y = toks[t - first]
+            action = actions[t - first:t - first + 1]
             ys.append(y)
-            acts.append(env.action_index(action))
+            acts.append(int(action[0]))
             records.append({
                 "episode": ep,
                 "step": t,
-                "tokens": list(y),
+                "tokens": y,
                 "token_names": [env.vocab.name(x) for x in y],
                 "slot_roles": list(env.grammar.roles),
                 "raw_weights": None,  # filled below, in one batch
                 "normalized_weights": None,
-                "action": str(action),
-                "parse_ok": ok,
+                "action": names[acts[-1]],
+                "parse_ok": bool(oks[t - first]),
             })
-            state, _, done = env.step(state, action)
+            feats, steps, _, dones = env.step_batch(feats, steps, action)
+            done = bool(dones[0])
             t += 1
+        used += t
     raw = cf.causal_weights_batch(scm_params,
                                   np.reshape(ys, (-1, env.grammar.n)), acts)
     norm = cf.normalize_weights_batch(raw)
@@ -354,21 +378,19 @@ def repeated_sampling_probe(ckpt_path, state_spec: str, k: int,
     state = env.state_from_spec(state_spec)
     rng = np.random.default_rng(sample_seed)
     # k rows of n uniforms: the stream of k successive single samples
+    feats = np.tile(np.asarray(state.features, dtype=np.intp), (k, 1))
     toks, _, _ = pol.sample_utterances_batch(
-        policy_params, [state] * k, rng.random((k, policy_params.spec.n)))
-    counts: Counter = Counter()
-    invalid = 0
-    for y in toks.tolist():
-        action, ok = env.parse_or_noop(y)
-        counts[str(action)] += 1
-        invalid += int(not ok)
+        policy_params, feats, rng.random((k, policy_params.spec.n)))
+    actions, ok = env.parse_batch(toks)
+    names = [str(a) for a in env.action_classes()]
+    counts = Counter(names[a] for a in actions.tolist())
     return {
         "env_id": env_id,
         "state": state_spec,
         "k": k,
         "actions": dict(sorted(counts.items())),
         "distinct_actions": len(counts),
-        "invalid_count": invalid,
+        "invalid_count": k - int(np.count_nonzero(ok)),
     }
 
 

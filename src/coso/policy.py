@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .textmdp import NULL, EnvState, TextEnv
+from .textmdp import NULL, EnvState, TextEnv, state_arrays
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,13 @@ class PolicyParams:
 def state_index(state_cards, states) -> np.ndarray:
     """(m, len(state_cards)) one-hot column of each state feature.
 
+    states is an (m, k) int feature array or a sequence of EnvStates.
     Feature j's block starts after the blocks of features 0..j-1.
     """
+    if not isinstance(states, np.ndarray):
+        states = state_arrays(states)[0]
     offsets = np.cumsum((0,) + tuple(state_cards[:-1]))
-    feats = np.array([s.features for s in states], dtype=np.intp)
-    return feats.reshape(len(states), len(state_cards)) + offsets
+    return states.reshape(-1, len(state_cards)) + offsets
 
 
 def one_hot(cols: np.ndarray, dim: int) -> np.ndarray:
@@ -87,21 +89,64 @@ def _features(spec: FeatureSpec, sidx: np.ndarray, toks: np.ndarray,
     return one_hot(np.concatenate(cols, axis=1), spec.dim)
 
 
-def _masked_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise softmax with the NULL column forced to zero probability."""
-    z = np.array(logits, dtype=np.float64, copy=True)
-    z[..., NULL] = -np.inf
-    zmax = z.max(axis=-1, keepdims=True)
-    ez = np.exp(z - zmax)
-    total = ez.sum(axis=-1, keepdims=True)
-    probs = ez / total
-    # total >= 1 (the max term is exp(0)), so only NULL's entry is -inf
-    logprobs = (z - zmax) - np.log(total)
-    return probs, logprobs
+# ---------------------------------------------------------------------------
+# Logits as gathered rows of W
+#
+# A feature row is all one-hots, so _features(...) @ W is a sum of rows of W.
+# The logits below add those rows in ascending feature-column order (state
+# blocks, then the context tokens newest first, then the position), the
+# order in which the dense product accumulates them, so they equal it.
+
+
+def _state_logits(params: PolicyParams, sidx: np.ndarray) -> np.ndarray:
+    """(m, V) sum of the state feature rows, NULL column at -inf."""
+    W = params.weights
+    z = W[sidx[:, 0]]
+    for j in range(1, sidx.shape[1]):
+        z += W[sidx[:, j]]
+    z[:, NULL] = -np.inf
+    return z
+
+
+def _context_row(spec: FeatureSpec, k: int) -> int:
+    """First feature row of the k-th most recent token's one-hot block."""
+    return sum(spec.state_cards) + k * spec.vocab_size
+
+
+def _position_row(spec: FeatureSpec, i: int) -> int:
+    return sum(spec.state_cards) + spec.context * spec.vocab_size + i
+
+
+def _position_logits(params: PolicyParams, base: np.ndarray, toks: np.ndarray,
+                     i: int) -> np.ndarray:
+    """(m, V) logits at position i: base plus the context and position rows."""
+    spec, W = params.spec, params.weights
+    rows = [W[_context_row(spec, k) + toks[:, i - 1 - k]]
+            for k in range(min(i, spec.context))]
+    rows.append(W[_position_row(spec, i)])
+    z = base + rows[0]
+    for r in rows[1:]:
+        z += r
+    return z
+
+
+def _softmax_inplace(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise softmax of logits whose NULL column is -inf.
+
+    Shifts z by its row max in place; returns (probs, row totals).  The
+    log-probs are z - log(total).
+    """
+    z -= z.max(axis=-1, keepdims=True)
+    probs = np.exp(z)
+    total = probs.sum(axis=-1, keepdims=True)
+    probs /= total
+    # total >= 1 (the max term is exp(0)), so only NULL's log-prob is -inf
+    return probs, total
 
 
 def _entropy(probs: np.ndarray, logprobs: np.ndarray) -> np.ndarray:
-    terms = probs * np.where(probs > 0.0, logprobs, 0.0)
+    terms = np.where(probs > 0.0, logprobs, 0.0)
+    terms *= probs
     return -terms.sum(axis=-1)
 
 
@@ -109,28 +154,33 @@ def _decode(params: PolicyParams, states, u: np.ndarray | None):
     """Left-to-right decoding, by inverse CDF on u or by argmax if u is None.
 
     Returns (tokens, per-token log-probs, exact conditional entropies), each
-    of shape (m, n).
+    of shape (m, n); by argmax only the tokens, the others are None.
     """
     spec = params.spec
     m = len(states)
-    sidx = state_index(spec.state_cards, states)
-    rows = np.arange(m)
+    base = _state_logits(params, state_index(spec.state_cards, states))
     toks = np.zeros((m, spec.n), dtype=np.intp)
-    lps = np.empty((m, spec.n))
-    ents = np.empty((m, spec.n))
+    if u is not None:
+        # kept per position; log-probs and entropies come after the loop
+        shifted = np.empty((m, spec.n, spec.vocab_size))
+        probs_all = np.empty_like(shifted)
+        totals = np.empty((m, spec.n, 1))
     for i in range(spec.n):
-        F = _features(spec, sidx, toks, i)
-        probs, logprobs = _masked_softmax(F @ params.weights)
+        z = _position_logits(params, base, toks, i)
+        probs, total = _softmax_inplace(z)
         if u is None:
-            picks = np.argmax(probs, axis=1)
-        else:
-            # first token whose cumulative probability exceeds the uniform
-            below = probs.cumsum(axis=1) <= u[:, i:i + 1]
-            picks = np.minimum(below.sum(axis=1), spec.vocab_size - 1)
-        toks[:, i] = picks
-        lps[:, i] = logprobs[rows, picks]
-        ents[:, i] = _entropy(probs, logprobs)
-    return toks, lps, ents
+            toks[:, i] = np.argmax(probs, axis=1)
+            continue
+        # first token whose cumulative probability exceeds the uniform
+        below = probs.cumsum(axis=1) <= u[:, i:i + 1]
+        toks[:, i] = np.minimum(below.sum(axis=1), spec.vocab_size - 1)
+        shifted[:, i], probs_all[:, i], totals[:, i] = z, probs, total
+    if u is None:
+        return toks, None, None
+    logprobs = shifted
+    logprobs -= np.log(totals)
+    lps = logprobs[np.arange(m)[:, None], np.arange(spec.n), toks]
+    return toks, lps, _entropy(probs_all, logprobs)
 
 
 def sample_utterances_batch(params: PolicyParams, states, u):
@@ -174,12 +224,17 @@ def teacher_forced_batch(params: PolicyParams, states, utterances):
                          f"{spec.n})")
     if np.any((toks < 0) | (toks >= spec.vocab_size)):
         raise ValueError("token out of vocab")
-    sidx = state_index(spec.state_cards, states)
-    probs = np.empty((m, spec.n, spec.vocab_size))
-    logprobs = np.empty_like(probs)
-    for i in range(spec.n):
-        F = _features(spec, sidx, toks, i)
-        probs[:, i], logprobs[:, i] = _masked_softmax(F @ params.weights)
+    W = params.weights
+    base = _state_logits(params, state_index(spec.state_cards, states))
+    # every position at once, each adding its rows in _position_logits' order
+    z = np.repeat(base[:, None, :], spec.n, axis=1)
+    for k in range(min(spec.context, spec.n - 1)):
+        z[:, k + 1:] += W[_context_row(spec, k) + toks[:, :spec.n - 1 - k]]
+    first = _position_row(spec, 0)
+    z += W[first:first + spec.n]
+    probs, total = _softmax_inplace(z)
+    logprobs = z
+    logprobs -= np.log(total)
     rows = np.arange(m)[:, None]
     cols = np.arange(spec.n)[None, :]
     tok_lp = logprobs[rows, cols, toks]
@@ -218,15 +273,22 @@ def objective_value(params: PolicyParams, states, utterances,
 
 
 def grad_objective(params: PolicyParams, states, utterances,
-                   sample_weights=None, token_weights=None) -> np.ndarray:
-    """Analytic gradient of objective_value w.r.t. the weight matrix."""
+                   sample_weights=None, token_weights=None,
+                   forced=None) -> np.ndarray:
+    """Analytic gradient of objective_value w.r.t. the weight matrix.
+
+    forced is teacher_forced_batch(params, states, utterances) if the
+    caller already has it; otherwise it is computed here.
+    """
     if len(states) == 0:
         raise ValueError("empty batch")
     if sample_weights is None and token_weights is None:
         raise ValueError("objective has no term")
     spec = params.spec
     toks = np.asarray(utterances, dtype=np.intp)
-    probs, logprobs, _, tok_ent = teacher_forced_batch(params, states, toks)
+    if forced is None:
+        forced = teacher_forced_batch(params, states, toks)
+    probs, logprobs, _, tok_ent = forced
     if sample_weights is not None:
         w = np.asarray(sample_weights, dtype=np.float64)[:, None]
     if token_weights is not None:

@@ -129,10 +129,14 @@ def scm_update(phi: ScmParams, ys, labels, lr: float = 1e-3) -> tuple["ScmParams
     dz[np.arange(m), labels] -= 1.0
     dz /= m
 
-    grad_w = np.zeros_like(phi.weights)
-    idx = _feature_indices(phi, ys)  # (m, n)
-    for i in range(phi.n):
-        np.add.at(grad_w, idx[:, i], dz)
+    # scatter dz into the weight rows of every (row, slot): one bincount
+    # over (m, n, A) flat indices.  Slots never share a weight row, so each
+    # bin sums its rows in ascending order from 0, as n np.add.at calls do
+    a = phi.num_actions
+    flat = (_feature_indices(phi, ys)[:, :, None] * a + np.arange(a)).ravel()
+    grad_w = np.bincount(
+        flat, weights=np.broadcast_to(dz[:, None, :], (m, phi.n, a)).ravel(),
+        minlength=phi.weights.size).reshape(phi.weights.shape)
     grad_b = np.sum(dz, axis=0)
 
     # phi stays untouched: the new arrays go into a shallow copy of it

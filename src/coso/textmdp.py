@@ -4,9 +4,16 @@ Each environment exposes a fixed-length utterance grammar and a deterministic
 parser mapping utterances to executable actions.  Only a minority of utterance
 slots are action-critical; the rest are filler/format slots that the parser
 never reads.
+
+The scalar methods (parse, parse_or_noop, action_index, step) over EnvState
+and Action are the reference.  Each env compiles them once into two lookup
+tables, which parse_batch and step_batch read for whole batches of int
+arrays: states as (m, k) features plus (m,) step counts, actions as indices
+into action_classes().
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -74,6 +81,13 @@ class Action:
 class EnvState:
     features: tuple[int, ...]
     step_count: int = 0
+
+
+def state_arrays(states) -> tuple[np.ndarray, np.ndarray]:
+    """(m, k) features and (m,) step counts of a sequence of EnvStates."""
+    feats = np.array([st.features for st in states], dtype=np.intp)
+    steps = np.array([st.step_count for st in states], dtype=np.intp)
+    return feats, steps
 
 
 def check_utterance(y: Sequence[int], n: int, vocab_size: int,
@@ -156,6 +170,118 @@ class TextEnv:
         if state.step_count >= self.horizon:
             raise ValueError("stepping a finished episode")
 
+    def _state_from_kv(self, spec: str, keys: tuple[str, ...],
+                       defaults: dict | None = None) -> EnvState:
+        """Parse 'key=value,...' into a state, one key per state feature.
+
+        Every key must be known, appear once and hold an integer inside its
+        feature's cardinality: an out-of-range value would otherwise name a
+        state that does not exist.
+        """
+        pairs = [item.split("=") for item in spec.split(",")]
+        if any(len(p) != 2 for p in pairs):
+            raise ValueError(f"malformed state spec {spec!r}: expected "
+                             f"{','.join(k + '=<int>' for k in keys)}")
+        given = dict(pairs)
+        if len(given) != len(pairs) or not set(given) <= set(keys):
+            raise ValueError(f"state spec {spec!r} must name each of "
+                             f"{list(keys)} at most once, and nothing else")
+        kv = {**(defaults or {}), **given}
+        feats = []
+        for key, card in zip(keys, self.state_feature_cards()):
+            if key not in kv:
+                raise ValueError(f"state spec {spec!r} lacks {key}")
+            try:
+                value = int(kv[key])
+            except ValueError:
+                raise ValueError(f"state spec {spec!r}: {key}={kv[key]!r} "
+                                 f"is not an integer") from None
+            if not 0 <= value < card:
+                raise ValueError(f"state spec {spec!r}: {key}={value} "
+                                 f"outside [0, {card - 1}]")
+            feats.append(value)
+        return EnvState(features=tuple(feats), step_count=0)
+
+    # -- lookup tables -------------------------------------------------------
+
+    def _build_tables(self) -> None:
+        """Compile the scalar parser and step into lookup tables.
+
+        Parse table: (kind token, arg token) -> (action index, parse_ok); an
+        env without an arg slot has one arg column.  Transition table: (state
+        features..., action index), raveled -> (next features, reward,
+        terminal), stepped from step count 0; the horizon is applied by
+        step_batch.
+        Entries for NULL tokens are never read: parse_batch rejects them.
+        """
+        g = self.grammar
+        classes = self.action_classes()
+        v = self.vocab.size
+        n_arg = v if g.arg_slots else 1
+        self._parse_action = np.full((v, n_arg), -1, dtype=np.intp)
+        self._parse_ok = np.zeros((v, n_arg), dtype=bool)
+        y = [EOS] * g.n  # the parser never reads the other slots
+        payload = self.kinds_with_payload()
+        for kind_tok in range(1, v):
+            y[g.kind_slot] = kind_tok
+            # parse reads the arg slot only for a kind with a payload; for
+            # any other kind one parse fills the whole row
+            reads_arg = self.kind_tokens.get(kind_tok) in payload
+            for arg_tok in range(1, v) if reads_arg else (slice(None),):
+                if reads_arg:
+                    y[g.arg_slots[0]] = arg_tok
+                action, ok = self.parse_or_noop(y)
+                self._parse_action[kind_tok, arg_tok] = classes.index(action)
+                self._parse_ok[kind_tok, arg_tok] = ok
+        cards = self.state_feature_cards()
+        self._table_dims = cards + (len(classes),)
+        size = int(np.prod(self._table_dims))
+        self._next_feats = np.empty((size, len(cards)), dtype=np.intp)
+        self._reward = np.empty(size)
+        self._terminal = np.empty(size, dtype=bool)
+        # row-major over (features..., action), the order of ravel_multi_index
+        j = 0
+        for feats in itertools.product(*map(range, cards)):
+            state = EnvState(features=feats)
+            for action in classes:
+                nxt, r, done = self.step(state, action)
+                self._next_feats[j] = nxt.features
+                self._reward[j] = r
+                self._terminal[j] = done
+                j += 1
+
+    def parse_batch(self, ys) -> tuple[np.ndarray, np.ndarray]:
+        """(action index, parse_ok) per row of an (m, n) token array.
+
+        Table lookups equal to parse_or_noop + action_index; NULL and
+        out-of-vocab tokens raise ValueError, as check_utterance does.
+        """
+        ys = np.asarray(ys, dtype=np.intp)
+        g = self.grammar
+        if ys.ndim != 2 or ys.shape[1] != g.n:
+            raise ValueError(f"utterances of shape {ys.shape}, not (m, {g.n})")
+        if np.any((ys <= NULL) | (ys >= self.vocab.size)):
+            raise ValueError("NULL or out-of-vocab token in utterance")
+        kind = ys[:, g.kind_slot]
+        arg = ys[:, g.arg_slots[0]] if g.arg_slots else 0
+        return self._parse_action[kind, arg], self._parse_ok[kind, arg]
+
+    def step_batch(self, feats, steps, actions):
+        """Step m states at once: (next feats, next steps, rewards, dones).
+
+        feats is (m, k), steps (m,) and actions (m,) action indices.  Table
+        lookups equal to step; a feature outside its cardinality, an unknown
+        action and a finished episode raise ValueError.
+        """
+        steps = np.asarray(steps, dtype=np.intp)
+        if np.any(steps >= self.horizon):
+            raise ValueError("stepping a finished episode")
+        row = np.ravel_multi_index(
+            (*np.asarray(feats, dtype=np.intp).T, actions), self._table_dims)
+        steps = steps + 1
+        dones = self._terminal[row] | (steps >= self.horizon)
+        return self._next_feats[row], steps, self._reward[row], dones
+
 
 class NumberLineEnv(TextEnv):
     """Move a counter c to a target t with +/- moves on [0, N]."""
@@ -178,6 +304,7 @@ class NumberLineEnv(TextEnv):
         )
         self.kind_tokens = dict(self.KIND_NAMES)
         self.arg_tokens = {}
+        self._build_tables()
 
     def action_classes(self) -> tuple[Action, ...]:
         return (Action("PLUS"), Action("MINUS"), Action("NOOP"))
@@ -216,8 +343,7 @@ class NumberLineEnv(TextEnv):
         return nxt, reward, done
 
     def state_from_spec(self, spec: str) -> EnvState:
-        kv = dict(item.split("=") for item in spec.split(","))
-        return EnvState(features=(int(kv["c"]), int(kv["tau"])), step_count=0)
+        return self._state_from_kv(spec, ("c", "tau"))
 
 
 class MenuNavEnv(TextEnv):
@@ -251,6 +377,7 @@ class MenuNavEnv(TextEnv):
         )
         self.kind_tokens = dict(self.KIND_NAMES)
         self.arg_tokens = {8: 0, 9: 1, 10: 2, 11: 3}
+        self._build_tables()
 
     def kinds_with_payload(self) -> frozenset:
         return frozenset({"CLICK"})
@@ -310,9 +437,7 @@ class MenuNavEnv(TextEnv):
     def state_from_spec(self, spec: str) -> EnvState:
         if spec == "trap":
             return self.trap_state()
-        kv = dict(item.split("=") for item in spec.split(","))
-        return EnvState(features=(int(kv["screen"]), int(kv.get("typed", 0))),
-                        step_count=0)
+        return self._state_from_kv(spec, ("screen", "typed"), {"typed": 0})
 
 
 _REGISTRY = {

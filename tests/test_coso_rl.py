@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from coso import coso_rl
+from coso import policy as pol
 from coso.coso_rl import (Hyperparams, RolloutBatch, Trainer, augmented_reward,
                           awr_update, fit_value, gae_advantages, ppo_update,
                           weighted_entropy)
 from coso.policy import FeatureSpec
 from coso.scm import AdamState
-from coso.textmdp import EnvState, make_env
+from coso.textmdp import EnvState, make_env, state_arrays
 
 
 def small_hyper(**kw):
@@ -75,7 +77,7 @@ def test_hyperparam_size_validation():
 
 def synthetic_batch(rewards, dones, spec, num_streams=1):
     m = len(rewards)
-    states = [EnvState(features=(0,), step_count=0)] * m
+    states = np.zeros((m, 1), dtype=np.intp)
     return RolloutBatch(
         states=states, next_states=states,
         utterances=np.ones((m, spec.n), dtype=np.intp),
@@ -298,3 +300,172 @@ def test_learning_progress_on_numberline():
     for _ in range(80):
         rep = tr.train_iteration()
     assert rep.mean_return > first + 0.05
+
+
+# -- array rollouts and vectorized recursions against per-row references ------
+
+
+def scalar_rollouts(tr):
+    """The per-row loop the array rollouts replace: EnvState streams,
+    parse_or_noop, action_index and the scalar step."""
+    env, ns, n = tr.env, tr.hyper.num_envs, tr.policy.spec.n
+    streams = [EnvState(features=tuple(f), step_count=int(t))
+               for f, t in zip(tr._feats.tolist(), tr._steps)]
+    rows = []
+    for _ in range(tr.hyper.rollout_steps // ns):
+        cur = list(streams)
+        toks, lp, ent = pol.sample_utterances_batch(
+            tr.policy, cur, tr.rng.random((n, ns)).T)
+        for s_i, (st, y) in enumerate(zip(cur, toks.tolist())):
+            action, ok = env.parse_or_noop(y)
+            nxt, r, done = env.step(st, action)
+            rows.append((st.features, nxt.features, y,
+                         env.action_index(action), r, done, ok,
+                         lp[s_i], ent[s_i]))
+            streams[s_i] = tr._fresh_state() if done else nxt
+    tr._feats, tr._steps = state_arrays(streams)
+    cols = list(zip(*rows))
+    return [np.array(c) for c in cols]
+
+
+@pytest.mark.parametrize("env_id", ["numberline", "menunav"])
+def test_array_rollouts_match_scalar_reference(env_id):
+    env = make_env(env_id)
+    hyper = small_hyper(rollout_steps=96, num_envs=8)
+    fast = Trainer(env, hyper, seed=9)
+    ref = Trainer(env, hyper, seed=9)
+    weights = np.random.default_rng(0).normal(0, 1.5,
+                                              fast.policy.weights.shape)
+    fast.policy.weights[:] = weights
+    ref.policy.weights[:] = weights
+    done_rows = 0
+    for _ in range(4):  # 48 ticks: episodes end by success and by horizon
+        batch = fast.collect_rollouts()
+        want = scalar_rollouts(ref)
+        got = [batch.states, batch.next_states, batch.utterances,
+               batch.action_idx, batch.rewards, batch.dones, batch.parse_ok,
+               batch.old_logprob, batch.entropy]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(fast._feats, ref._feats)
+        np.testing.assert_array_equal(fast._steps, ref._steps)
+        done_rows += int(batch.dones.sum())
+    assert fast._episode_counter == ref._episode_counter
+    assert done_rows > 0
+
+
+def reference_returns(batch, gamma, boot):
+    """fit_value's returns-to-go, stream by stream and row by row."""
+    m, ns = batch.size, batch.num_streams
+    returns = np.zeros(m)
+    for s in range(ns):
+        g = 0.0
+        last = True
+        for j in (np.arange(m // ns) * ns + s)[::-1]:
+            if batch.dones[j]:
+                g = batch.rewards[j]
+            elif last:
+                g = batch.rewards[j] + gamma * boot[j]
+            else:
+                g = batch.rewards[j] + gamma * g
+            returns[j] = g
+            last = False
+    return returns
+
+
+def reference_gae(batch, gamma, lam, v, v_next):
+    m, ns = batch.size, batch.num_streams
+    adv = np.zeros(m)
+    for s in range(ns):
+        acc = 0.0
+        for j in (np.arange(m // ns) * ns + s)[::-1]:
+            nonterm = 0.0 if batch.dones[j] else 1.0
+            delta = batch.rewards[j] + gamma * nonterm * v_next[j] - v[j]
+            acc = delta + gamma * lam * nonterm * acc
+            adv[j] = acc
+    return adv
+
+
+def test_recursions_match_row_by_row_references():
+    env = make_env("numberline")
+    tr = Trainer(env, small_hyper(entropy_placement="reward_bonus",
+                                  alpha=0.5), seed=4)
+    tr.policy.weights[:] = np.random.default_rng(1).normal(
+        0, 1.5, tr.policy.weights.shape)
+    batch = tr.collect_rollouts()
+    while not batch.dones.any():  # the horizon is 20 ticks away at most
+        batch = tr.collect_rollouts()
+    tr.compute_weights(batch)
+    spec, gamma = tr.policy.spec, 0.99
+    beta = np.random.default_rng(2).normal(size=sum(spec.state_cards) + 1)
+    v = coso_rl._value_features(spec, batch.states) @ beta
+    v_next = coso_rl._value_features(spec, batch.next_states) @ beta
+    np.testing.assert_array_equal(
+        gae_advantages(spec, batch, gamma, 0.95, beta),
+        reference_gae(batch, gamma, 0.95, v, v_next))
+    F = coso_rl._value_features(spec, batch.states)
+    A = F.T @ F + 1e-2 * np.eye(F.shape[1])
+    for prev, boot in ((None, np.zeros(batch.size)), (beta, v_next)):
+        want = np.linalg.solve(A, F.T @ reference_returns(batch, gamma, boot))
+        np.testing.assert_array_equal(
+            fit_value(spec, batch, gamma, 1e-2, prev), want)
+    want = batch.rewards.copy()
+    for j in range(batch.size - batch.num_streams):
+        if not batch.dones[j]:
+            want[j] = augmented_reward(batch.rewards[j],
+                                       batch.hb[j + batch.num_streams],
+                                       0.5, gamma)
+    np.testing.assert_array_equal(tr._augment_rewards(batch), want)
+
+
+def random_policy_rollout(**hkw):
+    env = make_env("menunav")
+    tr = Trainer(env, small_hyper(**hkw), seed=12)
+    tr.policy.weights[:] = np.random.default_rng(3).normal(
+        0, 1.0, tr.policy.weights.shape)
+    batch = tr.collect_rollouts()
+    tr.compute_weights(batch)
+    return tr, batch
+
+
+def run_update(optimizer, tr, batch):
+    adv = np.random.default_rng(5).normal(size=batch.size)
+    if optimizer == "ppo":
+        return ppo_update(tr.policy, batch, tr.hyper, adv, AdamState(),
+                          np.random.default_rng(6), snapshot_id=0)[0]
+    return awr_update(tr.policy, batch, tr.hyper, adv, AdamState(),
+                      np.random.default_rng(6))[0]
+
+
+@pytest.mark.parametrize("optimizer", ["ppo", "awr"])
+@pytest.mark.parametrize("minibatch_size, calls", [(64, 1), (16, 4)])
+def test_update_teacher_forces_once_per_param_state(optimizer, minibatch_size,
+                                                    calls, monkeypatch):
+    """One full-batch pass serves the loss and the first minibatch; each
+    later minibatch sees moved params and teacher-forces its own rows."""
+    tr, batch = random_policy_rollout(rollout_steps=64, num_envs=8,
+                                      minibatch_size=minibatch_size)
+    count = 0
+    original = pol.teacher_forced_batch
+
+    def counting(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(pol, "teacher_forced_batch", counting)
+    run_update(optimizer, tr, batch)
+    assert count == calls
+
+
+@pytest.mark.parametrize("optimizer", ["ppo", "awr"])
+def test_minibatches_match_recompute_reference(optimizer, monkeypatch):
+    tr, batch = random_policy_rollout(rollout_steps=256, num_envs=16,
+                                      minibatch_size=64)
+    fast = run_update(optimizer, tr, batch)
+    original = pol.grad_objective
+    # the reference teacher-forces every minibatch itself
+    monkeypatch.setattr(pol, "grad_objective",
+                        lambda *a, forced=None, **kw: original(*a, **kw))
+    ref = run_update(optimizer, tr, batch)
+    assert np.any(fast.weights != tr.policy.weights)
+    np.testing.assert_array_equal(fast.weights, ref.weights)

@@ -47,6 +47,12 @@ def test_config_validation():
         tiny_config(arm="nope")
     with pytest.raises(ValueError):
         tiny_config(optimizer="sgd")
+    # each once trained nothing, or failed only after the first iteration
+    for field, bad in (("total_env_steps", 0), ("total_env_steps", -64),
+                       ("eval_every_iters", 0), ("eval_episodes", 0),
+                       ("env_id", "nope")):
+        with pytest.raises(ValueError, match=field):
+            tiny_config(**{field: bad})
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -311,3 +317,43 @@ def test_cli_train_and_probe(tmp_path, monkeypatch, capsys):
 def test_cli_theory_check_small(capsys):
     assert cli.main(["theory-check", "--instances", "3"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("state", ["c=12,tau=3", "c=-1,tau=3", "c=3",
+                                   "bogus"])
+def test_cli_probe_rejects_bad_state(state, tmp_path, capsys):
+    path = trained_checkpoint(tmp_path, iters=1)
+    assert cli.main(["probe", "--ckpt", str(path), "--state", state]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "coso probe:" in captured.err and "state spec" in captured.err
+
+
+def cf_records_reference(path, env_id, num_episodes, sample_seed):
+    """(tokens, action, parse_ok) per step, one step at a time: a batch of
+    one per step on the next n uniforms, the scalar parser and step."""
+    policy, _, _, _ = ckpt.load_bundle(path)
+    env = make_env(env_id)
+    rng = np.random.default_rng(sample_seed)
+    out = []
+    for ep in range(num_episodes):
+        state = env.reset(EVAL_SEED_BASE + ep)
+        done = False
+        while not done:
+            y, _, _ = sample_utterance(policy, state, rng)
+            action, ok = env.parse_or_noop(y)
+            out.append((ep, list(y), str(action), ok))
+            state, _, done = env.step(state, action)
+    return out
+
+
+@pytest.mark.parametrize("env_id", ["numberline", "menunav"])
+def test_cf_report_matches_step_by_step_reference(env_id, tmp_path):
+    path = trained_checkpoint(tmp_path, env_id=env_id, iters=3)
+    rep = cf_report(path, env_id, num_episodes=12, sample_seed=5)
+    got = [(r["episode"], r["tokens"], r["action"], r["parse_ok"])
+           for r in rep["records"]]
+    assert got == cf_records_reference(path, env_id, 12, 5)
+    assert [r["step"] for r in rep["records"] if r["step"] == 0] == [0] * 12
+    assert not all(r["parse_ok"] for r in rep["records"])
+    assert len(set(r["step"] for r in rep["records"])) > 2

@@ -315,3 +315,93 @@ def test_teacher_forced_batch_consistency():
         _, _, lps, ents = teacher_forced_batch(p, states[k:k + 1], ys[k:k + 1])
         np.testing.assert_allclose(tok_lp[k], lps[0], atol=1e-14)
         np.testing.assert_allclose(tok_ent[k], ents[0], atol=1e-14)
+
+
+# -- gathered logits against the dense one-hot product -----------------------
+
+
+def dense_dist(p, feats, toks, i):
+    """(probs, logprobs) at position i from the dense (m, dim) one-hot
+    feature matrix times W, the product the gathered logits replace."""
+    spec = p.spec
+    m = len(feats)
+    cols = [feats + np.cumsum((0,) + spec.state_cards[:-1])]
+    off = sum(spec.state_cards)
+    for k in range(spec.context):
+        if i - 1 - k >= 0:
+            cols.append(off + k * spec.vocab_size + toks[:, i - 1 - k:i - k])
+    cols.append(np.full((m, 1), off + spec.context * spec.vocab_size + i))
+    F = np.zeros((m, spec.dim))
+    F[np.arange(m)[:, None], np.concatenate(cols, axis=1)] = 1.0
+    z = F @ p.weights
+    z[:, NULL] = -np.inf
+    z = z - z.max(axis=1, keepdims=True)
+    total = np.exp(z).sum(axis=1, keepdims=True)
+    return np.exp(z) / total, z - np.log(total)
+
+
+DENSE_SPECS = [
+    FeatureSpec(state_cards=(10, 10), vocab_size=16, n=3),  # numberline
+    FeatureSpec(state_cards=(4, 2), vocab_size=32, n=6),  # menunav
+    FeatureSpec(state_cards=(3,), vocab_size=5, n=2, context=4),
+]
+
+
+@pytest.mark.parametrize("spec", DENSE_SPECS)
+@pytest.mark.parametrize("m", [1, 7, 256])
+def test_teacher_forcing_matches_dense_reference(spec, m):
+    rng = np.random.default_rng(m)
+    p = random_params(spec, rng, scale=2.0)
+    feats = np.stack([rng.integers(0, c, m) for c in spec.state_cards], 1)
+    toks = rng.integers(1, spec.vocab_size, size=(m, spec.n))
+    probs, logprobs, tok_lp, tok_ent = teacher_forced_batch(p, feats, toks)
+    for i in range(spec.n):
+        ref_p, ref_lp = dense_dist(p, feats, toks, i)
+        np.testing.assert_allclose(probs[:, i], ref_p, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(logprobs[:, i], ref_lp, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tok_lp[:, i],
+                                   ref_lp[np.arange(m), toks[:, i]],
+                                   rtol=0, atol=1e-12)
+        ref_ent = -np.sum(ref_p[:, 1:] * ref_lp[:, 1:], axis=1)
+        np.testing.assert_allclose(tok_ent[:, i], ref_ent, rtol=0,
+                                   atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", DENSE_SPECS)
+def test_sampling_and_greedy_match_dense_reference(spec):
+    m = 64
+    rng = np.random.default_rng(3)
+    p = random_params(spec, rng, scale=2.0)
+    feats = np.stack([rng.integers(0, c, m) for c in spec.state_cards], 1)
+    u = rng.random((m, spec.n))
+    toks, lps, ents = sample_utterances_batch(p, feats, u)
+    greedy = greedy_utterance(p, feats)
+    for i in range(spec.n):
+        ref_p, ref_lp = dense_dist(p, feats, toks, i)
+        want = [min(int(np.searchsorted(np.cumsum(row), x, side="right")),
+                    spec.vocab_size - 1) for row, x in zip(ref_p, u[:, i])]
+        np.testing.assert_array_equal(toks[:, i], want)
+        np.testing.assert_allclose(lps[:, i], ref_lp[np.arange(m), want],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            ents[:, i], -np.sum(ref_p[:, 1:] * ref_lp[:, 1:], axis=1),
+            rtol=0, atol=1e-12)
+        ref_p, _ = dense_dist(p, feats, greedy, i)
+        np.testing.assert_array_equal(greedy[:, i], np.argmax(ref_p, axis=1))
+
+
+def test_feature_arrays_and_env_states_agree():
+    spec = DENSE_SPECS[1]
+    rng = np.random.default_rng(4)
+    p = random_params(spec, rng)
+    feats = np.stack([rng.integers(0, c, 9) for c in spec.state_cards], 1)
+    states = [EnvState(features=tuple(f)) for f in feats.tolist()]
+    u = rng.random((9, spec.n))
+    for a, b in zip(sample_utterances_batch(p, feats, u),
+                    sample_utterances_batch(p, states, u)):
+        np.testing.assert_array_equal(a, b)
+    for a, b in zip(teacher_forced_batch(p, feats, greedy_utterance(p, feats)),
+                    teacher_forced_batch(p, states,
+                                         greedy_utterance(p, states))):
+        np.testing.assert_array_equal(a, b)
+

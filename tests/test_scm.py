@@ -140,3 +140,29 @@ def test_update_leaves_input_untouched():
         np.testing.assert_array_equal(a, b)
     assert phi.opt_w.step == phi.opt_b.step == 1
     assert new.opt_w.step == new.opt_b.step == 2
+
+
+@pytest.mark.parametrize("env_id", ["numberline", "menunav"])
+def test_update_gradient_matches_add_at_scatter(env_id):
+    """The one-bincount scatter equals n np.add.at calls, bit for bit."""
+    env = make_env(env_id)
+    rng = np.random.default_rng(4)
+    phi = ScmParams.zeros(env.grammar.n, env.vocab.size, env.num_actions)
+    phi.weights = rng.normal(size=phi.weights.shape)
+    phi.bias = rng.normal(size=phi.bias.shape)
+    ys, labels = rollout_pairs(env, rng, 256)
+    ys[:7, 1] = NULL  # nullified sequences are in-domain
+    m = len(ys)
+    logits = scm._logits(phi, ys)
+    dz = scm._softmax(logits)
+    dz[np.arange(m), labels] -= 1.0
+    dz /= m
+    grad_w = np.zeros_like(phi.weights)
+    idx = scm._feature_indices(phi, ys)
+    for i in range(phi.n):
+        np.add.at(grad_w, idx[:, i], dz)
+    # Adam's first step from zero moments, taken with the reference gradient
+    ref = scm.AdamState().update(phi.weights, grad_w, 1e-3)
+    new, _ = scm_update(phi, ys, labels, lr=1e-3)
+    np.testing.assert_array_equal(new.weights, ref)
+    np.testing.assert_array_equal(new.opt_w.m, (1 - 0.9) * grad_w)

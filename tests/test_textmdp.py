@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -178,3 +180,131 @@ def test_grammar_report_mentions_all_slots():
         g = grammar_spec(env_id)
         for i in range(g.n):
             assert f"[{i}]" in rep
+
+
+# -- lookup tables against the scalar oracles ---------------------------------
+
+
+def oracle_labels(env, ys):
+    """parse_or_noop + action_index, one utterance at a time."""
+    parsed = [env.parse_or_noop(tuple(y)) for y in np.asarray(ys).tolist()]
+    return (np.array([env.action_index(a) for a, _ in parsed]),
+            np.array([ok for _, ok in parsed]))
+
+
+@pytest.mark.parametrize("env_id", env_ids())
+def test_parse_table_matches_oracle_on_every_token_pair(env_id):
+    env = make_env(env_id)
+    g = env.grammar
+    rng = np.random.default_rng(0)
+    slots = [g.kind_slot] + list(g.arg_slots)
+    pairs = np.array(list(itertools.product(range(1, env.vocab.size),
+                                            repeat=len(slots))))
+    # random legal fillers elsewhere: the parser must not read them
+    ys = rng.integers(1, env.vocab.size, size=(len(pairs), g.n))
+    ys[:, slots] = pairs
+    actions, ok = env.parse_batch(ys)
+    want_actions, want_ok = oracle_labels(env, ys)
+    np.testing.assert_array_equal(actions, want_actions)
+    np.testing.assert_array_equal(ok, want_ok)
+    assert ok.any() and not ok.all()
+
+
+@pytest.mark.parametrize("env_id", env_ids())
+def test_parse_table_matches_oracle_on_random_utterances(env_id):
+    env = make_env(env_id)
+    ys = np.random.default_rng(1).integers(1, env.vocab.size,
+                                           size=(3000, env.grammar.n))
+    actions, ok = env.parse_batch(ys)
+    want_actions, want_ok = oracle_labels(env, ys)
+    np.testing.assert_array_equal(actions, want_actions)
+    np.testing.assert_array_equal(ok, want_ok)
+
+
+@pytest.mark.parametrize("env_id", env_ids())
+def test_parse_batch_rejects_null_and_out_of_vocab(env_id):
+    env = make_env(env_id)
+    rng = np.random.default_rng(2)
+    for slot in range(env.grammar.n):
+        for bad in (NULL, env.vocab.size, -1):
+            ys = rng.integers(1, env.vocab.size, size=(5, env.grammar.n))
+            ys[3, slot] = bad
+            with pytest.raises(ValueError):
+                env.parse_batch(ys)
+            with pytest.raises(ValueError):
+                env.parse_or_noop(tuple(ys[3].tolist()))
+    with pytest.raises(ValueError):
+        env.parse_batch(np.ones((2, env.grammar.n + 1), dtype=int))
+
+
+@pytest.mark.parametrize("env_id", env_ids())
+def test_step_table_matches_oracle_everywhere(env_id):
+    """Every state x action x step count below the horizon."""
+    env = make_env(env_id)
+    classes = env.action_classes()
+    grid = list(itertools.product(
+        itertools.product(*map(range, env.state_feature_cards())),
+        range(len(classes)), range(env.horizon)))
+    feats = np.array([f for f, _, _ in grid])
+    actions = np.array([a for _, a, _ in grid])
+    steps = np.array([t for _, _, t in grid])
+    nxt, nsteps, rewards, dones = env.step_batch(feats, steps, actions)
+    for j, (f, a, t) in enumerate(grid):
+        want, r, done = env.step(EnvState(features=f, step_count=t),
+                                 classes[a])
+        assert tuple(nxt[j].tolist()) == want.features
+        assert nsteps[j] == want.step_count
+        assert rewards[j] == r and dones[j] == done
+
+
+@pytest.mark.parametrize("env_id", env_ids())
+def test_step_batch_rejects_finished_and_unknown_inputs(env_id):
+    env = make_env(env_id)
+    k = len(env.state_feature_cards())
+    zeros = np.zeros((1, k), dtype=int)
+    with pytest.raises(ValueError, match="finished"):
+        env.step_batch(zeros, [env.horizon], [0])
+    for j, card in enumerate(env.state_feature_cards()):
+        for bad in (card, -1):
+            feats = zeros.copy()
+            feats[0, j] = bad
+            with pytest.raises(ValueError):
+                env.step_batch(feats, [0], [0])
+    for bad in (env.num_actions, -1):
+        with pytest.raises(ValueError):
+            env.step_batch(zeros, [0], [bad])
+
+
+@pytest.mark.parametrize("env_id,spec", [
+    ("numberline", "c=12,tau=3"),  # once the tau=2 column of the next block
+    ("numberline", "c=-1,tau=3"),  # once the last position feature
+    ("numberline", "c=3,tau=10"),
+    ("numberline", "c=3"),
+    ("numberline", "c=3,tau=7,x=1"),
+    ("numberline", "c=3,c=4,tau=7"),
+    ("numberline", "c=three,tau=7"),
+    ("numberline", "c3,tau7"),
+    ("numberline", ""),
+    ("menunav", "screen=4"),
+    ("menunav", "screen=-1"),
+    ("menunav", "screen=1,typed=2"),
+    ("menunav", "screen=1,typed=1,extra=0"),
+    ("menunav", "screen=1=2"),
+    ("menunav", "traps"),
+])
+def test_state_from_spec_rejects_bad_specs(env_id, spec):
+    with pytest.raises(ValueError):
+        make_env(env_id).state_from_spec(spec)
+
+
+def test_state_from_spec_accepts_every_valid_state():
+    nl = make_env("numberline")
+    for c in range(nl.N + 1):
+        for tau in range(nl.N + 1):
+            assert nl.state_from_spec(f"c={c},tau={tau}").features == (c, tau)
+    mn = make_env("menunav")
+    for screen in range(4):
+        assert mn.state_from_spec(f"screen={screen}").features == (screen, 0)
+        for typed in (0, 1):
+            assert mn.state_from_spec(
+                f"typed={typed},screen={screen}").features == (screen, typed)
