@@ -31,7 +31,11 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_cf_report(args) -> int:
-    report = harness.cf_report(args.ckpt, args.env, args.episodes)
+    try:
+        report = harness.cf_report(args.ckpt, args.env, args.episodes)
+    except ValueError as exc:  # no episodes, or a checkpoint of another env
+        print(f"coso cf-report: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         with open(args.out, "w") as fh:
             for rec in report["records"]:

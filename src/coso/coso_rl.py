@@ -9,7 +9,7 @@ counterfactual weighting, classifier update, policy update.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,8 +50,14 @@ class Hyperparams:
             raise ValueError("alpha must be >= 0")
         if not (0 < self.gamma < 1):
             raise ValueError("gamma must be in (0, 1)")
-        if self.clip_eps <= 0:
-            raise ValueError("clip_eps must be > 0")
+        # otherwise AWR skips every step or inverts its weighting, the
+        # optimizers stall or climb the loss, or the value fit is singular
+        for name in ("clip_eps", "awr_beta", "awr_weight_clamp", "policy_lr",
+                     "scm_lr", "value_ridge"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        if not (0 <= self.gae_lambda <= 1):
+            raise ValueError("gae_lambda must be in [0, 1]")
         for name, allowed in (("awr_mode", ("exp", "filter")),
                               ("weight_mode", ("raw", "maxnorm")),
                               ("entropy_placement",
@@ -60,9 +66,11 @@ class Hyperparams:
                 raise ValueError(f"{name} must be one of {allowed}, not "
                                  f"{getattr(self, name)!r}")
         for name in ("rollout_steps", "num_envs", "minibatch_size",
-                     "scm_batch_size", "ppo_epochs"):
+                     "scm_batch_size", "ppo_epochs", "scm_steps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
+        if self.context < 0:
+            raise ValueError("context must be >= 0")
         if self.rollout_steps % self.num_envs:
             raise ValueError("rollout_steps must be a multiple of num_envs")
 
@@ -79,7 +87,6 @@ class UpdateReport:
     buffer_size: int = 0
     env_steps: int = 0
     skipped: bool = False
-    events: tuple[str, ...] = ()
 
 
 @dataclass
@@ -323,12 +330,10 @@ class Trainer:
         rewards = np.empty((ticks, ns))
         dones = np.empty((ticks, ns), dtype=bool)
         oks = np.empty((ticks, ns), dtype=bool)
-        lps = np.empty((ticks, ns, n))
-        ents = np.empty((ticks, ns, n))
         for t in range(ticks):
             # one row of uniforms per token position: the stream of n
             # successive draws of ns
-            utts[t], lps[t], ents[t] = pol.sample_utterances_batch(
+            utts[t] = pol.sample_utterances_batch(
                 self.policy, self._feats, self.rng.random((n, ns)).T)
             acts[t], oks[t] = env.parse_batch(utts[t])
             states[t] = self._feats
@@ -341,13 +346,14 @@ class Trainer:
                                                       fresh.step_count)
             self.total_env_steps += ns
         m = ticks * ns
+        states, utts = states.reshape(m, -1), utts.reshape(m, n)
+        _, _, lps, ents = pol.teacher_forced_batch(self.policy, states, utts)
         return RolloutBatch(
-            states=states.reshape(m, -1), next_states=next_states.reshape(m, -1),
-            utterances=utts.reshape(m, n), action_idx=acts.reshape(m),
+            states=states, next_states=next_states.reshape(m, -1),
+            utterances=utts, action_idx=acts.reshape(m),
             rewards=rewards.reshape(m), dones=dones.reshape(m),
-            parse_ok=oks.reshape(m), old_logprob=lps.reshape(m, n),
-            entropy=ents.reshape(m, n), num_streams=ns,
-            snapshot_id=self.snapshot_id)
+            parse_ok=oks.reshape(m), old_logprob=lps, entropy=ents,
+            num_streams=ns, snapshot_id=self.snapshot_id)
 
     def compute_weights(self, batch: RolloutBatch) -> None:
         """Fill batch.weights/hb according to the arm (B for every (y, a))."""
@@ -409,15 +415,11 @@ class Trainer:
 
     def train_iteration(self) -> UpdateReport:
         """One pass: rollout, counterfactual weights, SCM then policy update."""
-        events = ["rollout"]
         batch = self.collect_rollouts()
-        events.append("weights")
         self.compute_weights(batch)
-        events.append("scm_update")
         scm_loss = self.update_scm(batch)
         if not np.isfinite(scm_loss):
             raise RuntimeError("SCM update diverged; policy update aborted")
-        events.append("policy_update")
         policy_loss, gnorm, skipped = self.update_policy(batch)
         return UpdateReport(
             mean_return=float(np.mean(batch.rewards)),
@@ -427,5 +429,4 @@ class Trainer:
             policy_loss=policy_loss, scm_loss=scm_loss,
             invalid_rate=float(np.mean(~batch.parse_ok)),
             grad_norm=gnorm, buffer_size=batch.size,
-            env_steps=self.total_env_steps, skipped=skipped,
-            events=tuple(events))
+            env_steps=self.total_env_steps, skipped=skipped)

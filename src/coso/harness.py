@@ -101,10 +101,6 @@ class SeedResult:
     seed: int
     env_steps: list
     success: list
-    mean_return: list
-    invalid_rate: list
-    mean_entropy: list
-    mean_weighted_entropy: list  # None entries for the rl arm
     steps_to_threshold: float  # inf when never reached
     final_success: float
     run_dir: str = ""
@@ -147,8 +143,7 @@ def run_single_seed(config: RunConfig, seed: int,
                       optimizer=config.optimizer,
                       force_uniform_weights=config.force_uniform_weights)
     rows = []
-    env_steps, success, mean_ret, invalid = [], [], [], []
-    ent, went = [], []
+    env_steps, success = [], []
     it = 0
     while trainer.total_env_steps < config.total_env_steps:
         report = trainer.train_iteration()
@@ -158,10 +153,6 @@ def run_single_seed(config: RunConfig, seed: int,
             sr = evaluate_greedy(env, trainer.policy, config.eval_episodes)
             env_steps.append(report.env_steps)
             success.append(sr)
-            mean_ret.append(report.mean_return)
-            invalid.append(report.invalid_rate)
-            ent.append(report.mean_entropy)
-            went.append(report.mean_weighted_entropy)
             rows.append({
                 "schema_version": 1,
                 "iteration": it,
@@ -193,8 +184,6 @@ def run_single_seed(config: RunConfig, seed: int,
                                    "env_steps": trainer.total_env_steps})
         run_dir = str(out)
     return SeedResult(seed=seed, env_steps=env_steps, success=success,
-                      mean_return=mean_ret, invalid_rate=invalid,
-                      mean_entropy=ent, mean_weighted_entropy=went,
                       steps_to_threshold=stt,
                       final_success=success[-1] if success else 0.0,
                       run_dir=run_dir)
@@ -300,6 +289,8 @@ def ablation_matrix(configs: list,
 def cf_report(ckpt_path, env_id: str, num_episodes: int,
               sample_seed: int = 1234) -> dict:
     """Per-step token/weight records plus an aggregate weight histogram."""
+    if num_episodes < 1:
+        raise ValueError("num_episodes must be >= 1")
     policy_params, scm_params, ckpt_env, _ = ckpt_mod.load_bundle(ckpt_path)
     if ckpt_env != env_id:
         raise ValueError(f"checkpoint is for env {ckpt_env!r}, not {env_id!r}")
@@ -324,7 +315,7 @@ def cf_report(ckpt_path, env_id: str, num_episodes: int,
         while not done:
             key = tuple(feats[0].tolist())
             if key not in decoded:
-                toks, _, _ = pol.sample_utterances_batch(
+                toks = pol.sample_utterances_batch(
                     policy_params, np.repeat(feats, horizon - t, axis=0),
                     rows[t:])
                 actions, oks = env.parse_batch(toks)
@@ -379,7 +370,7 @@ def repeated_sampling_probe(ckpt_path, state_spec: str, k: int,
     rng = np.random.default_rng(sample_seed)
     # k rows of n uniforms: the stream of k successive single samples
     feats = np.tile(np.asarray(state.features, dtype=np.intp), (k, 1))
-    toks, _, _ = pol.sample_utterances_batch(
+    toks = pol.sample_utterances_batch(
         policy_params, feats, rng.random((k, policy_params.spec.n)))
     actions, ok = env.parse_batch(toks)
     names = [str(a) for a in env.action_classes()]

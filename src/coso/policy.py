@@ -108,22 +108,17 @@ def _state_logits(params: PolicyParams, sidx: np.ndarray) -> np.ndarray:
     return z
 
 
-def _context_row(spec: FeatureSpec, k: int) -> int:
-    """First feature row of the k-th most recent token's one-hot block."""
-    return sum(spec.state_cards) + k * spec.vocab_size
-
-
-def _position_row(spec: FeatureSpec, i: int) -> int:
-    return sum(spec.state_cards) + spec.context * spec.vocab_size + i
-
-
 def _position_logits(params: PolicyParams, base: np.ndarray, toks: np.ndarray,
                      i: int) -> np.ndarray:
-    """(m, V) logits at position i: base plus the context and position rows."""
+    """(m, V) logits at position i: base plus the context and position rows.
+
+    Only toks[:, :i] is read, so a decoder may pass its partly filled tokens.
+    """
     spec, W = params.spec, params.weights
-    rows = [W[_context_row(spec, k) + toks[:, i - 1 - k]]
+    ctx = sum(spec.state_cards)  # first row of the newest token's block
+    rows = [W[ctx + k * spec.vocab_size + toks[:, i - 1 - k]]
             for k in range(min(i, spec.context))]
-    rows.append(W[_position_row(spec, i)])
+    rows.append(W[ctx + spec.context * spec.vocab_size + i])
     z = base + rows[0]
     for r in rows[1:]:
         z += r
@@ -150,44 +145,28 @@ def _entropy(probs: np.ndarray, logprobs: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=-1)
 
 
-def _decode(params: PolicyParams, states, u: np.ndarray | None):
-    """Left-to-right decoding, by inverse CDF on u or by argmax if u is None.
-
-    Returns (tokens, per-token log-probs, exact conditional entropies), each
-    of shape (m, n); by argmax only the tokens, the others are None.
-    """
+def _decode(params: PolicyParams, states, u: np.ndarray | None) -> np.ndarray:
+    """(m, n) tokens decoded left to right, by inverse CDF on u or by argmax
+    if u is None."""
     spec = params.spec
-    m = len(states)
     base = _state_logits(params, state_index(spec.state_cards, states))
-    toks = np.zeros((m, spec.n), dtype=np.intp)
-    if u is not None:
-        # kept per position; log-probs and entropies come after the loop
-        shifted = np.empty((m, spec.n, spec.vocab_size))
-        probs_all = np.empty_like(shifted)
-        totals = np.empty((m, spec.n, 1))
+    toks = np.zeros((len(states), spec.n), dtype=np.intp)
     for i in range(spec.n):
-        z = _position_logits(params, base, toks, i)
-        probs, total = _softmax_inplace(z)
+        probs, _ = _softmax_inplace(_position_logits(params, base, toks, i))
         if u is None:
             toks[:, i] = np.argmax(probs, axis=1)
-            continue
-        # first token whose cumulative probability exceeds the uniform
-        below = probs.cumsum(axis=1) <= u[:, i:i + 1]
-        toks[:, i] = np.minimum(below.sum(axis=1), spec.vocab_size - 1)
-        shifted[:, i], probs_all[:, i], totals[:, i] = z, probs, total
-    if u is None:
-        return toks, None, None
-    logprobs = shifted
-    logprobs -= np.log(totals)
-    lps = logprobs[np.arange(m)[:, None], np.arange(spec.n), toks]
-    return toks, lps, _entropy(probs_all, logprobs)
+        else:
+            # first token whose cumulative probability exceeds the uniform
+            below = probs.cumsum(axis=1) <= u[:, i:i + 1]
+            toks[:, i] = np.minimum(below.sum(axis=1), spec.vocab_size - 1)
+    return toks
 
 
-def sample_utterances_batch(params: PolicyParams, states, u):
+def sample_utterances_batch(params: PolicyParams, states, u) -> np.ndarray:
     """Sample one utterance per state from the (m, n) uniforms u.
 
-    Token i of row b is drawn by inverse CDF on u[b, i].  Returns (tokens,
-    per-token log-probs, exact conditional entropies), each (m, n).
+    Token i of row b is drawn by inverse CDF on u[b, i].  Returns the (m, n)
+    tokens; teacher_forced_batch gives their log-probs and entropies.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (len(states), params.spec.n):
@@ -197,21 +176,21 @@ def sample_utterances_batch(params: PolicyParams, states, u):
 
 
 def sample_utterance(params: PolicyParams, state: EnvState,
-                     rng: np.random.Generator):
-    """Batch of one: draws n uniforms and returns (tokens tuple, log-probs,
-    entropies) of the single row."""
-    toks, lps, ents = sample_utterances_batch(
-        params, [state], rng.random((1, params.spec.n)))
-    return tuple(toks[0].tolist()), lps[0], ents[0]
+                     rng: np.random.Generator) -> tuple[int, ...]:
+    """Batch of one: draws n uniforms and returns the row's tokens."""
+    toks = sample_utterances_batch(params, [state],
+                                   rng.random((1, params.spec.n)))
+    return tuple(toks[0].tolist())
 
 
 def greedy_utterance(params: PolicyParams, states) -> np.ndarray:
     """(m, n) per-position argmax decoding (ties to lowest token id)."""
-    return _decode(params, states, None)[0]
+    return _decode(params, states, None)
 
 
 def teacher_forced_batch(params: PolicyParams, states, utterances):
-    """Batched teacher forcing.
+    """Batched teacher forcing: the one source of per-token log-probs and
+    exact conditional entropies.
 
     Returns (probs, logprobs, tok_logprob, tok_entropy) with shapes
     (m, n, V), (m, n, V), (m, n), (m, n).
@@ -224,14 +203,10 @@ def teacher_forced_batch(params: PolicyParams, states, utterances):
                          f"{spec.n})")
     if np.any((toks < 0) | (toks >= spec.vocab_size)):
         raise ValueError("token out of vocab")
-    W = params.weights
     base = _state_logits(params, state_index(spec.state_cards, states))
-    # every position at once, each adding its rows in _position_logits' order
-    z = np.repeat(base[:, None, :], spec.n, axis=1)
-    for k in range(min(spec.context, spec.n - 1)):
-        z[:, k + 1:] += W[_context_row(spec, k) + toks[:, :spec.n - 1 - k]]
-    first = _position_row(spec, 0)
-    z += W[first:first + spec.n]
+    z = np.empty((m, spec.n, spec.vocab_size))
+    for i in range(spec.n):
+        z[:, i] = _position_logits(params, base, toks, i)
     probs, total = _softmax_inplace(z)
     logprobs = z
     logprobs -= np.log(total)

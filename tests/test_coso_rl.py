@@ -72,6 +72,25 @@ def test_hyperparam_size_validation():
                 Hyperparams(**{name: bad})
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("awr_weight_clamp", 0.0),  # every AWR weight clipped to 0: no step
+    ("awr_beta", 0.0),
+    ("awr_beta", -1.0),  # inverts the advantage weighting
+    ("policy_lr", 0.0),
+    ("policy_lr", -0.05),  # climbs the loss
+    ("scm_lr", 0.0),
+    ("scm_lr", -1e-3),
+    ("gae_lambda", -0.1),
+    ("gae_lambda", 1.5),
+    ("value_ridge", 0.0),  # singular value fit at the first update
+    ("context", -1),  # IndexError mid-iteration
+    ("scm_steps", 0),  # reported as a diverged SCM update
+])
+def test_hyperparam_range_validation(field, bad):
+    with pytest.raises(ValueError, match=field):
+        Hyperparams(**{field: bad})
+
+
 # -- value baseline and advantages -------------------------------------------
 
 
@@ -234,10 +253,19 @@ def test_train_iteration_deterministic():
     assert [r.mean_return for r in r1] == [r.mean_return for r in r2]
 
 
-def test_phase_order_scm_before_policy():
-    _, reports = run_iterations("coso", iters=1)
-    ev = reports[0].events
-    assert ev == ("rollout", "weights", "scm_update", "policy_update")
+def test_phase_order_scm_before_policy(monkeypatch):
+    calls = []
+    for method, name in (("collect_rollouts", "rollout"),
+                         ("compute_weights", "weights"),
+                         ("update_scm", "scm_update"),
+                         ("update_policy", "policy_update")):
+        def recording(self, *args, _orig=getattr(Trainer, method),
+                      _name=name):
+            calls.append(_name)
+            return _orig(self, *args)
+        monkeypatch.setattr(Trainer, method, recording)
+    run_iterations("coso", iters=1)
+    assert calls == ["rollout", "weights", "scm_update", "policy_update"]
 
 
 def test_buffer_size_and_env_step_accounting():
@@ -307,15 +335,17 @@ def test_learning_progress_on_numberline():
 
 def scalar_rollouts(tr):
     """The per-row loop the array rollouts replace: EnvState streams,
-    parse_or_noop, action_index and the scalar step."""
+    parse_or_noop, action_index and the scalar step; each tick's token
+    statistics come from teacher forcing that tick alone."""
     env, ns, n = tr.env, tr.hyper.num_envs, tr.policy.spec.n
     streams = [EnvState(features=tuple(f), step_count=int(t))
                for f, t in zip(tr._feats.tolist(), tr._steps)]
     rows = []
     for _ in range(tr.hyper.rollout_steps // ns):
         cur = list(streams)
-        toks, lp, ent = pol.sample_utterances_batch(
-            tr.policy, cur, tr.rng.random((n, ns)).T)
+        toks = pol.sample_utterances_batch(tr.policy, cur,
+                                           tr.rng.random((n, ns)).T)
+        _, _, lp, ent = pol.teacher_forced_batch(tr.policy, cur, toks)
         for s_i, (st, y) in enumerate(zip(cur, toks.tolist())):
             action, ok = env.parse_or_noop(y)
             nxt, r, done = env.step(st, action)
@@ -435,6 +465,25 @@ def run_update(optimizer, tr, batch):
                           np.random.default_rng(6), snapshot_id=0)[0]
     return awr_update(tr.policy, batch, tr.hyper, adv, AdamState(),
                       np.random.default_rng(6))[0]
+
+
+def test_rollouts_teacher_force_once(monkeypatch):
+    """The decoder returns tokens only; the batch's log-probs and entropies
+    come from one teacher-forcing pass over the finished batch."""
+    env = make_env("menunav")
+    tr = Trainer(env, small_hyper(rollout_steps=64, num_envs=8), seed=2)
+    calls = []
+    original = pol.teacher_forced_batch
+
+    def counting(params, states, utterances):
+        calls.append(len(states))
+        return original(params, states, utterances)
+    monkeypatch.setattr(pol, "teacher_forced_batch", counting)
+    batch = tr.collect_rollouts()
+    assert calls == [64]
+    _, _, lps, ents = original(tr.policy, batch.states, batch.utterances)
+    np.testing.assert_array_equal(batch.old_logprob, lps)
+    np.testing.assert_array_equal(batch.entropy, ents)
 
 
 @pytest.mark.parametrize("optimizer", ["ppo", "awr"])

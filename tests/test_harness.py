@@ -169,6 +169,20 @@ def test_cf_report_env_mismatch(tmp_path):
         cf_report(path, "menunav", num_episodes=1)
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--episodes", "0"], "num_episodes"),
+    (["--episodes", "-1"], "num_episodes"),
+    (["--env", "menunav"], "checkpoint is for env"),
+])
+def test_cli_cf_report_rejects_bad_request(args, message, tmp_path, capsys):
+    path = trained_checkpoint(tmp_path, iters=1)
+    argv = ["cf-report", "--ckpt", str(path), "--env", "numberline"]
+    assert cli.main(argv + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "coso cf-report:" in captured.err and message in captured.err
+
+
 def test_probe_counts_and_bounds(tmp_path):
     path = trained_checkpoint(tmp_path, iters=5)
     out = repeated_sampling_probe(path, "c=3,tau=7", k=25)
@@ -184,9 +198,9 @@ def test_probe_matches_sequential_samples(tmp_path):
     env = make_env("numberline")
     state = env.state_from_spec("c=3,tau=7")
     rng = np.random.default_rng(1234)
-    seq = [sample_utterance(policy, state, rng)[0] for _ in range(300)]
+    seq = [sample_utterance(policy, state, rng) for _ in range(300)]
     # one batch on k rows of n uniforms is the stream of k single samples
-    toks, _, _ = sample_utterances_batch(
+    toks = sample_utterances_batch(
         policy, [state] * 300,
         np.random.default_rng(1234).random((300, policy.spec.n)))
     assert [tuple(y) for y in toks.tolist()] == seq
@@ -340,7 +354,7 @@ def cf_records_reference(path, env_id, num_episodes, sample_seed):
         state = env.reset(EVAL_SEED_BASE + ep)
         done = False
         while not done:
-            y, _, _ = sample_utterance(policy, state, rng)
+            y = sample_utterance(policy, state, rng)
             action, ok = env.parse_or_noop(y)
             out.append((ep, list(y), str(action), ok))
             state, _, done = env.step(state, action)

@@ -81,11 +81,20 @@ def test_prefix_too_long_raises():
         teacher_forced_batch(p, [STATE], [(1, 2, 3, 4)])
 
 
+def sampled_stats(p, states, u):
+    """(tokens, log-probs, entropies) of utterances sampled on u: the
+    tokens' statistics come from teacher forcing them."""
+    toks = sample_utterances_batch(p, states, u)
+    _, _, lps, ents = teacher_forced_batch(p, states, toks)
+    return toks, lps, ents
+
+
 def test_uniform_entropy_value():
     spec = FeatureSpec(state_cards=(10, 10), vocab_size=16, n=3)
     p = PolicyParams.zeros(spec)
-    _, lps, ents = sample_utterance(p, EnvState(features=(1, 2)),
-                                    np.random.default_rng(0))
+    state = EnvState(features=(1, 2))
+    y = sample_utterance(p, state, np.random.default_rng(0))
+    _, _, lps, ents = teacher_forced_batch(p, [state], [y])
     np.testing.assert_allclose(ents, np.log(15), atol=1e-12)
     np.testing.assert_allclose(lps, -np.log(15), atol=1e-12)
 
@@ -94,8 +103,9 @@ def test_degenerate_policy_entropy_near_zero():
     spec = small_spec()
     p = PolicyParams.zeros(spec)
     p.weights[:, 2] = 50.0  # every feature pushes token 2
-    y, _, ents = sample_utterance(p, STATE, np.random.default_rng(0))
+    y = sample_utterance(p, STATE, np.random.default_rng(0))
     assert y == (2, 2, 2)
+    _, _, _, ents = teacher_forced_batch(p, [STATE], [y])
     assert np.all(ents < 1e-6)
 
 
@@ -106,8 +116,9 @@ def test_sampling_deterministic_under_seed():
     p = random_params(spec, np.random.default_rng(5))
     s1 = sample_utterance(p, STATE, rng1)
     s2 = sample_utterance(p, STATE, rng2)
-    assert s1[0] == s2[0]
-    np.testing.assert_array_equal(s1[1], s2[1])
+    assert s1 == s2
+    np.testing.assert_array_equal(teacher_forced_batch(p, [STATE], [s1])[2],
+                                  teacher_forced_batch(p, [STATE], [s2])[2])
 
 
 def test_batch_sampling_matches_single():
@@ -116,33 +127,37 @@ def test_batch_sampling_matches_single():
     p = random_params(spec, rng)
     states = random_states(spec, rng, 16)
     u = rng.random((16, spec.n))
-    toks, lps, ents = sample_utterances_batch(p, states, u)
+    toks, lps, ents = sampled_stats(p, states, u)
     for b in range(16):
-        t1, l1, e1 = sample_utterances_batch(p, [states[b]], u[b:b + 1])
+        t1, l1, e1 = sampled_stats(p, [states[b]], u[b:b + 1])
         np.testing.assert_array_equal(toks[b], t1[0])
         np.testing.assert_allclose(lps[b], l1[0], rtol=0, atol=1e-14)
         np.testing.assert_allclose(ents[b], e1[0], rtol=0, atol=1e-14)
     with pytest.raises(ValueError):
         sample_utterances_batch(p, states, u[:, :2])
     # sample_utterance is the batch of one on the next n uniforms
-    y, lp, ent = sample_utterance(p, STATE, np.random.default_rng(123))
-    t1, l1, e1 = sample_utterances_batch(
+    y = sample_utterance(p, STATE, np.random.default_rng(123))
+    t1 = sample_utterances_batch(
         p, [STATE], np.random.default_rng(123).random((1, spec.n)))
     assert y == tuple(t1[0].tolist())
-    np.testing.assert_array_equal(lp, l1[0])
-    np.testing.assert_array_equal(ent, e1[0])
 
 
 def test_rescoring_matches_sampling():
+    # sampling and greedy decoding read the same per-position distributions
+    # that teacher forcing their tokens returns, to the bit
     spec = small_spec()
     rng = np.random.default_rng(1)
     p = random_params(spec, rng)
     states = random_states(spec, rng, 20)
-    toks, lps, ents = sample_utterances_batch(p, states,
-                                              rng.random((20, spec.n)))
-    _, _, tok_lp, tok_ent = teacher_forced_batch(p, states, toks)
-    np.testing.assert_array_equal(tok_lp, lps)
-    np.testing.assert_array_equal(tok_ent, ents)
+    u = rng.random((20, spec.n))
+    toks = sample_utterances_batch(p, states, u)
+    probs = teacher_forced_batch(p, states, toks)[0]
+    want = np.minimum((probs.cumsum(axis=-1) <= u[..., None]).sum(axis=-1),
+                      spec.vocab_size - 1)
+    np.testing.assert_array_equal(toks, want)
+    greedy = greedy_utterance(p, states)
+    probs = teacher_forced_batch(p, states, greedy)[0]
+    np.testing.assert_array_equal(greedy, np.argmax(probs, axis=-1))
 
 
 def test_uniform_total_logprob():
@@ -165,8 +180,7 @@ def test_entropy_bounds():
     rng = np.random.default_rng(2)
     for _ in range(50):
         p = random_params(spec, rng, scale=2.0)
-        _, _, ents = sample_utterances_batch(p, [STATE] * 4,
-                                             rng.random((4, spec.n)))
+        _, _, ents = sampled_stats(p, [STATE] * 4, rng.random((4, spec.n)))
         assert np.all(ents >= 0.0)
         assert np.all(ents <= np.log(spec.vocab_size - 1) + 1e-12)
 
@@ -198,8 +212,8 @@ def test_sampling_frequencies_match_dist():
     n_samples = 100_000
     counts = np.zeros(spec.vocab_size)
     for _ in range(n_samples // 1000):
-        toks, _, _ = sample_utterances_batch(p, [state] * 1000,
-                                             rng.random((1000, spec.n)))
+        toks = sample_utterances_batch(p, [state] * 1000,
+                                       rng.random((1000, spec.n)))
         counts += np.bincount(toks[:, 0], minlength=spec.vocab_size)
     support = probs > 0
     chi2, pval = stats.chisquare(counts[support], n_samples * probs[support])
@@ -374,7 +388,7 @@ def test_sampling_and_greedy_match_dense_reference(spec):
     p = random_params(spec, rng, scale=2.0)
     feats = np.stack([rng.integers(0, c, m) for c in spec.state_cards], 1)
     u = rng.random((m, spec.n))
-    toks, lps, ents = sample_utterances_batch(p, feats, u)
+    toks, lps, ents = sampled_stats(p, feats, u)
     greedy = greedy_utterance(p, feats)
     for i in range(spec.n):
         ref_p, ref_lp = dense_dist(p, feats, toks, i)
@@ -397,9 +411,8 @@ def test_feature_arrays_and_env_states_agree():
     feats = np.stack([rng.integers(0, c, 9) for c in spec.state_cards], 1)
     states = [EnvState(features=tuple(f)) for f in feats.tolist()]
     u = rng.random((9, spec.n))
-    for a, b in zip(sample_utterances_batch(p, feats, u),
-                    sample_utterances_batch(p, states, u)):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(sample_utterances_batch(p, feats, u),
+                                  sample_utterances_batch(p, states, u))
     for a, b in zip(teacher_forced_batch(p, feats, greedy_utterance(p, feats)),
                     teacher_forced_batch(p, states,
                                          greedy_utterance(p, states))):
