@@ -8,6 +8,11 @@ claims behind the algorithm can be checked against independent oracles:
   point matches a closed-form linear solve,
 - soft improvement never decreases Q, and policy iteration converges
   monotonically (matching brute force when the entropy term is off).
+
+Soft improvement is exact: for a fixed Q, one backward pass over the token
+tree maximizes E[Q(s, parse(y))] + alpha * sum_i B_i H(y_i | y_<i) per state,
+each conditional a softmax of its children's values at temperature
+alpha * B_i and each node's value the matching log-sum-exp.
 """
 import numpy as np
 

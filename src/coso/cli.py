@@ -33,7 +33,8 @@ def _cmd_ablate(args) -> int:
 def _cmd_cf_report(args) -> int:
     try:
         report = harness.cf_report(args.ckpt, args.env, args.episodes)
-    except ValueError as exc:  # no episodes, or a checkpoint of another env
+    except (ValueError, OSError) as exc:
+        # no episodes, an unreadable checkpoint, or a checkpoint of another env
         print(f"coso cf-report: {exc}", file=sys.stderr)
         return 2
     if args.out:
@@ -48,7 +49,8 @@ def _cmd_cf_report(args) -> int:
 def _cmd_probe(args) -> int:
     try:
         out = harness.repeated_sampling_probe(args.ckpt, args.state, args.k)
-    except ValueError as exc:  # a state spec or k that names no valid probe
+    except (ValueError, OSError) as exc:
+        # an unreadable checkpoint, or a state spec or k naming no valid probe
         print(f"coso probe: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(out, indent=1, sort_keys=True))

@@ -492,7 +492,7 @@ def check_improvement(spec: TheoryCheckSpec) -> SuiteResult:
         B = rng.uniform(0.0, 1.0, size=mdp.n)
         alpha = float(rng.uniform(0.0, 2.0))
         q_pi, _ = tabular.policy_evaluation(mdp, policy, B, alpha, tol=1e-12)
-        improved = tabular.soft_improve(mdp, q_pi, policy, B, alpha)
+        improved = tabular.soft_improve(mdp, q_pi, B, alpha)
         q_new, _ = tabular.policy_evaluation(mdp, improved, B, alpha,
                                              tol=1e-12)
         drop = float(np.max(q_pi - q_new))

@@ -7,16 +7,24 @@ so the contraction / improvement / iteration claims can be checked against
 independent oracles (linear solves, brute-force enumeration).
 
 Token ids in this module index the effective alphabet (NULL excluded); the
-weight profile B is exogenous and state-independent.
+weight profile B is exogenous and state-independent.  Every policy function
+computes all states in one call.
 
 The backup operator's entropy and action-distribution terms depend only on
 the policy (and B), not on Q: they are computed once per policy by
 ``policy_terms`` and passed to every ``bellman_backup`` for that policy, as in
 soft policy evaluation, where the entropy term is fixed while the policy is.
+
+``soft_improve`` maximizes the per-state objective
+E[Q(s, parse(y))] + alpha * sum_i B_i H(y_i | y_<i) exactly, by one backward
+pass over the token tree: each conditional is a softmax of its children's
+values at temperature alpha * B_i, and each node's value is the matching
+log-sum-exp (the soft Bellman backup of Haarnoja et al., ICML 2017, applied
+per token).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -34,11 +42,22 @@ class TabularMdp:
     gamma: float
 
     def __post_init__(self):
+        S, A = self.num_states, self.num_actions
         if self.parse_table.shape != (self.vocab_eff ** self.n,):
             raise ValueError("parse table must cover every sequence")
-        rows = np.sum(self.P, axis=2)
-        if not np.allclose(rows, 1.0, atol=1e-9):
+        if (not np.issubdtype(self.parse_table.dtype, np.integer)
+                or np.any(self.parse_table < 0)
+                or np.any(self.parse_table >= A)):
+            raise ValueError("parse table entries must be action indices in "
+                             "[0, num_actions)")
+        if self.P.shape != (S, A, S) or np.any(self.P < 0.0):
+            raise ValueError("P must be a non-negative (S, A, S) array")
+        if not np.allclose(np.sum(self.P, axis=2), 1.0, atol=1e-9):
             raise ValueError("transition rows must be simplices")
+        if self.r.shape != (S, A):
+            raise ValueError("r must be an (S, A) array")
+        if not 0.0 <= self.gamma < 1.0:
+            raise ValueError("gamma must be in [0, 1)")
 
     @property
     def num_sequences(self) -> int:
@@ -52,49 +71,42 @@ class TabularMdp:
 
 @dataclass
 class TabularPolicy:
-    """Full conditional tables per state: tables[s][i] is ((Ve**i), Ve)."""
+    """Full conditional tables for every state: tables[i] is (S, Ve**i, Ve)."""
 
     vocab_eff: int
     n: int
-    tables: list  # list over states of lists over positions
+    tables: list  # over positions
 
     @classmethod
     def uniform(cls, num_states: int, vocab_eff: int, n: int) -> "TabularPolicy":
-        tables = [[np.full((vocab_eff ** i, vocab_eff), 1.0 / vocab_eff)
-                   for i in range(n)] for _ in range(num_states)]
+        tables = [np.full((num_states, vocab_eff ** i, vocab_eff),
+                          1.0 / vocab_eff) for i in range(n)]
         return cls(vocab_eff=vocab_eff, n=n, tables=tables)
 
     @classmethod
     def random(cls, num_states: int, vocab_eff: int, n: int,
                rng: np.random.Generator) -> "TabularPolicy":
-        tables = []
-        for _ in range(num_states):
-            rows = []
-            for i in range(n):
-                t = rng.dirichlet(np.ones(vocab_eff), size=vocab_eff ** i)
-                rows.append(t)
-            tables.append(rows)
+        # drawn state-major, then stacked: every seeded instance depends on
+        # this order of draws
+        rows = [[rng.dirichlet(np.ones(vocab_eff), size=vocab_eff ** i)
+                 for i in range(n)] for _ in range(num_states)]
+        tables = [np.stack([r[i] for r in rows]) for i in range(n)]
         return cls(vocab_eff=vocab_eff, n=n, tables=tables)
 
-    def copy(self) -> "TabularPolicy":
-        return TabularPolicy(vocab_eff=self.vocab_eff, n=self.n,
-                             tables=[[t.copy() for t in rows]
-                                     for rows in self.tables])
+    @property
+    def num_states(self) -> int:
+        return self.tables[0].shape[0]
 
-    def seq_probs(self, s: int) -> np.ndarray:
-        """Joint probability of every sequence (lexicographic order)."""
-        p = np.ones(1)
-        for i in range(self.n):
-            cond = self.tables[s][i]  # (Ve**i, Ve)
-            p = (p[:, None] * cond).ravel()
-        return p
-
-    def prefix_probs(self, s: int, i: int) -> np.ndarray:
-        """(Ve**i,) probability of each length-i prefix."""
-        p = np.ones(1)
+    def prefix_probs(self, i: int) -> np.ndarray:
+        """(S, Ve**i) probability of each length-i prefix."""
+        p = np.ones((self.num_states, 1))
         for j in range(i):
-            p = (p[:, None] * self.tables[s][j]).ravel()
+            p = (p[:, :, None] * self.tables[j]).reshape(self.num_states, -1)
         return p
+
+    def seq_probs(self) -> np.ndarray:
+        """(S, Ve**n) joint probability of every sequence (lexicographic)."""
+        return self.prefix_probs(self.n)
 
 
 def _cond_entropies(q: np.ndarray) -> np.ndarray:
@@ -103,38 +115,34 @@ def _cond_entropies(q: np.ndarray) -> np.ndarray:
     return -np.sum(terms, axis=-1)
 
 
-def weighted_entropy_exact(policy: TabularPolicy, s: int, B) -> float:
-    """sum_i B_i * sum_prefix p(prefix) H(y_i | prefix), exactly."""
+def weighted_entropy_exact(policy: TabularPolicy, B) -> np.ndarray:
+    """(S,) sum_i B_i * sum_prefix p(prefix) H(y_i | prefix), exactly."""
     B = np.asarray(B, dtype=np.float64)
-    total = 0.0
+    total = np.zeros(policy.num_states)
     for i in range(policy.n):
-        pre = policy.prefix_probs(s, i)
-        h = _cond_entropies(policy.tables[s][i])
-        total += B[i] * float(pre @ h)
+        pre = policy.prefix_probs(i)
+        h = _cond_entropies(policy.tables[i])
+        # stacked (1, K) @ (K, 1) products: per state the same dot product
+        # as the 1-D pre[s] @ h[s], bit for bit
+        total +=B[i] * (pre[:, None, :] @ h[:, :, None])[:, 0, 0]
     return total
 
 
 def entropy_decomposition_check(policy: TabularPolicy,
                                 s: int) -> tuple[float, float, float]:
-    """(joint entropy, sum of conditionals, |difference|)."""
-    p = policy.seq_probs(s)
+    """(joint entropy, sum of conditionals, |difference|) at state s."""
+    p = policy.seq_probs()[s]
     with np.errstate(divide="ignore", invalid="ignore"):
         joint = -float(np.sum(np.where(p > 0.0, p * np.log(p), 0.0)))
-    cond_sum = weighted_entropy_exact(policy, s, np.ones(policy.n))
+    cond_sum = float(weighted_entropy_exact(policy, np.ones(policy.n))[s])
     return joint, cond_sum, abs(joint - cond_sum)
 
 
-def action_dist(mdp: TabularMdp, policy: TabularPolicy, s: int) -> np.ndarray:
-    """Policy pushed through the parse table: p(a | s)."""
-    p = policy.seq_probs(s)
-    out = np.zeros(mdp.num_actions)
-    np.add.at(out, mdp.parse_table, p)
+def action_dist(mdp: TabularMdp, policy: TabularPolicy) -> np.ndarray:
+    """(S, A) policy pushed through the parse table: p(a | s)."""
+    out = np.zeros((mdp.num_states, mdp.num_actions))
+    np.add.at(out, (slice(None), mdp.parse_table), policy.seq_probs())
     return out
-
-
-def _state_entropies(mdp: TabularMdp, policy: TabularPolicy, B) -> np.ndarray:
-    return np.array([weighted_entropy_exact(policy, s, B)
-                     for s in range(mdp.num_states)])
 
 
 def policy_terms(mdp: TabularMdp, policy: TabularPolicy,
@@ -145,9 +153,7 @@ def policy_terms(mdp: TabularMdp, policy: TabularPolicy,
     distribution per state.  Both belong to this one policy and weight
     profile; recompute them whenever the policy changes.
     """
-    h = _state_entropies(mdp, policy, B)
-    d = np.array([action_dist(mdp, policy, s) for s in range(mdp.num_states)])
-    return h, d
+    return weighted_entropy_exact(policy, B), action_dist(mdp, policy)
 
 
 def bellman_backup(mdp: TabularMdp, Q: np.ndarray, terms, alpha: float,
@@ -197,62 +203,34 @@ def policy_evaluation_direct(mdp: TabularMdp, policy: TabularPolicy, B,
     return np.linalg.solve(M, rhs).reshape(S, A)
 
 
-def _state_objective(mdp: TabularMdp, policy: TabularPolicy, Q: np.ndarray,
-                     s: int, B, alpha: float) -> float:
-    d = action_dist(mdp, policy, s)
-    return float(d @ Q[s]) + alpha * weighted_entropy_exact(policy, s, B)
+def soft_improve(mdp: TabularMdp, Q: np.ndarray, B,
+                 alpha: float) -> TabularPolicy:
+    """The policy maximizing sum_a d(a|s) Q(s, a) + alpha * h(s) per state.
 
-
-def soft_improve(mdp: TabularMdp, Q: np.ndarray, policy: TabularPolicy, B,
-                 alpha: float, sweeps: int = 50,
-                 tol: float = 1e-12) -> TabularPolicy:
-    """Per-state coordinate ascent over the autoregressive conditionals.
-
-    Each coordinate (position, prefix) has a closed-form maximizer: the
-    objective is linear in that conditional plus alpha*B_i*p(prefix) times its
-    entropy, so the optimum is a softmax of the linear coefficients (greedy
-    argmax when the entropy coefficient vanishes).  Steps are accepted only if
-    the per-state objective does not decrease, which is what the improvement
-    lemma requires.
+    One backward pass over the token tree, starting from each full
+    sequence's value Q(s, parse(y)).  At position i each conditional is
+    softmax(child values / (alpha * B_i)) and the node's value is
+    alpha * B_i * logsumexp(child values / (alpha * B_i)); when
+    alpha * B_i == 0 the conditional is the argmax, ties to the lowest
+    token, and the node's value is the max.
     """
     B = np.asarray(B, dtype=np.float64)
-    out = policy.copy()
-    Ve = out.vocab_eff
-    for s in range(mdp.num_states):
-        obj = _state_objective(mdp, out, Q, s, B, alpha)
-        for _ in range(sweeps):
-            improved = 0.0
-            for i in range(out.n):
-                for pre_idx in range(Ve ** i):
-                    saved = out.tables[s][i][pre_idx].copy()
-                    ppre = float(out.prefix_probs(s, i)[pre_idx])
-                    c = alpha * B[i] * ppre
-                    # linear coefficients: objective with this conditional
-                    # collapsed onto each single token
-                    g = np.empty(Ve)
-                    for v in range(Ve):
-                        onehot = np.zeros(Ve)
-                        onehot[v] = 1.0
-                        out.tables[s][i][pre_idx] = onehot
-                        g[v] = _state_objective(mdp, out, Q, s, B, alpha)
-                    if c > 1e-13:
-                        z = (g - np.max(g)) / c
-                        cand = np.exp(z)
-                        cand /= np.sum(cand)
-                    else:
-                        # entropy term off: greedy, ties to the lowest index
-                        cand = np.zeros(Ve)
-                        cand[int(np.argmax(g >= np.max(g) - 1e-12))] = 1.0
-                    out.tables[s][i][pre_idx] = cand
-                    new_obj = _state_objective(mdp, out, Q, s, B, alpha)
-                    if new_obj >= obj - 1e-15:
-                        improved += new_obj - obj
-                        obj = new_obj
-                    else:
-                        out.tables[s][i][pre_idx] = saved
-            if improved < tol:
-                break
-    return out
+    S, Ve = mdp.num_states, mdp.vocab_eff
+    v = Q[:, mdp.parse_table]  # (S, Ve**n) value of every sequence
+    tables = [None] * mdp.n
+    for i in reversed(range(mdp.n)):
+        child = v.reshape(S, Ve ** i, Ve)
+        top = np.max(child, axis=2, keepdims=True)
+        c = alpha * B[i]
+        if c == 0.0:
+            tables[i] = np.eye(Ve)[np.argmax(child, axis=2)]
+            v = top[:, :, 0]
+        else:
+            e = np.exp((child - top) / c)
+            z = np.sum(e, axis=2, keepdims=True)
+            tables[i] = e / z
+            v = (top + c * np.log(z))[:, :, 0]
+    return TabularPolicy(vocab_eff=Ve, n=mdp.n, tables=tables)
 
 
 def policy_iteration(mdp: TabularMdp, B, alpha: float, tol: float = 1e-9,
@@ -268,7 +246,7 @@ def policy_iteration(mdp: TabularMdp, B, alpha: float, tol: float = 1e-9,
     Q, _ = policy_evaluation(mdp, policy, B, alpha, tol=min(tol, 1e-10))
     mono_log = []
     for _ in range(max_iters):
-        policy = soft_improve(mdp, Q, policy, B, alpha)
+        policy = soft_improve(mdp, Q, B, alpha)
         Q_new, _ = policy_evaluation(mdp, policy, B, alpha, tol=min(tol, 1e-10))
         mono_log.append(float(np.min(Q_new - Q)))
         if mono_log[-1] < -1e-7:

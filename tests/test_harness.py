@@ -173,6 +173,8 @@ def test_cf_report_env_mismatch(tmp_path):
     (["--episodes", "0"], "num_episodes"),
     (["--episodes", "-1"], "num_episodes"),
     (["--env", "menunav"], "checkpoint is for env"),
+    # a later --ckpt overrides the trained one
+    (["--ckpt", "no/such/dir/missing.json"], "No such file"),
 ])
 def test_cli_cf_report_rejects_bad_request(args, message, tmp_path, capsys):
     path = trained_checkpoint(tmp_path, iters=1)
@@ -341,6 +343,15 @@ def test_cli_probe_rejects_bad_state(state, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "coso probe:" in captured.err and "state spec" in captured.err
+
+
+def test_cli_probe_rejects_missing_checkpoint(capsys):
+    assert cli.main(["probe", "--ckpt", "no/such/dir/missing.json",
+                     "--state", "trap"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "coso probe:" in captured.err and "No such file" in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def cf_records_reference(path, env_id, num_episodes, sample_seed):

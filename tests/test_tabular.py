@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coso import tabular
+from coso import harness, tabular
 from coso.tabular import (TabularMdp, TabularPolicy, action_dist,
                           bellman_backup, brute_force_optimal_q,
                           entropy_decomposition_check, policy_evaluation,
@@ -16,30 +16,30 @@ def random_B(rng, n):
 
 def test_uniform_policy_entropy_closed_form():
     pi = TabularPolicy.uniform(num_states=1, vocab_eff=3, n=2)
-    h = weighted_entropy_exact(pi, 0, np.ones(2))
+    h = weighted_entropy_exact(pi, np.ones(2))[0]
     assert h == pytest.approx(2.0 * np.log(3.0), abs=1e-12)
 
 
 def test_weighted_entropy_scales_with_B():
     pi = TabularPolicy.uniform(num_states=1, vocab_eff=3, n=2)
-    h = weighted_entropy_exact(pi, 0, [0.25, 0.5])
+    h = weighted_entropy_exact(pi, [0.25, 0.5])[0]
     assert h == pytest.approx(0.75 * np.log(3.0), abs=1e-12)
 
 
 def test_deterministic_policy_zero_entropy():
     pi = TabularPolicy.uniform(num_states=1, vocab_eff=3, n=2)
     for i in range(2):
-        t = np.zeros_like(pi.tables[0][i])
-        t[:, 0] = 1.0
-        pi.tables[0][i] = t
-    assert weighted_entropy_exact(pi, 0, np.ones(2)) == 0.0
+        t = np.zeros_like(pi.tables[i])
+        t[:, :, 0] = 1.0
+        pi.tables[i] = t
+    assert weighted_entropy_exact(pi, np.ones(2))[0] == 0.0
 
 
 def test_seq_probs_normalized():
     rng = np.random.default_rng(0)
     pi = TabularPolicy.random(num_states=2, vocab_eff=3, n=3, rng=rng)
     for s in range(2):
-        p = pi.seq_probs(s)
+        p = pi.seq_probs()[s]
         assert p.shape == (27,)
         assert abs(p.sum() - 1.0) <= 1e-12
 
@@ -59,6 +59,30 @@ def test_parse_table_shape_validated():
         TabularMdp(num_states=1, num_actions=2, vocab_eff=2, n=2,
                    parse_table=np.zeros(3, dtype=np.intp),
                    P=np.ones((1, 2, 1)), r=np.zeros((1, 2)), gamma=0.9)
+
+
+VALID_MDP = dict(num_states=2, num_actions=2, vocab_eff=2, n=2,
+                 parse_table=np.array([0, 1, 1, 0], dtype=np.intp),
+                 P=np.full((2, 2, 2), 0.5), r=np.zeros((2, 2)), gamma=0.9)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("parse_table", np.array([-1, 1, 1, 0], dtype=np.intp), "parse table"),
+    ("parse_table", np.array([0, 1, 2, 0], dtype=np.intp), "parse table"),
+    ("parse_table", np.array([0.0, 1.0, 1.0, 0.0]), "parse table"),
+    ("P", np.full((2, 2, 1), 1.0), "P must be"),
+    ("P", np.array([[[1.5, -0.5], [0.5, 0.5]]] * 2), "P must be"),
+    ("r", np.zeros(2), "r must be"),
+    ("r", np.zeros((2, 3)), "r must be"),
+    ("gamma", 1.0, "gamma"),
+    ("gamma", 1.7, "gamma"),
+    ("gamma", -0.1, "gamma"),
+    ("gamma", float("nan"), "gamma"),
+])
+def test_mdp_rejects_bad_field(field, value, message):
+    TabularMdp(**VALID_MDP)
+    with pytest.raises(ValueError, match=message):
+        TabularMdp(**{**VALID_MDP, field: value})
 
 
 def test_transition_simplex_validated():
@@ -112,9 +136,8 @@ def test_contraction_on_random_pairs():
 def reference_backup(mdp, Q, pi, B, alpha, gamma=None):
     """The backup built from scratch: every policy term recomputed per call."""
     g = mdp.gamma if gamma is None else gamma
-    h = np.array([weighted_entropy_exact(pi, s, B)
-                  for s in range(mdp.num_states)])
-    d = np.array([action_dist(mdp, pi, s) for s in range(mdp.num_states)])
+    h = weighted_entropy_exact(pi, B)
+    d = action_dist(mdp, pi)
     ev = np.sum(d * Q, axis=1)
     return mdp.r + g * mdp.P @ (alpha * h + ev)
 
@@ -142,13 +165,13 @@ def test_backup_with_policy_terms_matches_reference():
 
 def test_policy_evaluation_computes_policy_terms_once(monkeypatch):
     calls = []
-    original = tabular._state_entropies
+    original = tabular.policy_terms
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(tabular, "_state_entropies", counting)
+    monkeypatch.setattr(tabular, "policy_terms", counting)
     rng = np.random.default_rng(17)
     mdp = random_mdp(rng, gamma=0.9)
     pi = TabularPolicy.random(mdp.num_states, mdp.vocab_eff, mdp.n, rng)
@@ -214,7 +237,7 @@ def test_soft_improve_does_not_decrease_q():
         B = random_B(rng, mdp.n)
         alpha = float(rng.uniform(0.0, 1.0))
         Q = policy_evaluation_direct(mdp, pi, B, alpha)
-        better = soft_improve(mdp, Q, pi, B, alpha)
+        better = soft_improve(mdp, Q, B, alpha)
         Q2 = policy_evaluation_direct(mdp, better, B, alpha)
         assert np.min(Q2 - Q) >= -1e-8
 
@@ -224,23 +247,105 @@ def test_soft_improve_alpha_zero_is_greedy_on_actions():
     # parsing to the argmax action
     rng = np.random.default_rng(10)
     mdp = random_mdp(rng)
-    pi = TabularPolicy.uniform(mdp.num_states, mdp.vocab_eff, mdp.n)
     Q = rng.normal(size=(mdp.num_states, mdp.num_actions))
-    out = soft_improve(mdp, Q, pi, np.zeros(mdp.n), alpha=0.0)
+    out = soft_improve(mdp, Q, np.zeros(mdp.n), alpha=0.0)
+    d = action_dist(mdp, out)
     for s in range(mdp.num_states):
-        d = action_dist(mdp, out, s)
-        assert d @ Q[s] == pytest.approx(np.max(Q[s]), abs=1e-9)
+        assert d[s] @ Q[s] == pytest.approx(np.max(Q[s]), abs=1e-9)
 
 
 def test_soft_improve_high_alpha_keeps_entropy():
     # with a huge entropy coefficient the optimum stays near uniform
     rng = np.random.default_rng(11)
     mdp = random_mdp(rng)
-    pi = TabularPolicy.uniform(mdp.num_states, mdp.vocab_eff, mdp.n)
     Q = rng.normal(scale=0.01, size=(mdp.num_states, mdp.num_actions))
-    out = soft_improve(mdp, Q, pi, np.ones(mdp.n), alpha=100.0)
-    h = weighted_entropy_exact(out, 0, np.ones(mdp.n))
+    out = soft_improve(mdp, Q, np.ones(mdp.n), alpha=100.0)
+    h = weighted_entropy_exact(out, np.ones(mdp.n))[0]
     assert h >= 0.99 * mdp.n * np.log(mdp.vocab_eff)
+
+
+def per_state_objective(mdp, pi, Q, B, alpha):
+    """sum_a d(a|s) Q(s, a) + alpha * h(s): what soft_improve maximizes."""
+    h, d = policy_terms(mdp, pi, B)
+    return np.sum(d * Q, axis=1) + alpha * h
+
+
+def test_soft_improve_beats_uniform_and_random_policies():
+    rng = np.random.default_rng(18)
+    for k in range(10):
+        mdp = random_mdp(rng, n=int(rng.integers(1, 4)))
+        Q = rng.normal(scale=2.0, size=(mdp.num_states, mdp.num_actions))
+        B = random_B(rng, mdp.n)
+        alpha = 0.0 if k % 3 == 0 else float(rng.uniform(0.0, 2.0))
+        best = per_state_objective(mdp, soft_improve(mdp, Q, B, alpha),
+                                   Q, B, alpha)
+        others = [TabularPolicy.uniform(mdp.num_states, mdp.vocab_eff, mdp.n)]
+        others += [TabularPolicy.random(mdp.num_states, mdp.vocab_eff, mdp.n,
+                                        rng) for _ in range(20)]
+        for pi in others:
+            assert np.all(best >= per_state_objective(mdp, pi, Q, B, alpha)
+                          - 1e-12)
+
+
+def test_soft_improve_zero_coefficient_is_one_hot_ties_lowest():
+    rng = np.random.default_rng(19)
+    mdp = random_mdp(rng, n=3)
+    # integer Q values make exact ties between sequences
+    Q = rng.integers(0, 2, size=(mdp.num_states, mdp.num_actions)) * 1.0
+    seq_q = Q[:, mdp.parse_table]
+    first_best = np.argmax(seq_q == np.max(seq_q, axis=1, keepdims=True),
+                           axis=1)
+    for B, alpha in ((np.ones(mdp.n), 0.0), (np.zeros(mdp.n), 0.7)):
+        out = soft_improve(mdp, Q, B, alpha)
+        for t in out.tables:
+            assert np.all((t == 0.0) | (t == 1.0))
+            np.testing.assert_array_equal(t.sum(axis=2), 1.0)
+        # greedy with ties to the lowest token at every prefix picks the
+        # lexicographically first best sequence
+        np.testing.assert_array_equal(
+            out.seq_probs(), np.eye(mdp.num_sequences)[first_best])
+    # a zero B_i makes only that position greedy
+    out = soft_improve(mdp, Q, np.array([0.0, 0.5, 0.5]), alpha=0.7)
+    assert np.all((out.tables[0] == 0.0) | (out.tables[0] == 1.0))
+    assert np.all(out.tables[1] > 0.0) and np.all(out.tables[2] > 0.0)
+
+
+def soft_value_iteration(mdp, B, alpha, tol=1e-12, max_iters=100_000):
+    """Soft-optimal Q: iterate Q <- r + gamma P (d.Q + alpha h), with (h, d)
+    the policy terms of the soft-greedy policy of the current Q."""
+    Q = np.zeros((mdp.num_states, mdp.num_actions))
+    for _ in range(max_iters):
+        h, d = policy_terms(mdp, soft_improve(mdp, Q, B, alpha), B)
+        nxt = mdp.r + mdp.gamma * mdp.P @ (np.sum(d * Q, axis=1) + alpha * h)
+        if np.max(np.abs(nxt - Q)) < tol:
+            return nxt
+        Q = nxt
+    raise RuntimeError(f"soft value iteration did not converge in {max_iters}")
+
+
+def soft_optimality_instances():
+    """The alpha > 0 instances of check_iteration at its default spec, then
+    30 default-size random instances."""
+    spec = harness.TheoryCheckSpec()
+    for i in range(1, spec.instances, 2):
+        rng, _ = harness._instance_rng(spec, "iteration", i)
+        mdp = random_mdp(rng, num_states=3, num_actions=2, vocab_eff=2, n=2)
+        B = rng.uniform(0.0, 1.0, size=mdp.n)
+        yield mdp, B, float(rng.uniform(0.1, 1.0))
+    rng = np.random.default_rng(20)
+    for _ in range(30):
+        mdp = random_mdp(rng)
+        yield mdp, random_B(rng, mdp.n), float(rng.uniform(0.1, 2.0))
+
+
+def test_policy_iteration_reaches_soft_optimum():
+    count = 0
+    for mdp, B, alpha in soft_optimality_instances():
+        _, Q, _ = policy_iteration(mdp, B, alpha)
+        np.testing.assert_allclose(Q, soft_value_iteration(mdp, B, alpha),
+                                   rtol=0.0, atol=1e-6)
+        count += 1
+    assert count == 55
 
 
 def test_policy_iteration_monotone_and_converges():

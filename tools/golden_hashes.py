@@ -3,6 +3,8 @@
 Trains the reference runs, writes their run directories under OUT_DIR,
 renders cf_report and probe JSON from their checkpoints and prints one
 sorted JSON map {artifact: sha256} followed by the sha256 of that map.
+The map also holds the sha256 of the tabular verifier's report at the
+default ``TheoryCheckSpec``.
 
     PYTHONPATH=src python3 tools/golden_hashes.py OUT_DIR > change.json
     PYTHONPATH=<other checkout>/src python3 tools/golden_hashes.py OUT_DIR2 \
@@ -98,6 +100,8 @@ def main(argv: list[str]) -> int:
                                                     sample_seed=PROBE_SEED)
             hashes[f"{name}/probe[{state}].json"] = _sha(
                 json.dumps(probe, sort_keys=True).encode())
+    hashes["theory_report.txt"] = _sha(
+        harness.theory_report(harness.theory_check()).encode())
     text = json.dumps(dict(sorted(hashes.items())), indent=1)
     print(text)
     print(f"map sha256 {_sha(text.encode())}")
