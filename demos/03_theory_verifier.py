@@ -13,6 +13,10 @@ Soft improvement is exact: for a fixed Q, one backward pass over the token
 tree maximizes E[Q(s, parse(y))] + alpha * sum_i B_i H(y_i | y_<i) per state,
 each conditional a softmax of its children's values at temperature
 alpha * B_i and each node's value the matching log-sum-exp.
+
+Policy iteration and the improvement check evaluate policies by the linear
+solve.  The iterated backup below is the thing under test: the contraction
+check runs it and compares its fixed point with the solve.
 """
 import numpy as np
 

@@ -453,22 +453,17 @@ def check_contraction(spec: TheoryCheckSpec) -> SuiteResult:
         B = rng.uniform(0.0, 1.0, size=mdp.n)
         alpha = float(rng.uniform(0.0, 2.0))
         terms = tabular.policy_terms(mdp, policy, B)
-        bad = False
-        for _ in range(spec.q_pairs):
-            shape = (mdp.num_states, mdp.num_actions)
-            q1 = rng.uniform(-5, 5, size=shape)
-            q2 = rng.uniform(-5, 5, size=shape)
-            t1 = tabular.bellman_backup(mdp, q1, terms, alpha,
-                                        gamma=spec.corrupt_gamma)
-            t2 = tabular.bellman_backup(mdp, q2, terms, alpha,
-                                        gamma=spec.corrupt_gamma)
-            denom = float(np.max(np.abs(q1 - q2)))
-            lip = float(np.max(np.abs(t1 - t2))) / denom
-            excess = lip - mdp.gamma
-            worst = max(worst, excess)
-            if excess > spec.contraction_tol:
-                bad = True
-        # fixed point must match the direct linear solve
+        # C order: pair k's two tables are drawn in turn, q[k, 0] then q[k, 1]
+        q = rng.uniform(-5, 5, size=(spec.q_pairs, 2, mdp.num_states,
+                                     mdp.num_actions))
+        t = tabular.bellman_backup(mdp, q, terms, alpha,
+                                   gamma=spec.corrupt_gamma)
+        lip = (np.max(np.abs(t[:, 0] - t[:, 1]), axis=(1, 2))
+               / np.max(np.abs(q[:, 0] - q[:, 1]), axis=(1, 2)))
+        excess = lip - mdp.gamma
+        worst = max(worst, float(np.max(excess)))
+        bad = bool(np.any(excess > spec.contraction_tol))
+        # the iterated backup's fixed point must match the direct linear solve
         if spec.corrupt_gamma is None:
             q_iter, _ = tabular.policy_evaluation(mdp, policy, B, alpha,
                                                   tol=1e-12)
@@ -491,10 +486,9 @@ def check_improvement(spec: TheoryCheckSpec) -> SuiteResult:
                                               mdp.n, rng)
         B = rng.uniform(0.0, 1.0, size=mdp.n)
         alpha = float(rng.uniform(0.0, 2.0))
-        q_pi, _ = tabular.policy_evaluation(mdp, policy, B, alpha, tol=1e-12)
+        q_pi = tabular.policy_evaluation_direct(mdp, policy, B, alpha)
         improved = tabular.soft_improve(mdp, q_pi, B, alpha)
-        q_new, _ = tabular.policy_evaluation(mdp, improved, B, alpha,
-                                             tol=1e-12)
+        q_new = tabular.policy_evaluation_direct(mdp, improved, B, alpha)
         drop = float(np.max(q_pi - q_new))
         worst = max(worst, drop)
         if drop > spec.improvement_tol:

@@ -14,6 +14,10 @@ The backup operator's entropy and action-distribution terms depend only on
 the policy (and B), not on Q: they are computed once per policy by
 ``policy_terms`` and passed to every ``bellman_backup`` for that policy, as in
 soft policy evaluation, where the entropy term is fixed while the policy is.
+Policies are evaluated exactly by one linear solve, as in Howard's policy
+iteration, and ``bellman_backup`` backs up a whole stack of Q at once.  The
+iterated backup, ``policy_evaluation``, is what the contraction claim is
+about, so only the contraction check runs it, against the solve.
 
 ``soft_improve`` maximizes the per-state objective
 E[Q(s, parse(y))] + alpha * sum_i B_i H(y_i | y_<i) exactly, by one backward
@@ -160,13 +164,15 @@ def bellman_backup(mdp: TabularMdp, Q: np.ndarray, terms, alpha: float,
                    gamma: float | None = None) -> np.ndarray:
     """One exact application of the weighted-entropy backup operator.
 
-    ``terms`` is ``policy_terms(mdp, policy, B)`` of the policy being
-    evaluated; the backup is only valid for that one policy.
+    ``Q`` is (S, A) or a stack (..., S, A), each table backed up bitwise as
+    if alone.  ``terms`` is ``policy_terms(mdp, policy, B)`` of the policy
+    being evaluated; the backup is only valid for that one policy.
     """
     g = mdp.gamma if gamma is None else gamma
     h, d = terms
-    ev = np.sum(d * Q, axis=1)  # (S,) expected next Q under the policy
-    return mdp.r + g * mdp.P @ (alpha * h + ev)
+    v = alpha * h + np.sum(d * Q, axis=-1)  # (..., S) soft value per state
+    # (S, A, S) @ (..., 1, S, 1): a flat (S*A, S) product differs by 1 ulp
+    return mdp.r + (g * mdp.P @ v[..., None, :, None])[..., 0]
 
 
 def policy_evaluation(mdp: TabularMdp, policy: TabularPolicy, B,
@@ -190,15 +196,15 @@ def policy_evaluation(mdp: TabularMdp, policy: TabularPolicy, B,
 
 def policy_evaluation_direct(mdp: TabularMdp, policy: TabularPolicy, B,
                              alpha: float) -> np.ndarray:
-    """Closed-form fixed point via a linear solve (independent oracle)."""
+    """Closed-form fixed point by one (S*A) linear solve: the evaluator of
+    policy iteration and the improvement check, and the iteration's oracle."""
     S, A = mdp.num_states, mdp.num_actions
     h, d = policy_terms(mdp, policy, B)
     # Q = r + gamma * P (alpha h + D Q) with D: (S, S*A) selecting E_a'[Q]
-    D = np.zeros((S, S * A))
-    for s in range(S):
-        D[s, s * A:(s + 1) * A] = d[s]
+    D = np.zeros((S, S, A))
+    D[np.arange(S), np.arange(S)] = d
     P_flat = mdp.P.reshape(S * A, S)
-    M = np.eye(S * A) - mdp.gamma * P_flat @ D
+    M = np.eye(S * A) - mdp.gamma * P_flat @ D.reshape(S, S * A)
     rhs = mdp.r.ravel() + mdp.gamma * P_flat @ (alpha * h)
     return np.linalg.solve(M, rhs).reshape(S, A)
 
@@ -235,19 +241,21 @@ def soft_improve(mdp: TabularMdp, Q: np.ndarray, B,
 
 def policy_iteration(mdp: TabularMdp, B, alpha: float, tol: float = 1e-9,
                      max_iters: int = 1000):
-    """Alternate exact evaluation and soft improvement.
+    """Alternate exact evaluation (one linear solve) and soft improvement.
 
     Returns (final policy, Q*, monotonicity log) where each log entry is the
     min over (s, a) of Q_{k+1} - Q_k.
     """
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     policy = TabularPolicy.uniform(mdp.num_states, mdp.vocab_eff, mdp.n)
-    Q, _ = policy_evaluation(mdp, policy, B, alpha, tol=min(tol, 1e-10))
+    Q = policy_evaluation_direct(mdp, policy, B, alpha)
     mono_log = []
     for _ in range(max_iters):
         policy = soft_improve(mdp, Q, B, alpha)
-        Q_new, _ = policy_evaluation(mdp, policy, B, alpha, tol=min(tol, 1e-10))
+        Q_new = policy_evaluation_direct(mdp, policy, B, alpha)
         mono_log.append(float(np.min(Q_new - Q)))
         if mono_log[-1] < -1e-7:
             raise RuntimeError(

@@ -163,6 +163,104 @@ def test_backup_with_policy_terms_matches_reference():
                     reference_backup(mdp, Q, pi, B, alpha, gamma=gamma))
 
 
+def test_batched_backup_matches_per_q_calls():
+    rng = np.random.default_rng(18)
+    for gamma in (None, 0.0, 1.5):
+        for _ in range(5):
+            mdp = random_mdp(rng, num_states=int(rng.integers(1, 6)),
+                             num_actions=int(rng.integers(1, 4)),
+                             surjective_parse=False)
+            pi = TabularPolicy.random(mdp.num_states, mdp.vocab_eff, mdp.n,
+                                      rng)
+            terms = policy_terms(mdp, pi, random_B(rng, mdp.n))
+            alpha = float(rng.uniform(0.0, 2.0))
+            Q = rng.uniform(-5, 5, size=(7, 2, mdp.num_states,
+                                         mdp.num_actions))
+            out = bellman_backup(mdp, Q, terms, alpha, gamma=gamma)
+            assert out.shape == Q.shape
+            for k in range(7):
+                for j in range(2):
+                    assert np.array_equal(
+                        out[k, j],
+                        bellman_backup(mdp, Q[k, j], terms, alpha,
+                                       gamma=gamma))
+
+
+def reference_check_contraction(spec):
+    """check_contraction one Q pair at a time: two draws, two backups."""
+    worst = 0.0
+    failing = []
+    for i in range(spec.instances):
+        rng, inst_seed = harness._instance_rng(spec, "contraction", i)
+        mdp = random_mdp(rng)
+        policy = TabularPolicy.random(mdp.num_states, mdp.vocab_eff, mdp.n,
+                                      rng)
+        B = rng.uniform(0.0, 1.0, size=mdp.n)
+        alpha = float(rng.uniform(0.0, 2.0))
+        terms = policy_terms(mdp, policy, B)
+        bad = False
+        for _ in range(spec.q_pairs):
+            shape = (mdp.num_states, mdp.num_actions)
+            q1 = rng.uniform(-5, 5, size=shape)
+            q2 = rng.uniform(-5, 5, size=shape)
+            t1 = bellman_backup(mdp, q1, terms, alpha,
+                                gamma=spec.corrupt_gamma)
+            t2 = bellman_backup(mdp, q2, terms, alpha,
+                                gamma=spec.corrupt_gamma)
+            denom = float(np.max(np.abs(q1 - q2)))
+            lip = float(np.max(np.abs(t1 - t2))) / denom
+            excess = lip - mdp.gamma
+            worst = max(worst, excess)
+            if excess > spec.contraction_tol:
+                bad = True
+        if spec.corrupt_gamma is None:
+            q_iter, _ = policy_evaluation(mdp, policy, B, alpha, tol=1e-12)
+            q_direct = policy_evaluation_direct(mdp, policy, B, alpha)
+            if float(np.max(np.abs(q_iter - q_direct))) > spec.fixed_point_tol:
+                bad = True
+        if bad:
+            failing.append(inst_seed)
+    return harness.SuiteResult("contraction", not failing, worst, failing)
+
+
+@pytest.mark.parametrize("seed,corrupt_gamma",
+                         [(0, None), (1, None), (0, 1.5), (1, 1.5)])
+def test_check_contraction_matches_per_pair_reference(seed, corrupt_gamma):
+    spec = harness.TheoryCheckSpec(instances=50, seed=seed,
+                                   corrupt_gamma=corrupt_gamma)
+    got = harness.check_contraction(spec)
+    want = reference_check_contraction(spec)
+    assert got.name == want.name
+    assert got.passed == want.passed == (corrupt_gamma is None)
+    assert float.hex(got.worst) == float.hex(want.worst)
+    assert got.failing_seeds == want.failing_seeds
+
+
+def test_policy_evaluation_runs_only_in_the_contraction_check(monkeypatch):
+    # the iteration is what the contraction check tests; everything else
+    # evaluates policies by the direct solve
+    calls = []
+    original = tabular.policy_evaluation
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tabular, "policy_evaluation", counting)
+    spec = harness.TheoryCheckSpec(instances=4, q_pairs=5)
+    harness.check_improvement(spec)
+    harness.check_iteration(spec)
+    mdp = random_mdp(np.random.default_rng(19))
+    policy_iteration(mdp, random_B(np.random.default_rng(20), mdp.n), 0.5)
+    assert calls == []
+    harness.check_contraction(spec)
+    assert len(calls) == spec.instances
+    calls.clear()
+    harness.check_contraction(harness.TheoryCheckSpec(instances=4, q_pairs=5,
+                                                      corrupt_gamma=1.5))
+    assert calls == []
+
+
 def test_policy_evaluation_computes_policy_terms_once(monkeypatch):
     calls = []
     original = tabular.policy_terms
@@ -346,6 +444,13 @@ def test_policy_iteration_reaches_soft_optimum():
                                    rtol=0.0, atol=1e-6)
         count += 1
     assert count == 55
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_policy_iteration_rejects_non_positive_tol(tol):
+    mdp = random_mdp(np.random.default_rng(21))
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        policy_iteration(mdp, np.ones(mdp.n), 0.5, tol=tol)
 
 
 def test_policy_iteration_monotone_and_converges():

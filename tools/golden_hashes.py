@@ -4,7 +4,8 @@ Trains the reference runs, writes their run directories under OUT_DIR,
 renders cf_report and probe JSON from their checkpoints and prints one
 sorted JSON map {artifact: sha256} followed by the sha256 of that map.
 The map also holds the sha256 of the tabular verifier's report at the
-default ``TheoryCheckSpec``.
+default ``TheoryCheckSpec`` and at its negative control,
+``corrupt_gamma=1.5``.
 
     PYTHONPATH=src python3 tools/golden_hashes.py OUT_DIR > change.json
     PYTHONPATH=<other checkout>/src python3 tools/golden_hashes.py OUT_DIR2 \
@@ -25,7 +26,7 @@ import sys
 from pathlib import Path
 
 from coso import harness
-from coso.harness import RunConfig
+from coso.harness import RunConfig, TheoryCheckSpec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -102,6 +103,9 @@ def main(argv: list[str]) -> int:
                 json.dumps(probe, sort_keys=True).encode())
     hashes["theory_report.txt"] = _sha(
         harness.theory_report(harness.theory_check()).encode())
+    hashes["theory_report[corrupt_gamma=1.5].txt"] = _sha(
+        harness.theory_report(harness.theory_check(
+            TheoryCheckSpec(corrupt_gamma=1.5))).encode())
     text = json.dumps(dict(sorted(hashes.items())), indent=1)
     print(text)
     print(f"map sha256 {_sha(text.encode())}")
