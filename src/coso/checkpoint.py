@@ -41,12 +41,21 @@ def policy_to_dict(p: PolicyParams) -> dict:
     }
 
 
+def _shaped(d: dict, shape: tuple, what: str) -> np.ndarray:
+    """The unpacked array, if it has the shape its owner's layout needs."""
+    a = _unpack(d)
+    if a.shape != shape:
+        raise ValueError(f"{what} of shape {a.shape}, not {shape}")
+    return a
+
+
 def policy_from_dict(d: dict) -> PolicyParams:
     fs = d["feature_spec"]
     spec = FeatureSpec(state_cards=tuple(fs["state_cards"]),
                        vocab_size=fs["vocab_size"], n=fs["n"],
                        context=fs["context"])
-    return PolicyParams(spec=spec, weights=_unpack(d["weights"]))
+    return PolicyParams(spec=spec, weights=_shaped(
+        d["weights"], (spec.dim, spec.vocab_size), "policy weights"))
 
 
 def scm_to_dict(p: ScmParams) -> dict:
@@ -61,9 +70,10 @@ def scm_to_dict(p: ScmParams) -> dict:
 
 
 def scm_from_dict(d: dict) -> ScmParams:
-    return ScmParams(n=d["n"], vocab_size=d["vocab_size"],
-                     num_actions=d["num_actions"],
-                     weights=_unpack(d["weights"]), bias=_unpack(d["bias"]))
+    n, v, a = d["n"], d["vocab_size"], d["num_actions"]
+    return ScmParams(n=n, vocab_size=v, num_actions=a,
+                     weights=_shaped(d["weights"], (n * v, a), "SCM weights"),
+                     bias=_shaped(d["bias"], (a,), "SCM bias"))
 
 
 def save_bundle(path, policy: PolicyParams, scm: ScmParams,
@@ -79,6 +89,11 @@ def save_bundle(path, policy: PolicyParams, scm: ScmParams,
 
 
 def load_bundle(path) -> tuple[PolicyParams, ScmParams, str, dict]:
+    """(policy, SCM, env id, meta) of a saved bundle.
+
+    Raises ValueError on an unsupported version or on an array whose shape
+    does not fit the layout its header declares.
+    """
     doc = json.loads(Path(path).read_text())
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version "

@@ -15,15 +15,29 @@ from . import harness, textmdp
 from .harness import RunConfig, TheoryCheckSpec
 
 
+def _load_config(command: str, path) -> RunConfig | None:
+    """The config at path, or None after printing why it is unusable."""
+    try:
+        return RunConfig.from_file(path)
+    except (ValueError, TypeError, OSError) as exc:
+        # an unreadable file, bad JSON, an unknown key or a bad value
+        print(f"coso {command}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_train(args) -> int:
-    config = RunConfig.from_file(args.config)
+    config = _load_config("train", args.config)
+    if config is None:
+        return 2
     summary = harness.run_experiment(config)
     print(harness.summary_csv(summary), end="")
     return 0
 
 
 def _cmd_ablate(args) -> int:
-    base = RunConfig.from_file(args.config)
+    base = _load_config("ablate", args.config)
+    if base is None:
+        return 2
     configs = [dataclasses.replace(base, arm=arm) for arm in harness.ARMS]
     result = harness.ablation_matrix(configs)
     print(json.dumps(result.rows, indent=1, sort_keys=True))

@@ -193,10 +193,11 @@ def _descend(params: PolicyParams, batch: RolloutBatch, coef: np.ndarray,
     loss = -(1/m) sum coef * logp(y) - alpha * mean(H^B).
 
     coef is treated as constant (ratio/advantage weighting evaluated by the
-    caller).  forced is teacher_forced_batch of the whole batch at params:
-    the first minibatch takes its rows, later ones teacher-force again
-    because the params have moved.  Returns the params and the last step's
-    gradient norm.
+    caller).  forced is teacher_forced_batch of the whole batch at params,
+    which the caller has already used for its loss and coefficients: the
+    first minibatch takes its rows, later ones teacher-force again because
+    the params have moved.  Returns the params and the last step's gradient
+    norm.
     """
     use_entropy = (hyper.alpha > 0.0
                    and hyper.entropy_placement == "loss_bonus")
@@ -228,16 +229,23 @@ def _loss_value(coef_term: np.ndarray, hyper: Hyperparams,
 
 def ppo_update(params: PolicyParams, batch: RolloutBatch, hyper: Hyperparams,
                advantages: np.ndarray, opt: AdamState,
-               rng: np.random.Generator,
-               snapshot_id: int) -> tuple[PolicyParams, float, float, float]:
+               rng: np.random.Generator, snapshot_id: int,
+               forced=None) -> tuple[PolicyParams, float, float, float]:
     """One epoch of clipped-surrogate updates over shuffled minibatches.
+
+    forced is teacher_forced_batch(params, batch.states, batch.utterances)
+    if the caller already has it (the rollout's pass, before any step);
+    otherwise this call teacher-forces the batch once.  That one pass gives
+    the ratio, the loss and the first minibatch's gradient.
 
     Returns (params, loss at call start, mean ratio, grad norm).  Raises if
     the rollout snapshot does not match the current parameters.
     """
     if batch.snapshot_id != snapshot_id:
         raise ValueError("stale trajectories: snapshot id mismatch")
-    forced = pol.teacher_forced_batch(params, batch.states, batch.utterances)
+    if forced is None:
+        forced = pol.teacher_forced_batch(params, batch.states,
+                                          batch.utterances)
     tok_lp = forced[2]
     old = np.sum(batch.old_logprob, axis=1)
     ratio = np.exp(np.sum(tok_lp, axis=1) - old)
@@ -254,8 +262,13 @@ def ppo_update(params: PolicyParams, batch: RolloutBatch, hyper: Hyperparams,
 
 def awr_update(params: PolicyParams, batch: RolloutBatch, hyper: Hyperparams,
                advantages: np.ndarray, opt: AdamState,
-               rng: np.random.Generator) -> tuple[PolicyParams, float, float, bool]:
+               rng: np.random.Generator,
+               forced=None) -> tuple[PolicyParams, float, float, bool]:
     """Advantage-weighted regression step (off-policy tolerated).
+
+    forced is teacher_forced_batch(params, batch.states, batch.utterances)
+    if the caller already has it; otherwise the step teacher-forces the
+    batch once, for the loss and the first minibatch's gradient.
 
     Returns (params, loss, grad norm, skipped).  With the hard filter and no
     positive advantages the step is skipped and reported.
@@ -267,7 +280,9 @@ def awr_update(params: PolicyParams, batch: RolloutBatch, hyper: Hyperparams,
                     hyper.awr_weight_clamp)
     if not np.any(w > 0.0):
         return params, 0.0, 0.0, True
-    forced = pol.teacher_forced_batch(params, batch.states, batch.utterances)
+    if forced is None:
+        forced = pol.teacher_forced_batch(params, batch.states,
+                                          batch.utterances)
     loss = _loss_value(w * np.sum(forced[2], axis=1), hyper, batch)
     params, gnorm = _descend(params, batch, w, hyper, opt, rng, forced)
     return params, loss, gnorm, False
@@ -306,6 +321,9 @@ class Trainer:
         self.policy_opt = AdamState()
         self.value_beta: np.ndarray | None = None
         self.snapshot_id = 0
+        # (batch, policy weights, snapshot id, teacher_forced_batch output)
+        # of the last rollout, until the next update_policy takes it
+        self._rollout_forcing = None
         self.total_env_steps = 0
         self._episode_counter = 0
         # stream s is row s: (num_envs, k) features and (num_envs,) steps
@@ -330,11 +348,12 @@ class Trainer:
         rewards = np.empty((ticks, ns))
         dones = np.empty((ticks, ns), dtype=bool)
         oks = np.empty((ticks, ns), dtype=bool)
+        # one row of ns uniforms per (tick, token position): the stream of
+        # ticks * n successive draws of ns
+        uniforms = self.rng.random((ticks, n, ns))
         for t in range(ticks):
-            # one row of uniforms per token position: the stream of n
-            # successive draws of ns
-            utts[t] = pol.sample_utterances_batch(
-                self.policy, self._feats, self.rng.random((n, ns)).T)
+            utts[t] = pol.sample_utterances_batch(self.policy, self._feats,
+                                                  uniforms[t].T)
             acts[t], oks[t] = env.parse_batch(utts[t])
             states[t] = self._feats
             (next_states[t], self._steps, rewards[t],
@@ -347,13 +366,16 @@ class Trainer:
             self.total_env_steps += ns
         m = ticks * ns
         states, utts = states.reshape(m, -1), utts.reshape(m, n)
-        _, _, lps, ents = pol.teacher_forced_batch(self.policy, states, utts)
-        return RolloutBatch(
+        forced = pol.teacher_forced_batch(self.policy, states, utts)
+        batch = RolloutBatch(
             states=states, next_states=next_states.reshape(m, -1),
             utterances=utts, action_idx=acts.reshape(m),
             rewards=rewards.reshape(m), dones=dones.reshape(m),
-            parse_ok=oks.reshape(m), old_logprob=lps, entropy=ents,
-            num_streams=ns, snapshot_id=self.snapshot_id)
+            parse_ok=oks.reshape(m), old_logprob=forced[2],
+            entropy=forced[3], num_streams=ns, snapshot_id=self.snapshot_id)
+        self._rollout_forcing = (batch, self.policy.weights,
+                                 self.snapshot_id, forced)
+        return batch
 
     def compute_weights(self, batch: RolloutBatch) -> None:
         """Fill batch.weights/hb according to the arm (B for every (y, a))."""
@@ -374,9 +396,28 @@ class Trainer:
             batch_size=self.hyper.scm_batch_size, rng=self.rng)
         return loss
 
+    def _take_rollout_forcing(self, batch: RolloutBatch):
+        """Empty the rollout slot.  Returns its teacher forcing if batch is
+        that rollout's batch and neither the policy weights nor the snapshot
+        id have changed since, else None."""
+        slot, self._rollout_forcing = self._rollout_forcing, None
+        if slot is None:
+            return None
+        rolled, weights, snapshot_id, forced = slot
+        if (rolled is batch and weights is self.policy.weights
+                and snapshot_id == self.snapshot_id):
+            return forced
+        return None
+
     def update_policy(self, batch: RolloutBatch) -> tuple[float, float, bool]:
+        """Value fit, advantages, then the PPO epochs or the AWR step.
+
+        The first PPO epoch or the AWR step reuses the rollout's teacher
+        forcing when it was taken on this batch at the current params.
+        """
         hyper = self.hyper
         spec = self.policy.spec
+        forced = self._take_rollout_forcing(batch)
         rewards = batch.rewards
         if hyper.alpha > 0.0 and hyper.entropy_placement == "reward_bonus":
             rewards = self._augment_rewards(batch)
@@ -394,10 +435,12 @@ class Trainer:
             for _ in range(hyper.ppo_epochs):
                 self.policy, loss, _, gnorm = ppo_update(
                     self.policy, batch, hyper, adv, self.policy_opt,
-                    self.rng, self.snapshot_id)
+                    self.rng, self.snapshot_id, forced=forced)
+                forced = None  # later epochs start from moved params
         else:
             self.policy, loss, gnorm, skipped = awr_update(
-                self.policy, batch, hyper, adv, self.policy_opt, self.rng)
+                self.policy, batch, hyper, adv, self.policy_opt, self.rng,
+                forced=forced)
         if not skipped:
             self.snapshot_id += 1
         return loss, gnorm, skipped

@@ -67,9 +67,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
+        """Raises ValueError on a bad value or a key that names no field."""
+        d = dict(_known_fields(cls, d, "config"))
         if "hyper" in d:
-            d["hyper"] = Hyperparams(**d["hyper"])
+            d["hyper"] = Hyperparams(**_known_fields(Hyperparams, d["hyper"],
+                                                     "hyper"))
         if "seeds" in d:
             d["seeds"] = tuple(d["seeds"])
         return cls(**d)
@@ -80,6 +82,16 @@ class RunConfig:
 
     def run_name(self, seed: int) -> str:
         return f"{self.env_id}_{self.arm}_{self.optimizer}_seed{seed}"
+
+
+def _known_fields(cls, d, what: str) -> dict:
+    """d itself, once every key is a field of the dataclass cls."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, not {d!r}")
+    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
+    return d
 
 
 def resolve_out_dir(config: RunConfig) -> Path:
@@ -118,14 +130,31 @@ class RunSummary:
         return float(np.median([r.final_success for r in self.per_seed]))
 
 
+_EVAL_STARTS: dict = {}  # (env_id, episodes) -> read-only (feats, steps)
+
+
+def _eval_starts(env: TextEnv, episodes: int) -> tuple:
+    """Start states of the eval episodes, env.reset(EVAL_SEED_BASE + e) for
+    e < episodes, as read-only arrays built once per (env id, episodes)."""
+    key = (env.env_id, episodes)
+    if key not in _EVAL_STARTS:
+        starts = state_arrays([env.reset(EVAL_SEED_BASE + e)
+                               for e in range(episodes)])
+        for a in starts:
+            a.flags.writeable = False
+        _EVAL_STARTS[key] = starts
+    return _EVAL_STARTS[key]
+
+
 def evaluate_greedy(env: TextEnv, policy_params, episodes: int) -> float:
     """Greedy-decoding success rate over a fixed eval seed set.
 
     The episodes run in lockstep: each step decodes every unfinished episode
-    in one batch and steps them through the env's tables.
+    in one batch and steps them through the env's tables.  Their start
+    states are built once per (env id, episodes) and shared read-only by
+    every later call.
     """
-    feats, steps = state_arrays([env.reset(EVAL_SEED_BASE + e)
-                                 for e in range(episodes)])
+    feats, steps = _eval_starts(env, episodes)
     wins = 0
     while len(feats):
         ys = pol.greedy_utterance(policy_params, feats)
@@ -417,7 +446,7 @@ class TheoryCheckSpec:
 class SuiteResult:
     name: str
     passed: bool
-    worst: float
+    worst: float  # largest residual of any instance; it may be negative
     failing_seeds: list
 
 
@@ -443,7 +472,7 @@ def check_decomposition(spec: TheoryCheckSpec) -> SuiteResult:
 
 
 def check_contraction(spec: TheoryCheckSpec) -> SuiteResult:
-    worst = 0.0
+    worst = -np.inf
     failing = []
     for i in range(spec.instances):
         rng, inst_seed = _instance_rng(spec, "contraction", i)
@@ -477,7 +506,7 @@ def check_contraction(spec: TheoryCheckSpec) -> SuiteResult:
 
 
 def check_improvement(spec: TheoryCheckSpec) -> SuiteResult:
-    worst = 0.0
+    worst = -np.inf
     failing = []
     for i in range(spec.instances):
         rng, inst_seed = _instance_rng(spec, "improvement", i)
@@ -497,7 +526,7 @@ def check_improvement(spec: TheoryCheckSpec) -> SuiteResult:
 
 
 def check_iteration(spec: TheoryCheckSpec) -> SuiteResult:
-    worst = 0.0
+    worst = -np.inf
     failing = []
     for i in range(spec.instances):
         rng, inst_seed = _instance_rng(spec, "iteration", i)
@@ -513,7 +542,7 @@ def check_iteration(spec: TheoryCheckSpec) -> SuiteResult:
         except RuntimeError:
             failing.append(inst_seed)
             continue
-        worst = max(worst, -min(mono) if mono else 0.0)
+        worst = max(worst, -min(mono))
         if mono and min(mono) < -spec.monotonicity_tol:
             failing.append(inst_seed)
             continue

@@ -70,8 +70,8 @@ def _feature_indices(phi: ScmParams, ys: np.ndarray) -> np.ndarray:
     return ys + np.arange(phi.n)[None, :] * phi.vocab_size
 
 
-def _logits(phi: ScmParams, ys: np.ndarray) -> np.ndarray:
-    global _EVAL_COUNT
+def _checked_tokens(phi: ScmParams, ys) -> np.ndarray:
+    """ys as an (M, n) intp array; a 1-d sequence is a batch of one."""
     ys = np.asarray(ys, dtype=np.intp)
     if ys.ndim == 1:
         ys = ys[None, :]
@@ -79,14 +79,24 @@ def _logits(phi: ScmParams, ys: np.ndarray) -> np.ndarray:
         raise ValueError(f"sequence length {ys.shape[1]} != {phi.n}")
     if np.any(ys < 0) or np.any(ys >= phi.vocab_size):
         raise ValueError("token id outside vocab")
-    _EVAL_COUNT += ys.shape[0]
-    idx = _feature_indices(phi, ys)
+    return ys
+
+
+def _gathered_logits(phi: ScmParams, idx: np.ndarray) -> np.ndarray:
+    """(M, A) logits of the sequences whose feature indices are idx."""
+    global _EVAL_COUNT
+    _EVAL_COUNT += idx.shape[0]
     # slot by slot into one (M, A) array, never the (M, n, A) gather; the
     # same additions in the same order as summing that gather over n
     out = phi.weights[idx[:, 0]]
     for i in range(1, phi.n):
         out += phi.weights[idx[:, i]]
     return out + phi.bias
+
+
+def _logits(phi: ScmParams, ys: np.ndarray) -> np.ndarray:
+    idx = _feature_indices(phi, _checked_tokens(phi, ys))
+    return _gathered_logits(phi, idx)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -109,33 +119,44 @@ def scm_predict(phi: ScmParams, y) -> int:
     return int(np.argmax(scm_likelihood(phi, y)))
 
 
-def scm_update(phi: ScmParams, ys, labels, lr: float = 1e-3) -> tuple["ScmParams", float]:
-    """One Adam step of cross-entropy on a batch of (sequence, action) pairs.
-
-    Returns the updated params and the mean loss at the pre-update params.
-    """
-    ys = np.asarray(ys, dtype=np.intp)
-    labels = np.asarray(labels, dtype=np.intp)
-    if ys.size == 0:
+def _batch_indices(phi: ScmParams, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Checked (M, n) feature indices of a nonempty training batch, and the
+    (M, n, A) flat indices into phi.weights of every (row, slot, action)."""
+    idx = _feature_indices(phi, _checked_tokens(phi, ys))
+    if idx.size == 0:
         raise ValueError("empty batch")
-    m = ys.shape[0]
-    logits = _logits(phi, ys)
-    zmax = np.max(logits, axis=1, keepdims=True)
-    logz = zmax[:, 0] + np.log(np.sum(np.exp(logits - zmax), axis=1))
-    loss = float(np.mean(logz - logits[np.arange(m), labels]))
+    a = phi.num_actions
+    return idx, idx[:, :, None] * a + np.arange(a)
 
-    probs = _softmax(logits)
-    dz = probs.copy()
-    dz[np.arange(m), labels] -= 1.0
+
+def _adam_step(phi: ScmParams, idx: np.ndarray, flat: np.ndarray,
+               labels: np.ndarray, lr: float) -> tuple["ScmParams", float]:
+    """One Adam step of cross-entropy on m sequences, given their feature
+    indices idx (m, n), scatter indices flat (m, n, A) and labels (m,).
+
+    Returns a shallow copy of phi with the new arrays, and the mean loss at
+    the pre-update params.
+    """
+    m = idx.shape[0]
+    rows = np.arange(m)
+    logits = _gathered_logits(phi, idx)
+    zmax = np.max(logits, axis=1, keepdims=True)
+    # one exp(logits - max) serves the log-partition and the softmax
+    ez = np.exp(logits - zmax)
+    total = np.sum(ez, axis=1, keepdims=True)
+    logz = zmax[:, 0] + np.log(total[:, 0])
+    loss = float(np.mean(logz - logits[rows, labels]))
+
+    dz = ez / total
+    dz[rows, labels] -= 1.0
     dz /= m
 
     # scatter dz into the weight rows of every (row, slot): one bincount
     # over (m, n, A) flat indices.  Slots never share a weight row, so each
     # bin sums its rows in ascending order from 0, as n np.add.at calls do
-    a = phi.num_actions
-    flat = (_feature_indices(phi, ys)[:, :, None] * a + np.arange(a)).ravel()
     grad_w = np.bincount(
-        flat, weights=np.broadcast_to(dz[:, None, :], (m, phi.n, a)).ravel(),
+        flat.ravel(),
+        weights=np.broadcast_to(dz[:, None, :], flat.shape).ravel(),
         minlength=phi.weights.size).reshape(phi.weights.shape)
     grad_b = np.sum(dz, axis=0)
 
@@ -146,15 +167,31 @@ def scm_update(phi: ScmParams, ys, labels, lr: float = 1e-3) -> tuple["ScmParams
                    opt_w=opt_w, opt_b=opt_b), loss
 
 
+def scm_update(phi: ScmParams, ys, labels, lr: float = 1e-3) -> tuple["ScmParams", float]:
+    """One Adam step of cross-entropy on a batch of (sequence, action) pairs.
+
+    Returns the updated params and the mean loss at the pre-update params.
+    """
+    idx, flat = _batch_indices(phi, ys)
+    return _adam_step(phi, idx, flat, np.asarray(labels, dtype=np.intp), lr)
+
+
 def train_scm(phi: ScmParams, ys, labels, lr: float, steps: int,
               batch_size: int, rng: np.random.Generator) -> tuple["ScmParams", float]:
-    """Minibatch cross-entropy training loop; returns final params and loss."""
-    ys = np.asarray(ys, dtype=np.intp)
+    """Minibatch cross-entropy training loop; returns final params and loss.
+
+    Each step draws min(batch_size, M) rows with replacement and takes one
+    scm_update step on them.  The tokens are checked and turned into feature
+    and scatter indices once per call, before any draw; each step gathers
+    its picked rows of those.
+    """
+    idx, flat = _batch_indices(phi, ys)
     labels = np.asarray(labels, dtype=np.intp)
+    m = idx.shape[0]
     loss = float("nan")
     for _ in range(steps):
-        pick = rng.integers(0, ys.shape[0], size=min(batch_size, ys.shape[0]))
-        phi, loss = scm_update(phi, ys[pick], labels[pick], lr=lr)
+        pick = rng.integers(0, m, size=min(batch_size, m))
+        phi, loss = _adam_step(phi, idx[pick], flat[pick], labels[pick], lr)
     return phi, loss
 
 

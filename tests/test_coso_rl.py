@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -518,3 +520,127 @@ def test_minibatches_match_recompute_reference(optimizer, monkeypatch):
     ref = run_update(optimizer, tr, batch)
     assert np.any(fast.weights != tr.policy.weights)
     np.testing.assert_array_equal(fast.weights, ref.weights)
+
+
+# -- one teacher-forcing pass per iteration -----------------------------------
+
+
+def count_forcing(monkeypatch):
+    calls = []
+    original = pol.teacher_forced_batch
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return original(*args, **kwargs)
+    monkeypatch.setattr(pol, "teacher_forced_batch", counting)
+    return calls
+
+
+@pytest.mark.parametrize("optimizer", ["ppo", "awr"])
+def test_train_iteration_teacher_forces_once(optimizer, monkeypatch):
+    """With one epoch and one minibatch the update takes the rollout's pass
+    and teacher-forces nothing itself."""
+    env = make_env("menunav")
+    tr = Trainer(env, small_hyper(rollout_steps=64, num_envs=8,
+                                  minibatch_size=64, ppo_epochs=1),
+                 seed=2, optimizer=optimizer)
+    calls = count_forcing(monkeypatch)
+    for _ in range(3):
+        rep = tr.train_iteration()
+        assert not rep.skipped
+    assert calls == [64] * 3
+    assert tr._rollout_forcing is None
+
+
+def reference_update_policy(tr, batch):
+    """Trainer.update_policy as it was with two passes: ppo_update and
+    awr_update teacher-force the batch themselves."""
+    hyper = tr.hyper
+    spec = tr.policy.spec
+    rewards = batch.rewards
+    if hyper.alpha > 0.0 and hyper.entropy_placement == "reward_bonus":
+        rewards = tr._augment_rewards(batch)
+        batch = replace(batch, rewards=rewards)
+    tr.value_beta = fit_value(spec, batch, hyper.gamma, hyper.value_ridge,
+                              tr.value_beta)
+    adv = gae_advantages(spec, batch, hyper.gamma, hyper.gae_lambda,
+                         tr.value_beta)
+    if hyper.normalize_advantages:
+        adv = (adv - np.mean(adv)) / (np.std(adv) + 1e-8)
+    skipped = False
+    if tr.optimizer == "ppo":
+        loss = 0.0
+        gnorm = 0.0
+        for _ in range(hyper.ppo_epochs):
+            tr.policy, loss, _, gnorm = ppo_update(
+                tr.policy, batch, hyper, adv, tr.policy_opt, tr.rng,
+                tr.snapshot_id)
+    else:
+        tr.policy, loss, gnorm, skipped = awr_update(
+            tr.policy, batch, hyper, adv, tr.policy_opt, tr.rng)
+    if not skipped:
+        tr.snapshot_id += 1
+    return loss, gnorm, skipped
+
+
+@pytest.mark.parametrize("env_id, optimizer, hkw", [
+    ("menunav", "ppo", dict(ppo_epochs=2, minibatch_size=64)),
+    ("numberline", "ppo", dict(ppo_epochs=2, minibatch_size=64)),
+    ("menunav", "awr", dict(minibatch_size=64)),
+    ("numberline", "awr", dict(minibatch_size=256)),
+    ("numberline", "ppo", dict(entropy_placement="reward_bonus", alpha=0.5)),
+])
+def test_train_iterations_match_two_pass_reference(env_id, optimizer, hkw,
+                                                   monkeypatch):
+    hyper = small_hyper(rollout_steps=256, num_envs=16, **hkw)
+    fast = Trainer(make_env(env_id), hyper, seed=8, optimizer=optimizer)
+    ref = Trainer(make_env(env_id), hyper, seed=8, optimizer=optimizer)
+    monkeypatch.setattr(ref, "update_policy",
+                        lambda batch: reference_update_policy(ref, batch))
+    start = fast.policy.weights.copy()
+    for _ in range(4):
+        got, want = fast.train_iteration(), ref.train_iteration()
+        assert got == want
+    assert np.any(fast.policy.weights != start)
+    for a, b in ((fast.policy.weights, ref.policy.weights),
+                 (fast.policy_opt.m, ref.policy_opt.m),
+                 (fast.policy_opt.v, ref.policy_opt.v),
+                 (fast.value_beta, ref.value_beta),
+                 (fast.scm.weights, ref.scm.weights),
+                 (fast._feats, ref._feats)):
+        np.testing.assert_array_equal(a, b)
+    assert fast.snapshot_id == ref.snapshot_id
+    assert (fast.rng.bit_generator.state == ref.rng.bit_generator.state)
+
+
+def test_rollout_forcing_used_only_at_its_batch_and_params(monkeypatch):
+    """The update teacher-forces afresh for another batch object, new policy
+    weights or a moved snapshot id, and every update empties the slot."""
+    tr, batch = fresh_rollout(minibatch_size=64)
+    calls = count_forcing(monkeypatch)
+    tr.update_policy(replace(batch))
+    assert calls == [64] and tr._rollout_forcing is None
+
+    for change in ("weights", "snapshot"):
+        calls.clear()
+        batch = tr.collect_rollouts()
+        tr.compute_weights(batch)
+        if change == "weights":
+            tr.policy = tr.policy.copy()
+        else:
+            tr.snapshot_id += 1
+            batch.snapshot_id = tr.snapshot_id
+        tr.update_policy(batch)
+        assert calls == [64, 64]  # the rollout's pass, then the update's
+    calls.clear()
+    batch = tr.collect_rollouts()
+    tr.compute_weights(batch)
+    tr.update_policy(batch)
+    assert calls == [64] and tr._rollout_forcing is None
+
+
+def test_awr_skip_empties_rollout_slot():
+    tr, batch = fresh_rollout(awr_mode="filter", adv_filter_threshold=1e9)
+    tr.optimizer = "awr"
+    _, _, skipped = tr.update_policy(batch)
+    assert skipped and tr._rollout_forcing is None

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coso import checkpoint as ckpt
-from coso import cli
+from coso import cli, harness
 from coso.coso_rl import Hyperparams, Trainer
 from coso.harness import (ARMS, EVAL_SEED_BASE, RunConfig, TheoryCheckSpec,
                           ablation_matrix, cf_report, evaluate_greedy,
@@ -14,7 +14,7 @@ from coso.harness import (ARMS, EVAL_SEED_BASE, RunConfig, TheoryCheckSpec,
 from coso.policy import (FeatureSpec, PolicyParams, greedy_utterance,
                          sample_utterance, sample_utterances_batch)
 from coso.scm import ScmParams
-from coso.textmdp import make_env
+from coso.textmdp import make_env, state_arrays
 
 
 def tiny_config(**kw):
@@ -70,6 +70,68 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(s2.weights, s.weights)
     np.testing.assert_array_equal(s2.bias, s.bias)
     assert p2.spec == p.spec
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("config, message", [
+    (None, "No such file"),
+    ({"total_env_steps": 0}, "total_env_steps must be >= 1"),
+    ({"hyper": {"alpah": 0.1}}, "unknown hyper key(s): alpah"),
+    ({"sedes": [1]}, "unknown config key(s): sedes"),
+])
+def test_cli_train_and_ablate_reject_bad_config(command, config, message,
+                                                tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.setenv("COSO_OUTPUT_DIR", str(tmp_path / "runs"))
+    path = tmp_path / "cfg.json"
+    if config is not None:
+        path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"coso {command}: ")
+    assert message in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "runs").exists()
+
+
+def resize_array(path, keys, rows, cols):
+    """Resize the packed array at doc[keys...]: add rows or columns of
+    zeros, or cut -rows trailing rows; its shape header matches its data."""
+    doc = json.loads(path.read_text())
+    node = doc
+    for k in keys:
+        node = node[k]
+    a = ckpt._unpack(node)
+    a = np.pad(a[:len(a) + min(rows, 0)],
+               [(0, max(rows, 0))] + [(0, cols)] * (a.ndim - 1))
+    node.update(ckpt._pack(a))
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("keys, rows, cols, message", [
+    (("policy", "weights"), 1, 0, "policy weights of shape"),
+    (("policy", "weights"), -1, 0, "policy weights of shape"),
+    (("policy", "weights"), 0, 2, "policy weights of shape"),
+    (("scm", "weights"), 16, 0, "SCM weights of shape"),
+    (("scm", "weights"), 0, 1, "SCM weights of shape"),
+    (("scm", "bias"), 1, 0, "SCM bias of shape"),
+])
+def test_checkpoint_rejects_misshapen_arrays(keys, rows, cols, message,
+                                             tmp_path, capsys):
+    """A bundle whose array does not fit its header's layout fails at load,
+    not later inside sampling, and the CLI exits 2."""
+    path = trained_checkpoint(tmp_path, iters=1)
+    resize_array(path, keys, rows, cols)
+    with pytest.raises(ValueError, match=message):
+        ckpt.load_bundle(path)
+    assert cli.main(["probe", "--ckpt", str(path),
+                     "--state", "c=2,tau=5"]) == 2
+    assert cli.main(["cf-report", "--ckpt", str(path),
+                     "--env", "numberline"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count(message) == 2
 
 
 def test_checkpoint_version_gate(tmp_path):
@@ -234,6 +296,23 @@ def test_evaluate_greedy_bounds():
     p = PolicyParams.zeros(FeatureSpec.for_env(env))
     sr = evaluate_greedy(env, p, episodes=8)
     assert 0.0 <= sr <= 1.0
+
+
+@pytest.mark.parametrize("env_id", ["numberline", "menunav"])
+def test_eval_starts_built_once_and_read_only(env_id):
+    env = make_env(env_id)
+    feats, steps = harness._eval_starts(env, 32)
+    want_feats, want_steps = state_arrays(
+        [env.reset(EVAL_SEED_BASE + e) for e in range(32)])
+    np.testing.assert_array_equal(feats, want_feats)
+    np.testing.assert_array_equal(steps, want_steps)
+    assert feats.dtype == want_feats.dtype and steps.dtype == want_steps.dtype
+    assert not feats.flags.writeable and not steps.flags.writeable
+    with pytest.raises(ValueError):
+        feats[0, 0] = 1
+    again = harness._eval_starts(make_env(env_id), 32)
+    assert again[0] is feats and again[1] is steps
+    assert len(harness._eval_starts(env, 5)[0]) == 5
 
 
 def greedy_reference(env, params, episodes):

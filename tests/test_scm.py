@@ -166,3 +166,51 @@ def test_update_gradient_matches_add_at_scatter(env_id):
     new, _ = scm_update(phi, ys, labels, lr=1e-3)
     np.testing.assert_array_equal(new.weights, ref)
     np.testing.assert_array_equal(new.opt_w.m, (1 - 0.9) * grad_w)
+
+
+@pytest.mark.parametrize("env_id, batch_size", [("numberline", 32),
+                                                ("menunav", 256),
+                                                ("menunav", 500)])
+def test_train_scm_matches_scm_update_loop(env_id, batch_size):
+    """train_scm indexes its batch once; each step equals scm_update on the
+    same picks, bit for bit, and scores batch_size sequences."""
+    env = make_env(env_id)
+    rng = np.random.default_rng(5)
+    ys, labels = rollout_pairs(env, rng, 300)
+    ys[:9, 0] = NULL
+    phi = ScmParams.zeros(env.grammar.n, env.vocab.size, env.num_actions)
+    phi.weights = rng.normal(size=phi.weights.shape)
+    steps = 6
+    before = scm.eval_count()
+    got, got_loss = train_scm(phi, ys, labels, lr=1e-2, steps=steps,
+                              batch_size=batch_size,
+                              rng=np.random.default_rng(9))
+    m = min(batch_size, len(ys))
+    assert scm.eval_count() - before == steps * m
+    pick_rng = np.random.default_rng(9)
+    want = phi
+    for _ in range(steps):
+        pick = pick_rng.integers(0, len(ys), size=m)
+        want, want_loss = scm_update(want, ys[pick], labels[pick], lr=1e-2)
+    assert got_loss == want_loss
+    for a, b in ((got.weights, want.weights), (got.bias, want.bias),
+                 (got.opt_w.m, want.opt_w.m), (got.opt_w.v, want.opt_w.v),
+                 (got.opt_b.m, want.opt_b.m), (got.opt_b.v, want.opt_b.v)):
+        np.testing.assert_array_equal(a, b)
+    assert got.opt_w.step == want.opt_w.step == steps
+
+
+def test_train_scm_rejects_out_of_vocab_before_any_step():
+    env = make_env("numberline")
+    rng = np.random.default_rng(6)
+    ys, labels = rollout_pairs(env, rng, 64)
+    ys[-1, 2] = env.vocab.size  # one bad token, in a row a pick may miss
+    phi = ScmParams.zeros(env.grammar.n, env.vocab.size, env.num_actions)
+    draws = np.random.default_rng(1)
+    state = draws.bit_generator.state
+    before = scm.eval_count()
+    with pytest.raises(ValueError, match="outside vocab"):
+        train_scm(phi, ys, labels, lr=1e-2, steps=4, batch_size=8, rng=draws)
+    assert draws.bit_generator.state == state
+    assert scm.eval_count() == before
+    assert phi.opt_w.step == 0 and not phi.weights.any()

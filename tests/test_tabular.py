@@ -188,7 +188,7 @@ def test_batched_backup_matches_per_q_calls():
 
 def reference_check_contraction(spec):
     """check_contraction one Q pair at a time: two draws, two backups."""
-    worst = 0.0
+    worst = -np.inf
     failing = []
     for i in range(spec.instances):
         rng, inst_seed = harness._instance_rng(spec, "contraction", i)
