@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import counterfactual as cf
+from . import heap
 from . import policy as pol
 from . import scm as scm_mod
 from .policy import FeatureSpec, PolicyParams
@@ -307,6 +308,7 @@ class Trainer:
             raise ValueError(f"unknown arm {arm!r}")
         if optimizer not in ("ppo", "awr"):
             raise ValueError(f"unknown optimizer {optimizer!r}")
+        heap.keep_heap()  # the loop reuses its freed arrays' memory
         self.env = env
         self.hyper = hyper if arm != "rl" else replace(hyper, alpha=0.0)
         self.arm = arm
