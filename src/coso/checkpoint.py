@@ -91,12 +91,21 @@ def save_bundle(path, policy: PolicyParams, scm: ScmParams,
 def load_bundle(path) -> tuple[PolicyParams, ScmParams, str, dict]:
     """(policy, SCM, env id, meta) of a saved bundle.
 
-    Raises ValueError on an unsupported version or on an array whose shape
-    does not fit the layout its header declares.
+    Raises ValueError on a document that is not a JSON object, an
+    unsupported version, a missing section or field, or an array whose
+    shape does not fit the layout its header declares.
     """
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint must be a JSON object, not "
+                         f"{type(doc).__name__}")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version "
                          f"{doc.get('format_version')!r}")
-    return (policy_from_dict(doc["policy"]), scm_from_dict(doc["scm"]),
-            doc["env_id"], doc.get("meta", {}))
+    try:
+        return (policy_from_dict(doc["policy"]), scm_from_dict(doc["scm"]),
+                doc["env_id"], doc.get("meta", {}))
+    except KeyError as exc:
+        raise ValueError(f"checkpoint lacks field {exc}") from None
+    except TypeError as exc:  # a section that is not a JSON object
+        raise ValueError(f"malformed checkpoint: {exc}") from None

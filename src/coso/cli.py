@@ -1,8 +1,11 @@
 """Command-line entry points.
 
 Subcommands: train, ablate, cf-report, probe, theory-check, envs.
-Environment overrides: COSO_OUTPUT_DIR (artifact root), COSO_PARALLEL
-(seed-level parallelism degree).
+Environment override: COSO_OUTPUT_DIR (artifact root).
+
+``main`` is the one error boundary: a ValueError or OSError from any
+subcommand (a bad config, checkpoint, request or output path) is printed as
+one stderr line, ``coso <command>: <message>``, and exits 2.
 """
 from __future__ import annotations
 
@@ -15,29 +18,14 @@ from . import harness, textmdp
 from .harness import RunConfig, TheoryCheckSpec
 
 
-def _load_config(command: str, path) -> RunConfig | None:
-    """The config at path, or None after printing why it is unusable."""
-    try:
-        return RunConfig.from_file(path)
-    except (ValueError, TypeError, OSError) as exc:
-        # an unreadable file, bad JSON, an unknown key or a bad value
-        print(f"coso {command}: {exc}", file=sys.stderr)
-        return None
-
-
 def _cmd_train(args) -> int:
-    config = _load_config("train", args.config)
-    if config is None:
-        return 2
-    summary = harness.run_experiment(config)
+    summary = harness.run_experiment(RunConfig.from_file(args.config))
     print(harness.summary_csv(summary), end="")
     return 0
 
 
 def _cmd_ablate(args) -> int:
-    base = _load_config("ablate", args.config)
-    if base is None:
-        return 2
+    base = RunConfig.from_file(args.config)
     configs = [dataclasses.replace(base, arm=arm) for arm in harness.ARMS]
     result = harness.ablation_matrix(configs)
     print(json.dumps(result.rows, indent=1, sort_keys=True))
@@ -45,12 +33,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_cf_report(args) -> int:
-    try:
-        report = harness.cf_report(args.ckpt, args.env, args.episodes)
-    except (ValueError, OSError) as exc:
-        # no episodes, an unreadable checkpoint, or a checkpoint of another env
-        print(f"coso cf-report: {exc}", file=sys.stderr)
-        return 2
+    report = harness.cf_report(args.ckpt, args.env, args.episodes)
     if args.out:
         with open(args.out, "w") as fh:
             for rec in report["records"]:
@@ -61,24 +44,14 @@ def _cmd_cf_report(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    try:
-        out = harness.repeated_sampling_probe(args.ckpt, args.state, args.k)
-    except (ValueError, OSError) as exc:
-        # an unreadable checkpoint, or a state spec or k naming no valid probe
-        print(f"coso probe: {exc}", file=sys.stderr)
-        return 2
+    out = harness.repeated_sampling_probe(args.ckpt, args.state, args.k)
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0
 
 
 def _cmd_theory_check(args) -> int:
-    try:
-        spec = TheoryCheckSpec(instances=args.instances,
-                               contraction_tol=args.tol)
-    except ValueError as exc:
-        print(f"coso theory-check: {exc}", file=sys.stderr)
-        return 2
-    results = harness.theory_check(spec)
+    results = harness.theory_check(TheoryCheckSpec(instances=args.instances,
+                                                   contraction_tol=args.tol))
     print(harness.theory_report(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -123,14 +96,19 @@ def build_parser() -> argparse.ArgumentParser:
     th.set_defaults(func=_cmd_theory_check)
 
     e = sub.add_parser("envs", help="list envs / dump a grammar")
-    e.add_argument("--dump-grammar", default="")
+    e.add_argument("--dump-grammar", default="",
+                   choices=textmdp.env_ids())
     e.set_defaults(func=_cmd_envs)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"coso {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

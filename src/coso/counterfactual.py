@@ -53,27 +53,27 @@ def causal_weights_batch(phi, ys, actions) -> np.ndarray:
     return np.abs(probs[:, :1] - probs[:, 1:])
 
 
-def normalize_weights_batch(raw: np.ndarray, mode: str = "maxnorm",
-                            eps: float = EPS_B,
-                            floor: float = W_FLOOR) -> np.ndarray:
-    """Row-wise max-normalization with a floor; 'raw' returns a copy."""
+def normalize_weights_batch(raw: np.ndarray,
+                            mode: str = "maxnorm") -> np.ndarray:
+    """Row-wise max-normalization with floor W_FLOOR (rows peaking at or
+    below EPS_B sit at the floor); 'raw' returns a copy."""
     if mode == "raw":
         return raw.copy()
     if mode != "maxnorm":
         raise ValueError(f"unknown weight mode {mode!r}")
     top = np.max(raw, axis=1, keepdims=True)
-    out = np.where(top > eps, np.maximum(raw / np.where(top > eps, top, 1.0),
-                                         floor), floor)
-    return out
+    return np.where(top > EPS_B,
+                    np.maximum(raw / np.where(top > EPS_B, top, 1.0), W_FLOOR),
+                    W_FLOOR)
 
 
-def weight_stats(weights, edges=DEFAULT_BIN_EDGES) -> WeightHistogram:
+def weight_stats(weights) -> WeightHistogram:
     """Histogram over every position of an (m, n) normalized weight array."""
     flat = np.asarray(weights, dtype=np.float64).ravel()
     if flat.size == 0:
         raise ValueError("empty weight batch")
-    counts, _ = np.histogram(flat, bins=np.asarray(edges))
+    counts, _ = np.histogram(flat, bins=np.asarray(DEFAULT_BIN_EDGES))
     # np.histogram puts values == last edge in the final bin already
     fractions = counts / flat.size
-    return WeightHistogram(edges=tuple(edges), counts=counts,
+    return WeightHistogram(edges=DEFAULT_BIN_EDGES, counts=counts,
                            fractions=fractions)

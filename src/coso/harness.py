@@ -67,14 +67,18 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        """Raises ValueError on a bad value or a key that names no field."""
+        """Raises ValueError on a bad or wrong-typed value, or on a key that
+        names no field."""
         d = dict(_known_fields(cls, d, "config"))
-        if "hyper" in d:
-            d["hyper"] = Hyperparams(**_known_fields(Hyperparams, d["hyper"],
-                                                     "hyper"))
-        if "seeds" in d:
-            d["seeds"] = tuple(d["seeds"])
-        return cls(**d)
+        try:
+            if "hyper" in d:
+                d["hyper"] = Hyperparams(**_known_fields(
+                    Hyperparams, d["hyper"], "hyper"))
+            if "seeds" in d:
+                d["seeds"] = tuple(d["seeds"])
+            return cls(**d)
+        except TypeError as exc:  # e.g. "seeds": 5 or "alpha": "x"
+            raise ValueError(f"bad config value: {exc}") from exc
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -96,10 +100,6 @@ def _known_fields(cls, d, what: str) -> dict:
 
 def resolve_out_dir(config: RunConfig) -> Path:
     return Path(os.environ.get("COSO_OUTPUT_DIR", config.out_dir))
-
-
-def parallelism() -> int:
-    return max(1, int(os.environ.get("COSO_PARALLEL", "1")))
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -218,22 +218,11 @@ def run_single_seed(config: RunConfig, seed: int,
                       run_dir=run_dir)
 
 
-def _run_seed_job(args) -> SeedResult:
-    config_dict, seed, write = args
-    return run_single_seed(RunConfig.from_dict(config_dict), seed, write)
-
-
 def run_experiment(config: RunConfig,
                    write_artifacts: bool = True) -> RunSummary:
     """Train every seed of one config; emit per-run artifacts + summary CSV."""
-    jobs = [(config.to_dict(), s, write_artifacts) for s in config.seeds]
-    if parallelism() > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=parallelism()) as ex:
-            per_seed = list(ex.map(_run_seed_job, jobs))
-    else:
-        per_seed = [_run_seed_job(j) for j in jobs]
-    summary = RunSummary(config=config, per_seed=per_seed)
+    summary = RunSummary(config=config, per_seed=[
+        run_single_seed(config, s, write_artifacts) for s in config.seeds])
     if write_artifacts:
         out = resolve_out_dir(config)
         out.mkdir(parents=True, exist_ok=True)
@@ -261,9 +250,6 @@ def summary_csv(summary: RunSummary) -> str:
 class AblationResult:
     rows: list  # one dict per arm
     series_csv: str  # plot-ready: env_steps, one success column per arm
-
-    def by_arm(self) -> dict:
-        return {r["arm"]: r for r in self.rows}
 
 
 def ablation_matrix(configs: list,
@@ -335,8 +321,9 @@ def cf_report(ckpt_path, env_id: str, num_episodes: int,
         (num_episodes * horizon, n))
     used = 0
     records, ys, acts = [], [], []
+    starts = _eval_starts(env, num_episodes)
     for ep in range(num_episodes):
-        feats, steps = state_arrays([env.reset(EVAL_SEED_BASE + ep)])
+        feats, steps = (a[ep:ep + 1] for a in starts)
         rows = uniforms[used:used + horizon]
         decoded = {}  # state -> (first step, tokens, actions, parse_ok)
         done = False
@@ -456,31 +443,52 @@ def _instance_rng(spec: TheoryCheckSpec, suite: str, idx: int):
     return np.random.default_rng(ss), int(ss.generate_state(1)[0])
 
 
-def check_decomposition(spec: TheoryCheckSpec) -> SuiteResult:
-    worst = 0.0
-    failing = []
-    for i in range(spec.instances):
-        rng, inst_seed = _instance_rng(spec, "decomposition", i)
-        ve = int(rng.integers(2, 5))
-        n = int(rng.integers(2, 5))
-        policy = tabular.TabularPolicy.random(1, ve, n, rng)
-        _, _, diff = tabular.entropy_decomposition_check(policy, 0)
-        worst = max(worst, diff)
-        if diff > spec.decomposition_tol:
-            failing.append(inst_seed)
-    return SuiteResult("entropy_decomposition", not failing, worst, failing)
+def _suite(spec: TheoryCheckSpec, key: str, name: str, tol: float,
+           residual) -> SuiteResult:
+    """Run residual(rng, i) -> (value, side_ok) on each seeded instance i.
 
-
-def check_contraction(spec: TheoryCheckSpec) -> SuiteResult:
+    An instance fails when its value is not <= tol, when its side check
+    fails (side_ok false) or when it raises RuntimeError, a tabular
+    computation that did not converge; such an instance adds no value to
+    worst, the largest value of the others.
+    """
     worst = -np.inf
     failing = []
     for i in range(spec.instances):
-        rng, inst_seed = _instance_rng(spec, "contraction", i)
-        mdp = tabular.random_mdp(rng)
-        policy = tabular.TabularPolicy.random(mdp.num_states, mdp.vocab_eff,
-                                              mdp.n, rng)
-        B = rng.uniform(0.0, 1.0, size=mdp.n)
-        alpha = float(rng.uniform(0.0, 2.0))
+        rng, inst_seed = _instance_rng(spec, key, i)
+        try:
+            value, side_ok = residual(rng, i)
+        except RuntimeError:
+            failing.append(inst_seed)
+            continue
+        worst = max(worst, value)
+        if not (value <= tol and side_ok):
+            failing.append(inst_seed)
+    return SuiteResult(name, not failing, worst, failing)
+
+
+def _random_instance(rng) -> tuple:
+    """(mdp, policy, B, alpha) of the contraction and improvement suites."""
+    mdp = tabular.random_mdp(rng)
+    policy = tabular.TabularPolicy.random(mdp.num_states, mdp.vocab_eff,
+                                          mdp.n, rng)
+    B = rng.uniform(0.0, 1.0, size=mdp.n)
+    return mdp, policy, B, float(rng.uniform(0.0, 2.0))
+
+
+def check_decomposition(spec: TheoryCheckSpec) -> SuiteResult:
+    def residual(rng, i):
+        ve = int(rng.integers(2, 5))
+        n = int(rng.integers(2, 5))
+        policy = tabular.TabularPolicy.random(1, ve, n, rng)
+        return tabular.entropy_decomposition_check(policy, 0)[2], True
+    return _suite(spec, "decomposition", "entropy_decomposition",
+                  spec.decomposition_tol, residual)
+
+
+def check_contraction(spec: TheoryCheckSpec) -> SuiteResult:
+    def residual(rng, i):
+        mdp, policy, B, alpha = _random_instance(rng)
         terms = tabular.policy_terms(mdp, policy, B)
         # C order: pair k's two tables are drawn in turn, q[k, 0] then q[k, 1]
         q = rng.uniform(-5, 5, size=(spec.q_pairs, 2, mdp.num_states,
@@ -489,68 +497,46 @@ def check_contraction(spec: TheoryCheckSpec) -> SuiteResult:
                                    gamma=spec.corrupt_gamma)
         lip = (np.max(np.abs(t[:, 0] - t[:, 1]), axis=(1, 2))
                / np.max(np.abs(q[:, 0] - q[:, 1]), axis=(1, 2)))
-        excess = lip - mdp.gamma
-        worst = max(worst, float(np.max(excess)))
-        bad = bool(np.any(excess > spec.contraction_tol))
+        excess = float(np.max(lip - mdp.gamma))
+        if spec.corrupt_gamma is not None:
+            return excess, True
         # the iterated backup's fixed point must match the direct linear solve
-        if spec.corrupt_gamma is None:
-            q_iter, _ = tabular.policy_evaluation(mdp, policy, B, alpha,
-                                                  tol=1e-12)
-            q_direct = tabular.policy_evaluation_direct(mdp, policy, B, alpha)
-            gap = float(np.max(np.abs(q_iter - q_direct)))
-            if gap > spec.fixed_point_tol:
-                bad = True
-        if bad:
-            failing.append(inst_seed)
-    return SuiteResult("contraction", not failing, worst, failing)
+        q_iter, _ = tabular.policy_evaluation(mdp, policy, B, alpha, tol=1e-12)
+        q_direct = tabular.policy_evaluation_direct(mdp, policy, B, alpha)
+        gap = float(np.max(np.abs(q_iter - q_direct)))
+        return excess, gap <= spec.fixed_point_tol
+    return _suite(spec, "contraction", "contraction", spec.contraction_tol,
+                  residual)
 
 
 def check_improvement(spec: TheoryCheckSpec) -> SuiteResult:
-    worst = -np.inf
-    failing = []
-    for i in range(spec.instances):
-        rng, inst_seed = _instance_rng(spec, "improvement", i)
-        mdp = tabular.random_mdp(rng)
-        policy = tabular.TabularPolicy.random(mdp.num_states, mdp.vocab_eff,
-                                              mdp.n, rng)
-        B = rng.uniform(0.0, 1.0, size=mdp.n)
-        alpha = float(rng.uniform(0.0, 2.0))
+    def residual(rng, i):
+        mdp, policy, B, alpha = _random_instance(rng)
         q_pi = tabular.policy_evaluation_direct(mdp, policy, B, alpha)
         improved = tabular.soft_improve(mdp, q_pi, B, alpha)
         q_new = tabular.policy_evaluation_direct(mdp, improved, B, alpha)
-        drop = float(np.max(q_pi - q_new))
-        worst = max(worst, drop)
-        if drop > spec.improvement_tol:
-            failing.append(inst_seed)
-    return SuiteResult("improvement", not failing, worst, failing)
+        return float(np.max(q_pi - q_new)), True
+    return _suite(spec, "improvement", "improvement", spec.improvement_tol,
+                  residual)
 
 
 def check_iteration(spec: TheoryCheckSpec) -> SuiteResult:
-    worst = -np.inf
-    failing = []
-    for i in range(spec.instances):
-        rng, inst_seed = _instance_rng(spec, "iteration", i)
+    """Residual: the largest drop of any Q entry over one policy-iteration
+    step, judged against spec.monotonicity_tol here alone; alpha = 0
+    instances must also reach the brute-force optimum."""
+    def residual(rng, i):
         alpha0 = i % 2 == 0  # alternate alpha = 0 (classical) instances
         mdp = tabular.random_mdp(rng, num_states=3, num_actions=2,
                                  vocab_eff=2, n=2)
         B = rng.uniform(0.0, 1.0, size=mdp.n)
         alpha = 0.0 if alpha0 else float(rng.uniform(0.1, 1.0))
-        try:
-            _, q_star, mono = tabular.policy_iteration(mdp, B, alpha,
-                                                       tol=1e-9,
-                                                       max_iters=1000)
-        except RuntimeError:
-            failing.append(inst_seed)
-            continue
-        worst = max(worst, -min(mono))
-        if mono and min(mono) < -spec.monotonicity_tol:
-            failing.append(inst_seed)
-            continue
-        if alpha0:
-            q_bf = tabular.brute_force_optimal_q(mdp)
-            if float(np.max(np.abs(q_star - q_bf))) > 1e-6:
-                failing.append(inst_seed)
-    return SuiteResult("iteration", not failing, worst, failing)
+        _, q_star, mono = tabular.policy_iteration(mdp, B, alpha, tol=1e-9,
+                                                   max_iters=1000)
+        optimal = not alpha0 or float(np.max(np.abs(
+            q_star - tabular.brute_force_optimal_q(mdp)))) <= 1e-6
+        return -min(mono), optimal
+    return _suite(spec, "iteration", "iteration", spec.monotonicity_tol,
+                  residual)
 
 
 def theory_check(spec: TheoryCheckSpec | None = None) -> list:

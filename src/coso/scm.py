@@ -11,6 +11,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -18,18 +20,17 @@ class AdamState:
     m: np.ndarray | None = None
     v: np.ndarray | None = None
 
-    def update(self, params: np.ndarray, grad: np.ndarray, lr: float,
-               beta1: float = 0.9, beta2: float = 0.999,
-               eps: float = 1e-8) -> np.ndarray:
+    def update(self, params: np.ndarray, grad: np.ndarray,
+               lr: float) -> np.ndarray:
         if self.m is None:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
         self.step += 1
-        self.m = beta1 * self.m + (1 - beta1) * grad
-        self.v = beta2 * self.v + (1 - beta2) * grad * grad
-        mhat = self.m / (1 - beta1 ** self.step)
-        vhat = self.v / (1 - beta2 ** self.step)
-        return params - lr * mhat / (np.sqrt(vhat) + eps)
+        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * grad * grad
+        mhat = self.m / (1 - ADAM_BETA1 ** self.step)
+        vhat = self.v / (1 - ADAM_BETA2 ** self.step)
+        return params - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 @dataclass

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coso import checkpoint as ckpt
-from coso import cli, harness
+from coso import cli, harness, tabular
 from coso.coso_rl import Hyperparams, Trainer
 from coso.harness import (ARMS, EVAL_SEED_BASE, RunConfig, TheoryCheckSpec,
                           ablation_matrix, cf_report, evaluate_greedy,
@@ -132,6 +132,46 @@ def test_checkpoint_rejects_misshapen_arrays(keys, rows, cols, message,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count(message) == 2
+
+
+def drop_section(keys):
+    """Edit: delete doc[keys...]."""
+    def edit(doc):
+        node = doc
+        for k in keys[:-1]:
+            node = node[k]
+        del node[keys[-1]]
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: {"format_version": 1, "env_id": "numberline"},
+     "checkpoint lacks field 'policy'"),
+    (lambda doc: [1, 2], "checkpoint must be a JSON object, not list"),
+    (drop_section(["env_id"]), "checkpoint lacks field 'env_id'"),
+    (drop_section(["scm", "bias"]), "checkpoint lacks field 'bias'"),
+    (drop_section(["policy", "feature_spec", "n"]),
+     "checkpoint lacks field 'n'"),
+    (lambda doc: {**doc, "policy": 3}, "malformed checkpoint"),
+])
+def test_checkpoint_rejects_missing_sections(edit, message, tmp_path,
+                                             capsys):
+    """A bundle that is not an object, or lacks a section or field, fails
+    at load with ValueError, and the CLI prints one line and exits 2."""
+    path = trained_checkpoint(tmp_path, iters=1)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=message):
+        ckpt.load_bundle(path)
+    assert cli.main(["probe", "--ckpt", str(path), "--state", "trap"]) == 2
+    assert cli.main(["cf-report", "--ckpt", str(path),
+                     "--env", "numberline"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("coso probe: ") and message in lines[0]
+    assert lines[1].startswith("coso cf-report: ") and message in lines[1]
 
 
 def test_checkpoint_version_gate(tmp_path):
@@ -395,6 +435,55 @@ def test_cli_envs_listing(capsys):
     assert "[2]" in capsys.readouterr().out
 
 
+def test_cli_envs_rejects_unknown_grammar(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["envs", "--dump-grammar", "bogus"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: coso envs")
+    assert "invalid choice: 'bogus'" in captured.err
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("ablate", {"seeds": [0, 1], "total_env_steps": 256},
+     "ablation needs >= 3 seeds per arm"),
+    ("train", {"seeds": 5}, "not iterable"),
+    ("ablate", {"seeds": 5}, "not iterable"),
+    ("train", {"hyper": {"alpha": "x"}}, "not supported"),
+    ("ablate", {"hyper": {"alpha": "x"}}, "not supported"),
+    ("cf-report", None, "No such file"),
+])
+def test_cli_reports_bad_input_in_one_line(command, config, message,
+                                           tmp_path, monkeypatch, capsys):
+    """Every subcommand turns a ValueError or OSError into one stderr line
+    and exit 2, before any artifact is written."""
+    monkeypatch.setenv("COSO_OUTPUT_DIR", str(tmp_path / "runs"))
+    if config is None:  # a report into a directory that does not exist
+        path = trained_checkpoint(tmp_path, iters=1)
+        argv = ["cf-report", "--ckpt", str(path), "--env", "numberline",
+                "--out", str(tmp_path / "missing" / "records.jsonl")]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [command, "--config", str(path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"coso {command}: ")
+    assert message in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "runs").exists()
+    assert not (tmp_path / "missing").exists()
+
+
+def test_config_wrong_typed_value_is_value_error():
+    with pytest.raises(ValueError, match="bad config value"):
+        RunConfig.from_dict({"seeds": 5})
+    with pytest.raises(ValueError, match="bad config value"):
+        RunConfig.from_dict({"hyper": {"alpha": "x"}})
+
+
 def test_cli_train_and_probe(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("COSO_OUTPUT_DIR", str(tmp_path))
     cfg = tiny_config()
@@ -412,6 +501,14 @@ def test_cli_train_and_probe(tmp_path, monkeypatch, capsys):
 def test_cli_theory_check_small(capsys):
     assert cli.main(["theory-check", "--instances", "3"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_cli_theory_check_exits_1_on_failing_suite(monkeypatch, capsys):
+    from test_tabular import worse_second_step
+    monkeypatch.setattr(tabular, "soft_improve", worse_second_step([]))
+    assert cli.main(["theory-check", "--instances", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL  iteration" in captured.out and captured.err == ""
 
 
 @pytest.mark.parametrize("state", ["c=12,tau=3", "c=-1,tau=3", "c=3",

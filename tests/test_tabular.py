@@ -495,6 +495,85 @@ def test_policy_iteration_negative_control_diverges_detectably():
                           max_iters=50)
 
 
+def test_policy_iteration_raises_when_max_iters_run_out():
+    rng = np.random.default_rng(22)
+    mdp = random_mdp(rng)
+    B = random_B(rng, mdp.n)
+    _, _, log = policy_iteration(mdp, B, 0.5)
+    assert len(log) > 1
+    with pytest.raises(RuntimeError, match="did not converge in 1"):
+        policy_iteration(mdp, B, 0.5, max_iters=1)
+    _, _, again = policy_iteration(mdp, B, 0.5, max_iters=len(log))
+    assert again == log
+
+
+def worse_second_step(drops):
+    """soft_improve, except that the first second call at one alpha > 0
+    (step 2 of a policy iteration run) returns the uniform policy, a worse
+    one; drops gets that step's Q drop.  The improvement suite calls it
+    once per instance, each at its own alpha, so only iteration sees it."""
+    calls = []
+
+    def improve(mdp, Q, B, alpha):
+        calls.append(alpha)
+        if alpha > 0 and calls.count(alpha) == 2 and not drops:
+            uniform = TabularPolicy.uniform(mdp.num_states, mdp.vocab_eff,
+                                            mdp.n)
+            q_new = policy_evaluation_direct(mdp, uniform, B, alpha)
+            drops.append(-float(np.min(q_new - Q)))
+            return uniform
+        return soft_improve(mdp, Q, B, alpha)
+    return improve
+
+
+@pytest.mark.parametrize("tol", [1e-7, 100.0])
+def test_check_iteration_judges_monotonicity_by_spec_tol(tol, monkeypatch):
+    """policy_iteration only logs a drop of Q; check_iteration judges it by
+    spec.monotonicity_tol alone and reports it as its worst residual."""
+    drops = []
+    monkeypatch.setattr(tabular, "soft_improve", worse_second_step(drops))
+    spec = harness.TheoryCheckSpec(instances=2, monotonicity_tol=tol)
+    res = harness.check_iteration(spec)
+    assert len(drops) == 1 and drops[0] > 1e-6
+    assert res.worst == drops[0]
+    # instance 1 is the alpha > 0 one
+    bad = [harness._instance_rng(spec, "iteration", 1)[1]]
+    assert res.failing_seeds == ([] if tol > drops[0] else bad)
+    assert res.passed == (tol > drops[0])
+
+
+def test_suite_failure_rule():
+    """An instance fails on a residual above tol (or NaN), a failed side
+    check or a RuntimeError, which adds nothing to worst."""
+    outcomes = {0: (0.5, True), 1: (2.0, True), 2: (0.1, False),
+                3: RuntimeError("did not converge"), 4: (float("nan"), True),
+                5: (1.0, True)}
+
+    def residual(rng, i):
+        if isinstance(outcomes[i], Exception):
+            raise outcomes[i]
+        return outcomes[i]
+    spec = harness.TheoryCheckSpec(instances=len(outcomes))
+    res = harness._suite(spec, "iteration", "rule", 1.0, residual)
+    seeds = [harness._instance_rng(spec, "iteration", i)[1]
+             for i in range(len(outcomes))]
+    assert res.name == "rule" and not res.passed
+    assert res.failing_seeds == [seeds[i] for i in (1, 2, 3, 4)]
+    assert res.worst == 2.0
+
+
+def test_check_iteration_counts_non_convergence_as_failing(monkeypatch):
+    original = tabular.policy_iteration
+    monkeypatch.setattr(tabular, "policy_iteration",
+                        lambda *a, **kw: original(*a, **{**kw,
+                                                         "max_iters": 1}))
+    spec = harness.TheoryCheckSpec(instances=4)
+    res = harness.check_iteration(spec)
+    assert not res.passed and res.worst == -np.inf
+    assert res.failing_seeds == [harness._instance_rng(spec, "iteration", i)[1]
+                                 for i in range(4)]
+
+
 def test_random_mdp_surjective_parse_covers_actions():
     rng = np.random.default_rng(15)
     for _ in range(20):

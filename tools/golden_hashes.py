@@ -5,7 +5,8 @@ renders cf_report and probe JSON from their checkpoints and prints one
 sorted JSON map {artifact: sha256} followed by the sha256 of that map.
 The map also holds the sha256 of the tabular verifier's report at the
 default ``TheoryCheckSpec`` and at its negative control,
-``corrupt_gamma=1.5``.
+``corrupt_gamma=1.5``, and of the table, series and per-arm summaries of
+one small ``ablation_matrix`` run (numberline, 3 arms x seeds 0-2).
 
     PYTHONPATH=src python3 tools/golden_hashes.py OUT_DIR > change.json
     PYTHONPATH=<other checkout>/src python3 tools/golden_hashes.py OUT_DIR2 \
@@ -19,6 +20,7 @@ Runtime is a few minutes, most of it the 200k-step menunav PPO run.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -59,18 +61,31 @@ INSPECT = {
 CF_EPISODES, CF_SEED = 20, 7
 PROBE_K, PROBE_SEED = 300, 11
 
+# the ablation run: every arm of this config over these seeds
+ABLATION = ("ablation_numberline.json", {"seeds": [0, 1, 2],
+                                         "total_env_steps": 2048})
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _config(name: str) -> RunConfig:
-    _, path, over = next(r for r in RUNS if r[0] == name)
+def _config(path: str, over: dict) -> RunConfig:
     d = json.loads((CONFIGS / path).read_text())
     over = dict(over)
     d["hyper"].update(over.pop("hyper", {}))
-    d.update(over, seeds=[0])
+    d.update(over)
     return RunConfig.from_dict(d)
+
+
+def _ablation_hashes(out: Path) -> dict:
+    os.environ["COSO_OUTPUT_DIR"] = str(out)
+    base = _config(*ABLATION)
+    configs = [dataclasses.replace(base, arm=arm) for arm in harness.ARMS]
+    harness.ablation_matrix(configs)
+    names = ["ablation_table.json", "ablation_series.csv"] + [
+        f"{c.env_id}_{c.arm}_{c.optimizer}_summary.csv" for c in configs]
+    return {f"ablation/{f}": _sha((out / f).read_bytes()) for f in names}
 
 
 def main(argv: list[str]) -> int:
@@ -81,8 +96,8 @@ def main(argv: list[str]) -> int:
     print(f"coso from {harness.__file__}", file=sys.stderr)
     hashes = {}
     checkpoints = {}
-    for name, _, _ in RUNS:
-        cfg = _config(name)
+    for name, path, over in RUNS:
+        cfg = _config(path, {**over, "seeds": [0]})
         # through the environment, so config.json does not name OUT_DIR
         os.environ["COSO_OUTPUT_DIR"] = str(out / name)
         res = harness.run_single_seed(cfg, 0, write_artifacts=True)
@@ -106,6 +121,7 @@ def main(argv: list[str]) -> int:
     hashes["theory_report[corrupt_gamma=1.5].txt"] = _sha(
         harness.theory_report(harness.theory_check(
             TheoryCheckSpec(corrupt_gamma=1.5))).encode())
+    hashes.update(_ablation_hashes(out / "ablation"))
     text = json.dumps(dict(sorted(hashes.items())), indent=1)
     print(text)
     print(f"map sha256 {_sha(text.encode())}")
