@@ -9,6 +9,8 @@ counterfactual weighting, classifier update, policy update.
 """
 from __future__ import annotations
 
+import dataclasses
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +22,25 @@ from . import scm as scm_mod
 from .policy import FeatureSpec, PolicyParams
 from .scm import AdamState, ScmParams
 from .textmdp import EnvState, TextEnv, state_arrays
+
+
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
+                "str": str}
+
+
+def check_field_types(obj) -> None:
+    """Raise ValueError naming the first int, float, bool or str field of the
+    dataclass obj that holds a value of another type.  As in JSON, an int is
+    a float, but a bool is no int."""
+    for f in dataclasses.fields(obj):
+        want = _FIELD_TYPES.get(f.type)
+        value = getattr(obj, f.name)
+        if want is not None and not (
+                isinstance(value, want)
+                and isinstance(value, bool) == (f.type == "bool")):
+            raise ValueError(f"bad config value: {f.name}={value!r}: "
+                             f"{type(value).__name__} not supported as "
+                             f"{f.type}")
 
 
 @dataclass
@@ -47,6 +68,7 @@ class Hyperparams:
     normalize_advantages: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         if not (0 < self.gamma < 1):
@@ -333,8 +355,11 @@ class Trainer:
             [self._fresh_state() for _ in range(hyper.num_envs)])
 
     def _fresh_state(self) -> EnvState:
-        s = np.random.SeedSequence([self.seed, self._episode_counter])
+        counter = self._episode_counter
         self._episode_counter += 1
+        if not self.env.reset_reads_seed:
+            return self.env.reset(0)
+        s = np.random.SeedSequence([self.seed, counter])
         return self.env.reset(int(s.generate_state(1)[0]))
 
     # -- phases ------------------------------------------------------------
@@ -353,8 +378,9 @@ class Trainer:
         # one row of ns uniforms per (tick, token position): the stream of
         # ticks * n successive draws of ns
         uniforms = self.rng.random((ticks, n, ns))
+        tables = pol.decode_tables(self.policy)  # the policy is frozen here
         for t in range(ticks):
-            utts[t] = pol.sample_utterances_batch(self.policy, self._feats,
+            utts[t] = pol.sample_utterances_batch(tables, self._feats,
                                                   uniforms[t].T)
             acts[t], oks[t] = env.parse_batch(utts[t])
             states[t] = self._feats

@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import io
 import json
+import numbers
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from . import checkpoint as ckpt_mod
 from . import counterfactual as cf
 from . import policy as pol
 from . import tabular
-from .coso_rl import Hyperparams, Trainer
+from .coso_rl import Hyperparams, Trainer, check_field_types
 from .textmdp import TextEnv, env_ids, make_env, state_arrays
 
 EVAL_SEED_BASE = 990_000  # fixed eval episode seeds, shared by every run
@@ -45,6 +46,15 @@ class RunConfig:
     force_uniform_weights: bool = False  # test hook (arm-consistency checks)
 
     def __post_init__(self):
+        check_field_types(self)
+        try:
+            self.seeds = tuple(self.seeds)
+        except TypeError as exc:  # "seeds": 5
+            raise ValueError(f"bad config value: seeds: {exc}") from None
+        if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool)
+                   for s in self.seeds):
+            raise ValueError(f"bad config value: seeds={self.seeds!r}: not a "
+                             f"list of ints")
         if self.env_id not in env_ids():
             raise ValueError(f"unknown env_id {self.env_id!r}; known: "
                              f"{list(env_ids())}")
@@ -70,15 +80,10 @@ class RunConfig:
         """Raises ValueError on a bad or wrong-typed value, or on a key that
         names no field."""
         d = dict(_known_fields(cls, d, "config"))
-        try:
-            if "hyper" in d:
-                d["hyper"] = Hyperparams(**_known_fields(
-                    Hyperparams, d["hyper"], "hyper"))
-            if "seeds" in d:
-                d["seeds"] = tuple(d["seeds"])
-            return cls(**d)
-        except TypeError as exc:  # e.g. "seeds": 5 or "alpha": "x"
-            raise ValueError(f"bad config value: {exc}") from exc
+        if "hyper" in d:
+            d["hyper"] = Hyperparams(**_known_fields(Hyperparams, d["hyper"],
+                                                     "hyper"))
+        return cls(**d)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -149,16 +154,20 @@ def _eval_starts(env: TextEnv, episodes: int) -> tuple:
 def evaluate_greedy(env: TextEnv, policy_params, episodes: int) -> float:
     """Greedy-decoding success rate over a fixed eval seed set.
 
-    The episodes run in lockstep: each step decodes every unfinished episode
-    in one batch and steps them through the env's tables.  Their start
-    states are built once per (env id, episodes) and shared read-only by
-    every later call.
+    A state's greedy utterance does not change during the call, so every
+    state is decoded and parsed once into a greedy action table.  The
+    episodes then run in lockstep through the env's tables, each step one
+    lookup per unfinished episode.  Their start states are built once per
+    (env id, episodes) and shared read-only by every later call.
     """
+    cards = policy_params.spec.state_cards
+    tables = pol.decode_tables(policy_params)
+    greedy_action, _ = env.parse_batch(
+        pol.greedy_utterance(tables, pol.state_grid(cards)))
     feats, steps = _eval_starts(env, episodes)
     wins = 0
     while len(feats):
-        ys = pol.greedy_utterance(policy_params, feats)
-        actions, _ = env.parse_batch(ys)
+        actions = greedy_action[pol.state_ids(cards, feats)]
         feats, steps, rewards, dones = env.step_batch(feats, steps, actions)
         wins += int(np.count_nonzero(rewards[dones] >= env.r_max))
         feats, steps = feats[~dones], steps[~dones]
@@ -319,6 +328,7 @@ def cf_report(ckpt_path, env_id: str, num_episodes: int,
     # so each step's tokens are those of a batch of one on its row.
     uniforms = np.random.default_rng(sample_seed).random(
         (num_episodes * horizon, n))
+    tables = pol.decode_tables(policy_params)
     used = 0
     records, ys, acts = [], [], []
     starts = _eval_starts(env, num_episodes)
@@ -332,8 +342,7 @@ def cf_report(ckpt_path, env_id: str, num_episodes: int,
             key = tuple(feats[0].tolist())
             if key not in decoded:
                 toks = pol.sample_utterances_batch(
-                    policy_params, np.repeat(feats, horizon - t, axis=0),
-                    rows[t:])
+                    tables, np.repeat(feats, horizon - t, axis=0), rows[t:])
                 actions, oks = env.parse_batch(toks)
                 decoded[key] = (t, toks.tolist(), actions, oks)
             first, toks, actions, oks = decoded[key]

@@ -8,7 +8,9 @@ reserved for counterfactual interventions.
 Every operation takes a batch: m states and, where tokens are involved, an
 (m, n) token array.  One example is a batch of one.  All entropies are exact
 (computed from the full conditional distribution, not estimated), and the
-gradient of the training objective is analytic.
+gradient of the training objective is analytic.  Decoding reads per-state
+tables of a frozen policy (decode_tables), which a caller that decodes many
+batches builds once.
 """
 from __future__ import annotations
 
@@ -108,17 +110,28 @@ def _state_logits(params: PolicyParams, sidx: np.ndarray) -> np.ndarray:
     return z
 
 
-def _position_logits(params: PolicyParams, base: np.ndarray, toks: np.ndarray,
-                     i: int) -> np.ndarray:
+def _token_rows(params: PolicyParams) -> tuple[tuple[np.ndarray, ...],
+                                               np.ndarray]:
+    """Views of W: the (V, V) row block of each context slot, newest token
+    first, and the (n, V) position rows."""
+    spec, W = params.spec, params.weights
+    ctx, V = sum(spec.state_cards), spec.vocab_size
+    blocks = tuple(W[ctx + k * V:ctx + (k + 1) * V]
+                   for k in range(spec.context))
+    pos = ctx + spec.context * V
+    return blocks, W[pos:pos + spec.n]
+
+
+def _position_logits(token_rows: tuple, base: np.ndarray, toks, i: int
+                     ) -> np.ndarray:
     """(m, V) logits at position i: base plus the context and position rows.
 
-    Only toks[:, :i] is read, so a decoder may pass its partly filled tokens.
+    token_rows is _token_rows(params).  Only toks[:, :i] is read, so a
+    decoder may pass its partly filled tokens.
     """
-    spec, W = params.spec, params.weights
-    ctx = sum(spec.state_cards)  # first row of the newest token's block
-    rows = [W[ctx + k * spec.vocab_size + toks[:, i - 1 - k]]
-            for k in range(min(i, spec.context))]
-    rows.append(W[ctx + spec.context * spec.vocab_size + i])
+    blocks, pos = token_rows
+    rows = [blocks[k][toks[:, i - 1 - k]] for k in range(min(i, len(blocks)))]
+    rows.append(pos[i])
     z = base + rows[0]
     for r in rows[1:]:
         z += r
@@ -145,34 +158,94 @@ def _entropy(probs: np.ndarray, logprobs: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=-1)
 
 
-def _decode(params: PolicyParams, states, u: np.ndarray | None) -> np.ndarray:
-    """(m, n) tokens decoded left to right, by inverse CDF on u or by argmax
-    if u is None."""
+# ---------------------------------------------------------------------------
+# Decoding from per-state tables
+#
+# The state logits and the position-0 distribution depend on the state
+# alone, and an env has few states (100 on numberline, 8 on menunav), so a
+# decoding call tabulates them once for every state of the frozen policy.
+# Later positions depend on the tokens drawn and are built per row.
+
+
+def state_grid(state_cards) -> np.ndarray:
+    """(S, k) features of every state, row s the state with state id s."""
+    return np.indices(state_cards).reshape(len(state_cards), -1).T
+
+
+def state_ids(state_cards, states) -> np.ndarray:
+    """(m,) row-major index of each state's features over state_cards.
+
+    states is an (m, k) int feature array or a sequence of EnvStates; a
+    feature outside its cardinality raises ValueError.
+    """
+    if not isinstance(states, np.ndarray):
+        states = state_arrays(states)[0]
+    return np.ravel_multi_index(states.reshape(-1, len(state_cards)).T,
+                                state_cards)
+
+
+@dataclass(frozen=True)
+class DecodeTables:
+    """Per-state rows of one frozen policy, indexed by state id."""
+
+    spec: FeatureSpec
+    base: np.ndarray  # (S, V) state logits, NULL at -inf
+    cdf0: np.ndarray  # (S, V) cumulative position-0 distribution
+    greedy0: np.ndarray  # (S,) argmax position-0 token
+    token_rows: tuple  # _token_rows of the weights
+
+
+def decode_tables(params: PolicyParams) -> DecodeTables:
+    """Tabulate params for decoding.  The tables alias params.weights, so
+    they describe params only until its weights are changed in place."""
     spec = params.spec
-    base = _state_logits(params, state_index(spec.state_cards, states))
-    toks = np.zeros((len(states), spec.n), dtype=np.intp)
-    for i in range(spec.n):
-        probs, _ = _softmax_inplace(_position_logits(params, base, toks, i))
-        if u is None:
-            toks[:, i] = np.argmax(probs, axis=1)
-        else:
-            # first token whose cumulative probability exceeds the uniform
-            below = probs.cumsum(axis=1) <= u[:, i:i + 1]
-            toks[:, i] = np.minimum(below.sum(axis=1), spec.vocab_size - 1)
+    base = _state_logits(params, state_index(spec.state_cards,
+                                             state_grid(spec.state_cards)))
+    token_rows = _token_rows(params)
+    probs0, _ = _softmax_inplace(_position_logits(token_rows, base, None, 0))
+    return DecodeTables(spec=spec, base=base, cdf0=probs0.cumsum(axis=1),
+                        greedy0=np.argmax(probs0, axis=1),
+                        token_rows=token_rows)
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """First token whose cumulative probability exceeds the uniform; the
+    last token if rounding leaves the row total below u."""
+    return np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
+
+
+def _decode(policy, states, u: np.ndarray | None) -> np.ndarray:
+    """(m, n) tokens decoded left to right, by inverse CDF on u or by argmax
+    if u is None.  policy is PolicyParams or its DecodeTables."""
+    tables = (policy if isinstance(policy, DecodeTables)
+              else decode_tables(policy))
+    spec = tables.spec
+    sid = state_ids(spec.state_cards, states)
+    toks = np.empty((len(sid), spec.n), dtype=np.intp)
+    toks[:, 0] = (tables.greedy0[sid] if u is None
+                  else _inverse_cdf(tables.cdf0[sid], u[:, 0]))
+    base = tables.base[sid]
+    for i in range(1, spec.n):
+        probs, _ = _softmax_inplace(
+            _position_logits(tables.token_rows, base, toks, i))
+        toks[:, i] = (np.argmax(probs, axis=1) if u is None
+                      else _inverse_cdf(probs.cumsum(axis=1), u[:, i]))
     return toks
 
 
-def sample_utterances_batch(params: PolicyParams, states, u) -> np.ndarray:
+def sample_utterances_batch(policy, states, u) -> np.ndarray:
     """Sample one utterance per state from the (m, n) uniforms u.
 
-    Token i of row b is drawn by inverse CDF on u[b, i].  Returns the (m, n)
-    tokens; teacher_forced_batch gives their log-probs and entropies.
+    policy is PolicyParams, or decode_tables of them when one frozen policy
+    decodes many batches.  Token i of row b is drawn by inverse CDF on
+    u[b, i].  Returns the (m, n) tokens; teacher_forced_batch gives their
+    log-probs and entropies.
     """
     u = np.asarray(u, dtype=np.float64)
-    if u.shape != (len(states), params.spec.n):
+    if u.shape != (len(states), policy.spec.n):
         raise ValueError(f"uniforms of shape {u.shape}, not ({len(states)}, "
-                         f"{params.spec.n})")
-    return _decode(params, states, u)
+                         f"{policy.spec.n})")
+    return _decode(policy, states, u)
 
 
 def sample_utterance(params: PolicyParams, state: EnvState,
@@ -183,9 +256,10 @@ def sample_utterance(params: PolicyParams, state: EnvState,
     return tuple(toks[0].tolist())
 
 
-def greedy_utterance(params: PolicyParams, states) -> np.ndarray:
-    """(m, n) per-position argmax decoding (ties to lowest token id)."""
-    return _decode(params, states, None)
+def greedy_utterance(policy, states) -> np.ndarray:
+    """(m, n) per-position argmax decoding (ties to lowest token id);
+    policy is PolicyParams or its DecodeTables."""
+    return _decode(policy, states, None)
 
 
 def teacher_forced_batch(params: PolicyParams, states, utterances):
@@ -204,9 +278,10 @@ def teacher_forced_batch(params: PolicyParams, states, utterances):
     if np.any((toks < 0) | (toks >= spec.vocab_size)):
         raise ValueError("token out of vocab")
     base = _state_logits(params, state_index(spec.state_cards, states))
+    token_rows = _token_rows(params)
     z = np.empty((m, spec.n, spec.vocab_size))
     for i in range(spec.n):
-        z[:, i] = _position_logits(params, base, toks, i)
+        z[:, i] = _position_logits(token_rows, base, toks, i)
     probs, total = _softmax_inplace(z)
     logprobs = z
     logprobs -= np.log(total)

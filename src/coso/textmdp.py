@@ -110,6 +110,7 @@ class TextEnv:
     horizon: int
     r_min: float = -0.05
     r_max: float = 1.0
+    reset_reads_seed: bool = True  # False: reset returns one state always
 
     # kind-slot token id -> action kind tag
     kind_tokens: dict
@@ -356,6 +357,7 @@ class MenuNavEnv(TextEnv):
 
     env_id = "menunav"
     horizon = 10
+    reset_reads_seed = False
 
     HOME, SEARCH, RESULTS, SHARE = 0, 1, 2, 3
     KIND_NAMES = {2: "CLICK", 3: "BACK", 4: "HOME", 5: "TYPE", 6: "NOOP"}

@@ -666,3 +666,60 @@ def test_training_iterations_reuse_freed_heap_memory():
         tr.train_iteration()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 20 * 20
+
+
+def count_table_builds(monkeypatch):
+    """Wrap policy.decode_tables; returns the list of params it is given."""
+    built = []
+    original = pol.decode_tables
+
+    def counting(params):
+        built.append(params)
+        return original(params)
+    monkeypatch.setattr(pol, "decode_tables", counting)
+    return built
+
+
+@pytest.mark.parametrize("env_id", ["numberline", "menunav"])
+def test_rollout_builds_tables_once_from_the_current_policy(env_id,
+                                                            monkeypatch):
+    env = make_env(env_id)
+    tr = Trainer(env, small_hyper(policy_lr=0.15), seed=4)
+    built = count_table_builds(monkeypatch)
+    tr.train_iteration()  # rollout at the zero policy, then an update
+    assert len(built) == 1 and not built[0].weights.any()
+    updated = tr.policy
+    assert updated.weights.any()
+    feats = tr._feats.copy()
+    rng_state = tr.rng.bit_generator.state
+    batch = tr.collect_rollouts()  # 8 ticks, one build
+    assert len(built) == 2 and built[1] is updated
+    # the first tick's tokens are those of the updated weights
+    rng = np.random.default_rng()
+    rng.bit_generator.state = rng_state
+    ticks, ns = tr.hyper.rollout_steps // tr.hyper.num_envs, tr.hyper.num_envs
+    u = rng.random((ticks, updated.spec.n, ns))[0].T
+    first = batch.utterances[:ns]
+    np.testing.assert_array_equal(
+        first, pol.sample_utterances_batch(updated, feats, u))
+    old = pol.PolicyParams.zeros(updated.spec)
+    assert not np.array_equal(first,
+                              pol.sample_utterances_batch(old, feats, u))
+
+
+def test_seed_free_reset_builds_no_seed_sequence(monkeypatch):
+    env = make_env("menunav")
+    assert not env.reset_reads_seed and make_env("numberline").reset_reads_seed
+    tr = Trainer(env, small_hyper(rollout_steps=160, num_envs=8), seed=3)
+    assert tr._episode_counter == 8
+
+    def no_seed_sequence(*args, **kwargs):
+        raise AssertionError("SeedSequence built for a seed-free reset")
+    monkeypatch.setattr(np.random, "SeedSequence", no_seed_sequence)
+    batch = tr.collect_rollouts()  # 20 ticks, twice the horizon
+    assert tr._episode_counter == 8 + int(batch.dones.sum()) >= 16
+    restarted = batch.dones[-8:]
+    assert restarted.any()
+    np.testing.assert_array_equal(
+        tr._feats[restarted],
+        np.tile(env.reset(0).features, (int(restarted.sum()), 1)))

@@ -6,6 +6,7 @@ import pytest
 
 from coso import checkpoint as ckpt
 from coso import cli, harness, tabular
+from coso import policy as pol
 from coso.coso_rl import Hyperparams, Trainer
 from coso.harness import (ARMS, EVAL_SEED_BASE, RunConfig, TheoryCheckSpec,
                           ablation_matrix, cf_report, evaluate_greedy,
@@ -558,3 +559,93 @@ def test_cf_report_matches_step_by_step_reference(env_id, tmp_path):
     assert [r["step"] for r in rep["records"] if r["step"] == 0] == [0] * 12
     assert not all(r["parse_ok"] for r in rep["records"])
     assert len(set(r["step"] for r in rep["records"])) > 2
+
+
+@pytest.mark.parametrize("env_id", ["numberline", "menunav"])
+def test_evaluate_greedy_matches_per_episode_loop_on_random_policies(env_id):
+    # the greedy action table against one batch-of-one decode per step
+    env = make_env(env_id)
+    spec = FeatureSpec.for_env(env)
+    rng = np.random.default_rng(21)
+    for scale in (0.5, 2.0, 6.0):
+        for _ in range(4):
+            p = PolicyParams(spec=spec, weights=rng.normal(
+                0, scale, (spec.dim, spec.vocab_size)))
+            assert evaluate_greedy(env, p, 40) == greedy_reference(env, p, 40)
+
+
+def count_table_builds(monkeypatch):
+    built = []
+    original = pol.decode_tables
+
+    def counting(params):
+        built.append(params)
+        return original(params)
+    monkeypatch.setattr(pol, "decode_tables", counting)
+    return built
+
+
+@pytest.mark.parametrize("env_id", ["numberline", "menunav"])
+def test_decode_tables_built_once_per_call(env_id, tmp_path, monkeypatch):
+    path = trained_checkpoint(tmp_path, env_id=env_id, iters=2)
+    policy, _, _, _ = ckpt.load_bundle(path)
+    built = count_table_builds(monkeypatch)
+    evaluate_greedy(make_env(env_id), policy, 32)
+    assert len(built) == 1
+    rep = cf_report(path, env_id, num_episodes=12)
+    assert len(built) == 2 and len(rep["records"]) > 12
+    state = "trap" if env_id == "menunav" else "c=3,tau=7"
+    repeated_sampling_probe(path, state, k=50)
+    assert len(built) == 3
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"seeds": "01"}, "seeds"),
+    ({"seeds": 5}, "seeds"),
+    ({"seeds": [0, True]}, "seeds"),
+    ({"total_env_steps": 256.5}, "total_env_steps"),
+    ({"eval_episodes": 2.5}, "eval_episodes"),
+    ({"eval_every_iters": True}, "eval_every_iters"),
+    ({"out_dir": 5}, "out_dir"),
+    ({"force_uniform_weights": 1}, "force_uniform_weights"),
+    ({"hyper": {"context": 1.5}}, "context"),
+    ({"hyper": {"num_envs": True}}, "num_envs"),
+    ({"hyper": {"alpha": "x"}}, "alpha"),
+    ({"hyper": {"normalize_advantages": "yes"}}, "normalize_advantages"),
+])
+def test_config_rejects_wrong_type_at_construction(config, key):
+    with pytest.raises(ValueError, match=f"bad config value: {key}"):
+        RunConfig.from_dict(config)
+    hyper = config.get("hyper")
+    with pytest.raises(ValueError, match=f"bad config value: {key}"):
+        if hyper is None:
+            RunConfig(**config)
+        else:
+            Hyperparams(**hyper)
+
+
+def test_config_accepts_json_numbers():
+    cfg = RunConfig.from_dict({"seeds": [4, 5], "success_threshold": 1,
+                               "hyper": {"alpha": 0, "gamma": 0.9}})
+    assert cfg.seeds == (4, 5) and cfg.hyper.alpha == 0
+    assert RunConfig(seeds=[1]).seeds == (1,)
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("config, key", [
+    ({"seeds": "01"}, "seeds"),
+    ({"total_env_steps": 256.5, "eval_episodes": 2.5}, "total_env_steps"),
+    ({"hyper": {"context": 1.5}}, "context"),
+    ({"hyper": {"rollout_steps": False}}, "rollout_steps"),
+])
+def test_cli_rejects_wrong_typed_config(command, config, key, tmp_path,
+                                        monkeypatch, capsys):
+    monkeypatch.setenv("COSO_OUTPUT_DIR", str(tmp_path / "runs"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"coso {command}: bad config value: {key}")
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "runs").exists()

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from coso import policy as pol
 from coso.policy import (FeatureSpec, PolicyParams, grad_objective,
                          greedy_utterance, joint_entropy_bruteforce,
                          objective_value, sample_utterance,
                          sample_utterances_batch, teacher_forced_batch)
-from coso.textmdp import NULL, EnvState
+from coso.textmdp import NULL, EnvState, make_env
 
 
 def small_spec(vocab=5, n=3, cards=(3,), context=2):
@@ -418,3 +419,76 @@ def test_feature_arrays_and_env_states_agree():
                                          greedy_utterance(p, states))):
         np.testing.assert_array_equal(a, b)
 
+
+
+# -- decoding from per-state tables -------------------------------------------
+
+
+def dense_decode(p, feats, u):
+    """Reference decoder: each position's logits from the dense product
+    _features(...) @ W, NULL masked, then softmax and inverse CDF on u (or
+    argmax if u is None); no table and no gathered rows."""
+    spec = p.spec
+    sidx = pol.state_index(spec.state_cards, feats)
+    toks = np.zeros((len(feats), spec.n), dtype=np.intp)
+    for i in range(spec.n):
+        z = pol._features(spec, sidx, toks, i) @ p.weights
+        z[:, NULL] = -np.inf
+        probs = np.exp(z - z.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        if u is None:
+            toks[:, i] = np.argmax(probs, axis=1)
+        else:
+            below = probs.cumsum(axis=1) <= u[:, i:i + 1]
+            toks[:, i] = np.minimum(below.sum(axis=1), spec.vocab_size - 1)
+    return toks
+
+
+@pytest.mark.parametrize("env_id", ["numberline", "menunav"])
+def test_table_decoder_matches_dense_reference(env_id):
+    env = make_env(env_id)
+    spec = FeatureSpec.for_env(env)
+    grid = pol.state_grid(spec.state_cards)
+    S = len(grid)
+    assert S == int(np.prod(spec.state_cards))
+    np.testing.assert_array_equal(pol.state_ids(spec.state_cards, grid),
+                                  np.arange(S))
+    rng = np.random.default_rng(11)
+    # every state four times; rows 0-2 of each state's first block take the
+    # extreme uniforms 0, the largest double below 1, and 1 itself, where
+    # rounding can leave the cumulative total below u and the V - 1 clamp
+    # decides
+    feats = np.tile(grid, (4, 1))
+    u = rng.random((len(feats), spec.n))
+    u[:S:3] = 0.0
+    u[1:S:3] = np.nextafter(1.0, 0.0)
+    u[2:S:3] = 1.0
+    clamped = 0
+    for scale in (0.3, 2.0, 8.0):
+        p = random_params(spec, rng, scale=scale)
+        tables = pol.decode_tables(p)
+        # u = 1 rows whose position-0 total does not exceed u
+        clamped += np.count_nonzero(tables.cdf0[2:S:3, -1] <= 1.0)
+        toks = sample_utterances_batch(tables, feats, u)
+        np.testing.assert_array_equal(toks, dense_decode(p, feats, u))
+        np.testing.assert_array_equal(toks,
+                                      sample_utterances_batch(p, feats, u))
+        greedy = greedy_utterance(tables, feats)
+        np.testing.assert_array_equal(greedy, dense_decode(p, feats, None))
+        assert np.all(toks != NULL) and np.all(greedy != NULL)
+        assert np.all(toks[:S:3, 0] == 1)  # u = 0: the first non-NULL token
+    assert clamped > 0
+
+
+def test_decode_tables_rows_are_the_state_rows():
+    spec = DENSE_SPECS[2]
+    p = random_params(spec, np.random.default_rng(12), scale=2.0)
+    tables = pol.decode_tables(p)
+    grid = pol.state_grid(spec.state_cards)
+    for s, f in enumerate(grid):
+        probs, _ = dist(p, EnvState(features=tuple(f.tolist())), ())
+        np.testing.assert_array_equal(tables.cdf0[s], probs.cumsum())
+        assert tables.greedy0[s] == np.argmax(probs)
+        assert tables.base[s, NULL] == -np.inf
+    with pytest.raises(ValueError):  # a feature outside its cardinality
+        pol.state_ids(spec.state_cards, np.array([[spec.state_cards[0]]]))
