@@ -6,6 +6,12 @@ plain conditional-entropy sum.  Two optimizer instantiations are provided
 (clipped-surrogate PPO and advantage-weighted regression), both stepping on
 the gradient of policy.grad_objective, plus the online loop: rollout,
 counterfactual weighting, classifier update, policy update.
+
+Lockstep trains R compatible runs together: each phase of an iteration is
+one pass over the runs' arrays stacked run-first, while every run keeps its
+own generator, state, snapshot id and causal weights.  Each run's results
+equal its own training alone, bit for bit; a Trainer's own iteration is a
+group of one.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ from . import heap
 from . import policy as pol
 from . import scm as scm_mod
 from .policy import FeatureSpec, PolicyParams
-from .scm import AdamState, ScmParams
+from .scm import AdamState, ScmParams, adam_update_runs, stack_runs
 from .textmdp import EnvState, TextEnv, state_arrays
 
 
@@ -154,6 +160,60 @@ def augmented_reward(r, next_weighted_entropy, alpha: float, gamma: float):
 # Value baseline and advantages
 
 
+@dataclass
+class _Stack:
+    """The batches of R runs on one run axis: each array holds run r's m
+    rows at r * m, in batch order (row j of a run is tick j // num_streams
+    of stream j % num_streams)."""
+
+    runs: int
+    num_streams: int
+    states: np.ndarray
+    next_states: np.ndarray | None = None
+    utterances: np.ndarray | None = None
+    rewards: np.ndarray | None = None
+    dones: np.ndarray | None = None
+    old_logprob: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    hb: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, batches, *names: str) -> "_Stack":
+        """The states and the named fields of the batches, stacked."""
+        def cat(arrays):
+            if arrays[0] is None:
+                return None
+            return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        return cls(runs=len(batches), num_streams=batches[0].num_streams,
+                   **{name: cat([getattr(b, name) for b in batches])
+                      for name in ("states",) + names})
+
+    @property
+    def per_run(self) -> int:
+        return len(self.states) // self.runs
+
+    def rows(self, runs: np.ndarray) -> np.ndarray:
+        """Row indices of the given runs, in their order."""
+        m = self.per_run
+        return (runs[:, None] * m + np.arange(m)).ravel()
+
+    def select(self, runs: np.ndarray) -> "_Stack":
+        rows = self.rows(runs)
+        return _Stack(runs=len(runs), num_streams=self.num_streams, **{
+            f.name: None if getattr(self, f.name) is None
+            else getattr(self, f.name)[rows]
+            for f in dataclasses.fields(self)
+            if f.name not in ("runs", "num_streams")})
+
+    def by_run(self, a: np.ndarray) -> np.ndarray:
+        """(R, m) view of a per-row array."""
+        return a.reshape(self.runs, -1)
+
+    def by_tick(self, a: np.ndarray) -> np.ndarray:
+        """(R, ticks, streams) view of a per-row array."""
+        return a.reshape(self.runs, -1, self.num_streams)
+
+
 def _value_features(spec: FeatureSpec, feats: np.ndarray) -> np.ndarray:
     """State one-hots plus a bias column: (batch, sum of cards + 1)."""
     sidx = pol.state_index(spec.state_cards, feats)
@@ -162,98 +222,160 @@ def _value_features(spec: FeatureSpec, feats: np.ndarray) -> np.ndarray:
                        bias + 1)
 
 
-def _by_tick(batch: RolloutBatch, a: np.ndarray) -> np.ndarray:
-    """(ticks, streams) view of a per-row array: row j is tick
-    j // num_streams of stream j % num_streams."""
-    return a.reshape(-1, batch.num_streams)
+def _run_values(spec: FeatureSpec, st: _Stack, feats: np.ndarray,
+                beta: np.ndarray) -> np.ndarray:
+    """(R, m) linear values of each run's rows under its (R, d) beta."""
+    F = _value_features(spec, feats).reshape(st.runs, st.per_run, -1)
+    return np.matmul(F, beta[..., None])[..., 0]
 
 
-def fit_value(spec: FeatureSpec, batch: RolloutBatch, gamma: float,
-              ridge: float, prev_beta: np.ndarray | None) -> np.ndarray:
-    """Ridge fit of a linear state value on bootstrapped returns-to-go."""
-    m = batch.size
-    F = _value_features(spec, batch.states)
-    boot = np.zeros(m)
+def _runs_of(batch) -> tuple[list, bool]:
+    """(batches, solo): one RolloutBatch is a group of one run."""
+    if isinstance(batch, RolloutBatch):
+        return [batch], True
+    return list(batch), False
+
+
+def fit_value(spec: FeatureSpec, batch, gamma: float, ridge: float,
+              prev_beta: np.ndarray | None) -> np.ndarray:
+    """Ridge fit of a linear state value on bootstrapped returns-to-go.
+
+    batch may also be a list of R runs' batches, with prev_beta (R, d) or
+    None; the fits then come back as (R, d), each run's equal to its own
+    call.
+    """
+    batches, solo = _runs_of(batch)
+    if solo and prev_beta is not None:
+        prev_beta = prev_beta[None]
+    st = _Stack.of(batches, "next_states", "rewards", "dones")
+    boot = np.zeros((st.runs, st.per_run))
     if prev_beta is not None:
-        boot = _value_features(spec, batch.next_states) @ prev_beta
-    r, done, boot = (_by_tick(batch, a) for a in (batch.rewards, batch.dones,
-                                                  boot))
+        boot = _run_values(spec, st, st.next_states, prev_beta)
+    r, done, boot = (st.by_tick(a) for a in (st.rewards, st.dones, boot))
     returns = np.empty_like(r)
-    # backward over ticks, all streams at once; the last tick bootstraps
-    g = np.where(done[-1], r[-1], r[-1] + gamma * boot[-1])
-    returns[-1] = g
-    for t in range(len(r) - 2, -1, -1):
-        g = np.where(done[t], r[t], r[t] + gamma * g)
-        returns[t] = g
-    A = F.T @ F + ridge * np.eye(F.shape[1])
-    return np.linalg.solve(A, F.T @ returns.ravel())
+    # backward over ticks, all runs' streams at once; the last tick
+    # bootstraps
+    g = np.where(done[:, -1], r[:, -1], r[:, -1] + gamma * boot[:, -1])
+    returns[:, -1] = g
+    for t in range(r.shape[1] - 2, -1, -1):
+        g = np.where(done[:, t], r[:, t], r[:, t] + gamma * g)
+        returns[:, t] = g
+    F = _value_features(spec, st.states).reshape(st.runs, st.per_run, -1)
+    Ft = F.transpose(0, 2, 1)
+    A = np.matmul(Ft, F) + ridge * np.eye(F.shape[2])
+    rhs = np.matmul(Ft, returns.reshape(st.runs, -1, 1))
+    beta = np.linalg.solve(A, rhs)[..., 0]
+    return beta[0] if solo else beta
 
 
-def gae_advantages(spec: FeatureSpec, batch: RolloutBatch, gamma: float,
-                   lam: float, beta: np.ndarray) -> np.ndarray:
-    """Generalized advantage estimates per step, all streams at once."""
-    v = _by_tick(batch, _value_features(spec, batch.states) @ beta)
-    v_next = _by_tick(batch, _value_features(spec, batch.next_states) @ beta)
-    r = _by_tick(batch, batch.rewards)
-    nonterm = np.where(_by_tick(batch, batch.dones), 0.0, 1.0)
+def gae_advantages(spec: FeatureSpec, batch, gamma: float, lam: float,
+                   beta: np.ndarray) -> np.ndarray:
+    """Generalized advantage estimates per step, all streams at once.
+
+    batch may also be a list of R runs' batches, with beta (R, d); the
+    advantages then cover the runs' rows in order.
+    """
+    batches, solo = _runs_of(batch)
+    st = _Stack.of(batches, "next_states", "rewards", "dones")
+    if solo:
+        beta = beta[None]
+    v = st.by_tick(_run_values(spec, st, st.states, beta))
+    v_next = st.by_tick(_run_values(spec, st, st.next_states, beta))
+    r = st.by_tick(st.rewards)
+    nonterm = np.where(st.by_tick(st.dones), 0.0, 1.0)
     adv = np.empty_like(r)
-    acc = np.zeros(batch.num_streams)
-    for t in range(len(r) - 1, -1, -1):
-        delta = r[t] + gamma * nonterm[t] * v_next[t] - v[t]
-        acc = delta + gamma * lam * nonterm[t] * acc
-        adv[t] = acc
+    acc = np.zeros((st.runs, st.num_streams))
+    for t in range(r.shape[1] - 1, -1, -1):
+        delta = r[:, t] + gamma * nonterm[:, t] * v_next[:, t] - v[:, t]
+        acc = delta + gamma * lam * nonterm[:, t] * acc
+        adv[:, t] = acc
     return adv.ravel()
 
 
 # ---------------------------------------------------------------------------
 # Policy updates
+#
+# ppo_update and awr_update take one run, or R runs in lockstep: stacked
+# (R, dim, V) policy weights and lists of the runs' batches, Hyperparams
+# (which differ in alpha alone), Adam states and generators.
 
 
-def _descend(params: PolicyParams, batch: RolloutBatch, coef: np.ndarray,
-             hyper: Hyperparams, opt: AdamState, rng: np.random.Generator,
-             forced: tuple) -> tuple[PolicyParams, float]:
-    """Adam steps over shuffled minibatches on
+# the batch fields the policy updates read
+_UPDATE_FIELDS = ("utterances", "old_logprob", "weights", "hb")
+
+
+def _entropy_runs(hyper: Hyperparams, alphas) -> list:
+    """Per run: whether the loss carries the weighted-entropy bonus."""
+    return [a > 0.0 and hyper.entropy_placement == "loss_bonus"
+            for a in alphas]
+
+
+def _descend(params: PolicyParams, st: _Stack, coef: np.ndarray,
+             hyper: Hyperparams, alphas, opts, rngs,
+             forced: tuple | None) -> tuple[np.ndarray, list]:
+    """Adam steps over shuffled minibatches on each run's
     loss = -(1/m) sum coef * logp(y) - alpha * mean(H^B).
 
     coef is treated as constant (ratio/advantage weighting evaluated by the
-    caller).  forced is teacher_forced_batch of the whole batch at params,
+    caller).  forced is teacher_forced_batch of the whole stack at params,
     which the caller has already used for its loss and coefficients: the
     first minibatch takes its rows, later ones teacher-force again because
-    the params have moved.  Returns the params and the last step's gradient
-    norm.
+    the params have moved.  A run without the entropy bonus leaves its
+    token term out.  Returns the new stacked weights and each run's last
+    gradient norm.
     """
-    use_entropy = (hyper.alpha > 0.0
-                   and hyper.entropy_placement == "loss_bonus")
-    order = rng.permutation(batch.size)
-    gnorm = 0.0
-    for lo in range(0, batch.size, hyper.minibatch_size):
-        idx = order[lo:lo + hyper.minibatch_size]
+    use_entropy = _entropy_runs(hyper, alphas)
+    m = st.per_run
+    # run r's permutation of its own rows, as row indices of the stack
+    order = (stack_runs([g.permutation(m) for g in rngs])
+             + (np.arange(st.runs) * m)[:, None])
+    weights = params.weights
+    gnorms = [0.0] * st.runs
+    for lo in range(0, m, hyper.minibatch_size):
+        idx = order[:, lo:lo + hyper.minibatch_size]
+        size = idx.shape[1]
+        idx = idx.ravel()
+        token = None
+        if any(use_entropy):
+            token = (np.repeat(np.asarray(alphas, dtype=np.float64),
+                               size)[:, None] * st.weights[idx])
         grad = pol.grad_objective(
-            params, batch.states[idx], batch.utterances[idx],
-            sample_weights=coef[idx],
-            token_weights=(hyper.alpha * batch.weights[idx] if use_entropy
-                           else None),
-            forced=None if forced is None else tuple(a[idx] for a in forced))
+            PolicyParams(spec=params.spec, weights=weights), st.states[idx],
+            st.utterances[idx], sample_weights=coef[idx],
+            token_weights=token, token_runs=use_entropy, forced=forced,
+            forced_rows=idx)
         forced = None
-        grad = -grad / len(idx)  # gradient of the loss (objective negated)
-        params = PolicyParams(spec=params.spec, weights=opt.update(
-            params.weights, grad, hyper.policy_lr))
-        gnorm = float(np.sqrt(np.sum(grad * grad)))
-    return params, gnorm
+        grad = -grad / size  # gradient of the loss (objective negated)
+        weights = adam_update_runs(opts, weights, grad, hyper.policy_lr)
+        sq = grad * grad
+        gnorms = [float(np.sqrt(np.sum(sq[r]))) for r in range(st.runs)]
+    return weights, gnorms
 
 
-def _loss_value(coef_term: np.ndarray, hyper: Hyperparams,
-                batch: RolloutBatch) -> float:
-    loss = -float(np.mean(coef_term))
-    if hyper.alpha > 0.0 and hyper.entropy_placement == "loss_bonus":
-        loss -= hyper.alpha * float(np.mean(batch.hb))
-    return loss
+def _loss_values(coef_term: np.ndarray, hyper: Hyperparams, alphas,
+                 st: _Stack) -> list:
+    """Each run's loss: minus its mean coef_term, minus alpha times its
+    mean weighted entropy where the loss carries that bonus."""
+    means = np.mean(st.by_run(coef_term), axis=1)
+    use_entropy = _entropy_runs(hyper, alphas)
+    hb = np.mean(st.by_run(st.hb), axis=1) if any(use_entropy) else None
+    losses = []
+    for r, alpha in enumerate(alphas):
+        loss = -float(means[r])
+        if use_entropy[r]:
+            loss -= alpha * float(hb[r])
+        losses.append(loss)
+    return losses
 
 
-def ppo_update(params: PolicyParams, batch: RolloutBatch, hyper: Hyperparams,
-               advantages: np.ndarray, opt: AdamState,
-               rng: np.random.Generator, snapshot_id: int,
-               forced=None) -> tuple[PolicyParams, float, float, float]:
+def _one_run(params: PolicyParams, *args) -> tuple:
+    """params as a stack of one run, and each of args as a list of one."""
+    return (PolicyParams(spec=params.spec, weights=params.weights[None]),
+            *([a] for a in args))
+
+
+def ppo_update(params: PolicyParams, batch, hyper, advantages: np.ndarray,
+               opt, rng, snapshot_id, forced=None) -> tuple:
     """One epoch of clipped-surrogate updates over shuffled minibatches.
 
     forced is teacher_forced_batch(params, batch.states, batch.utterances)
@@ -262,31 +384,42 @@ def ppo_update(params: PolicyParams, batch: RolloutBatch, hyper: Hyperparams,
     the ratio, the loss and the first minibatch's gradient.
 
     Returns (params, loss at call start, mean ratio, grad norm).  Raises if
-    the rollout snapshot does not match the current parameters.
+    the rollout snapshot does not match the current parameters.  For R runs
+    in lockstep, batch, hyper, opt, rng and snapshot_id are lists of R,
+    advantages and forced cover the runs' rows in order, and the loss,
+    ratio and grad norm come back as per-run lists.
     """
-    if batch.snapshot_id != snapshot_id:
+    batches, solo = _runs_of(batch)
+    if solo:
+        params, hyper, opt, rng, snapshot_id = _one_run(
+            params, hyper, opt, rng, snapshot_id)
+    if any(b.snapshot_id != s for b, s in zip(batches, snapshot_id)):
         raise ValueError("stale trajectories: snapshot id mismatch")
+    st = _Stack.of(batches, *_UPDATE_FIELDS)
+    alphas, h = [x.alpha for x in hyper], hyper[0]
     if forced is None:
-        forced = pol.teacher_forced_batch(params, batch.states,
-                                          batch.utterances)
+        forced = pol.teacher_forced_batch(params, st.states, st.utterances)
     tok_lp = forced[2]
-    old = np.sum(batch.old_logprob, axis=1)
+    old = np.sum(st.old_logprob, axis=1)
     ratio = np.exp(np.sum(tok_lp, axis=1) - old)
-    clipped = np.clip(ratio, 1.0 - hyper.clip_eps, 1.0 + hyper.clip_eps)
+    clipped = np.clip(ratio, 1.0 - h.clip_eps, 1.0 + h.clip_eps)
     surr = np.minimum(ratio * advantages, clipped * advantages)
-    loss = _loss_value(surr, hyper, batch)
+    losses = _loss_values(surr, h, alphas, st)
     # gradient coefficient of d(sum logp): A * ratio where the unclipped
     # branch is active, zero where the clip binds
     active = ratio * advantages <= clipped * advantages
     coef = np.where(active, advantages * ratio, 0.0)
-    params, gnorm = _descend(params, batch, coef, hyper, opt, rng, forced)
-    return params, loss, float(np.mean(ratio)), gnorm
+    weights, gnorms = _descend(params, st, coef, h, alphas, opt, rng, forced)
+    ratios = [float(x) for x in np.mean(st.by_run(ratio), axis=1)]
+    if solo:
+        return (PolicyParams(spec=params.spec, weights=weights[0]),
+                losses[0], ratios[0], gnorms[0])
+    return (PolicyParams(spec=params.spec, weights=weights), losses, ratios,
+            gnorms)
 
 
-def awr_update(params: PolicyParams, batch: RolloutBatch, hyper: Hyperparams,
-               advantages: np.ndarray, opt: AdamState,
-               rng: np.random.Generator,
-               forced=None) -> tuple[PolicyParams, float, float, bool]:
+def awr_update(params: PolicyParams, batch, hyper, advantages: np.ndarray,
+               opt, rng, forced=None) -> tuple:
     """Advantage-weighted regression step (off-policy tolerated).
 
     forced is teacher_forced_batch(params, batch.states, batch.utterances)
@@ -294,25 +427,57 @@ def awr_update(params: PolicyParams, batch: RolloutBatch, hyper: Hyperparams,
     batch once, for the loss and the first minibatch's gradient.
 
     Returns (params, loss, grad norm, skipped).  With the hard filter and no
-    positive advantages the step is skipped and reported.
+    positive advantages the step is skipped and reported.  For R runs in
+    lockstep the arguments are as for ppo_update, and the loss, grad norm
+    and skipped flag come back as per-run lists.  A run that skips draws
+    nothing and keeps its weights and Adam state, and reports a loss and
+    grad norm of 0.
     """
-    if hyper.awr_mode == "filter":
-        w = (advantages > hyper.adv_filter_threshold).astype(np.float64)
+    batches, solo = _runs_of(batch)
+    given = params
+    if solo:
+        params, hyper, opt, rng = _one_run(params, hyper, opt, rng)
+    st = _Stack.of(batches, *_UPDATE_FIELDS)
+    alphas, h = [x.alpha for x in hyper], hyper[0]
+    if h.awr_mode == "filter":
+        w = (advantages > h.adv_filter_threshold).astype(np.float64)
     else:
-        w = np.clip(np.exp(advantages / hyper.awr_beta), 0.0,
-                    hyper.awr_weight_clamp)
-    if not np.any(w > 0.0):
-        return params, 0.0, 0.0, True
-    if forced is None:
-        forced = pol.teacher_forced_batch(params, batch.states,
-                                          batch.utterances)
-    loss = _loss_value(w * np.sum(forced[2], axis=1), hyper, batch)
-    params, gnorm = _descend(params, batch, w, hyper, opt, rng, forced)
-    return params, loss, gnorm, False
-
-
-# ---------------------------------------------------------------------------
-# The online training loop
+        w = np.clip(np.exp(advantages / h.awr_beta), 0.0, h.awr_weight_clamp)
+    steps = np.any(st.by_run(w > 0.0), axis=1)
+    losses, gnorms = [0.0] * st.runs, [0.0] * st.runs
+    weights = params.weights
+    if steps.any():
+        keep = np.flatnonzero(steps)
+        sub, sub_st = params, st
+        if not steps.all():  # the stepping runs alone
+            rows = st.rows(keep)
+            sub = PolicyParams(spec=params.spec, weights=params.weights[keep])
+            sub_st, w = st.select(keep), w[rows]
+            alphas, opt, rng = ([x[r] for r in keep]
+                                for x in (alphas, opt, rng))
+            if forced is not None:
+                forced = tuple(a[rows] for a in forced)
+        if forced is None:
+            forced = pol.teacher_forced_batch(sub, sub_st.states,
+                                              sub_st.utterances)
+        stepped = _loss_values(w * np.sum(forced[2], axis=1), h, alphas,
+                               sub_st)
+        new, norms = _descend(sub, sub_st, w, h, alphas, opt, rng, forced)
+        if steps.all():
+            weights = new
+        else:
+            weights = weights.copy()
+            weights[keep] = new
+        for r, loss, gnorm in zip(keep, stepped, norms):
+            losses[r], gnorms[r] = loss, gnorm
+    skipped = [not s for s in steps]
+    if solo:
+        if skipped[0]:
+            return given, 0.0, 0.0, True
+        return (PolicyParams(spec=params.spec, weights=weights[0]),
+                losses[0], gnorms[0], False)
+    return (PolicyParams(spec=params.spec, weights=weights), losses, gnorms,
+            skipped)
 
 
 class Trainer:
@@ -320,7 +485,8 @@ class Trainer:
 
     arm: 'rl' (alpha forced to 0), 'rl_h' (uniform weights), or 'coso'
     (classifier-derived weights).  All arms consume identical randomness; the
-    only difference is the weight vector fed to the entropy term.
+    only difference is the weight vector fed to the entropy term.  The
+    phases run as a Lockstep group of this one run.
     """
 
     def __init__(self, env: TextEnv, hyper: Hyperparams, seed: int,
@@ -345,8 +511,9 @@ class Trainer:
         self.policy_opt = AdamState()
         self.value_beta: np.ndarray | None = None
         self.snapshot_id = 0
-        # (batch, policy weights, snapshot id, teacher_forced_batch output)
-        # of the last rollout, until the next update_policy takes it
+        # (batch, policy weights, snapshot id, the group's stacked
+        # teacher_forced_batch output, this run's place in the group) of the
+        # last rollout, until the next update_policy takes it
         self._rollout_forcing = None
         self.total_env_steps = 0
         self._episode_counter = 0
@@ -363,47 +530,77 @@ class Trainer:
         return self.env.reset(int(s.generate_state(1)[0]))
 
     # -- phases ------------------------------------------------------------
+    #
+    # collect_rollouts and train_iteration take the other runs of a
+    # Lockstep group, this run leading; they then return per-run lists.
 
-    def collect_rollouts(self) -> RolloutBatch:
-        env, hyper = self.env, self.hyper
-        ns, n = hyper.num_envs, self.policy.spec.n
+    def collect_rollouts(self, *others: "Trainer"):
+        """This run's rollout batch.  With others, this run and the others
+        step in lockstep and the result is their batches, in order; each
+        run's batch and streams get arrays of their own."""
+        trs = Lockstep([self, *others]).trainers
+        env, hyper, spec = self.env, self.hyper, self.policy.spec
+        runs, ns, n = len(trs), hyper.num_envs, spec.n
         ticks = hyper.rollout_steps // ns
-        states = np.empty((ticks,) + self._feats.shape, dtype=np.intp)
-        next_states = np.empty_like(states)
-        utts = np.empty((ticks, ns, n), dtype=np.intp)
-        acts = np.empty((ticks, ns), dtype=np.intp)
-        rewards = np.empty((ticks, ns))
-        dones = np.empty((ticks, ns), dtype=bool)
-        oks = np.empty((ticks, ns), dtype=bool)
-        # one row of ns uniforms per (tick, token position): the stream of
-        # ticks * n successive draws of ns
-        uniforms = self.rng.random((ticks, n, ns))
-        tables = pol.decode_tables(self.policy)  # the policy is frozen here
-        for t in range(ticks):
-            utts[t] = pol.sample_utterances_batch(tables, self._feats,
-                                                  uniforms[t].T)
-            acts[t], oks[t] = env.parse_batch(utts[t])
-            states[t] = self._feats
-            (next_states[t], self._steps, rewards[t],
-             dones[t]) = env.step_batch(self._feats, self._steps, acts[t])
-            self._feats = next_states[t].copy()
-            for s_i in np.flatnonzero(dones[t]):
-                fresh = self._fresh_state()
-                self._feats[s_i], self._steps[s_i] = (fresh.features,
-                                                      fresh.step_count)
-            self.total_env_steps += ns
         m = ticks * ns
-        states, utts = states.reshape(m, -1), utts.reshape(m, n)
-        forced = pol.teacher_forced_batch(self.policy, states, utts)
-        batch = RolloutBatch(
-            states=states, next_states=next_states.reshape(m, -1),
-            utterances=utts, action_idx=acts.reshape(m),
-            rewards=rewards.reshape(m), dones=dones.reshape(m),
-            parse_ok=oks.reshape(m), old_logprob=forced[2],
-            entropy=forced[3], num_streams=ns, snapshot_id=self.snapshot_id)
-        self._rollout_forcing = (batch, self.policy.weights,
-                                 self.snapshot_id, forced)
-        return batch
+        # stream s of run r is row r * ns + s
+        feats = np.concatenate([tr._feats for tr in trs])
+        steps = np.concatenate([tr._steps for tr in trs])
+        k = feats.shape[1]
+        states = np.empty((runs, ticks, ns, k), dtype=np.intp)
+        next_states = np.empty_like(states)
+        utts = np.empty((runs, ticks, ns, n), dtype=np.intp)
+        acts = np.empty((runs, ticks, ns), dtype=np.intp)
+        rewards = np.empty((runs, ticks, ns))
+        dones = np.empty((runs, ticks, ns), dtype=bool)
+        oks = np.empty((runs, ticks, ns), dtype=bool)
+        # per run, one row of ns uniforms per (tick, token position): the
+        # stream of ticks * n successive draws of ns
+        uniforms = stack_runs([tr.rng.random((ticks, n, ns)) for tr in trs])
+        # the policies are frozen here
+        policy = PolicyParams(spec=spec, weights=stack_runs(
+            [tr.policy.weights for tr in trs]))
+        tables = pol.decode_tables(policy)
+        for t in range(ticks):
+            toks = pol.sample_utterances_batch(
+                tables, feats,
+                uniforms[:, t].transpose(0, 2, 1).reshape(runs * ns, n))
+            act, ok = env.parse_batch(toks)
+            states[:, t] = feats.reshape(runs, ns, k)
+            utts[:, t] = toks.reshape(runs, ns, n)
+            acts[:, t], oks[:, t] = act.reshape(runs, ns), ok.reshape(runs, ns)
+            nxt, steps, rew, done = env.step_batch(feats, steps, act)
+            next_states[:, t] = nxt.reshape(runs, ns, k)
+            rewards[:, t], dones[:, t] = (rew.reshape(runs, ns),
+                                          done.reshape(runs, ns))
+            feats = nxt.copy()
+            for j in np.flatnonzero(done):
+                fresh = trs[j // ns]._fresh_state()
+                feats[j], steps[j] = fresh.features, fresh.step_count
+        del tables, uniforms  # before the batch's largest arrays
+        forced = pol.teacher_forced_batch(policy, states.reshape(-1, k),
+                                          utts.reshape(-1, n))
+        batches = []
+        for r, tr in enumerate(trs):
+            tr._feats = feats[r * ns:(r + 1) * ns].copy()
+            tr._steps = steps[r * ns:(r + 1) * ns].copy()
+            tr.total_env_steps += m
+            rows = slice(r * m, (r + 1) * m)
+            batch = RolloutBatch(
+                states=states[r].reshape(m, k).copy(),
+                next_states=next_states[r].reshape(m, k).copy(),
+                utterances=utts[r].reshape(m, n).copy(),
+                action_idx=acts[r].reshape(m).copy(),
+                rewards=rewards[r].reshape(m).copy(),
+                dones=dones[r].reshape(m).copy(),
+                parse_ok=oks[r].reshape(m).copy(),
+                old_logprob=forced[2][rows].copy(),
+                entropy=forced[3][rows].copy(), num_streams=ns,
+                snapshot_id=tr.snapshot_id)
+            tr._rollout_forcing = (batch, tr.policy.weights, tr.snapshot_id,
+                                   forced, r)
+            batches.append(batch)
+        return batches if others else batches[0]
 
     def compute_weights(self, batch: RolloutBatch) -> None:
         """Fill batch.weights/hb according to the arm (B for every (y, a))."""
@@ -418,60 +615,10 @@ class Trainer:
         batch.hb = np.sum(used * batch.entropy, axis=1)
 
     def update_scm(self, batch: RolloutBatch) -> float:
-        self.scm, loss = scm_mod.train_scm(
-            self.scm, batch.utterances, batch.action_idx,
-            lr=self.hyper.scm_lr, steps=self.hyper.scm_steps,
-            batch_size=self.hyper.scm_batch_size, rng=self.rng)
-        return loss
-
-    def _take_rollout_forcing(self, batch: RolloutBatch):
-        """Empty the rollout slot.  Returns its teacher forcing if batch is
-        that rollout's batch and neither the policy weights nor the snapshot
-        id have changed since, else None."""
-        slot, self._rollout_forcing = self._rollout_forcing, None
-        if slot is None:
-            return None
-        rolled, weights, snapshot_id, forced = slot
-        if (rolled is batch and weights is self.policy.weights
-                and snapshot_id == self.snapshot_id):
-            return forced
-        return None
+        return Lockstep([self]).update_scm([batch])[0]
 
     def update_policy(self, batch: RolloutBatch) -> tuple[float, float, bool]:
-        """Value fit, advantages, then the PPO epochs or the AWR step.
-
-        The first PPO epoch or the AWR step reuses the rollout's teacher
-        forcing when it was taken on this batch at the current params.
-        """
-        hyper = self.hyper
-        spec = self.policy.spec
-        forced = self._take_rollout_forcing(batch)
-        rewards = batch.rewards
-        if hyper.alpha > 0.0 and hyper.entropy_placement == "reward_bonus":
-            rewards = self._augment_rewards(batch)
-            batch = replace(batch, rewards=rewards)
-        self.value_beta = fit_value(spec, batch, hyper.gamma,
-                                    hyper.value_ridge, self.value_beta)
-        adv = gae_advantages(spec, batch, hyper.gamma, hyper.gae_lambda,
-                             self.value_beta)
-        if hyper.normalize_advantages:
-            adv = (adv - np.mean(adv)) / (np.std(adv) + 1e-8)
-        skipped = False
-        if self.optimizer == "ppo":
-            loss = 0.0
-            gnorm = 0.0
-            for _ in range(hyper.ppo_epochs):
-                self.policy, loss, _, gnorm = ppo_update(
-                    self.policy, batch, hyper, adv, self.policy_opt,
-                    self.rng, self.snapshot_id, forced=forced)
-                forced = None  # later epochs start from moved params
-        else:
-            self.policy, loss, gnorm, skipped = awr_update(
-                self.policy, batch, hyper, adv, self.policy_opt, self.rng,
-                forced=forced)
-        if not skipped:
-            self.snapshot_id += 1
-        return loss, gnorm, skipped
+        return Lockstep([self]).update_policy([batch])[0]
 
     def _augment_rewards(self, batch: RolloutBatch) -> np.ndarray:
         """Fold the successor weighted-entropy bonus into rewards."""
@@ -484,20 +631,152 @@ class Trainer:
             r, batch.hb[ns:], hyper.alpha, hyper.gamma))
         return out
 
-    def train_iteration(self) -> UpdateReport:
-        """One pass: rollout, counterfactual weights, SCM then policy update."""
-        batch = self.collect_rollouts()
-        self.compute_weights(batch)
-        scm_loss = self.update_scm(batch)
-        if not np.isfinite(scm_loss):
+    def train_iteration(self, *others: "Trainer"):
+        """One pass: rollout, counterfactual weights, SCM then policy update.
+        With others, one pass of this run and the others in lockstep, which
+        returns their UpdateReports in order."""
+        group = Lockstep([self, *others])
+        batches = self.collect_rollouts(*others)
+        if not others:
+            batches = [batches]
+        for tr, batch in zip(group.trainers, batches):
+            tr.compute_weights(batch)
+        scm_losses = group.update_scm(batches)
+        if not np.all(np.isfinite(scm_losses)):
             raise RuntimeError("SCM update diverged; policy update aborted")
-        policy_loss, gnorm, skipped = self.update_policy(batch)
-        return UpdateReport(
+        reports = [UpdateReport(
             mean_return=float(np.mean(batch.rewards)),
-            mean_weighted_entropy=(None if self.arm == "rl"
+            mean_weighted_entropy=(None if tr.arm == "rl"
                                    else float(np.mean(batch.hb))),
             mean_entropy=float(np.mean(np.sum(batch.entropy, axis=1))),
             policy_loss=policy_loss, scm_loss=scm_loss,
             invalid_rate=float(np.mean(~batch.parse_ok)),
             grad_norm=gnorm, buffer_size=batch.size,
-            env_steps=self.total_env_steps, skipped=skipped)
+            env_steps=tr.total_env_steps, skipped=skipped)
+            for tr, batch, scm_loss, (policy_loss, gnorm, skipped)
+            in zip(group.trainers, batches, scm_losses,
+                   group.update_policy(batches))]
+        return reports if others else reports[0]
+
+
+def _lockstep_key(tr: Trainer) -> tuple:
+    return (tr.env.env_id, tr.optimizer, tr.policy.spec, tr.total_env_steps,
+            *(getattr(tr.hyper, f.name) for f in dataclasses.fields(tr.hyper)
+              if f.name != "alpha"))
+
+
+class Lockstep:
+    """R runs trained in lockstep, each phase one pass over stacked arrays.
+
+    The runs must share the env, the optimizer, every Hyperparams field but
+    alpha, and their step count; they may differ in arm, seed, alpha and
+    force_uniform_weights.  Each run keeps its own generator, episode
+    seeds, snapshot id and causal weights (Trainer.compute_weights, called
+    once per run and iteration on that run's own batch), and ends every
+    phase with its own arrays, equal bit for bit to its training alone.
+    """
+
+    def __init__(self, trainers):
+        self.trainers = list(trainers)
+        if not self.trainers:
+            raise ValueError("a lockstep group needs at least one run")
+        if len({id(tr) for tr in self.trainers}) != len(self.trainers):
+            raise ValueError("a run appears twice in a lockstep group")
+        key = _lockstep_key(self.trainers[0])
+        for tr in self.trainers[1:]:
+            if _lockstep_key(tr) != key:
+                raise ValueError(
+                    f"run seed={tr.seed} arm={tr.arm} differs from the "
+                    f"group's first run in more than arm, seed and alpha")
+
+    def train_iteration(self) -> list:
+        """One pass of every run; their UpdateReports, in order."""
+        lead, *others = self.trainers
+        reports = lead.train_iteration(*others)
+        return reports if others else [reports]
+
+    def update_scm(self, batches) -> list:
+        """Each run's classifier trained on its own batch; their losses."""
+        trs, hyper = self.trainers, self.trainers[0].hyper
+        phis, losses = scm_mod.train_scm(
+            [tr.scm for tr in trs],
+            np.concatenate([b.utterances for b in batches]),
+            np.concatenate([b.action_idx for b in batches]),
+            lr=hyper.scm_lr, steps=hyper.scm_steps,
+            batch_size=hyper.scm_batch_size, rng=[tr.rng for tr in trs])
+        for tr, phi in zip(trs, phis):
+            tr.scm = phi
+        return losses
+
+    def _take_rollout_forcing(self, batches):
+        """Empty every run's rollout slot.  Returns the stacked teacher
+        forcing of the last rollout if it was this group's, in this order,
+        taken on these batches at the runs' current policy weights and
+        snapshot ids; else None."""
+        slots = [tr._rollout_forcing for tr in self.trainers]
+        for tr in self.trainers:
+            tr._rollout_forcing = None
+        if any(slot is None for slot in slots):
+            return None
+        forced = slots[0][3]
+        for r, (tr, batch, slot) in enumerate(zip(self.trainers, batches,
+                                                  slots)):
+            rolled, weights, snapshot_id, stacked, place = slot
+            if not (rolled is batch and weights is tr.policy.weights
+                    and snapshot_id == tr.snapshot_id and stacked is forced
+                    and place == r):
+                return None
+        if len(forced[2]) != sum(b.size for b in batches):
+            return None
+        return forced
+
+    def update_policy(self, batches) -> list:
+        """Value fit, advantages, then the PPO epochs or the AWR step; per
+        run (loss, grad norm, skipped).
+
+        The first PPO epoch or the AWR step reuses the rollout's teacher
+        forcing when it was taken on these batches at the current params.
+        """
+        trs = self.trainers
+        hyper, spec = trs[0].hyper, trs[0].policy.spec
+        forced = self._take_rollout_forcing(batches)
+        batches = [
+            replace(b, rewards=tr._augment_rewards(b))
+            if tr.hyper.alpha > 0.0
+            and hyper.entropy_placement == "reward_bonus" else b
+            for tr, b in zip(trs, batches)]
+        prev = None
+        if any(tr.value_beta is not None for tr in trs):
+            d = sum(spec.state_cards) + 1
+            # a run without a fit bootstraps from zero, as alone
+            prev = stack_runs([np.zeros(d) if tr.value_beta is None
+                               else tr.value_beta for tr in trs])
+        betas = fit_value(spec, batches, hyper.gamma, hyper.value_ridge, prev)
+        for r, tr in enumerate(trs):
+            tr.value_beta = betas[r]
+        adv = gae_advantages(spec, batches, hyper.gamma, hyper.gae_lambda,
+                             betas)
+        if hyper.normalize_advantages:
+            a = adv.reshape(len(trs), -1)
+            adv = ((a - np.mean(a, axis=1, keepdims=True))
+                   / (np.std(a, axis=1, keepdims=True) + 1e-8)).ravel()
+        params = PolicyParams(spec=spec, weights=stack_runs(
+            [tr.policy.weights for tr in trs]))
+        hypers = [tr.hyper for tr in trs]
+        opts = [tr.policy_opt for tr in trs]
+        rngs = [tr.rng for tr in trs]
+        if trs[0].optimizer == "ppo":
+            for _ in range(hyper.ppo_epochs):
+                params, losses, _, gnorms = ppo_update(
+                    params, batches, hypers, adv, opts, rngs,
+                    [tr.snapshot_id for tr in trs], forced=forced)
+                forced = None  # later epochs start from moved params
+            skipped = [False] * len(trs)
+        else:
+            params, losses, gnorms, skipped = awr_update(
+                params, batches, hypers, adv, opts, rngs, forced=forced)
+        for r, tr in enumerate(trs):
+            if not skipped[r]:
+                tr.policy = PolicyParams(spec=spec, weights=params.weights[r])
+                tr.snapshot_id += 1
+        return list(zip(losses, gnorms, skipped))

@@ -23,7 +23,7 @@ from . import checkpoint as ckpt_mod
 from . import counterfactual as cf
 from . import policy as pol
 from . import tabular
-from .coso_rl import Hyperparams, Trainer, check_field_types
+from .coso_rl import Hyperparams, Lockstep, Trainer, check_field_types
 from .textmdp import TextEnv, env_ids, make_env, state_arrays
 
 EVAL_SEED_BASE = 990_000  # fixed eval episode seeds, shared by every run
@@ -174,28 +174,59 @@ def evaluate_greedy(env: TextEnv, policy_params, episodes: int) -> float:
     return wins / episodes
 
 
-def run_single_seed(config: RunConfig, seed: int,
-                    write_artifacts: bool = True) -> SeedResult:
-    env = make_env(config.env_id)
-    trainer = Trainer(env, config.hyper, seed, arm=config.arm,
-                      optimizer=config.optimizer,
-                      force_uniform_weights=config.force_uniform_weights)
-    rows = []
-    env_steps, success = [], []
+def lockstep_key(config: RunConfig) -> tuple:
+    """Runs whose configs share this key train as one lockstep group: the
+    env, the optimizer, every Hyperparams field but alpha, the step budget
+    and the eval cadence."""
+    return (config.env_id, config.optimizer,
+            dataclasses.astuple(dataclasses.replace(config.hyper, alpha=0.0)),
+            config.total_env_steps, config.eval_every_iters)
+
+
+def train_runs(jobs, write_artifacts: bool = True) -> list:
+    """Train the (config, seed) jobs; returns their SeedResults in order.
+
+    Jobs with one lockstep_key train together as one Lockstep group, the
+    others alone.  Every artifact of a run is byte-identical to its
+    run_single_seed.
+    """
+    groups: dict = {}
+    for i, (config, _) in enumerate(jobs):
+        groups.setdefault(lockstep_key(config), []).append(i)
+    results = [None] * len(jobs)
+    for members in groups.values():
+        done = _train_group([jobs[i] for i in members], write_artifacts)
+        for i, result in zip(members, done):
+            results[i] = result
+    return results
+
+
+def _train_group(jobs, write_artifacts: bool) -> list:
+    """Train runs of one lockstep_key in lockstep, evaluate each at the
+    shared cadence and write each run's artifacts."""
+    first = jobs[0][0]
+    env = make_env(first.env_id)
+    trainers = [Trainer(env, config.hyper, seed, arm=config.arm,
+                        optimizer=config.optimizer,
+                        force_uniform_weights=config.force_uniform_weights)
+                for config, seed in jobs]
+    group = Lockstep(trainers)
+    rows = [[] for _ in jobs]
     it = 0
-    while trainer.total_env_steps < config.total_env_steps:
-        report = trainer.train_iteration()
+    while trainers[0].total_env_steps < first.total_env_steps:
+        reports = group.train_iteration()
         it += 1
-        if it % config.eval_every_iters == 0 or \
-                trainer.total_env_steps >= config.total_env_steps:
-            sr = evaluate_greedy(env, trainer.policy, config.eval_episodes)
-            env_steps.append(report.env_steps)
-            success.append(sr)
-            rows.append({
+        if it % first.eval_every_iters and \
+                trainers[0].total_env_steps < first.total_env_steps:
+            continue
+        for (config, _), tr, report, run_rows in zip(jobs, trainers, reports,
+                                                     rows):
+            run_rows.append({
                 "schema_version": 1,
                 "iteration": it,
                 "env_steps": report.env_steps,
-                "eval_success": sr,
+                "eval_success": evaluate_greedy(env, tr.policy,
+                                                config.eval_episodes),
                 "mean_return": report.mean_return,
                 "invalid_rate": report.invalid_rate,
                 "mean_entropy": report.mean_entropy,
@@ -204,6 +235,14 @@ def run_single_seed(config: RunConfig, seed: int,
                 "scm_loss": report.scm_loss,
                 "grad_norm": report.grad_norm,
             })
+    return [_finish_run(config, seed, tr, run_rows, write_artifacts)
+            for (config, seed), tr, run_rows in zip(jobs, trainers, rows)]
+
+
+def _finish_run(config: RunConfig, seed: int, trainer: Trainer, rows: list,
+                write_artifacts: bool) -> SeedResult:
+    env_steps = [r["env_steps"] for r in rows]
+    success = [r["eval_success"] for r in rows]
     reached = [s for s, ok in zip(env_steps, np.array(success) >=
                                   config.success_threshold) if ok]
     stt = float(reached[0]) if reached else float("inf")
@@ -227,17 +266,28 @@ def run_single_seed(config: RunConfig, seed: int,
                       run_dir=run_dir)
 
 
-def run_experiment(config: RunConfig,
-                   write_artifacts: bool = True) -> RunSummary:
-    """Train every seed of one config; emit per-run artifacts + summary CSV."""
-    summary = RunSummary(config=config, per_seed=[
-        run_single_seed(config, s, write_artifacts) for s in config.seeds])
+def run_single_seed(config: RunConfig, seed: int,
+                    write_artifacts: bool = True) -> SeedResult:
+    return train_runs([(config, seed)], write_artifacts)[0]
+
+
+def _summarize(config: RunConfig, per_seed: list,
+               write_artifacts: bool) -> RunSummary:
+    summary = RunSummary(config=config, per_seed=per_seed)
     if write_artifacts:
         out = resolve_out_dir(config)
         out.mkdir(parents=True, exist_ok=True)
         name = f"{config.env_id}_{config.arm}_{config.optimizer}_summary.csv"
         _atomic_write(out / name, summary_csv(summary))
     return summary
+
+
+def run_experiment(config: RunConfig,
+                   write_artifacts: bool = True) -> RunSummary:
+    """Train every seed of one config, in lockstep; emit per-run artifacts
+    + summary CSV."""
+    return _summarize(config, train_runs([(config, s) for s in config.seeds],
+                                         write_artifacts), write_artifacts)
 
 
 def summary_csv(summary: RunSummary) -> str:
@@ -263,13 +313,17 @@ class AblationResult:
 
 def ablation_matrix(configs: list,
                     write_artifacts: bool = True) -> AblationResult:
-    """Run >= 2 arms and tabulate medians with seed spread."""
+    """Run >= 2 arms and tabulate medians with seed spread.  The runs of
+    all arms train in lockstep groups (see train_runs)."""
     if len(configs) < 2:
         raise ValueError("ablation needs at least two arms")
     for c in configs:
         if len(c.seeds) < 3:
             raise ValueError("ablation needs >= 3 seeds per arm")
-    summaries = [run_experiment(c, write_artifacts) for c in configs]
+    results = iter(train_runs([(c, s) for c in configs for s in c.seeds],
+                              write_artifacts))
+    summaries = [_summarize(c, [next(results) for _ in c.seeds],
+                            write_artifacts) for c in configs]
     rows = []
     for s in summaries:
         stt = [r.steps_to_threshold for r in s.per_seed]
@@ -427,6 +481,7 @@ class TheoryCheckSpec:
     corrupt_gamma: float | None = None  # negative-control hook
 
     def __post_init__(self):
+        check_field_types(self)
         # zero instances or Q pairs would pass a suite vacuously, and a
         # non-positive tolerance would fail every instance
         for name in ("instances", "q_pairs"):

@@ -11,6 +11,13 @@ Every operation takes a batch: m states and, where tokens are involved, an
 gradient of the training objective is analytic.  Decoding reads per-state
 tables of a frozen policy (decode_tables), which a caller that decodes many
 batches builds once.
+
+The weights may carry a leading run axis: (R, dim, V) for R runs trained in
+lockstep.  A batch then holds R * m rows, run r's m rows at r * m, and every
+row reads its own run's weights.  Row-wise gathers, elementwise ops and
+reductions within a row keep each run's order of operations, and the
+gradient is one matmul per run, so each run's results equal its own call
+with (dim, V) weights, bit for bit.
 """
 from __future__ import annotations
 
@@ -44,7 +51,7 @@ class FeatureSpec:
 @dataclass
 class PolicyParams:
     spec: FeatureSpec
-    weights: np.ndarray  # (feature dim, vocab)
+    weights: np.ndarray  # (feature dim, vocab), or (runs, dim, vocab)
 
     @classmethod
     def zeros(cls, spec: FeatureSpec) -> "PolicyParams":
@@ -100,9 +107,28 @@ def _features(spec: FeatureSpec, sidx: np.ndarray, toks: np.ndarray,
 # order in which the dense product accumulates them, so they equal it.
 
 
-def _state_logits(params: PolicyParams, sidx: np.ndarray) -> np.ndarray:
-    """(m, V) sum of the state feature rows, NULL column at -inf."""
-    W = params.weights
+def _runs(params: PolicyParams, rows: int) -> tuple[np.ndarray, int, int]:
+    """(runs * dim, V) weight rows of all runs, the run count R and the rows
+    per run of a batch of rows rows."""
+    spec, W = params.spec, params.weights
+    runs = 1 if W.ndim == 2 else W.shape[0]
+    if rows % runs:
+        raise ValueError(f"{rows} rows do not split into {runs} runs")
+    return W.reshape(runs * spec.dim, spec.vocab_size), runs, rows // runs
+
+
+def _in_run_blocks(idx: np.ndarray, runs: int, stride: int) -> np.ndarray:
+    """idx, whose rows split evenly into runs in run order, with the rows of
+    run r shifted by r * stride into that run's block."""
+    if runs == 1:
+        return idx
+    off = np.repeat(np.arange(runs) * stride, len(idx) // runs)
+    return idx + off.reshape((-1,) + (1,) * (idx.ndim - 1))
+
+
+def _state_logits(W: np.ndarray, sidx: np.ndarray) -> np.ndarray:
+    """(m, V) sum of the state feature rows W[sidx[b]], NULL column at
+    -inf."""
     z = W[sidx[:, 0]]
     for j in range(1, sidx.shape[1]):
         z += W[sidx[:, j]]
@@ -110,31 +136,57 @@ def _state_logits(params: PolicyParams, sidx: np.ndarray) -> np.ndarray:
     return z
 
 
-def _token_rows(params: PolicyParams) -> tuple[tuple[np.ndarray, ...],
-                                               np.ndarray]:
-    """Views of W: the (V, V) row block of each context slot, newest token
-    first, and the (n, V) position rows."""
-    spec, W = params.spec, params.weights
+@dataclass(frozen=True)
+class _TokenRows:
+    """The context blocks and position rows of the runs' weights."""
+
+    runs: int
+    vocab_size: int
+    # per context slot, newest token first: the runs' (V, V) row blocks one
+    # after another, (runs * V, V); a view of W for one run
+    blocks: tuple
+    pos: np.ndarray  # (runs, n, V) view of the position rows
+
+
+def _token_rows(params: PolicyParams) -> _TokenRows:
+    spec = params.spec
+    W, runs, _ = _runs(params, 0)
+    W = W.reshape(runs, spec.dim, spec.vocab_size)
     ctx, V = sum(spec.state_cards), spec.vocab_size
-    blocks = tuple(W[ctx + k * V:ctx + (k + 1) * V]
-                   for k in range(spec.context))
     pos = ctx + spec.context * V
-    return blocks, W[pos:pos + spec.n]
+    return _TokenRows(
+        runs=runs, vocab_size=V,
+        blocks=tuple(W[:, ctx + k * V:ctx + (k + 1) * V].reshape(runs * V, V)
+                     for k in range(spec.context)),
+        pos=W[:, pos:pos + spec.n])
 
 
-def _position_logits(token_rows: tuple, base: np.ndarray, toks, i: int
-                     ) -> np.ndarray:
-    """(m, V) logits at position i: base plus the context and position rows.
+def _position_logits(token_rows: _TokenRows, base: np.ndarray, toks,
+                     i: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(m, V) logits at position i: base plus the context and position rows,
+    written into out if given.
 
-    token_rows is _token_rows(params).  Only toks[:, :i] is read, so a
-    decoder may pass its partly filled tokens.
+    token_rows is _token_rows(params), and base holds the R runs' rows in
+    run order.  Only toks[:, :i] is read, so a decoder may pass its partly
+    filled tokens.
     """
-    blocks, pos = token_rows
-    rows = [blocks[k][toks[:, i - 1 - k]] for k in range(min(i, len(blocks)))]
-    rows.append(pos[i])
-    z = base + rows[0]
-    for r in rows[1:]:
-        z += r
+    t = token_rows
+    z = np.empty_like(base) if out is None else out
+    ctx = range(min(i, len(t.blocks)))
+    if not ctx:
+        np.copyto(z, base)
+    for k in ctx:  # one gathered row block at a time
+        row = t.blocks[k][_in_run_blocks(toks[:, i - 1 - k], t.runs,
+                                         t.vocab_size)]
+        if k == 0:
+            np.add(base, row, out=z)
+        else:
+            z += row
+    if t.runs == 1:
+        z += t.pos[0, i]
+    else:
+        z.reshape(t.runs, -1, z.shape[-1], copy=False)[...] += t.pos[:, i,
+                                                                  None]
     return z
 
 
@@ -153,9 +205,14 @@ def _softmax_inplace(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _entropy(probs: np.ndarray, logprobs: np.ndarray) -> np.ndarray:
-    terms = np.where(probs > 0.0, logprobs, 0.0)
-    terms *= probs
-    return -terms.sum(axis=-1)
+    """(m, n) entropies of (m, n, V) distributions, one position at a time
+    so that the temporaries stay (m, V)."""
+    ent = np.empty(probs.shape[:-1])
+    for i in range(probs.shape[1]):
+        terms = np.where(probs[:, i] > 0.0, logprobs[:, i], 0.0)
+        terms *= probs[:, i]
+        ent[:, i] = -terms.sum(axis=-1)
+    return ent
 
 
 # ---------------------------------------------------------------------------
@@ -186,21 +243,28 @@ def state_ids(state_cards, states) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecodeTables:
-    """Per-state rows of one frozen policy, indexed by state id."""
+    """Per-state rows of one frozen policy, indexed by state id; for R
+    stacked runs, run r's rows follow at r * S."""
 
     spec: FeatureSpec
-    base: np.ndarray  # (S, V) state logits, NULL at -inf
-    cdf0: np.ndarray  # (S, V) cumulative position-0 distribution
-    greedy0: np.ndarray  # (S,) argmax position-0 token
-    token_rows: tuple  # _token_rows of the weights
+    base: np.ndarray  # (R * S, V) state logits, NULL at -inf
+    cdf0: np.ndarray  # (R * S, V) cumulative position-0 distribution
+    greedy0: np.ndarray  # (R * S,) argmax position-0 token
+    token_rows: _TokenRows
+
+    @property
+    def runs(self) -> int:
+        return self.token_rows.runs
 
 
 def decode_tables(params: PolicyParams) -> DecodeTables:
     """Tabulate params for decoding.  The tables alias params.weights, so
     they describe params only until its weights are changed in place."""
     spec = params.spec
-    base = _state_logits(params, state_index(spec.state_cards,
-                                             state_grid(spec.state_cards)))
+    W, runs, _ = _runs(params, 0)
+    grid = state_index(spec.state_cards, state_grid(spec.state_cards))
+    base = _state_logits(W, _in_run_blocks(np.tile(grid, (runs, 1)), runs,
+                                           spec.dim))
     token_rows = _token_rows(params)
     probs0, _ = _softmax_inplace(_position_logits(token_rows, base, None, 0))
     return DecodeTables(spec=spec, base=base, cdf0=probs0.cumsum(axis=1),
@@ -216,11 +280,16 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _decode(policy, states, u: np.ndarray | None) -> np.ndarray:
     """(m, n) tokens decoded left to right, by inverse CDF on u or by argmax
-    if u is None.  policy is PolicyParams or its DecodeTables."""
+    if u is None.  policy is PolicyParams or its DecodeTables; for R
+    stacked runs, rows r * m / R onward decode with run r's policy."""
     tables = (policy if isinstance(policy, DecodeTables)
               else decode_tables(policy))
     spec = tables.spec
     sid = state_ids(spec.state_cards, states)
+    if len(sid) % tables.runs:
+        raise ValueError(f"{len(sid)} rows do not split into {tables.runs} "
+                         f"runs")
+    sid = _in_run_blocks(sid, tables.runs, len(tables.base) // tables.runs)
     toks = np.empty((len(sid), spec.n), dtype=np.intp)
     toks[:, 0] = (tables.greedy0[sid] if u is None
                   else _inverse_cdf(tables.cdf0[sid], u[:, 0]))
@@ -277,11 +346,14 @@ def teacher_forced_batch(params: PolicyParams, states, utterances):
                          f"{spec.n})")
     if np.any((toks < 0) | (toks >= spec.vocab_size)):
         raise ValueError("token out of vocab")
-    base = _state_logits(params, state_index(spec.state_cards, states))
+    W, runs, _ = _runs(params, m)
+    base = _state_logits(W, _in_run_blocks(
+        state_index(spec.state_cards, states), runs, spec.dim))
     token_rows = _token_rows(params)
     z = np.empty((m, spec.n, spec.vocab_size))
     for i in range(spec.n):
-        z[:, i] = _position_logits(token_rows, base, toks, i)
+        _position_logits(token_rows, base, toks, i, out=z[:, i])
+    del base
     probs, total = _softmax_inplace(z)
     logprobs = z
     logprobs -= np.log(total)
@@ -303,9 +375,15 @@ def teacher_forced_batch(params: PolicyParams, states, utterances):
 
 def _entropy_dlogits(probs: np.ndarray, logprobs: np.ndarray,
                      ent: np.ndarray) -> np.ndarray:
-    # dH/dz_v = -p_v * (log p_v + H); zero off the support
-    safe_lp = np.where(probs > 0.0, logprobs, 0.0)
-    return -probs * (safe_lp + ent[..., None]) * (probs > 0.0)
+    # dH/dz_v = -p_v * (log p_v + H); zero off the support.  In place:
+    # -(p * x) and -p * x are the same double, signed zeros included
+    support = probs > 0.0
+    d = np.where(support, logprobs, 0.0)
+    d += ent[..., None]
+    d *= probs
+    np.negative(d, out=d)
+    d *= support
+    return d
 
 
 def objective_value(params: PolicyParams, states, utterances,
@@ -324,42 +402,63 @@ def objective_value(params: PolicyParams, states, utterances,
 
 def grad_objective(params: PolicyParams, states, utterances,
                    sample_weights=None, token_weights=None,
-                   forced=None) -> np.ndarray:
-    """Analytic gradient of objective_value w.r.t. the weight matrix.
+                   forced=None, token_runs=None,
+                   forced_rows=None) -> np.ndarray:
+    """Analytic gradient of objective_value w.r.t. the weight matrix, of
+    the shape of params.weights.
 
     forced is teacher_forced_batch(params, states, utterances) if the
-    caller already has it; otherwise it is computed here.
+    caller already has it; otherwise it is computed here.  forced may also
+    be that of a larger batch whose rows forced_rows are these, so that no
+    caller copies it whole.  For stacked runs, token_runs is a boolean mask
+    over the runs whose token term counts (None: all); the token weights of
+    the other runs are not read.
     """
     if len(states) == 0:
         raise ValueError("empty batch")
+    if token_runs is not None and not np.any(token_runs):
+        token_weights = None
     if sample_weights is None and token_weights is None:
         raise ValueError("objective has no term")
     spec = params.spec
     toks = np.asarray(utterances, dtype=np.intp)
+    _, runs, m = _runs(params, len(states))
     if forced is None:
-        forced = teacher_forced_batch(params, states, toks)
+        forced, forced_rows = teacher_forced_batch(params, states, toks), None
     probs, logprobs, _, tok_ent = forced
     if sample_weights is not None:
         w = np.asarray(sample_weights, dtype=np.float64)[:, None]
     if token_weights is not None:
         B = np.asarray(token_weights, dtype=np.float64)
+    token = [token_weights is not None
+             and (token_runs is None or bool(token_runs[r]))
+             for r in range(runs)]
     sidx = state_index(spec.state_cards, states)
-    rows = np.arange(len(states))
-    grad = np.zeros_like(params.weights)
-    for i in range(spec.n):
-        dz = None
-        if sample_weights is not None:
-            # d log p(y_i) / dz = onehot(y_i) - p
-            dz = -probs[:, i].copy()
-            dz[:, NULL] = 0.0
-            dz[rows, toks[:, i]] += 1.0
-            dz *= w
-        if token_weights is not None:
-            dent = B[:, i][:, None] * _entropy_dlogits(
-                probs[:, i], logprobs[:, i], tok_ent[:, i])
-            dz = dent if dz is None else dz + dent
-        grad += _features(spec, sidx, toks, i).T @ dz
-    return grad
+    rows = np.arange(m)
+    grad = np.zeros((runs, spec.dim, spec.vocab_size))
+    # run by run, so that the temporaries stay (m, V) and (m, dim)
+    for r in range(runs):
+        run = slice(r * m, (r + 1) * m)
+        at = run if forced_rows is None else forced_rows[run]
+        for i in range(spec.n):
+            p = probs[at, i]
+            dz = None
+            if sample_weights is not None:
+                # d log p(y_i) / dz = onehot(y_i) - p
+                dz = -p
+                dz[:, NULL] = 0.0
+                dz[rows, toks[run, i]] += 1.0
+                dz *= w[run]
+            if token[r]:
+                dent = _entropy_dlogits(p, logprobs[at, i], tok_ent[at, i])
+                dent *= B[run, i][:, None]
+                if dz is None:
+                    dz = dent
+                else:
+                    dz += dent
+            if dz is not None:  # else the run's gradient stays zero
+                grad[r] += _features(spec, sidx[run], toks[run], i).T @ dz
+    return grad.reshape(params.weights.shape)
 
 
 def joint_entropy_bruteforce(params: PolicyParams, state: EnvState) -> float:

@@ -4,6 +4,12 @@ Trained online by cross-entropy against the parser's labels, then queried
 under token-nullification interventions by the counterfactual machinery.
 The feature map is a (position, token) one-hot that covers NULL, so nullified
 sequences are always in-domain.
+
+Training takes a run axis: train_scm steps the classifiers of R runs in
+lockstep, on arrays stacked run-first.  Every operation of a step is a
+gather, an elementwise op, a reduction within one run's rows or a bincount
+whose bins never mix runs, so each run's result equals its own training
+alone, bit for bit.
 """
 from __future__ import annotations
 
@@ -14,6 +20,36 @@ import numpy as np
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
+def stack_runs(arrays) -> np.ndarray:
+    """Arrays of R runs stacked on a new leading axis; one run's array gets
+    the axis as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def adam_update(params, grad, m, v, steps, lr: float):
+    """One Adam step of R runs at once: every array has a leading run axis
+    and steps[r] is run r's step number, counting this one.  Returns new
+    (params, m, v) arrays."""
+    # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    # params - lr mhat / (sqrt(vhat) + eps), each operation in place where
+    # its operand is a temporary: the same doubles, fewer temporaries
+    m = ADAM_BETA1 * m
+    m += (1 - ADAM_BETA1) * grad
+    g2 = (1 - ADAM_BETA2) * grad
+    g2 *= grad
+    v = ADAM_BETA2 * v
+    v += g2
+    per_run = (-1,) + (1,) * (params.ndim - 1)
+    step = m / np.array([1 - ADAM_BETA1 ** s for s in steps]).reshape(per_run)
+    step *= lr
+    den = np.divide(v, np.array([1 - ADAM_BETA2 ** s for s in steps])
+                    .reshape(per_run), out=g2)
+    np.sqrt(den, out=den)
+    den += ADAM_EPS
+    step /= den
+    return params - step, m, v
+
+
 @dataclass
 class AdamState:
     step: int = 0
@@ -22,15 +58,30 @@ class AdamState:
 
     def update(self, params: np.ndarray, grad: np.ndarray,
                lr: float) -> np.ndarray:
-        if self.m is None:
-            self.m = np.zeros_like(params)
-            self.v = np.zeros_like(params)
-        self.step += 1
-        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grad
-        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * grad * grad
-        mhat = self.m / (1 - ADAM_BETA1 ** self.step)
-        vhat = self.v / (1 - ADAM_BETA2 ** self.step)
-        return params - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        return adam_update_runs([self], params[None], grad[None], lr)[0]
+
+
+def _moments(opts, params) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (m, v) of R runs' Adam states, zeros for a state that has
+    taken no step."""
+    return tuple(stack_runs([np.zeros_like(p) if getattr(o, k) is None
+                             else getattr(o, k)
+                             for o, p in zip(opts, params)])
+                 for k in ("m", "v"))
+
+
+def adam_update_runs(opts, params: np.ndarray, grad: np.ndarray,
+                     lr: float) -> np.ndarray:
+    """One Adam step of each run r on params[r] with grad[r], opts[r] being
+    run r's state.  Each state's moments become views of the new stacked
+    moments, which nothing writes into later.  Returns the new params."""
+    m, v = _moments(opts, params)
+    for opt in opts:
+        opt.step += 1
+    new, m, v = adam_update(params, grad, m, v, [o.step for o in opts], lr)
+    for r, opt in enumerate(opts):
+        opt.m, opt.v = m[r], v[r]
+    return new
 
 
 @dataclass
@@ -50,7 +101,7 @@ class ScmParams:
                    bias=np.zeros(num_actions))
 
     def copy(self) -> "ScmParams":
-        # AdamState.update rebinds its moments to new arrays and never writes
+        # Adam updates rebind the moments to new arrays and never write
         # into them, so a shallow copy of an optimizer state is independent
         return replace(self, weights=self.weights.copy(),
                        bias=self.bias.copy(), opt_w=replace(self.opt_w),
@@ -83,21 +134,23 @@ def _checked_tokens(phi: ScmParams, ys) -> np.ndarray:
     return ys
 
 
-def _gathered_logits(phi: ScmParams, idx: np.ndarray) -> np.ndarray:
-    """(M, A) logits of the sequences whose feature indices are idx."""
+def _gathered_logits(weights: np.ndarray, bias: np.ndarray | None,
+                     idx: np.ndarray) -> np.ndarray:
+    """(M, A) logits of the sequences whose feature indices into the
+    (rows, A) weights are idx (M, n), plus bias unless it is None."""
     global _EVAL_COUNT
     _EVAL_COUNT += idx.shape[0]
     # slot by slot into one (M, A) array, never the (M, n, A) gather; the
     # same additions in the same order as summing that gather over n
-    out = phi.weights[idx[:, 0]]
-    for i in range(1, phi.n):
-        out += phi.weights[idx[:, i]]
-    return out + phi.bias
+    out = weights[idx[:, 0]]
+    for i in range(1, idx.shape[1]):
+        out += weights[idx[:, i]]
+    return out if bias is None else out + bias
 
 
 def _logits(phi: ScmParams, ys: np.ndarray) -> np.ndarray:
     idx = _feature_indices(phi, _checked_tokens(phi, ys))
-    return _gathered_logits(phi, idx)
+    return _gathered_logits(phi.weights, phi.bias, idx)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -120,52 +173,93 @@ def scm_predict(phi: ScmParams, y) -> int:
     return int(np.argmax(scm_likelihood(phi, y)))
 
 
-def _batch_indices(phi: ScmParams, ys) -> tuple[np.ndarray, np.ndarray]:
-    """Checked (M, n) feature indices of a nonempty training batch, and the
-    (M, n, A) flat indices into phi.weights of every (row, slot, action)."""
-    idx = _feature_indices(phi, _checked_tokens(phi, ys))
-    if idx.size == 0:
+def _run_indices(phis: list, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Checked feature indices (R * M, n) of R runs' nonempty training
+    batches, ys holding run r's M rows at r * M, each run's offset to its
+    block of the (R * n * V, A) stacked weights; and the (R * M, n, A) flat
+    indices into those weights of every (row, slot, action)."""
+    phi, runs = phis[0], len(phis)
+    ys = _checked_tokens(phi, ys)
+    if ys.size == 0:
         raise ValueError("empty batch")
+    if len(ys) % runs:
+        raise ValueError(f"{len(ys)} rows do not split into {runs} runs")
+    idx = _feature_indices(phi, ys)
+    if runs > 1:
+        idx += np.repeat(np.arange(runs) * (phi.n * phi.vocab_size),
+                         len(ys) // runs)[:, None]
     a = phi.num_actions
-    return idx, idx[:, :, None] * a + np.arange(a)
+    return idx, idx[..., None] * a + np.arange(a)
 
 
-def _adam_step(phi: ScmParams, idx: np.ndarray, flat: np.ndarray,
-               labels: np.ndarray, lr: float) -> tuple["ScmParams", float]:
-    """One Adam step of cross-entropy on m sequences, given their feature
-    indices idx (m, n), scatter indices flat (m, n, A) and labels (m,).
+def _step_runs(phis: list, ys, labels, lr: float, steps: int,
+               draw=None) -> tuple[list, list]:
+    """steps Adam steps of cross-entropy for R runs' classifiers at once.
 
-    Returns a shallow copy of phi with the new arrays, and the mean loss at
-    the pre-update params.
+    ys and labels hold run r's M rows at r * M.  draw(M) returns the
+    (R, B) rows each run's next step takes; without it every step takes
+    all M.  The phis stay untouched: each run gets a shallow copy with new
+    arrays.  Returns the runs' params and their mean losses at the last
+    step's pre-update params (nan after zero steps).
     """
-    m = idx.shape[0]
-    rows = np.arange(m)
-    logits = _gathered_logits(phi, idx)
-    zmax = np.max(logits, axis=1, keepdims=True)
-    # one exp(logits - max) serves the log-partition and the softmax
-    ez = np.exp(logits - zmax)
-    total = np.sum(ez, axis=1, keepdims=True)
-    logz = zmax[:, 0] + np.log(total[:, 0])
-    loss = float(np.mean(logz - logits[rows, labels]))
+    idx, flat = _run_indices(phis, ys)
+    runs = len(phis)
+    m = len(idx) // runs
+    labels = np.asarray(labels, dtype=np.intp)
+    if steps == 0:
+        return list(phis), [float("nan")] * runs
+    a = phis[0].num_actions
+    w = stack_runs([p.weights for p in phis])
+    b = stack_runs([p.bias for p in phis])
+    opt_w = [replace(p.opt_w) for p in phis]
+    opt_b = [replace(p.opt_b) for p in phis]
+    mw, vw = _moments(opt_w, w)
+    mb, vb = _moments(opt_b, b)
+    first = (np.arange(runs) * m)[:, None]  # each run's first row
+    for _ in range(steps):
+        if draw is None:
+            pick_idx, pick_flat, pick_labels = idx, flat, labels
+        else:
+            pick = (draw(m) + first).ravel()  # run-major rows of the stack
+            pick_idx, pick_flat = idx[pick], flat[pick]
+            pick_labels = labels[pick]
+        rows = len(pick_labels)
+        logits = _gathered_logits(w.reshape(-1, a), None, pick_idx)
+        logits.reshape(runs, -1, a)[...] += b[:, None, :]
+        zmax = np.max(logits, axis=1, keepdims=True)
+        # one exp(logits - max) serves the log-partition and the softmax
+        ez = np.exp(logits - zmax)
+        total = np.sum(ez, axis=1, keepdims=True)
+        logz = zmax[:, 0] + np.log(total[:, 0])
+        losses = np.mean((logz - logits[np.arange(rows), pick_labels])
+                         .reshape(runs, -1), axis=1)
 
-    dz = ez / total
-    dz[rows, labels] -= 1.0
-    dz /= m
+        dz = ez / total
+        dz[np.arange(rows), pick_labels] -= 1.0
+        dz /= rows // runs
 
-    # scatter dz into the weight rows of every (row, slot): one bincount
-    # over (m, n, A) flat indices.  Slots never share a weight row, so each
-    # bin sums its rows in ascending order from 0, as n np.add.at calls do
-    grad_w = np.bincount(
-        flat.ravel(),
-        weights=np.broadcast_to(dz[:, None, :], flat.shape).ravel(),
-        minlength=phi.weights.size).reshape(phi.weights.shape)
-    grad_b = np.sum(dz, axis=0)
-
-    # phi stays untouched: the new arrays go into a shallow copy of it
-    opt_w, opt_b = replace(phi.opt_w), replace(phi.opt_b)
-    return replace(phi, weights=opt_w.update(phi.weights, grad_w, lr),
-                   bias=opt_b.update(phi.bias, grad_b, lr),
-                   opt_w=opt_w, opt_b=opt_b), loss
+        # scatter dz into the weight rows of every (run, row, slot): one
+        # bincount over the flat indices.  Slots never share a weight row
+        # and runs never share a block, so each bin sums its rows in
+        # ascending order from 0, as n np.add.at calls per run do
+        grad_w = np.bincount(
+            pick_flat.ravel(),
+            weights=np.broadcast_to(dz[:, None, :], pick_flat.shape).ravel(),
+            minlength=w.size).reshape(w.shape)
+        grad_b = np.sum(dz.reshape(runs, -1, a), axis=1)
+        for o in opt_w + opt_b:
+            o.step += 1
+        w, mw, vw = adam_update(w, grad_w, mw, vw, [o.step for o in opt_w],
+                                lr)
+        b, mb, vb = adam_update(b, grad_b, mb, vb, [o.step for o in opt_b],
+                                lr)
+    out = []
+    for r, phi in enumerate(phis):
+        opt_w[r].m, opt_w[r].v, opt_b[r].m, opt_b[r].v = (mw[r], vw[r],
+                                                          mb[r], vb[r])
+        out.append(replace(phi, weights=w[r], bias=b[r], opt_w=opt_w[r],
+                           opt_b=opt_b[r]))
+    return out, [float(x) for x in losses]
 
 
 def scm_update(phi: ScmParams, ys, labels, lr: float = 1e-3) -> tuple["ScmParams", float]:
@@ -173,27 +267,33 @@ def scm_update(phi: ScmParams, ys, labels, lr: float = 1e-3) -> tuple["ScmParams
 
     Returns the updated params and the mean loss at the pre-update params.
     """
-    idx, flat = _batch_indices(phi, ys)
-    return _adam_step(phi, idx, flat, np.asarray(labels, dtype=np.intp), lr)
+    (phi,), (loss,) = _step_runs([phi], ys, labels, lr, steps=1)
+    return phi, loss
 
 
-def train_scm(phi: ScmParams, ys, labels, lr: float, steps: int,
-              batch_size: int, rng: np.random.Generator) -> tuple["ScmParams", float]:
+def train_scm(phi, ys, labels, lr: float, steps: int, batch_size: int,
+              rng) -> tuple:
     """Minibatch cross-entropy training loop; returns final params and loss.
 
     Each step draws min(batch_size, M) rows with replacement and takes one
     scm_update step on them.  The tokens are checked and turned into feature
     and scatter indices once per call, before any draw; each step gathers
     its picked rows of those.
+
+    phi may also be a list of R runs' classifiers, trained in lockstep: ys
+    and labels then hold run r's M rows at r * M, rng is a list of R
+    generators, run r drawing its rows from rng[r], and the params and
+    losses come back as lists.  Each run's results equal its own call.
     """
-    idx, flat = _batch_indices(phi, ys)
-    labels = np.asarray(labels, dtype=np.intp)
-    m = idx.shape[0]
-    loss = float("nan")
-    for _ in range(steps):
-        pick = rng.integers(0, m, size=min(batch_size, m))
-        phi, loss = _adam_step(phi, idx[pick], flat[pick], labels[pick], lr)
-    return phi, loss
+    if isinstance(phi, ScmParams):
+        (phi,), (loss,) = train_scm([phi], ys, labels, lr, steps,
+                                    batch_size, [rng])
+        return phi, loss
+
+    def draw(m):
+        return stack_runs([g.integers(0, m, size=min(batch_size, m))
+                           for g in rng])
+    return _step_runs(phi, ys, labels, lr, steps, draw)
 
 
 def accuracy(phi: ScmParams, ys, labels) -> float:

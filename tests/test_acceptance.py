@@ -16,7 +16,7 @@ from coso import checkpoint as ckpt
 from coso import counterfactual as cf
 from coso import policy as pol
 from coso import tabular
-from coso.coso_rl import Hyperparams, Trainer
+from coso.coso_rl import Hyperparams, Lockstep, Trainer
 from coso.harness import (RunConfig, TheoryCheckSpec, check_contraction,
                           check_decomposition, check_improvement,
                           check_iteration, evaluate_greedy,
@@ -56,37 +56,49 @@ def converged_scms():
     return out
 
 
-def train_run(env_id, arm, seed, hyper, total_steps, thr=0.9,
-              eval_every=5, eval_episodes=32, snapshot_at=None):
-    env = make_env(env_id)
-    tr = Trainer(env, hyper, seed=seed, arm=arm, optimizer="ppo")
-    stt, final, it = float("inf"), 0.0, 0
-    snapshot = None
-    while tr.total_env_steps < total_steps:
-        tr.train_iteration()
-        it += 1
-        if snapshot_at and snapshot is None and \
-                tr.total_env_steps >= snapshot_at:
-            snapshot = (tr.policy.copy(), tr.scm.copy())
-        if it % eval_every == 0 or tr.total_env_steps >= total_steps:
-            final = evaluate_greedy(env, tr.policy, eval_episodes)
-            if final >= thr and stt == float("inf"):
-                stt = tr.total_env_steps
-    return tr, stt, final, snapshot
-
-
 NL_HYPER = Hyperparams(alpha=0.1, policy_lr=0.15)
 MN_HYPER = Hyperparams(alpha=0.3, policy_lr=0.1)
+ARMS = ("rl", "rl_h", "coso")
 ABLATION_SEEDS = (0, 1, 2, 3, 4)
+
+
+def train_group(env_id, hyper, total_steps, thr=0.9, eval_every=5,
+                eval_episodes=32, snapshot_at=None):
+    """Train every arm x ABLATION_SEEDS run as one lockstep group; each run
+    equals its own training alone bit for bit.  Returns {(arm, seed):
+    (trainer, steps to threshold, final success, snapshot)}, the snapshot
+    being (policy, SCM) copies from the first iteration at or past
+    snapshot_at."""
+    env = make_env(env_id)
+    runs = [(arm, seed) for arm in ARMS for seed in ABLATION_SEEDS]
+    trainers = [Trainer(env, hyper, seed=seed, arm=arm, optimizer="ppo")
+                for arm, seed in runs]
+    group = Lockstep(trainers)
+    stt = [float("inf")] * len(runs)
+    final = [0.0] * len(runs)
+    snapshots = [None] * len(runs)
+    it = 0
+    while trainers[0].total_env_steps < total_steps:
+        group.train_iteration()
+        it += 1
+        for r, tr in enumerate(trainers):
+            if snapshot_at and snapshots[r] is None and \
+                    tr.total_env_steps >= snapshot_at:
+                snapshots[r] = (tr.policy.copy(), tr.scm.copy())
+            if it % eval_every == 0 or tr.total_env_steps >= total_steps:
+                final[r] = evaluate_greedy(env, tr.policy, eval_episodes)
+                if final[r] >= thr and stt[r] == float("inf"):
+                    stt[r] = tr.total_env_steps
+    return {run: (tr, stt[r], final[r], snapshots[r])
+            for r, (run, tr) in enumerate(zip(runs, trainers))}
 
 
 @pytest.fixture(scope="session")
 def numberline_ablation():
     t0 = time.time()
-    results = {}
-    for arm in ("rl", "rl_h", "coso"):
-        results[arm] = [train_run("numberline", arm, seed, NL_HYPER,
-                                  200_000)[1] for seed in ABLATION_SEEDS]
+    trained = train_group("numberline", NL_HYPER, 200_000)
+    results = {arm: [trained[arm, seed][1] for seed in ABLATION_SEEDS]
+               for arm in ARMS}
     return results, time.time() - t0
 
 
@@ -101,13 +113,13 @@ def menunav_runs(tmp_path_factory):
     """
     t0 = time.time()
     root = tmp_path_factory.mktemp("menunav_runs")
+    trained = train_group("menunav", MN_HYPER, 200_000, eval_every=10,
+                          snapshot_at=100_000)
     out = {}
-    for arm in ("rl", "rl_h", "coso"):
+    for arm in ARMS:
         rows = []
         for seed in ABLATION_SEEDS:
-            tr, _, final, snap = train_run("menunav", arm, seed, MN_HYPER,
-                                           200_000, eval_every=10,
-                                           snapshot_at=100_000)
+            tr, _, final, snap = trained[arm, seed]
             path = root / f"{arm}_seed{seed}.json"
             ckpt.save_bundle(path, tr.policy, tr.scm, "menunav",
                              meta={"seed": seed, "arm": arm})

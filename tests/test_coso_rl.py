@@ -5,9 +5,9 @@ import pytest
 
 from coso import coso_rl
 from coso import policy as pol
-from coso.coso_rl import (Hyperparams, RolloutBatch, Trainer, augmented_reward,
-                          awr_update, fit_value, gae_advantages, ppo_update,
-                          weighted_entropy)
+from coso.coso_rl import (Hyperparams, Lockstep, RolloutBatch, Trainer,
+                          augmented_reward, awr_update, fit_value,
+                          gae_advantages, ppo_update, weighted_entropy)
 from coso.policy import FeatureSpec
 from coso.scm import AdamState
 from coso.textmdp import EnvState, make_env, state_arrays
@@ -255,19 +255,35 @@ def test_train_iteration_deterministic():
     assert [r.mean_return for r in r1] == [r.mean_return for r in r2]
 
 
-def test_phase_order_scm_before_policy(monkeypatch):
+def check_phase_order(runs, monkeypatch):
+    """Rollout, each run's causal weights on its own batch, SCM update,
+    policy update."""
     calls = []
-    for method, name in (("collect_rollouts", "rollout"),
-                         ("compute_weights", "weights"),
-                         ("update_scm", "scm_update"),
-                         ("update_policy", "policy_update")):
-        def recording(self, *args, _orig=getattr(Trainer, method),
+    for owner, method, name in ((Trainer, "collect_rollouts", "rollout"),
+                                (Trainer, "compute_weights", "weights"),
+                                (Lockstep, "update_scm", "scm_update"),
+                                (Lockstep, "update_policy", "policy_update")):
+        def recording(self, *args, _orig=getattr(owner, method),
                       _name=name):
             calls.append(_name)
             return _orig(self, *args)
-        monkeypatch.setattr(Trainer, method, recording)
-    run_iterations("coso", iters=1)
-    assert calls == ["rollout", "weights", "scm_update", "policy_update"]
+        monkeypatch.setattr(owner, method, recording)
+    env = make_env("numberline")
+    trainers = [Trainer(env, small_hyper(), seed=s) for s in range(runs)]
+    if runs == 1:
+        trainers[0].train_iteration()
+    else:
+        Lockstep(trainers).train_iteration()
+    assert calls == ["rollout"] + ["weights"] * runs + ["scm_update",
+                                                        "policy_update"]
+
+
+def test_phase_order_scm_before_policy(monkeypatch):
+    check_phase_order(1, monkeypatch)
+
+
+def test_phase_order_in_a_lockstep_group(monkeypatch):
+    check_phase_order(2, monkeypatch)
 
 
 def test_buffer_size_and_env_step_accounting():
@@ -595,12 +611,20 @@ def test_train_iterations_match_two_pass_reference(env_id, optimizer, hkw,
     hyper = small_hyper(rollout_steps=256, num_envs=16, **hkw)
     fast = Trainer(make_env(env_id), hyper, seed=8, optimizer=optimizer)
     ref = Trainer(make_env(env_id), hyper, seed=8, optimizer=optimizer)
-    monkeypatch.setattr(ref, "update_policy",
-                        lambda batch: reference_update_policy(ref, batch))
+    # ref's iterations take the reference policy update, fast's the real one
+    original, used = Lockstep.update_policy, []
+
+    def update_policy(group, batches):
+        if group.trainers != [ref]:
+            return original(group, batches)
+        used.append(ref)
+        return [reference_update_policy(ref, batches[0])]
+    monkeypatch.setattr(Lockstep, "update_policy", update_policy)
     start = fast.policy.weights.copy()
     for _ in range(4):
         got, want = fast.train_iteration(), ref.train_iteration()
         assert got == want
+    assert len(used) == 4
     assert np.any(fast.policy.weights != start)
     for a, b in ((fast.policy.weights, ref.policy.weights),
                  (fast.policy_opt.m, ref.policy_opt.m),
@@ -693,7 +717,11 @@ def test_rollout_builds_tables_once_from_the_current_policy(env_id,
     feats = tr._feats.copy()
     rng_state = tr.rng.bit_generator.state
     batch = tr.collect_rollouts()  # 8 ticks, one build
-    assert len(built) == 2 and built[1] is updated
+    # a group of one decodes from a view of the run's current weights
+    assert len(built) == 2 and built[1].weights.shape == (1,) + \
+        updated.weights.shape
+    assert np.shares_memory(built[1].weights, updated.weights)
+    np.testing.assert_array_equal(built[1].weights[0], updated.weights)
     # the first tick's tokens are those of the updated weights
     rng = np.random.default_rng()
     rng.bit_generator.state = rng_state

@@ -420,6 +420,14 @@ def test_theory_spec_validation(field, value):
         TheoryCheckSpec(**{field: value})
 
 
+@pytest.mark.parametrize("field,value", [("instances", 2.5),
+                                         ("contraction_tol", "x"),
+                                         ("q_pairs", True)])
+def test_theory_spec_rejects_wrong_types_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"bad config value: {field}="):
+        TheoryCheckSpec(**{field: value})
+
+
 @pytest.mark.parametrize("args", [["--instances", "0"], ["--tol", "-1"]])
 def test_cli_theory_check_rejects_bad_spec(args, capsys):
     assert cli.main(["theory-check", *args]) != 0
