@@ -27,8 +27,9 @@ for _ in range(4000):
 ys, labels = np.array(ys), np.array(labels)
 
 phi = ScmParams.zeros(env.grammar.n, env.vocab.size, env.num_actions)
-phi, loss = train_scm(phi, ys[:3000], labels[:3000], lr=1e-2, steps=1500,
-                      batch_size=256, rng=rng)
+# train_scm trains a group of runs' classifiers; this is a group of one
+(phi,), (loss,) = train_scm([phi], ys[:3000], labels[:3000], lr=1e-2,
+                            steps=1500, batch_size=256, rngs=[rng])
 print(f"classifier: final loss {loss:.4f}, "
       f"held-out accuracy {accuracy(phi, ys[3000:], labels[3000:]):.3f}")
 

@@ -7,12 +7,12 @@ token.  A tabular verifier checks the convergence and improvement theory
 exactly.
 """
 
-from .coso_rl import Hyperparams, Trainer, augmented_reward, weighted_entropy
+from .coso_rl import Hyperparams, Trainer, augmented_reward
 from .counterfactual import (causal_weights_batch, normalize_weights_batch,
-                             nullify, weight_stats)
+                             weight_stats)
 from .policy import (FeatureSpec, PolicyParams, sample_utterance,
                      sample_utterances_batch)
-from .scm import ScmParams, scm_likelihood, scm_predict, scm_update
+from .scm import ScmParams, scm_update
 from .textmdp import Action, EnvState, ParseError, grammar_spec, make_env
 
 __all__ = [
@@ -29,14 +29,10 @@ __all__ = [
     "grammar_spec",
     "make_env",
     "normalize_weights_batch",
-    "nullify",
     "sample_utterance",
     "sample_utterances_batch",
-    "scm_likelihood",
-    "scm_predict",
     "scm_update",
     "weight_stats",
-    "weighted_entropy",
 ]
 
 __version__ = "0.1.0"

@@ -7,11 +7,13 @@ plain conditional-entropy sum.  Two optimizer instantiations are provided
 the gradient of policy.grad_objective, plus the online loop: rollout,
 counterfactual weighting, classifier update, policy update.
 
-Lockstep trains R compatible runs together: each phase of an iteration is
-one pass over the runs' arrays stacked run-first, while every run keeps its
-own generator, state, snapshot id and causal weights.  Each run's results
-equal its own training alone, bit for bit; a Trainer's own iteration is a
-group of one.
+Every phase below Trainer takes a run axis: R compatible runs (a Lockstep
+group) train together, each phase one pass over the runs' arrays stacked
+run-first, while every run keeps its own generator, state, snapshot id and
+causal weights.  Each run's results equal its own training alone, bit for
+bit.  One run is a group of one: fit_value, gae_advantages, ppo_update and
+awr_update take lists of runs only, and a Trainer's own iteration is a
+Lockstep group of one.
 """
 from __future__ import annotations
 
@@ -139,20 +141,9 @@ class RolloutBatch:
         return len(self.states)
 
 
-def weighted_entropy(entropies, weights) -> float:
-    """Dot product of per-token entropies with causal weights."""
-    h = np.asarray(entropies, dtype=np.float64)
-    b = np.asarray(weights, dtype=np.float64)
-    if h.shape != b.shape:
-        raise ValueError(f"length mismatch: {h.shape} vs {b.shape}")
-    return float(np.dot(h, b))
-
-
 def augmented_reward(r, next_weighted_entropy, alpha: float, gamma: float):
     """Reward absorbed with the discounted successor entropy bonus (scalars
     or arrays)."""
-    if alpha == 0.0:
-        return r
     return r + gamma * alpha * next_weighted_entropy
 
 
@@ -229,24 +220,11 @@ def _run_values(spec: FeatureSpec, st: _Stack, feats: np.ndarray,
     return np.matmul(F, beta[..., None])[..., 0]
 
 
-def _runs_of(batch) -> tuple[list, bool]:
-    """(batches, solo): one RolloutBatch is a group of one run."""
-    if isinstance(batch, RolloutBatch):
-        return [batch], True
-    return list(batch), False
-
-
-def fit_value(spec: FeatureSpec, batch, gamma: float, ridge: float,
+def fit_value(spec: FeatureSpec, batches, gamma: float, ridge: float,
               prev_beta: np.ndarray | None) -> np.ndarray:
-    """Ridge fit of a linear state value on bootstrapped returns-to-go.
-
-    batch may also be a list of R runs' batches, with prev_beta (R, d) or
-    None; the fits then come back as (R, d), each run's equal to its own
-    call.
-    """
-    batches, solo = _runs_of(batch)
-    if solo and prev_beta is not None:
-        prev_beta = prev_beta[None]
+    """Ridge fits of linear state values on bootstrapped returns-to-go, one
+    per run of the list batches: (R, d), from the runs' (R, d) previous
+    fits prev_beta, or None."""
     st = _Stack.of(batches, "next_states", "rewards", "dones")
     boot = np.zeros((st.runs, st.per_run))
     if prev_beta is not None:
@@ -264,21 +242,15 @@ def fit_value(spec: FeatureSpec, batch, gamma: float, ridge: float,
     Ft = F.transpose(0, 2, 1)
     A = np.matmul(Ft, F) + ridge * np.eye(F.shape[2])
     rhs = np.matmul(Ft, returns.reshape(st.runs, -1, 1))
-    beta = np.linalg.solve(A, rhs)[..., 0]
-    return beta[0] if solo else beta
+    return np.linalg.solve(A, rhs)[..., 0]
 
 
-def gae_advantages(spec: FeatureSpec, batch, gamma: float, lam: float,
+def gae_advantages(spec: FeatureSpec, batches, gamma: float, lam: float,
                    beta: np.ndarray) -> np.ndarray:
-    """Generalized advantage estimates per step, all streams at once.
-
-    batch may also be a list of R runs' batches, with beta (R, d); the
-    advantages then cover the runs' rows in order.
-    """
-    batches, solo = _runs_of(batch)
+    """Generalized advantage estimates per step of the list batches, all
+    runs and streams at once, under the runs' (R, d) value fits beta; they
+    cover the runs' rows in order."""
     st = _Stack.of(batches, "next_states", "rewards", "dones")
-    if solo:
-        beta = beta[None]
     v = st.by_tick(_run_values(spec, st, st.states, beta))
     v_next = st.by_tick(_run_values(spec, st, st.next_states, beta))
     r = st.by_tick(st.rewards)
@@ -295,9 +267,11 @@ def gae_advantages(spec: FeatureSpec, batch, gamma: float, lam: float,
 # ---------------------------------------------------------------------------
 # Policy updates
 #
-# ppo_update and awr_update take one run, or R runs in lockstep: stacked
-# (R, dim, V) policy weights and lists of the runs' batches, Hyperparams
-# (which differ in alpha alone), Adam states and generators.
+# ppo_update and awr_update take R runs in lockstep: stacked (R, dim, V)
+# policy weights and lists of the runs' batches, Hyperparams (which differ in
+# alpha alone), Adam states and generators.  The advantages and forced cover
+# the runs' rows in order, and the losses, ratios, grad norms and skipped
+# flags come back as per-run lists.
 
 
 # the batch fields the policy updates read
@@ -368,31 +342,18 @@ def _loss_values(coef_term: np.ndarray, hyper: Hyperparams, alphas,
     return losses
 
 
-def _one_run(params: PolicyParams, *args) -> tuple:
-    """params as a stack of one run, and each of args as a list of one."""
-    return (PolicyParams(spec=params.spec, weights=params.weights[None]),
-            *([a] for a in args))
-
-
-def ppo_update(params: PolicyParams, batch, hyper, advantages: np.ndarray,
+def ppo_update(params: PolicyParams, batches, hyper, advantages: np.ndarray,
                opt, rng, snapshot_id, forced=None) -> tuple:
     """One epoch of clipped-surrogate updates over shuffled minibatches.
 
-    forced is teacher_forced_batch(params, batch.states, batch.utterances)
-    if the caller already has it (the rollout's pass, before any step);
-    otherwise this call teacher-forces the batch once.  That one pass gives
-    the ratio, the loss and the first minibatch's gradient.
+    forced is the stacked teacher_forced_batch of the batches at params if
+    the caller already has it (the rollout's pass, before any step);
+    otherwise this call teacher-forces the batches once.  That one pass
+    gives the ratios, the losses and the first minibatch's gradient.
 
-    Returns (params, loss at call start, mean ratio, grad norm).  Raises if
-    the rollout snapshot does not match the current parameters.  For R runs
-    in lockstep, batch, hyper, opt, rng and snapshot_id are lists of R,
-    advantages and forced cover the runs' rows in order, and the loss,
-    ratio and grad norm come back as per-run lists.
+    Returns (params, losses at call start, mean ratios, grad norms).
+    Raises if a run's rollout snapshot does not match its snapshot_id.
     """
-    batches, solo = _runs_of(batch)
-    if solo:
-        params, hyper, opt, rng, snapshot_id = _one_run(
-            params, hyper, opt, rng, snapshot_id)
     if any(b.snapshot_id != s for b, s in zip(batches, snapshot_id)):
         raise ValueError("stale trajectories: snapshot id mismatch")
     st = _Stack.of(batches, *_UPDATE_FIELDS)
@@ -411,32 +372,22 @@ def ppo_update(params: PolicyParams, batch, hyper, advantages: np.ndarray,
     coef = np.where(active, advantages * ratio, 0.0)
     weights, gnorms = _descend(params, st, coef, h, alphas, opt, rng, forced)
     ratios = [float(x) for x in np.mean(st.by_run(ratio), axis=1)]
-    if solo:
-        return (PolicyParams(spec=params.spec, weights=weights[0]),
-                losses[0], ratios[0], gnorms[0])
     return (PolicyParams(spec=params.spec, weights=weights), losses, ratios,
             gnorms)
 
 
-def awr_update(params: PolicyParams, batch, hyper, advantages: np.ndarray,
+def awr_update(params: PolicyParams, batches, hyper, advantages: np.ndarray,
                opt, rng, forced=None) -> tuple:
     """Advantage-weighted regression step (off-policy tolerated).
 
-    forced is teacher_forced_batch(params, batch.states, batch.utterances)
-    if the caller already has it; otherwise the step teacher-forces the
-    batch once, for the loss and the first minibatch's gradient.
+    forced is as for ppo_update; without it the step teacher-forces the
+    stepping runs' batches once, for the losses and the first minibatch's
+    gradient.
 
-    Returns (params, loss, grad norm, skipped).  With the hard filter and no
-    positive advantages the step is skipped and reported.  For R runs in
-    lockstep the arguments are as for ppo_update, and the loss, grad norm
-    and skipped flag come back as per-run lists.  A run that skips draws
-    nothing and keeps its weights and Adam state, and reports a loss and
-    grad norm of 0.
+    Returns (params, losses, grad norms, skipped).  A run whose advantages
+    all fail the hard filter skips its step: it draws nothing, keeps its
+    weights and Adam state, and reports a loss and grad norm of 0.
     """
-    batches, solo = _runs_of(batch)
-    given = params
-    if solo:
-        params, hyper, opt, rng = _one_run(params, hyper, opt, rng)
     st = _Stack.of(batches, *_UPDATE_FIELDS)
     alphas, h = [x.alpha for x in hyper], hyper[0]
     if h.awr_mode == "filter":
@@ -470,14 +421,8 @@ def awr_update(params: PolicyParams, batch, hyper, advantages: np.ndarray,
             weights[keep] = new
         for r, loss, gnorm in zip(keep, stepped, norms):
             losses[r], gnorms[r] = loss, gnorm
-    skipped = [not s for s in steps]
-    if solo:
-        if skipped[0]:
-            return given, 0.0, 0.0, True
-        return (PolicyParams(spec=params.spec, weights=weights[0]),
-                losses[0], gnorms[0], False)
     return (PolicyParams(spec=params.spec, weights=weights), losses, gnorms,
-            skipped)
+            [not s for s in steps])
 
 
 class Trainer:
@@ -511,9 +456,8 @@ class Trainer:
         self.policy_opt = AdamState()
         self.value_beta: np.ndarray | None = None
         self.snapshot_id = 0
-        # (batch, policy weights, snapshot id, the group's stacked
-        # teacher_forced_batch output, this run's place in the group) of the
-        # last rollout, until the next update_policy takes it
+        # (group, the group's stacked teacher forcing) of the last rollout
+        # this run led, until train_iteration takes it
         self._rollout_forcing = None
         self.total_env_steps = 0
         self._episode_counter = 0
@@ -537,8 +481,15 @@ class Trainer:
     def collect_rollouts(self, *others: "Trainer"):
         """This run's rollout batch.  With others, this run and the others
         step in lockstep and the result is their batches, in order; each
-        run's batch and streams get arrays of their own."""
-        trs = Lockstep([self, *others]).trainers
+        run's batch and streams get arrays of their own.
+
+        This is where an iteration checks its group.  The checked group and
+        the batches' stacked teacher forcing stay on this run for
+        train_iteration, which takes them at once; a rollout called on its
+        own leaves them until the next one replaces them.
+        """
+        group = Lockstep([self, *others])
+        trs = group.trainers
         env, hyper, spec = self.env, self.hyper, self.policy.spec
         runs, ns, n = len(trs), hyper.num_envs, spec.n
         ticks = hyper.rollout_steps // ns
@@ -597,9 +548,8 @@ class Trainer:
                 old_logprob=forced[2][rows].copy(),
                 entropy=forced[3][rows].copy(), num_streams=ns,
                 snapshot_id=tr.snapshot_id)
-            tr._rollout_forcing = (batch, tr.policy.weights, tr.snapshot_id,
-                                   forced, r)
             batches.append(batch)
+        self._rollout_forcing = group, forced
         return batches if others else batches[0]
 
     def compute_weights(self, batch: RolloutBatch) -> None:
@@ -613,12 +563,6 @@ class Trainer:
             used = cf.normalize_weights_batch(raw, mode=hyper.weight_mode)
         batch.weights = used
         batch.hb = np.sum(used * batch.entropy, axis=1)
-
-    def update_scm(self, batch: RolloutBatch) -> float:
-        return Lockstep([self]).update_scm([batch])[0]
-
-    def update_policy(self, batch: RolloutBatch) -> tuple[float, float, bool]:
-        return Lockstep([self]).update_policy([batch])[0]
 
     def _augment_rewards(self, batch: RolloutBatch) -> np.ndarray:
         """Fold the successor weighted-entropy bonus into rewards."""
@@ -635,8 +579,8 @@ class Trainer:
         """One pass: rollout, counterfactual weights, SCM then policy update.
         With others, one pass of this run and the others in lockstep, which
         returns their UpdateReports in order."""
-        group = Lockstep([self, *others])
         batches = self.collect_rollouts(*others)
+        (group, forced), self._rollout_forcing = self._rollout_forcing, None
         if not others:
             batches = [batches]
         for tr, batch in zip(group.trainers, batches):
@@ -655,25 +599,32 @@ class Trainer:
             env_steps=tr.total_env_steps, skipped=skipped)
             for tr, batch, scm_loss, (policy_loss, gnorm, skipped)
             in zip(group.trainers, batches, scm_losses,
-                   group.update_policy(batches))]
+                   group.update_policy(batches, forced=forced))]
         return reports if others else reports[0]
 
 
-def _lockstep_key(tr: Trainer) -> tuple:
-    return (tr.env.env_id, tr.optimizer, tr.policy.spec, tr.total_env_steps,
-            *(getattr(tr.hyper, f.name) for f in dataclasses.fields(tr.hyper)
-              if f.name != "alpha"))
+def lockstep_key(env_id: str, optimizer: str, hyper: Hyperparams) -> tuple:
+    """Runs may train as one Lockstep group only if their keys are equal:
+    the env, the optimizer and every Hyperparams field but alpha."""
+    return (env_id, optimizer, *(getattr(hyper, f.name)
+                                 for f in dataclasses.fields(hyper)
+                                 if f.name != "alpha"))
+
+
+def _group_key(tr: Trainer) -> tuple:
+    return (lockstep_key(tr.env.env_id, tr.optimizer, tr.hyper),
+            tr.total_env_steps)
 
 
 class Lockstep:
     """R runs trained in lockstep, each phase one pass over stacked arrays.
 
-    The runs must share the env, the optimizer, every Hyperparams field but
-    alpha, and their step count; they may differ in arm, seed, alpha and
-    force_uniform_weights.  Each run keeps its own generator, episode
-    seeds, snapshot id and causal weights (Trainer.compute_weights, called
-    once per run and iteration on that run's own batch), and ends every
-    phase with its own arrays, equal bit for bit to its training alone.
+    The runs must share their lockstep_key and their step count; they may
+    differ in arm, seed, alpha and force_uniform_weights.  Each run keeps
+    its own generator, episode seeds, snapshot id and causal weights
+    (Trainer.compute_weights, called once per run and iteration on that
+    run's own batch), and ends every phase with its own arrays, equal bit
+    for bit to its training alone.
     """
 
     def __init__(self, trainers):
@@ -682,9 +633,9 @@ class Lockstep:
             raise ValueError("a lockstep group needs at least one run")
         if len({id(tr) for tr in self.trainers}) != len(self.trainers):
             raise ValueError("a run appears twice in a lockstep group")
-        key = _lockstep_key(self.trainers[0])
+        key = _group_key(self.trainers[0])
         for tr in self.trainers[1:]:
-            if _lockstep_key(tr) != key:
+            if _group_key(tr) != key:
                 raise ValueError(
                     f"run seed={tr.seed} arm={tr.arm} differs from the "
                     f"group's first run in more than arm, seed and alpha")
@@ -703,43 +654,22 @@ class Lockstep:
             np.concatenate([b.utterances for b in batches]),
             np.concatenate([b.action_idx for b in batches]),
             lr=hyper.scm_lr, steps=hyper.scm_steps,
-            batch_size=hyper.scm_batch_size, rng=[tr.rng for tr in trs])
+            batch_size=hyper.scm_batch_size, rngs=[tr.rng for tr in trs])
         for tr, phi in zip(trs, phis):
             tr.scm = phi
         return losses
 
-    def _take_rollout_forcing(self, batches):
-        """Empty every run's rollout slot.  Returns the stacked teacher
-        forcing of the last rollout if it was this group's, in this order,
-        taken on these batches at the runs' current policy weights and
-        snapshot ids; else None."""
-        slots = [tr._rollout_forcing for tr in self.trainers]
-        for tr in self.trainers:
-            tr._rollout_forcing = None
-        if any(slot is None for slot in slots):
-            return None
-        forced = slots[0][3]
-        for r, (tr, batch, slot) in enumerate(zip(self.trainers, batches,
-                                                  slots)):
-            rolled, weights, snapshot_id, stacked, place = slot
-            if not (rolled is batch and weights is tr.policy.weights
-                    and snapshot_id == tr.snapshot_id and stacked is forced
-                    and place == r):
-                return None
-        if len(forced[2]) != sum(b.size for b in batches):
-            return None
-        return forced
-
-    def update_policy(self, batches) -> list:
+    def update_policy(self, batches, forced=None) -> list:
         """Value fit, advantages, then the PPO epochs or the AWR step; per
         run (loss, grad norm, skipped).
 
-        The first PPO epoch or the AWR step reuses the rollout's teacher
-        forcing when it was taken on these batches at the current params.
+        forced is the stacked teacher_forced_batch of the batches at the
+        runs' current params, which train_iteration has from the rollout;
+        the first PPO epoch or the AWR step then takes it instead of
+        teacher-forcing.  Without it the update teacher-forces afresh.
         """
         trs = self.trainers
         hyper, spec = trs[0].hyper, trs[0].policy.spec
-        forced = self._take_rollout_forcing(batches)
         batches = [
             replace(b, rewards=tr._augment_rewards(b))
             if tr.hyper.alpha > 0.0

@@ -28,14 +28,6 @@ class WeightHistogram:
     fractions: np.ndarray
 
 
-def nullify(y, i: int) -> tuple[int, ...]:
-    """Copy of y with position i replaced by the NULL symbol."""
-    y = tuple(y)
-    if not (0 <= i < len(y)):
-        raise IndexError(f"position {i} out of range for length {len(y)}")
-    return y[:i] + (NULL,) + y[i + 1:]
-
-
 def causal_weights_batch(phi, ys, actions) -> np.ndarray:
     """(m, n) raw weights for m (utterance, parsed action) pairs.
 

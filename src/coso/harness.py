@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt_mod
+from . import coso_rl
 from . import counterfactual as cf
 from . import policy as pol
 from . import tabular
@@ -175,11 +176,10 @@ def evaluate_greedy(env: TextEnv, policy_params, episodes: int) -> float:
 
 
 def lockstep_key(config: RunConfig) -> tuple:
-    """Runs whose configs share this key train as one lockstep group: the
-    env, the optimizer, every Hyperparams field but alpha, the step budget
-    and the eval cadence."""
-    return (config.env_id, config.optimizer,
-            dataclasses.astuple(dataclasses.replace(config.hyper, alpha=0.0)),
+    """Runs whose configs share this key train as one lockstep group:
+    coso_rl.lockstep_key plus the loop's step budget and eval cadence."""
+    return (coso_rl.lockstep_key(config.env_id, config.optimizer,
+                                 config.hyper),
             config.total_env_steps, config.eval_every_iters)
 
 

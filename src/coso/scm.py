@@ -5,11 +5,11 @@ under token-nullification interventions by the counterfactual machinery.
 The feature map is a (position, token) one-hot that covers NULL, so nullified
 sequences are always in-domain.
 
-Training takes a run axis: train_scm steps the classifiers of R runs in
-lockstep, on arrays stacked run-first.  Every operation of a step is a
-gather, an elementwise op, a reduction within one run's rows or a bincount
-whose bins never mix runs, so each run's result equals its own training
-alone, bit for bit.
+Training takes a run axis, its only form: train_scm steps the classifiers of
+R runs in lockstep, on arrays stacked run-first, and one run is a group of
+one.  Every operation of a step is a gather, an elementwise op, a reduction
+within one run's rows or a bincount whose bins never mix runs, so each run's
+result equals its own training alone, bit for bit.
 """
 from __future__ import annotations
 
@@ -55,10 +55,6 @@ class AdamState:
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
-
-    def update(self, params: np.ndarray, grad: np.ndarray,
-               lr: float) -> np.ndarray:
-        return adam_update_runs([self], params[None], grad[None], lr)[0]
 
 
 def _moments(opts, params) -> tuple[np.ndarray, np.ndarray]:
@@ -164,15 +160,6 @@ def scm_likelihood_batch(phi: ScmParams, ys) -> np.ndarray:
     return _softmax(_logits(phi, np.asarray(ys)))
 
 
-def scm_likelihood(phi: ScmParams, y) -> np.ndarray:
-    return scm_likelihood_batch(phi, [list(y)])[0]
-
-
-def scm_predict(phi: ScmParams, y) -> int:
-    """Argmax action class; ties break to the lowest class index."""
-    return int(np.argmax(scm_likelihood(phi, y)))
-
-
 def _run_indices(phis: list, ys) -> tuple[np.ndarray, np.ndarray]:
     """Checked feature indices (R * M, n) of R runs' nonempty training
     batches, ys holding run r's M rows at r * M, each run's offset to its
@@ -185,9 +172,8 @@ def _run_indices(phis: list, ys) -> tuple[np.ndarray, np.ndarray]:
     if len(ys) % runs:
         raise ValueError(f"{len(ys)} rows do not split into {runs} runs")
     idx = _feature_indices(phi, ys)
-    if runs > 1:
-        idx += np.repeat(np.arange(runs) * (phi.n * phi.vocab_size),
-                         len(ys) // runs)[:, None]
+    idx += np.repeat(np.arange(runs) * (phi.n * phi.vocab_size),
+                     len(ys) // runs)[:, None]
     a = phi.num_actions
     return idx, idx[..., None] * a + np.arange(a)
 
@@ -271,29 +257,21 @@ def scm_update(phi: ScmParams, ys, labels, lr: float = 1e-3) -> tuple["ScmParams
     return phi, loss
 
 
-def train_scm(phi, ys, labels, lr: float, steps: int, batch_size: int,
-              rng) -> tuple:
-    """Minibatch cross-entropy training loop; returns final params and loss.
+def train_scm(phis: list, ys, labels, lr: float, steps: int,
+              batch_size: int, rngs: list) -> tuple[list, list]:
+    """Minibatch cross-entropy training of R runs' classifiers in lockstep;
+    returns their final params and losses.
 
-    Each step draws min(batch_size, M) rows with replacement and takes one
-    scm_update step on them.  The tokens are checked and turned into feature
-    and scatter indices once per call, before any draw; each step gathers
-    its picked rows of those.
-
-    phi may also be a list of R runs' classifiers, trained in lockstep: ys
-    and labels then hold run r's M rows at r * M, rng is a list of R
-    generators, run r drawing its rows from rng[r], and the params and
-    losses come back as lists.  Each run's results equal its own call.
+    ys and labels hold run r's M rows at r * M.  Each step, run r draws
+    min(batch_size, M) of its rows with replacement from rngs[r] and takes
+    one scm_update step on them.  The tokens are checked and turned into
+    feature and scatter indices once per call, before any draw; each step
+    gathers its picked rows of those.
     """
-    if isinstance(phi, ScmParams):
-        (phi,), (loss,) = train_scm([phi], ys, labels, lr, steps,
-                                    batch_size, [rng])
-        return phi, loss
-
     def draw(m):
         return stack_runs([g.integers(0, m, size=min(batch_size, m))
-                           for g in rng])
-    return _step_runs(phi, ys, labels, lr, steps, draw)
+                           for g in rngs])
+    return _step_runs(phis, ys, labels, lr, steps, draw)
 
 
 def accuracy(phi: ScmParams, ys, labels) -> float:

@@ -50,8 +50,8 @@ def converged_scms():
         rng = np.random.default_rng(0)
         ys, labels = random_pairs(env, rng, 12_000)
         phi = ScmParams.zeros(env.grammar.n, env.vocab.size, env.num_actions)
-        phi, _ = train_scm(phi, ys[:10_000], labels[:10_000], lr=1e-2,
-                           steps=3000, batch_size=256, rng=rng)
+        (phi,), _ = train_scm([phi], ys[:10_000], labels[:10_000], lr=1e-2,
+                              steps=3000, batch_size=256, rngs=[rng])
         out[env_id] = (env, phi, ys[10_000:], labels[10_000:])
     return out
 

@@ -7,8 +7,8 @@ from coso import coso_rl
 from coso import policy as pol
 from coso.coso_rl import (Hyperparams, Lockstep, RolloutBatch, Trainer,
                           augmented_reward, awr_update, fit_value,
-                          gae_advantages, ppo_update, weighted_entropy)
-from coso.policy import FeatureSpec
+                          gae_advantages, ppo_update)
+from coso.policy import FeatureSpec, PolicyParams
 from coso.scm import AdamState
 from coso.textmdp import EnvState, make_env, state_arrays
 
@@ -17,6 +17,20 @@ def small_hyper(**kw):
     base = dict(rollout_steps=64, num_envs=8, scm_steps=4, alpha=0.1)
     base.update(kw)
     return Hyperparams(**base)
+
+
+def weighted_entropy(entropies, weights):
+    """Dot product of per-token entropies with causal weights."""
+    h = np.asarray(entropies, dtype=np.float64)
+    b = np.asarray(weights, dtype=np.float64)
+    if h.shape != b.shape:
+        raise ValueError(f"length mismatch: {h.shape} vs {b.shape}")
+    return float(np.dot(h, b))
+
+
+def group_of_one(policy):
+    """A run's policy as a stack of one run, as the updates take it."""
+    return PolicyParams(spec=policy.spec, weights=policy.weights[None])
 
 
 def test_weighted_entropy_value():
@@ -115,8 +129,8 @@ def test_gae_with_zero_baseline_matches_hand_computation():
     spec = FeatureSpec(state_cards=(1,), vocab_size=4, n=2)
     batch = synthetic_batch([1.0, 0.0, 2.0], [False, False, True], spec)
     gamma, lam = 0.9, 0.5
-    beta = np.zeros(2)
-    adv = gae_advantages(spec, batch, gamma, lam, beta)
+    beta = np.zeros((1, 2))
+    adv = gae_advantages(spec, [batch], gamma, lam, beta)
     # deltas are just the rewards when the baseline is zero
     a2 = 2.0
     a1 = 0.0 + gamma * lam * a2
@@ -127,7 +141,7 @@ def test_gae_with_zero_baseline_matches_hand_computation():
 def test_gae_resets_across_episode_boundary():
     spec = FeatureSpec(state_cards=(1,), vocab_size=4, n=2)
     batch = synthetic_batch([0.0, 5.0, 0.0], [False, True, False], spec)
-    adv = gae_advantages(spec, batch, 0.9, 0.95, np.zeros(2))
+    adv = gae_advantages(spec, [batch], 0.9, 0.95, np.zeros((1, 2)))
     assert adv[2] == 0.0  # nothing from the earlier episode leaks forward
 
 
@@ -138,8 +152,8 @@ def test_fit_value_recovers_constant_reward_value():
     batch = synthetic_batch([1.0] * m, [False] * m, spec)
     beta = None
     for _ in range(200):
-        beta = fit_value(spec, batch, gamma, ridge=1e-8, prev_beta=beta)
-    value = beta[0] + beta[1]  # one-hot state feature plus bias
+        beta = fit_value(spec, [batch], gamma, ridge=1e-8, prev_beta=beta)
+    value = beta[0, 0] + beta[0, 1]  # one-hot state feature plus bias
     assert value == pytest.approx(1.0 / (1 - gamma), rel=1e-2)
 
 
@@ -157,36 +171,37 @@ def fresh_rollout(seed=0, arm="coso", **hkw):
 def test_ppo_first_pass_ratios_are_one():
     tr, batch = fresh_rollout()
     adv = np.zeros(batch.size)
-    _, _, mean_ratio, _ = ppo_update(tr.policy, batch, tr.hyper, adv,
-                                     AdamState(), np.random.default_rng(0),
-                                     snapshot_id=0)
+    _, _, (mean_ratio,), _ = ppo_update(
+        group_of_one(tr.policy), [batch], [tr.hyper], adv, [AdamState()],
+        [np.random.default_rng(0)], snapshot_id=[0])
     assert abs(mean_ratio - 1.0) <= 1e-9
 
 
 def test_ppo_rejects_stale_snapshot():
     tr, batch = fresh_rollout()
     with pytest.raises(ValueError):
-        ppo_update(tr.policy, batch, tr.hyper, np.zeros(batch.size),
-                   AdamState(), np.random.default_rng(0), snapshot_id=7)
+        ppo_update(group_of_one(tr.policy), [batch], [tr.hyper],
+                   np.zeros(batch.size), [AdamState()],
+                   [np.random.default_rng(0)], snapshot_id=[7])
 
 
 def test_ppo_zero_advantage_zero_alpha_keeps_params():
     tr, batch = fresh_rollout(arm="rl")
-    params, _, _, gnorm = ppo_update(tr.policy, batch, tr.hyper,
-                                     np.zeros(batch.size), AdamState(),
-                                     np.random.default_rng(0), snapshot_id=0)
+    params, _, _, (gnorm,) = ppo_update(
+        group_of_one(tr.policy), [batch], [tr.hyper], np.zeros(batch.size),
+        [AdamState()], [np.random.default_rng(0)], snapshot_id=[0])
     assert gnorm == 0.0
-    np.testing.assert_array_equal(params.weights, tr.policy.weights)
+    np.testing.assert_array_equal(params.weights[0], tr.policy.weights)
 
 
 def test_awr_filter_all_negative_skips():
     tr, batch = fresh_rollout(awr_mode="filter")
     adv = -np.ones(batch.size)
-    params, loss, gnorm, skipped = awr_update(tr.policy, batch, tr.hyper,
-                                              adv, AdamState(),
-                                              np.random.default_rng(0))
-    assert skipped
-    np.testing.assert_array_equal(params.weights, tr.policy.weights)
+    params, loss, gnorm, skipped = awr_update(
+        group_of_one(tr.policy), [batch], [tr.hyper], adv, [AdamState()],
+        [np.random.default_rng(0)])
+    assert skipped == [True] and loss == gnorm == [0.0]
+    np.testing.assert_array_equal(params.weights[0], tr.policy.weights)
 
 
 def test_awr_exp_weight_clamped():
@@ -196,10 +211,11 @@ def test_awr_exp_weight_clamped():
     assert w[0] == 20.0
     tr, batch = fresh_rollout(awr_beta=1.0, awr_weight_clamp=20.0)
     adv = np.full(batch.size, 50.0)
-    params, _, _, skipped = awr_update(tr.policy, batch, tr.hyper, adv,
-                                       AdamState(), np.random.default_rng(0))
-    assert not skipped
-    assert np.any(params.weights != tr.policy.weights)
+    params, _, _, skipped = awr_update(
+        group_of_one(tr.policy), [batch], [tr.hyper], adv, [AdamState()],
+        [np.random.default_rng(0)])
+    assert skipped == [False]
+    assert np.any(params.weights[0] != tr.policy.weights)
 
 
 # -- degeneracy identities ----------------------------------------------------
@@ -264,9 +280,9 @@ def check_phase_order(runs, monkeypatch):
                                 (Lockstep, "update_scm", "scm_update"),
                                 (Lockstep, "update_policy", "policy_update")):
         def recording(self, *args, _orig=getattr(owner, method),
-                      _name=name):
+                      _name=name, **kwargs):
             calls.append(_name)
-            return _orig(self, *args)
+            return _orig(self, *args, **kwargs)
         monkeypatch.setattr(owner, method, recording)
     env = make_env("numberline")
     trainers = [Trainer(env, small_hyper(), seed=s) for s in range(runs)]
@@ -303,6 +319,10 @@ def test_weighted_entropy_within_bound():
     cap = np.max(batch.weights, axis=1) * n * np.log(env.vocab.size - 1)
     assert np.all(batch.hb >= 0.0)
     assert np.all(batch.hb <= cap + 1e-12)
+    np.testing.assert_allclose(
+        batch.hb, [weighted_entropy(h, b)
+                   for h, b in zip(batch.entropy, batch.weights)],
+        rtol=1e-14, atol=0)
 
 
 def test_reward_bonus_placement_augments_rewards():
@@ -449,14 +469,15 @@ def test_recursions_match_row_by_row_references():
     v = coso_rl._value_features(spec, batch.states) @ beta
     v_next = coso_rl._value_features(spec, batch.next_states) @ beta
     np.testing.assert_array_equal(
-        gae_advantages(spec, batch, gamma, 0.95, beta),
+        gae_advantages(spec, [batch], gamma, 0.95, beta[None]),
         reference_gae(batch, gamma, 0.95, v, v_next))
     F = coso_rl._value_features(spec, batch.states)
     A = F.T @ F + 1e-2 * np.eye(F.shape[1])
     for prev, boot in ((None, np.zeros(batch.size)), (beta, v_next)):
         want = np.linalg.solve(A, F.T @ reference_returns(batch, gamma, boot))
         np.testing.assert_array_equal(
-            fit_value(spec, batch, gamma, 1e-2, prev), want)
+            fit_value(spec, [batch], gamma, 1e-2,
+                      None if prev is None else prev[None])[0], want)
     want = batch.rewards.copy()
     for j in range(batch.size - batch.num_streams):
         if not batch.dones[j]:
@@ -477,12 +498,13 @@ def random_policy_rollout(**hkw):
 
 
 def run_update(optimizer, tr, batch):
+    """The run's new policy weights after one update as a group of one."""
     adv = np.random.default_rng(5).normal(size=batch.size)
+    args = (group_of_one(tr.policy), [batch], [tr.hyper], adv, [AdamState()],
+            [np.random.default_rng(6)])
     if optimizer == "ppo":
-        return ppo_update(tr.policy, batch, tr.hyper, adv, AdamState(),
-                          np.random.default_rng(6), snapshot_id=0)[0]
-    return awr_update(tr.policy, batch, tr.hyper, adv, AdamState(),
-                      np.random.default_rng(6))[0]
+        return ppo_update(*args, snapshot_id=[0])[0].weights[0]
+    return awr_update(*args)[0].weights[0]
 
 
 def test_rollouts_teacher_force_once(monkeypatch):
@@ -534,8 +556,8 @@ def test_minibatches_match_recompute_reference(optimizer, monkeypatch):
     monkeypatch.setattr(pol, "grad_objective",
                         lambda *a, forced=None, **kw: original(*a, **kw))
     ref = run_update(optimizer, tr, batch)
-    assert np.any(fast.weights != tr.policy.weights)
-    np.testing.assert_array_equal(fast.weights, ref.weights)
+    assert np.any(fast != tr.policy.weights)
+    np.testing.assert_array_equal(fast, ref)
 
 
 # -- one teacher-forcing pass per iteration -----------------------------------
@@ -569,34 +591,34 @@ def test_train_iteration_teacher_forces_once(optimizer, monkeypatch):
 
 
 def reference_update_policy(tr, batch):
-    """Trainer.update_policy as it was with two passes: ppo_update and
-    awr_update teacher-force the batch themselves."""
+    """Lockstep.update_policy for a group of one as it was with two passes:
+    ppo_update and awr_update get forced=None and teacher-force the batch
+    themselves."""
     hyper = tr.hyper
     spec = tr.policy.spec
     rewards = batch.rewards
     if hyper.alpha > 0.0 and hyper.entropy_placement == "reward_bonus":
         rewards = tr._augment_rewards(batch)
         batch = replace(batch, rewards=rewards)
-    tr.value_beta = fit_value(spec, batch, hyper.gamma, hyper.value_ridge,
-                              tr.value_beta)
-    adv = gae_advantages(spec, batch, hyper.gamma, hyper.gae_lambda,
-                         tr.value_beta)
+    prev = None if tr.value_beta is None else tr.value_beta[None]
+    beta = fit_value(spec, [batch], hyper.gamma, hyper.value_ridge, prev)
+    tr.value_beta = beta[0]
+    adv = gae_advantages(spec, [batch], hyper.gamma, hyper.gae_lambda, beta)
     if hyper.normalize_advantages:
         adv = (adv - np.mean(adv)) / (np.std(adv) + 1e-8)
-    skipped = False
+    params = group_of_one(tr.policy)
+    args = ([batch], [hyper], adv, [tr.policy_opt], [tr.rng])
+    skipped = [False]
     if tr.optimizer == "ppo":
-        loss = 0.0
-        gnorm = 0.0
         for _ in range(hyper.ppo_epochs):
-            tr.policy, loss, _, gnorm = ppo_update(
-                tr.policy, batch, hyper, adv, tr.policy_opt, tr.rng,
-                tr.snapshot_id)
+            params, loss, _, gnorm = ppo_update(
+                params, *args, [tr.snapshot_id], forced=None)
     else:
-        tr.policy, loss, gnorm, skipped = awr_update(
-            tr.policy, batch, hyper, adv, tr.policy_opt, tr.rng)
-    if not skipped:
+        params, loss, gnorm, skipped = awr_update(params, *args, forced=None)
+    if not skipped[0]:
+        tr.policy = PolicyParams(spec=spec, weights=params.weights[0])
         tr.snapshot_id += 1
-    return loss, gnorm, skipped
+    return loss[0], gnorm[0], skipped[0]
 
 
 @pytest.mark.parametrize("env_id, optimizer, hkw", [
@@ -614,9 +636,9 @@ def test_train_iterations_match_two_pass_reference(env_id, optimizer, hkw,
     # ref's iterations take the reference policy update, fast's the real one
     original, used = Lockstep.update_policy, []
 
-    def update_policy(group, batches):
+    def update_policy(group, batches, forced=None):
         if group.trainers != [ref]:
-            return original(group, batches)
+            return original(group, batches, forced=forced)
         used.append(ref)
         return [reference_update_policy(ref, batches[0])]
     monkeypatch.setattr(Lockstep, "update_policy", update_policy)
@@ -637,37 +659,33 @@ def test_train_iterations_match_two_pass_reference(env_id, optimizer, hkw,
     assert (fast.rng.bit_generator.state == ref.rng.bit_generator.state)
 
 
-def test_rollout_forcing_used_only_at_its_batch_and_params(monkeypatch):
-    """The update teacher-forces afresh for another batch object, new policy
-    weights or a moved snapshot id, and every update empties the slot."""
+@pytest.mark.parametrize("optimizer", ["ppo", "awr"])
+def test_update_outside_train_iteration_teacher_forces_once(optimizer,
+                                                            monkeypatch):
+    """An update not handed the rollout's forcing teacher-forces its batch
+    afresh, once, even right after a rollout."""
     tr, batch = fresh_rollout(minibatch_size=64)
+    tr.optimizer = optimizer
     calls = count_forcing(monkeypatch)
-    tr.update_policy(replace(batch))
-    assert calls == [64] and tr._rollout_forcing is None
-
-    for change in ("weights", "snapshot"):
-        calls.clear()
-        batch = tr.collect_rollouts()
-        tr.compute_weights(batch)
-        if change == "weights":
-            tr.policy = tr.policy.copy()
-        else:
-            tr.snapshot_id += 1
-            batch.snapshot_id = tr.snapshot_id
-        tr.update_policy(batch)
-        assert calls == [64, 64]  # the rollout's pass, then the update's
-    calls.clear()
-    batch = tr.collect_rollouts()
-    tr.compute_weights(batch)
-    tr.update_policy(batch)
-    assert calls == [64] and tr._rollout_forcing is None
+    (_, _, skipped), = Lockstep([tr]).update_policy([batch])
+    assert calls == [64] and not skipped
 
 
-def test_awr_skip_empties_rollout_slot():
-    tr, batch = fresh_rollout(awr_mode="filter", adv_filter_threshold=1e9)
-    tr.optimizer = "awr"
-    _, _, skipped = tr.update_policy(batch)
-    assert skipped and tr._rollout_forcing is None
+@pytest.mark.parametrize("optimizer, hkw", [
+    ("ppo", {}), ("awr", {}),
+    ("awr", dict(awr_mode="filter", adv_filter_threshold=1e9)),  # skips
+])
+def test_train_iteration_leaves_no_run_holding_a_forcing(optimizer, hkw):
+    """The rollout's forcing lives only until the iteration's update: once
+    train_iteration returns, no run of the group holds it."""
+    env = make_env("numberline")
+    for runs in (1, 2):
+        group = [Trainer(env, small_hyper(**hkw), seed=s, optimizer=optimizer)
+                 for s in range(runs)]
+        reports = Lockstep(group).train_iteration()
+        assert all(r.skipped == ("adv_filter_threshold" in hkw)
+                   for r in reports)
+        assert all(tr._rollout_forcing is None for tr in group)
 
 
 def test_training_iterations_reuse_freed_heap_memory():

@@ -3,12 +3,19 @@ import pytest
 
 from coso import scm as scm_mod
 from coso.counterfactual import (causal_weights_batch,
-                                 normalize_weights_batch, nullify,
-                                 weight_stats)
+                                 normalize_weights_batch, weight_stats)
 from coso.scm import ScmParams, train_scm
 from coso.textmdp import NULL, make_env
 
 from test_scm import rollout_pairs
+
+
+def nullify(y, i):
+    """Copy of y with position i replaced by the NULL symbol."""
+    y = tuple(y)
+    if not (0 <= i < len(y)):
+        raise IndexError(f"position {i} out of range for length {len(y)}")
+    return y[:i] + (NULL,) + y[i + 1:]
 
 
 def weights_of(phi, y, a):
@@ -26,8 +33,8 @@ def converged_numberline_scm(seed=0, samples=3000):
     rng = np.random.default_rng(seed)
     ys, labels = rollout_pairs(env, rng, samples)
     phi = ScmParams.zeros(env.grammar.n, env.vocab.size, env.num_actions)
-    phi, _ = train_scm(phi, ys, labels, lr=1e-2, steps=1500, batch_size=256,
-                       rng=rng)
+    (phi,), _ = train_scm([phi], ys, labels, lr=1e-2, steps=1500,
+                          batch_size=256, rngs=[rng])
     return env, phi
 
 
@@ -102,6 +109,22 @@ def test_batch_weights_match_single():
     for k in range(20):
         single = weights_of(phi, tuple(ys[k]), int(acts[k]))
         np.testing.assert_array_equal(batch[k], single)
+
+
+def test_weights_match_nullification_definition():
+    """Weight i is |P(a | y) - P(a | y with slot i nullified)|."""
+    rng = np.random.default_rng(7)
+    phi = ScmParams.zeros(n=4, vocab_size=16, num_actions=5)
+    phi.weights = rng.normal(size=phi.weights.shape)
+    phi.bias = rng.normal(size=5)
+    for _ in range(20):
+        y = tuple(int(t) for t in rng.integers(1, 16, size=4))
+        a = int(rng.integers(0, 5))
+        base = scm_mod.scm_likelihood_batch(phi, [y])[0, a]
+        want = [abs(base - scm_mod.scm_likelihood_batch(
+            phi, [nullify(y, i)])[0, a]) for i in range(4)]
+        np.testing.assert_allclose(weights_of(phi, y, a), want, rtol=0,
+                                   atol=1e-15)
 
 
 def test_normalize_maxnorm_with_floor():

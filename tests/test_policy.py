@@ -6,10 +6,22 @@ from scipy import stats
 
 from coso import policy as pol
 from coso.policy import (FeatureSpec, PolicyParams, grad_objective,
-                         greedy_utterance, joint_entropy_bruteforce,
-                         objective_value, sample_utterance,
+                         greedy_utterance, objective_value, sample_utterance,
                          sample_utterances_batch, teacher_forced_batch)
 from coso.textmdp import NULL, EnvState, make_env
+
+
+def joint_entropy_bruteforce(params, state):
+    """Exact joint utterance entropy by enumerating every sequence; only
+    feasible for tiny vocab/length."""
+    spec = params.spec
+    support = [t for t in range(spec.vocab_size) if t != NULL]
+    ys = list(itertools.product(support, repeat=spec.n))
+    _, _, tok_lp, _ = teacher_forced_batch(params, [state] * len(ys), ys)
+    logp = np.sum(tok_lp, axis=1)
+    p = np.exp(logp)
+    with np.errstate(invalid="ignore"):  # 0 * -inf off the support
+        return float(-np.sum(np.where(p > 0.0, p * logp, 0.0)))
 
 
 def small_spec(vocab=5, n=3, cards=(3,), context=2):

@@ -2,9 +2,19 @@ import numpy as np
 import pytest
 
 from coso import scm
-from coso.scm import (ScmParams, accuracy, scm_likelihood, scm_predict,
-                      scm_update, train_scm)
+from coso.scm import (ScmParams, accuracy, scm_likelihood_batch, scm_update,
+                      train_scm)
 from coso.textmdp import NULL, make_env
+
+
+def scm_likelihood(phi, y):
+    """Likelihoods of one sequence: a batch of one."""
+    return scm_likelihood_batch(phi, [list(y)])[0]
+
+
+def scm_predict(phi, y):
+    """Argmax action class; ties break to the lowest class index."""
+    return int(np.argmax(scm_likelihood(phi, y)))
 
 
 def rollout_pairs(env, rng, count):
@@ -119,8 +129,8 @@ def test_numberline_convergence_matches_parser():
     rng = np.random.default_rng(4)
     ys, labels = rollout_pairs(env, rng, 4000)
     phi = ScmParams.zeros(env.grammar.n, env.vocab.size, env.num_actions)
-    phi, _ = train_scm(phi, ys[:3000], labels[:3000], lr=1e-2, steps=1500,
-                       batch_size=256, rng=rng)
+    (phi,), _ = train_scm([phi], ys[:3000], labels[:3000], lr=1e-2,
+                          steps=1500, batch_size=256, rngs=[rng])
     assert accuracy(phi, ys[3000:], labels[3000:]) >= 0.99
 
 
@@ -162,7 +172,8 @@ def test_update_gradient_matches_add_at_scatter(env_id):
     for i in range(phi.n):
         np.add.at(grad_w, idx[:, i], dz)
     # Adam's first step from zero moments, taken with the reference gradient
-    ref = scm.AdamState().update(phi.weights, grad_w, 1e-3)
+    ref = scm.adam_update_runs([scm.AdamState()], phi.weights[None],
+                               grad_w[None], 1e-3)[0]
     new, _ = scm_update(phi, ys, labels, lr=1e-3)
     np.testing.assert_array_equal(new.weights, ref)
     np.testing.assert_array_equal(new.opt_w.m, (1 - 0.9) * grad_w)
@@ -182,9 +193,9 @@ def test_train_scm_matches_scm_update_loop(env_id, batch_size):
     phi.weights = rng.normal(size=phi.weights.shape)
     steps = 6
     before = scm.eval_count()
-    got, got_loss = train_scm(phi, ys, labels, lr=1e-2, steps=steps,
-                              batch_size=batch_size,
-                              rng=np.random.default_rng(9))
+    (got,), (got_loss,) = train_scm([phi], ys, labels, lr=1e-2, steps=steps,
+                                    batch_size=batch_size,
+                                    rngs=[np.random.default_rng(9)])
     m = min(batch_size, len(ys))
     assert scm.eval_count() - before == steps * m
     pick_rng = np.random.default_rng(9)
@@ -210,7 +221,8 @@ def test_train_scm_rejects_out_of_vocab_before_any_step():
     state = draws.bit_generator.state
     before = scm.eval_count()
     with pytest.raises(ValueError, match="outside vocab"):
-        train_scm(phi, ys, labels, lr=1e-2, steps=4, batch_size=8, rng=draws)
+        train_scm([phi], ys, labels, lr=1e-2, steps=4, batch_size=8,
+                  rngs=[draws])
     assert draws.bit_generator.state == state
     assert scm.eval_count() == before
     assert phi.opt_w.step == 0 and not phi.weights.any()
