@@ -13,7 +13,9 @@ run-first, while every run keeps its own generator, state, snapshot id and
 causal weights.  Each run's results equal its own training alone, bit for
 bit.  One run is a group of one: fit_value, gae_advantages, ppo_update and
 awr_update take lists of runs only, and a Trainer's own iteration is a
-Lockstep group of one.
+Lockstep group of one.  The runs of a group that share a seed also share
+their episode starts: each (seed, episode number) start is computed once
+per group, by the first run to reach it.
 """
 from __future__ import annotations
 
@@ -431,7 +433,10 @@ class Trainer:
     arm: 'rl' (alpha forced to 0), 'rl_h' (uniform weights), or 'coso'
     (classifier-derived weights).  All arms consume identical randomness; the
     only difference is the weight vector fed to the entropy term.  The
-    phases run as a Lockstep group of this one run.
+    phases run as a Lockstep group of this one run.  Episode number i
+    starts from env.reset of a seed drawn from SeedSequence([seed, i]),
+    so runs with one seed start their episodes alike; in a group they read
+    those starts from one _SharedStarts.
     """
 
     def __init__(self, env: TextEnv, hyper: Hyperparams, seed: int,
@@ -461,6 +466,9 @@ class Trainer:
         self._rollout_forcing = None
         self.total_env_steps = 0
         self._episode_counter = 0
+        # the episode starts this run shares with its group's runs of the
+        # same seed (Lockstep sets it), or None
+        self._starts: _SharedStarts | None = None
         # stream s is row s: (num_envs, k) features and (num_envs,) steps
         self._feats, self._steps = state_arrays(
             [self._fresh_state() for _ in range(hyper.num_envs)])
@@ -470,6 +478,12 @@ class Trainer:
         self._episode_counter += 1
         if not self.env.reset_reads_seed:
             return self.env.reset(0)
+        if self._starts is not None:
+            return self._starts.read(self, counter)
+        return self._seeded_start(counter)
+
+    def _seeded_start(self, counter: int) -> EnvState:
+        """The start of this run's episode number counter."""
         s = np.random.SeedSequence([self.seed, counter])
         return self.env.reset(int(s.generate_state(1)[0]))
 
@@ -616,6 +630,54 @@ def _group_key(tr: Trainer) -> tuple:
             tr.total_env_steps)
 
 
+class _SharedStarts:
+    """The seeded episode starts of the runs of one Lockstep group that
+    share a seed.  A start is a pure function of (env, seed, episode
+    number), so the first run to reach an episode number computes it as it
+    would alone and keeps it for the runs that have not reached that number
+    yet; the last of them to read it drops it.  A cache only: a start that
+    is not kept is computed afresh.  It holds no reference to its runs,
+    which would keep a finished group's runs alive until a garbage
+    collection."""
+
+    def __init__(self, runs: list):
+        self.size = len(runs)
+        # the episode number each run reads first; it reads every later one
+        self._firsts = [tr._episode_counter for tr in runs]
+        self._kept: dict = {}  # episode number -> [start, reads left]
+
+    def read(self, tr: Trainer, counter: int) -> EnvState:
+        kept = self._kept.get(counter)
+        if kept is None:  # the first read of counter
+            start = tr._seeded_start(counter)
+            left = sum(first <= counter for first in self._firsts) - 1
+            if left:
+                self._kept[counter] = [start, left]
+            return start
+        kept[1] -= 1
+        if not kept[1]:
+            del self._kept[counter]
+        return kept[0]
+
+
+def _share_starts(trainers: list) -> None:
+    """Point each seed's runs at one _SharedStarts, keeping the one they
+    already share if it is theirs alone; a seed's only run gets none."""
+    if not trainers[0].env.reset_reads_seed:
+        return
+    by_seed: dict = {}
+    for tr in trainers:
+        by_seed.setdefault(tr.seed, []).append(tr)
+    for runs in by_seed.values():
+        store = runs[0]._starts
+        if store is not None and store.size == len(runs) and all(
+                tr._starts is store for tr in runs):
+            continue
+        store = _SharedStarts(runs) if len(runs) > 1 else None
+        for tr in runs:
+            tr._starts = store
+
+
 class Lockstep:
     """R runs trained in lockstep, each phase one pass over stacked arrays.
 
@@ -624,7 +686,11 @@ class Lockstep:
     its own generator, episode seeds, snapshot id and causal weights
     (Trainer.compute_weights, called once per run and iteration on that
     run's own batch), and ends every phase with its own arrays, equal bit
-    for bit to its training alone.
+    for bit to its training alone.  Forming a group points the runs of
+    each seed at one _SharedStarts, so a seeded episode start is computed
+    once per group; forming the same group again, as every iteration
+    does, keeps the stores it has.  Seed-free resets (menunav) share
+    nothing.
     """
 
     def __init__(self, trainers):
@@ -639,6 +705,7 @@ class Lockstep:
                 raise ValueError(
                     f"run seed={tr.seed} arm={tr.arm} differs from the "
                     f"group's first run in more than arm, seed and alpha")
+        _share_starts(self.trainers)
 
     def train_iteration(self) -> list:
         """One pass of every run; their UpdateReports, in order."""

@@ -202,7 +202,7 @@ def _step_runs(phis: list, ys, labels, lr: float, steps: int,
     mw, vw = _moments(opt_w, w)
     mb, vb = _moments(opt_b, b)
     first = (np.arange(runs) * m)[:, None]  # each run's first row
-    for _ in range(steps):
+    for step in range(steps):
         if draw is None:
             pick_idx, pick_flat, pick_labels = idx, flat, labels
         else:
@@ -216,9 +216,10 @@ def _step_runs(phis: list, ys, labels, lr: float, steps: int,
         # one exp(logits - max) serves the log-partition and the softmax
         ez = np.exp(logits - zmax)
         total = np.sum(ez, axis=1, keepdims=True)
-        logz = zmax[:, 0] + np.log(total[:, 0])
-        losses = np.mean((logz - logits[np.arange(rows), pick_labels])
-                         .reshape(runs, -1), axis=1)
+        if step == steps - 1:  # the loss reported is the last step's
+            logz = zmax[:, 0] + np.log(total[:, 0])
+            losses = np.mean((logz - logits[np.arange(rows), pick_labels])
+                             .reshape(runs, -1), axis=1)
 
         dz = ez / total
         dz[np.arange(rows), pick_labels] -= 1.0

@@ -5,12 +5,14 @@ run_single_seed; both are pinned to the pre-lockstep trainer by the golden
 hashes of tools/golden_hashes.py.
 """
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
-from coso import harness
+from coso import coso_rl, harness
 from coso.coso_rl import Hyperparams, Lockstep, Trainer
 from coso.harness import RunConfig
 from coso.textmdp import make_env
@@ -149,6 +151,100 @@ def test_lockstep_rejects_runs_that_do_not_fit():
         Lockstep([])
 
 
+# -- shared episode starts ----------------------------------------------------
+
+
+# one run per arm and seed; at this learning rate the arms' policies part
+# fast enough that a seed's runs end their episodes at other ticks
+ARM_RUNS = [(arm, False, 0.1) for arm in harness.ARMS]
+DRIFTING = small_hyper(policy_lr=0.5)
+
+
+def test_group_computes_each_start_once_per_seed(monkeypatch):
+    resets, made = [], []
+
+    def make():
+        trainers = make_runs("numberline", DRIFTING, runs=ARM_RUNS)
+        if made:  # the grouped runs, once they have their first starts
+            reset = trainers[0].env.reset
+            monkeypatch.setattr(trainers[0].env, "reset", lambda seed:
+                                resets.append(seed) or reset(seed))
+        made.append(trainers)
+        return trainers
+    grouped, _ = check_group_equals_solo(make, iters=6)
+    distinct = 0
+    for seed in (0, 1):
+        counters = [tr._episode_counter for tr in grouped if tr.seed == seed]
+        assert len(set(counters)) > 1  # the seed's runs drifted apart
+        distinct += max(counters) - DRIFTING.num_envs
+    reads = sum(tr._episode_counter - tr.hyper.num_envs for tr in grouped)
+    assert len(resets) == distinct < reads
+
+
+def test_shared_starts_keep_only_what_a_run_has_yet_to_read():
+    trainers = make_runs("numberline", DRIFTING, runs=ARM_RUNS)
+    group = Lockstep(trainers)
+    stores = {tr.seed: tr._starts for tr in trainers}
+    for _ in range(6):
+        group.train_iteration()
+    for seed, store in stores.items():
+        runs = [tr for tr in trainers if tr.seed == seed]
+        # each iteration re-forms the group and keeps the seed's store
+        assert all(tr._starts is store for tr in runs)
+        counters = [tr._episode_counter for tr in runs]
+        assert min(counters) < max(counters)
+        assert sorted(store._kept) == list(range(min(counters),
+                                                 max(counters)))
+        for counter, (start, left) in store._kept.items():
+            assert left == sum(c <= counter for c in counters)
+            assert start == runs[0]._seeded_start(counter)
+
+
+def test_a_finished_group_is_freed_without_a_collection():
+    # a reference cycle through the start stores would keep one benchmark
+    # round's runs alive into the next
+    gc.collect()
+    gc.disable()
+    try:
+        trainers = make_runs("numberline", DRIFTING, runs=ARM_RUNS)
+        group = Lockstep(trainers)
+        for _ in range(2):
+            group.train_iteration()
+        refs = [weakref.ref(tr) for tr in trainers]
+        del trainers, group
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_a_run_alone_shares_no_starts():
+    trainers = make_runs("numberline", small_hyper(), runs=ARM_RUNS)
+    Lockstep(trainers)
+    left = trainers[2]._starts
+    assert all(tr._starts is left for tr in trainers[0::2])
+    trainers[0].train_iteration()
+    assert trainers[0]._starts is None
+    # the runs it left get a store of their own when they next train
+    Lockstep(trainers[2:]).train_iteration()
+    assert trainers[2]._starts is not left
+    for a, b in ((2, 4), (3, 5)):
+        assert trainers[a]._starts is trainers[b]._starts
+        assert trainers[a]._starts.size == 2
+    assert trainers[2]._starts is not trainers[3]._starts
+
+
+def test_menunav_group_never_touches_the_starts(monkeypatch):
+    def no_store(*args):
+        raise AssertionError("a seed-free reset reached the start store")
+    monkeypatch.setattr(coso_rl._SharedStarts, "__init__", no_store)
+    monkeypatch.setattr(coso_rl._SharedStarts, "read", no_store)
+    trainers = make_runs("menunav", small_hyper(), runs=ARM_RUNS)
+    group = Lockstep(trainers)
+    for _ in range(3):
+        group.train_iteration()
+    assert all(tr._starts is None for tr in trainers)
+
+
 # -- the harness: grouping and artifacts -------------------------------------
 
 
@@ -224,6 +320,22 @@ def test_ablation_trains_one_group_and_matches_solo_summaries(tmp_path,
             run = config.run_name(seed)
             assert run_files(tmp_path / "ablation" / run) == \
                 run_files(tmp_path / config.arm / run)
+
+
+def test_each_ablation_computes_its_own_starts(monkeypatch):
+    base = dataclasses.replace(base_config(), seeds=(0, 1, 2))
+    configs = [dataclasses.replace(base, arm=arm) for arm in harness.ARMS]
+    env_class = type(make_env("numberline"))
+    calls = []
+    reset = env_class.reset
+    monkeypatch.setattr(env_class, "reset", lambda self, seed:
+                        calls.append(seed) or reset(self, seed))
+    counts = []
+    for _ in range(2):
+        before = len(calls)
+        harness.ablation_matrix(configs, write_artifacts=False)
+        counts.append(len(calls) - before)
+    assert counts[0] == counts[1] > 0
 
 
 def test_runs_that_do_not_share_a_key_train_apart(tmp_path, monkeypatch):
