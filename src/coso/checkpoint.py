@@ -13,6 +13,7 @@ import numpy as np
 
 from .policy import FeatureSpec, PolicyParams
 from .scm import ScmParams
+from .textmdp import env_ids
 
 FORMAT_VERSION = 1
 
@@ -92,8 +93,8 @@ def load_bundle(path) -> tuple[PolicyParams, ScmParams, str, dict]:
     """(policy, SCM, env id, meta) of a saved bundle.
 
     Raises ValueError on a document that is not a JSON object, an
-    unsupported version, a missing section or field, or an array whose
-    shape does not fit the layout its header declares.
+    unsupported version, a missing section or field, an unknown env id, or
+    an array whose shape does not fit the layout its header declares.
     """
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
@@ -103,9 +104,14 @@ def load_bundle(path) -> tuple[PolicyParams, ScmParams, str, dict]:
         raise ValueError(f"unsupported checkpoint version "
                          f"{doc.get('format_version')!r}")
     try:
-        return (policy_from_dict(doc["policy"]), scm_from_dict(doc["scm"]),
-                doc["env_id"], doc.get("meta", {}))
+        policy = policy_from_dict(doc["policy"])
+        scm = scm_from_dict(doc["scm"])
+        env_id = doc["env_id"]
     except KeyError as exc:
         raise ValueError(f"checkpoint lacks field {exc}") from None
     except TypeError as exc:  # a section that is not a JSON object
         raise ValueError(f"malformed checkpoint: {exc}") from None
+    if env_id not in env_ids():
+        raise ValueError(f"checkpoint for unknown env_id {env_id!r}; known: "
+                         f"{list(env_ids())}")
+    return policy, scm, env_id, doc.get("meta", {})

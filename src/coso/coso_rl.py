@@ -8,14 +8,15 @@ the gradient of policy.grad_objective, plus the online loop: rollout,
 counterfactual weighting, classifier update, policy update.
 
 Every phase below Trainer takes a run axis: R compatible runs (a Lockstep
-group) train together, each phase one pass over the runs' arrays stacked
-run-first, while every run keeps its own generator, state, snapshot id and
-causal weights.  Each run's results equal its own training alone, bit for
-bit.  One run is a group of one: fit_value, gae_advantages, ppo_update and
-awr_update take lists of runs only, and a Trainer's own iteration is a
-Lockstep group of one.  The runs of a group that share a seed also share
-their episode starts: each (seed, episode number) start is computed once
-per group, by the first run to reach it.
+group) train together on one RolloutBatch that holds their rows stacked
+run-first, each phase one pass over it, while every run keeps its own
+generator, state, snapshot id and causal weights (computed on a view of its
+rows).  Each run's results equal its own training alone, bit for bit.  One
+run is a batch of one: fit_value, gae_advantages, ppo_update and awr_update
+take the one batch form, and a Trainer's own iteration is a Lockstep group
+of one.  The runs of a group that share a seed also share their episode
+starts: each (seed, episode number) start is computed once per group, by
+the first run to reach it.
 """
 from __future__ import annotations
 
@@ -40,14 +41,18 @@ _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
 
 def check_field_types(obj) -> None:
     """Raise ValueError naming the first int, float, bool or str field of the
-    dataclass obj that holds a value of another type.  As in JSON, an int is
-    a float, but a bool is no int."""
+    dataclass obj that holds a value of another type; a field typed
+    "X | None" may also hold None.  As in JSON, an int is a float, but a
+    bool is no int."""
     for f in dataclasses.fields(obj):
-        want = _FIELD_TYPES.get(f.type)
+        kind = f.type.removesuffix(" | None")
+        want = _FIELD_TYPES.get(kind)
         value = getattr(obj, f.name)
+        if value is None and kind != f.type:
+            continue
         if want is not None and not (
                 isinstance(value, want)
-                and isinstance(value, bool) == (f.type == "bool")):
+                and isinstance(value, bool) == (kind == "bool")):
             raise ValueError(f"bad config value: {f.name}={value!r}: "
                              f"{type(value).__name__} not supported as "
                              f"{f.type}")
@@ -124,23 +129,65 @@ class UpdateReport:
 
 @dataclass
 class RolloutBatch:
-    states: np.ndarray  # (m, k) int state features
-    next_states: np.ndarray  # (m, k) features after the step
-    utterances: np.ndarray  # (m, n) token ids
-    action_idx: np.ndarray  # (m,) env action-class labels from the parser
+    """The rollouts of R runs stacked run-first, R = len(snapshot_id): each
+    per-row array holds run r's m rows at r * m, in batch order (row j of a
+    run is tick j // num_streams of stream j % num_streams)."""
+
+    states: np.ndarray  # (R * m, k) int state features
+    next_states: np.ndarray  # (R * m, k) features after the step
+    utterances: np.ndarray  # (R * m, n) token ids
+    action_idx: np.ndarray  # (R * m,) env action-class labels from the parser
     rewards: np.ndarray
     dones: np.ndarray
     parse_ok: np.ndarray
-    old_logprob: np.ndarray  # (m, n)
-    entropy: np.ndarray  # (m, n) exact conditional entropies at sampling
-    num_streams: int  # stream s occupies indices t * num_streams + s
-    snapshot_id: int
-    weights: np.ndarray | None = None  # (m, n) B consumed by the objective
-    hb: np.ndarray | None = None  # (m,) weighted entropies
+    old_logprob: np.ndarray  # (R * m, n)
+    entropy: np.ndarray  # (R * m, n) exact conditional entropies at sampling
+    num_streams: int
+    snapshot_id: tuple  # each run's policy snapshot at sampling
+    weights: np.ndarray | None = None  # (R * m, n) B consumed by the objective
+    hb: np.ndarray | None = None  # (R * m,) weighted entropies
 
     @property
     def size(self) -> int:
         return len(self.states)
+
+    @property
+    def runs(self) -> int:
+        return len(self.snapshot_id)
+
+    @property
+    def per_run(self) -> int:
+        return self.size // self.runs
+
+    def rows(self, runs: np.ndarray) -> np.ndarray:
+        """Row indices of the given runs, in their order."""
+        m = self.per_run
+        return (runs[:, None] * m + np.arange(m)).ravel()
+
+    def _take(self, rows, runs) -> "RolloutBatch":
+        return replace(self, snapshot_id=tuple(
+            self.snapshot_id[r] for r in runs), **{
+            f.name: getattr(self, f.name)[rows]
+            for f in dataclasses.fields(self)
+            if f.name not in ("num_streams", "snapshot_id")
+            and getattr(self, f.name) is not None})
+
+    def run(self, r: int) -> "RolloutBatch":
+        """Run r's rows as a batch of one whose arrays are views."""
+        m = self.per_run
+        return self._take(slice(r * m, (r + 1) * m), [r])
+
+    def select(self, runs: np.ndarray) -> "RolloutBatch":
+        """The given runs' rows, in their order."""
+        return self._take(self.rows(runs), runs)
+
+    def by_run(self, a: np.ndarray) -> np.ndarray:
+        """(R, m) view of a per-row array."""
+        return a.reshape(self.runs, -1)
+
+    def by_tick(self, a: np.ndarray) -> np.ndarray:
+        """(R, ticks, streams) view of a per-row array."""
+        return a.reshape(self.runs, -1, self.num_streams)
 
 
 def augmented_reward(r, next_weighted_entropy, alpha: float, gamma: float):
@@ -153,60 +200,6 @@ def augmented_reward(r, next_weighted_entropy, alpha: float, gamma: float):
 # Value baseline and advantages
 
 
-@dataclass
-class _Stack:
-    """The batches of R runs on one run axis: each array holds run r's m
-    rows at r * m, in batch order (row j of a run is tick j // num_streams
-    of stream j % num_streams)."""
-
-    runs: int
-    num_streams: int
-    states: np.ndarray
-    next_states: np.ndarray | None = None
-    utterances: np.ndarray | None = None
-    rewards: np.ndarray | None = None
-    dones: np.ndarray | None = None
-    old_logprob: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    hb: np.ndarray | None = None
-
-    @classmethod
-    def of(cls, batches, *names: str) -> "_Stack":
-        """The states and the named fields of the batches, stacked."""
-        def cat(arrays):
-            if arrays[0] is None:
-                return None
-            return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-        return cls(runs=len(batches), num_streams=batches[0].num_streams,
-                   **{name: cat([getattr(b, name) for b in batches])
-                      for name in ("states",) + names})
-
-    @property
-    def per_run(self) -> int:
-        return len(self.states) // self.runs
-
-    def rows(self, runs: np.ndarray) -> np.ndarray:
-        """Row indices of the given runs, in their order."""
-        m = self.per_run
-        return (runs[:, None] * m + np.arange(m)).ravel()
-
-    def select(self, runs: np.ndarray) -> "_Stack":
-        rows = self.rows(runs)
-        return _Stack(runs=len(runs), num_streams=self.num_streams, **{
-            f.name: None if getattr(self, f.name) is None
-            else getattr(self, f.name)[rows]
-            for f in dataclasses.fields(self)
-            if f.name not in ("runs", "num_streams")})
-
-    def by_run(self, a: np.ndarray) -> np.ndarray:
-        """(R, m) view of a per-row array."""
-        return a.reshape(self.runs, -1)
-
-    def by_tick(self, a: np.ndarray) -> np.ndarray:
-        """(R, ticks, streams) view of a per-row array."""
-        return a.reshape(self.runs, -1, self.num_streams)
-
-
 def _value_features(spec: FeatureSpec, feats: np.ndarray) -> np.ndarray:
     """State one-hots plus a bias column: (batch, sum of cards + 1)."""
     sidx = pol.state_index(spec.state_cards, feats)
@@ -215,23 +208,23 @@ def _value_features(spec: FeatureSpec, feats: np.ndarray) -> np.ndarray:
                        bias + 1)
 
 
-def _run_values(spec: FeatureSpec, st: _Stack, feats: np.ndarray,
+def _run_values(spec: FeatureSpec, batch: RolloutBatch, feats: np.ndarray,
                 beta: np.ndarray) -> np.ndarray:
     """(R, m) linear values of each run's rows under its (R, d) beta."""
-    F = _value_features(spec, feats).reshape(st.runs, st.per_run, -1)
+    F = _value_features(spec, feats).reshape(batch.runs, batch.per_run, -1)
     return np.matmul(F, beta[..., None])[..., 0]
 
 
-def fit_value(spec: FeatureSpec, batches, gamma: float, ridge: float,
-              prev_beta: np.ndarray | None) -> np.ndarray:
+def fit_value(spec: FeatureSpec, batch: RolloutBatch, gamma: float,
+              ridge: float, prev_beta: np.ndarray | None) -> np.ndarray:
     """Ridge fits of linear state values on bootstrapped returns-to-go, one
-    per run of the list batches: (R, d), from the runs' (R, d) previous
-    fits prev_beta, or None."""
-    st = _Stack.of(batches, "next_states", "rewards", "dones")
-    boot = np.zeros((st.runs, st.per_run))
+    per run of batch: (R, d), from the runs' (R, d) previous fits
+    prev_beta, or None."""
+    boot = np.zeros((batch.runs, batch.per_run))
     if prev_beta is not None:
-        boot = _run_values(spec, st, st.next_states, prev_beta)
-    r, done, boot = (st.by_tick(a) for a in (st.rewards, st.dones, boot))
+        boot = _run_values(spec, batch, batch.next_states, prev_beta)
+    r, done, boot = (batch.by_tick(a) for a in (batch.rewards, batch.dones,
+                                                boot))
     returns = np.empty_like(r)
     # backward over ticks, all runs' streams at once; the last tick
     # bootstraps
@@ -240,25 +233,24 @@ def fit_value(spec: FeatureSpec, batches, gamma: float, ridge: float,
     for t in range(r.shape[1] - 2, -1, -1):
         g = np.where(done[:, t], r[:, t], r[:, t] + gamma * g)
         returns[:, t] = g
-    F = _value_features(spec, st.states).reshape(st.runs, st.per_run, -1)
+    F = _value_features(spec, batch.states).reshape(batch.runs,
+                                                    batch.per_run, -1)
     Ft = F.transpose(0, 2, 1)
     A = np.matmul(Ft, F) + ridge * np.eye(F.shape[2])
-    rhs = np.matmul(Ft, returns.reshape(st.runs, -1, 1))
+    rhs = np.matmul(Ft, returns.reshape(batch.runs, -1, 1))
     return np.linalg.solve(A, rhs)[..., 0]
 
 
-def gae_advantages(spec: FeatureSpec, batches, gamma: float, lam: float,
-                   beta: np.ndarray) -> np.ndarray:
-    """Generalized advantage estimates per step of the list batches, all
-    runs and streams at once, under the runs' (R, d) value fits beta; they
-    cover the runs' rows in order."""
-    st = _Stack.of(batches, "next_states", "rewards", "dones")
-    v = st.by_tick(_run_values(spec, st, st.states, beta))
-    v_next = st.by_tick(_run_values(spec, st, st.next_states, beta))
-    r = st.by_tick(st.rewards)
-    nonterm = np.where(st.by_tick(st.dones), 0.0, 1.0)
+def gae_advantages(spec: FeatureSpec, batch: RolloutBatch, gamma: float,
+                   lam: float, beta: np.ndarray) -> np.ndarray:
+    """Generalized advantage estimates per row of batch, all runs and
+    streams at once, under the runs' (R, d) value fits beta."""
+    v = batch.by_tick(_run_values(spec, batch, batch.states, beta))
+    v_next = batch.by_tick(_run_values(spec, batch, batch.next_states, beta))
+    r = batch.by_tick(batch.rewards)
+    nonterm = np.where(batch.by_tick(batch.dones), 0.0, 1.0)
     adv = np.empty_like(r)
-    acc = np.zeros((st.runs, st.num_streams))
+    acc = np.zeros((batch.runs, batch.num_streams))
     for t in range(r.shape[1] - 1, -1, -1):
         delta = r[:, t] + gamma * nonterm[:, t] * v_next[:, t] - v[:, t]
         acc = delta + gamma * lam * nonterm[:, t] * acc
@@ -266,18 +258,29 @@ def gae_advantages(spec: FeatureSpec, batches, gamma: float, lam: float,
     return adv.ravel()
 
 
+def _augment_rewards(batch: RolloutBatch, alphas, gamma: float) -> np.ndarray:
+    """The rewards with each run's successor weighted-entropy bonus folded
+    in at its alpha; a run at alpha 0 keeps its rewards untouched."""
+    alphas = np.asarray(alphas, dtype=np.float64)
+    bonus = np.flatnonzero(alphas > 0.0)
+    out = batch.by_tick(batch.rewards).copy()
+    # tick t + 1 of a stream follows tick t; the last tick has none
+    r = out[bonus, :-1]
+    out[bonus, :-1] = np.where(
+        batch.by_tick(batch.dones)[bonus, :-1], r,
+        augmented_reward(r, batch.by_tick(batch.hb)[bonus, 1:],
+                         alphas[bonus, None, None], gamma))
+    return out.ravel()
+
+
 # ---------------------------------------------------------------------------
 # Policy updates
 #
 # ppo_update and awr_update take R runs in lockstep: stacked (R, dim, V)
-# policy weights and lists of the runs' batches, Hyperparams (which differ in
-# alpha alone), Adam states and generators.  The advantages and forced cover
-# the runs' rows in order, and the losses, ratios, grad norms and skipped
-# flags come back as per-run lists.
-
-
-# the batch fields the policy updates read
-_UPDATE_FIELDS = ("utterances", "old_logprob", "weights", "hb")
+# policy weights and the runs' batch, Hyperparams (which differ in alpha
+# alone), Adam states and generators.  The advantages and forced cover the
+# batch's rows, and the losses, ratios, grad norms and skipped flags come
+# back as per-run lists.
 
 
 def _entropy_runs(hyper: Hyperparams, alphas) -> list:
@@ -286,7 +289,7 @@ def _entropy_runs(hyper: Hyperparams, alphas) -> list:
             for a in alphas]
 
 
-def _descend(params: PolicyParams, st: _Stack, coef: np.ndarray,
+def _descend(params: PolicyParams, batch: RolloutBatch, coef: np.ndarray,
              hyper: Hyperparams, alphas, opts, rngs,
              forced: tuple | None) -> tuple[np.ndarray, list]:
     """Adam steps over shuffled minibatches on each run's
@@ -301,12 +304,12 @@ def _descend(params: PolicyParams, st: _Stack, coef: np.ndarray,
     gradient norm.
     """
     use_entropy = _entropy_runs(hyper, alphas)
-    m = st.per_run
+    m = batch.per_run
     # run r's permutation of its own rows, as row indices of the stack
     order = (stack_runs([g.permutation(m) for g in rngs])
-             + (np.arange(st.runs) * m)[:, None])
+             + (np.arange(batch.runs) * m)[:, None])
     weights = params.weights
-    gnorms = [0.0] * st.runs
+    gnorms = [0.0] * batch.runs
     for lo in range(0, m, hyper.minibatch_size):
         idx = order[:, lo:lo + hyper.minibatch_size]
         size = idx.shape[1]
@@ -314,108 +317,104 @@ def _descend(params: PolicyParams, st: _Stack, coef: np.ndarray,
         token = None
         if any(use_entropy):
             token = (np.repeat(np.asarray(alphas, dtype=np.float64),
-                               size)[:, None] * st.weights[idx])
+                               size)[:, None] * batch.weights[idx])
         grad = pol.grad_objective(
-            PolicyParams(spec=params.spec, weights=weights), st.states[idx],
-            st.utterances[idx], sample_weights=coef[idx],
+            PolicyParams(spec=params.spec, weights=weights), batch.states[idx],
+            batch.utterances[idx], sample_weights=coef[idx],
             token_weights=token, token_runs=use_entropy, forced=forced,
             forced_rows=idx)
         forced = None
         grad = -grad / size  # gradient of the loss (objective negated)
         weights = adam_update_runs(opts, weights, grad, hyper.policy_lr)
         sq = grad * grad
-        gnorms = [float(np.sqrt(np.sum(sq[r]))) for r in range(st.runs)]
+        gnorms = [float(np.sqrt(np.sum(sq[r]))) for r in range(batch.runs)]
     return weights, gnorms
 
 
 def _loss_values(coef_term: np.ndarray, hyper: Hyperparams, alphas,
-                 st: _Stack) -> list:
+                 batch: RolloutBatch) -> list:
     """Each run's loss: minus its mean coef_term, minus alpha times its
     mean weighted entropy where the loss carries that bonus."""
-    means = np.mean(st.by_run(coef_term), axis=1)
+    means = np.mean(batch.by_run(coef_term), axis=1)
     use_entropy = _entropy_runs(hyper, alphas)
-    hb = np.mean(st.by_run(st.hb), axis=1) if any(use_entropy) else None
-    losses = []
-    for r, alpha in enumerate(alphas):
-        loss = -float(means[r])
-        if use_entropy[r]:
-            loss -= alpha * float(hb[r])
-        losses.append(loss)
-    return losses
+    hb = np.mean(batch.by_run(batch.hb), axis=1) if any(use_entropy) else None
+    return [-float(means[r]) - alpha * float(hb[r]) if use_entropy[r]
+            else -float(means[r]) for r, alpha in enumerate(alphas)]
 
 
-def ppo_update(params: PolicyParams, batches, hyper, advantages: np.ndarray,
-               opt, rng, snapshot_id, forced=None) -> tuple:
+def ppo_update(params: PolicyParams, batch: RolloutBatch, hyper,
+               advantages: np.ndarray, opt, rng, snapshot_id,
+               forced=None) -> tuple:
     """One epoch of clipped-surrogate updates over shuffled minibatches.
 
-    forced is the stacked teacher_forced_batch of the batches at params if
-    the caller already has it (the rollout's pass, before any step);
-    otherwise this call teacher-forces the batches once.  That one pass
-    gives the ratios, the losses and the first minibatch's gradient.
+    forced is teacher_forced_batch of the batch at params if the caller
+    already has it (the rollout's pass, before any step); otherwise this
+    call teacher-forces the batch once.  That one pass gives the ratios,
+    the losses and the first minibatch's gradient.
 
     Returns (params, losses at call start, mean ratios, grad norms).
     Raises if a run's rollout snapshot does not match its snapshot_id.
     """
-    if any(b.snapshot_id != s for b, s in zip(batches, snapshot_id)):
+    if batch.snapshot_id != tuple(snapshot_id):
         raise ValueError("stale trajectories: snapshot id mismatch")
-    st = _Stack.of(batches, *_UPDATE_FIELDS)
     alphas, h = [x.alpha for x in hyper], hyper[0]
     if forced is None:
-        forced = pol.teacher_forced_batch(params, st.states, st.utterances)
+        forced = pol.teacher_forced_batch(params, batch.states,
+                                          batch.utterances)
     tok_lp = forced[2]
-    old = np.sum(st.old_logprob, axis=1)
+    old = np.sum(batch.old_logprob, axis=1)
     ratio = np.exp(np.sum(tok_lp, axis=1) - old)
     clipped = np.clip(ratio, 1.0 - h.clip_eps, 1.0 + h.clip_eps)
     surr = np.minimum(ratio * advantages, clipped * advantages)
-    losses = _loss_values(surr, h, alphas, st)
+    losses = _loss_values(surr, h, alphas, batch)
     # gradient coefficient of d(sum logp): A * ratio where the unclipped
     # branch is active, zero where the clip binds
     active = ratio * advantages <= clipped * advantages
     coef = np.where(active, advantages * ratio, 0.0)
-    weights, gnorms = _descend(params, st, coef, h, alphas, opt, rng, forced)
-    ratios = [float(x) for x in np.mean(st.by_run(ratio), axis=1)]
+    weights, gnorms = _descend(params, batch, coef, h, alphas, opt, rng,
+                               forced)
+    ratios = [float(x) for x in np.mean(batch.by_run(ratio), axis=1)]
     return (PolicyParams(spec=params.spec, weights=weights), losses, ratios,
             gnorms)
 
 
-def awr_update(params: PolicyParams, batches, hyper, advantages: np.ndarray,
-               opt, rng, forced=None) -> tuple:
+def awr_update(params: PolicyParams, batch: RolloutBatch, hyper,
+               advantages: np.ndarray, opt, rng, forced=None) -> tuple:
     """Advantage-weighted regression step (off-policy tolerated).
 
     forced is as for ppo_update; without it the step teacher-forces the
-    stepping runs' batches once, for the losses and the first minibatch's
+    stepping runs' rows once, for the losses and the first minibatch's
     gradient.
 
     Returns (params, losses, grad norms, skipped).  A run whose advantages
     all fail the hard filter skips its step: it draws nothing, keeps its
     weights and Adam state, and reports a loss and grad norm of 0.
     """
-    st = _Stack.of(batches, *_UPDATE_FIELDS)
     alphas, h = [x.alpha for x in hyper], hyper[0]
     if h.awr_mode == "filter":
         w = (advantages > h.adv_filter_threshold).astype(np.float64)
     else:
         w = np.clip(np.exp(advantages / h.awr_beta), 0.0, h.awr_weight_clamp)
-    steps = np.any(st.by_run(w > 0.0), axis=1)
-    losses, gnorms = [0.0] * st.runs, [0.0] * st.runs
+    steps = np.any(batch.by_run(w > 0.0), axis=1)
+    losses, gnorms = [0.0] * batch.runs, [0.0] * batch.runs
     weights = params.weights
     if steps.any():
         keep = np.flatnonzero(steps)
-        sub, sub_st = params, st
+        sub, sub_batch = params, batch
         if not steps.all():  # the stepping runs alone
-            rows = st.rows(keep)
+            rows = batch.rows(keep)
             sub = PolicyParams(spec=params.spec, weights=params.weights[keep])
-            sub_st, w = st.select(keep), w[rows]
+            sub_batch, w = batch.select(keep), w[rows]
             alphas, opt, rng = ([x[r] for r in keep]
                                 for x in (alphas, opt, rng))
             if forced is not None:
                 forced = tuple(a[rows] for a in forced)
         if forced is None:
-            forced = pol.teacher_forced_batch(sub, sub_st.states,
-                                              sub_st.utterances)
+            forced = pol.teacher_forced_batch(sub, sub_batch.states,
+                                              sub_batch.utterances)
         stepped = _loss_values(w * np.sum(forced[2], axis=1), h, alphas,
-                               sub_st)
-        new, norms = _descend(sub, sub_st, w, h, alphas, opt, rng, forced)
+                               sub_batch)
+        new, norms = _descend(sub, sub_batch, w, h, alphas, opt, rng, forced)
         if steps.all():
             weights = new
         else:
@@ -490,24 +489,23 @@ class Trainer:
     # -- phases ------------------------------------------------------------
     #
     # collect_rollouts and train_iteration take the other runs of a
-    # Lockstep group, this run leading; they then return per-run lists.
+    # Lockstep group, this run leading.
 
-    def collect_rollouts(self, *others: "Trainer"):
-        """This run's rollout batch.  With others, this run and the others
-        step in lockstep and the result is their batches, in order; each
-        run's batch and streams get arrays of their own.
+    def collect_rollouts(self, *others: "Trainer") -> RolloutBatch:
+        """The rollout batch of this run and the others, stepped in
+        lockstep, in that order; each run's streams get arrays of their
+        own.
 
         This is where an iteration checks its group.  The checked group and
-        the batches' stacked teacher forcing stay on this run for
-        train_iteration, which takes them at once; a rollout called on its
-        own leaves them until the next one replaces them.
+        the batch's teacher forcing stay on this run for train_iteration,
+        which takes them at once; a rollout called on its own leaves them
+        until the next one replaces them.
         """
         group = Lockstep([self, *others])
         trs = group.trainers
         env, hyper, spec = self.env, self.hyper, self.policy.spec
         runs, ns, n = len(trs), hyper.num_envs, spec.n
         ticks = hyper.rollout_steps // ns
-        m = ticks * ns
         # stream s of run r is row r * ns + s
         feats = np.concatenate([tr._feats for tr in trs])
         steps = np.concatenate([tr._steps for tr in trs])
@@ -543,28 +541,19 @@ class Trainer:
                 fresh = trs[j // ns]._fresh_state()
                 feats[j], steps[j] = fresh.features, fresh.step_count
         del tables, uniforms  # before the batch's largest arrays
-        forced = pol.teacher_forced_batch(policy, states.reshape(-1, k),
-                                          utts.reshape(-1, n))
-        batches = []
+        states, utts = states.reshape(-1, k), utts.reshape(-1, n)
+        forced = pol.teacher_forced_batch(policy, states, utts)
         for r, tr in enumerate(trs):
             tr._feats = feats[r * ns:(r + 1) * ns].copy()
             tr._steps = steps[r * ns:(r + 1) * ns].copy()
-            tr.total_env_steps += m
-            rows = slice(r * m, (r + 1) * m)
-            batch = RolloutBatch(
-                states=states[r].reshape(m, k).copy(),
-                next_states=next_states[r].reshape(m, k).copy(),
-                utterances=utts[r].reshape(m, n).copy(),
-                action_idx=acts[r].reshape(m).copy(),
-                rewards=rewards[r].reshape(m).copy(),
-                dones=dones[r].reshape(m).copy(),
-                parse_ok=oks[r].reshape(m).copy(),
-                old_logprob=forced[2][rows].copy(),
-                entropy=forced[3][rows].copy(), num_streams=ns,
-                snapshot_id=tr.snapshot_id)
-            batches.append(batch)
+            tr.total_env_steps += ticks * ns
         self._rollout_forcing = group, forced
-        return batches if others else batches[0]
+        return RolloutBatch(
+            states=states, next_states=next_states.reshape(-1, k),
+            utterances=utts, action_idx=acts.ravel(),
+            rewards=rewards.ravel(), dones=dones.ravel(),
+            parse_ok=oks.ravel(), old_logprob=forced[2], entropy=forced[3],
+            num_streams=ns, snapshot_id=tuple(tr.snapshot_id for tr in trs))
 
     def compute_weights(self, batch: RolloutBatch) -> None:
         """Fill batch.weights/hb according to the arm (B for every (y, a))."""
@@ -578,42 +567,33 @@ class Trainer:
         batch.weights = used
         batch.hb = np.sum(used * batch.entropy, axis=1)
 
-    def _augment_rewards(self, batch: RolloutBatch) -> np.ndarray:
-        """Fold the successor weighted-entropy bonus into rewards."""
-        hyper = self.hyper
-        ns = batch.num_streams
-        out = batch.rewards.copy()
-        # row j + ns is the same stream's next tick; the last tick has none
-        r = batch.rewards[:-ns]
-        out[:-ns] = np.where(batch.dones[:-ns], r, augmented_reward(
-            r, batch.hb[ns:], hyper.alpha, hyper.gamma))
-        return out
-
     def train_iteration(self, *others: "Trainer"):
         """One pass: rollout, counterfactual weights, SCM then policy update.
         With others, one pass of this run and the others in lockstep, which
         returns their UpdateReports in order."""
-        batches = self.collect_rollouts(*others)
+        batch = self.collect_rollouts(*others)
         (group, forced), self._rollout_forcing = self._rollout_forcing, None
-        if not others:
-            batches = [batches]
-        for tr, batch in zip(group.trainers, batches):
-            tr.compute_weights(batch)
-        scm_losses = group.update_scm(batches)
+        views = [batch.run(r) for r in range(batch.runs)]
+        for tr, view in zip(group.trainers, views):
+            tr.compute_weights(view)
+        for name in ("weights", "hb"):  # the group batch gets the runs' B
+            parts = [getattr(view, name) for view in views]
+            setattr(batch, name, np.concatenate(parts) if others else parts[0])
+        scm_losses = group.update_scm(batch)
         if not np.all(np.isfinite(scm_losses)):
             raise RuntimeError("SCM update diverged; policy update aborted")
         reports = [UpdateReport(
-            mean_return=float(np.mean(batch.rewards)),
+            mean_return=float(np.mean(view.rewards)),
             mean_weighted_entropy=(None if tr.arm == "rl"
-                                   else float(np.mean(batch.hb))),
-            mean_entropy=float(np.mean(np.sum(batch.entropy, axis=1))),
+                                   else float(np.mean(view.hb))),
+            mean_entropy=float(np.mean(np.sum(view.entropy, axis=1))),
             policy_loss=policy_loss, scm_loss=scm_loss,
-            invalid_rate=float(np.mean(~batch.parse_ok)),
-            grad_norm=gnorm, buffer_size=batch.size,
+            invalid_rate=float(np.mean(~view.parse_ok)),
+            grad_norm=gnorm, buffer_size=view.size,
             env_steps=tr.total_env_steps, skipped=skipped)
-            for tr, batch, scm_loss, (policy_loss, gnorm, skipped)
-            in zip(group.trainers, batches, scm_losses,
-                   group.update_policy(batches, forced=forced))]
+            for tr, view, scm_loss, (policy_loss, gnorm, skipped)
+            in zip(group.trainers, views, scm_losses,
+                   group.update_policy(batch, forced=forced))]
         return reports if others else reports[0]
 
 
@@ -684,13 +664,13 @@ class Lockstep:
     The runs must share their lockstep_key and their step count; they may
     differ in arm, seed, alpha and force_uniform_weights.  Each run keeps
     its own generator, episode seeds, snapshot id and causal weights
-    (Trainer.compute_weights, called once per run and iteration on that
-    run's own batch), and ends every phase with its own arrays, equal bit
-    for bit to its training alone.  Forming a group points the runs of
-    each seed at one _SharedStarts, so a seeded episode start is computed
-    once per group; forming the same group again, as every iteration
-    does, keeps the stores it has.  Seed-free resets (menunav) share
-    nothing.
+    (Trainer.compute_weights, called once per run and iteration on a view
+    of that run's rows of the group's batch), and ends every phase with
+    results equal bit for bit to its training alone.  Forming a group
+    points the runs of each seed at one _SharedStarts, so a seeded episode
+    start is computed once per group; forming the same group again, as
+    every iteration does, keeps the stores it has.  Seed-free resets
+    (menunav) share nothing.
     """
 
     def __init__(self, trainers):
@@ -713,48 +693,44 @@ class Lockstep:
         reports = lead.train_iteration(*others)
         return reports if others else [reports]
 
-    def update_scm(self, batches) -> list:
-        """Each run's classifier trained on its own batch; their losses."""
+    def update_scm(self, batch: RolloutBatch) -> list:
+        """Each run's classifier trained on its own rows; their losses."""
         trs, hyper = self.trainers, self.trainers[0].hyper
         phis, losses = scm_mod.train_scm(
-            [tr.scm for tr in trs],
-            np.concatenate([b.utterances for b in batches]),
-            np.concatenate([b.action_idx for b in batches]),
+            [tr.scm for tr in trs], batch.utterances, batch.action_idx,
             lr=hyper.scm_lr, steps=hyper.scm_steps,
             batch_size=hyper.scm_batch_size, rngs=[tr.rng for tr in trs])
         for tr, phi in zip(trs, phis):
             tr.scm = phi
         return losses
 
-    def update_policy(self, batches, forced=None) -> list:
+    def update_policy(self, batch: RolloutBatch, forced=None) -> list:
         """Value fit, advantages, then the PPO epochs or the AWR step; per
         run (loss, grad norm, skipped).
 
-        forced is the stacked teacher_forced_batch of the batches at the
-        runs' current params, which train_iteration has from the rollout;
-        the first PPO epoch or the AWR step then takes it instead of
-        teacher-forcing.  Without it the update teacher-forces afresh.
+        forced is teacher_forced_batch of the batch at the runs' current
+        params, which train_iteration has from the rollout; the first PPO
+        epoch or the AWR step then takes it instead of teacher-forcing.
+        Without it the update teacher-forces afresh.
         """
         trs = self.trainers
         hyper, spec = trs[0].hyper, trs[0].policy.spec
-        batches = [
-            replace(b, rewards=tr._augment_rewards(b))
-            if tr.hyper.alpha > 0.0
-            and hyper.entropy_placement == "reward_bonus" else b
-            for tr, b in zip(trs, batches)]
+        if hyper.entropy_placement == "reward_bonus":
+            batch = replace(batch, rewards=_augment_rewards(
+                batch, [tr.hyper.alpha for tr in trs], hyper.gamma))
         prev = None
         if any(tr.value_beta is not None for tr in trs):
             d = sum(spec.state_cards) + 1
             # a run without a fit bootstraps from zero, as alone
             prev = stack_runs([np.zeros(d) if tr.value_beta is None
                                else tr.value_beta for tr in trs])
-        betas = fit_value(spec, batches, hyper.gamma, hyper.value_ridge, prev)
+        betas = fit_value(spec, batch, hyper.gamma, hyper.value_ridge, prev)
         for r, tr in enumerate(trs):
             tr.value_beta = betas[r]
-        adv = gae_advantages(spec, batches, hyper.gamma, hyper.gae_lambda,
+        adv = gae_advantages(spec, batch, hyper.gamma, hyper.gae_lambda,
                              betas)
         if hyper.normalize_advantages:
-            a = adv.reshape(len(trs), -1)
+            a = batch.by_run(adv)
             adv = ((a - np.mean(a, axis=1, keepdims=True))
                    / (np.std(a, axis=1, keepdims=True) + 1e-8)).ravel()
         params = PolicyParams(spec=spec, weights=stack_runs(
@@ -765,13 +741,13 @@ class Lockstep:
         if trs[0].optimizer == "ppo":
             for _ in range(hyper.ppo_epochs):
                 params, losses, _, gnorms = ppo_update(
-                    params, batches, hypers, adv, opts, rngs,
+                    params, batch, hypers, adv, opts, rngs,
                     [tr.snapshot_id for tr in trs], forced=forced)
                 forced = None  # later epochs start from moved params
             skipped = [False] * len(trs)
         else:
             params, losses, gnorms, skipped = awr_update(
-                params, batches, hypers, adv, opts, rngs, forced=forced)
+                params, batch, hypers, adv, opts, rngs, forced=forced)
         for r, tr in enumerate(trs):
             if not skipped[r]:
                 tr.policy = PolicyParams(spec=spec, weights=params.weights[r])

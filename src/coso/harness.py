@@ -70,6 +70,9 @@ class RunConfig:
             raise ValueError(f"unknown arm {self.arm!r}")
         if self.optimizer not in ("ppo", "awr"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        # above 1 no run can reach it; below 0 every run does at once
+        if not 0 <= self.success_threshold <= 1:
+            raise ValueError("success_threshold must be in [0, 1]")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -604,8 +607,12 @@ def check_iteration(spec: TheoryCheckSpec) -> SuiteResult:
 
 
 def theory_check(spec: TheoryCheckSpec | None = None) -> list:
-    """Run all four verifier suites; returns a list of SuiteResults."""
+    """Run all four verifier suites; returns a list of SuiteResults.  The
+    negative control (corrupt_gamma) runs only the contraction suite, the
+    one that reads it."""
     spec = spec or TheoryCheckSpec()
+    if spec.corrupt_gamma is not None:
+        return [check_contraction(spec)]
     return [check_decomposition(spec), check_contraction(spec),
             check_improvement(spec), check_iteration(spec)]
 

@@ -122,7 +122,7 @@ def synthetic_batch(rewards, dones, spec, num_streams=1):
         parse_ok=np.ones(m, dtype=bool),
         old_logprob=np.zeros((m, spec.n)),
         entropy=np.zeros((m, spec.n)),
-        num_streams=num_streams, snapshot_id=0)
+        num_streams=num_streams, snapshot_id=(0,))
 
 
 def test_gae_with_zero_baseline_matches_hand_computation():
@@ -130,7 +130,7 @@ def test_gae_with_zero_baseline_matches_hand_computation():
     batch = synthetic_batch([1.0, 0.0, 2.0], [False, False, True], spec)
     gamma, lam = 0.9, 0.5
     beta = np.zeros((1, 2))
-    adv = gae_advantages(spec, [batch], gamma, lam, beta)
+    adv = gae_advantages(spec, batch, gamma, lam, beta)
     # deltas are just the rewards when the baseline is zero
     a2 = 2.0
     a1 = 0.0 + gamma * lam * a2
@@ -141,7 +141,7 @@ def test_gae_with_zero_baseline_matches_hand_computation():
 def test_gae_resets_across_episode_boundary():
     spec = FeatureSpec(state_cards=(1,), vocab_size=4, n=2)
     batch = synthetic_batch([0.0, 5.0, 0.0], [False, True, False], spec)
-    adv = gae_advantages(spec, [batch], 0.9, 0.95, np.zeros((1, 2)))
+    adv = gae_advantages(spec, batch, 0.9, 0.95, np.zeros((1, 2)))
     assert adv[2] == 0.0  # nothing from the earlier episode leaks forward
 
 
@@ -152,7 +152,7 @@ def test_fit_value_recovers_constant_reward_value():
     batch = synthetic_batch([1.0] * m, [False] * m, spec)
     beta = None
     for _ in range(200):
-        beta = fit_value(spec, [batch], gamma, ridge=1e-8, prev_beta=beta)
+        beta = fit_value(spec, batch, gamma, ridge=1e-8, prev_beta=beta)
     value = beta[0, 0] + beta[0, 1]  # one-hot state feature plus bias
     assert value == pytest.approx(1.0 / (1 - gamma), rel=1e-2)
 
@@ -172,7 +172,7 @@ def test_ppo_first_pass_ratios_are_one():
     tr, batch = fresh_rollout()
     adv = np.zeros(batch.size)
     _, _, (mean_ratio,), _ = ppo_update(
-        group_of_one(tr.policy), [batch], [tr.hyper], adv, [AdamState()],
+        group_of_one(tr.policy), batch, [tr.hyper], adv, [AdamState()],
         [np.random.default_rng(0)], snapshot_id=[0])
     assert abs(mean_ratio - 1.0) <= 1e-9
 
@@ -180,7 +180,7 @@ def test_ppo_first_pass_ratios_are_one():
 def test_ppo_rejects_stale_snapshot():
     tr, batch = fresh_rollout()
     with pytest.raises(ValueError):
-        ppo_update(group_of_one(tr.policy), [batch], [tr.hyper],
+        ppo_update(group_of_one(tr.policy), batch, [tr.hyper],
                    np.zeros(batch.size), [AdamState()],
                    [np.random.default_rng(0)], snapshot_id=[7])
 
@@ -188,7 +188,7 @@ def test_ppo_rejects_stale_snapshot():
 def test_ppo_zero_advantage_zero_alpha_keeps_params():
     tr, batch = fresh_rollout(arm="rl")
     params, _, _, (gnorm,) = ppo_update(
-        group_of_one(tr.policy), [batch], [tr.hyper], np.zeros(batch.size),
+        group_of_one(tr.policy), batch, [tr.hyper], np.zeros(batch.size),
         [AdamState()], [np.random.default_rng(0)], snapshot_id=[0])
     assert gnorm == 0.0
     np.testing.assert_array_equal(params.weights[0], tr.policy.weights)
@@ -198,7 +198,7 @@ def test_awr_filter_all_negative_skips():
     tr, batch = fresh_rollout(awr_mode="filter")
     adv = -np.ones(batch.size)
     params, loss, gnorm, skipped = awr_update(
-        group_of_one(tr.policy), [batch], [tr.hyper], adv, [AdamState()],
+        group_of_one(tr.policy), batch, [tr.hyper], adv, [AdamState()],
         [np.random.default_rng(0)])
     assert skipped == [True] and loss == gnorm == [0.0]
     np.testing.assert_array_equal(params.weights[0], tr.policy.weights)
@@ -212,7 +212,7 @@ def test_awr_exp_weight_clamped():
     tr, batch = fresh_rollout(awr_beta=1.0, awr_weight_clamp=20.0)
     adv = np.full(batch.size, 50.0)
     params, _, _, skipped = awr_update(
-        group_of_one(tr.policy), [batch], [tr.hyper], adv, [AdamState()],
+        group_of_one(tr.policy), batch, [tr.hyper], adv, [AdamState()],
         [np.random.default_rng(0)])
     assert skipped == [False]
     assert np.any(params.weights[0] != tr.policy.weights)
@@ -331,7 +331,7 @@ def test_reward_bonus_placement_augments_rewards():
                                   alpha=0.5), seed=4, arm="coso")
     batch = tr.collect_rollouts()
     tr.compute_weights(batch)
-    out = tr._augment_rewards(batch)
+    out = coso_rl._augment_rewards(batch, [tr.hyper.alpha], 0.99)
     ns = batch.num_streams
     for j in range(batch.size):
         nxt = j + ns
@@ -469,14 +469,14 @@ def test_recursions_match_row_by_row_references():
     v = coso_rl._value_features(spec, batch.states) @ beta
     v_next = coso_rl._value_features(spec, batch.next_states) @ beta
     np.testing.assert_array_equal(
-        gae_advantages(spec, [batch], gamma, 0.95, beta[None]),
+        gae_advantages(spec, batch, gamma, 0.95, beta[None]),
         reference_gae(batch, gamma, 0.95, v, v_next))
     F = coso_rl._value_features(spec, batch.states)
     A = F.T @ F + 1e-2 * np.eye(F.shape[1])
     for prev, boot in ((None, np.zeros(batch.size)), (beta, v_next)):
         want = np.linalg.solve(A, F.T @ reference_returns(batch, gamma, boot))
         np.testing.assert_array_equal(
-            fit_value(spec, [batch], gamma, 1e-2,
+            fit_value(spec, batch, gamma, 1e-2,
                       None if prev is None else prev[None])[0], want)
     want = batch.rewards.copy()
     for j in range(batch.size - batch.num_streams):
@@ -484,7 +484,8 @@ def test_recursions_match_row_by_row_references():
             want[j] = augmented_reward(batch.rewards[j],
                                        batch.hb[j + batch.num_streams],
                                        0.5, gamma)
-    np.testing.assert_array_equal(tr._augment_rewards(batch), want)
+    np.testing.assert_array_equal(
+        coso_rl._augment_rewards(batch, [tr.hyper.alpha], gamma), want)
 
 
 def random_policy_rollout(**hkw):
@@ -500,7 +501,7 @@ def random_policy_rollout(**hkw):
 def run_update(optimizer, tr, batch):
     """The run's new policy weights after one update as a group of one."""
     adv = np.random.default_rng(5).normal(size=batch.size)
-    args = (group_of_one(tr.policy), [batch], [tr.hyper], adv, [AdamState()],
+    args = (group_of_one(tr.policy), batch, [tr.hyper], adv, [AdamState()],
             [np.random.default_rng(6)])
     if optimizer == "ppo":
         return ppo_update(*args, snapshot_id=[0])[0].weights[0]
@@ -598,16 +599,17 @@ def reference_update_policy(tr, batch):
     spec = tr.policy.spec
     rewards = batch.rewards
     if hyper.alpha > 0.0 and hyper.entropy_placement == "reward_bonus":
-        rewards = tr._augment_rewards(batch)
+        rewards = coso_rl._augment_rewards(batch, [hyper.alpha],
+                                           hyper.gamma)
         batch = replace(batch, rewards=rewards)
     prev = None if tr.value_beta is None else tr.value_beta[None]
-    beta = fit_value(spec, [batch], hyper.gamma, hyper.value_ridge, prev)
+    beta = fit_value(spec, batch, hyper.gamma, hyper.value_ridge, prev)
     tr.value_beta = beta[0]
-    adv = gae_advantages(spec, [batch], hyper.gamma, hyper.gae_lambda, beta)
+    adv = gae_advantages(spec, batch, hyper.gamma, hyper.gae_lambda, beta)
     if hyper.normalize_advantages:
         adv = (adv - np.mean(adv)) / (np.std(adv) + 1e-8)
     params = group_of_one(tr.policy)
-    args = ([batch], [hyper], adv, [tr.policy_opt], [tr.rng])
+    args = (batch, [hyper], adv, [tr.policy_opt], [tr.rng])
     skipped = [False]
     if tr.optimizer == "ppo":
         for _ in range(hyper.ppo_epochs):
@@ -636,11 +638,11 @@ def test_train_iterations_match_two_pass_reference(env_id, optimizer, hkw,
     # ref's iterations take the reference policy update, fast's the real one
     original, used = Lockstep.update_policy, []
 
-    def update_policy(group, batches, forced=None):
+    def update_policy(group, batch, forced=None):
         if group.trainers != [ref]:
-            return original(group, batches, forced=forced)
+            return original(group, batch, forced=forced)
         used.append(ref)
-        return [reference_update_policy(ref, batches[0])]
+        return [reference_update_policy(ref, batch)]
     monkeypatch.setattr(Lockstep, "update_policy", update_policy)
     start = fast.policy.weights.copy()
     for _ in range(4):
@@ -667,7 +669,7 @@ def test_update_outside_train_iteration_teacher_forces_once(optimizer,
     tr, batch = fresh_rollout(minibatch_size=64)
     tr.optimizer = optimizer
     calls = count_forcing(monkeypatch)
-    (_, _, skipped), = Lockstep([tr]).update_policy([batch])
+    (_, _, skipped), = Lockstep([tr]).update_policy(batch)
     assert calls == [64] and not skipped
 
 

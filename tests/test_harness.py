@@ -51,7 +51,9 @@ def test_config_validation():
     # each once trained nothing, or failed only after the first iteration
     for field, bad in (("total_env_steps", 0), ("total_env_steps", -64),
                        ("eval_every_iters", 0), ("eval_episodes", 0),
-                       ("env_id", "nope")):
+                       ("env_id", "nope"), ("success_threshold", 1.5),
+                       ("success_threshold", float("nan")),
+                       ("success_threshold", -1)):
         with pytest.raises(ValueError, match=field):
             tiny_config(**{field: bad})
 
@@ -155,11 +157,13 @@ def drop_section(keys):
     (drop_section(["policy", "feature_spec", "n"]),
      "checkpoint lacks field 'n'"),
     (lambda doc: {**doc, "policy": 3}, "malformed checkpoint"),
+    (lambda doc: {**doc, "env_id": "bogus"}, "unknown env_id 'bogus'"),
 ])
 def test_checkpoint_rejects_missing_sections(edit, message, tmp_path,
                                              capsys):
-    """A bundle that is not an object, or lacks a section or field, fails
-    at load with ValueError, and the CLI prints one line and exits 2."""
+    """A bundle that is not an object, lacks a section or field, or names
+    an unknown env fails at load with ValueError, and the CLI prints one
+    line and exits 2."""
     path = trained_checkpoint(tmp_path, iters=1)
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     with pytest.raises(ValueError, match=message):
@@ -404,7 +408,8 @@ def test_theory_check_passes_small():
 
 def test_theory_check_negative_control():
     spec = TheoryCheckSpec(instances=5, q_pairs=10, corrupt_gamma=1.5)
-    contraction = theory_check(spec)[1]
+    contraction, = theory_check(spec)  # the one suite that reads it
+    assert contraction.name == "contraction"
     assert not contraction.passed
     assert contraction.failing_seeds
 
@@ -422,7 +427,9 @@ def test_theory_spec_validation(field, value):
 
 @pytest.mark.parametrize("field,value", [("instances", 2.5),
                                          ("contraction_tol", "x"),
-                                         ("q_pairs", True)])
+                                         ("q_pairs", True),
+                                         ("corrupt_gamma", True),
+                                         ("corrupt_gamma", "x")])
 def test_theory_spec_rejects_wrong_types_naming_the_field(field, value):
     with pytest.raises(ValueError, match=f"bad config value: {field}="):
         TheoryCheckSpec(**{field: value})

@@ -119,16 +119,39 @@ def test_minibatched_group_equals_solo_runs(optimizer):
         lambda: make_runs("menunav", hyper, optimizer=optimizer), iters=3)
 
 
-def test_group_hands_each_run_a_batch_of_its_own():
+ROLLOUT_FIELDS = ("states", "next_states", "utterances", "action_idx",
+                  "rewards", "dones", "parse_ok", "old_logprob", "entropy")
+
+
+def test_group_hands_each_run_a_view_of_the_group_batch(monkeypatch):
     trainers = make_runs("numberline", small_hyper(), seeds=(0,))
-    batches = trainers[0].collect_rollouts(*trainers[1:])
-    for batch in batches:
-        assert batch.size == 64
-        for name in ("states", "next_states", "utterances", "action_idx",
-                     "rewards", "dones", "parse_ok", "old_logprob",
-                     "entropy"):
-            assert getattr(batch, name).flags.owndata, name
-    for tr in trainers:
+    group_batches, run_batches = [], []
+    collect, weigh = Trainer.collect_rollouts, Trainer.compute_weights
+
+    def collect_rollouts(tr, *others):
+        group_batches.append(collect(tr, *others))
+        return group_batches[-1]
+
+    def compute_weights(tr, batch):
+        run_batches.append(batch)
+        weigh(tr, batch)
+    monkeypatch.setattr(Trainer, "collect_rollouts", collect_rollouts)
+    monkeypatch.setattr(Trainer, "compute_weights", compute_weights)
+    Lockstep(trainers).train_iteration()
+    (group,) = group_batches
+    assert group.runs == len(trainers) and group.size == 64 * len(trainers)
+    assert len(run_batches) == len(trainers)
+    for r, (tr, batch) in enumerate(zip(trainers, run_batches)):
+        assert batch.runs == 1 and batch.size == 64
+        assert batch.snapshot_id == (group.snapshot_id[r],)
+        for name in ROLLOUT_FIELDS:
+            assert np.shares_memory(getattr(batch, name),
+                                    getattr(group, name)), name
+            np.testing.assert_array_equal(
+                getattr(batch, name),
+                getattr(group, name)[r * 64:(r + 1) * 64], err_msg=name)
+        np.testing.assert_array_equal(batch.weights,
+                                      group.weights[r * 64:(r + 1) * 64])
         assert tr._feats.flags.owndata and tr._steps.flags.owndata
 
 
