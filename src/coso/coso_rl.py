@@ -7,20 +7,20 @@ plain conditional-entropy sum.  Two optimizer instantiations are provided
 the gradient of policy.grad_objective, plus the online loop: rollout,
 counterfactual weighting, classifier update, policy update.
 
-Every phase below Trainer takes a run axis: R compatible runs (a Lockstep
-group) train together on one RolloutBatch that holds their rows stacked
-run-first, each phase one pass over it, while every run keeps its own
-generator, state, snapshot id and causal weights (computed on a view of its
-rows).  Each run's results equal its own training alone, bit for bit.  One
-run is a batch of one: fit_value, gae_advantages, ppo_update and awr_update
-take the one batch form, and a Trainer's own iteration is a Lockstep group
-of one.  The runs of a group that share a seed also share their episode
+Every phase takes a run axis: R compatible runs, a lockstep group (a lead
+Trainer and the others its phases are handed), train together on one
+RolloutBatch that holds their rows stacked run-first, each phase one pass
+over it, while every run keeps its own generator, state, snapshot id and
+causal weights (computed on a view of its rows).  Each run's results equal
+its own training alone, bit for bit.  One run is a group and a batch of
+one.  The runs of a group that share a seed also share their episode
 starts: each (seed, episode number) start is computed once per group, by
 the first run to reach it.
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -41,9 +41,10 @@ _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
 
 def check_field_types(obj) -> None:
     """Raise ValueError naming the first int, float, bool or str field of the
-    dataclass obj that holds a value of another type; a field typed
-    "X | None" may also hold None.  As in JSON, an int is a float, but a
-    bool is no int."""
+    dataclass obj that holds a value of another type, or a float field that
+    holds NaN or an infinity (JSON parses both); a field typed "X | None"
+    may also hold None.  As in JSON, an int is a float, but a bool is no
+    int."""
     for f in dataclasses.fields(obj):
         kind = f.type.removesuffix(" | None")
         want = _FIELD_TYPES.get(kind)
@@ -56,6 +57,10 @@ def check_field_types(obj) -> None:
             raise ValueError(f"bad config value: {f.name}={value!r}: "
                              f"{type(value).__name__} not supported as "
                              f"{f.type}")
+        if kind == "float" and not isinstance(value, numbers.Integral) \
+                and not math.isfinite(value):
+            raise ValueError(f"bad config value: {f.name}={value!r}: not "
+                             f"finite")
 
 
 @dataclass
@@ -431,8 +436,10 @@ class Trainer:
 
     arm: 'rl' (alpha forced to 0), 'rl_h' (uniform weights), or 'coso'
     (classifier-derived weights).  All arms consume identical randomness; the
-    only difference is the weight vector fed to the entropy term.  The
-    phases run as a Lockstep group of this one run.  Episode number i
+    only difference is the weight vector fed to the entropy term.  Each
+    phase takes the other runs of a lockstep group, this run leading; the
+    runs must share their lockstep_key and their step count and may differ
+    in arm, seed, alpha and force_uniform_weights.  Episode number i
     starts from env.reset of a seed drawn from SeedSequence([seed, i]),
     so runs with one seed start their episodes alike; in a group they read
     those starts from one _SharedStarts.
@@ -460,13 +467,13 @@ class Trainer:
         self.policy_opt = AdamState()
         self.value_beta: np.ndarray | None = None
         self.snapshot_id = 0
-        # (group, the group's stacked teacher forcing) of the last rollout
-        # this run led, until train_iteration takes it
+        # the stacked teacher forcing of the last rollout this run led,
+        # until train_iteration takes it
         self._rollout_forcing = None
         self.total_env_steps = 0
         self._episode_counter = 0
         # the episode starts this run shares with its group's runs of the
-        # same seed (Lockstep sets it), or None
+        # same seed (_check_group sets it), or None
         self._starts: _SharedStarts | None = None
         # stream s is row s: (num_envs, k) features and (num_envs,) steps
         self._feats, self._steps = state_arrays(
@@ -487,22 +494,19 @@ class Trainer:
         return self.env.reset(int(s.generate_state(1)[0]))
 
     # -- phases ------------------------------------------------------------
-    #
-    # collect_rollouts and train_iteration take the other runs of a
-    # Lockstep group, this run leading.
 
     def collect_rollouts(self, *others: "Trainer") -> RolloutBatch:
         """The rollout batch of this run and the others, stepped in
         lockstep, in that order; each run's streams get arrays of their
         own.
 
-        This is where an iteration checks its group.  The checked group and
-        the batch's teacher forcing stay on this run for train_iteration,
-        which takes them at once; a rollout called on its own leaves them
-        until the next one replaces them.
+        This is where an iteration checks its group (_check_group), before
+        any draw.  The batch's teacher forcing stays on this run for
+        train_iteration, which takes it at once; a rollout called on its
+        own leaves it until the next one replaces it.
         """
-        group = Lockstep([self, *others])
-        trs = group.trainers
+        trs = [self, *others]
+        _check_group(trs)
         env, hyper, spec = self.env, self.hyper, self.policy.spec
         runs, ns, n = len(trs), hyper.num_envs, spec.n
         ticks = hyper.rollout_steps // ns
@@ -547,7 +551,7 @@ class Trainer:
             tr._feats = feats[r * ns:(r + 1) * ns].copy()
             tr._steps = steps[r * ns:(r + 1) * ns].copy()
             tr.total_env_steps += ticks * ns
-        self._rollout_forcing = group, forced
+        self._rollout_forcing = forced
         return RolloutBatch(
             states=states, next_states=next_states.reshape(-1, k),
             utterances=utts, action_idx=acts.ravel(),
@@ -572,14 +576,14 @@ class Trainer:
         With others, one pass of this run and the others in lockstep, which
         returns their UpdateReports in order."""
         batch = self.collect_rollouts(*others)
-        (group, forced), self._rollout_forcing = self._rollout_forcing, None
-        views = [batch.run(r) for r in range(batch.runs)]
-        for tr, view in zip(group.trainers, views):
+        forced, self._rollout_forcing = self._rollout_forcing, None
+        trs, views = [self, *others], [batch.run(r) for r in range(batch.runs)]
+        for tr, view in zip(trs, views):
             tr.compute_weights(view)
         for name in ("weights", "hb"):  # the group batch gets the runs' B
             parts = [getattr(view, name) for view in views]
             setattr(batch, name, np.concatenate(parts) if others else parts[0])
-        scm_losses = group.update_scm(batch)
+        scm_losses = self.update_scm(batch, *others)
         if not np.all(np.isfinite(scm_losses)):
             raise RuntimeError("SCM update diverged; policy update aborted")
         reports = [UpdateReport(
@@ -592,26 +596,83 @@ class Trainer:
             grad_norm=gnorm, buffer_size=view.size,
             env_steps=tr.total_env_steps, skipped=skipped)
             for tr, view, scm_loss, (policy_loss, gnorm, skipped)
-            in zip(group.trainers, views, scm_losses,
-                   group.update_policy(batch, forced=forced))]
+            in zip(trs, views, scm_losses,
+                   self.update_policy(batch, *others, forced=forced))]
         return reports if others else reports[0]
+
+    def update_scm(self, batch: RolloutBatch, *others: "Trainer") -> list:
+        """Each run's classifier trained on its own rows; their losses."""
+        trs, hyper = [self, *others], self.hyper
+        phis, losses = scm_mod.train_scm(
+            [tr.scm for tr in trs], batch.utterances, batch.action_idx,
+            lr=hyper.scm_lr, steps=hyper.scm_steps,
+            batch_size=hyper.scm_batch_size, rngs=[tr.rng for tr in trs])
+        for tr, phi in zip(trs, phis):
+            tr.scm = phi
+        return losses
+
+    def update_policy(self, batch: RolloutBatch, *others: "Trainer",
+                      forced=None) -> list:
+        """Value fit, advantages, then the PPO epochs or the AWR step; per
+        run (loss, grad norm, skipped).
+
+        forced is teacher_forced_batch of the batch at the runs' current
+        params, which train_iteration has from the rollout; the first PPO
+        epoch or the AWR step then takes it instead of teacher-forcing.
+        Without it the update teacher-forces afresh.
+        """
+        trs = [self, *others]
+        hyper, spec = self.hyper, self.policy.spec
+        if hyper.entropy_placement == "reward_bonus":
+            batch = replace(batch, rewards=_augment_rewards(
+                batch, [tr.hyper.alpha for tr in trs], hyper.gamma))
+        prev = None
+        if any(tr.value_beta is not None for tr in trs):
+            d = sum(spec.state_cards) + 1
+            # a run without a fit bootstraps from zero, as alone
+            prev = stack_runs([np.zeros(d) if tr.value_beta is None
+                               else tr.value_beta for tr in trs])
+        betas = fit_value(spec, batch, hyper.gamma, hyper.value_ridge, prev)
+        for r, tr in enumerate(trs):
+            tr.value_beta = betas[r]
+        adv = gae_advantages(spec, batch, hyper.gamma, hyper.gae_lambda,
+                             betas)
+        if hyper.normalize_advantages:
+            a = batch.by_run(adv)
+            adv = ((a - np.mean(a, axis=1, keepdims=True))
+                   / (np.std(a, axis=1, keepdims=True) + 1e-8)).ravel()
+        params = PolicyParams(spec=spec, weights=stack_runs(
+            [tr.policy.weights for tr in trs]))
+        hypers = [tr.hyper for tr in trs]
+        opts = [tr.policy_opt for tr in trs]
+        rngs = [tr.rng for tr in trs]
+        if self.optimizer == "ppo":
+            for _ in range(hyper.ppo_epochs):
+                params, losses, _, gnorms = ppo_update(
+                    params, batch, hypers, adv, opts, rngs,
+                    [tr.snapshot_id for tr in trs], forced=forced)
+                forced = None  # later epochs start from moved params
+            skipped = [False] * len(trs)
+        else:
+            params, losses, gnorms, skipped = awr_update(
+                params, batch, hypers, adv, opts, rngs, forced=forced)
+        for r, tr in enumerate(trs):
+            if not skipped[r]:
+                tr.policy = PolicyParams(spec=spec, weights=params.weights[r])
+                tr.snapshot_id += 1
+        return list(zip(losses, gnorms, skipped))
 
 
 def lockstep_key(env_id: str, optimizer: str, hyper: Hyperparams) -> tuple:
-    """Runs may train as one Lockstep group only if their keys are equal:
+    """Runs may train as one lockstep group only if their keys are equal:
     the env, the optimizer and every Hyperparams field but alpha."""
     return (env_id, optimizer, *(getattr(hyper, f.name)
                                  for f in dataclasses.fields(hyper)
                                  if f.name != "alpha"))
 
 
-def _group_key(tr: Trainer) -> tuple:
-    return (lockstep_key(tr.env.env_id, tr.optimizer, tr.hyper),
-            tr.total_env_steps)
-
-
 class _SharedStarts:
-    """The seeded episode starts of the runs of one Lockstep group that
+    """The seeded episode starts of the runs of one lockstep group that
     share a seed.  A start is a pure function of (env, seed, episode
     number), so the first run to reach an episode number computes it as it
     would alone and keeps it for the runs that have not reached that number
@@ -640,116 +701,32 @@ class _SharedStarts:
         return kept[0]
 
 
-def _share_starts(trainers: list) -> None:
-    """Point each seed's runs at one _SharedStarts, keeping the one they
-    already share if it is theirs alone; a seed's only run gets none."""
-    if not trainers[0].env.reset_reads_seed:
+def _check_group(runs: list) -> None:
+    """Raise ValueError, before any run's state moves, unless the runs may
+    train as one lockstep group: no run twice, one lockstep_key and one
+    step count.  Then point each seed's runs at one _SharedStarts, keeping
+    the one they already share if it is theirs alone (as every iteration of
+    the same group does); a seed's only run, and an env whose reset reads
+    no seed, get none."""
+    if len({id(tr) for tr in runs}) != len(runs):
+        raise ValueError("a run appears twice in a lockstep group")
+    keys = [(lockstep_key(tr.env.env_id, tr.optimizer, tr.hyper),
+             tr.total_env_steps) for tr in runs]
+    for tr, key in zip(runs, keys):
+        if key != keys[0]:
+            raise ValueError(
+                f"run seed={tr.seed} arm={tr.arm} differs from the "
+                f"group's first run in more than arm, seed and alpha")
+    if not runs[0].env.reset_reads_seed:
         return
     by_seed: dict = {}
-    for tr in trainers:
+    for tr in runs:
         by_seed.setdefault(tr.seed, []).append(tr)
-    for runs in by_seed.values():
-        store = runs[0]._starts
-        if store is not None and store.size == len(runs) and all(
-                tr._starts is store for tr in runs):
+    for seed_runs in by_seed.values():
+        store = seed_runs[0]._starts
+        if store is not None and store.size == len(seed_runs) and all(
+                tr._starts is store for tr in seed_runs):
             continue
-        store = _SharedStarts(runs) if len(runs) > 1 else None
-        for tr in runs:
+        store = _SharedStarts(seed_runs) if len(seed_runs) > 1 else None
+        for tr in seed_runs:
             tr._starts = store
-
-
-class Lockstep:
-    """R runs trained in lockstep, each phase one pass over stacked arrays.
-
-    The runs must share their lockstep_key and their step count; they may
-    differ in arm, seed, alpha and force_uniform_weights.  Each run keeps
-    its own generator, episode seeds, snapshot id and causal weights
-    (Trainer.compute_weights, called once per run and iteration on a view
-    of that run's rows of the group's batch), and ends every phase with
-    results equal bit for bit to its training alone.  Forming a group
-    points the runs of each seed at one _SharedStarts, so a seeded episode
-    start is computed once per group; forming the same group again, as
-    every iteration does, keeps the stores it has.  Seed-free resets
-    (menunav) share nothing.
-    """
-
-    def __init__(self, trainers):
-        self.trainers = list(trainers)
-        if not self.trainers:
-            raise ValueError("a lockstep group needs at least one run")
-        if len({id(tr) for tr in self.trainers}) != len(self.trainers):
-            raise ValueError("a run appears twice in a lockstep group")
-        key = _group_key(self.trainers[0])
-        for tr in self.trainers[1:]:
-            if _group_key(tr) != key:
-                raise ValueError(
-                    f"run seed={tr.seed} arm={tr.arm} differs from the "
-                    f"group's first run in more than arm, seed and alpha")
-        _share_starts(self.trainers)
-
-    def train_iteration(self) -> list:
-        """One pass of every run; their UpdateReports, in order."""
-        lead, *others = self.trainers
-        reports = lead.train_iteration(*others)
-        return reports if others else [reports]
-
-    def update_scm(self, batch: RolloutBatch) -> list:
-        """Each run's classifier trained on its own rows; their losses."""
-        trs, hyper = self.trainers, self.trainers[0].hyper
-        phis, losses = scm_mod.train_scm(
-            [tr.scm for tr in trs], batch.utterances, batch.action_idx,
-            lr=hyper.scm_lr, steps=hyper.scm_steps,
-            batch_size=hyper.scm_batch_size, rngs=[tr.rng for tr in trs])
-        for tr, phi in zip(trs, phis):
-            tr.scm = phi
-        return losses
-
-    def update_policy(self, batch: RolloutBatch, forced=None) -> list:
-        """Value fit, advantages, then the PPO epochs or the AWR step; per
-        run (loss, grad norm, skipped).
-
-        forced is teacher_forced_batch of the batch at the runs' current
-        params, which train_iteration has from the rollout; the first PPO
-        epoch or the AWR step then takes it instead of teacher-forcing.
-        Without it the update teacher-forces afresh.
-        """
-        trs = self.trainers
-        hyper, spec = trs[0].hyper, trs[0].policy.spec
-        if hyper.entropy_placement == "reward_bonus":
-            batch = replace(batch, rewards=_augment_rewards(
-                batch, [tr.hyper.alpha for tr in trs], hyper.gamma))
-        prev = None
-        if any(tr.value_beta is not None for tr in trs):
-            d = sum(spec.state_cards) + 1
-            # a run without a fit bootstraps from zero, as alone
-            prev = stack_runs([np.zeros(d) if tr.value_beta is None
-                               else tr.value_beta for tr in trs])
-        betas = fit_value(spec, batch, hyper.gamma, hyper.value_ridge, prev)
-        for r, tr in enumerate(trs):
-            tr.value_beta = betas[r]
-        adv = gae_advantages(spec, batch, hyper.gamma, hyper.gae_lambda,
-                             betas)
-        if hyper.normalize_advantages:
-            a = batch.by_run(adv)
-            adv = ((a - np.mean(a, axis=1, keepdims=True))
-                   / (np.std(a, axis=1, keepdims=True) + 1e-8)).ravel()
-        params = PolicyParams(spec=spec, weights=stack_runs(
-            [tr.policy.weights for tr in trs]))
-        hypers = [tr.hyper for tr in trs]
-        opts = [tr.policy_opt for tr in trs]
-        rngs = [tr.rng for tr in trs]
-        if trs[0].optimizer == "ppo":
-            for _ in range(hyper.ppo_epochs):
-                params, losses, _, gnorms = ppo_update(
-                    params, batch, hypers, adv, opts, rngs,
-                    [tr.snapshot_id for tr in trs], forced=forced)
-                forced = None  # later epochs start from moved params
-            skipped = [False] * len(trs)
-        else:
-            params, losses, gnorms, skipped = awr_update(
-                params, batch, hypers, adv, opts, rngs, forced=forced)
-        for r, tr in enumerate(trs):
-            if not skipped[r]:
-                tr.policy = PolicyParams(spec=spec, weights=params.weights[r])
-                tr.snapshot_id += 1
-        return list(zip(losses, gnorms, skipped))

@@ -24,7 +24,7 @@ from . import coso_rl
 from . import counterfactual as cf
 from . import policy as pol
 from . import tabular
-from .coso_rl import Hyperparams, Lockstep, Trainer, check_field_types
+from .coso_rl import Hyperparams, Trainer, check_field_types
 from .textmdp import TextEnv, env_ids, make_env, state_arrays
 
 EVAL_SEED_BASE = 990_000  # fixed eval episode seeds, shared by every run
@@ -56,6 +56,9 @@ class RunConfig:
                    for s in self.seeds):
             raise ValueError(f"bad config value: seeds={self.seeds!r}: not a "
                              f"list of ints")
+        if any(s < 0 for s in self.seeds):  # SeedSequence takes none
+            raise ValueError(f"bad config value: seeds={self.seeds!r}: "
+                             f"negative seed")
         if self.env_id not in env_ids():
             raise ValueError(f"unknown env_id {self.env_id!r}; known: "
                              f"{list(env_ids())}")
@@ -189,7 +192,7 @@ def lockstep_key(config: RunConfig) -> tuple:
 def train_runs(jobs, write_artifacts: bool = True) -> list:
     """Train the (config, seed) jobs; returns their SeedResults in order.
 
-    Jobs with one lockstep_key train together as one Lockstep group, the
+    Jobs with one lockstep_key train together as one lockstep group, the
     others alone.  Every artifact of a run is byte-identical to its
     run_single_seed.
     """
@@ -213,14 +216,15 @@ def _train_group(jobs, write_artifacts: bool) -> list:
                         optimizer=config.optimizer,
                         force_uniform_weights=config.force_uniform_weights)
                 for config, seed in jobs]
-    group = Lockstep(trainers)
+    lead, *others = trainers
     rows = [[] for _ in jobs]
     it = 0
-    while trainers[0].total_env_steps < first.total_env_steps:
-        reports = group.train_iteration()
+    while lead.total_env_steps < first.total_env_steps:
+        reports = (lead.train_iteration(*others) if others
+                   else [lead.train_iteration()])
         it += 1
         if it % first.eval_every_iters and \
-                trainers[0].total_env_steps < first.total_env_steps:
+                lead.total_env_steps < first.total_env_steps:
             continue
         for (config, _), tr, report, run_rows in zip(jobs, trainers, reports,
                                                      rows):
@@ -323,6 +327,11 @@ def ablation_matrix(configs: list,
     for c in configs:
         if len(c.seeds) < 3:
             raise ValueError("ablation needs >= 3 seeds per arm")
+    # such configs would share run dirs, a summary CSV and a series column
+    names = [(c.env_id, c.arm, c.optimizer) for c in configs]
+    if len(set(names)) < len(names):
+        raise ValueError("ablation configs must differ in env, arm or "
+                         "optimizer")
     results = iter(train_runs([(c, s) for c in configs for s in c.seeds],
                               write_artifacts))
     summaries = [_summarize(c, [next(results) for _ in c.seeds],

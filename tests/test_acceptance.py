@@ -16,7 +16,7 @@ from coso import checkpoint as ckpt
 from coso import counterfactual as cf
 from coso import policy as pol
 from coso import tabular
-from coso.coso_rl import Hyperparams, Lockstep, Trainer
+from coso.coso_rl import Hyperparams, Trainer
 from coso.harness import (RunConfig, TheoryCheckSpec, check_contraction,
                           check_decomposition, check_improvement,
                           check_iteration, evaluate_greedy,
@@ -73,13 +73,13 @@ def train_group(env_id, hyper, total_steps, thr=0.9, eval_every=5,
     runs = [(arm, seed) for arm in ARMS for seed in ABLATION_SEEDS]
     trainers = [Trainer(env, hyper, seed=seed, arm=arm, optimizer="ppo")
                 for arm, seed in runs]
-    group = Lockstep(trainers)
+    lead, *others = trainers
     stt = [float("inf")] * len(runs)
     final = [0.0] * len(runs)
     snapshots = [None] * len(runs)
     it = 0
     while trainers[0].total_env_steps < total_steps:
-        group.train_iteration()
+        lead.train_iteration(*others)
         it += 1
         for r, tr in enumerate(trainers):
             if snapshot_at and snapshots[r] is None and \

@@ -5,7 +5,7 @@ import pytest
 
 from coso import coso_rl
 from coso import policy as pol
-from coso.coso_rl import (Hyperparams, Lockstep, RolloutBatch, Trainer,
+from coso.coso_rl import (Hyperparams, RolloutBatch, Trainer,
                           augmented_reward, awr_update, fit_value,
                           gae_advantages, ppo_update)
 from coso.policy import FeatureSpec, PolicyParams
@@ -277,8 +277,8 @@ def check_phase_order(runs, monkeypatch):
     calls = []
     for owner, method, name in ((Trainer, "collect_rollouts", "rollout"),
                                 (Trainer, "compute_weights", "weights"),
-                                (Lockstep, "update_scm", "scm_update"),
-                                (Lockstep, "update_policy", "policy_update")):
+                                (Trainer, "update_scm", "scm_update"),
+                                (Trainer, "update_policy", "policy_update")):
         def recording(self, *args, _orig=getattr(owner, method),
                       _name=name, **kwargs):
             calls.append(_name)
@@ -286,10 +286,7 @@ def check_phase_order(runs, monkeypatch):
         monkeypatch.setattr(owner, method, recording)
     env = make_env("numberline")
     trainers = [Trainer(env, small_hyper(), seed=s) for s in range(runs)]
-    if runs == 1:
-        trainers[0].train_iteration()
-    else:
-        Lockstep(trainers).train_iteration()
+    trainers[0].train_iteration(*trainers[1:])
     assert calls == ["rollout"] + ["weights"] * runs + ["scm_update",
                                                         "policy_update"]
 
@@ -592,7 +589,7 @@ def test_train_iteration_teacher_forces_once(optimizer, monkeypatch):
 
 
 def reference_update_policy(tr, batch):
-    """Lockstep.update_policy for a group of one as it was with two passes:
+    """Trainer.update_policy for a run alone as it was with two passes:
     ppo_update and awr_update get forced=None and teacher-force the batch
     themselves."""
     hyper = tr.hyper
@@ -636,14 +633,14 @@ def test_train_iterations_match_two_pass_reference(env_id, optimizer, hkw,
     fast = Trainer(make_env(env_id), hyper, seed=8, optimizer=optimizer)
     ref = Trainer(make_env(env_id), hyper, seed=8, optimizer=optimizer)
     # ref's iterations take the reference policy update, fast's the real one
-    original, used = Lockstep.update_policy, []
+    original, used = Trainer.update_policy, []
 
-    def update_policy(group, batch, forced=None):
-        if group.trainers != [ref]:
-            return original(group, batch, forced=forced)
+    def update_policy(tr, batch, *others, forced=None):
+        if [tr, *others] != [ref]:
+            return original(tr, batch, *others, forced=forced)
         used.append(ref)
         return [reference_update_policy(ref, batch)]
-    monkeypatch.setattr(Lockstep, "update_policy", update_policy)
+    monkeypatch.setattr(Trainer, "update_policy", update_policy)
     start = fast.policy.weights.copy()
     for _ in range(4):
         got, want = fast.train_iteration(), ref.train_iteration()
@@ -669,7 +666,7 @@ def test_update_outside_train_iteration_teacher_forces_once(optimizer,
     tr, batch = fresh_rollout(minibatch_size=64)
     tr.optimizer = optimizer
     calls = count_forcing(monkeypatch)
-    (_, _, skipped), = Lockstep([tr]).update_policy(batch)
+    (_, _, skipped), = tr.update_policy(batch)
     assert calls == [64] and not skipped
 
 
@@ -684,7 +681,8 @@ def test_train_iteration_leaves_no_run_holding_a_forcing(optimizer, hkw):
     for runs in (1, 2):
         group = [Trainer(env, small_hyper(**hkw), seed=s, optimizer=optimizer)
                  for s in range(runs)]
-        reports = Lockstep(group).train_iteration()
+        reports = (group[0].train_iteration(*group[1:]) if runs > 1
+                   else [group[0].train_iteration()])
         assert all(r.skipped == ("adv_filter_threshold" in hkw)
                    for r in reports)
         assert all(tr._rollout_forcing is None for tr in group)

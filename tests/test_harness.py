@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -230,6 +231,19 @@ def test_ablation_requires_enough_arms_and_seeds():
     with pytest.raises(ValueError):
         ablation_matrix([tiny_config(arm=a, seeds=(0,)) for a in ARMS],
                         write_artifacts=False)
+
+
+def test_ablation_rejects_configs_that_share_a_run_name(tmp_path,
+                                                       monkeypatch):
+    monkeypatch.setenv("COSO_OUTPUT_DIR", str(tmp_path))
+    base = tiny_config(seeds=(0, 1, 2))
+    for twin in (dataclasses.replace(base, seeds=(3, 4, 5)),
+                 dataclasses.replace(base, force_uniform_weights=True),
+                 dataclasses.replace(base, hyper=Hyperparams(alpha=0.5))):
+        configs = [tiny_config(arm="rl", seeds=(0, 1, 2)), base, twin]
+        with pytest.raises(ValueError, match="must differ"):
+            ablation_matrix(configs)
+    assert not any(tmp_path.iterdir())  # raised before any training
 
 
 def test_ablation_matrix_outputs(tmp_path, monkeypatch):
@@ -627,6 +641,14 @@ def test_decode_tables_built_once_per_call(env_id, tmp_path, monkeypatch):
     ({"hyper": {"num_envs": True}}, "num_envs"),
     ({"hyper": {"alpha": "x"}}, "alpha"),
     ({"hyper": {"normalize_advantages": "yes"}}, "normalize_advantages"),
+    ({"seeds": [0, -1]}, "seeds"),
+    (json.loads('{"hyper": {"alpha": NaN}}'), "alpha"),
+    (json.loads('{"hyper": {"adv_filter_threshold": NaN}}'),
+     "adv_filter_threshold"),
+    (json.loads('{"hyper": {"policy_lr": Infinity}}'), "policy_lr"),
+    (json.loads('{"hyper": {"awr_weight_clamp": -Infinity}}'),
+     "awr_weight_clamp"),
+    (json.loads('{"success_threshold": NaN}'), "success_threshold"),
 ])
 def test_config_rejects_wrong_type_at_construction(config, key):
     with pytest.raises(ValueError, match=f"bad config value: {key}"):
@@ -652,6 +674,8 @@ def test_config_accepts_json_numbers():
     ({"total_env_steps": 256.5, "eval_episodes": 2.5}, "total_env_steps"),
     ({"hyper": {"context": 1.5}}, "context"),
     ({"hyper": {"rollout_steps": False}}, "rollout_steps"),
+    ({"seeds": [0, 1, -1]}, "seeds"),
+    ({"hyper": {"alpha": float("nan")}}, "alpha"),
 ])
 def test_cli_rejects_wrong_typed_config(command, config, key, tmp_path,
                                         monkeypatch, capsys):

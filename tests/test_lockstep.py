@@ -1,9 +1,13 @@
 """Lockstep groups: every run of a group equals its own training alone.
 
+A group is a lead Trainer and the others its phases are handed:
+lead.train_iteration(*others) trains them all and returns their reports.
+
 The solo reference is a Trainer's own iteration (a group of one) and
 run_single_seed; both are pinned to the pre-lockstep trainer by the golden
 hashes of tools/golden_hashes.py.
 """
+import copy
 import dataclasses
 import gc
 import json
@@ -13,7 +17,7 @@ import numpy as np
 import pytest
 
 from coso import coso_rl, harness
-from coso.coso_rl import Hyperparams, Lockstep, Trainer
+from coso.coso_rl import Hyperparams, Trainer, _check_group
 from coso.harness import RunConfig
 from coso.textmdp import make_env
 
@@ -72,8 +76,8 @@ def train_both(make, iters):
     solo, grouped = make(), make()
     solo_reports = [[tr.train_iteration() for tr in solo]
                     for _ in range(iters)]
-    group = Lockstep(grouped)
-    group_reports = [group.train_iteration() for _ in range(iters)]
+    lead, *others = grouped
+    group_reports = [lead.train_iteration(*others) for _ in range(iters)]
     return solo, grouped, solo_reports, group_reports
 
 
@@ -137,7 +141,7 @@ def test_group_hands_each_run_a_view_of_the_group_batch(monkeypatch):
         weigh(tr, batch)
     monkeypatch.setattr(Trainer, "collect_rollouts", collect_rollouts)
     monkeypatch.setattr(Trainer, "compute_weights", compute_weights)
-    Lockstep(trainers).train_iteration()
+    trainers[0].train_iteration(*trainers[1:])
     (group,) = group_batches
     assert group.runs == len(trainers) and group.size == 64 * len(trainers)
     assert len(run_batches) == len(trainers)
@@ -163,15 +167,33 @@ def test_lockstep_rejects_runs_that_do_not_fit():
                   Trainer(env, dataclasses.replace(hyper, gamma=0.9), 1),
                   Trainer(make_env("menunav"), hyper, seed=1)):
         with pytest.raises(ValueError, match="differs"):
-            Lockstep([a, other])
+            a.train_iteration(other)
     ahead = Trainer(env, hyper, seed=1)
     ahead.train_iteration()
     with pytest.raises(ValueError, match="differs"):
-        Lockstep([a, ahead])
+        a.train_iteration(ahead)
     with pytest.raises(ValueError, match="twice"):
-        Lockstep([a, a])
-    with pytest.raises(ValueError, match="at least one"):
-        Lockstep([])
+        a.train_iteration(a)
+
+
+@pytest.mark.parametrize("case", ["key", "ahead", "lead ahead", "twice"])
+def test_a_rejected_group_raises_before_any_run_moves(case):
+    env = make_env("numberline")
+    hyper = small_hyper()
+    # a and b would share one store of starts if their group formed
+    a, b, c, d = (Trainer(env, hyper, seed=s) for s in (0, 0, 1, 1))
+    c.train_iteration(d)  # c and d are one iteration ahead
+    group = {"key": [a, b, Trainer(env, hyper, seed=1, optimizer="awr")],
+             "ahead": [a, b, c],
+             "lead ahead": [c, a, b],
+             "twice": [a, b, a]}[case]
+    before = [copy.deepcopy(tr) for tr in group]
+    starts = [tr._starts for tr in group]
+    with pytest.raises(ValueError, match="differs|twice"):
+        group[0].train_iteration(*group[1:])
+    for tr, old, store in zip(group, before, starts):
+        assert_same_state(tr, old)
+        assert tr._starts is store
 
 
 # -- shared episode starts ----------------------------------------------------
@@ -206,13 +228,13 @@ def test_group_computes_each_start_once_per_seed(monkeypatch):
 
 def test_shared_starts_keep_only_what_a_run_has_yet_to_read():
     trainers = make_runs("numberline", DRIFTING, runs=ARM_RUNS)
-    group = Lockstep(trainers)
+    _check_group(trainers)
     stores = {tr.seed: tr._starts for tr in trainers}
     for _ in range(6):
-        group.train_iteration()
+        trainers[0].train_iteration(*trainers[1:])
     for seed, store in stores.items():
         runs = [tr for tr in trainers if tr.seed == seed]
-        # each iteration re-forms the group and keeps the seed's store
+        # each iteration re-checks the group and keeps the seed's store
         assert all(tr._starts is store for tr in runs)
         counters = [tr._episode_counter for tr in runs]
         assert min(counters) < max(counters)
@@ -230,11 +252,10 @@ def test_a_finished_group_is_freed_without_a_collection():
     gc.disable()
     try:
         trainers = make_runs("numberline", DRIFTING, runs=ARM_RUNS)
-        group = Lockstep(trainers)
         for _ in range(2):
-            group.train_iteration()
+            trainers[0].train_iteration(*trainers[1:])
         refs = [weakref.ref(tr) for tr in trainers]
-        del trainers, group
+        del trainers
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
@@ -242,13 +263,13 @@ def test_a_finished_group_is_freed_without_a_collection():
 
 def test_a_run_alone_shares_no_starts():
     trainers = make_runs("numberline", small_hyper(), runs=ARM_RUNS)
-    Lockstep(trainers)
+    _check_group(trainers)
     left = trainers[2]._starts
     assert all(tr._starts is left for tr in trainers[0::2])
     trainers[0].train_iteration()
     assert trainers[0]._starts is None
     # the runs it left get a store of their own when they next train
-    Lockstep(trainers[2:]).train_iteration()
+    trainers[2].train_iteration(*trainers[3:])
     assert trainers[2]._starts is not left
     for a, b in ((2, 4), (3, 5)):
         assert trainers[a]._starts is trainers[b]._starts
@@ -262,9 +283,8 @@ def test_menunav_group_never_touches_the_starts(monkeypatch):
     monkeypatch.setattr(coso_rl._SharedStarts, "__init__", no_store)
     monkeypatch.setattr(coso_rl._SharedStarts, "read", no_store)
     trainers = make_runs("menunav", small_hyper(), runs=ARM_RUNS)
-    group = Lockstep(trainers)
     for _ in range(3):
-        group.train_iteration()
+        trainers[0].train_iteration(*trainers[1:])
     assert all(tr._starts is None for tr in trainers)
 
 
@@ -281,18 +301,18 @@ def base_config(**kw):
 def record_groups(monkeypatch):
     """The lockstep groups the harness trains, in order (kept alive)."""
     groups = []
-    original = Lockstep.train_iteration
+    original = Trainer.train_iteration
 
-    def train_iteration(self):
-        if not any(g is self for g in groups):
-            groups.append(self)
-        return original(self)
-    monkeypatch.setattr(Lockstep, "train_iteration", train_iteration)
+    def train_iteration(self, *others):
+        if not any(g[0] is self for g in groups):
+            groups.append([self, *others])
+        return original(self, *others)
+    monkeypatch.setattr(Trainer, "train_iteration", train_iteration)
     return groups
 
 
 def sizes(groups):
-    return [len(g.trainers) for g in groups]
+    return [len(g) for g in groups]
 
 
 def run_files(path):
