@@ -7,12 +7,12 @@ token.  A tabular verifier checks the convergence and improvement theory
 exactly.
 """
 
-from .coso_rl import Hyperparams, Trainer, augmented_reward
+from .coso_rl import Hyperparams, Trainer
 from .counterfactual import (causal_weights_batch, normalize_weights_batch,
                              weight_stats)
 from .policy import (FeatureSpec, PolicyParams, sample_utterance,
                      sample_utterances_batch)
-from .scm import ScmParams, scm_update
+from .scm import ScmParams
 from .textmdp import Action, EnvState, ParseError, grammar_spec, make_env
 
 __all__ = [
@@ -24,14 +24,12 @@ __all__ = [
     "PolicyParams",
     "ScmParams",
     "Trainer",
-    "augmented_reward",
     "causal_weights_batch",
     "grammar_spec",
     "make_env",
     "normalize_weights_batch",
     "sample_utterance",
     "sample_utterances_batch",
-    "scm_update",
     "weight_stats",
 ]
 

@@ -475,9 +475,17 @@ class Trainer:
         # the episode starts this run shares with its group's runs of the
         # same seed (_check_group sets it), or None
         self._starts: _SharedStarts | None = None
-        # stream s is row s: (num_envs, k) features and (num_envs,) steps
-        self._feats, self._steps = state_arrays(
-            [self._fresh_state() for _ in range(hyper.num_envs)])
+        # stream s is row s: (num_envs, k) features and (num_envs,) steps,
+        # drawn on the first rollout (_start_streams)
+        self._feats: np.ndarray | None = None
+        self._steps: np.ndarray | None = None
+
+    def _start_streams(self) -> None:
+        """Draw the first num_envs episode starts, once.  The first rollout
+        does it after _check_group, so a group shares these starts too."""
+        if self._feats is None:
+            self._feats, self._steps = state_arrays(
+                [self._fresh_state() for _ in range(self.hyper.num_envs)])
 
     def _fresh_state(self) -> EnvState:
         counter = self._episode_counter
@@ -507,6 +515,8 @@ class Trainer:
         """
         trs = [self, *others]
         _check_group(trs)
+        for tr in trs:
+            tr._start_streams()
         env, hyper, spec = self.env, self.hyper, self.policy.spec
         runs, ns, n = len(trs), hyper.num_envs, spec.n
         ticks = hyper.rollout_steps // ns

@@ -25,7 +25,7 @@ from . import counterfactual as cf
 from . import policy as pol
 from . import tabular
 from .coso_rl import Hyperparams, Trainer, check_field_types
-from .textmdp import TextEnv, env_ids, make_env, state_arrays
+from .textmdp import EnvState, TextEnv, env_ids, make_env, state_arrays
 
 EVAL_SEED_BASE = 990_000  # fixed eval episode seeds, shared by every run
 
@@ -320,18 +320,27 @@ class AblationResult:
 
 def ablation_matrix(configs: list,
                     write_artifacts: bool = True) -> AblationResult:
-    """Run >= 2 arms and tabulate medians with seed spread.  The runs of
-    all arms train in lockstep groups (see train_runs)."""
+    """Run >= 2 arms of one env, optimizer, step budget and eval cadence
+    and tabulate medians with seed spread.  The runs of all arms train in
+    lockstep groups (see train_runs)."""
     if len(configs) < 2:
         raise ValueError("ablation needs at least two arms")
     for c in configs:
         if len(c.seeds) < 3:
             raise ValueError("ablation needs >= 3 seeds per arm")
-    # such configs would share run dirs, a summary CSV and a series column
-    names = [(c.env_id, c.arm, c.optimizer) for c in configs]
-    if len(set(names)) < len(names):
-        raise ValueError("ablation configs must differ in env, arm or "
-                         "optimizer")
+    # the series CSV names a column by arm alone and reads every column on
+    # the first config's env-step axis
+    for name in ("env_id", "optimizer", "total_env_steps",
+                 "eval_every_iters"):
+        values = {getattr(c, name) for c in configs}
+        if len(values) > 1:
+            raise ValueError(f"ablation configs must share {name}, not "
+                             f"{sorted(values)}")
+    # two configs of one arm would share run dirs, a summary CSV and a
+    # series column
+    arms = [c.arm for c in configs]
+    if len(set(arms)) < len(arms):
+        raise ValueError("ablation configs must differ in arm")
     results = iter(train_runs([(c, s) for c in configs for s in c.seeds],
                               write_artifacts))
     summaries = [_summarize(c, [next(results) for _ in c.seeds],
@@ -385,37 +394,40 @@ def cf_report(ckpt_path, env_id: str, num_episodes: int,
     if ckpt_env != env_id:
         raise ValueError(f"checkpoint is for env {ckpt_env!r}, not {env_id!r}")
     env = make_env(env_id)
-    names = [str(a) for a in env.action_classes()]
+    classes = env.action_classes()
+    names = [str(a) for a in classes]
     n, horizon = policy_params.spec.n, env.horizon
     # Step g of the run (episodes one after another) samples on row g: the
     # stream of one draw of n uniforms per step.  Episodes are short and
     # revisit states, so a state is decoded once per episode, on every row
     # from its first visit to the horizon; rows are decoded independently,
-    # so each step's tokens are those of a batch of one on its row.
+    # so each step's tokens are those of a batch of one on its row.  The
+    # episode itself moves by the scalar step, one state at a time.
     uniforms = np.random.default_rng(sample_seed).random(
         (num_episodes * horizon, n))
     tables = pol.decode_tables(policy_params)
     used = 0
     records, ys, acts = [], [], []
-    starts = _eval_starts(env, num_episodes)
+    start_feats, start_steps = _eval_starts(env, num_episodes)
     for ep in range(num_episodes):
-        feats, steps = (a[ep:ep + 1] for a in starts)
+        state = EnvState(features=tuple(start_feats[ep].tolist()),
+                         step_count=int(start_steps[ep]))
         rows = uniforms[used:used + horizon]
-        decoded = {}  # state -> (first step, tokens, actions, parse_ok)
+        decoded = {}  # features -> (first step, tokens, actions, parse_ok)
         done = False
         t = 0
         while not done:
-            key = tuple(feats[0].tolist())
-            if key not in decoded:
+            if state.features not in decoded:
                 toks = pol.sample_utterances_batch(
-                    tables, np.repeat(feats, horizon - t, axis=0), rows[t:])
+                    tables, np.repeat([state.features], horizon - t, axis=0),
+                    rows[t:])
                 actions, oks = env.parse_batch(toks)
-                decoded[key] = (t, toks.tolist(), actions, oks)
-            first, toks, actions, oks = decoded[key]
-            y = toks[t - first]
-            action = actions[t - first:t - first + 1]
+                decoded[state.features] = (t, toks.tolist(),
+                                           actions.tolist(), oks.tolist())
+            first, toks, actions, oks = decoded[state.features]
+            y, action = toks[t - first], actions[t - first]
             ys.append(y)
-            acts.append(int(action[0]))
+            acts.append(action)
             records.append({
                 "episode": ep,
                 "step": t,
@@ -424,11 +436,10 @@ def cf_report(ckpt_path, env_id: str, num_episodes: int,
                 "slot_roles": list(env.grammar.roles),
                 "raw_weights": None,  # filled below, in one batch
                 "normalized_weights": None,
-                "action": names[acts[-1]],
-                "parse_ok": bool(oks[t - first]),
+                "action": names[action],
+                "parse_ok": oks[t - first],
             })
-            feats, steps, _, dones = env.step_batch(feats, steps, action)
-            done = bool(dones[0])
+            state, _, done = env.step(state, classes[action])
             t += 1
         used += t
     raw = cf.causal_weights_batch(scm_params,

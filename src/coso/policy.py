@@ -392,26 +392,12 @@ def _entropy_dlogits(probs: np.ndarray, logprobs: np.ndarray,
     return d
 
 
-def objective_value(params: PolicyParams, states, utterances,
-                    sample_weights=None, token_weights=None) -> float:
-    """J over a batch of (state, utterance) pairs."""
-    _, _, tok_lp, tok_ent = teacher_forced_batch(params, states, utterances)
-    value = 0.0
-    if sample_weights is not None:
-        w = np.asarray(sample_weights, dtype=np.float64)
-        value += float(np.sum(w * np.sum(tok_lp, axis=1)))
-    if token_weights is not None:
-        B = np.asarray(token_weights, dtype=np.float64)
-        value += float(np.sum(B * tok_ent))
-    return value
-
-
 def grad_objective(params: PolicyParams, states, utterances,
                    sample_weights=None, token_weights=None,
                    forced=None, token_runs=None,
                    forced_rows=None) -> np.ndarray:
-    """Analytic gradient of objective_value w.r.t. the weight matrix, of
-    the shape of params.weights.
+    """Analytic gradient of J (above) over a batch of (state, utterance)
+    pairs w.r.t. the weight matrix, of the shape of params.weights.
 
     forced is teacher_forced_batch(params, states, utterances) if the
     caller already has it; otherwise it is computed here.  forced may also

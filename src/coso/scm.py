@@ -179,14 +179,14 @@ def _run_indices(phis: list, ys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _step_runs(phis: list, ys, labels, lr: float, steps: int,
-               draw=None) -> tuple[list, list]:
+               draw) -> tuple[list, list]:
     """steps Adam steps of cross-entropy for R runs' classifiers at once.
 
     ys and labels hold run r's M rows at r * M.  draw(M) returns the
-    (R, B) rows each run's next step takes; without it every step takes
-    all M.  The phis stay untouched: each run gets a shallow copy with new
-    arrays.  Returns the runs' params and their mean losses at the last
-    step's pre-update params (nan after zero steps).
+    (R, B) rows each run's next step takes.  The phis stay untouched: each
+    run gets a shallow copy with new arrays.  Returns the runs' params and
+    their mean losses at the last step's pre-update params (nan after zero
+    steps).
     """
     idx, flat = _run_indices(phis, ys)
     runs = len(phis)
@@ -203,12 +203,8 @@ def _step_runs(phis: list, ys, labels, lr: float, steps: int,
     mb, vb = _moments(opt_b, b)
     first = (np.arange(runs) * m)[:, None]  # each run's first row
     for step in range(steps):
-        if draw is None:
-            pick_idx, pick_flat, pick_labels = idx, flat, labels
-        else:
-            pick = (draw(m) + first).ravel()  # run-major rows of the stack
-            pick_idx, pick_flat = idx[pick], flat[pick]
-            pick_labels = labels[pick]
+        pick = (draw(m) + first).ravel()  # run-major rows of the stack
+        pick_idx, pick_flat, pick_labels = idx[pick], flat[pick], labels[pick]
         rows = len(pick_labels)
         logits = _gathered_logits(w.reshape(-1, a), None, pick_idx)
         logits.reshape(runs, -1, a)[...] += b[:, None, :]
@@ -249,15 +245,6 @@ def _step_runs(phis: list, ys, labels, lr: float, steps: int,
     return out, [float(x) for x in losses]
 
 
-def scm_update(phi: ScmParams, ys, labels, lr: float = 1e-3) -> tuple["ScmParams", float]:
-    """One Adam step of cross-entropy on a batch of (sequence, action) pairs.
-
-    Returns the updated params and the mean loss at the pre-update params.
-    """
-    (phi,), (loss,) = _step_runs([phi], ys, labels, lr, steps=1)
-    return phi, loss
-
-
 def train_scm(phis: list, ys, labels, lr: float, steps: int,
               batch_size: int, rngs: list) -> tuple[list, list]:
     """Minibatch cross-entropy training of R runs' classifiers in lockstep;
@@ -265,9 +252,9 @@ def train_scm(phis: list, ys, labels, lr: float, steps: int,
 
     ys and labels hold run r's M rows at r * M.  Each step, run r draws
     min(batch_size, M) of its rows with replacement from rngs[r] and takes
-    one scm_update step on them.  The tokens are checked and turned into
-    feature and scatter indices once per call, before any draw; each step
-    gathers its picked rows of those.
+    one Adam step of cross-entropy on them.  The tokens are checked and
+    turned into feature and scatter indices once per call, before any draw;
+    each step gathers its picked rows of those.
     """
     def draw(m):
         return stack_runs([g.integers(0, m, size=min(batch_size, m))

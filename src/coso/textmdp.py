@@ -6,8 +6,9 @@ slots are action-critical; the rest are filler/format slots that the parser
 never reads.
 
 The scalar methods (parse, parse_or_noop, action_index, step) over EnvState
-and Action are the reference.  Each env compiles them once into two lookup
-tables, which parse_batch and step_batch read for whole batches of int
+and Action are the reference.  Each env class compiles them into two lookup
+tables once per process, on its first instance; every instance shares them
+read-only.  parse_batch and step_batch read them for whole batches of int
 arrays: states as (m, k) features plus (m,) step counts, actions as indices
 into action_classes().
 """
@@ -99,6 +100,9 @@ def check_utterance(y: Sequence[int], n: int, vocab_size: int,
             raise ValueError(f"token id {t} outside vocab")
         if t == NULL and not allow_null:
             raise ValueError("NULL token in utterance")
+
+
+_TABLES: dict = {}  # env class -> its read-only lookup tables (_build_tables)
 
 
 class TextEnv:
@@ -206,7 +210,20 @@ class TextEnv:
     # -- lookup tables -------------------------------------------------------
 
     def _build_tables(self) -> None:
-        """Compile the scalar parser and step into lookup tables.
+        """Point this env at its class's lookup tables, compiling them on the
+        class's first instance in the process; they are read-only."""
+        cls = type(self)
+        if cls not in _TABLES:
+            tables = self._compile_tables()
+            for a in tables.values():
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+            _TABLES[cls] = tables
+        vars(self).update(_TABLES[cls])
+
+    def _compile_tables(self) -> dict:
+        """Compile the scalar parser and step into lookup tables, returned
+        by attribute name.
 
         Parse table: (kind token, arg token) -> (action index, parse_ok); an
         env without an arg slot has one arg column.  Transition table: (state
@@ -219,8 +236,8 @@ class TextEnv:
         classes = self.action_classes()
         v = self.vocab.size
         n_arg = v if g.arg_slots else 1
-        self._parse_action = np.full((v, n_arg), -1, dtype=np.intp)
-        self._parse_ok = np.zeros((v, n_arg), dtype=bool)
+        parse_action = np.full((v, n_arg), -1, dtype=np.intp)
+        parse_ok = np.zeros((v, n_arg), dtype=bool)
         y = [EOS] * g.n  # the parser never reads the other slots
         payload = self.kinds_with_payload()
         for kind_tok in range(1, v):
@@ -232,24 +249,27 @@ class TextEnv:
                 if reads_arg:
                     y[g.arg_slots[0]] = arg_tok
                 action, ok = self.parse_or_noop(y)
-                self._parse_action[kind_tok, arg_tok] = classes.index(action)
-                self._parse_ok[kind_tok, arg_tok] = ok
+                parse_action[kind_tok, arg_tok] = classes.index(action)
+                parse_ok[kind_tok, arg_tok] = ok
         cards = self.state_feature_cards()
-        self._table_dims = cards + (len(classes),)
-        size = int(np.prod(self._table_dims))
-        self._next_feats = np.empty((size, len(cards)), dtype=np.intp)
-        self._reward = np.empty(size)
-        self._terminal = np.empty(size, dtype=bool)
+        dims = cards + (len(classes),)
+        size = int(np.prod(dims))
+        next_feats = np.empty((size, len(cards)), dtype=np.intp)
+        reward = np.empty(size)
+        terminal = np.empty(size, dtype=bool)
         # row-major over (features..., action), the order of ravel_multi_index
         j = 0
         for feats in itertools.product(*map(range, cards)):
             state = EnvState(features=feats)
             for action in classes:
                 nxt, r, done = self.step(state, action)
-                self._next_feats[j] = nxt.features
-                self._reward[j] = r
-                self._terminal[j] = done
+                next_feats[j] = nxt.features
+                reward[j] = r
+                terminal[j] = done
                 j += 1
+        return {"_parse_action": parse_action, "_parse_ok": parse_ok,
+                "_next_feats": next_feats, "_reward": reward,
+                "_terminal": terminal, "_table_dims": dims}
 
     def parse_batch(self, ys) -> tuple[np.ndarray, np.ndarray]:
         """(action index, parse_ok) per row of an (m, n) token array.

@@ -25,6 +25,8 @@ from coso.policy import FeatureSpec, PolicyParams
 from coso.scm import ScmParams, accuracy, train_scm
 from coso.textmdp import ACTION_ARG, ACTION_KIND, EnvState, make_env
 
+from test_policy import objective_value
+
 
 def ok(criterion: int, message: str) -> None:
     print(f"PASS criterion {criterion}: {message}")
@@ -250,8 +252,8 @@ def test_criterion_6_gradient_correctness():
                     up.weights[i, j] += h
                     dn = params.copy()
                     dn.weights[i, j] -= h
-                    fd[i, j] = (pol.objective_value(up, states, ys, sw, tw)
-                                - pol.objective_value(dn, states, ys, sw, tw)
+                    fd[i, j] = (objective_value(up, states, ys, sw, tw)
+                                - objective_value(dn, states, ys, sw, tw)
                                 ) / (2 * h)
             denom = max(np.max(np.abs(fd)), 1e-8)
             rel = np.max(np.abs(g - fd)) / denom

@@ -373,6 +373,7 @@ def scalar_rollouts(tr):
     parse_or_noop, action_index and the scalar step; each tick's token
     statistics come from teacher forcing that tick alone."""
     env, ns, n = tr.env, tr.hyper.num_envs, tr.policy.spec.n
+    tr._start_streams()
     streams = [EnvState(features=tuple(f), step_count=int(t))
                for f, t in zip(tr._feats.tolist(), tr._steps)]
     rows = []
@@ -757,7 +758,7 @@ def test_seed_free_reset_builds_no_seed_sequence(monkeypatch):
     env = make_env("menunav")
     assert not env.reset_reads_seed and make_env("numberline").reset_reads_seed
     tr = Trainer(env, small_hyper(rollout_steps=160, num_envs=8), seed=3)
-    assert tr._episode_counter == 8
+    assert tr._episode_counter == 0  # the first rollout draws the starts
 
     def no_seed_sequence(*args, **kwargs):
         raise AssertionError("SeedSequence built for a seed-free reset")

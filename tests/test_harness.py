@@ -16,7 +16,7 @@ from coso.harness import (ARMS, EVAL_SEED_BASE, RunConfig, TheoryCheckSpec,
 from coso.policy import (FeatureSpec, PolicyParams, greedy_utterance,
                          sample_utterance, sample_utterances_batch)
 from coso.scm import ScmParams
-from coso.textmdp import make_env, state_arrays
+from coso.textmdp import TextEnv, make_env, state_arrays
 
 
 def tiny_config(**kw):
@@ -243,6 +243,22 @@ def test_ablation_rejects_configs_that_share_a_run_name(tmp_path,
         configs = [tiny_config(arm="rl", seeds=(0, 1, 2)), base, twin]
         with pytest.raises(ValueError, match="must differ"):
             ablation_matrix(configs)
+    assert not any(tmp_path.iterdir())  # raised before any training
+
+
+@pytest.mark.parametrize("field, value", [
+    ("env_id", "menunav"), ("optimizer", "awr"), ("total_env_steps", 128),
+    ("eval_every_iters", 3)])
+def test_ablation_rejects_configs_that_do_not_share_an_axis(field, value,
+                                                           tmp_path,
+                                                           monkeypatch):
+    # the series CSV names its columns by arm and reads one env-step axis
+    monkeypatch.setenv("COSO_OUTPUT_DIR", str(tmp_path))
+    configs = [tiny_config(arm=a, seeds=(0, 1, 2)) for a in ("rl", "coso")]
+    configs.append(dataclasses.replace(configs[1], arm="rl_h",
+                                       **{field: value}))
+    with pytest.raises(ValueError, match=f"must share {field}"):
+        ablation_matrix(configs)
     assert not any(tmp_path.iterdir())  # raised before any training
 
 
@@ -588,6 +604,17 @@ def test_cf_report_matches_step_by_step_reference(env_id, tmp_path):
     assert [r["step"] for r in rep["records"] if r["step"] == 0] == [0] * 12
     assert not all(r["parse_ok"] for r in rep["records"])
     assert len(set(r["step"] for r in rep["records"])) > 2
+
+
+@pytest.mark.parametrize("env_id", ["numberline", "menunav"])
+def test_cf_report_steps_episodes_by_the_scalar_step(env_id, tmp_path,
+                                                     monkeypatch):
+    path = trained_checkpoint(tmp_path, env_id=env_id, iters=2)
+
+    def step_batch(self, feats, steps, actions):
+        raise AssertionError("cf_report stepped a batch")
+    monkeypatch.setattr(TextEnv, "step_batch", step_batch)
+    assert len(cf_report(path, env_id, num_episodes=4)["records"]) > 4
 
 
 @pytest.mark.parametrize("env_id", ["numberline", "menunav"])

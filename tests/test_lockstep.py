@@ -210,7 +210,7 @@ def test_group_computes_each_start_once_per_seed(monkeypatch):
 
     def make():
         trainers = make_runs("numberline", DRIFTING, runs=ARM_RUNS)
-        if made:  # the grouped runs, once they have their first starts
+        if made:  # the grouped runs, before their first starts
             reset = trainers[0].env.reset
             monkeypatch.setattr(trainers[0].env, "reset", lambda seed:
                                 resets.append(seed) or reset(seed))
@@ -221,9 +221,28 @@ def test_group_computes_each_start_once_per_seed(monkeypatch):
     for seed in (0, 1):
         counters = [tr._episode_counter for tr in grouped if tr.seed == seed]
         assert len(set(counters)) > 1  # the seed's runs drifted apart
-        distinct += max(counters) - DRIFTING.num_envs
-    reads = sum(tr._episode_counter - tr.hyper.num_envs for tr in grouped)
+        distinct += max(counters)
+    reads = sum(tr._episode_counter for tr in grouped)
     assert len(resets) == distinct < reads
+
+
+def test_a_group_computes_its_first_starts_once(monkeypatch):
+    # the runs draw their first starts on the first rollout, after the
+    # group points them at one store
+    computed = []
+    seeded_start = Trainer._seeded_start
+
+    def counting(tr, counter):
+        computed.append(counter)
+        return seeded_start(tr, counter)
+    monkeypatch.setattr(Trainer, "_seeded_start", counting)
+    hyper = small_hyper(num_envs=16)
+    trainers = make_runs("numberline", hyper, runs=ARM_RUNS, seeds=(0,))
+    assert not computed  # construction draws no start
+    trainers[0].train_iteration(*trainers[1:])
+    first = [c for c in computed if c < hyper.num_envs]
+    assert sorted(first) == list(range(hyper.num_envs))
+    assert all(tr._episode_counter >= hyper.num_envs for tr in trainers)
 
 
 def test_shared_starts_keep_only_what_a_run_has_yet_to_read():

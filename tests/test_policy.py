@@ -6,9 +6,24 @@ from scipy import stats
 
 from coso import policy as pol
 from coso.policy import (FeatureSpec, PolicyParams, grad_objective,
-                         greedy_utterance, objective_value, sample_utterance,
+                         greedy_utterance, sample_utterance,
                          sample_utterances_batch, teacher_forced_batch)
 from coso.textmdp import NULL, EnvState, make_env
+
+
+def objective_value(params, states, utterances, sample_weights=None,
+                    token_weights=None) -> float:
+    """J over a batch of (state, utterance) pairs, the objective whose
+    gradient policy.grad_objective computes; None drops a term."""
+    _, _, tok_lp, tok_ent = teacher_forced_batch(params, states, utterances)
+    value = 0.0
+    if sample_weights is not None:
+        w = np.asarray(sample_weights, dtype=np.float64)
+        value += float(np.sum(w * np.sum(tok_lp, axis=1)))
+    if token_weights is not None:
+        B = np.asarray(token_weights, dtype=np.float64)
+        value += float(np.sum(B * tok_ent))
+    return value
 
 
 def joint_entropy_bruteforce(params, state):

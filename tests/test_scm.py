@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 
 from coso import scm
-from coso.scm import (ScmParams, accuracy, scm_likelihood_batch, scm_update,
-                      train_scm)
+from coso.scm import ScmParams, accuracy, scm_likelihood_batch, train_scm
 from coso.textmdp import NULL, make_env
+
+
+def scm_update(phi, ys, labels, lr=1e-3):
+    """One Adam step of cross-entropy on the whole batch of (sequence,
+    action) pairs: the updated params and the mean loss at the pre-update
+    params."""
+    (phi,), (loss,) = scm._step_runs([phi], ys, labels, lr, steps=1,
+                                     draw=lambda m: np.arange(m)[None])
+    return phi, loss
 
 
 def scm_likelihood(phi, y):

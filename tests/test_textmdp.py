@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from coso import textmdp
 from coso.textmdp import (ACTION_KIND, FILLER, FORMAT, NULL, Action, EnvState,
-                          ParseError, env_ids, grammar_report, grammar_spec,
-                          make_env)
+                          ParseError, TextEnv, env_ids, grammar_report,
+                          grammar_spec, make_env)
 
 
 def random_utterance(env, rng):
@@ -273,6 +274,41 @@ def test_step_batch_rejects_finished_and_unknown_inputs(env_id):
     for bad in (env.num_actions, -1):
         with pytest.raises(ValueError):
             env.step_batch(zeros, [0], [bad])
+
+
+TABLES = ("_parse_action", "_parse_ok", "_next_feats", "_reward",
+          "_terminal", "_table_dims")
+
+
+@pytest.mark.parametrize("env_id", env_ids())
+def test_envs_of_one_id_share_their_tables(env_id):
+    a, b = make_env(env_id), make_env(env_id)
+    assert a is not b
+    for name in TABLES:
+        assert getattr(a, name) is getattr(b, name), name
+
+
+@pytest.mark.parametrize("env_id", env_ids())
+def test_tables_compile_once_per_class(env_id, monkeypatch):
+    monkeypatch.setattr(textmdp, "_TABLES", {})
+    compiled = []
+    compile_tables = TextEnv._compile_tables
+
+    def counting(env):
+        compiled.append(type(env))
+        return compile_tables(env)
+    monkeypatch.setattr(TextEnv, "_compile_tables", counting)
+    envs = [make_env(env_id) for _ in range(3)]
+    assert compiled == [type(envs[0])]
+
+
+@pytest.mark.parametrize("env_id", env_ids())
+def test_tables_are_read_only(env_id):
+    env = make_env(env_id)
+    for name in TABLES[:-1]:
+        table = getattr(env, name)
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = table[(0,) * table.ndim]
 
 
 @pytest.mark.parametrize("env_id,spec", [
