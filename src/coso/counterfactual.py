@@ -35,13 +35,15 @@ def causal_weights_batch(phi, ys, actions) -> np.ndarray:
     nullified variant per position.
     """
     ys = np.asarray(ys, dtype=np.intp)
-    actions = np.asarray(actions, dtype=np.intp)
     m, n = ys.shape
+    actions = scm_mod.checked_actions(phi, actions, m)
     stacked = np.repeat(ys[:, None, :], n + 1, axis=1)  # (m, n+1, n)
     for i in range(n):
         stacked[:, i + 1, i] = NULL
-    probs = scm_mod.scm_likelihood_batch(phi, stacked.reshape(m * (n + 1), n))
-    probs = probs.reshape(m, n + 1, -1)[np.arange(m), :, actions]
+    # the transpose of the transpose view: the (A, m * (n+1)) likelihoods
+    probs = scm_mod.scm_likelihood_batch(phi,
+                                         stacked.reshape(m * (n + 1), n)).T
+    probs = probs.reshape(-1, m, n + 1)[actions, np.arange(m)]
     return np.abs(probs[:, :1] - probs[:, 1:])
 
 

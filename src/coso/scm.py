@@ -5,11 +5,20 @@ under token-nullification interventions by the counterfactual machinery.
 The feature map is a (position, token) one-hot that covers NULL, so nullified
 sequences are always in-domain.
 
+The work is action-major: logits, likelihoods and gradients are (A, rows)
+arrays, so a softmax over the A action classes is a few elementwise passes
+over rows rather than numpy's reduction of a short last axis, which costs a
+loop call per row.  ScmParams and checkpoints keep their (n * V, A) weights,
+which scoring and training transpose on entry.  _action_sum adds each
+column in numpy's pairwise order, so every double equals that of the
+row-major (rows, A) computation.
+
 Training takes a run axis, its only form: train_scm steps the classifiers of
-R runs in lockstep, on arrays stacked run-first, and one run is a group of
-one.  Every operation of a step is a gather, an elementwise op, a reduction
-within one run's rows or a bincount whose bins never mix runs, so each run's
-result equals its own training alone, bit for bit.
+R runs in lockstep on one (A, R * n * V) weight array, run r's columns being
+its r-th block, and one run is a group of one.  Every operation of a step is
+a gather, an elementwise op, a reduction over one row's actions or a
+bincount whose bins never mix runs, so each run's result equals its own
+training alone, bit for bit.
 """
 from __future__ import annotations
 
@@ -114,8 +123,10 @@ def eval_count() -> int:
 
 
 def _feature_indices(phi: ScmParams, ys: np.ndarray) -> np.ndarray:
-    # active one-hot index for slot i is i * V + token
-    return ys + np.arange(phi.n)[None, :] * phi.vocab_size
+    """(n, M) slot-major feature indices of the (M, n) tokens ys: slot i's
+    active one-hot index is i * V + token."""
+    return (np.ascontiguousarray(ys.T)
+            + (np.arange(phi.n) * phi.vocab_size)[:, None])
 
 
 def _checked_tokens(phi: ScmParams, ys) -> np.ndarray:
@@ -130,52 +141,85 @@ def _checked_tokens(phi: ScmParams, ys) -> np.ndarray:
     return ys
 
 
-def _gathered_logits(weights: np.ndarray, bias: np.ndarray | None,
+def checked_actions(phi: ScmParams, actions, rows: int) -> np.ndarray:
+    """actions as an intp array of one action class per row.  Raises
+    ValueError unless they are an integer (rows,) array in [0, actions)."""
+    actions = np.asarray(actions)
+    if not np.issubdtype(actions.dtype, np.integer):
+        raise ValueError(f"action classes of dtype {actions.dtype}, "
+                         "not integer")
+    if actions.shape != (rows,):
+        raise ValueError(f"action classes of shape {actions.shape} for "
+                         f"{rows} rows")
+    if np.any(actions < 0) or np.any(actions >= phi.num_actions):
+        raise ValueError(f"action class outside [0, {phi.num_actions})")
+    return actions.astype(np.intp, copy=False)
+
+
+def _gathered_logits(wt: np.ndarray, bias: np.ndarray,
                      idx: np.ndarray) -> np.ndarray:
-    """(M, A) logits of the sequences whose feature indices into the
-    (rows, A) weights are idx (M, n), plus bias unless it is None."""
+    """(A, M) logits of the sequences whose slot-major feature indices into
+    the columns of the action-major (A, rows) weights wt are idx (n, M),
+    plus the (A, R) biases of R runs, run r's rows being the r-th block of
+    M / R."""
     global _EVAL_COUNT
-    _EVAL_COUNT += idx.shape[0]
-    # slot by slot into one (M, A) array, never the (M, n, A) gather; the
+    _EVAL_COUNT += idx.shape[1]
+    # slot by slot into one (A, M) array, never the (A, M, n) gather; the
     # same additions in the same order as summing that gather over n
-    out = weights[idx[:, 0]]
-    for i in range(1, idx.shape[1]):
-        out += weights[idx[:, i]]
-    return out if bias is None else out + bias
+    out = wt.take(idx[0], axis=1)
+    for col in idx[1:]:
+        out += wt.take(col, axis=1)
+    out.reshape(len(bias), bias.shape[1], -1)[...] += bias[..., None]
+    return out
 
 
-def _logits(phi: ScmParams, ys: np.ndarray) -> np.ndarray:
+def _pairwise_sum(t: np.ndarray) -> np.ndarray:
+    # numpy's pairwise summation of a contiguous run of len(t) doubles,
+    # done for every column of t at once
+    n = len(t)
+    if n < 8:
+        out = t[0].copy()
+        for row in t[1:]:
+            out += row
+        return out
+    if n <= 128:
+        acc = t[:8].copy()  # eight accumulators, fed every eighth element
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            acc += t[i:i + 8]
+        out = (acc[0] + acc[1]) + (acc[2] + acc[3])
+        out += (acc[4] + acc[5]) + (acc[6] + acc[7])
+        for row in t[tail:]:
+            out += row
+        return out
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(t[:half]) + _pairwise_sum(t[half:])
+
+
+def _action_sum(t: np.ndarray) -> np.ndarray:
+    """Column sums of an (A, rows) array, each the double np.sum(axis=-1)
+    gives on its (rows, A) transpose: 0.0 plus numpy's pairwise sum of the
+    column.  Reducing a short last axis costs numpy a loop call per row,
+    and this costs a few elementwise passes."""
+    return _pairwise_sum(t) + 0.0
+
+
+def _likelihoods(phi: ScmParams, ys) -> np.ndarray:
+    """(A, M) softmax likelihoods of the M sequences ys."""
     idx = _feature_indices(phi, _checked_tokens(phi, ys))
-    return _gathered_logits(phi.weights, phi.bias, idx)
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - np.max(z, axis=-1, keepdims=True)
-    ez = np.exp(z)
-    return ez / np.sum(ez, axis=-1, keepdims=True)
+    z = _gathered_logits(np.ascontiguousarray(phi.weights.T),
+                         phi.bias[:, None], idx)
+    z -= np.max(z, axis=0)
+    np.exp(z, out=z)
+    z /= _action_sum(z)
+    return z
 
 
 def scm_likelihood_batch(phi: ScmParams, ys) -> np.ndarray:
-    """(batch, actions) softmax likelihoods; NULL tokens are allowed."""
-    return _softmax(_logits(phi, np.asarray(ys)))
-
-
-def _run_indices(phis: list, ys) -> tuple[np.ndarray, np.ndarray]:
-    """Checked feature indices (R * M, n) of R runs' nonempty training
-    batches, ys holding run r's M rows at r * M, each run's offset to its
-    block of the (R * n * V, A) stacked weights; and the (R * M, n, A) flat
-    indices into those weights of every (row, slot, action)."""
-    phi, runs = phis[0], len(phis)
-    ys = _checked_tokens(phi, ys)
-    if ys.size == 0:
-        raise ValueError("empty batch")
-    if len(ys) % runs:
-        raise ValueError(f"{len(ys)} rows do not split into {runs} runs")
-    idx = _feature_indices(phi, ys)
-    idx += np.repeat(np.arange(runs) * (phi.n * phi.vocab_size),
-                     len(ys) // runs)[:, None]
-    a = phi.num_actions
-    return idx, idx[..., None] * a + np.arange(a)
+    """(batch, actions) softmax likelihoods; NULL tokens are allowed.  The
+    array is the transpose view of an action-major (actions, batch) one."""
+    return _likelihoods(phi, ys).T
 
 
 def _step_runs(phis: list, ys, labels, lr: float, steps: int,
@@ -183,59 +227,89 @@ def _step_runs(phis: list, ys, labels, lr: float, steps: int,
     """steps Adam steps of cross-entropy for R runs' classifiers at once.
 
     ys and labels hold run r's M rows at r * M.  draw(M) returns the
-    (R, B) rows each run's next step takes.  The phis stay untouched: each
-    run gets a shallow copy with new arrays.  Returns the runs' params and
-    their mean losses at the last step's pre-update params (nan after zero
-    steps).
+    (R, steps, B) rows each run's steps take; it is called once, after
+    every check.  The phis stay untouched: each run gets a shallow copy
+    with new arrays.  Returns the runs' params and their mean losses at the
+    last step's pre-update params (nan after zero steps).
+
+    Weights and their Adam moments are action-major (A, R * n * V) inside
+    the loop and go back to the runs' (n * V, A) layout on exit.
     """
-    idx, flat = _run_indices(phis, ys)
-    runs = len(phis)
-    m = len(idx) // runs
-    labels = np.asarray(labels, dtype=np.intp)
+    phi, runs = phis[0], len(phis)
+    ys = _checked_tokens(phi, ys)
+    if ys.size == 0:
+        raise ValueError("empty batch")
+    if len(ys) % runs:
+        raise ValueError(f"{len(ys)} rows do not split into {runs} runs")
+    labels = checked_actions(phi, labels, len(ys))
     if steps == 0:
         return list(phis), [float("nan")] * runs
-    a = phis[0].num_actions
+    m, a, nv = len(ys) // runs, phi.num_actions, phi.n * phi.vocab_size
+    # feature indices into the stacked weights, run r's block at r * n * V
+    idx = _feature_indices(phi, ys)
+    idx += np.repeat(np.arange(runs) * nv, m)
+    picks = draw(m) + (np.arange(runs) * m)[:, None, None]
+    rows = picks[:, 0].size  # R * B
+    # bias-gradient bins: (action, run) of every entry of the (A, R * B) dz
+    bias_bins = (np.arange(a)[:, None] * runs
+                 + np.repeat(np.arange(runs), rows // runs)).ravel()
+    cols = np.arange(rows)
+    spread = np.empty((a, phi.n, rows))
+
     w = stack_runs([p.weights for p in phis])
     b = stack_runs([p.bias for p in phis])
     opt_w = [replace(p.opt_w) for p in phis]
     opt_b = [replace(p.opt_b) for p in phis]
     mw, vw = _moments(opt_w, w)
     mb, vb = _moments(opt_b, b)
-    first = (np.arange(runs) * m)[:, None]  # each run's first row
+    wt, mw, vw = (np.ascontiguousarray(x.transpose(2, 0, 1)).reshape(a, -1)
+                  for x in (w, mw, vw))
+
+    def per_run(x):  # (R, A, n * V) view of an (A, R * n * V) array
+        return x.reshape(a, runs, nv).transpose(1, 0, 2)
+
     for step in range(steps):
-        pick = (draw(m) + first).ravel()  # run-major rows of the stack
-        pick_idx, pick_flat, pick_labels = idx[pick], flat[pick], labels[pick]
-        rows = len(pick_labels)
-        logits = _gathered_logits(w.reshape(-1, a), None, pick_idx)
-        logits.reshape(runs, -1, a)[...] += b[:, None, :]
-        zmax = np.max(logits, axis=1, keepdims=True)
+        pick = picks[:, step].ravel()  # run-major rows of the stack
+        pick_idx, pick_labels = idx.take(pick, axis=1), labels[pick]
+        z = _gathered_logits(wt, b.T, pick_idx)
+        zmax = np.max(z, axis=0)
         # one exp(logits - max) serves the log-partition and the softmax
-        ez = np.exp(logits - zmax)
-        total = np.sum(ez, axis=1, keepdims=True)
+        ez = np.exp(z - zmax)
+        total = _action_sum(ez)
+        at_label = pick_labels * rows + cols  # flat (label, row) entries
         if step == steps - 1:  # the loss reported is the last step's
-            logz = zmax[:, 0] + np.log(total[:, 0])
-            losses = np.mean((logz - logits[np.arange(rows), pick_labels])
+            logz = zmax + np.log(total)
+            losses = np.mean((logz - z.reshape(-1)[at_label])
                              .reshape(runs, -1), axis=1)
 
         dz = ez / total
-        dz[np.arange(rows), pick_labels] -= 1.0
+        dz.reshape(-1)[at_label] -= 1.0
         dz /= rows // runs
 
-        # scatter dz into the weight rows of every (run, row, slot): one
-        # bincount over the flat indices.  Slots never share a weight row
-        # and runs never share a block, so each bin sums its rows in
-        # ascending order from 0, as n np.add.at calls per run do
-        grad_w = np.bincount(
-            pick_flat.ravel(),
-            weights=np.broadcast_to(dz[:, None, :], pick_flat.shape).ravel(),
-            minlength=w.size).reshape(w.shape)
-        grad_b = np.sum(dz.reshape(runs, -1, a), axis=1)
+        # scatter dz into the weight columns of every (slot, run, row): one
+        # bincount per action.  Slots never share a weight row and runs
+        # never share a block, so each bin sums its rows in ascending order
+        # from 0, as n np.add.at calls per run do
+        flat = pick_idx.ravel()
+        spread[...] = dz[:, None, :]  # dz[k] once per slot
+        grad_w = np.stack([np.bincount(flat, weights=spread[k].ravel(),
+                                       minlength=wt.shape[1])
+                           for k in range(a)])
+        # each (action, run) bin sums its rows in order from 0, as np.sum
+        # over the rows of (R, B, A) does
+        grad_b = np.bincount(bias_bins, weights=dz.ravel(),
+                             minlength=a * runs).reshape(a, runs).T
         for o in opt_w + opt_b:
             o.step += 1
-        w, mw, vw = adam_update(w, grad_w, mw, vw, [o.step for o in opt_w],
-                                lr)
+        wt, mw, vw = (x.transpose(1, 0, 2).reshape(a, -1)
+                      for x in adam_update(per_run(wt), per_run(grad_w),
+                                           per_run(mw), per_run(vw),
+                                           [o.step for o in opt_w], lr))
         b, mb, vb = adam_update(b, grad_b, mb, vb, [o.step for o in opt_b],
                                 lr)
+    w, mw, vw = (np.ascontiguousarray(x.reshape(a, runs, nv)
+                                      .transpose(1, 2, 0))
+                 for x in (wt, mw, vw))
     out = []
     for r, phi in enumerate(phis):
         opt_w[r].m, opt_w[r].v, opt_b[r].m, opt_b[r].v = (mw[r], vw[r],
@@ -252,16 +326,20 @@ def train_scm(phis: list, ys, labels, lr: float, steps: int,
 
     ys and labels hold run r's M rows at r * M.  Each step, run r draws
     min(batch_size, M) of its rows with replacement from rngs[r] and takes
-    one Adam step of cross-entropy on them.  The tokens are checked and
-    turned into feature and scatter indices once per call, before any draw;
-    each step gathers its picked rows of those.
+    one Adam step of cross-entropy on them.  The tokens and labels are
+    checked and the tokens turned into feature indices once per call,
+    before any draw; each run then draws the rows of all its steps in one
+    call, which leaves its generator where steps draws of one step's rows
+    would.
     """
     def draw(m):
-        return stack_runs([g.integers(0, m, size=min(batch_size, m))
+        return stack_runs([g.integers(0, m, size=(steps, min(batch_size, m)))
                            for g in rngs])
     return _step_runs(phis, ys, labels, lr, steps, draw)
 
 
 def accuracy(phi: ScmParams, ys, labels) -> float:
-    probs = scm_likelihood_batch(phi, ys)
-    return float(np.mean(np.argmax(probs, axis=1) == np.asarray(labels)))
+    """Fraction of the sequences ys whose argmax class is their label."""
+    ys = _checked_tokens(phi, ys)
+    labels = checked_actions(phi, labels, len(ys))
+    return float(np.mean(np.argmax(_likelihoods(phi, ys), axis=0) == labels))

@@ -196,3 +196,18 @@ def test_duplicate_filler_positions_have_similar_weights():
         lo.append(a)
         hi.append(b)
     assert np.mean(hi) <= 2.0 * np.mean(lo) + 1e-6
+
+
+@pytest.mark.parametrize("actions", [[2], [0, -1], [0, 3], [0, 1, 2],
+                                     [0.0, 1.0], [[0], [1]]],
+                         ids=["one_for_two_rows", "negative",
+                              "past_last_class", "extra", "float",
+                              "two_dim"])
+def test_causal_weights_reject_bad_actions(actions):
+    """One action class per row, an integer in [0, A): a single action is
+    not broadcast over the rows, and -1 does not read the last class."""
+    phi = ScmParams.zeros(n=3, vocab_size=16, num_actions=3)
+    before = scm_mod.eval_count()
+    with pytest.raises(ValueError, match="action class"):
+        causal_weights_batch(phi, [(5, 6, 2), (1, 2, 3)], actions)
+    assert scm_mod.eval_count() == before

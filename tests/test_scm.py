@@ -11,8 +11,22 @@ def scm_update(phi, ys, labels, lr=1e-3):
     action) pairs: the updated params and the mean loss at the pre-update
     params."""
     (phi,), (loss,) = scm._step_runs([phi], ys, labels, lr, steps=1,
-                                     draw=lambda m: np.arange(m)[None])
+                                     draw=lambda m: np.arange(m)[None, None])
     return phi, loss
+
+
+def reference_logits(phi, ys):
+    """(rows, A) logits: the summed (rows, n, A) gather of the weight rows
+    of each slot's token, plus the bias."""
+    idx = np.asarray(ys) + np.arange(phi.n)[None, :] * phi.vocab_size
+    return np.sum(phi.weights[idx], axis=1) + phi.bias
+
+
+def reference_softmax(z):
+    """Row-wise softmax of (rows, A) logits."""
+    z = z - np.max(z, axis=-1, keepdims=True)
+    ez = np.exp(z)
+    return ez / np.sum(ez, axis=-1, keepdims=True)
 
 
 def scm_likelihood(phi, y):
@@ -81,7 +95,11 @@ def test_logits_match_summed_gather(n):
     ys[0] = NULL
     idx = ys + np.arange(n)[None, :] * vocab
     reference = np.sum(phi.weights[idx], axis=1) + phi.bias
-    assert np.array_equal(scm._logits(phi, ys), reference)
+    got = scm._gathered_logits(np.ascontiguousarray(phi.weights.T),
+                               phi.bias[:, None], np.ascontiguousarray(idx.T))
+    assert np.array_equal(got.T, reference)
+    assert np.array_equal(scm_likelihood_batch(phi, ys),
+                          reference_softmax(reference))
 
 
 def test_bad_inputs_raise():
@@ -162,7 +180,8 @@ def test_update_leaves_input_untouched():
 
 @pytest.mark.parametrize("env_id", ["numberline", "menunav"])
 def test_update_gradient_matches_add_at_scatter(env_id):
-    """The one-bincount scatter equals n np.add.at calls, bit for bit."""
+    """The bincount scatter equals n np.add.at calls, and the bias gradient
+    a sum over the rows in order from 0, bit for bit."""
     env = make_env(env_id)
     rng = np.random.default_rng(4)
     phi = ScmParams.zeros(env.grammar.n, env.vocab.size, env.num_actions)
@@ -171,20 +190,26 @@ def test_update_gradient_matches_add_at_scatter(env_id):
     ys, labels = rollout_pairs(env, rng, 256)
     ys[:7, 1] = NULL  # nullified sequences are in-domain
     m = len(ys)
-    logits = scm._logits(phi, ys)
-    dz = scm._softmax(logits)
+    dz = reference_softmax(reference_logits(phi, ys))
     dz[np.arange(m), labels] -= 1.0
     dz /= m
     grad_w = np.zeros_like(phi.weights)
-    idx = scm._feature_indices(phi, ys)
+    idx = ys + np.arange(phi.n)[None, :] * phi.vocab_size
     for i in range(phi.n):
         np.add.at(grad_w, idx[:, i], dz)
     # Adam's first step from zero moments, taken with the reference gradient
     ref = scm.adam_update_runs([scm.AdamState()], phi.weights[None],
                                grad_w[None], 1e-3)[0]
+    grad_b = np.zeros_like(phi.bias)
+    for row in dz:
+        grad_b += row
+    ref_b = scm.adam_update_runs([scm.AdamState()], phi.bias[None],
+                                 grad_b[None], 1e-3)[0]
     new, _ = scm_update(phi, ys, labels, lr=1e-3)
     np.testing.assert_array_equal(new.weights, ref)
     np.testing.assert_array_equal(new.opt_w.m, (1 - 0.9) * grad_w)
+    np.testing.assert_array_equal(new.bias, ref_b)
+    np.testing.assert_array_equal(new.opt_b.m, (1 - 0.9) * grad_b)
 
 
 @pytest.mark.parametrize("env_id, batch_size", [("numberline", 32),
@@ -234,3 +259,89 @@ def test_train_scm_rejects_out_of_vocab_before_any_step():
     assert draws.bit_generator.state == state
     assert scm.eval_count() == before
     assert phi.opt_w.step == 0 and not phi.weights.any()
+
+
+BAD_LABELS = {
+    "negative": lambda labels: np.r_[labels[:-1], -1],
+    "past_last_class": lambda labels: np.r_[labels[:-1], 3],
+    "extra": lambda labels: np.r_[labels, 0, 1],
+    "short": lambda labels: labels[:-1],
+    "float": lambda labels: labels.astype(float),
+    "two_dim": lambda labels: labels[:, None],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LABELS))
+def test_train_scm_rejects_bad_labels_before_any_draw(case):
+    """Labels must be an integer (M,) array of classes in [0, A): a label of
+    -1 would train the last class, and a longer array would go unread."""
+    env = make_env("numberline")
+    ys, labels = rollout_pairs(env, np.random.default_rng(6), 16)
+    phi = ScmParams.zeros(env.grammar.n, env.vocab.size, env.num_actions)
+    draws = np.random.default_rng(1)
+    state = draws.bit_generator.state
+    before = scm.eval_count()
+    with pytest.raises(ValueError, match="action class"):
+        train_scm([phi], ys, BAD_LABELS[case](labels), lr=1e-2, steps=4,
+                  batch_size=8, rngs=[draws])
+    assert draws.bit_generator.state == state
+    assert scm.eval_count() == before
+    assert phi.opt_w.step == 0 and not phi.weights.any()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LABELS))
+def test_accuracy_rejects_bad_labels(case):
+    env = make_env("numberline")
+    ys, labels = rollout_pairs(env, np.random.default_rng(7), 16)
+    phi = ScmParams.zeros(env.grammar.n, env.vocab.size, env.num_actions)
+    assert accuracy(phi, ys, labels) == np.mean(labels == 0)
+    with pytest.raises(ValueError, match="action class"):
+        accuracy(phi, ys, BAD_LABELS[case](labels))
+
+
+def test_train_scm_leaves_each_generator_as_separate_draws():
+    """One (steps, B) draw per run moves its generator as steps draws of B
+    rows do, so the run's later draws are unchanged."""
+    env = make_env("menunav")
+    ys, labels = rollout_pairs(env, np.random.default_rng(8), 2 * 40)
+    phis = [ScmParams.zeros(env.grammar.n, env.vocab.size, env.num_actions)
+            for _ in range(2)]
+    for batch_size, steps in ((8, 5), (64, 3), (40, 1)):
+        rngs = [np.random.default_rng(s) for s in (11, 12)]
+        train_scm(phis, ys, labels, lr=1e-2, steps=steps,
+                  batch_size=batch_size, rngs=rngs)
+        for seed, g in zip((11, 12), rngs):
+            ref = np.random.default_rng(seed)
+            for _ in range(steps):
+                ref.integers(0, 40, size=min(batch_size, 40))
+            assert g.random() == ref.random()
+
+
+def signed_zero_equal(a, b):
+    """Bitwise equality of two float64 arrays, -0.0 against 0.0 included."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("actions", list(range(1, 41)) + [129, 200, 300])
+def test_action_sum_matches_numpy_row_sums(actions):
+    """_action_sum(x.T) is np.sum(x, axis=-1) bit for bit: numpy's pairwise
+    order, its 0.0 start included (a row of -0.0 sums to +0.0)."""
+    rng = np.random.default_rng(actions)
+    rows = 300
+    kinds = rng.integers(0, 6, size=(rows, actions))
+    x = rng.normal(size=(rows, actions))
+    x[kinds == 1] *= 1e-300  # tiny, subnormal sums
+    x[kinds == 2] *= 1e300  # huge, sums that overflow
+    x[kinds == 3] = -0.0
+    x[kinds == 4] = 0.0
+    x[kinds == 5] = rng.choice([1.0, -1.0, 1e16, -1e16, 5e-324],
+                               size=np.count_nonzero(kinds == 5))
+    x[0] = -0.0
+    x[1] = 0.0
+    x[2, ::2] = -0.0
+    x[3] = 1e308
+    with np.errstate(over="ignore"):
+        want = np.sum(x, axis=-1)
+        got = scm._action_sum(np.ascontiguousarray(x.T))
+    assert signed_zero_equal(got, want)
+    assert not np.signbit(want[0])
