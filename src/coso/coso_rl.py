@@ -15,7 +15,10 @@ causal weights (computed on a view of its rows).  Each run's results equal
 its own training alone, bit for bit.  One run is a group and a batch of
 one.  The runs of a group that share a seed also share their episode
 starts: each (seed, episode number) start is computed once per group, by
-the first run to reach it.
+the first run to reach it.  The rollout records each token's distribution
+while it samples, which is the batch's teacher forcing at the sampling
+policies; the first PPO epoch or the AWR step takes it, and
+teacher_forced_batch serves only the steps after the params move.
 """
 from __future__ import annotations
 
@@ -353,9 +356,9 @@ def ppo_update(params: PolicyParams, batch: RolloutBatch, hyper,
     """One epoch of clipped-surrogate updates over shuffled minibatches.
 
     forced is teacher_forced_batch of the batch at params if the caller
-    already has it (the rollout's pass, before any step); otherwise this
-    call teacher-forces the batch once.  That one pass gives the ratios,
-    the losses and the first minibatch's gradient.
+    already has it (the forcing the rollout recorded, before any step);
+    otherwise this call teacher-forces the batch once.  That one forcing
+    gives the ratios, the losses and the first minibatch's gradient.
 
     Returns (params, losses at call start, mean ratios, grad norms).
     Raises if a run's rollout snapshot does not match its snapshot_id.
@@ -509,9 +512,12 @@ class Trainer:
         own.
 
         This is where an iteration checks its group (_check_group), before
-        any draw.  The batch's teacher forcing stays on this run for
-        train_iteration, which takes it at once; a rollout called on its
-        own leaves it until the next one replaces it.
+        any draw.  The decoder records every token's distribution as it
+        samples, so the batch's teacher forcing (teacher_forced_batch of
+        the batch at the sampling policies, bit for bit) costs no second
+        pass.  It stays on this run for train_iteration, which takes it at
+        once; a rollout called on its own leaves it until the next one
+        replaces it.
         """
         trs = [self, *others]
         _check_group(trs)
@@ -531,17 +537,21 @@ class Trainer:
         rewards = np.empty((runs, ticks, ns))
         dones = np.empty((runs, ticks, ns), dtype=bool)
         oks = np.empty((runs, ticks, ns), dtype=bool)
+        # the distributions each token is drawn from, which the decoder
+        # records tick by tick: the batch's teacher forcing
+        probs = np.empty((runs, ticks, ns, n, spec.vocab_size))
+        logprobs = np.empty_like(probs)
         # per run, one row of ns uniforms per (tick, token position): the
         # stream of ticks * n successive draws of ns
         uniforms = stack_runs([tr.rng.random((ticks, n, ns)) for tr in trs])
         # the policies are frozen here
-        policy = PolicyParams(spec=spec, weights=stack_runs(
-            [tr.policy.weights for tr in trs]))
-        tables = pol.decode_tables(policy)
+        tables = pol.decode_tables(PolicyParams(spec=spec, weights=stack_runs(
+            [tr.policy.weights for tr in trs])))
         for t in range(ticks):
             toks = pol.sample_utterances_batch(
                 tables, feats,
-                uniforms[:, t].transpose(0, 2, 1).reshape(runs * ns, n))
+                uniforms[:, t].transpose(0, 2, 1).reshape(runs * ns, n),
+                out=(probs[:, t], logprobs[:, t]))
             act, ok = env.parse_batch(toks)
             states[:, t] = feats.reshape(runs, ns, k)
             utts[:, t] = toks.reshape(runs, ns, n)
@@ -554,9 +564,10 @@ class Trainer:
             for j in np.flatnonzero(done):
                 fresh = trs[j // ns]._fresh_state()
                 feats[j], steps[j] = fresh.features, fresh.step_count
-        del tables, uniforms  # before the batch's largest arrays
         states, utts = states.reshape(-1, k), utts.reshape(-1, n)
-        forced = pol.teacher_forced_batch(policy, states, utts)
+        probs, logprobs = (a.reshape(-1, n, spec.vocab_size)
+                           for a in (probs, logprobs))
+        forced = (probs, logprobs) + pol.token_stats(probs, logprobs, utts)
         for r, tr in enumerate(trs):
             tr._feats = feats[r * ns:(r + 1) * ns].copy()
             tr._steps = steps[r * ns:(r + 1) * ns].copy()

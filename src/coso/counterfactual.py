@@ -34,7 +34,7 @@ def causal_weights_batch(phi, ys, actions) -> np.ndarray:
     Scores exactly n+1 sequences per utterance: the utterance itself plus one
     nullified variant per position.
     """
-    ys = np.asarray(ys, dtype=np.intp)
+    ys = scm_mod.checked_tokens(phi, ys)
     m, n = ys.shape
     actions = scm_mod.checked_actions(phi, actions, m)
     stacked = np.repeat(ys[:, None, :], n + 1, axis=1)  # (m, n+1, n)

@@ -25,6 +25,7 @@ from . import counterfactual as cf
 from . import policy as pol
 from . import tabular
 from .coso_rl import Hyperparams, Trainer, check_field_types
+from .scm import stack_runs
 from .textmdp import EnvState, TextEnv, env_ids, make_env, state_arrays
 
 EVAL_SEED_BASE = 990_000  # fixed eval episode seeds, shared by every run
@@ -158,7 +159,8 @@ def _eval_starts(env: TextEnv, episodes: int) -> tuple:
     return _EVAL_STARTS[key]
 
 
-def evaluate_greedy(env: TextEnv, policy_params, episodes: int) -> float:
+def evaluate_greedy(env: TextEnv, policy_params,
+                    episodes: int) -> float | list[float]:
     """Greedy-decoding success rate over a fixed eval seed set.
 
     A state's greedy utterance does not change during the call, so every
@@ -166,27 +168,47 @@ def evaluate_greedy(env: TextEnv, policy_params, episodes: int) -> float:
     episodes then run in lockstep through the env's tables, each step one
     lookup per unfinished episode.  Their start states are built once per
     (env id, episodes) and shared read-only by every later call.
+
+    Stacked (R, dim, V) weights are R runs evaluated in one pass: one
+    decode of the R * S states, and the R * episodes episodes in one
+    lockstep loop, run r's reading its own table.  They return the list of
+    the R rates, each equal to its run's own call; (dim, V) weights return
+    one float.
     """
     cards = policy_params.spec.state_cards
     tables = pol.decode_tables(policy_params)
+    grid = pol.state_grid(cards)
+    runs = tables.runs
     greedy_action, _ = env.parse_batch(
-        pol.greedy_utterance(tables, pol.state_grid(cards)))
+        pol.greedy_utterance(tables, np.tile(grid, (runs, 1))))
     feats, steps = _eval_starts(env, episodes)
-    wins = 0
+    # run r's episodes are rows r * episodes onward; offset is each row's
+    # block of greedy_action
+    feats, steps = np.tile(feats, (runs, 1)), np.tile(steps, runs)
+    run = np.repeat(np.arange(runs), episodes)
+    offset = run * len(grid)
+    wins = np.zeros(runs, dtype=np.intp)
     while len(feats):
-        actions = greedy_action[pol.state_ids(cards, feats)]
+        actions = greedy_action[offset + pol.state_ids(cards, feats)]
         feats, steps, rewards, dones = env.step_batch(feats, steps, actions)
-        wins += int(np.count_nonzero(rewards[dones] >= env.r_max))
-        feats, steps = feats[~dones], steps[~dones]
-    return wins / episodes
+        wins += np.bincount(run[dones][rewards[dones] >= env.r_max],
+                            minlength=runs)
+        live = ~dones
+        feats, steps, run, offset = (feats[live], steps[live], run[live],
+                                     offset[live])
+    if policy_params.weights.ndim == 2:
+        return int(wins[0]) / episodes
+    return [int(w) / episodes for w in wins]
 
 
 def lockstep_key(config: RunConfig) -> tuple:
     """Runs whose configs share this key train as one lockstep group:
-    coso_rl.lockstep_key plus the loop's step budget and eval cadence."""
+    coso_rl.lockstep_key plus the loop's step budget, eval cadence and
+    eval episodes."""
     return (coso_rl.lockstep_key(config.env_id, config.optimizer,
                                  config.hyper),
-            config.total_env_steps, config.eval_every_iters)
+            config.total_env_steps, config.eval_every_iters,
+            config.eval_episodes)
 
 
 def train_runs(jobs, write_artifacts: bool = True) -> list:
@@ -208,8 +230,9 @@ def train_runs(jobs, write_artifacts: bool = True) -> list:
 
 
 def _train_group(jobs, write_artifacts: bool) -> list:
-    """Train runs of one lockstep_key in lockstep, evaluate each at the
-    shared cadence and write each run's artifacts."""
+    """Train runs of one lockstep_key in lockstep, evaluate them at the
+    shared cadence in one evaluate_greedy call and write each run's
+    artifacts."""
     first = jobs[0][0]
     env = make_env(first.env_id)
     trainers = [Trainer(env, config.hyper, seed, arm=config.arm,
@@ -226,14 +249,15 @@ def _train_group(jobs, write_artifacts: bool) -> list:
         if it % first.eval_every_iters and \
                 lead.total_env_steps < first.total_env_steps:
             continue
-        for (config, _), tr, report, run_rows in zip(jobs, trainers, reports,
-                                                     rows):
+        rates = evaluate_greedy(env, pol.PolicyParams(
+            spec=lead.policy.spec, weights=stack_runs(
+                [tr.policy.weights for tr in trainers])), first.eval_episodes)
+        for report, rate, run_rows in zip(reports, rates, rows):
             run_rows.append({
                 "schema_version": 1,
                 "iteration": it,
                 "env_steps": report.env_steps,
-                "eval_success": evaluate_greedy(env, tr.policy,
-                                                config.eval_episodes),
+                "eval_success": rate,
                 "mean_return": report.mean_return,
                 "invalid_rate": report.invalid_rate,
                 "mean_entropy": report.mean_entropy,

@@ -10,7 +10,9 @@ Every operation takes a batch: m states and, where tokens are involved, an
 (computed from the full conditional distribution, not estimated), and the
 gradient of the training objective is analytic.  Decoding reads per-state
 tables of a frozen policy (decode_tables), which a caller that decodes many
-batches builds once.
+batches builds once.  Sampling can record the distributions it draws from,
+which equal teacher forcing's bit for bit, so a sampled batch needs no
+second pass for its log-probs and entropies.
 
 The weights may carry a leading run axis: (R, dim, V) for R runs trained in
 lockstep; (dim, V) weights are one run.  A batch holds R * m rows, run r's m
@@ -28,6 +30,7 @@ doubles.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,14 +214,22 @@ def _softmax_inplace(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _entropy(probs: np.ndarray, logprobs: np.ndarray) -> np.ndarray:
-    """(m, n) entropies of (m, n, V) distributions, one position at a time
-    so that the temporaries stay (m, V)."""
-    ent = np.empty(probs.shape[:-1])
-    for i in range(probs.shape[1]):
-        terms = np.where(probs[:, i] > 0.0, logprobs[:, i], 0.0)
-        terms *= probs[:, i]
-        ent[:, i] = -terms.sum(axis=-1)
-    return ent
+    """(m, n) entropies of (m, n, V) distributions.  Each row's terms are
+    summed along its contiguous V axis, the order a position at a time
+    would take too."""
+    terms = np.where(probs > 0.0, logprobs, 0.0)
+    terms *= probs
+    ent = terms.sum(axis=-1)
+    return np.negative(ent, out=ent)
+
+
+def token_stats(probs: np.ndarray, logprobs: np.ndarray,
+                toks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tok_logprob, tok_entropy), both (m, n), of the (m, n) tokens toks
+    under their (m, n, V) forced distributions."""
+    rows = np.arange(len(toks))[:, None]
+    cols = np.arange(toks.shape[1])[None, :]
+    return logprobs[rows, cols, toks], _entropy(probs, logprobs)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +265,8 @@ class DecodeTables:
 
     spec: FeatureSpec
     base: np.ndarray  # (R * S, V) state logits, NULL at -inf
+    probs0: np.ndarray  # (R * S, V) position-0 distribution
+    logprobs0: np.ndarray  # (R * S, V) its log-probs
     cdf0: np.ndarray  # (R * S, V) cumulative position-0 distribution
     greedy0: np.ndarray  # (R * S,) argmax position-0 token
     token_rows: _TokenRows
@@ -272,8 +285,11 @@ def decode_tables(params: PolicyParams) -> DecodeTables:
     base = _state_logits(W, _in_run_blocks(np.tile(grid, (runs, 1)), runs,
                                            spec.dim))
     token_rows = _token_rows(params)
-    probs0, _ = _softmax_inplace(_position_logits(token_rows, base, None, 0))
-    return DecodeTables(spec=spec, base=base, cdf0=probs0.cumsum(axis=1),
+    logprobs0 = _position_logits(token_rows, base, None, 0)
+    probs0, total = _softmax_inplace(logprobs0)
+    logprobs0 -= np.log(total)
+    return DecodeTables(spec=spec, base=base, probs0=probs0,
+                        logprobs0=logprobs0, cdf0=probs0.cumsum(axis=1),
                         greedy0=np.argmax(probs0, axis=1),
                         token_rows=token_rows)
 
@@ -284,10 +300,19 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
 
 
-def _decode(policy, states, u: np.ndarray | None) -> np.ndarray:
+def _decode(policy, states, u: np.ndarray | None,
+            out: tuple | None = None) -> np.ndarray:
     """(m, n) tokens decoded left to right, by inverse CDF on u or by argmax
     if u is None.  policy is PolicyParams or its DecodeTables; for R
-    stacked runs, rows r * m / R onward decode with run r's policy."""
+    stacked runs, rows r * m / R onward decode with run r's policy.
+
+    out, if given, is a (probs, logprobs) pair of (..., n, V) arrays whose
+    leading axes hold the m rows in order; each position's distribution
+    and log-probs are copied into it as they are drawn from.  The exp, log
+    and row sums run on contiguous (m, V) temporaries, as teacher forcing's
+    run on its contiguous (m, n, V) array, and only exact copies go into
+    out, so out equals teacher forcing's output bit for bit.
+    """
     tables = (policy if isinstance(policy, DecodeTables)
               else decode_tables(policy))
     spec = tables.spec
@@ -299,28 +324,53 @@ def _decode(policy, states, u: np.ndarray | None) -> np.ndarray:
     toks = np.empty((len(sid), spec.n), dtype=np.intp)
     toks[:, 0] = (tables.greedy0[sid] if u is None
                   else _inverse_cdf(tables.cdf0[sid], u[:, 0]))
+    if out is not None:
+        out_probs, out_logprobs = out
+        rows = out_probs.shape[:-2] + (spec.vocab_size,)  # one position's
+        at = sid.reshape(rows[:-1])
+        out_probs[..., 0, :] = tables.probs0[at]
+        out_logprobs[..., 0, :] = tables.logprobs0[at]
     base = tables.base[sid]
     for i in range(1, spec.n):
-        probs, _ = _softmax_inplace(
-            _position_logits(tables.token_rows, base, toks, i))
+        z = _position_logits(tables.token_rows, base, toks, i)
+        probs, total = _softmax_inplace(z)
         toks[:, i] = (np.argmax(probs, axis=1) if u is None
                       else _inverse_cdf(probs.cumsum(axis=1), u[:, i]))
+        if out is not None:
+            z -= np.log(total)
+            out_probs[..., i, :] = probs.reshape(rows)
+            out_logprobs[..., i, :] = z.reshape(rows)
     return toks
 
 
-def sample_utterances_batch(policy, states, u) -> np.ndarray:
+def sample_utterances_batch(policy, states, u, out=None) -> np.ndarray:
     """Sample one utterance per state from the (m, n) uniforms u.
 
     policy is PolicyParams, or decode_tables of them when one frozen policy
     decodes many batches.  Token i of row b is drawn by inverse CDF on
-    u[b, i].  Returns the (m, n) tokens; teacher_forced_batch gives their
-    log-probs and entropies.
+    u[b, i].  Returns the (m, n) tokens.
+
+    out, if given, is a (probs, logprobs) pair of float arrays of shape
+    (..., n, V) whose leading axes hold the m rows in order (a view such as
+    a tick of a larger array will do).  The call fills them with the
+    distributions it sampled from, equal to teacher_forced_batch's probs
+    and logprobs of the returned tokens bit for bit; token_stats gives
+    their log-probs and entropies.  Without out, teacher_forced_batch
+    gives them.
     """
     u = np.asarray(u, dtype=np.float64)
-    if u.shape != (len(states), policy.spec.n):
+    spec = policy.spec
+    if u.shape != (len(states), spec.n):
         raise ValueError(f"uniforms of shape {u.shape}, not ({len(states)}, "
-                         f"{policy.spec.n})")
-    return _decode(policy, states, u)
+                         f"{spec.n})")
+    if out is not None:
+        for a in out:
+            if a.shape[-2:] != (spec.n, spec.vocab_size) \
+                    or math.prod(a.shape[:-2]) != len(states):
+                raise ValueError(f"output of shape {a.shape} for "
+                                 f"{len(states)} rows of ({spec.n}, "
+                                 f"{spec.vocab_size})")
+    return _decode(policy, states, u, out)
 
 
 def sample_utterance(params: PolicyParams, state: EnvState,
@@ -345,13 +395,16 @@ def teacher_forced_batch(params: PolicyParams, states, utterances):
     (m, n, V), (m, n, V), (m, n), (m, n).
     """
     spec = params.spec
-    toks = np.asarray(utterances, dtype=np.intp)
+    toks = np.asarray(utterances)
     m = len(states)
     if toks.shape != (m, spec.n):
         raise ValueError(f"utterances of shape {toks.shape}, not ({m}, "
                          f"{spec.n})")
+    if not np.issubdtype(toks.dtype, np.integer):
+        raise ValueError(f"token ids of dtype {toks.dtype}, not integer")
     if np.any((toks < 0) | (toks >= spec.vocab_size)):
         raise ValueError("token out of vocab")
+    toks = toks.astype(np.intp, copy=False)
     W, runs, _ = _runs(params, m)
     base = _state_logits(W, _in_run_blocks(
         state_index(spec.state_cards, states), runs, spec.dim))
@@ -363,11 +416,7 @@ def teacher_forced_batch(params: PolicyParams, states, utterances):
     probs, total = _softmax_inplace(z)
     logprobs = z
     logprobs -= np.log(total)
-    rows = np.arange(m)[:, None]
-    cols = np.arange(spec.n)[None, :]
-    tok_lp = logprobs[rows, cols, toks]
-    tok_ent = _entropy(probs, logprobs)
-    return probs, logprobs, tok_lp, tok_ent
+    return (probs, logprobs) + token_stats(probs, logprobs, toks)
 
 
 # ---------------------------------------------------------------------------

@@ -129,16 +129,20 @@ def _feature_indices(phi: ScmParams, ys: np.ndarray) -> np.ndarray:
             + (np.arange(phi.n) * phi.vocab_size)[:, None])
 
 
-def _checked_tokens(phi: ScmParams, ys) -> np.ndarray:
-    """ys as an (M, n) intp array; a 1-d sequence is a batch of one."""
-    ys = np.asarray(ys, dtype=np.intp)
+def checked_tokens(phi: ScmParams, ys) -> np.ndarray:
+    """ys as an (M, n) intp array; a 1-d sequence is a batch of one.
+    Raises ValueError unless they are integer token ids in the vocab."""
+    ys = np.asarray(ys)
+    if not np.issubdtype(ys.dtype, np.integer):
+        raise ValueError(f"token ids of dtype {ys.dtype}, not integer")
     if ys.ndim == 1:
         ys = ys[None, :]
-    if ys.shape[1] != phi.n:
-        raise ValueError(f"sequence length {ys.shape[1]} != {phi.n}")
+    if ys.ndim != 2 or ys.shape[1] != phi.n:
+        raise ValueError(f"token ids of shape {ys.shape}, not (rows, "
+                         f"{phi.n})")
     if np.any(ys < 0) or np.any(ys >= phi.vocab_size):
         raise ValueError("token id outside vocab")
-    return ys
+    return ys.astype(np.intp, copy=False)
 
 
 def checked_actions(phi: ScmParams, actions, rows: int) -> np.ndarray:
@@ -207,7 +211,7 @@ def _action_sum(t: np.ndarray) -> np.ndarray:
 
 def _likelihoods(phi: ScmParams, ys) -> np.ndarray:
     """(A, M) softmax likelihoods of the M sequences ys."""
-    idx = _feature_indices(phi, _checked_tokens(phi, ys))
+    idx = _feature_indices(phi, checked_tokens(phi, ys))
     z = _gathered_logits(np.ascontiguousarray(phi.weights.T),
                          phi.bias[:, None], idx)
     z -= np.max(z, axis=0)
@@ -236,7 +240,7 @@ def _step_runs(phis: list, ys, labels, lr: float, steps: int,
     the loop and go back to the runs' (n * V, A) layout on exit.
     """
     phi, runs = phis[0], len(phis)
-    ys = _checked_tokens(phi, ys)
+    ys = checked_tokens(phi, ys)
     if ys.size == 0:
         raise ValueError("empty batch")
     if len(ys) % runs:
@@ -340,6 +344,6 @@ def train_scm(phis: list, ys, labels, lr: float, steps: int,
 
 def accuracy(phi: ScmParams, ys, labels) -> float:
     """Fraction of the sequences ys whose argmax class is their label."""
-    ys = _checked_tokens(phi, ys)
+    ys = checked_tokens(phi, ys)
     labels = checked_actions(phi, labels, len(ys))
     return float(np.mean(np.argmax(_likelihoods(phi, ys), axis=0) == labels))

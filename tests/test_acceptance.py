@@ -66,11 +66,12 @@ ABLATION_SEEDS = (0, 1, 2, 3, 4)
 
 def train_group(env_id, hyper, total_steps, thr=0.9, eval_every=5,
                 eval_episodes=32, snapshot_at=None):
-    """Train every arm x ABLATION_SEEDS run as one lockstep group; each run
-    equals its own training alone bit for bit.  Returns {(arm, seed):
-    (trainer, steps to threshold, final success, snapshot)}, the snapshot
-    being (policy, SCM) copies from the first iteration at or past
-    snapshot_at."""
+    """Train every arm x ABLATION_SEEDS run as one lockstep group, and
+    evaluate the group in one evaluate_greedy call per eval point; each
+    run equals its own training and eval alone bit for bit.  Returns
+    {(arm, seed): (trainer, steps to threshold, final success, snapshot)},
+    the snapshot being (policy, SCM) copies from the first iteration at or
+    past snapshot_at."""
     env = make_env(env_id)
     runs = [(arm, seed) for arm in ARMS for seed in ABLATION_SEEDS]
     trainers = [Trainer(env, hyper, seed=seed, arm=arm, optimizer="ppo")
@@ -80,17 +81,21 @@ def train_group(env_id, hyper, total_steps, thr=0.9, eval_every=5,
     final = [0.0] * len(runs)
     snapshots = [None] * len(runs)
     it = 0
-    while trainers[0].total_env_steps < total_steps:
+    while lead.total_env_steps < total_steps:
         lead.train_iteration(*others)
         it += 1
+        steps = lead.total_env_steps  # every run's, in lockstep
         for r, tr in enumerate(trainers):
-            if snapshot_at and snapshots[r] is None and \
-                    tr.total_env_steps >= snapshot_at:
+            if snapshot_at and snapshots[r] is None and steps >= snapshot_at:
                 snapshots[r] = (tr.policy.copy(), tr.scm.copy())
-            if it % eval_every == 0 or tr.total_env_steps >= total_steps:
-                final[r] = evaluate_greedy(env, tr.policy, eval_episodes)
-                if final[r] >= thr and stt[r] == float("inf"):
-                    stt[r] = tr.total_env_steps
+        if it % eval_every == 0 or steps >= total_steps:
+            final = evaluate_greedy(env, PolicyParams(
+                spec=lead.policy.spec,
+                weights=np.stack([tr.policy.weights for tr in trainers])),
+                eval_episodes)
+            for r, rate in enumerate(final):
+                if rate >= thr and stt[r] == float("inf"):
+                    stt[r] = steps
     return {run: (tr, stt[r], final[r], snapshots[r])
             for r, (run, tr) in enumerate(zip(runs, trainers))}
 

@@ -507,10 +507,13 @@ def run_update(optimizer, tr, batch):
 
 
 def test_rollouts_teacher_force_once(monkeypatch):
-    """The decoder returns tokens only; the batch's log-probs and entropies
-    come from one teacher-forcing pass over the finished batch."""
+    """The decoder records each token's distribution as it samples, so the
+    rollout teacher-forces nothing; the batch's log-probs and entropies
+    equal one teacher-forcing pass over the finished batch, bit for bit."""
     env = make_env("menunav")
     tr = Trainer(env, small_hyper(rollout_steps=64, num_envs=8), seed=2)
+    tr.policy.weights[:] = np.random.default_rng(4).normal(
+        0, 1.0, tr.policy.weights.shape)
     calls = []
     original = pol.teacher_forced_batch
 
@@ -519,10 +522,75 @@ def test_rollouts_teacher_force_once(monkeypatch):
         return original(params, states, utterances)
     monkeypatch.setattr(pol, "teacher_forced_batch", counting)
     batch = tr.collect_rollouts()
-    assert calls == [64]
+    assert calls == []
     _, _, lps, ents = original(tr.policy, batch.states, batch.utterances)
-    np.testing.assert_array_equal(batch.old_logprob, lps)
-    np.testing.assert_array_equal(batch.entropy, ents)
+    assert batch.old_logprob.tobytes() == lps.tobytes()
+    assert batch.entropy.tobytes() == ents.tobytes()
+
+
+def group_policy(trainers):
+    return PolicyParams(spec=trainers[0].policy.spec, weights=np.stack(
+        [tr.policy.weights for tr in trainers]))
+
+
+@pytest.mark.parametrize("optimizer", ["ppo", "awr"])
+@pytest.mark.parametrize("env_id, arms, seeds", [
+    ("numberline", ("rl", "rl_h", "coso"), (0, 1, 2)),
+    ("menunav", ("coso",), (3,)),
+])
+def test_recorded_forcing_equals_teacher_forcing(env_id, arms, seeds,
+                                                 optimizer, monkeypatch):
+    """The forcing a rollout records while sampling is teacher_forced_batch
+    of its batch at the sampling policies, bit for bit: for a group of
+    runs with policies of their own (the run-offset path) and a run alone,
+    on every iteration as training moves the policies."""
+    env = make_env(env_id)
+    trainers = [Trainer(env, small_hyper(rollout_steps=128, num_envs=16),
+                        seed=seed, arm=arm, optimizer=optimizer)
+                for arm in arms for seed in seeds]
+    rng = np.random.default_rng(7)
+    for tr in trainers:
+        tr.policy.weights[:] = rng.normal(0, 1.0, tr.policy.weights.shape)
+    lead, *others = trainers
+    original = Trainer.collect_rollouts
+    checked = []
+
+    def collect_rollouts(self, *others):
+        policy = group_policy([self, *others])
+        batch = original(self, *others)
+        want = pol.teacher_forced_batch(policy, batch.states,
+                                        batch.utterances)
+        for got, ref in zip(self._rollout_forcing, want):
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+        assert batch.old_logprob is self._rollout_forcing[2]
+        assert batch.entropy is self._rollout_forcing[3]
+        checked.append(batch.size)
+        return batch
+    monkeypatch.setattr(Trainer, "collect_rollouts", collect_rollouts)
+    for _ in range(3):
+        lead.train_iteration(*others)
+    assert checked == [128 * len(trainers)] * 3
+    assert lead.snapshot_id == 3
+
+
+def test_sample_utterances_batch_rejects_a_misshapen_output():
+    env = make_env("menunav")
+    spec = FeatureSpec.for_env(env)
+    params = PolicyParams.zeros(spec)
+    states = [env.reset(0)] * 4
+    u = np.random.default_rng(0).random((4, spec.n))
+    good = np.empty((2, 2, spec.n, spec.vocab_size))
+    for bad in ((3, spec.n, spec.vocab_size), (4, spec.n + 1, spec.vocab_size),
+                (4, spec.n, spec.vocab_size - 1)):
+        with pytest.raises(ValueError, match="output of shape"):
+            pol.sample_utterances_batch(params, states, u,
+                                        out=(good, np.empty(bad)))
+    toks = pol.sample_utterances_batch(params, states, u,
+                                       out=(good, np.empty_like(good)))
+    np.testing.assert_array_equal(
+        good.reshape(4, spec.n, -1),
+        pol.teacher_forced_batch(params, states, toks)[0])
 
 
 @pytest.mark.parametrize("optimizer", ["ppo", "awr"])
@@ -575,8 +643,8 @@ def count_forcing(monkeypatch):
 
 @pytest.mark.parametrize("optimizer", ["ppo", "awr"])
 def test_train_iteration_teacher_forces_once(optimizer, monkeypatch):
-    """With one epoch and one minibatch the update takes the rollout's pass
-    and teacher-forces nothing itself."""
+    """With one epoch and one minibatch the update takes the forcing the
+    rollout recorded while sampling, and neither teacher-forces."""
     env = make_env("menunav")
     tr = Trainer(env, small_hyper(rollout_steps=64, num_envs=8,
                                   minibatch_size=64, ppo_epochs=1),
@@ -585,7 +653,7 @@ def test_train_iteration_teacher_forces_once(optimizer, monkeypatch):
     for _ in range(3):
         rep = tr.train_iteration()
         assert not rep.skipped
-    assert calls == [64] * 3
+    assert calls == []
     assert tr._rollout_forcing is None
 
 

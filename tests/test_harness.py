@@ -630,6 +630,39 @@ def test_evaluate_greedy_matches_per_episode_loop_on_random_policies(env_id):
             assert evaluate_greedy(env, p, 40) == greedy_reference(env, p, 40)
 
 
+@pytest.mark.parametrize("env_id", ["numberline", "menunav"])
+def test_evaluate_greedy_over_stacked_runs_equals_each_run(env_id,
+                                                          monkeypatch):
+    """Stacked (R, dim, V) weights are evaluated in one pass, one table
+    build and one episode loop, and each of the R rates equals the run's
+    own call and the per-episode reference."""
+    env = make_env(env_id)
+    spec = FeatureSpec.for_env(env)
+    rng = np.random.default_rng(33)
+    weights = np.stack([rng.normal(0, scale, (spec.dim, spec.vocab_size))
+                        for scale in (0.5, 2.0, 6.0, 2.0, 6.0)])
+    solo = [evaluate_greedy(env, PolicyParams(spec=spec, weights=w), 24)
+            for w in weights]
+    assert solo == [greedy_reference(env, PolicyParams(spec=spec, weights=w),
+                                     24) for w in weights]
+    built = count_table_builds(monkeypatch)
+    steps = []
+    step_batch = TextEnv.step_batch
+
+    def counting(self, feats, *args):
+        steps.append(len(feats))
+        return step_batch(self, feats, *args)
+    monkeypatch.setattr(TextEnv, "step_batch", counting)
+    rates = evaluate_greedy(env, PolicyParams(spec=spec, weights=weights), 24)
+    assert rates == solo and all(type(r) is float for r in rates)
+    assert len(built) == 1 and steps[0] == 5 * 24
+    assert evaluate_greedy(env, PolicyParams(spec=spec,
+                                             weights=weights[2:3]), 24) \
+        == solo[2:3]
+    if env_id == "numberline":  # menunav resets every episode alike
+        assert len(set(rates)) > 1
+
+
 def count_table_builds(monkeypatch):
     built = []
     original = pol.decode_tables

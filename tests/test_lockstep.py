@@ -400,6 +400,30 @@ def test_each_ablation_computes_its_own_starts(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_runs_that_differ_in_eval_episodes_train_apart(tmp_path,
+                                                       monkeypatch):
+    """A group is evaluated in one call over one episode count, so a config
+    that differs only in eval_episodes trains in a group of its own; every
+    run still equals its solo run_single_seed."""
+    base = base_config()
+    other = dataclasses.replace(base, arm="rl", eval_episodes=5)
+    jobs = [(base, 0), (other, 0), (base, 1), (other, 1)]
+    groups = record_groups(monkeypatch)
+    monkeypatch.setenv("COSO_OUTPUT_DIR", str(tmp_path / "grouped"))
+    results = harness.train_runs(jobs)
+    assert sizes(groups) == [2, 2]
+    assert [tr.seed for tr in groups[1]] == [0, 1]
+    assert all(tr.arm == "rl" for tr in groups[1])
+    monkeypatch.setenv("COSO_OUTPUT_DIR", str(tmp_path / "solo"))
+    for (config, seed), got in zip(jobs, results):
+        want = harness.run_single_seed(config, seed)
+        assert dataclasses.replace(got, run_dir="") == \
+            dataclasses.replace(want, run_dir="")
+        name = config.run_name(seed)
+        assert run_files(tmp_path / "grouped" / name) == \
+            run_files(tmp_path / "solo" / name)
+
+
 def test_runs_that_do_not_share_a_key_train_apart(tmp_path, monkeypatch):
     base = base_config()
     jobs = [(base, 0), (dataclasses.replace(base, eval_every_iters=3), 5),

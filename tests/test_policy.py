@@ -203,6 +203,16 @@ def test_token_out_of_vocab_raises():
         teacher_forced_batch(p, [STATE], [(1, 2, 99)])
 
 
+@pytest.mark.parametrize("ys", [[(5.7, 6.2, 2.9)], [(5.0, 6.0, 2.0)],
+                                [(True, False, True)]])
+def test_non_integer_tokens_raise(ys):
+    """Float token ids are rejected, not truncated to (5, 6, 2)."""
+    p = PolicyParams.zeros(small_spec(vocab=8))
+    with pytest.raises(ValueError, match="not integer"):
+        teacher_forced_batch(p, [STATE], ys)
+    teacher_forced_batch(p, [STATE], np.asarray(ys).astype(np.int16))
+
+
 def test_entropy_bounds():
     spec = small_spec()
     rng = np.random.default_rng(2)

@@ -345,3 +345,34 @@ def test_action_sum_matches_numpy_row_sums(actions):
         got = scm._action_sum(np.ascontiguousarray(x.T))
     assert signed_zero_equal(got, want)
     assert not np.signbit(want[0])
+
+
+FLOAT_TOKENS = {
+    "fractional": [[5.7, 6.2, 2.9]],
+    "whole_floats": [[5.0, 6.0, 2.0]],
+    "bool": [[True, False, True]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_TOKENS))
+def test_non_integer_tokens_are_rejected_not_truncated(case):
+    """Token ids must be integers, as action classes must: a float row such
+    as (5.7, 6.2, 2.9) would otherwise be scored as the tokens (5, 6, 2)."""
+    from coso.counterfactual import causal_weights_batch
+    env = make_env("numberline")
+    phi = ScmParams.zeros(env.grammar.n, env.vocab.size, env.num_actions)
+    ys = np.asarray(FLOAT_TOKENS[case])
+    draws = np.random.default_rng(1)
+    state = draws.bit_generator.state
+    before = scm.eval_count()
+    with pytest.raises(ValueError, match="not integer"):
+        scm_likelihood_batch(phi, ys)
+    with pytest.raises(ValueError, match="not integer"):
+        causal_weights_batch(phi, ys, [0])
+    with pytest.raises(ValueError, match="not integer"):
+        train_scm([phi], ys, np.array([0]), lr=1e-2, steps=2, batch_size=1,
+                  rngs=[draws])
+    assert draws.bit_generator.state == state
+    assert scm.eval_count() == before
+    # the integer row those floats truncate to is scored
+    assert scm_likelihood_batch(phi, ys.astype(np.int32)).shape == (1, 3)
