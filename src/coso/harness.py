@@ -420,6 +420,7 @@ def cf_report(ckpt_path, env_id: str, num_episodes: int,
     env = make_env(env_id)
     classes = env.action_classes()
     names = [str(a) for a in classes]
+    token_names = list(env.vocab.names)
     n, horizon = policy_params.spec.n, env.horizon
     # Step g of the run (episodes one after another) samples on row g: the
     # stream of one draw of n uniforms per step.  Episodes are short and
@@ -456,7 +457,7 @@ def cf_report(ckpt_path, env_id: str, num_episodes: int,
                 "episode": ep,
                 "step": t,
                 "tokens": y,
-                "token_names": [env.vocab.name(x) for x in y],
+                "token_names": [token_names[x] for x in y],
                 "slot_roles": list(env.grammar.roles),
                 "raw_weights": None,  # filled below, in one batch
                 "normalized_weights": None,

@@ -14,6 +14,15 @@ batches builds once.  Sampling can record the distributions it draws from,
 which equal teacher forcing's bit for bit, so a sampled batch needs no
 second pass for its log-probs and entropies.
 
+Decoding is a loop over token positions whose numpy calls on small arrays
+cost more in overhead than in arithmetic, so a decode call allocates its
+(m, V) buffers once and every position writes into them.  Sampling picks
+the first token whose cumulative probability exceeds the row's uniform, or
+the last token if none does.  A cumulative sum of non-negative doubles
+never decreases, so that is the count of tokens whose cumulative
+probability is at most u, clamped to V - 1: the inverse CDF of the dense
+reference.  Weights must be finite; decode_tables rejects any other.
+
 The weights may carry a leading run axis: (R, dim, V) for R runs trained in
 lockstep; (dim, V) weights are one run.  A batch holds R * m rows, run r's m
 rows at r * m, and every row reads its own run's weights.  Row-wise gathers,
@@ -170,14 +179,17 @@ def _token_rows(params: PolicyParams) -> _TokenRows:
         pos=W[:, pos:pos + spec.n])
 
 
-def _position_logits(token_rows: _TokenRows, base: np.ndarray, toks,
-                     i: int, out: np.ndarray | None = None) -> np.ndarray:
+def _position_logits(token_rows: _TokenRows, base: np.ndarray, picks,
+                     i: int, out: np.ndarray | None = None,
+                     scratch: np.ndarray | None = None) -> np.ndarray:
     """(m, V) logits at position i: base plus the context and position rows,
     written into out if given.
 
     token_rows is _token_rows(params), and base holds the R runs' rows in
-    run order.  Only toks[:, :i] is read, so a decoder may pass its partly
-    filled tokens.
+    run order.  picks is the (m, n) tokens shifted into their runs' row
+    blocks, _in_run_blocks(toks, R, V).  Only picks[:, :i] is read, so a
+    decoder may pass its partly filled picks.  scratch, if given, is an
+    (m, V) buffer for the gathered rows after the first.
     """
     t = token_rows
     z = np.empty_like(base) if out is None else out
@@ -185,17 +197,19 @@ def _position_logits(token_rows: _TokenRows, base: np.ndarray, toks,
     if not ctx:
         np.copyto(z, base)
     for k in ctx:  # one gathered row block at a time
-        row = t.blocks[k][_in_run_blocks(toks[:, i - 1 - k], t.runs,
-                                         t.vocab_size)]
+        # picks are in range, so clip mode only skips the bounds check and
+        # the copy that take makes of its out in raise mode
         if k == 0:
-            np.add(base, row, out=z)
+            t.blocks[0].take(picks[:, i - 1], axis=0, out=z, mode="clip")
+            z += base  # = base + row: addition commutes
         else:
-            z += row
+            z += t.blocks[k].take(picks[:, i - 1 - k], axis=0, out=scratch,
+                                  mode="clip")
     if t.runs == 1:  # see the module docstring
         z += t.pos[0, i]
     else:
-        z.reshape(t.runs, -1, z.shape[-1], copy=False)[...] += t.pos[:, i,
-                                                                  None]
+        by_run = z.reshape(t.runs, -1, z.shape[-1], copy=False)
+        by_run += t.pos[:, i, None]
     return z
 
 
@@ -278,8 +292,14 @@ class DecodeTables:
 
 def decode_tables(params: PolicyParams) -> DecodeTables:
     """Tabulate params for decoding.  The tables alias params.weights, so
-    they describe params only until its weights are changed in place."""
+    they describe params only until its weights are changed in place.
+
+    Non-finite weights raise ValueError: a NaN or infinite logit would
+    turn a row's distribution into NaNs, from which NULL can be drawn.
+    """
     spec = params.spec
+    if not np.isfinite(params.weights).all():
+        raise ValueError("policy weights are not finite")
     W, runs, _ = _runs(params, 0)
     grid = state_index(spec.state_cards, state_grid(spec.state_cards))
     base = _state_logits(W, _in_run_blocks(np.tile(grid, (runs, 1)), runs,
@@ -294,10 +314,18 @@ def decode_tables(params: PolicyParams) -> DecodeTables:
                         token_rows=token_rows)
 
 
-def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """First token whose cumulative probability exceeds the uniform; the
-    last token if rounding leaves the row total below u."""
-    return np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
+def _first_above(cdf: np.ndarray, u: np.ndarray, mask: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """Per row, the first column whose cumulative probability exceeds u, or
+    the last column if none does (rounding can leave a row total below u).
+
+    A cumulative sum of non-negative doubles never decreases, so this is
+    the count of columns with cdf <= u, clamped to V - 1.  mask is a bool
+    buffer of cdf's shape, and out receives the columns.
+    """
+    np.greater(cdf, u, out=mask)
+    mask[:, -1] = True
+    return mask.argmax(axis=1, out=out)
 
 
 def _decode(policy, states, u: np.ndarray | None,
@@ -306,41 +334,74 @@ def _decode(policy, states, u: np.ndarray | None,
     if u is None.  policy is PolicyParams or its DecodeTables; for R
     stacked runs, rows r * m / R onward decode with run r's policy.
 
+    Every position writes into (m, V) buffers allocated once per call (see
+    the module docstring).  The tokens are kept position-major, so that
+    each position's are contiguous; the returned array is a transposed
+    view.
+
     out, if given, is a (probs, logprobs) pair of (..., n, V) arrays whose
     leading axes hold the m rows in order; each position's distribution
     and log-probs are copied into it as they are drawn from.  The exp, log
-    and row sums run on contiguous (m, V) temporaries, as teacher forcing's
+    and row sums run on contiguous (m, V) buffers, as teacher forcing's
     run on its contiguous (m, n, V) array, and only exact copies go into
     out, so out equals teacher forcing's output bit for bit.
     """
     tables = (policy if isinstance(policy, DecodeTables)
               else decode_tables(policy))
     spec = tables.spec
+    n, V, runs = spec.n, spec.vocab_size, tables.runs
     sid = state_ids(spec.state_cards, states)
-    if len(sid) % tables.runs:
-        raise ValueError(f"{len(sid)} rows do not split into {tables.runs} "
-                         f"runs")
-    sid = _in_run_blocks(sid, tables.runs, len(tables.base) // tables.runs)
-    toks = np.empty((len(sid), spec.n), dtype=np.intp)
-    toks[:, 0] = (tables.greedy0[sid] if u is None
-                  else _inverse_cdf(tables.cdf0[sid], u[:, 0]))
+    if len(sid) % runs:
+        raise ValueError(f"{len(sid)} rows do not split into {runs} runs")
+    sid = _in_run_blocks(sid, runs, len(tables.base) // runs)
+    m = len(sid)
+    toks = np.empty((n, m), dtype=np.intp)
+    # the tokens shifted into their runs' row blocks, as _position_logits
+    # reads them
+    if runs == 1:
+        picks = toks
+    else:
+        picks = np.empty_like(toks)
+        run_rows = np.repeat(np.arange(runs) * V, m // runs)
+    z, probs, cdf = np.empty((3, m, V))
+    mask = np.empty((m, V), dtype=bool)
+    mx, total = np.empty((2, m, 1))
+    # sid is in range, so clip mode only skips the bounds check
+    if u is None:
+        tables.greedy0.take(sid, out=toks[0], mode="clip")
+    else:
+        tables.cdf0.take(sid, axis=0, out=cdf, mode="clip")
+        _first_above(cdf, u[:, 0, None], mask, toks[0])
     if out is not None:
         out_probs, out_logprobs = out
-        rows = out_probs.shape[:-2] + (spec.vocab_size,)  # one position's
+        rows = out_probs.shape[:-2] + (V,)  # one position's
         at = sid.reshape(rows[:-1])
-        out_probs[..., 0, :] = tables.probs0[at]
-        out_logprobs[..., 0, :] = tables.logprobs0[at]
+        tables.probs0.take(at, axis=0, out=out_probs[..., 0, :], mode="clip")
+        tables.logprobs0.take(at, axis=0, out=out_logprobs[..., 0, :],
+                              mode="clip")
     base = tables.base[sid]
-    for i in range(1, spec.n):
-        z = _position_logits(tables.token_rows, base, toks, i)
-        probs, total = _softmax_inplace(z)
-        toks[:, i] = (np.argmax(probs, axis=1) if u is None
-                      else _inverse_cdf(probs.cumsum(axis=1), u[:, i]))
+    for i in range(1, n):
+        if runs > 1:
+            np.add(toks[i - 1], run_rows, out=picks[i - 1])
+        _position_logits(tables.token_rows, base, picks.T, i, out=z,
+                         scratch=probs)
+        np.maximum.reduce(z, axis=1, keepdims=True, out=mx)
+        z -= mx
+        np.exp(z, out=probs)
+        np.add.reduce(probs, axis=1, keepdims=True, out=total)
+        probs /= total
+        if u is None:
+            probs.argmax(axis=1, out=toks[i])
+        else:
+            np.add.accumulate(probs, axis=1, out=cdf)
+            _first_above(cdf, u[:, i, None], mask, toks[i])
         if out is not None:
+            # a subtraction per position: one pass over out after the loop
+            # read slower on 9-run rollout ticks
             z -= np.log(total)
             out_probs[..., i, :] = probs.reshape(rows)
             out_logprobs[..., i, :] = z.reshape(rows)
-    return toks
+    return toks.T
 
 
 def sample_utterances_batch(policy, states, u, out=None) -> np.ndarray:
@@ -409,9 +470,10 @@ def teacher_forced_batch(params: PolicyParams, states, utterances):
     base = _state_logits(W, _in_run_blocks(
         state_index(spec.state_cards, states), runs, spec.dim))
     token_rows = _token_rows(params)
+    picks = _in_run_blocks(toks, runs, spec.vocab_size)
     z = np.empty((m, spec.n, spec.vocab_size))
     for i in range(spec.n):
-        _position_logits(token_rows, base, toks, i, out=z[:, i])
+        _position_logits(token_rows, base, picks, i, out=z[:, i])
     del base
     probs, total = _softmax_inplace(z)
     logprobs = z

@@ -543,17 +543,12 @@ def test_recorded_forcing_equals_teacher_forcing(env_id, arms, seeds,
     """The forcing a rollout records while sampling is teacher_forced_batch
     of its batch at the sampling policies, bit for bit: for a group of
     runs with policies of their own (the run-offset path) and a run alone,
-    on every iteration as training moves the policies."""
+    on every iteration as training moves the policies.  The second weight
+    scale saturates the policies, so the recorded rows hold probabilities
+    of exactly 0 and log-probs far below exp's underflow."""
     env = make_env(env_id)
-    trainers = [Trainer(env, small_hyper(rollout_steps=128, num_envs=16),
-                        seed=seed, arm=arm, optimizer=optimizer)
-                for arm in arms for seed in seeds]
-    rng = np.random.default_rng(7)
-    for tr in trainers:
-        tr.policy.weights[:] = rng.normal(0, 1.0, tr.policy.weights.shape)
-    lead, *others = trainers
     original = Trainer.collect_rollouts
-    checked = []
+    checked, saturated = [], []
 
     def collect_rollouts(self, *others):
         policy = group_policy([self, *others])
@@ -565,13 +560,45 @@ def test_recorded_forcing_equals_teacher_forcing(env_id, arms, seeds,
             assert got.tobytes() == ref.tobytes()
         assert batch.old_logprob is self._rollout_forcing[2]
         assert batch.entropy is self._rollout_forcing[3]
+        probs, logprobs = self._rollout_forcing[:2]
+        saturated.append(np.any(probs[..., 1:] == 0.0)
+                         and logprobs[..., 1:].min() < -745.0)
         checked.append(batch.size)
         return batch
     monkeypatch.setattr(Trainer, "collect_rollouts", collect_rollouts)
-    for _ in range(3):
-        lead.train_iteration(*others)
-    assert checked == [128 * len(trainers)] * 3
-    assert lead.snapshot_id == 3
+    rng = np.random.default_rng(7)
+    for scale in (1.0, 200.0):
+        trainers = [Trainer(env, small_hyper(rollout_steps=128, num_envs=16),
+                            seed=seed, arm=arm, optimizer=optimizer)
+                    for arm in arms for seed in seeds]
+        for tr in trainers:
+            tr.policy.weights[:] = rng.normal(0, scale,
+                                              tr.policy.weights.shape)
+        lead, *others = trainers
+        for _ in range(3):
+            lead.train_iteration(*others)
+        assert lead.snapshot_id == 3
+    assert checked == [128 * len(trainers)] * 6
+    assert saturated[3:] == [True] * 3
+
+
+def test_train_iteration_rejects_non_finite_weights():
+    """A non-finite policy weight fails the rollout's decode with
+    ValueError, not a later parse of a NULL token; for a group, whichever
+    run holds it."""
+    env = make_env("numberline")
+    for bad in range(3):
+        trainers = [Trainer(env, small_hyper(), seed=s) for s in range(3)]
+        trainers[bad].policy.weights[5, 2] = np.nan
+        trainers[bad].policy.weights[7, 3] = np.inf
+        lead, *others = trainers
+        with pytest.raises(ValueError, match="policy weights are not "
+                                             "finite"):
+            lead.train_iteration(*others)
+    alone = Trainer(env, small_hyper(), seed=0)
+    alone.policy.weights[0, 1] = -np.inf
+    with pytest.raises(ValueError, match="policy weights are not finite"):
+        alone.train_iteration()
 
 
 def test_sample_utterances_batch_rejects_a_misshapen_output():

@@ -138,6 +138,33 @@ def test_checkpoint_rejects_misshapen_arrays(keys, rows, cols, message,
     assert captured.err.count(message) == 2
 
 
+def test_non_finite_policy_weights_are_rejected(tmp_path, capsys):
+    """A checkpoint or policy with a NaN and an inf weight fails greedy
+    eval, cf-report and probe with ValueError before any token is drawn,
+    and the CLI prints one line per command and exits 2."""
+    path = trained_checkpoint(tmp_path, iters=1)
+    doc = json.loads(path.read_text())
+    w = ckpt._unpack(doc["policy"]["weights"])
+    w[4, 2], w[9, 5] = np.nan, np.inf
+    doc["policy"]["weights"].update(ckpt._pack(w))
+    path.write_text(json.dumps(doc))
+    policy = ckpt.load_bundle(path)[0]
+    message = "policy weights are not finite"
+    with pytest.raises(ValueError, match=message):
+        evaluate_greedy(make_env("numberline"), policy, 8)
+    with pytest.raises(ValueError, match=message):
+        evaluate_greedy(make_env("numberline"), PolicyParams(
+            spec=policy.spec, weights=np.stack([np.zeros_like(w), w])), 8)
+    assert cli.main(["probe", "--ckpt", str(path),
+                     "--state", "c=2,tau=5"]) == 2
+    assert cli.main(["cf-report", "--ckpt", str(path),
+                     "--env", "numberline"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"coso probe: {message}",
+                                         f"coso cf-report: {message}"]
+
+
 def drop_section(keys):
     """Edit: delete doc[keys...]."""
     def edit(doc):

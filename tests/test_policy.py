@@ -494,18 +494,36 @@ def test_table_decoder_matches_dense_reference(env_id):
     # every state four times; rows 0-2 of each state's first block take the
     # extreme uniforms 0, the largest double below 1, and 1 itself, where
     # rounding can leave the cumulative total below u and the V - 1 clamp
-    # decides
+    # decides.  The second block's uniforms are set below to cumulative
+    # values of the distributions they pick from.
     feats = np.tile(grid, (4, 1))
     u = rng.random((len(feats), spec.n))
     u[:S:3] = 0.0
     u[1:S:3] = np.nextafter(1.0, 0.0)
     u[2:S:3] = 1.0
-    clamped = 0
-    for scale in (0.3, 2.0, 8.0):
+    block = slice(S, 2 * S)
+    cols = np.random.default_rng(12).integers(0, spec.vocab_size,
+                                              (S, spec.n))
+    clamped = zeros = flat = 0
+    # the last scale saturates: many probabilities are exactly 0, and the
+    # cumulative sums run flat across them
+    for scale in (0.3, 2.0, 8.0, 200.0):
         p = random_params(spec, rng, scale=scale)
         tables = pol.decode_tables(p)
         # u = 1 rows whose position-0 total does not exceed u
         clamped += np.count_nonzero(tables.cdf0[2:S:3, -1] <= 1.0)
+        probs = np.empty((len(feats), spec.n, spec.vocab_size))
+        for i in range(spec.n):  # earlier tokens fix position i's cdf
+            sample_utterances_batch(tables, feats, u,
+                                    out=(probs, np.empty_like(probs)))
+            cdf = probs[block, i].cumsum(axis=1)
+            u[block, i] = np.take_along_axis(cdf, cols[:, i, None], 1)[:, 0]
+            # rows whose u sits on a flat run: the next column equals it
+            nxt = np.take_along_axis(cdf, np.minimum(cols[:, i, None] + 1,
+                                                     spec.vocab_size - 1), 1)
+            flat += np.count_nonzero((nxt[:, 0] == u[block, i])
+                                     & (cols[:, i] < spec.vocab_size - 1))
+        zeros += np.count_nonzero(probs[:, :, 1:] == 0.0)
         toks = sample_utterances_batch(tables, feats, u)
         np.testing.assert_array_equal(toks, dense_decode(p, feats, u))
         np.testing.assert_array_equal(toks,
@@ -513,8 +531,36 @@ def test_table_decoder_matches_dense_reference(env_id):
         greedy = greedy_utterance(tables, feats)
         np.testing.assert_array_equal(greedy, dense_decode(p, feats, None))
         assert np.all(toks != NULL) and np.all(greedy != NULL)
-        assert np.all(toks[:S:3, 0] == 1)  # u = 0: the first non-NULL token
-    assert clamped > 0
+        # u = 0: the first token of non-zero probability
+        np.testing.assert_array_equal(
+            toks[:S:3, 0], np.argmax(tables.probs0[:S:3] > 0.0, axis=1))
+    assert clamped > 0 and zeros > 0 and flat > 0
+
+
+@pytest.mark.parametrize("bad", [(np.inf,), (np.nan,), (-np.inf, np.nan)])
+def test_decoding_rejects_non_finite_weights(bad):
+    """Every decode builds decode_tables, which rejects non-finite weights.
+    Unchecked, each of these weight sets draws NULL on some grid rows, in
+    sampling and in greedy decoding.  For stacked runs, one bad run is
+    enough."""
+    env = make_env("numberline")
+    spec = FeatureSpec.for_env(env)
+    rng = np.random.default_rng(13)
+    grid = pol.state_grid(spec.state_cards)
+    u = rng.random((len(grid), spec.n))
+    p = random_params(spec, rng)
+    for j, value in enumerate(bad):
+        p.weights[rng.integers(spec.dim), j + 1] = value
+    stacked = PolicyParams(spec=spec, weights=np.stack(
+        [random_params(spec, rng).weights, p.weights]))
+    for params, runs in ((p, 1), (stacked, 2)):
+        feats, uu = np.tile(grid, (runs, 1)), np.tile(u, (runs, 1))
+        for decode in (lambda: pol.decode_tables(params),
+                       lambda: sample_utterances_batch(params, feats, uu),
+                       lambda: greedy_utterance(params, feats)):
+            with pytest.raises(ValueError,
+                               match="policy weights are not finite"):
+                decode()
 
 
 def test_decode_tables_rows_are_the_state_rows():
