@@ -513,9 +513,9 @@ class Trainer:
 
         This is where an iteration checks its group (_check_group), before
         any draw.  The decoder records every token's distribution as it
-        samples, so the batch's teacher forcing (teacher_forced_batch of
-        the batch at the sampling policies, bit for bit) costs no second
-        pass.  It stays on this run for train_iteration, which takes it at
+        samples, so the batch's teacher forcing at the sampling policies
+        (teacher_forced_batch runs the same decoder on given tokens) costs
+        no second pass.  It stays on this run for train_iteration, which takes it at
         once; a rollout called on its own leaves it until the next one
         replaces it.
         """

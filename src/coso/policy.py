@@ -8,20 +8,24 @@ reserved for counterfactual interventions.
 Every operation takes a batch: m states and, where tokens are involved, an
 (m, n) token array.  One example is a batch of one.  All entropies are exact
 (computed from the full conditional distribution, not estimated), and the
-gradient of the training objective is analytic.  Decoding reads per-state
-tables of a frozen policy (decode_tables), which a caller that decodes many
-batches builds once.  Sampling can record the distributions it draws from,
-which equal teacher forcing's bit for bit, so a sampled batch needs no
-second pass for its log-probs and entropies.
+gradient of the training objective is analytic.
 
-Decoding is a loop over token positions whose numpy calls on small arrays
-cost more in overhead than in arithmetic, so a decode call allocates its
-(m, V) buffers once and every position writes into them.  Sampling picks
-the first token whose cumulative probability exceeds the row's uniform, or
-the last token if none does.  A cumulative sum of non-negative doubles
-never decreases, so that is the count of tokens whose cumulative
-probability is at most u, clamped to V - 1: the inverse CDF of the dense
-reference.  Weights must be finite; decode_tables rejects any other.
+One decoder computes every per-position distribution.  Sampling, greedy
+decoding and teacher forcing are the same loop over token positions and
+differ only in how each position's token is picked: by inverse CDF on a
+uniform, by argmax, or as the given token.  The decoder reads per-state
+tables of a frozen policy (decode_tables), which a caller that decodes many
+batches builds once, and can record the distributions it picks from, so a
+sampled batch needs no second pass for its log-probs and entropies.
+
+The decoder's numpy calls on small arrays cost more in overhead than in
+arithmetic, so a decode call allocates its (m, V) buffers once and every
+position writes into them.  Sampling picks the first token whose
+cumulative probability exceeds the row's uniform, or the last token if none
+does.  A cumulative sum of non-negative doubles never decreases, so that is
+the count of tokens whose cumulative probability is at most u, clamped to
+V - 1: the inverse CDF of the dense reference.  Weights must be finite;
+decode_tables rejects any other.
 
 The weights may carry a leading run axis: (R, dim, V) for R runs trained in
 lockstep; (dim, V) weights are one run.  A batch holds R * m rows, run r's m
@@ -154,77 +158,54 @@ def _state_logits(W: np.ndarray, sidx: np.ndarray) -> np.ndarray:
     return z
 
 
-@dataclass(frozen=True)
-class _TokenRows:
-    """The context blocks and position rows of the runs' weights."""
-
-    runs: int
-    vocab_size: int
-    # per context slot, newest token first: the runs' (V, V) row blocks one
-    # after another, (runs * V, V); a view of W for one run
-    blocks: tuple
-    pos: np.ndarray  # (runs, n, V) view of the position rows
-
-
-def _token_rows(params: PolicyParams) -> _TokenRows:
-    spec = params.spec
-    W, runs, _ = _runs(params, 0)
-    W = W.reshape(runs, spec.dim, spec.vocab_size)
-    ctx, V = sum(spec.state_cards), spec.vocab_size
-    pos = ctx + spec.context * V
-    return _TokenRows(
-        runs=runs, vocab_size=V,
-        blocks=tuple(W[:, ctx + k * V:ctx + (k + 1) * V].reshape(runs * V, V)
-                     for k in range(spec.context)),
-        pos=W[:, pos:pos + spec.n])
-
-
-def _position_logits(token_rows: _TokenRows, base: np.ndarray, picks,
-                     i: int, out: np.ndarray | None = None,
+def _position_logits(tables: DecodeTables, base: np.ndarray, picks, i: int,
+                     out: np.ndarray,
                      scratch: np.ndarray | None = None) -> np.ndarray:
-    """(m, V) logits at position i: base plus the context and position rows,
-    written into out if given.
+    """Write into out, and return it, the (m, V) logits at position i: base
+    plus the context and position rows of tables.
 
-    token_rows is _token_rows(params), and base holds the R runs' rows in
-    run order.  picks is the (m, n) tokens shifted into their runs' row
-    blocks, _in_run_blocks(toks, R, V).  Only picks[:, :i] is read, so a
-    decoder may pass its partly filled picks.  scratch, if given, is an
-    (m, V) buffer for the gathered rows after the first.
+    base holds the R runs' rows in run order.  picks is the (m, n) tokens
+    shifted into their runs' row blocks, _in_run_blocks(toks, R, V).  Only
+    picks[:, :i] is read, so a decoder may pass its partly filled picks.
+    scratch, if given, is an (m, V) buffer for the gathered rows after the
+    first.
     """
-    t = token_rows
-    z = np.empty_like(base) if out is None else out
-    ctx = range(min(i, len(t.blocks)))
+    ctx = range(min(i, len(tables.blocks)))
     if not ctx:
-        np.copyto(z, base)
+        np.copyto(out, base)
     for k in ctx:  # one gathered row block at a time
         # picks are in range, so clip mode only skips the bounds check and
         # the copy that take makes of its out in raise mode
         if k == 0:
-            t.blocks[0].take(picks[:, i - 1], axis=0, out=z, mode="clip")
-            z += base  # = base + row: addition commutes
-        else:
-            z += t.blocks[k].take(picks[:, i - 1 - k], axis=0, out=scratch,
+            tables.blocks[0].take(picks[:, i - 1], axis=0, out=out,
                                   mode="clip")
-    if t.runs == 1:  # see the module docstring
-        z += t.pos[0, i]
+            out += base  # = base + row: addition commutes
+        else:
+            out += tables.blocks[k].take(picks[:, i - 1 - k], axis=0,
+                                         out=scratch, mode="clip")
+    if tables.runs == 1:  # see the module docstring
+        out += tables.pos[0, i]
     else:
-        by_run = z.reshape(t.runs, -1, z.shape[-1], copy=False)
-        by_run += t.pos[:, i, None]
-    return z
+        by_run = out.reshape(tables.runs, -1, out.shape[-1], copy=False)
+        by_run += tables.pos[:, i, None]
+    return out
 
 
-def _softmax_inplace(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise softmax of logits whose NULL column is -inf.
+def _softmax(z: np.ndarray, probs: np.ndarray, mx: np.ndarray,
+             total: np.ndarray) -> None:
+    """Row-wise softmax of the (m, V) logits z, whose NULL column is -inf,
+    into probs.
 
-    Shifts z by its row max in place; returns (probs, row totals).  The
-    log-probs are z - log(total).
+    mx and total are (m, 1) buffers.  Shifts z by its row max (into mx) in
+    place and leaves the row totals in total; the log-probs are
+    z - log(total).  total >= 1 (the max term is exp(0)), so only NULL's
+    log-prob is -inf.
     """
-    z -= z.max(axis=-1, keepdims=True)
-    probs = np.exp(z)
-    total = probs.sum(axis=-1, keepdims=True)
+    np.maximum.reduce(z, axis=1, keepdims=True, out=mx)
+    z -= mx
+    np.exp(z, out=probs)
+    np.add.reduce(probs, axis=1, keepdims=True, out=total)
     probs /= total
-    # total >= 1 (the max term is exp(0)), so only NULL's log-prob is -inf
-    return probs, total
 
 
 def _entropy(probs: np.ndarray, logprobs: np.ndarray) -> np.ndarray:
@@ -252,7 +233,7 @@ def token_stats(probs: np.ndarray, logprobs: np.ndarray,
 # The state logits and the position-0 distribution depend on the state
 # alone, and an env has few states (100 on numberline, 8 on menunav), so a
 # decoding call tabulates them once for every state of the frozen policy.
-# Later positions depend on the tokens drawn and are built per row.
+# Later positions depend on the earlier tokens and are built per row.
 
 
 def state_grid(state_cards) -> np.ndarray:
@@ -283,11 +264,14 @@ class DecodeTables:
     logprobs0: np.ndarray  # (R * S, V) its log-probs
     cdf0: np.ndarray  # (R * S, V) cumulative position-0 distribution
     greedy0: np.ndarray  # (R * S,) argmax position-0 token
-    token_rows: _TokenRows
+    # per context slot, newest token first: the runs' (V, V) row blocks one
+    # after another, (R * V, V); a view of the weights for one run
+    blocks: tuple
+    pos: np.ndarray  # (R, n, V) view of the position rows
 
     @property
     def runs(self) -> int:
-        return self.token_rows.runs
+        return self.pos.shape[0]
 
 
 def decode_tables(params: PolicyParams) -> DecodeTables:
@@ -304,14 +288,24 @@ def decode_tables(params: PolicyParams) -> DecodeTables:
     grid = state_index(spec.state_cards, state_grid(spec.state_cards))
     base = _state_logits(W, _in_run_blocks(np.tile(grid, (runs, 1)), runs,
                                            spec.dim))
-    token_rows = _token_rows(params)
-    logprobs0 = _position_logits(token_rows, base, None, 0)
-    probs0, total = _softmax_inplace(logprobs0)
-    logprobs0 -= np.log(total)
-    return DecodeTables(spec=spec, base=base, probs0=probs0,
-                        logprobs0=logprobs0, cdf0=probs0.cumsum(axis=1),
-                        greedy0=np.argmax(probs0, axis=1),
-                        token_rows=token_rows)
+    W = W.reshape(runs, spec.dim, spec.vocab_size)
+    ctx, V = sum(spec.state_cards), spec.vocab_size
+    pos = ctx + spec.context * V
+    tables = DecodeTables(
+        spec=spec, base=base, probs0=np.empty_like(base),
+        logprobs0=np.empty_like(base), cdf0=np.empty_like(base),
+        greedy0=np.empty(len(base), dtype=np.intp),
+        blocks=tuple(W[:, ctx + k * V:ctx + (k + 1) * V].reshape(runs * V, V)
+                     for k in range(spec.context)),
+        pos=W[:, pos:pos + spec.n])
+    # position 0 of every state, as the decoder computes a later position
+    z = _position_logits(tables, base, None, 0, out=tables.logprobs0)
+    total = np.empty((len(base), 1))
+    _softmax(z, tables.probs0, np.empty_like(total), total)
+    z -= np.log(total)
+    np.add.accumulate(tables.probs0, axis=1, out=tables.cdf0)
+    tables.probs0.argmax(axis=1, out=tables.greedy0)
+    return tables
 
 
 def _first_above(cdf: np.ndarray, u: np.ndarray, mask: np.ndarray,
@@ -328,11 +322,15 @@ def _first_above(cdf: np.ndarray, u: np.ndarray, mask: np.ndarray,
     return mask.argmax(axis=1, out=out)
 
 
-def _decode(policy, states, u: np.ndarray | None,
-            out: tuple | None = None) -> np.ndarray:
-    """(m, n) tokens decoded left to right, by inverse CDF on u or by argmax
-    if u is None.  policy is PolicyParams or its DecodeTables; for R
-    stacked runs, rows r * m / R onward decode with run r's policy.
+def _decode(policy, states, u: np.ndarray | None, out: tuple | None = None,
+            tokens: np.ndarray | None = None) -> np.ndarray:
+    """(m, n) tokens decoded left to right.  policy is PolicyParams or its
+    DecodeTables; for R stacked runs, rows r * m / R onward decode with
+    run r's policy.
+
+    Each position's token is picked by one of three rules: the given token
+    if tokens, an (m, n) intp array of in-vocab ids, is given (teacher
+    forcing); else by inverse CDF on u; else, with u None, by argmax.
 
     Every position writes into (m, V) buffers allocated once per call (see
     the module docstring).  The tokens are kept position-major, so that
@@ -341,10 +339,7 @@ def _decode(policy, states, u: np.ndarray | None,
 
     out, if given, is a (probs, logprobs) pair of (..., n, V) arrays whose
     leading axes hold the m rows in order; each position's distribution
-    and log-probs are copied into it as they are drawn from.  The exp, log
-    and row sums run on contiguous (m, V) buffers, as teacher forcing's
-    run on its contiguous (m, n, V) array, and only exact copies go into
-    out, so out equals teacher forcing's output bit for bit.
+    and log-probs are copied into it as they are computed.
     """
     tables = (policy if isinstance(policy, DecodeTables)
               else decode_tables(policy))
@@ -355,7 +350,19 @@ def _decode(policy, states, u: np.ndarray | None,
         raise ValueError(f"{len(sid)} rows do not split into {runs} runs")
     sid = _in_run_blocks(sid, runs, len(tables.base) // runs)
     m = len(sid)
-    toks = np.empty((n, m), dtype=np.intp)
+    z, probs, cdf = np.empty((3, m, V))
+    mask = np.empty((m, V), dtype=bool)
+    mx, total = np.empty((2, m, 1))
+    # sid is in range, so clip mode only skips the bounds check
+    if tokens is not None:
+        toks = np.ascontiguousarray(tokens.T)
+    else:
+        toks = np.empty((n, m), dtype=np.intp)
+        if u is None:
+            tables.greedy0.take(sid, out=toks[0], mode="clip")
+        else:
+            tables.cdf0.take(sid, axis=0, out=cdf, mode="clip")
+            _first_above(cdf, u[:, 0, None], mask, toks[0])
     # the tokens shifted into their runs' row blocks, as _position_logits
     # reads them
     if runs == 1:
@@ -363,15 +370,6 @@ def _decode(policy, states, u: np.ndarray | None,
     else:
         picks = np.empty_like(toks)
         run_rows = np.repeat(np.arange(runs) * V, m // runs)
-    z, probs, cdf = np.empty((3, m, V))
-    mask = np.empty((m, V), dtype=bool)
-    mx, total = np.empty((2, m, 1))
-    # sid is in range, so clip mode only skips the bounds check
-    if u is None:
-        tables.greedy0.take(sid, out=toks[0], mode="clip")
-    else:
-        tables.cdf0.take(sid, axis=0, out=cdf, mode="clip")
-        _first_above(cdf, u[:, 0, None], mask, toks[0])
     if out is not None:
         out_probs, out_logprobs = out
         rows = out_probs.shape[:-2] + (V,)  # one position's
@@ -383,16 +381,11 @@ def _decode(policy, states, u: np.ndarray | None,
     for i in range(1, n):
         if runs > 1:
             np.add(toks[i - 1], run_rows, out=picks[i - 1])
-        _position_logits(tables.token_rows, base, picks.T, i, out=z,
-                         scratch=probs)
-        np.maximum.reduce(z, axis=1, keepdims=True, out=mx)
-        z -= mx
-        np.exp(z, out=probs)
-        np.add.reduce(probs, axis=1, keepdims=True, out=total)
-        probs /= total
-        if u is None:
+        _position_logits(tables, base, picks.T, i, out=z, scratch=probs)
+        _softmax(z, probs, mx, total)
+        if tokens is None and u is None:
             probs.argmax(axis=1, out=toks[i])
-        else:
+        elif tokens is None:
             np.add.accumulate(probs, axis=1, out=cdf)
             _first_above(cdf, u[:, i, None], mask, toks[i])
         if out is not None:
@@ -414,10 +407,9 @@ def sample_utterances_batch(policy, states, u, out=None) -> np.ndarray:
     out, if given, is a (probs, logprobs) pair of float arrays of shape
     (..., n, V) whose leading axes hold the m rows in order (a view such as
     a tick of a larger array will do).  The call fills them with the
-    distributions it sampled from, equal to teacher_forced_batch's probs
-    and logprobs of the returned tokens bit for bit; token_stats gives
-    their log-probs and entropies.  Without out, teacher_forced_batch
-    gives them.
+    distributions it sampled from, which are teacher_forced_batch's probs
+    and logprobs of the returned tokens; token_stats gives their log-probs
+    and entropies.
     """
     u = np.asarray(u, dtype=np.float64)
     spec = policy.spec
@@ -449,11 +441,13 @@ def greedy_utterance(policy, states) -> np.ndarray:
 
 
 def teacher_forced_batch(params: PolicyParams, states, utterances):
-    """Batched teacher forcing: the one source of per-token log-probs and
-    exact conditional entropies.
+    """Per-token log-probs and exact conditional entropies of the given
+    utterances: the decoder run on their tokens.
 
     Returns (probs, logprobs, tok_logprob, tok_entropy) with shapes
-    (m, n, V), (m, n, V), (m, n), (m, n).
+    (m, n, V), (m, n, V), (m, n), (m, n).  Token ids that are not an
+    integer array of in-vocab ids, state features outside their
+    cardinalities and non-finite weights raise ValueError.
     """
     spec = params.spec
     toks = np.asarray(utterances)
@@ -466,18 +460,9 @@ def teacher_forced_batch(params: PolicyParams, states, utterances):
     if np.any((toks < 0) | (toks >= spec.vocab_size)):
         raise ValueError("token out of vocab")
     toks = toks.astype(np.intp, copy=False)
-    W, runs, _ = _runs(params, m)
-    base = _state_logits(W, _in_run_blocks(
-        state_index(spec.state_cards, states), runs, spec.dim))
-    token_rows = _token_rows(params)
-    picks = _in_run_blocks(toks, runs, spec.vocab_size)
-    z = np.empty((m, spec.n, spec.vocab_size))
-    for i in range(spec.n):
-        _position_logits(token_rows, base, picks, i, out=z[:, i])
-    del base
-    probs, total = _softmax_inplace(z)
-    logprobs = z
-    logprobs -= np.log(total)
+    probs = np.empty((m, spec.n, spec.vocab_size))
+    logprobs = np.empty_like(probs)
+    _decode(params, states, None, out=(probs, logprobs), tokens=toks)
     return (probs, logprobs) + token_stats(probs, logprobs, toks)
 
 

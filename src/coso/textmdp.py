@@ -281,7 +281,7 @@ class TextEnv:
         g = self.grammar
         if ys.ndim != 2 or ys.shape[1] != g.n:
             raise ValueError(f"utterances of shape {ys.shape}, not (m, {g.n})")
-        if np.any((ys <= NULL) | (ys >= self.vocab.size)):
+        if ((ys <= NULL) | (ys >= self.vocab.size)).any():
             raise ValueError("NULL or out-of-vocab token in utterance")
         kind = ys[:, g.kind_slot]
         arg = ys[:, g.arg_slots[0]] if g.arg_slots else 0

@@ -400,23 +400,38 @@ DENSE_SPECS = [
 
 
 @pytest.mark.parametrize("spec", DENSE_SPECS)
-@pytest.mark.parametrize("m", [1, 7, 256])
-def test_teacher_forcing_matches_dense_reference(spec, m):
+@pytest.mark.parametrize("m, runs", [
+    pytest.param(m, runs, id=str(m) if runs == 1 else f"{m}x{runs}")
+    for runs in (1, 3) for m in (1, 7, 256)])
+def test_teacher_forcing_matches_dense_reference(spec, m, runs):
+    """For R stacked runs, each run's m rows match the dense reference of
+    that run's own weights, and equal its own (dim, V) call bit for bit."""
     rng = np.random.default_rng(m)
-    p = random_params(spec, rng, scale=2.0)
-    feats = np.stack([rng.integers(0, c, m) for c in spec.state_cards], 1)
-    toks = rng.integers(1, spec.vocab_size, size=(m, spec.n))
-    probs, logprobs, tok_lp, tok_ent = teacher_forced_batch(p, feats, toks)
-    for i in range(spec.n):
-        ref_p, ref_lp = dense_dist(p, feats, toks, i)
-        np.testing.assert_allclose(probs[:, i], ref_p, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(logprobs[:, i], ref_lp, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(tok_lp[:, i],
-                                   ref_lp[np.arange(m), toks[:, i]],
-                                   rtol=0, atol=1e-12)
-        ref_ent = -np.sum(ref_p[:, 1:] * ref_lp[:, 1:], axis=1)
-        np.testing.assert_allclose(tok_ent[:, i], ref_ent, rtol=0,
-                                   atol=1e-12)
+    ps = [random_params(spec, rng, scale=2.0) for _ in range(runs)]
+    feats = np.stack([rng.integers(0, c, runs * m)
+                      for c in spec.state_cards], 1)
+    toks = rng.integers(1, spec.vocab_size, size=(runs * m, spec.n))
+    params = ps[0] if runs == 1 else PolicyParams(
+        spec=spec, weights=np.stack([p.weights for p in ps]))
+    forced = teacher_forced_batch(params, feats, toks)
+    for r, p in enumerate(ps):
+        rows = slice(r * m, (r + 1) * m)
+        probs, logprobs, tok_lp, tok_ent = (a[rows] for a in forced)
+        for a, b in zip((probs, logprobs, tok_lp, tok_ent),
+                        teacher_forced_batch(p, feats[rows], toks[rows])):
+            assert a.tobytes() == b.tobytes()
+        for i in range(spec.n):
+            ref_p, ref_lp = dense_dist(p, feats[rows], toks[rows], i)
+            np.testing.assert_allclose(probs[:, i], ref_p, rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(logprobs[:, i], ref_lp, rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(tok_lp[:, i],
+                                       ref_lp[np.arange(m), toks[rows, i]],
+                                       rtol=0, atol=1e-12)
+            ref_ent = -np.sum(ref_p[:, 1:] * ref_lp[:, 1:], axis=1)
+            np.testing.assert_allclose(tok_ent[:, i], ref_ent, rtol=0,
+                                       atol=1e-12)
 
 
 @pytest.mark.parametrize("spec", DENSE_SPECS)
@@ -539,10 +554,10 @@ def test_table_decoder_matches_dense_reference(env_id):
 
 @pytest.mark.parametrize("bad", [(np.inf,), (np.nan,), (-np.inf, np.nan)])
 def test_decoding_rejects_non_finite_weights(bad):
-    """Every decode builds decode_tables, which rejects non-finite weights.
-    Unchecked, each of these weight sets draws NULL on some grid rows, in
-    sampling and in greedy decoding.  For stacked runs, one bad run is
-    enough."""
+    """Every decode, teacher forcing included, builds decode_tables, which
+    rejects non-finite weights.  Unchecked, each of these weight sets draws
+    NULL on some grid rows, in sampling and in greedy decoding.  For
+    stacked runs, one bad run is enough."""
     env = make_env("numberline")
     spec = FeatureSpec.for_env(env)
     rng = np.random.default_rng(13)
@@ -555,9 +570,11 @@ def test_decoding_rejects_non_finite_weights(bad):
         [random_params(spec, rng).weights, p.weights]))
     for params, runs in ((p, 1), (stacked, 2)):
         feats, uu = np.tile(grid, (runs, 1)), np.tile(u, (runs, 1))
+        toks = np.ones((len(feats), spec.n), dtype=int)
         for decode in (lambda: pol.decode_tables(params),
                        lambda: sample_utterances_batch(params, feats, uu),
-                       lambda: greedy_utterance(params, feats)):
+                       lambda: greedy_utterance(params, feats),
+                       lambda: teacher_forced_batch(params, feats, toks)):
             with pytest.raises(ValueError,
                                match="policy weights are not finite"):
                 decode()
@@ -575,3 +592,10 @@ def test_decode_tables_rows_are_the_state_rows():
         assert tables.base[s, NULL] == -np.inf
     with pytest.raises(ValueError):  # a feature outside its cardinality
         pol.state_ids(spec.state_cards, np.array([[spec.state_cards[0]]]))
+    # numberline's first feature at 10 would read column 10, the first
+    # column of the second feature's block
+    numberline = DENSE_SPECS[0]
+    with pytest.raises(ValueError):
+        teacher_forced_batch(PolicyParams.zeros(numberline),
+                             np.array([[10, 3]]),
+                             np.ones((1, numberline.n), dtype=int))

@@ -49,6 +49,13 @@ RUNS = (
      {"total_env_steps": 200_000}),
     ("menunav_coso_awr", "ablation_menunav.json",
      {"optimizer": "awr", "total_env_steps": 25_600}),
+    # more than one minibatch, so these teacher-force at moved parameters
+    ("numberline_coso_ppo_epochs2_mb64", "ablation_numberline.json",
+     {"total_env_steps": 8192,
+      "hyper": {"ppo_epochs": 2, "minibatch_size": 64}}),
+    ("menunav_coso_awr_mb64", "ablation_menunav.json",
+     {"optimizer": "awr", "total_env_steps": 8192,
+      "hyper": {"minibatch_size": 64}}),
 )
 
 # checkpoints the report tools read, with two probe states each
