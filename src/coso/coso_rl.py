@@ -216,21 +216,30 @@ def _value_features(spec: FeatureSpec, feats: np.ndarray) -> np.ndarray:
                        bias + 1)
 
 
-def _run_values(spec: FeatureSpec, batch: RolloutBatch, feats: np.ndarray,
-                beta: np.ndarray) -> np.ndarray:
-    """(R, m) linear values of each run's rows under its (R, d) beta."""
-    F = _value_features(spec, feats).reshape(batch.runs, batch.per_run, -1)
+def value_features(spec: FeatureSpec, batch: RolloutBatch) -> tuple:
+    """The value features of batch's states and of its next states, each
+    (R, m, d) by run: built once per update, for fit_value and
+    gae_advantages."""
+    return tuple(_value_features(spec, a).reshape(batch.runs, batch.per_run,
+                                                  -1)
+                 for a in (batch.states, batch.next_states))
+
+
+def _run_values(F: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """(R, m) linear values of the runs' (R, m, d) features F under their
+    (R, d) beta."""
     return np.matmul(F, beta[..., None])[..., 0]
 
 
-def fit_value(spec: FeatureSpec, batch: RolloutBatch, gamma: float,
-              ridge: float, prev_beta: np.ndarray | None) -> np.ndarray:
+def fit_value(feats: tuple, batch: RolloutBatch, gamma: float, ridge: float,
+              prev_beta: np.ndarray | None) -> np.ndarray:
     """Ridge fits of linear state values on bootstrapped returns-to-go, one
     per run of batch: (R, d), from the runs' (R, d) previous fits
-    prev_beta, or None."""
+    prev_beta, or None.  feats is value_features(spec, batch)."""
+    F, F_next = feats
     boot = np.zeros((batch.runs, batch.per_run))
     if prev_beta is not None:
-        boot = _run_values(spec, batch, batch.next_states, prev_beta)
+        boot = _run_values(F_next, prev_beta)
     r, done, boot = (batch.by_tick(a) for a in (batch.rewards, batch.dones,
                                                 boot))
     returns = np.empty_like(r)
@@ -241,20 +250,18 @@ def fit_value(spec: FeatureSpec, batch: RolloutBatch, gamma: float,
     for t in range(r.shape[1] - 2, -1, -1):
         g = np.where(done[:, t], r[:, t], r[:, t] + gamma * g)
         returns[:, t] = g
-    F = _value_features(spec, batch.states).reshape(batch.runs,
-                                                    batch.per_run, -1)
     Ft = F.transpose(0, 2, 1)
     A = np.matmul(Ft, F) + ridge * np.eye(F.shape[2])
     rhs = np.matmul(Ft, returns.reshape(batch.runs, -1, 1))
     return np.linalg.solve(A, rhs)[..., 0]
 
 
-def gae_advantages(spec: FeatureSpec, batch: RolloutBatch, gamma: float,
+def gae_advantages(feats: tuple, batch: RolloutBatch, gamma: float,
                    lam: float, beta: np.ndarray) -> np.ndarray:
     """Generalized advantage estimates per row of batch, all runs and
-    streams at once, under the runs' (R, d) value fits beta."""
-    v = batch.by_tick(_run_values(spec, batch, batch.states, beta))
-    v_next = batch.by_tick(_run_values(spec, batch, batch.next_states, beta))
+    streams at once, under the runs' (R, d) value fits beta.  feats is
+    value_features(spec, batch)."""
+    v, v_next = (batch.by_tick(_run_values(F, beta)) for F in feats)
     r = batch.by_tick(batch.rewards)
     nonterm = np.where(batch.by_tick(batch.dones), 0.0, 1.0)
     adv = np.empty_like(r)
@@ -537,8 +544,9 @@ class Trainer:
         rewards = np.empty((runs, ticks, ns))
         dones = np.empty((runs, ticks, ns), dtype=bool)
         oks = np.empty((runs, ticks, ns), dtype=bool)
-        # the distributions each token is drawn from, which the decoder
-        # records tick by tick: the batch's teacher forcing
+        # the distributions each token is drawn from, the batch's teacher
+        # forcing: the decoder records positions 1 onward tick by tick, and
+        # position 0, a row of the tables per state, is gathered once
         probs = np.empty((runs, ticks, ns, n, spec.vocab_size))
         logprobs = np.empty_like(probs)
         # per run, one row of ns uniforms per (tick, token position): the
@@ -551,7 +559,7 @@ class Trainer:
             toks = pol.sample_utterances_batch(
                 tables, feats,
                 uniforms[:, t].transpose(0, 2, 1).reshape(runs * ns, n),
-                out=(probs[:, t], logprobs[:, t]))
+                out=(probs[:, t, :, 1:], logprobs[:, t, :, 1:]))
             act, ok = env.parse_batch(toks)
             states[:, t] = feats.reshape(runs, ns, k)
             utts[:, t] = toks.reshape(runs, ns, n)
@@ -567,6 +575,7 @@ class Trainer:
         states, utts = states.reshape(-1, k), utts.reshape(-1, n)
         probs, logprobs = (a.reshape(-1, n, spec.vocab_size)
                            for a in (probs, logprobs))
+        pol.record_position0(tables, states, (probs, logprobs))
         forced = (probs, logprobs) + pol.token_stats(probs, logprobs, utts)
         for r, tr in enumerate(trs):
             tr._feats = feats[r * ns:(r + 1) * ns].copy()
@@ -581,14 +590,21 @@ class Trainer:
             num_streams=ns, snapshot_id=tuple(tr.snapshot_id for tr in trs))
 
     def compute_weights(self, batch: RolloutBatch) -> None:
-        """Fill batch.weights/hb according to the arm (B for every (y, a))."""
-        hyper = self.hyper
-        raw = cf.causal_weights_batch(self.scm, batch.utterances,
-                                      batch.action_idx)
-        if self.arm == "rl_h" or self.force_uniform_weights:
-            used = np.ones_like(raw)
+        """Fill batch.weights/hb according to the arm (B for every (y, a)).
+
+        Only a coso run without force_uniform_weights queries its
+        classifier.  Every other run's B is ones, so its hb is the plain
+        entropy sum: rl_h's bonus is uniform, and nothing reads rl's B (its
+        alpha is 0, and its report's weighted entropy is None).  The
+        classifier draws no randomness, so skipping it moves no run.
+        """
+        if self.arm == "coso" and not self.force_uniform_weights:
+            used = cf.normalize_weights_batch(
+                cf.causal_weights_batch(self.scm, batch.utterances,
+                                        batch.action_idx),
+                mode=self.hyper.weight_mode)
         else:
-            used = cf.normalize_weights_batch(raw, mode=hyper.weight_mode)
+            used = np.ones(batch.utterances.shape)
         batch.weights = used
         batch.hb = np.sum(used * batch.entropy, axis=1)
 
@@ -653,11 +669,13 @@ class Trainer:
             # a run without a fit bootstraps from zero, as alone
             prev = stack_runs([np.zeros(d) if tr.value_beta is None
                                else tr.value_beta for tr in trs])
-        betas = fit_value(spec, batch, hyper.gamma, hyper.value_ridge, prev)
+        feats = value_features(spec, batch)
+        betas = fit_value(feats, batch, hyper.gamma, hyper.value_ridge, prev)
         for r, tr in enumerate(trs):
             tr.value_beta = betas[r]
-        adv = gae_advantages(spec, batch, hyper.gamma, hyper.gae_lambda,
+        adv = gae_advantages(feats, batch, hyper.gamma, hyper.gae_lambda,
                              betas)
+        del feats  # the policy step reads none: free them before its own
         if hyper.normalize_advantages:
             a = batch.by_run(adv)
             adv = ((a - np.mean(a, axis=1, keepdims=True))

@@ -31,8 +31,8 @@ The weights may carry a leading run axis: (R, dim, V) for R runs trained in
 lockstep; (dim, V) weights are one run.  A batch holds R * m rows, run r's m
 rows at r * m, and every row reads its own run's weights.  Row-wise gathers,
 elementwise ops and reductions within a row keep each run's order of
-operations, and the gradient is one matmul per run, so each run's results
-equal its own call with (dim, V) weights, bit for bit.
+operations, and the gradient's matmuls take one run at a time, so each
+run's results equal its own call with (dim, V) weights, bit for bit.
 
 A single run skips the run offsets of its gathers and position rows, whose
 extra numpy calls cost more than the work at decode sizes (one row per
@@ -102,31 +102,14 @@ def one_hot(cols: np.ndarray, dim: int) -> np.ndarray:
     return F
 
 
-def _features(spec: FeatureSpec, sidx: np.ndarray, toks: np.ndarray,
-              position: int) -> np.ndarray:
-    """(m, dim) features of the decisions at one position.
-
-    The K most recent tokens toks[:, position-1], ... come newest first;
-    absent slots stay zero.
-    """
-    off = sum(spec.state_cards)
-    cols = [sidx]
-    for k in range(spec.context):
-        idx = position - 1 - k
-        if idx >= 0:
-            cols.append(off + k * spec.vocab_size + toks[:, idx:idx + 1])
-    off += spec.context * spec.vocab_size
-    cols.append(np.full((sidx.shape[0], 1), off + position))
-    return one_hot(np.concatenate(cols, axis=1), spec.dim)
-
-
 # ---------------------------------------------------------------------------
 # Logits as gathered rows of W
 #
-# A feature row is all one-hots, so _features(...) @ W is a sum of rows of W.
-# The logits below add those rows in ascending feature-column order (state
-# blocks, then the context tokens newest first, then the position), the
-# order in which the dense product accumulates them, so they equal it.
+# A feature row is all one-hots: the state blocks, then the K most recent
+# tokens newest first (absent slots have none), then the position.  So its
+# product with W is a sum of rows of W.  The logits below add those rows in
+# ascending feature-column order, the order in which the dense product
+# accumulates them, so they equal it.
 
 
 def _runs(params: PolicyParams, rows: int) -> tuple[np.ndarray, int, int]:
@@ -308,6 +291,29 @@ def decode_tables(params: PolicyParams) -> DecodeTables:
     return tables
 
 
+def _table_rows(tables: DecodeTables, states) -> np.ndarray:
+    """(m,) rows of tables of the m states; for R runs, run r's rows are
+    states r * m / R onward."""
+    sid = state_ids(tables.spec.state_cards, states)
+    runs = tables.runs
+    if len(sid) % runs:
+        raise ValueError(f"{len(sid)} rows do not split into {runs} runs")
+    return _in_run_blocks(sid, runs, len(tables.base) // runs)
+
+
+def record_position0(tables: DecodeTables, states, out: tuple) -> None:
+    """Copy the position-0 distributions and log-probs of states into
+    position 0 of out, a (probs, logprobs) pair of (..., n, V) arrays whose
+    leading axes hold the rows in order: one gather from the tables each,
+    so a caller that records many decode calls may do it once for all."""
+    at = _table_rows(tables, states).reshape(out[0].shape[:-2])
+    # the rows are in range, so clip mode only skips the bounds check.  A
+    # take into the strided position-0 view would copy it in and back out,
+    # so the rows are gathered whole and then assigned
+    for table, a in zip((tables.probs0, tables.logprobs0), out):
+        a[..., 0, :] = table.take(at, axis=0, mode="clip")
+
+
 def _first_above(cdf: np.ndarray, u: np.ndarray, mask: np.ndarray,
                  out: np.ndarray) -> np.ndarray:
     """Per row, the first column whose cumulative probability exceeds u, or
@@ -339,16 +345,15 @@ def _decode(policy, states, u: np.ndarray | None, out: tuple | None = None,
 
     out, if given, is a (probs, logprobs) pair of (..., n, V) arrays whose
     leading axes hold the m rows in order; each position's distribution
-    and log-probs are copied into it as they are computed.
+    and log-probs are copied into it as they are computed.  Arrays of
+    (..., n - 1, V) receive positions 1 onward, and the caller fills
+    position 0 (record_position0).
     """
     tables = (policy if isinstance(policy, DecodeTables)
               else decode_tables(policy))
     spec = tables.spec
     n, V, runs = spec.n, spec.vocab_size, tables.runs
-    sid = state_ids(spec.state_cards, states)
-    if len(sid) % runs:
-        raise ValueError(f"{len(sid)} rows do not split into {runs} runs")
-    sid = _in_run_blocks(sid, runs, len(tables.base) // runs)
+    sid = _table_rows(tables, states)
     m = len(sid)
     z, probs, cdf = np.empty((3, m, V))
     mask = np.empty((m, V), dtype=bool)
@@ -373,10 +378,9 @@ def _decode(policy, states, u: np.ndarray | None, out: tuple | None = None,
     if out is not None:
         out_probs, out_logprobs = out
         rows = out_probs.shape[:-2] + (V,)  # one position's
-        at = sid.reshape(rows[:-1])
-        tables.probs0.take(at, axis=0, out=out_probs[..., 0, :], mode="clip")
-        tables.logprobs0.take(at, axis=0, out=out_logprobs[..., 0, :],
-                              mode="clip")
+        first = out_probs.shape[-2] == n  # else position i goes to i - 1
+        if first:
+            record_position0(tables, states, out)
     base = tables.base[sid]
     for i in range(1, n):
         if runs > 1:
@@ -392,8 +396,8 @@ def _decode(policy, states, u: np.ndarray | None, out: tuple | None = None,
             # a subtraction per position: one pass over out after the loop
             # read slower on 9-run rollout ticks
             z -= np.log(total)
-            out_probs[..., i, :] = probs.reshape(rows)
-            out_logprobs[..., i, :] = z.reshape(rows)
+            out_probs[..., i - 1 + first, :] = probs.reshape(rows)
+            out_logprobs[..., i - 1 + first, :] = z.reshape(rows)
     return toks.T
 
 
@@ -409,7 +413,10 @@ def sample_utterances_batch(policy, states, u, out=None) -> np.ndarray:
     a tick of a larger array will do).  The call fills them with the
     distributions it sampled from, which are teacher_forced_batch's probs
     and logprobs of the returned tokens; token_stats gives their log-probs
-    and entropies.
+    and entropies.  Arrays of shape (..., n - 1, V) receive positions 1
+    onward: position 0's distribution is a row of the tables per state,
+    which a caller that records many calls copies in once, by
+    record_position0 on all their states.
     """
     u = np.asarray(u, dtype=np.float64)
     spec = policy.spec
@@ -418,7 +425,9 @@ def sample_utterances_batch(policy, states, u, out=None) -> np.ndarray:
                          f"{spec.n})")
     if out is not None:
         for a in out:
-            if a.shape[-2:] != (spec.n, spec.vocab_size) \
+            if a.shape[-2:] != out[0].shape[-2:] \
+                    or a.shape[-2] not in (spec.n - 1, spec.n) \
+                    or a.shape[-1] != spec.vocab_size \
                     or math.prod(a.shape[:-2]) != len(states):
                 raise ValueError(f"output of shape {a.shape} for "
                                  f"{len(states)} rows of ({spec.n}, "
@@ -477,15 +486,16 @@ def teacher_forced_batch(params: PolicyParams, states, utterances):
 
 def _entropy_dlogits(probs: np.ndarray, logprobs: np.ndarray,
                      ent: np.ndarray) -> np.ndarray:
-    # dH/dz_v = -p_v * (log p_v + H); zero off the support.  In place:
-    # -(p * x) and -p * x are the same double, signed zeros included
-    support = probs > 0.0
-    d = np.where(support, logprobs, 0.0)
-    d += ent[..., None]
-    d *= probs
-    np.negative(d, out=d)
-    d *= support
-    return d
+    """dH/dz of (..., V) distributions with entropies ent, written over
+    logprobs, which the caller owns, and returned."""
+    # dH/dz_v = -p_v * (log p_v + H), and zero off the support: there the
+    # log-prob is replaced by 0 (NULL's is -inf), so the product is a zero.
+    # In place: -(p * x) and -p * x are the same double, signed zeros
+    # included
+    np.copyto(logprobs, 0.0, where=probs <= 0.0)
+    logprobs += ent[..., None]
+    logprobs *= probs
+    return np.negative(logprobs, out=logprobs)
 
 
 def grad_objective(params: PolicyParams, states, utterances,
@@ -501,6 +511,13 @@ def grad_objective(params: PolicyParams, states, utterances,
     caller copies it whole.  For stacked runs, token_runs is a boolean mask
     over the runs whose token term counts (None: all); the token weights of
     the other runs are not read.
+
+    Run by run, dJ/dz of all n positions is built in one pass over an
+    (n, m, V) gather of the run's forcing, position-major so that each
+    position's block is contiguous.  The gradient then adds the n products
+    F_i.T @ dz_i in position order, each one-hot F_i built in one reused
+    (m, dim) buffer.  So the temporaries stay two (n, m, V) arrays and that
+    buffer, and every double equals the per-position computation's.
     """
     if len(states) == 0:
         raise ValueError("empty batch")
@@ -509,11 +526,14 @@ def grad_objective(params: PolicyParams, states, utterances,
     if sample_weights is None and token_weights is None:
         raise ValueError("objective has no term")
     spec = params.spec
+    n, V = spec.n, spec.vocab_size
     toks = np.asarray(utterances, dtype=np.intp)
     _, runs, m = _runs(params, len(states))
     if forced is None:
         forced, forced_rows = teacher_forced_batch(params, states, toks), None
-    probs, logprobs, _, tok_ent = forced
+    # one row per (row, position): gathers of these rows are position-major
+    probs, logprobs = (a.reshape(-1, V) for a in forced[:2])
+    tok_ent = forced[3].reshape(-1)
     if sample_weights is not None:
         w = np.asarray(sample_weights, dtype=np.float64)[:, None]
     if token_weights is not None:
@@ -523,28 +543,45 @@ def grad_objective(params: PolicyParams, states, utterances,
              for r in range(runs)]
     sidx = state_index(spec.state_cards, states)
     rows = np.arange(m)
-    grad = np.zeros((runs, spec.dim, spec.vocab_size))
-    # run by run, so that the temporaries stay (m, V) and (m, dim)
+    positions = np.arange(n)[:, None]
+    targets = (positions * m + rows) * V  # flat (n, m, V) index of column 0
+    ctx_cols = sum(spec.state_cards) + np.arange(spec.context) * V
+    pos_col = sum(spec.state_cards) + spec.context * V
+    grad = np.zeros((runs, spec.dim, V))
+    F = np.zeros((m, spec.dim))
     for r in range(runs):
+        if sample_weights is None and not token[r]:
+            continue  # the run's gradient stays zero
         run = slice(r * m, (r + 1) * m)
-        at = run if forced_rows is None else forced_rows[run]
-        for i in range(spec.n):
-            p = probs[at, i]
-            dz = None
-            if sample_weights is not None:
-                # d log p(y_i) / dz = onehot(y_i) - p
-                dz = -p
-                dz[:, NULL] = 0.0
-                dz[rows, toks[run, i]] += 1.0
-                dz *= w[run]
-            if token[r]:
-                dent = _entropy_dlogits(p, logprobs[at, i], tok_ent[at, i])
-                dent *= B[run, i][:, None]
-                if dz is None:
-                    dz = dent
-                else:
-                    dz += dent
-            if dz is not None:  # else the run's gradient stays zero
-                grad[r] += _features(spec, sidx[run], toks[run], i).T @ dz
+        at = rows + r * m if forced_rows is None else forced_rows[run]
+        at = at * n + positions
+        dz = probs.take(at, axis=0)  # (n, m, V)
+        dent = None
+        if token[r]:
+            dent = _entropy_dlogits(dz, logprobs.take(at, axis=0),
+                                    tok_ent.take(at))
+            dent *= B[run].T[..., None]
+        if sample_weights is not None:
+            # d log p(y_i) / dz = onehot(y_i) - p
+            np.negative(dz, out=dz)
+            dz[..., NULL] = 0.0
+            dz.reshape(-1)[targets + toks[run].T] += 1.0
+            dz *= w[run]
+            if dent is not None:
+                dz += dent
+        else:
+            dz = dent
+        # F_i: the run's state one-hots, set once, plus position i's
+        # context and position one-hots, set and cleared per position
+        state = rows[:, None], sidx[run]
+        F[state] = 1.0
+        for i in range(n):
+            k = min(i, spec.context)  # newest first
+            ctx = rows[:, None], toks[run, i - k:i][:, ::-1] + ctx_cols[:k]
+            F[ctx] = 1.0
+            F[:, pos_col + i] = 1.0
+            grad[r] += F.T @ dz[i]
+            F[ctx] = 0.0
+            F[:, pos_col + i] = 0.0
+        F[state] = 0.0
     return grad.reshape(params.weights.shape)
-

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from coso import coso_rl
+from coso import counterfactual as cf
 from coso import policy as pol
 from coso.coso_rl import (Hyperparams, RolloutBatch, Trainer,
                           augmented_reward, awr_update, fit_value,
-                          gae_advantages, ppo_update)
+                          gae_advantages, ppo_update, value_features)
 from coso.policy import FeatureSpec, PolicyParams
 from coso.scm import AdamState
 from coso.textmdp import EnvState, make_env, state_arrays
@@ -130,7 +131,8 @@ def test_gae_with_zero_baseline_matches_hand_computation():
     batch = synthetic_batch([1.0, 0.0, 2.0], [False, False, True], spec)
     gamma, lam = 0.9, 0.5
     beta = np.zeros((1, 2))
-    adv = gae_advantages(spec, batch, gamma, lam, beta)
+    adv = gae_advantages(value_features(spec, batch), batch, gamma, lam,
+                         beta)
     # deltas are just the rewards when the baseline is zero
     a2 = 2.0
     a1 = 0.0 + gamma * lam * a2
@@ -141,7 +143,8 @@ def test_gae_with_zero_baseline_matches_hand_computation():
 def test_gae_resets_across_episode_boundary():
     spec = FeatureSpec(state_cards=(1,), vocab_size=4, n=2)
     batch = synthetic_batch([0.0, 5.0, 0.0], [False, True, False], spec)
-    adv = gae_advantages(spec, batch, 0.9, 0.95, np.zeros((1, 2)))
+    adv = gae_advantages(value_features(spec, batch), batch, 0.9, 0.95,
+                         np.zeros((1, 2)))
     assert adv[2] == 0.0  # nothing from the earlier episode leaks forward
 
 
@@ -150,9 +153,9 @@ def test_fit_value_recovers_constant_reward_value():
     spec = FeatureSpec(state_cards=(1,), vocab_size=4, n=2)
     m, gamma = 400, 0.9
     batch = synthetic_batch([1.0] * m, [False] * m, spec)
-    beta = None
+    beta, feats = None, value_features(spec, batch)
     for _ in range(200):
-        beta = fit_value(spec, batch, gamma, ridge=1e-8, prev_beta=beta)
+        beta = fit_value(feats, batch, gamma, ridge=1e-8, prev_beta=beta)
     value = beta[0, 0] + beta[0, 1]  # one-hot state feature plus bias
     assert value == pytest.approx(1.0 / (1 - gamma), rel=1e-2)
 
@@ -250,6 +253,40 @@ def test_alpha_zero_updates_independent_of_weights():
         rb = b.train_iteration()
         assert not np.array_equal(None, ra.mean_weighted_entropy)
     np.testing.assert_array_equal(a.policy.weights, b.policy.weights)
+
+
+@pytest.mark.parametrize("arm, uniform", [("rl", False), ("rl_h", False),
+                                          ("coso", True), ("coso", False)])
+def test_only_coso_weights_query_the_classifier(arm, uniform, monkeypatch):
+    """A coso run makes one causal_weights_batch call per batch and its B
+    is the normalized causal weights, bit for bit; every other run makes
+    none, and its B is ones and its hb the plain entropy sum."""
+    env = make_env("numberline")
+    tr = Trainer(env, small_hyper(), seed=6, arm=arm,
+                 force_uniform_weights=uniform)
+    tr.train_iteration()  # a trained classifier, not the zero one
+    calls = []
+    original = cf.causal_weights_batch
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(cf, "causal_weights_batch", counting)
+    batch = tr.collect_rollouts()
+    tr.compute_weights(batch)
+    if arm == "coso" and not uniform:
+        assert len(calls) == 1 and calls[0][0] is tr.scm
+        want = cf.normalize_weights_batch(
+            original(tr.scm, batch.utterances, batch.action_idx),
+            mode=tr.hyper.weight_mode)
+        assert np.any(want != 1.0)
+    else:
+        assert calls == []
+        want = np.ones(batch.utterances.shape)
+    assert batch.weights.dtype == want.dtype
+    assert batch.weights.tobytes() == want.tobytes()
+    assert batch.hb.tobytes() == np.sum(want * batch.entropy,
+                                        axis=1).tobytes()
 
 
 def test_rl_arm_forces_alpha_zero():
@@ -466,15 +503,16 @@ def test_recursions_match_row_by_row_references():
     beta = np.random.default_rng(2).normal(size=sum(spec.state_cards) + 1)
     v = coso_rl._value_features(spec, batch.states) @ beta
     v_next = coso_rl._value_features(spec, batch.next_states) @ beta
+    feats = value_features(spec, batch)
     np.testing.assert_array_equal(
-        gae_advantages(spec, batch, gamma, 0.95, beta[None]),
+        gae_advantages(feats, batch, gamma, 0.95, beta[None]),
         reference_gae(batch, gamma, 0.95, v, v_next))
     F = coso_rl._value_features(spec, batch.states)
     A = F.T @ F + 1e-2 * np.eye(F.shape[1])
     for prev, boot in ((None, np.zeros(batch.size)), (beta, v_next)):
         want = np.linalg.solve(A, F.T @ reference_returns(batch, gamma, boot))
         np.testing.assert_array_equal(
-            fit_value(spec, batch, gamma, 1e-2,
+            fit_value(feats, batch, gamma, 1e-2,
                       None if prev is None else prev[None])[0], want)
     want = batch.rewards.copy()
     for j in range(batch.size - batch.num_streams):
@@ -609,15 +647,47 @@ def test_sample_utterances_batch_rejects_a_misshapen_output():
     u = np.random.default_rng(0).random((4, spec.n))
     good = np.empty((2, 2, spec.n, spec.vocab_size))
     for bad in ((3, spec.n, spec.vocab_size), (4, spec.n + 1, spec.vocab_size),
-                (4, spec.n, spec.vocab_size - 1)):
+                (4, spec.n, spec.vocab_size - 1),
+                (4, spec.n - 1, spec.vocab_size)):  # not good's n positions
         with pytest.raises(ValueError, match="output of shape"):
             pol.sample_utterances_batch(params, states, u,
                                         out=(good, np.empty(bad)))
+    with pytest.raises(ValueError, match="output of shape"):
+        pol.sample_utterances_batch(params, states, u, out=tuple(
+            np.empty((4, spec.n - 2, spec.vocab_size)) for _ in range(2)))
     toks = pol.sample_utterances_batch(params, states, u,
                                        out=(good, np.empty_like(good)))
     np.testing.assert_array_equal(
         good.reshape(4, spec.n, -1),
         pol.teacher_forced_batch(params, states, toks)[0])
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+def test_later_positions_plus_position0_record_the_forcing(runs):
+    """A record of positions 1 onward, tick by tick, plus position 0 of
+    every tick in one record_position0 call, is teacher forcing bit for
+    bit, as collect_rollouts assembles it."""
+    env = make_env("numberline")
+    spec = FeatureSpec.for_env(env)
+    rng = np.random.default_rng(runs)
+    params = PolicyParams(spec=spec, weights=rng.normal(
+        0, 2.0, (runs, spec.dim, spec.vocab_size)))
+    ticks, ns = 5, 4
+    feats = np.stack([rng.integers(0, c, (runs, ticks, ns))
+                      for c in spec.state_cards], -1)
+    record = np.empty((2, runs, ticks, ns, spec.n, spec.vocab_size))
+    toks = np.empty((runs, ticks, ns, spec.n), dtype=np.intp)
+    tables = pol.decode_tables(params)
+    for t in range(ticks):
+        toks[:, t] = pol.sample_utterances_batch(
+            tables, feats[:, t].reshape(runs * ns, -1),
+            rng.random((runs * ns, spec.n)),
+            out=tuple(record[:, :, t, :, 1:])).reshape(runs, ns, -1)
+    feats = feats.reshape(-1, len(spec.state_cards))
+    pol.record_position0(tables, feats, tuple(record))
+    want = pol.teacher_forced_batch(params, feats, toks.reshape(-1, spec.n))
+    for got, ref in zip(record, want):
+        assert got.reshape(ref.shape).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("optimizer", ["ppo", "awr"])
@@ -696,9 +766,10 @@ def reference_update_policy(tr, batch):
                                            hyper.gamma)
         batch = replace(batch, rewards=rewards)
     prev = None if tr.value_beta is None else tr.value_beta[None]
-    beta = fit_value(spec, batch, hyper.gamma, hyper.value_ridge, prev)
+    feats = value_features(spec, batch)
+    beta = fit_value(feats, batch, hyper.gamma, hyper.value_ridge, prev)
     tr.value_beta = beta[0]
-    adv = gae_advantages(spec, batch, hyper.gamma, hyper.gae_lambda, beta)
+    adv = gae_advantages(feats, batch, hyper.gamma, hyper.gae_lambda, beta)
     if hyper.normalize_advantages:
         adv = (adv - np.mean(adv)) / (np.std(adv) + 1e-8)
     params = group_of_one(tr.policy)

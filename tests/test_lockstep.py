@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from coso import coso_rl, harness
+from coso import counterfactual as cf
 from coso.coso_rl import Hyperparams, Trainer, _check_group
 from coso.harness import RunConfig
 from coso.textmdp import make_env
@@ -96,6 +97,36 @@ def test_mixed_arm_group_equals_solo_runs(env_id):
         lambda: make_runs(env_id, small_hyper()), iters=4)
     assert all(r.mean_weighted_entropy is None
                for r in reports[-1][:2])  # the rl runs
+
+
+def test_only_coso_runs_query_the_classifier(monkeypatch):
+    """Per iteration, each coso run without the uniform hook makes one
+    causal_weights_batch call, on its own classifier, and no other run
+    makes any, alone or in a mixed group; the group still equals its runs
+    trained alone."""
+    original, weigh = cf.causal_weights_batch, Trainer.compute_weights
+    calls, queried = [], {}
+
+    def causal_weights_batch(phi, *args):
+        calls.append(phi)
+        return original(phi, *args)
+
+    def compute_weights(tr, batch):
+        del calls[:]
+        weigh(tr, batch)
+        assert all(phi is tr.scm for phi in calls)
+        queried[id(tr)] = queried.get(id(tr), 0) + len(calls)
+    monkeypatch.setattr(cf, "causal_weights_batch", causal_weights_batch)
+    monkeypatch.setattr(Trainer, "compute_weights", compute_weights)
+    iters = 3
+    solo, grouped, want, got = train_both(
+        lambda: make_runs("numberline", small_hyper()), iters)
+    assert got == want
+    for a, b in zip(grouped, solo):
+        assert_same_state(a, b)
+    for tr in grouped + solo:
+        coso = tr.arm == "coso" and not tr.force_uniform_weights
+        assert queried[id(tr)] == (iters if coso else 0), tr.arm
 
 
 def test_awr_filter_group_with_some_runs_skipping_equals_solo_runs():

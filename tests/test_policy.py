@@ -369,23 +369,120 @@ def test_teacher_forced_batch_consistency():
         np.testing.assert_allclose(tok_ent[k], ents[0], atol=1e-14)
 
 
+def grad_objective_loop(params, states, utterances, sample_weights=None,
+                        token_weights=None, forced=None, token_runs=None,
+                        forced_rows=None):
+    """grad_objective a (run, position) block at a time: each position's
+    (m, V) dz/dlogits from its own gather of the forcing, times its own
+    dense one-hot features.  The per-position form that grad_objective's
+    one pass per run must equal bit for bit."""
+    if token_runs is not None and not np.any(token_runs):
+        token_weights = None
+    spec = params.spec
+    toks = np.asarray(utterances, dtype=np.intp)
+    runs = 1 if params.weights.ndim == 2 else params.weights.shape[0]
+    m = len(states) // runs
+    if forced is None:
+        forced, forced_rows = teacher_forced_batch(params, states, toks), None
+    probs, logprobs, _, tok_ent = forced
+    sidx = pol.state_index(spec.state_cards, states)
+    rows = np.arange(m)
+    grad = np.zeros((runs, spec.dim, spec.vocab_size))
+    for r in range(runs):
+        run = slice(r * m, (r + 1) * m)
+        at = run if forced_rows is None else forced_rows[run]
+        token = token_weights is not None and (token_runs is None
+                                               or bool(token_runs[r]))
+        for i in range(spec.n):
+            p = probs[at, i]
+            dz = None
+            if sample_weights is not None:
+                dz = -p
+                dz[:, NULL] = 0.0
+                dz[rows, toks[run, i]] += 1.0
+                dz *= np.asarray(sample_weights, dtype=np.float64)[run, None]
+            if token:
+                support = p > 0.0
+                dent = np.where(support, logprobs[at, i], 0.0)
+                dent += tok_ent[at, i][:, None]
+                dent *= p
+                np.negative(dent, out=dent)
+                dent *= support
+                dent *= np.asarray(token_weights,
+                                   dtype=np.float64)[run, i][:, None]
+                dz = dent if dz is None else dz + dent
+            if dz is not None:
+                grad[r] += dense_features(spec, sidx[run], toks[run], i).T @ dz
+    return grad.reshape(params.weights.shape)
+
+
+@pytest.mark.parametrize("env_id", ["numberline", "menunav"])
+@pytest.mark.parametrize("runs", [1, 3])
+def test_gradient_equals_the_per_position_loop(env_id, runs):
+    """grad_objective's one pass per run adds the same doubles as the
+    per-position loop: each term alone and both, a token_runs mask, and
+    permuted minibatch rows of a larger forcing, at a weight scale (200)
+    that makes some probabilities exactly 0."""
+    env = make_env(env_id)
+    spec = FeatureSpec.for_env(env)
+    rng = np.random.default_rng(14 + runs)
+    m = 48
+    mask = [r % 2 == 1 for r in range(runs)]  # R = 1: no token term
+    zeros = 0
+    for scale in (0.7, 200.0):
+        weights = rng.normal(0, scale, (runs, spec.dim, spec.vocab_size))
+        params = PolicyParams(spec=spec,
+                              weights=weights[0] if runs == 1 else weights)
+        feats = np.stack([rng.integers(0, c, runs * m)
+                          for c in spec.state_cards], 1)
+        toks = sample_utterances_batch(params, feats,
+                                       rng.random((runs * m, spec.n)))
+        forced = teacher_forced_batch(params, feats, toks)
+        zeros += np.count_nonzero(forced[0][..., 1:] == 0.0)
+        sw = rng.normal(size=runs * m)
+        tw = rng.uniform(0, 2, (runs * m, spec.n))
+        # each run's permutation of its own rows, cut to a minibatch
+        perm = np.concatenate([rng.permutation(m)[:m // 2] + r * m
+                               for r in range(runs)])
+        for rows, kw in ((slice(None), {}),
+                         (perm, dict(forced=forced, forced_rows=perm))):
+            for terms in ((sw, None), (None, tw), (sw, tw)):
+                for token_runs in (None, mask):
+                    if terms[0] is None and token_runs is mask \
+                            and not any(mask):
+                        continue  # no term left
+                    args = (params, feats[rows], toks[rows]) + tuple(
+                        None if a is None else a[rows] for a in terms)
+                    got = grad_objective(*args, token_runs=token_runs, **kw)
+                    assert got.tobytes() == grad_objective_loop(
+                        *args, token_runs=token_runs, **kw).tobytes()
+                    assert np.any(got != 0.0)
+    assert zeros > 0
+
+
 # -- gathered logits against the dense one-hot product -----------------------
+
+
+def dense_features(spec, sidx, toks, i):
+    """The dense (m, dim) one-hot features of the decisions at position i:
+    the state blocks (sidx, from state_index), the K most recent tokens
+    newest first, then the position."""
+    m = len(sidx)
+    cols = [sidx]
+    off = sum(spec.state_cards)
+    for k in range(spec.context):
+        if i - 1 - k >= 0:
+            cols.append(off + k * spec.vocab_size + toks[:, i - 1 - k:i - k])
+    cols.append(np.full((m, 1), off + spec.context * spec.vocab_size + i))
+    return pol.one_hot(np.concatenate(cols, axis=1), spec.dim)
 
 
 def dense_dist(p, feats, toks, i):
     """(probs, logprobs) at position i from the dense (m, dim) one-hot
     feature matrix times W, the product the gathered logits replace."""
     spec = p.spec
-    m = len(feats)
-    cols = [feats + np.cumsum((0,) + spec.state_cards[:-1])]
-    off = sum(spec.state_cards)
-    for k in range(spec.context):
-        if i - 1 - k >= 0:
-            cols.append(off + k * spec.vocab_size + toks[:, i - 1 - k:i - k])
-    cols.append(np.full((m, 1), off + spec.context * spec.vocab_size + i))
-    F = np.zeros((m, spec.dim))
-    F[np.arange(m)[:, None], np.concatenate(cols, axis=1)] = 1.0
-    z = F @ p.weights
+    sidx = feats + np.cumsum((0,) + spec.state_cards[:-1])
+    z = dense_features(spec, sidx, toks, i) @ p.weights
     z[:, NULL] = -np.inf
     z = z - z.max(axis=1, keepdims=True)
     total = np.exp(z).sum(axis=1, keepdims=True)
@@ -478,13 +575,13 @@ def test_feature_arrays_and_env_states_agree():
 
 def dense_decode(p, feats, u):
     """Reference decoder: each position's logits from the dense product
-    _features(...) @ W, NULL masked, then softmax and inverse CDF on u (or
-    argmax if u is None); no table and no gathered rows."""
+    dense_features(...) @ W, NULL masked, then softmax and inverse CDF on u
+    (or argmax if u is None); no table and no gathered rows."""
     spec = p.spec
     sidx = pol.state_index(spec.state_cards, feats)
     toks = np.zeros((len(feats), spec.n), dtype=np.intp)
     for i in range(spec.n):
-        z = pol._features(spec, sidx, toks, i) @ p.weights
+        z = dense_features(spec, sidx, toks, i) @ p.weights
         z[:, NULL] = -np.inf
         probs = np.exp(z - z.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)

@@ -16,7 +16,8 @@ one small ``ablation_matrix`` run (numberline, 3 arms x seeds 0-2).
 coso is imported from PYTHONPATH, so one copy of this script hashes any
 checkout.  The hashes are platform-specific (float summation and libm
 results), so this is a tool for comparing two trees on one host, not a test.
-Runtime is a few minutes, most of it the 200k-step menunav PPO run.
+Runtime is about 12-17 s on a 2-vCPU x86-64 host with numpy 2.4, most of
+it the 200k-step menunav PPO run.
 """
 from __future__ import annotations
 
