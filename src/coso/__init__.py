@@ -13,7 +13,7 @@ from .counterfactual import (causal_weights_batch, normalize_weights_batch,
 from .policy import (FeatureSpec, PolicyParams, sample_utterance,
                      sample_utterances_batch)
 from .scm import ScmParams
-from .textmdp import Action, EnvState, ParseError, grammar_spec, make_env
+from .textmdp import Action, EnvState, ParseError, make_env
 
 __all__ = [
     "Action",
@@ -25,7 +25,6 @@ __all__ = [
     "ScmParams",
     "Trainer",
     "causal_weights_batch",
-    "grammar_spec",
     "make_env",
     "normalize_weights_batch",
     "sample_utterance",

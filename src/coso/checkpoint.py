@@ -13,7 +13,7 @@ import numpy as np
 
 from .policy import FeatureSpec, PolicyParams
 from .scm import ScmParams
-from .textmdp import env_ids
+from .textmdp import env_ids, make_env
 
 FORMAT_VERSION = 1
 
@@ -94,7 +94,7 @@ def load_bundle(path) -> tuple[PolicyParams, ScmParams, str, dict]:
 
     Raises ValueError on a document that is not a JSON object, an
     unsupported version, a missing section or field, an unknown env id, or
-    an array whose shape does not fit the layout its header declares.
+    a layout header that does not fit its arrays or the env it names.
     """
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
@@ -114,4 +114,14 @@ def load_bundle(path) -> tuple[PolicyParams, ScmParams, str, dict]:
     if env_id not in env_ids():
         raise ValueError(f"checkpoint for unknown env_id {env_id!r}; known: "
                          f"{list(env_ids())}")
+    env = make_env(env_id)
+    layout = {"state_cards": env.state_feature_cards(),
+              "vocab_size": env.vocab.size, "n": env.grammar.n,
+              "num_actions": env.num_actions}
+    for what, header in (("policy", policy.spec), ("SCM", scm)):
+        for name, want in layout.items():
+            if getattr(header, name, want) != want:  # the fields it has
+                raise ValueError(f"checkpoint for env {env_id!r} has {what} "
+                                 f"{name} {getattr(header, name)!r}, not "
+                                 f"{want!r}")
     return policy, scm, env_id, doc.get("meta", {})

@@ -445,19 +445,18 @@ class Trainer:
     """Owns the mutable training state for one run.
 
     arm: 'rl' (alpha forced to 0), 'rl_h' (uniform weights), or 'coso'
-    (classifier-derived weights).  All arms consume identical randomness; the
-    only difference is the weight vector fed to the entropy term.  Each
-    phase takes the other runs of a lockstep group, this run leading; the
-    runs must share their lockstep_key and their step count and may differ
-    in arm, seed, alpha and force_uniform_weights.  Episode number i
+    (classifier-derived weights); the arm alone decides B.  All arms
+    consume identical randomness; the only difference is the weight vector
+    fed to the entropy term.  Each phase takes the other runs of a lockstep
+    group, this run leading; the runs must share their lockstep_key and
+    their step count and may differ in arm, seed and alpha.  Episode number i
     starts from env.reset of a seed drawn from SeedSequence([seed, i]),
     so runs with one seed start their episodes alike; in a group they read
     those starts from one _SharedStarts.
     """
 
     def __init__(self, env: TextEnv, hyper: Hyperparams, seed: int,
-                 arm: str = "coso", optimizer: str = "ppo",
-                 force_uniform_weights: bool = False):
+                 arm: str = "coso", optimizer: str = "ppo"):
         if arm not in ("rl", "rl_h", "coso"):
             raise ValueError(f"unknown arm {arm!r}")
         if optimizer not in ("ppo", "awr"):
@@ -467,7 +466,6 @@ class Trainer:
         self.hyper = hyper if arm != "rl" else replace(hyper, alpha=0.0)
         self.arm = arm
         self.optimizer = optimizer
-        self.force_uniform_weights = force_uniform_weights
         self.seed = seed
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         spec = FeatureSpec.for_env(env, context=hyper.context)
@@ -592,13 +590,13 @@ class Trainer:
     def compute_weights(self, batch: RolloutBatch) -> None:
         """Fill batch.weights/hb according to the arm (B for every (y, a)).
 
-        Only a coso run without force_uniform_weights queries its
-        classifier.  Every other run's B is ones, so its hb is the plain
-        entropy sum: rl_h's bonus is uniform, and nothing reads rl's B (its
-        alpha is 0, and its report's weighted entropy is None).  The
-        classifier draws no randomness, so skipping it moves no run.
+        Only a coso run queries its classifier.  An rl or rl_h run's B is
+        ones, so its hb is the plain entropy sum: rl_h's bonus is uniform,
+        and nothing reads rl's B (its alpha is 0, and its report's weighted
+        entropy is None).  The classifier draws no randomness, so skipping
+        it moves no run.
         """
-        if self.arm == "coso" and not self.force_uniform_weights:
+        if self.arm == "coso":
             used = cf.normalize_weights_batch(
                 cf.causal_weights_batch(self.scm, batch.utterances,
                                         batch.action_idx),
@@ -703,8 +701,9 @@ class Trainer:
 
 
 def lockstep_key(env_id: str, optimizer: str, hyper: Hyperparams) -> tuple:
-    """Runs may train as one lockstep group only if their keys are equal:
-    the env, the optimizer and every Hyperparams field but alpha."""
+    """Runs of equal keys may train as one lockstep group, differing in arm,
+    seed and alpha: the env, the optimizer and every Hyperparams field but
+    alpha."""
     return (env_id, optimizer, *(getattr(hyper, f.name)
                                  for f in dataclasses.fields(hyper)
                                  if f.name != "alpha"))

@@ -45,7 +45,6 @@ class RunConfig:
     eval_episodes: int = 32
     success_threshold: float = 0.9
     out_dir: str = "runs"
-    force_uniform_weights: bool = False  # test hook (arm-consistency checks)
 
     def __post_init__(self):
         check_field_types(self)
@@ -236,9 +235,7 @@ def _train_group(jobs, write_artifacts: bool) -> list:
     first = jobs[0][0]
     env = make_env(first.env_id)
     trainers = [Trainer(env, config.hyper, seed, arm=config.arm,
-                        optimizer=config.optimizer,
-                        force_uniform_weights=config.force_uniform_weights)
-                for config, seed in jobs]
+                        optimizer=config.optimizer) for config, seed in jobs]
     lead, *others = trainers
     rows = [[] for _ in jobs]
     it = 0

@@ -44,15 +44,13 @@ class Vocab:
         if len(self.names) != self.size:
             raise ValueError("name table must cover every token id")
 
-    def name(self, token: int) -> str:
-        return self.names[token]
-
 
 @dataclass(frozen=True)
 class UtteranceGrammar:
     n: int
     roles: tuple[str, ...]
-    legal: tuple[frozenset, ...]  # legal token ids per slot (parse validation)
+    # legal token ids per slot, for grammar_report; parse never reads it
+    legal: tuple[frozenset, ...]
 
     def __post_init__(self):
         if len(self.roles) != self.n or len(self.legal) != self.n:
@@ -91,14 +89,13 @@ def state_arrays(states) -> tuple[np.ndarray, np.ndarray]:
     return feats, steps
 
 
-def check_utterance(y: Sequence[int], n: int, vocab_size: int,
-                    allow_null: bool = False) -> None:
+def check_utterance(y: Sequence[int], n: int, vocab_size: int) -> None:
     if len(y) != n:
         raise ValueError(f"utterance length {len(y)} != {n}")
     for t in y:
         if not (0 <= t < vocab_size):
             raise ValueError(f"token id {t} outside vocab")
-        if t == NULL and not allow_null:
+        if t == NULL:
             raise ValueError("NULL token in utterance")
 
 
@@ -479,10 +476,6 @@ def env_ids() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def grammar_spec(env_id: str) -> UtteranceGrammar:
-    return make_env(env_id).grammar
-
-
 def grammar_report(env_id: str) -> str:
     """Human-readable dump of a grammar and its token tables."""
     env = make_env(env_id)
@@ -490,7 +483,7 @@ def grammar_report(env_id: str) -> str:
     lines = [f"env: {env.env_id}", f"vocab size: {env.vocab.size}",
              f"utterance length: {g.n}", f"horizon: {env.horizon}", "slots:"]
     for i, role in enumerate(g.roles):
-        legal = ",".join(env.vocab.name(t) for t in sorted(g.legal[i]))
+        legal = ",".join(env.vocab.names[t] for t in sorted(g.legal[i]))
         lines.append(f"  [{i}] {role:11s} legal: {legal}")
     lines.append("actions: " + ", ".join(str(a) for a in env.action_classes()))
     return "\n".join(lines)

@@ -17,14 +17,15 @@ from coso import counterfactual as cf
 from coso import policy as pol
 from coso import tabular
 from coso.coso_rl import Hyperparams, Trainer
-from coso.harness import (RunConfig, TheoryCheckSpec, check_contraction,
-                          check_decomposition, check_improvement,
-                          check_iteration, evaluate_greedy,
+from coso.harness import (ARMS, RunConfig, TheoryCheckSpec, ablation_matrix,
+                          check_contraction, check_decomposition,
+                          check_improvement, check_iteration,
                           repeated_sampling_probe, run_single_seed)
 from coso.policy import FeatureSpec, PolicyParams
 from coso.scm import ScmParams, accuracy, train_scm
 from coso.textmdp import ACTION_ARG, ACTION_KIND, EnvState, make_env
 
+from test_coso_rl import constant_causal_weights
 from test_policy import objective_value
 
 
@@ -60,84 +61,74 @@ def converged_scms():
 
 NL_HYPER = Hyperparams(alpha=0.1, policy_lr=0.15)
 MN_HYPER = Hyperparams(alpha=0.3, policy_lr=0.1)
-ARMS = ("rl", "rl_h", "coso")
 ABLATION_SEEDS = (0, 1, 2, 3, 4)
+MID_STEPS = 100_000  # the menunav mid-training snapshot
 
 
-def train_group(env_id, hyper, total_steps, thr=0.9, eval_every=5,
-                eval_episodes=32, snapshot_at=None):
-    """Train every arm x ABLATION_SEEDS run as one lockstep group, and
-    evaluate the group in one evaluate_greedy call per eval point; each
-    run equals its own training and eval alone bit for bit.  Returns
-    {(arm, seed): (trainer, steps to threshold, final success, snapshot)},
-    the snapshot being (policy, SCM) copies from the first iteration at or
-    past snapshot_at."""
-    env = make_env(env_id)
-    runs = [(arm, seed) for arm in ARMS for seed in ABLATION_SEEDS]
-    trainers = [Trainer(env, hyper, seed=seed, arm=arm, optimizer="ppo")
-                for arm, seed in runs]
-    lead, *others = trainers
-    stt = [float("inf")] * len(runs)
-    final = [0.0] * len(runs)
-    snapshots = [None] * len(runs)
-    it = 0
-    while lead.total_env_steps < total_steps:
-        lead.train_iteration(*others)
-        it += 1
-        steps = lead.total_env_steps  # every run's, in lockstep
-        for r, tr in enumerate(trainers):
-            if snapshot_at and snapshots[r] is None and steps >= snapshot_at:
-                snapshots[r] = (tr.policy.copy(), tr.scm.copy())
-        if it % eval_every == 0 or steps >= total_steps:
-            final = evaluate_greedy(env, PolicyParams(
-                spec=lead.policy.spec,
-                weights=np.stack([tr.policy.weights for tr in trainers])),
-                eval_episodes)
-            for r, rate in enumerate(final):
-                if rate >= thr and stt[r] == float("inf"):
-                    stt[r] = steps
-    return {run: (tr, stt[r], final[r], snapshots[r])
-            for r, (run, tr) in enumerate(zip(runs, trainers))}
+def ablation_configs(env_id, hyper, eval_every, **kw):
+    """One PPO config per arm: ABLATION_SEEDS, 200k steps each, greedy
+    success on 32 episodes every eval_every iterations, threshold 0.9."""
+    return [RunConfig(env_id=env_id, arm=arm, optimizer="ppo", hyper=hyper,
+                      seeds=ABLATION_SEEDS, total_env_steps=200_000,
+                      eval_every_iters=eval_every, eval_episodes=32,
+                      success_threshold=0.9, **kw)
+            for arm in ARMS]
 
 
 @pytest.fixture(scope="session")
 def numberline_ablation():
+    """The numberline ablation table, one row per arm."""
     t0 = time.time()
-    trained = train_group("numberline", NL_HYPER, 200_000)
-    results = {arm: [trained[arm, seed][1] for seed in ABLATION_SEEDS]
-               for arm in ARMS}
-    return results, time.time() - t0
+    result = ablation_matrix(ablation_configs("numberline", NL_HYPER, 5),
+                             write_artifacts=False)
+    return {row["arm"]: row for row in result.rows}, time.time() - t0
 
 
 @pytest.fixture(scope="session")
 def menunav_runs(tmp_path_factory):
-    """Trained MenuNav runs per arm.
+    """Trained MenuNav runs per arm, from one ablation_matrix call.
 
-    Saves two budget-matched checkpoints per run: one mid-training (while
-    every arm is still exploring) and the final one. The recovery probe uses
-    the mid-training checkpoints; weight-distribution and final-success
-    checks use the end of the run.
+    Each run has two budget-matched checkpoints: the final one in its run
+    dir and a mid-training snapshot (while every arm is still exploring),
+    copied at the first iteration at or past MID_STEPS by a wrapped
+    Trainer.train_iteration.  The recovery probe uses the mid-training
+    checkpoints; weight-distribution checks use the end of the run.
+    Returns ({arm: per-seed rows}, {arm: ablation table row}, seconds).
     """
     t0 = time.time()
     root = tmp_path_factory.mktemp("menunav_runs")
-    trained = train_group("menunav", MN_HYPER, 200_000, eval_every=10,
-                          snapshot_at=100_000)
-    out = {}
-    for arm in ARMS:
+    configs = ablation_configs("menunav", MN_HYPER, 10, out_dir=str(root))
+    snapshots = {}
+    train_iteration = Trainer.train_iteration
+
+    def snapshotting(lead, *others):
+        reports = train_iteration(lead, *others)
+        for tr in (lead, *others):
+            if (tr.total_env_steps >= MID_STEPS
+                    and (tr.arm, tr.seed) not in snapshots):
+                snapshots[tr.arm, tr.seed] = (tr.policy.copy(), tr.scm.copy(),
+                                              tr.total_env_steps)
+        return reports
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("COSO_OUTPUT_DIR", raising=False)  # keep out_dir
+        mp.setattr(Trainer, "train_iteration", snapshotting)
+        result = ablation_matrix(configs)
+    runs = {}
+    for config in configs:
         rows = []
-        for seed in ABLATION_SEEDS:
-            tr, _, final, snap = trained[arm, seed]
-            path = root / f"{arm}_seed{seed}.json"
-            ckpt.save_bundle(path, tr.policy, tr.scm, "menunav",
-                             meta={"seed": seed, "arm": arm})
-            mid = root / f"{arm}_seed{seed}_mid.json"
-            ckpt.save_bundle(mid, snap[0], snap[1], "menunav",
-                             meta={"seed": seed, "arm": arm,
-                                   "env_steps": 100_000})
-            rows.append({"seed": seed, "final": final, "ckpt": path,
-                         "mid_ckpt": mid})
-        out[arm] = rows
-    return out, time.time() - t0
+        for seed in config.seeds:
+            policy, scm, steps = snapshots[config.arm, seed]
+            mid = root / f"{config.arm}_seed{seed}_mid.json"
+            ckpt.save_bundle(mid, policy, scm, "menunav",
+                             meta={"seed": seed, "arm": config.arm,
+                                   "env_steps": steps})
+            rows.append({"seed": seed, "mid_ckpt": mid,
+                         "ckpt": root / config.run_name(seed)
+                         / "checkpoint.json"})
+        runs[config.arm] = rows
+    table = {row["arm"]: row for row in result.rows}
+    return runs, table, time.time() - t0
 
 
 # -- 1..4: exact tabular theory ----------------------------------------------
@@ -196,32 +187,36 @@ def test_criterion_4_policy_iteration():
 # -- 5..6: update identities and gradients ------------------------------------
 
 
-def test_criterion_5_degeneracy_identities():
+def test_criterion_5_degeneracy_identities(monkeypatch):
     t0 = time.time()
     env = make_env("numberline")
     hp = Hyperparams(alpha=0.1, rollout_steps=64, num_envs=8, scm_steps=2)
 
-    # B == 1 reduces coso to rl_h, bitwise
+    # B == 1 reduces coso to rl_h, bitwise: constant causal weights
+    # max-normalize to ones
+    asked = constant_causal_weights(monkeypatch)
     a = Trainer(env, hp, seed=3, arm="rl_h")
-    b = Trainer(env, hp, seed=3, arm="coso", force_uniform_weights=True)
+    b = Trainer(env, hp, seed=3, arm="coso")
     for _ in range(3):
         a.train_iteration()
         b.train_iteration()
+    monkeypatch.undo()
+    assert len(asked) == 3  # the coso run's one query per iteration
     assert np.array_equal(a.policy.weights, b.policy.weights)
     assert np.array_equal(a.scm.weights, b.scm.weights)
 
-    # alpha == 0 makes the update independent of B, bitwise
+    # alpha == 0 makes the update independent of B: coso equals rl, bitwise
     hp0 = Hyperparams(alpha=0.0, rollout_steps=64, num_envs=8, scm_steps=2)
     c = Trainer(env, hp0, seed=5, arm="coso")
-    d = Trainer(env, hp0, seed=5, arm="coso", force_uniform_weights=True)
+    d = Trainer(env, hp0, seed=5, arm="rl")
     for _ in range(3):
         c.train_iteration()
         d.train_iteration()
     assert np.array_equal(c.policy.weights, d.policy.weights)
     elapsed = time.time() - t0
     assert elapsed < 30.0
-    ok(5, f"B==1 reduces coso to rl_h and alpha=0 erases B, both bitwise, "
-          f"{elapsed:.1f}s")
+    ok(5, f"B==1 reduces coso to rl_h and alpha=0 reduces coso to rl, both "
+          f"bitwise, {elapsed:.1f}s")
 
 
 def test_criterion_6_gradient_correctness():
@@ -312,7 +307,7 @@ def test_criterion_8_weight_localization(converged_scms):
 
 
 def test_criterion_9_weight_distribution(menunav_runs):
-    runs, _ = menunav_runs
+    runs, _, _ = menunav_runs
     t0 = time.time()
     fractions = []
     for row in runs["coso"]:
@@ -337,14 +332,13 @@ def test_criterion_9_weight_distribution(menunav_runs):
 
 def test_criterion_10_ablation_direction(numberline_ablation, menunav_runs):
     nl, nl_elapsed = numberline_ablation
-    mn, mn_elapsed = menunav_runs
-    med = {arm: float(np.median(v)) for arm, v in nl.items()}
+    _, mn, mn_elapsed = menunav_runs
+    med = {arm: row["median_steps_to_threshold"] for arm, row in nl.items()}
     rl_fails = not np.isfinite(med["rl"])
     assert med["coso"] <= med["rl_h"], f"{med}"
     assert rl_fails or (med["rl_h"] <= med["rl"] and
                         med["coso"] <= med["rl"]), f"{med}"
-    mn_final = {arm: float(np.median([r["final"] for r in rows]))
-                for arm, rows in mn.items()}
+    mn_final = {arm: row["median_final_success"] for arm, row in mn.items()}
     assert mn_final["coso"] >= mn_final["rl_h"], f"{mn_final}"
     total = nl_elapsed + mn_elapsed
     assert total < 1800.0
@@ -355,7 +349,7 @@ def test_criterion_10_ablation_direction(numberline_ablation, menunav_runs):
 
 
 def test_criterion_11_trap_recovery_probe(menunav_runs):
-    runs, _ = menunav_runs
+    runs, _, _ = menunav_runs
     t0 = time.time()
     recovery = {}
     invalid = {}

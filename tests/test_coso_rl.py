@@ -231,40 +231,55 @@ def run_iterations(arm, seed=0, iters=3, **hkw):
     return tr, reports
 
 
-def test_uniform_weight_hook_matches_rl_h_bitwise():
+def constant_causal_weights(monkeypatch):
+    """Patch cf.causal_weights_batch to weigh every token 0.5, which
+    max-normalizes to B = 1; returns the list of the SCMs it was asked."""
+    asked = []
+
+    def constant(phi, ys, actions):
+        asked.append(phi)
+        return np.full(np.shape(ys), 0.5)
+    monkeypatch.setattr(cf, "causal_weights_batch", constant)
+    return asked
+
+
+def test_constant_causal_weights_match_rl_h_bitwise(monkeypatch):
+    asked = constant_causal_weights(monkeypatch)
     env = make_env("numberline")
     a = Trainer(env, small_hyper(), seed=3, arm="rl_h")
-    b = Trainer(env, small_hyper(), seed=3, arm="coso",
-                force_uniform_weights=True)
+    b = Trainer(env, small_hyper(), seed=3, arm="coso")
     for _ in range(3):
         a.train_iteration()
         b.train_iteration()
+    assert len(asked) == 3
     np.testing.assert_array_equal(a.policy.weights, b.policy.weights)
     np.testing.assert_array_equal(a.scm.weights, b.scm.weights)
 
 
 def test_alpha_zero_updates_independent_of_weights():
+    # coso's classifier weights against rl_h's B = 1, both at alpha 0
     env = make_env("numberline")
     a = Trainer(env, small_hyper(alpha=0.0), seed=5, arm="coso")
-    b = Trainer(env, small_hyper(alpha=0.0), seed=5, arm="coso",
-                force_uniform_weights=True)
+    b = Trainer(env, small_hyper(alpha=0.0), seed=5, arm="rl_h")
     for _ in range(3):
         ra = a.train_iteration()
         rb = b.train_iteration()
-        assert not np.array_equal(None, ra.mean_weighted_entropy)
+        assert ra.mean_weighted_entropy != rb.mean_weighted_entropy
     np.testing.assert_array_equal(a.policy.weights, b.policy.weights)
 
 
-@pytest.mark.parametrize("arm, uniform", [("rl", False), ("rl_h", False),
-                                          ("coso", True), ("coso", False)])
-def test_only_coso_weights_query_the_classifier(arm, uniform, monkeypatch):
+@pytest.mark.parametrize("arm, constant", [("rl", False), ("rl_h", False),
+                                           ("coso", True), ("coso", False)])
+def test_only_coso_weights_query_the_classifier(arm, constant, monkeypatch):
     """A coso run makes one causal_weights_batch call per batch and its B
-    is the normalized causal weights, bit for bit; every other run makes
-    none, and its B is ones and its hb the plain entropy sum."""
+    is the normalized causal weights, bit for bit (ones, rl_h's B, when
+    the weights are constant); every other run makes none, and its B is
+    ones and its hb the plain entropy sum."""
     env = make_env("numberline")
-    tr = Trainer(env, small_hyper(), seed=6, arm=arm,
-                 force_uniform_weights=uniform)
+    tr = Trainer(env, small_hyper(), seed=6, arm=arm)
     tr.train_iteration()  # a trained classifier, not the zero one
+    if constant:
+        constant_causal_weights(monkeypatch)
     calls = []
     original = cf.causal_weights_batch
 
@@ -274,12 +289,12 @@ def test_only_coso_weights_query_the_classifier(arm, uniform, monkeypatch):
     monkeypatch.setattr(cf, "causal_weights_batch", counting)
     batch = tr.collect_rollouts()
     tr.compute_weights(batch)
-    if arm == "coso" and not uniform:
+    if arm == "coso":
         assert len(calls) == 1 and calls[0][0] is tr.scm
         want = cf.normalize_weights_batch(
             original(tr.scm, batch.utterances, batch.action_idx),
             mode=tr.hyper.weight_mode)
-        assert np.any(want != 1.0)
+        assert np.any(want != 1.0) != constant
     else:
         assert calls == []
         want = np.ones(batch.utterances.shape)

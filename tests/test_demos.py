@@ -1,4 +1,4 @@
-"""The narrative demos 01-03 run to completion (about 3 s together)."""
+"""The narrative demos 01-04 run to completion (about 8 s together)."""
 import os
 import subprocess
 import sys
@@ -11,7 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("name", ["01_environments",
                                   "02_counterfactual_weights",
-                                  "03_theory_verifier"])
+                                  "03_theory_verifier",
+                                  "04_small_ablation"])
 def test_demo_runs(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -19,6 +19,9 @@ from coso.scm import ScmParams
 from coso.textmdp import TextEnv, make_env, state_arrays
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
 def tiny_config(**kw):
     base = dict(env_id="numberline", arm="coso", optimizer="ppo",
                 hyper=Hyperparams(alpha=0.1, rollout_steps=64, num_envs=8,
@@ -40,6 +43,17 @@ def test_config_round_trip(tmp_path):
     path.write_text(json.dumps(cfg.to_dict()))
     again = RunConfig.from_file(path)
     assert again == cfg
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                         ids=lambda p: p.name)
+def test_shipped_configs_build(path):
+    doc = json.loads(path.read_text())
+    config = RunConfig.from_file(path)
+    assert config.to_dict() == doc
+    with pytest.raises(ValueError, match=r"unknown config key\(s\): "
+                                         r"force_uniform_weights"):
+        RunConfig.from_dict({**doc, "force_uniform_weights": False})
 
 
 def test_config_validation():
@@ -82,6 +96,9 @@ def test_checkpoint_round_trip(tmp_path):
     ({"total_env_steps": 0}, "total_env_steps must be >= 1"),
     ({"hyper": {"alpah": 0.1}}, "unknown hyper key(s): alpah"),
     ({"sedes": [1]}, "unknown config key(s): sedes"),
+    # the arm alone decides B; no field overrides it
+    ({"force_uniform_weights": False},
+     "unknown config key(s): force_uniform_weights"),
 ])
 def test_cli_train_and_ablate_reject_bad_config(command, config, message,
                                                 tmp_path, monkeypatch,
@@ -186,12 +203,21 @@ def drop_section(keys):
      "checkpoint lacks field 'n'"),
     (lambda doc: {**doc, "policy": 3}, "malformed checkpoint"),
     (lambda doc: {**doc, "env_id": "bogus"}, "unknown env_id 'bogus'"),
+    # layouts that fit their own headers but not numberline's env
+    (lambda doc: {**doc, "scm": ckpt.scm_to_dict(ScmParams.zeros(3, 32, 8))},
+     "has SCM vocab_size 32, not 16"),
+    (lambda doc: {**doc, "scm": ckpt.scm_to_dict(ScmParams.zeros(3, 16, 5))},
+     "has SCM num_actions 5, not 3"),
+    (lambda doc: {**doc, "policy": ckpt.policy_to_dict(PolicyParams.zeros(
+        FeatureSpec.for_env(make_env("menunav"))))},
+     "has policy state_cards"),
 ])
 def test_checkpoint_rejects_missing_sections(edit, message, tmp_path,
                                              capsys):
-    """A bundle that is not an object, lacks a section or field, or names
-    an unknown env fails at load with ValueError, and the CLI prints one
-    line and exits 2."""
+    """A bundle that is not an object, lacks a section or field, names an
+    unknown env or holds a policy or SCM whose layout does not fit the env
+    it names fails at load with ValueError, and the CLI prints one line and
+    exits 2."""
     path = trained_checkpoint(tmp_path, iters=1)
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     with pytest.raises(ValueError, match=message):
@@ -265,7 +291,6 @@ def test_ablation_rejects_configs_that_share_a_run_name(tmp_path,
     monkeypatch.setenv("COSO_OUTPUT_DIR", str(tmp_path))
     base = tiny_config(seeds=(0, 1, 2))
     for twin in (dataclasses.replace(base, seeds=(3, 4, 5)),
-                 dataclasses.replace(base, force_uniform_weights=True),
                  dataclasses.replace(base, hyper=Hyperparams(alpha=0.5))):
         configs = [tiny_config(arm="rl", seeds=(0, 1, 2)), base, twin]
         with pytest.raises(ValueError, match="must differ"):
@@ -723,7 +748,7 @@ def test_decode_tables_built_once_per_call(env_id, tmp_path, monkeypatch):
     ({"eval_episodes": 2.5}, "eval_episodes"),
     ({"eval_every_iters": True}, "eval_every_iters"),
     ({"out_dir": 5}, "out_dir"),
-    ({"force_uniform_weights": 1}, "force_uniform_weights"),
+    ({"hyper": {"normalize_advantages": 1}}, "normalize_advantages"),
     ({"hyper": {"context": 1.5}}, "context"),
     ({"hyper": {"num_envs": True}}, "num_envs"),
     ({"hyper": {"alpha": "x"}}, "alpha"),

@@ -29,19 +29,17 @@ def small_hyper(**kw):
     return Hyperparams(**base)
 
 
-# (arm, force_uniform_weights, alpha) x seeds 0, 1: every arm, the uniform
-# weight hook, and an rl_h run with its own alpha
-MIXED = [(arm, uniform, alpha) for arm, uniform, alpha in (
-    ("rl", False, 0.1), ("rl_h", False, 0.1), ("coso", False, 0.1),
-    ("coso", True, 0.1), ("rl_h", False, 0.4))]
+# (arm, alpha) x seeds 0, 1: every arm, and a coso and an rl_h run with
+# an alpha of their own
+MIXED = [("rl", 0.1), ("rl_h", 0.1), ("coso", 0.1), ("coso", 0.4),
+         ("rl_h", 0.4)]
 
 
 def make_runs(env_id, hyper, optimizer="ppo", runs=MIXED, seeds=(0, 1)):
     env = make_env(env_id)
     return [Trainer(env, dataclasses.replace(hyper, alpha=alpha), seed,
-                    arm=arm, optimizer=optimizer,
-                    force_uniform_weights=uniform)
-            for arm, uniform, alpha in runs for seed in seeds]
+                    arm=arm, optimizer=optimizer)
+            for arm, alpha in runs for seed in seeds]
 
 
 def state_of(tr):
@@ -100,10 +98,9 @@ def test_mixed_arm_group_equals_solo_runs(env_id):
 
 
 def test_only_coso_runs_query_the_classifier(monkeypatch):
-    """Per iteration, each coso run without the uniform hook makes one
-    causal_weights_batch call, on its own classifier, and no other run
-    makes any, alone or in a mixed group; the group still equals its runs
-    trained alone."""
+    """Per iteration, each coso run makes one causal_weights_batch call,
+    on its own classifier, and no other run makes any, alone or in a mixed
+    group; the group still equals its runs trained alone."""
     original, weigh = cf.causal_weights_batch, Trainer.compute_weights
     calls, queried = [], {}
 
@@ -125,8 +122,7 @@ def test_only_coso_runs_query_the_classifier(monkeypatch):
     for a, b in zip(grouped, solo):
         assert_same_state(a, b)
     for tr in grouped + solo:
-        coso = tr.arm == "coso" and not tr.force_uniform_weights
-        assert queried[id(tr)] == (iters if coso else 0), tr.arm
+        assert queried[id(tr)] == (iters if tr.arm == "coso" else 0), tr.arm
 
 
 def test_awr_filter_group_with_some_runs_skipping_equals_solo_runs():
@@ -232,7 +228,7 @@ def test_a_rejected_group_raises_before_any_run_moves(case):
 
 # one run per arm and seed; at this learning rate the arms' policies part
 # fast enough that a seed's runs end their episodes at other ticks
-ARM_RUNS = [(arm, False, 0.1) for arm in harness.ARMS]
+ARM_RUNS = [(arm, 0.1) for arm in harness.ARMS]
 DRIFTING = small_hyper(policy_lr=0.5)
 
 
@@ -372,10 +368,10 @@ def run_files(path):
 def test_grouped_artifacts_equal_solo_runs(tmp_path, monkeypatch):
     base = base_config()
     configs = [dataclasses.replace(base, arm=arm) for arm in harness.ARMS]
-    # the uniform weight hook, under seeds of its own: its run name is the
-    # coso arm's
-    configs.append(dataclasses.replace(base, force_uniform_weights=True,
-                                       seeds=(2, 3)))
+    # a coso run at an alpha of its own, under seeds of its own: its run
+    # name is the coso arm's
+    configs.append(dataclasses.replace(
+        base, hyper=dataclasses.replace(base.hyper, alpha=0.4), seeds=(2, 3)))
     groups = record_groups(monkeypatch)
     monkeypatch.setenv("COSO_OUTPUT_DIR", str(tmp_path / "grouped"))
     grouped = harness.train_runs([(c, s) for c in configs for s in c.seeds])

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from coso import textmdp
-from coso.textmdp import (ACTION_KIND, FILLER, FORMAT, NULL, Action, EnvState,
-                          ParseError, TextEnv, env_ids, grammar_report,
-                          grammar_spec, make_env)
+from coso.textmdp import (ACTION_KIND, EOS, FILLER, FORMAT, NULL, Action,
+                          EnvState, ParseError, TextEnv, env_ids,
+                          grammar_report, make_env)
 
 
 def random_utterance(env, rng):
@@ -21,20 +21,20 @@ def test_registry():
 
 
 def test_numberline_grammar_roles():
-    g = grammar_spec("numberline")
+    g = make_env("numberline").grammar
     assert g.roles == (FILLER, FILLER, ACTION_KIND)
     assert g.kind_slot == 2
 
 
 def test_menunav_single_kind_slot():
-    g = grammar_spec("menunav")
+    g = make_env("menunav").grammar
     assert sum(r == ACTION_KIND for r in g.roles) == 1
     assert g.n == 6
 
 
 @pytest.mark.parametrize("env_id", env_ids())
 def test_majority_of_slots_are_inert(env_id):
-    g = grammar_spec(env_id)
+    g = make_env(env_id).grammar
     inert = sum(r in (FILLER, FORMAT) for r in g.roles)
     assert inert / g.n >= 0.5
 
@@ -178,9 +178,31 @@ def test_state_from_spec():
 def test_grammar_report_mentions_all_slots():
     for env_id in env_ids():
         rep = grammar_report(env_id)
-        g = grammar_spec(env_id)
+        g = make_env(env_id).grammar
         for i in range(g.n):
             assert f"[{i}]" in rep
+
+
+@pytest.mark.parametrize("env_id", env_ids())
+def test_legal_action_tokens_match_the_parse_table(env_id):
+    """The kind and arg entries of grammar.legal, which `coso envs
+    --dump-grammar` prints, are the tokens the compiled parse table
+    accepts: a kind token that parses with some arg token, and an arg token
+    that parses under every such kind."""
+    env = make_env(env_id)
+    g = env.grammar
+    tokens = np.arange(1, env.vocab.size)
+    kind, arg = np.meshgrid(tokens, tokens, indexing="ij")
+    ys = np.full((kind.size, g.n), EOS)  # the parser reads no other slot
+    ys[:, g.kind_slot] = kind.ravel()
+    for slot in g.arg_slots:
+        ys[:, slot] = arg.ravel()
+    ok = env.parse_batch(ys)[1].reshape(kind.shape)  # [kind, arg]
+    kinds = ok.any(axis=1)
+    assert g.legal[g.kind_slot] == frozenset(tokens[kinds].tolist())
+    for slot in g.arg_slots:
+        assert g.legal[slot] == frozenset(
+            tokens[ok[kinds].all(axis=0)].tolist())
 
 
 # -- lookup tables against the scalar oracles ---------------------------------
