@@ -12,13 +12,14 @@ Trainer and the others its phases are handed), train together on one
 RolloutBatch that holds their rows stacked run-first, each phase one pass
 over it, while every run keeps its own generator, state, snapshot id and
 causal weights (computed on a view of its rows).  Each run's results equal
-its own training alone, bit for bit.  One run is a group and a batch of
-one.  The runs of a group that share a seed also share their episode
-starts: each (seed, episode number) start is computed once per group, by
-the first run to reach it.  The rollout records each token's distribution
-while it samples, which is the batch's teacher forcing at the sampling
-policies; the first PPO epoch or the AWR step takes it, and
-teacher_forced_batch serves only the steps after the params move.
+its own training alone, bit for bit.  One run is a group of one, with a
+batch of one run and a list of one report.  The runs of a group that share
+a seed also share their episode starts: each (seed, episode number) start
+is computed once per group, by the first run to reach it.  The rollout
+records each token's distribution while it samples, which is the batch's
+teacher forcing at the sampling policies; the first PPO epoch or the AWR
+step takes it, and teacher_forced_batch serves only the steps after the
+params move.
 """
 from __future__ import annotations
 
@@ -38,6 +39,9 @@ from .scm import AdamState, ScmParams, adam_update_runs, stack_runs
 from .textmdp import EnvState, TextEnv, state_arrays
 
 
+ARMS = ("rl", "rl_h", "coso")
+OPTIMIZERS = ("ppo", "awr")
+
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
                 "str": str}
 
@@ -45,22 +49,18 @@ _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
 def check_field_types(obj) -> None:
     """Raise ValueError naming the first int, float, bool or str field of the
     dataclass obj that holds a value of another type, or a float field that
-    holds NaN or an infinity (JSON parses both); a field typed "X | None"
-    may also hold None.  As in JSON, an int is a float, but a bool is no
-    int."""
+    holds NaN or an infinity (JSON parses both).  As in JSON, an int is a
+    float, but a bool is no int."""
     for f in dataclasses.fields(obj):
-        kind = f.type.removesuffix(" | None")
-        want = _FIELD_TYPES.get(kind)
+        want = _FIELD_TYPES.get(f.type)
         value = getattr(obj, f.name)
-        if value is None and kind != f.type:
-            continue
         if want is not None and not (
                 isinstance(value, want)
-                and isinstance(value, bool) == (kind == "bool")):
+                and isinstance(value, bool) == (f.type == "bool")):
             raise ValueError(f"bad config value: {f.name}={value!r}: "
                              f"{type(value).__name__} not supported as "
                              f"{f.type}")
-        if kind == "float" and not isinstance(value, numbers.Integral) \
+        if f.type == "float" and not isinstance(value, numbers.Integral) \
                 and not math.isfinite(value):
             raise ValueError(f"bad config value: {f.name}={value!r}: not "
                              f"finite")
@@ -130,7 +130,6 @@ class UpdateReport:
     scm_loss: float
     invalid_rate: float
     grad_norm: float
-    buffer_size: int = 0
     env_steps: int = 0
     skipped: bool = False
 
@@ -294,8 +293,8 @@ def _augment_rewards(batch: RolloutBatch, alphas, gamma: float) -> np.ndarray:
 # ppo_update and awr_update take R runs in lockstep: stacked (R, dim, V)
 # policy weights and the runs' batch, Hyperparams (which differ in alpha
 # alone), Adam states and generators.  The advantages and forced cover the
-# batch's rows, and the losses, ratios, grad norms and skipped flags come
-# back as per-run lists.
+# batch's rows, and the losses, grad norms and skipped flags come back as
+# per-run lists.
 
 
 def _entropy_runs(hyper: Hyperparams, alphas) -> list:
@@ -367,8 +366,8 @@ def ppo_update(params: PolicyParams, batch: RolloutBatch, hyper,
     otherwise this call teacher-forces the batch once.  That one forcing
     gives the ratios, the losses and the first minibatch's gradient.
 
-    Returns (params, losses at call start, mean ratios, grad norms).
-    Raises if a run's rollout snapshot does not match its snapshot_id.
+    Returns (params, losses at call start, grad norms).  Raises if a run's
+    rollout snapshot does not match its snapshot_id.
     """
     if batch.snapshot_id != tuple(snapshot_id):
         raise ValueError("stale trajectories: snapshot id mismatch")
@@ -388,9 +387,7 @@ def ppo_update(params: PolicyParams, batch: RolloutBatch, hyper,
     coef = np.where(active, advantages * ratio, 0.0)
     weights, gnorms = _descend(params, batch, coef, h, alphas, opt, rng,
                                forced)
-    ratios = [float(x) for x in np.mean(batch.by_run(ratio), axis=1)]
-    return (PolicyParams(spec=params.spec, weights=weights), losses, ratios,
-            gnorms)
+    return PolicyParams(spec=params.spec, weights=weights), losses, gnorms
 
 
 def awr_update(params: PolicyParams, batch: RolloutBatch, hyper,
@@ -457,9 +454,9 @@ class Trainer:
 
     def __init__(self, env: TextEnv, hyper: Hyperparams, seed: int,
                  arm: str = "coso", optimizer: str = "ppo"):
-        if arm not in ("rl", "rl_h", "coso"):
+        if arm not in ARMS:
             raise ValueError(f"unknown arm {arm!r}")
-        if optimizer not in ("ppo", "awr"):
+        if optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {optimizer!r}")
         heap.keep_heap()  # the loop reuses its freed arrays' memory
         self.env = env
@@ -520,9 +517,9 @@ class Trainer:
         any draw.  The decoder records every token's distribution as it
         samples, so the batch's teacher forcing at the sampling policies
         (teacher_forced_batch runs the same decoder on given tokens) costs
-        no second pass.  It stays on this run for train_iteration, which takes it at
-        once; a rollout called on its own leaves it until the next one
-        replaces it.
+        no second pass.  It stays on this run for train_iteration, which
+        takes it at once; a rollout called on its own leaves it until the
+        next one replaces it.
         """
         trs = [self, *others]
         _check_group(trs)
@@ -606,10 +603,10 @@ class Trainer:
         batch.weights = used
         batch.hb = np.sum(used * batch.entropy, axis=1)
 
-    def train_iteration(self, *others: "Trainer"):
-        """One pass: rollout, counterfactual weights, SCM then policy update.
-        With others, one pass of this run and the others in lockstep, which
-        returns their UpdateReports in order."""
+    def train_iteration(self, *others: "Trainer") -> list:
+        """One pass of this run and the others in lockstep: rollout,
+        counterfactual weights, SCM then policy update.  Returns their
+        UpdateReports in order, a list of one without others."""
         batch = self.collect_rollouts(*others)
         forced, self._rollout_forcing = self._rollout_forcing, None
         trs, views = [self, *others], [batch.run(r) for r in range(batch.runs)]
@@ -628,12 +625,11 @@ class Trainer:
             mean_entropy=float(np.mean(np.sum(view.entropy, axis=1))),
             policy_loss=policy_loss, scm_loss=scm_loss,
             invalid_rate=float(np.mean(~view.parse_ok)),
-            grad_norm=gnorm, buffer_size=view.size,
-            env_steps=tr.total_env_steps, skipped=skipped)
+            grad_norm=gnorm, env_steps=tr.total_env_steps, skipped=skipped)
             for tr, view, scm_loss, (policy_loss, gnorm, skipped)
             in zip(trs, views, scm_losses,
                    self.update_policy(batch, *others, forced=forced))]
-        return reports if others else reports[0]
+        return reports
 
     def update_scm(self, batch: RolloutBatch, *others: "Trainer") -> list:
         """Each run's classifier trained on its own rows; their losses."""
@@ -685,7 +681,7 @@ class Trainer:
         rngs = [tr.rng for tr in trs]
         if self.optimizer == "ppo":
             for _ in range(hyper.ppo_epochs):
-                params, losses, _, gnorms = ppo_update(
+                params, losses, gnorms = ppo_update(
                     params, batch, hypers, adv, opts, rngs,
                     [tr.snapshot_id for tr in trs], forced=forced)
                 forced = None  # later epochs start from moved params

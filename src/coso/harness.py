@@ -24,13 +24,11 @@ from . import coso_rl
 from . import counterfactual as cf
 from . import policy as pol
 from . import tabular
-from .coso_rl import Hyperparams, Trainer, check_field_types
+from .coso_rl import ARMS, OPTIMIZERS, Hyperparams, Trainer, check_field_types
 from .scm import stack_runs
 from .textmdp import EnvState, TextEnv, env_ids, make_env, state_arrays
 
 EVAL_SEED_BASE = 990_000  # fixed eval episode seeds, shared by every run
-
-ARMS = ("rl", "rl_h", "coso")
 
 
 @dataclass
@@ -71,7 +69,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.arm not in ARMS:
             raise ValueError(f"unknown arm {self.arm!r}")
-        if self.optimizer not in ("ppo", "awr"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         # above 1 no run can reach it; below 0 every run does at once
         if not 0 <= self.success_threshold <= 1:
@@ -159,7 +157,7 @@ def _eval_starts(env: TextEnv, episodes: int) -> tuple:
 
 
 def evaluate_greedy(env: TextEnv, policy_params,
-                    episodes: int) -> float | list[float]:
+                    episodes: int) -> list[float]:
     """Greedy-decoding success rate over a fixed eval seed set.
 
     A state's greedy utterance does not change during the call, so every
@@ -170,9 +168,9 @@ def evaluate_greedy(env: TextEnv, policy_params,
 
     Stacked (R, dim, V) weights are R runs evaluated in one pass: one
     decode of the R * S states, and the R * episodes episodes in one
-    lockstep loop, run r's reading its own table.  They return the list of
-    the R rates, each equal to its run's own call; (dim, V) weights return
-    one float.
+    lockstep loop, run r's reading its own table.  Returns the list of the
+    R rates, each equal to its run's own call; (dim, V) weights are one
+    run, a list of one rate.
     """
     cards = policy_params.spec.state_cards
     tables = pol.decode_tables(policy_params)
@@ -195,8 +193,6 @@ def evaluate_greedy(env: TextEnv, policy_params,
         live = ~dones
         feats, steps, run, offset = (feats[live], steps[live], run[live],
                                      offset[live])
-    if policy_params.weights.ndim == 2:
-        return int(wins[0]) / episodes
     return [int(w) / episodes for w in wins]
 
 
@@ -240,8 +236,7 @@ def _train_group(jobs, write_artifacts: bool) -> list:
     rows = [[] for _ in jobs]
     it = 0
     while lead.total_env_steps < first.total_env_steps:
-        reports = (lead.train_iteration(*others) if others
-                   else [lead.train_iteration()])
+        reports = lead.train_iteration(*others)
         it += 1
         if it % first.eval_every_iters and \
                 lead.total_env_steps < first.total_env_steps:
@@ -523,7 +518,6 @@ class TheoryCheckSpec:
     improvement_tol: float = 1e-8
     monotonicity_tol: float = 1e-7
     decomposition_tol: float = 1e-10
-    corrupt_gamma: float | None = None  # negative-control hook
 
     def __post_init__(self):
         check_field_types(self)
@@ -602,13 +596,10 @@ def check_contraction(spec: TheoryCheckSpec) -> SuiteResult:
         # C order: pair k's two tables are drawn in turn, q[k, 0] then q[k, 1]
         q = rng.uniform(-5, 5, size=(spec.q_pairs, 2, mdp.num_states,
                                      mdp.num_actions))
-        t = tabular.bellman_backup(mdp, q, terms, alpha,
-                                   gamma=spec.corrupt_gamma)
+        t = tabular.bellman_backup(mdp, q, terms, alpha)
         lip = (np.max(np.abs(t[:, 0] - t[:, 1]), axis=(1, 2))
                / np.max(np.abs(q[:, 0] - q[:, 1]), axis=(1, 2)))
         excess = float(np.max(lip - mdp.gamma))
-        if spec.corrupt_gamma is not None:
-            return excess, True
         # the iterated backup's fixed point must match the direct linear solve
         q_iter, _ = tabular.policy_evaluation(mdp, policy, B, alpha, tol=1e-12)
         q_direct = tabular.policy_evaluation_direct(mdp, policy, B, alpha)
@@ -649,12 +640,8 @@ def check_iteration(spec: TheoryCheckSpec) -> SuiteResult:
 
 
 def theory_check(spec: TheoryCheckSpec | None = None) -> list:
-    """Run all four verifier suites; returns a list of SuiteResults.  The
-    negative control (corrupt_gamma) runs only the contraction suite, the
-    one that reads it."""
+    """Run all four verifier suites; returns a list of SuiteResults."""
     spec = spec or TheoryCheckSpec()
-    if spec.corrupt_gamma is not None:
-        return [check_contraction(spec)]
     return [check_decomposition(spec), check_contraction(spec),
             check_improvement(spec), check_iteration(spec)]
 

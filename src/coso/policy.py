@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .textmdp import NULL, EnvState, TextEnv, state_arrays
+from .textmdp import NULL, EnvState, TextEnv, integer_array, state_arrays
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,6 @@ class PolicyParams:
     @classmethod
     def zeros(cls, spec: FeatureSpec) -> "PolicyParams":
         return cls(spec=spec, weights=np.zeros((spec.dim, spec.vocab_size)))
-
-    def copy(self) -> "PolicyParams":
-        return PolicyParams(spec=self.spec, weights=self.weights.copy())
 
 
 def state_index(state_cards, states) -> np.ndarray:
@@ -228,10 +225,12 @@ def state_ids(state_cards, states) -> np.ndarray:
     """(m,) row-major index of each state's features over state_cards.
 
     states is an (m, k) int feature array or a sequence of EnvStates; a
-    feature outside its cardinality raises ValueError.
+    feature outside its cardinality or an array that is not of integers
+    raises ValueError.
     """
     if not isinstance(states, np.ndarray):
         states = state_arrays(states)[0]
+    integer_array(states, "state features")
     return np.ravel_multi_index(states.reshape(-1, len(state_cards)).T,
                                 state_cards)
 
@@ -459,13 +458,11 @@ def teacher_forced_batch(params: PolicyParams, states, utterances):
     cardinalities and non-finite weights raise ValueError.
     """
     spec = params.spec
-    toks = np.asarray(utterances)
+    toks = integer_array(utterances, "token ids")
     m = len(states)
     if toks.shape != (m, spec.n):
         raise ValueError(f"utterances of shape {toks.shape}, not ({m}, "
                          f"{spec.n})")
-    if not np.issubdtype(toks.dtype, np.integer):
-        raise ValueError(f"token ids of dtype {toks.dtype}, not integer")
     if np.any((toks < 0) | (toks >= spec.vocab_size)):
         raise ValueError("token out of vocab")
     toks = toks.astype(np.intp, copy=False)
@@ -510,7 +507,8 @@ def grad_objective(params: PolicyParams, states, utterances,
     be that of a larger batch whose rows forced_rows are these, so that no
     caller copies it whole.  For stacked runs, token_runs is a boolean mask
     over the runs whose token term counts (None: all); the token weights of
-    the other runs are not read.
+    the other runs are not read.  Token ids that are not integers raise
+    ValueError.
 
     Run by run, dJ/dz of all n positions is built in one pass over an
     (n, m, V) gather of the run's forcing, position-major so that each
@@ -527,7 +525,7 @@ def grad_objective(params: PolicyParams, states, utterances,
         raise ValueError("objective has no term")
     spec = params.spec
     n, V = spec.n, spec.vocab_size
-    toks = np.asarray(utterances, dtype=np.intp)
+    toks = integer_array(utterances, "token ids").astype(np.intp, copy=False)
     _, runs, m = _runs(params, len(states))
     if forced is None:
         forced, forced_rows = teacher_forced_batch(params, states, toks), None

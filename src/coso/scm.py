@@ -26,6 +26,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .textmdp import integer_array
+
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -105,13 +107,6 @@ class ScmParams:
                    weights=np.zeros((n * vocab_size, num_actions)),
                    bias=np.zeros(num_actions))
 
-    def copy(self) -> "ScmParams":
-        # Adam updates rebind the moments to new arrays and never write
-        # into them, so a shallow copy of an optimizer state is independent
-        return replace(self, weights=self.weights.copy(),
-                       bias=self.bias.copy(), opt_w=replace(self.opt_w),
-                       opt_b=replace(self.opt_b))
-
 
 # Module-level counter auditing how many sequences the SCM has scored;
 # the counterfactual tests use it to pin the interventions-per-utterance cost.
@@ -132,9 +127,7 @@ def _feature_indices(phi: ScmParams, ys: np.ndarray) -> np.ndarray:
 def checked_tokens(phi: ScmParams, ys) -> np.ndarray:
     """ys as an (M, n) intp array; a 1-d sequence is a batch of one.
     Raises ValueError unless they are integer token ids in the vocab."""
-    ys = np.asarray(ys)
-    if not np.issubdtype(ys.dtype, np.integer):
-        raise ValueError(f"token ids of dtype {ys.dtype}, not integer")
+    ys = integer_array(ys, "token ids")
     if ys.ndim == 1:
         ys = ys[None, :]
     if ys.ndim != 2 or ys.shape[1] != phi.n:
@@ -148,10 +141,7 @@ def checked_tokens(phi: ScmParams, ys) -> np.ndarray:
 def checked_actions(phi: ScmParams, actions, rows: int) -> np.ndarray:
     """actions as an intp array of one action class per row.  Raises
     ValueError unless they are an integer (rows,) array in [0, actions)."""
-    actions = np.asarray(actions)
-    if not np.issubdtype(actions.dtype, np.integer):
-        raise ValueError(f"action classes of dtype {actions.dtype}, "
-                         "not integer")
+    actions = integer_array(actions, "action classes")
     if actions.shape != (rows,):
         raise ValueError(f"action classes of shape {actions.shape} for "
                          f"{rows} rows")
@@ -226,15 +216,20 @@ def scm_likelihood_batch(phi: ScmParams, ys) -> np.ndarray:
     return _likelihoods(phi, ys).T
 
 
-def _step_runs(phis: list, ys, labels, lr: float, steps: int,
-               draw) -> tuple[list, list]:
-    """steps Adam steps of cross-entropy for R runs' classifiers at once.
+def train_scm(phis: list, ys, labels, lr: float, steps: int,
+              batch_size: int, rngs: list) -> tuple[list, list]:
+    """Minibatch cross-entropy training of R runs' classifiers in lockstep;
+    returns their final params and their mean losses at the last step's
+    pre-update params (nan after zero steps).
 
-    ys and labels hold run r's M rows at r * M.  draw(M) returns the
-    (R, steps, B) rows each run's steps take; it is called once, after
-    every check.  The phis stay untouched: each run gets a shallow copy
-    with new arrays.  Returns the runs' params and their mean losses at the
-    last step's pre-update params (nan after zero steps).
+    ys and labels hold run r's M rows at r * M.  Each step, run r draws
+    min(batch_size, M) of its rows with replacement from rngs[r] and takes
+    one Adam step of cross-entropy on them.  The tokens and labels are
+    checked and the tokens turned into feature indices once per call,
+    before any draw; each run then draws the rows of all its steps in one
+    call, which leaves its generator where steps draws of one step's rows
+    would.  The phis stay untouched: each run gets a shallow copy with new
+    arrays.
 
     Weights and their Adam moments are action-major (A, R * n * V) inside
     the loop and go back to the runs' (n * V, A) layout on exit.
@@ -252,7 +247,9 @@ def _step_runs(phis: list, ys, labels, lr: float, steps: int,
     # feature indices into the stacked weights, run r's block at r * n * V
     idx = _feature_indices(phi, ys)
     idx += np.repeat(np.arange(runs) * nv, m)
-    picks = draw(m) + (np.arange(runs) * m)[:, None, None]
+    picks = (stack_runs([g.integers(0, m, size=(steps, min(batch_size, m)))
+                         for g in rngs])
+             + (np.arange(runs) * m)[:, None, None])
     rows = picks[:, 0].size  # R * B
     # bias-gradient bins: (action, run) of every entry of the (A, R * B) dz
     bias_bins = (np.arange(a)[:, None] * runs
@@ -321,25 +318,6 @@ def _step_runs(phis: list, ys, labels, lr: float, steps: int,
         out.append(replace(phi, weights=w[r], bias=b[r], opt_w=opt_w[r],
                            opt_b=opt_b[r]))
     return out, [float(x) for x in losses]
-
-
-def train_scm(phis: list, ys, labels, lr: float, steps: int,
-              batch_size: int, rngs: list) -> tuple[list, list]:
-    """Minibatch cross-entropy training of R runs' classifiers in lockstep;
-    returns their final params and losses.
-
-    ys and labels hold run r's M rows at r * M.  Each step, run r draws
-    min(batch_size, M) of its rows with replacement from rngs[r] and takes
-    one Adam step of cross-entropy on them.  The tokens and labels are
-    checked and the tokens turned into feature indices once per call,
-    before any draw; each run then draws the rows of all its steps in one
-    call, which leaves its generator where steps draws of one step's rows
-    would.
-    """
-    def draw(m):
-        return stack_runs([g.integers(0, m, size=(steps, min(batch_size, m)))
-                           for g in rngs])
-    return _step_runs(phis, ys, labels, lr, steps, draw)
 
 
 def accuracy(phi: ScmParams, ys, labels) -> float:

@@ -63,10 +63,6 @@ class TabularMdp:
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
 
-    @property
-    def num_sequences(self) -> int:
-        return self.vocab_eff ** self.n
-
 
 @dataclass
 class TabularPolicy:
@@ -155,19 +151,18 @@ def policy_terms(mdp: TabularMdp, policy: TabularPolicy,
     return weighted_entropy_exact(policy, B), action_dist(mdp, policy)
 
 
-def bellman_backup(mdp: TabularMdp, Q: np.ndarray, terms, alpha: float,
-                   gamma: float | None = None) -> np.ndarray:
+def bellman_backup(mdp: TabularMdp, Q: np.ndarray, terms,
+                   alpha: float) -> np.ndarray:
     """One exact application of the weighted-entropy backup operator.
 
     ``Q`` is (S, A) or a stack (..., S, A), each table backed up bitwise as
     if alone.  ``terms`` is ``policy_terms(mdp, policy, B)`` of the policy
     being evaluated; the backup is only valid for that one policy.
     """
-    g = mdp.gamma if gamma is None else gamma
     h, d = terms
     v = alpha * h + np.sum(d * Q, axis=-1)  # (..., S) soft value per state
     # (S, A, S) @ (..., 1, S, 1): a flat (S*A, S) product differs by 1 ulp
-    return mdp.r + (g * mdp.P @ v[..., None, :, None])[..., 0]
+    return mdp.r + (mdp.gamma * mdp.P @ v[..., None, :, None])[..., 0]
 
 
 def policy_evaluation(mdp: TabularMdp, policy: TabularPolicy, B,

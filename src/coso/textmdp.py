@@ -49,12 +49,10 @@ class Vocab:
 class UtteranceGrammar:
     n: int
     roles: tuple[str, ...]
-    # legal token ids per slot, for grammar_report; parse never reads it
-    legal: tuple[frozenset, ...]
 
     def __post_init__(self):
-        if len(self.roles) != self.n or len(self.legal) != self.n:
-            raise ValueError("roles/legal must have one entry per slot")
+        if len(self.roles) != self.n:
+            raise ValueError("roles must have one entry per slot")
         if sum(r == ACTION_KIND for r in self.roles) != 1:
             raise ValueError("grammar must have exactly one ACTION_KIND slot")
 
@@ -99,6 +97,15 @@ def check_utterance(y: Sequence[int], n: int, vocab_size: int) -> None:
             raise ValueError("NULL token in utterance")
 
 
+def integer_array(a, what: str) -> np.ndarray:
+    """a as an array, if its dtype is an integer one; else ValueError naming
+    what.  Reads the dtype only, so it makes no pass over the elements."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"{what} of dtype {a.dtype}, not integer")
+    return a
+
+
 _TABLES: dict = {}  # env class -> its read-only lookup tables (_build_tables)
 
 
@@ -109,8 +116,7 @@ class TextEnv:
     vocab: Vocab
     grammar: UtteranceGrammar
     horizon: int
-    r_min: float = -0.05
-    r_max: float = 1.0
+    r_max: float = 1.0  # the success reward, which evaluate_greedy counts
     reset_reads_seed: bool = True  # False: reset returns one state always
 
     # kind-slot token id -> action kind tag
@@ -272,9 +278,10 @@ class TextEnv:
         """(action index, parse_ok) per row of an (m, n) token array.
 
         Table lookups equal to parse_or_noop + action_index; NULL and
-        out-of-vocab tokens raise ValueError, as check_utterance does.
+        out-of-vocab tokens raise ValueError, as check_utterance does, and
+        so do token ids that are not integers.
         """
-        ys = np.asarray(ys, dtype=np.intp)
+        ys = integer_array(ys, "token ids")
         g = self.grammar
         if ys.ndim != 2 or ys.shape[1] != g.n:
             raise ValueError(f"utterances of shape {ys.shape}, not (m, {g.n})")
@@ -289,13 +296,15 @@ class TextEnv:
 
         feats is (m, k), steps (m,) and actions (m,) action indices.  Table
         lookups equal to step; a feature outside its cardinality, an unknown
-        action and a finished episode raise ValueError.
+        action, a finished episode and an array that is not of integers
+        raise ValueError.
         """
-        steps = np.asarray(steps, dtype=np.intp)
+        feats = integer_array(feats, "state features")
+        steps = integer_array(steps, "step counts")
+        actions = integer_array(actions, "action indices")
         if np.any(steps >= self.horizon):
             raise ValueError("stepping a finished episode")
-        row = np.ravel_multi_index(
-            (*np.asarray(feats, dtype=np.intp).T, actions), self._table_dims)
+        row = np.ravel_multi_index((*feats.T, actions), self._table_dims)
         steps = steps + 1
         dones = self._terminal[row] | (steps >= self.horizon)
         return self._next_feats[row], steps, self._reward[row], dones
@@ -314,12 +323,8 @@ class NumberLineEnv(TextEnv):
         names = ("<null>", "<eos>", "plus", "minus", "noop", "the", "a",
                  "go", "move", "now", "ok", "um", "so", "then", "well", "yo")
         self.vocab = Vocab(size=16, names=names)
-        non_null = frozenset(range(1, 16))
-        self.grammar = UtteranceGrammar(
-            n=3,
-            roles=(FILLER, FILLER, ACTION_KIND),
-            legal=(non_null, non_null, frozenset(self.KIND_NAMES)),
-        )
+        self.grammar = UtteranceGrammar(n=3,
+                                        roles=(FILLER, FILLER, ACTION_KIND))
         self.kind_tokens = dict(self.KIND_NAMES)
         self.arg_tokens = {}
         self._build_tables()
@@ -387,13 +392,9 @@ class MenuNavEnv(TextEnv):
                    "get", "good", "fine", "done"]
         names += fillers
         self.vocab = Vocab(size=32, names=tuple(names))
-        non_null = frozenset(range(1, 32))
         self.grammar = UtteranceGrammar(
             n=6,
-            roles=(FILLER, FILLER, FILLER, FORMAT, ACTION_KIND, ACTION_ARG),
-            legal=(non_null, non_null, non_null, frozenset({7}),
-                   frozenset(self.KIND_NAMES), frozenset({8, 9, 10, 11})),
-        )
+            roles=(FILLER, FILLER, FILLER, FORMAT, ACTION_KIND, ACTION_ARG))
         self.kind_tokens = dict(self.KIND_NAMES)
         self.arg_tokens = {8: 0, 9: 1, 10: 2, 11: 3}
         self._build_tables()
@@ -477,13 +478,31 @@ def env_ids() -> tuple[str, ...]:
 
 
 def grammar_report(env_id: str) -> str:
-    """Human-readable dump of a grammar and its token tables."""
+    """Human-readable dump of a grammar: each slot's role and the tokens the
+    compiled parse table accepts there.
+
+    A kind token is listed if it parses under some arg token.  A kind token
+    reads the arg slot if its parse changes with the arg token; an arg token
+    is listed if it parses under every kind token that reads the slot, and
+    those kinds are named.  The parser reads no other slot.
+    """
     env = make_env(env_id)
-    g = env.grammar
+    g, names = env.grammar, env.vocab.names
+    # [kind token, arg token]; the NULL arg column is never read
+    ok, act = ((a[:, 1:] if g.arg_slots else a)
+               for a in (env._parse_ok, env._parse_action))
+    reads_arg = np.any((ok != ok[:, :1]) | (act != act[:, :1]), axis=1)
+
+    def listed(tokens) -> str:
+        return ",".join(names[t] for t in tokens)
+    read = {g.kind_slot: "legal: " + listed(np.flatnonzero(ok.any(axis=1)))}
+    if reads_arg.any():
+        args = np.flatnonzero(ok[reads_arg].all(axis=0)) + 1
+        read[g.arg_slots[0]] = (f"legal: {listed(args)} (read for "
+                                f"{listed(np.flatnonzero(reads_arg))})")
     lines = [f"env: {env.env_id}", f"vocab size: {env.vocab.size}",
              f"utterance length: {g.n}", f"horizon: {env.horizon}", "slots:"]
     for i, role in enumerate(g.roles):
-        legal = ",".join(env.vocab.names[t] for t in sorted(g.legal[i]))
-        lines.append(f"  [{i}] {role:11s} legal: {legal}")
+        lines.append(f"  [{i}] {role:11s} {read.get(i, 'not read')}")
     lines.append("actions: " + ", ".join(str(a) for a in env.action_classes()))
     return "\n".join(lines)

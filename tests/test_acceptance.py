@@ -26,7 +26,7 @@ from coso.scm import ScmParams, accuracy, train_scm
 from coso.textmdp import ACTION_ARG, ACTION_KIND, EnvState, make_env
 
 from test_coso_rl import constant_causal_weights
-from test_policy import objective_value
+from test_policy import nudged, objective_value
 
 
 def ok(criterion: int, message: str) -> None:
@@ -90,7 +90,7 @@ def menunav_runs(tmp_path_factory):
 
     Each run has two budget-matched checkpoints: the final one in its run
     dir and a mid-training snapshot (while every arm is still exploring),
-    copied at the first iteration at or past MID_STEPS by a wrapped
+    saved at the first iteration at or past MID_STEPS by a wrapped
     Trainer.train_iteration.  The recovery probe uses the mid-training
     checkpoints; weight-distribution checks use the end of the run.
     Returns ({arm: per-seed rows}, {arm: ablation table row}, seconds).
@@ -106,8 +106,11 @@ def menunav_runs(tmp_path_factory):
         for tr in (lead, *others):
             if (tr.total_env_steps >= MID_STEPS
                     and (tr.arm, tr.seed) not in snapshots):
-                snapshots[tr.arm, tr.seed] = (tr.policy.copy(), tr.scm.copy(),
-                                              tr.total_env_steps)
+                mid = root / f"{tr.arm}_seed{tr.seed}_mid.json"
+                ckpt.save_bundle(mid, tr.policy, tr.scm, "menunav",
+                                 meta={"seed": tr.seed, "arm": tr.arm,
+                                       "env_steps": tr.total_env_steps})
+                snapshots[tr.arm, tr.seed] = mid
         return reports
 
     with pytest.MonkeyPatch.context() as mp:
@@ -118,12 +121,7 @@ def menunav_runs(tmp_path_factory):
     for config in configs:
         rows = []
         for seed in config.seeds:
-            policy, scm, steps = snapshots[config.arm, seed]
-            mid = root / f"{config.arm}_seed{seed}_mid.json"
-            ckpt.save_bundle(mid, policy, scm, "menunav",
-                             meta={"seed": seed, "arm": config.arm,
-                                   "env_steps": steps})
-            rows.append({"seed": seed, "mid_ckpt": mid,
+            rows.append({"seed": seed, "mid_ckpt": snapshots[config.arm, seed],
                          "ckpt": root / config.run_name(seed)
                          / "checkpoint.json"})
         runs[config.arm] = rows
@@ -248,10 +246,7 @@ def test_criterion_6_gradient_correctness():
             fd = np.zeros_like(g)
             for i in range(g.shape[0]):
                 for j in range(g.shape[1]):
-                    up = params.copy()
-                    up.weights[i, j] += h
-                    dn = params.copy()
-                    dn.weights[i, j] -= h
+                    up, dn = nudged(params, i, j, h), nudged(params, i, j, -h)
                     fd[i, j] = (objective_value(up, states, ys, sw, tw)
                                 - objective_value(dn, states, ys, sw, tw)
                                 ) / (2 * h)

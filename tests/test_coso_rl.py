@@ -172,12 +172,13 @@ def fresh_rollout(seed=0, arm="coso", **hkw):
 
 
 def test_ppo_first_pass_ratios_are_one():
-    tr, batch = fresh_rollout()
-    adv = np.zeros(batch.size)
-    _, _, (mean_ratio,), _ = ppo_update(
-        group_of_one(tr.policy), batch, [tr.hyper], adv, [AdamState()],
-        [np.random.default_rng(0)], snapshot_id=[0])
-    assert abs(mean_ratio - 1.0) <= 1e-9
+    # at alpha 0 and unit advantages, the loss at call start is minus the
+    # mean ratio
+    tr, batch = fresh_rollout(arm="rl")
+    _, (loss,), _ = ppo_update(
+        group_of_one(tr.policy), batch, [tr.hyper], np.ones(batch.size),
+        [AdamState()], [np.random.default_rng(0)], snapshot_id=[0])
+    assert abs(loss + 1.0) <= 1e-9
 
 
 def test_ppo_rejects_stale_snapshot():
@@ -190,7 +191,7 @@ def test_ppo_rejects_stale_snapshot():
 
 def test_ppo_zero_advantage_zero_alpha_keeps_params():
     tr, batch = fresh_rollout(arm="rl")
-    params, _, _, (gnorm,) = ppo_update(
+    params, _, (gnorm,) = ppo_update(
         group_of_one(tr.policy), batch, [tr.hyper], np.zeros(batch.size),
         [AdamState()], [np.random.default_rng(0)], snapshot_id=[0])
     assert gnorm == 0.0
@@ -227,7 +228,7 @@ def test_awr_exp_weight_clamped():
 def run_iterations(arm, seed=0, iters=3, **hkw):
     env = make_env("numberline")
     tr = Trainer(env, small_hyper(**hkw), seed=seed, arm=arm)
-    reports = [tr.train_iteration() for _ in range(iters)]
+    reports = [tr.train_iteration()[0] for _ in range(iters)]
     return tr, reports
 
 
@@ -262,8 +263,7 @@ def test_alpha_zero_updates_independent_of_weights():
     a = Trainer(env, small_hyper(alpha=0.0), seed=5, arm="coso")
     b = Trainer(env, small_hyper(alpha=0.0), seed=5, arm="rl_h")
     for _ in range(3):
-        ra = a.train_iteration()
-        rb = b.train_iteration()
+        (ra,), (rb,) = a.train_iteration(), b.train_iteration()
         assert ra.mean_weighted_entropy != rb.mean_weighted_entropy
     np.testing.assert_array_equal(a.policy.weights, b.policy.weights)
 
@@ -308,7 +308,7 @@ def test_rl_arm_forces_alpha_zero():
     env = make_env("numberline")
     tr = Trainer(env, small_hyper(alpha=0.7), seed=0, arm="rl")
     assert tr.hyper.alpha == 0.0
-    rep = tr.train_iteration()
+    rep, = tr.train_iteration()
     assert rep.mean_weighted_entropy is None
 
 
@@ -353,10 +353,11 @@ def test_phase_order_in_a_lockstep_group(monkeypatch):
 
 def test_buffer_size_and_env_step_accounting():
     tr, reports = run_iterations("coso", iters=2)
-    assert reports[0].buffer_size == 64
     assert reports[0].env_steps == 64
     assert reports[1].env_steps == 128
     assert tr.total_env_steps == 128
+    assert tr.collect_rollouts().size == 64  # the buffer: one rollout
+    assert tr.total_env_steps == 192
 
 
 def test_weighted_entropy_within_bound():
@@ -396,7 +397,7 @@ def test_loss_bonus_vs_reward_bonus_both_learn_shapes():
     for placement in ("loss_bonus", "reward_bonus"):
         env = make_env("numberline")
         tr = Trainer(env, small_hyper(entropy_placement=placement), seed=6)
-        rep = tr.train_iteration()
+        rep, = tr.train_iteration()
         assert np.isfinite(rep.policy_loss)
         assert np.isfinite(rep.scm_loss)
 
@@ -411,9 +412,9 @@ def test_invalid_rate_reported():
 def test_learning_progress_on_numberline():
     env = make_env("numberline")
     tr = Trainer(env, Hyperparams(alpha=0.0), seed=1, arm="rl")
-    first = tr.train_iteration().mean_return
+    first = tr.train_iteration()[0].mean_return
     for _ in range(80):
-        rep = tr.train_iteration()
+        rep, = tr.train_iteration()
     assert rep.mean_return > first + 0.05
 
 
@@ -763,7 +764,7 @@ def test_train_iteration_teacher_forces_once(optimizer, monkeypatch):
                  seed=2, optimizer=optimizer)
     calls = count_forcing(monkeypatch)
     for _ in range(3):
-        rep = tr.train_iteration()
+        rep, = tr.train_iteration()
         assert not rep.skipped
     assert calls == []
     assert tr._rollout_forcing is None
@@ -792,7 +793,7 @@ def reference_update_policy(tr, batch):
     skipped = [False]
     if tr.optimizer == "ppo":
         for _ in range(hyper.ppo_epochs):
-            params, loss, _, gnorm = ppo_update(
+            params, loss, gnorm = ppo_update(
                 params, *args, [tr.snapshot_id], forced=None)
     else:
         params, loss, gnorm, skipped = awr_update(params, *args, forced=None)
@@ -863,8 +864,7 @@ def test_train_iteration_leaves_no_run_holding_a_forcing(optimizer, hkw):
     for runs in (1, 2):
         group = [Trainer(env, small_hyper(**hkw), seed=s, optimizer=optimizer)
                  for s in range(runs)]
-        reports = (group[0].train_iteration(*group[1:]) if runs > 1
-                   else [group[0].train_iteration()])
+        reports = group[0].train_iteration(*group[1:])
         assert all(r.skipped == ("adv_filter_threshold" in hkw)
                    for r in reports)
         assert all(tr._rollout_forcing is None for tr in group)

@@ -73,7 +73,7 @@ def train_both(make, iters):
     """Train make()'s runs alone and as one group; returns the trainers and
     the reports of both."""
     solo, grouped = make(), make()
-    solo_reports = [[tr.train_iteration() for tr in solo]
+    solo_reports = [[tr.train_iteration()[0] for tr in solo]
                     for _ in range(iters)]
     lead, *others = grouped
     group_reports = [lead.train_iteration(*others) for _ in range(iters)]

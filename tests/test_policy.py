@@ -283,14 +283,18 @@ def objective_terms(kind, sample_weights, token_weights):
             "combined": (sample_weights, token_weights)}[kind]
 
 
+def nudged(params, i, j, h):
+    """params with weight (i, j) moved by h, in a copy of the weights."""
+    weights = params.weights.copy()
+    weights[i, j] += h
+    return PolicyParams(spec=params.spec, weights=weights)
+
+
 def finite_difference(params, states, ys, sw, tw, h=1e-5):
     g = np.zeros_like(params.weights)
     for i in range(params.weights.shape[0]):
         for j in range(params.weights.shape[1]):
-            up = params.copy()
-            up.weights[i, j] += h
-            dn = params.copy()
-            dn.weights[i, j] -= h
+            up, dn = nudged(params, i, j, h), nudged(params, i, j, -h)
             g[i, j] = (objective_value(up, states, ys, sw, tw)
                        - objective_value(dn, states, ys, sw, tw)) / (2 * h)
     return g
@@ -304,6 +308,26 @@ def make_batch(spec, rng, size=3):
         ys.append(tuple(int(rng.integers(1, spec.vocab_size))
                         for _ in range(spec.n)))
     return states, ys
+
+
+def test_grad_objective_rejects_non_integer_tokens():
+    """Float token ids are rejected, not truncated to the integer tokens'
+    gradient, with or without the forcing given."""
+    spec = small_spec()
+    p = random_params(spec, np.random.default_rng(3))
+    states, ys = make_batch(spec, np.random.default_rng(4))
+    w = np.ones(len(ys))
+    forced = teacher_forced_batch(p, states, ys)
+    bad = np.asarray(ys) + 0.25
+    for given in (None, forced):
+        with pytest.raises(ValueError, match="not integer"):
+            grad_objective(p, states, bad, sample_weights=w, forced=given)
+
+
+def test_state_ids_reject_non_integer_features():
+    with pytest.raises(ValueError, match="not integer"):
+        pol.state_ids((10, 10), np.array([[1.5, 3.0]]))
+    assert pol.state_ids((10, 10), np.array([[1, 3]])).tolist() == [13]
 
 
 def test_entropy_gradient_zero_at_uniform():

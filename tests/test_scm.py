@@ -6,12 +6,19 @@ from coso.scm import ScmParams, accuracy, scm_likelihood_batch, train_scm
 from coso.textmdp import NULL, make_env
 
 
+class AllRows:
+    """A generator whose draw of rows is every row once, in order."""
+
+    def integers(self, low, high, size):
+        return np.broadcast_to(np.arange(low, high), size)
+
+
 def scm_update(phi, ys, labels, lr=1e-3):
     """One Adam step of cross-entropy on the whole batch of (sequence,
     action) pairs: the updated params and the mean loss at the pre-update
     params."""
-    (phi,), (loss,) = scm._step_runs([phi], ys, labels, lr, steps=1,
-                                     draw=lambda m: np.arange(m)[None, None])
+    (phi,), (loss,) = train_scm([phi], ys, labels, lr, steps=1,
+                                batch_size=len(ys), rngs=[AllRows()])
     return phi, loss
 
 

@@ -1,3 +1,6 @@
+import dataclasses
+import types
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,27 @@ from coso.tabular import (TabularMdp, TabularPolicy, action_dist,
 
 def random_B(rng, n):
     return rng.uniform(0.0, 1.0, size=n)
+
+
+def discounted(mdp, gamma):
+    """What bellman_backup reads of mdp (r, P and gamma) with another
+    discount, which may be one TabularMdp rejects: the negative controls
+    back up at 1.5."""
+    return types.SimpleNamespace(r=mdp.r, P=mdp.P, gamma=gamma)
+
+
+def expansive_pair_backups(monkeypatch, gamma=1.5):
+    """Negative control: check_contraction backs up its stacked Q pairs at
+    discount gamma, which is expansive above 1.  policy_evaluation's
+    backups, of single (S, A) tables, keep the MDP's own discount: at 1.5
+    it would iterate to max_iters."""
+    original = tabular.bellman_backup
+
+    def backup(mdp, Q, terms, alpha):
+        if Q.ndim == 4:  # (q_pairs, 2, S, A)
+            mdp = discounted(mdp, gamma)
+        return original(mdp, Q, terms, alpha)
+    monkeypatch.setattr(tabular, "bellman_backup", backup)
 
 
 def test_uniform_policy_entropy_closed_form():
@@ -100,8 +124,9 @@ def test_gamma_zero_backup_is_reward():
     mdp = random_mdp(rng)
     pi = TabularPolicy.random(mdp.num_states, mdp.vocab_eff, mdp.n, rng)
     Q = rng.normal(size=(mdp.num_states, mdp.num_actions))
-    out = bellman_backup(mdp, Q, policy_terms(mdp, pi, random_B(rng, mdp.n)),
-                         alpha=0.7, gamma=0.0)
+    out = bellman_backup(dataclasses.replace(mdp, gamma=0.0), Q,
+                         policy_terms(mdp, pi, random_B(rng, mdp.n)),
+                         alpha=0.7)
     np.testing.assert_allclose(out, mdp.r, atol=1e-14)
 
 
@@ -133,13 +158,13 @@ def test_contraction_on_random_pairs():
             assert d1 <= mdp.gamma * d0 + 1e-9
 
 
-def reference_backup(mdp, Q, pi, B, alpha, gamma=None):
-    """The backup built from scratch: every policy term recomputed per call."""
-    g = mdp.gamma if gamma is None else gamma
+def reference_backup(mdp, Q, pi, B, alpha, gamma):
+    """The backup at discount gamma built from scratch: every policy term
+    recomputed per call."""
     h = weighted_entropy_exact(pi, B)
     d = action_dist(mdp, pi)
     ev = np.sum(d * Q, axis=1)
-    return mdp.r + g * mdp.P @ (alpha * h + ev)
+    return mdp.r + gamma * mdp.P @ (alpha * h + ev)
 
 
 def test_backup_with_policy_terms_matches_reference():
@@ -153,14 +178,15 @@ def test_backup_with_policy_terms_matches_reference():
         pi = TabularPolicy.random(mdp.num_states, mdp.vocab_eff, mdp.n, rng)
         B = random_B(rng, mdp.n)
         terms = policy_terms(mdp, pi, B)
-        gamma = (None, 0.0, 1.5, float(rng.uniform(0.0, 1.0)))[k % 4]
+        gamma = (mdp.gamma, 0.0, 1.5, float(rng.uniform(0.0, 1.0)))[k % 4]
+        view = mdp if k % 4 == 0 else discounted(mdp, gamma)
         for alpha in (0.0, float(rng.uniform(0.0, 2.0))):
             for _ in range(3):
                 Q = rng.normal(scale=3.0,
                                size=(mdp.num_states, mdp.num_actions))
                 np.testing.assert_array_equal(
-                    bellman_backup(mdp, Q, terms, alpha, gamma=gamma),
-                    reference_backup(mdp, Q, pi, B, alpha, gamma=gamma))
+                    bellman_backup(view, Q, terms, alpha),
+                    reference_backup(mdp, Q, pi, B, alpha, gamma))
 
 
 def test_batched_backup_matches_per_q_calls():
@@ -176,18 +202,19 @@ def test_batched_backup_matches_per_q_calls():
             alpha = float(rng.uniform(0.0, 2.0))
             Q = rng.uniform(-5, 5, size=(7, 2, mdp.num_states,
                                          mdp.num_actions))
-            out = bellman_backup(mdp, Q, terms, alpha, gamma=gamma)
+            view = mdp if gamma is None else discounted(mdp, gamma)
+            out = bellman_backup(view, Q, terms, alpha)
             assert out.shape == Q.shape
             for k in range(7):
                 for j in range(2):
                     assert np.array_equal(
-                        out[k, j],
-                        bellman_backup(mdp, Q[k, j], terms, alpha,
-                                       gamma=gamma))
+                        out[k, j], bellman_backup(view, Q[k, j], terms,
+                                                  alpha))
 
 
-def reference_check_contraction(spec):
-    """check_contraction one Q pair at a time: two draws, two backups."""
+def reference_check_contraction(spec, pair_gamma=None):
+    """check_contraction one Q pair at a time: two draws, two backups, at
+    discount pair_gamma if given."""
     worst = -np.inf
     failing = []
     for i in range(spec.instances):
@@ -198,26 +225,24 @@ def reference_check_contraction(spec):
         B = rng.uniform(0.0, 1.0, size=mdp.n)
         alpha = float(rng.uniform(0.0, 2.0))
         terms = policy_terms(mdp, policy, B)
+        view = mdp if pair_gamma is None else discounted(mdp, pair_gamma)
         bad = False
         for _ in range(spec.q_pairs):
             shape = (mdp.num_states, mdp.num_actions)
             q1 = rng.uniform(-5, 5, size=shape)
             q2 = rng.uniform(-5, 5, size=shape)
-            t1 = bellman_backup(mdp, q1, terms, alpha,
-                                gamma=spec.corrupt_gamma)
-            t2 = bellman_backup(mdp, q2, terms, alpha,
-                                gamma=spec.corrupt_gamma)
+            t1 = bellman_backup(view, q1, terms, alpha)
+            t2 = bellman_backup(view, q2, terms, alpha)
             denom = float(np.max(np.abs(q1 - q2)))
             lip = float(np.max(np.abs(t1 - t2))) / denom
             excess = lip - mdp.gamma
             worst = max(worst, excess)
             if excess > spec.contraction_tol:
                 bad = True
-        if spec.corrupt_gamma is None:
-            q_iter, _ = policy_evaluation(mdp, policy, B, alpha, tol=1e-12)
-            q_direct = policy_evaluation_direct(mdp, policy, B, alpha)
-            if float(np.max(np.abs(q_iter - q_direct))) > spec.fixed_point_tol:
-                bad = True
+        q_iter, _ = policy_evaluation(mdp, policy, B, alpha, tol=1e-12)
+        q_direct = policy_evaluation_direct(mdp, policy, B, alpha)
+        if float(np.max(np.abs(q_iter - q_direct))) > spec.fixed_point_tol:
+            bad = True
         if bad:
             failing.append(inst_seed)
     return harness.SuiteResult("contraction", not failing, worst, failing)
@@ -225,15 +250,31 @@ def reference_check_contraction(spec):
 
 @pytest.mark.parametrize("seed,corrupt_gamma",
                          [(0, None), (1, None), (0, 1.5), (1, 1.5)])
-def test_check_contraction_matches_per_pair_reference(seed, corrupt_gamma):
-    spec = harness.TheoryCheckSpec(instances=50, seed=seed,
-                                   corrupt_gamma=corrupt_gamma)
+def test_check_contraction_matches_per_pair_reference(seed, corrupt_gamma,
+                                                      monkeypatch):
+    spec = harness.TheoryCheckSpec(instances=50, seed=seed)
+    want = reference_check_contraction(spec, pair_gamma=corrupt_gamma)
+    if corrupt_gamma is not None:
+        expansive_pair_backups(monkeypatch, corrupt_gamma)
     got = harness.check_contraction(spec)
-    want = reference_check_contraction(spec)
     assert got.name == want.name
     assert got.passed == want.passed == (corrupt_gamma is None)
     assert float.hex(got.worst) == float.hex(want.worst)
     assert got.failing_seeds == want.failing_seeds
+
+
+def test_theory_check_negative_control(monkeypatch):
+    """Expansive pair backups (discount 1.5) fail the contraction suite, on
+    its Lipschitz excess alone, and no other suite."""
+    expansive_pair_backups(monkeypatch)
+    spec = harness.TheoryCheckSpec(instances=5, q_pairs=10)
+    results = harness.theory_check(spec)
+    assert [(r.name, r.passed) for r in results] == [
+        ("entropy_decomposition", True), ("contraction", False),
+        ("improvement", True), ("iteration", True)]
+    contraction = results[1]
+    assert contraction.failing_seeds
+    assert contraction.worst > spec.contraction_tol
 
 
 def test_policy_evaluation_runs_only_in_the_contraction_check(monkeypatch):
@@ -255,10 +296,6 @@ def test_policy_evaluation_runs_only_in_the_contraction_check(monkeypatch):
     assert calls == []
     harness.check_contraction(spec)
     assert len(calls) == spec.instances
-    calls.clear()
-    harness.check_contraction(harness.TheoryCheckSpec(instances=4, q_pairs=5,
-                                                      corrupt_gamma=1.5))
-    assert calls == []
 
 
 def test_policy_evaluation_computes_policy_terms_once(monkeypatch):
@@ -401,7 +438,7 @@ def test_soft_improve_zero_coefficient_is_one_hot_ties_lowest():
         # greedy with ties to the lowest token at every prefix picks the
         # lexicographically first best sequence
         np.testing.assert_array_equal(
-            out.seq_probs(), np.eye(mdp.num_sequences)[first_best])
+            out.seq_probs(), np.eye(mdp.vocab_eff ** mdp.n)[first_best])
     # a zero B_i makes only that position greedy
     out = soft_improve(mdp, Q, np.array([0.0, 0.5, 0.5]), alpha=0.7)
     assert np.all((out.tables[0] == 0.0) | (out.tables[0] == 1.0))
@@ -480,8 +517,8 @@ def test_policy_iteration_negative_control_diverges_detectably():
     Q1 = rng.normal(size=(mdp.num_states, mdp.num_actions))
     Q2 = rng.normal(size=(mdp.num_states, mdp.num_actions))
     terms = policy_terms(mdp, pi, np.ones(mdp.n))
-    t1 = bellman_backup(mdp, Q1, terms, 0.5, gamma=1.5)
-    t2 = bellman_backup(mdp, Q2, terms, 0.5, gamma=1.5)
+    t1 = bellman_backup(discounted(mdp, 1.5), Q1, terms, 0.5)
+    t2 = bellman_backup(discounted(mdp, 1.5), Q2, terms, 0.5)
     ratio = np.max(np.abs(t1 - t2)) / np.max(np.abs(Q1 - Q2))
     assert ratio > 1.0 or ratio <= 1.5  # expansion is possible, not certain
     # and evaluation refuses to converge quickly for an expansive operator

@@ -156,7 +156,7 @@ def test_reward_bounds_and_termination_random_play():
                 a, _ = env.parse_or_noop(y)
                 s, r, done = env.step(s, a)
                 steps += 1
-                assert env.r_min <= r <= env.r_max
+                assert -0.05 <= r <= env.r_max  # -0.05: a NOOP's penalty
             assert steps <= env.horizon
 
 
@@ -185,24 +185,41 @@ def test_grammar_report_mentions_all_slots():
 
 @pytest.mark.parametrize("env_id", env_ids())
 def test_legal_action_tokens_match_the_parse_table(env_id):
-    """The kind and arg entries of grammar.legal, which `coso envs
-    --dump-grammar` prints, are the tokens the compiled parse table
-    accepts: a kind token that parses with some arg token, and an arg token
-    that parses under every such kind."""
+    """`coso envs --dump-grammar` prints, per slot, what the parser accepts
+    there: the kind tokens that parse with some arg token; the arg tokens
+    that parse under every kind whose parse reads the arg, and those
+    kinds; and "not read" for every other slot."""
     env = make_env(env_id)
-    g = env.grammar
+    g, names = env.grammar, env.vocab.names
     tokens = np.arange(1, env.vocab.size)
     kind, arg = np.meshgrid(tokens, tokens, indexing="ij")
     ys = np.full((kind.size, g.n), EOS)  # the parser reads no other slot
     ys[:, g.kind_slot] = kind.ravel()
     for slot in g.arg_slots:
         ys[:, slot] = arg.ravel()
-    ok = env.parse_batch(ys)[1].reshape(kind.shape)  # [kind, arg]
-    kinds = ok.any(axis=1)
-    assert g.legal[g.kind_slot] == frozenset(tokens[kinds].tolist())
-    for slot in g.arg_slots:
-        assert g.legal[slot] == frozenset(
-            tokens[ok[kinds].all(axis=0)].tolist())
+    act, ok = (a.reshape(kind.shape) for a in env.parse_batch(ys))
+    reads = np.any((act != act[:, :1]) | (ok != ok[:, :1]), axis=1)
+
+    def listed(ts):
+        return ",".join(names[t] for t in ts)
+    want = {g.kind_slot: "legal: " + listed(tokens[ok.any(axis=1)])}
+    if reads.any():
+        want[g.arg_slots[0]] = (
+            f"legal: {listed(tokens[ok[reads].all(axis=0)])} "
+            f"(read for {listed(tokens[reads])})")
+    report = grammar_report(env_id).splitlines()
+    for i, role in enumerate(g.roles):
+        assert f"  [{i}] {role:11s} {want.get(i, 'not read')}" in report
+
+
+def test_menunav_grammar_report_names_the_slots_the_parser_reads():
+    # the parser never reads the ':' slot, and reads the arg for CLICK only
+    report = grammar_report("menunav").splitlines()
+    assert "  [3] FORMAT      not read" in report
+    assert "  [4] ACTION_KIND legal: click,back,home,type,noop" in report
+    assert "  [5] ACTION_ARG  legal: s0,s1,s2,s3 (read for click)" in report
+    env = make_env("menunav")
+    assert env.parse_batch([[20, 20, 20, 20, 3, 20]])[1].tolist() == [True]
 
 
 # -- lookup tables against the scalar oracles ---------------------------------
@@ -260,6 +277,18 @@ def test_parse_batch_rejects_null_and_out_of_vocab(env_id):
         env.parse_batch(np.ones((2, env.grammar.n + 1), dtype=int))
 
 
+def test_parse_batch_rejects_non_integer_tokens():
+    """Float token ids are rejected, not truncated: (5.7, 6.2, 2.9) would
+    parse as (5, 6, 2)."""
+    env = make_env("numberline")
+    for ys in ([[5.7, 6.2, 2.9]], [[5.0, 6.0, 2.0]], [[True, True, True]]):
+        with pytest.raises(ValueError, match="not integer"):
+            env.parse_batch(ys)
+    want = env.parse_batch([[5, 6, 2]])
+    got = env.parse_batch(np.array([[5, 6, 2]], dtype=np.uint8))
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
 @pytest.mark.parametrize("env_id", env_ids())
 def test_step_table_matches_oracle_everywhere(env_id):
     """Every state x action x step count below the horizon."""
@@ -296,6 +325,17 @@ def test_step_batch_rejects_finished_and_unknown_inputs(env_id):
     for bad in (env.num_actions, -1):
         with pytest.raises(ValueError):
             env.step_batch(zeros, [0], [bad])
+
+
+def test_step_batch_rejects_non_integer_inputs():
+    """Float features, step counts and actions are rejected, not
+    truncated: features (1.5, 3.2) would step the state (1, 3)."""
+    env = make_env("numberline")
+    for args in (([[1.5, 3.2]], [0], [0]), ([[1, 3]], [0.0], [0]),
+                 ([[1, 3]], [0], [0.0])):
+        with pytest.raises(ValueError, match="not integer"):
+            env.step_batch(*args)
+    assert env.step_batch([[1, 3]], [0], [0])[0].tolist() == [[2, 3]]
 
 
 TABLES = ("_parse_action", "_parse_ok", "_next_feats", "_reward",

@@ -2,11 +2,11 @@
 
 Trains the reference runs, writes their run directories under OUT_DIR,
 renders cf_report and probe JSON from their checkpoints and prints one
-sorted JSON map {artifact: sha256} followed by the sha256 of that map.
-The map also holds the sha256 of the tabular verifier's report at the
-default ``TheoryCheckSpec`` and at its negative control,
-``corrupt_gamma=1.5``, and of the table, series and per-arm summaries of
-one small ``ablation_matrix`` run (numberline, 3 arms x seeds 0-2).
+sorted JSON map {artifact: sha256} followed by the sha256 of that map and
+its entry count.  The map also holds the sha256 of the tabular verifier's
+report at the default ``TheoryCheckSpec``, and of the table, series and
+per-arm summaries of one small ``ablation_matrix`` run (numberline, 3 arms
+x seeds 0-2).
 
     PYTHONPATH=src python3 tools/golden_hashes.py OUT_DIR > change.json
     PYTHONPATH=<other checkout>/src python3 tools/golden_hashes.py OUT_DIR2 \
@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 from coso import harness
-from coso.harness import RunConfig, TheoryCheckSpec
+from coso.harness import RunConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -126,13 +126,10 @@ def main(argv: list[str]) -> int:
                 json.dumps(probe, sort_keys=True).encode())
     hashes["theory_report.txt"] = _sha(
         harness.theory_report(harness.theory_check()).encode())
-    hashes["theory_report[corrupt_gamma=1.5].txt"] = _sha(
-        harness.theory_report(harness.theory_check(
-            TheoryCheckSpec(corrupt_gamma=1.5))).encode())
     hashes.update(_ablation_hashes(out / "ablation"))
     text = json.dumps(dict(sorted(hashes.items())), indent=1)
     print(text)
-    print(f"map sha256 {_sha(text.encode())}")
+    print(f"map sha256 {_sha(text.encode())} entries {len(hashes)}")
     return 0
 
 
