@@ -3,8 +3,10 @@
 Arms: rl (no entropy bonus), rl_h (plain entropy bonus, all weights one),
 coso (entropy weighted by counterfactual token attribution). All arms share
 seeds and consume identical randomness; the only difference is the weight
-vector fed to the entropy term. Budget is kept small so the demo finishes in
-a few seconds; the configs/ directory holds the full-budget settings.
+vector fed to the entropy term. Only coso trains its surrogate classifier;
+rl and rl_h make its row draws without training one. Budget is kept small
+so the demo finishes in a few seconds; the configs/ directory holds the
+full-budget settings.
 """
 import dataclasses
 

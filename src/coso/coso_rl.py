@@ -5,7 +5,11 @@ causal weights: the regularizer is sum_i B_i * H(y_i | y_<i) instead of the
 plain conditional-entropy sum.  Two optimizer instantiations are provided
 (clipped-surrogate PPO and advantage-weighted regression), both stepping on
 the gradient of policy.grad_objective, plus the online loop: rollout,
-counterfactual weighting, classifier update, policy update.
+counterfactual weighting, classifier update, policy update.  Only coso runs
+read a classifier, so only they query and train one; an rl or rl_h run
+keeps its initial classifier and reports no SCM loss, but makes the
+classifier update's row draws all the same, so every arm of a seed
+consumes identical randomness.
 
 Every phase takes a run axis: R compatible runs, a lockstep group (a lead
 Trainer and the others its phases are handed), train together on one
@@ -127,7 +131,7 @@ class UpdateReport:
     mean_weighted_entropy: float | None
     mean_entropy: float
     policy_loss: float
-    scm_loss: float
+    scm_loss: float | None  # None: an rl or rl_h run, which trains no SCM
     invalid_rate: float
     grad_norm: float
     env_steps: int = 0
@@ -444,7 +448,9 @@ class Trainer:
     arm: 'rl' (alpha forced to 0), 'rl_h' (uniform weights), or 'coso'
     (classifier-derived weights); the arm alone decides B.  All arms
     consume identical randomness; the only difference is the weight vector
-    fed to the entropy term.  Each phase takes the other runs of a lockstep
+    fed to the entropy term.  Only a coso run trains its classifier: an rl
+    or rl_h run keeps ScmParams.zeros and makes the same row draws
+    (update_scm).  Each phase takes the other runs of a lockstep
     group, this run leading; the runs must share their lockstep_key and
     their step count and may differ in arm, seed and alpha.  Episode number i
     starts from env.reset of a seed drawn from SeedSequence([seed, i]),
@@ -605,8 +611,9 @@ class Trainer:
 
     def train_iteration(self, *others: "Trainer") -> list:
         """One pass of this run and the others in lockstep: rollout,
-        counterfactual weights, SCM then policy update.  Returns their
-        UpdateReports in order, a list of one without others."""
+        counterfactual weights, the coso runs' SCM update, then the policy
+        update.  Returns their UpdateReports in order, a list of one
+        without others; a baseline's scm_loss is None."""
         batch = self.collect_rollouts(*others)
         forced, self._rollout_forcing = self._rollout_forcing, None
         trs, views = [self, *others], [batch.run(r) for r in range(batch.runs)]
@@ -616,7 +623,7 @@ class Trainer:
             parts = [getattr(view, name) for view in views]
             setattr(batch, name, np.concatenate(parts) if others else parts[0])
         scm_losses = self.update_scm(batch, *others)
-        if not np.all(np.isfinite(scm_losses)):
+        if not np.all(np.isfinite([x for x in scm_losses if x is not None])):
             raise RuntimeError("SCM update diverged; policy update aborted")
         reports = [UpdateReport(
             mean_return=float(np.mean(view.rewards)),
@@ -632,14 +639,34 @@ class Trainer:
         return reports
 
     def update_scm(self, batch: RolloutBatch, *others: "Trainer") -> list:
-        """Each run's classifier trained on its own rows; their losses."""
+        """Each coso run's classifier trained on its own rows; per run its
+        loss, None for an rl or rl_h run.
+
+        Only coso reads its classifier, so the baselines train none and
+        keep their initial one.  A baseline still makes the update's row
+        draw (scm.draw_rows), so every arm's generator moves alike and the
+        baselines' trajectories are those of runs that train one.
+        """
         trs, hyper = [self, *others], self.hyper
-        phis, losses = scm_mod.train_scm(
-            [tr.scm for tr in trs], batch.utterances, batch.action_idx,
-            lr=hyper.scm_lr, steps=hyper.scm_steps,
-            batch_size=hyper.scm_batch_size, rngs=[tr.rng for tr in trs])
-        for tr, phi in zip(trs, phis):
-            tr.scm = phi
+        coso = [tr.arm == "coso" for tr in trs]
+        for tr, trains in zip(trs, coso):
+            if not trains:
+                scm_mod.draw_rows(tr.rng, batch.per_run, hyper.scm_steps,
+                                  hyper.scm_batch_size)
+        losses = [None] * len(trs)
+        if not any(coso):
+            return losses
+        keep = np.flatnonzero(coso)
+        ys, labels = batch.utterances, batch.action_idx
+        if len(keep) < len(trs):
+            rows = batch.rows(keep)
+            ys, labels = ys[rows], labels[rows]
+        phis, trained = scm_mod.train_scm(
+            [trs[r].scm for r in keep], ys, labels, lr=hyper.scm_lr,
+            steps=hyper.scm_steps, batch_size=hyper.scm_batch_size,
+            rngs=[trs[r].rng for r in keep])
+        for r, phi, loss in zip(keep, phis, trained):
+            trs[r].scm, losses[r] = phi, loss
         return losses
 
     def update_policy(self, batch: RolloutBatch, *others: "Trainer",

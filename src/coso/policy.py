@@ -507,8 +507,8 @@ def grad_objective(params: PolicyParams, states, utterances,
     be that of a larger batch whose rows forced_rows are these, so that no
     caller copies it whole.  For stacked runs, token_runs is a boolean mask
     over the runs whose token term counts (None: all); the token weights of
-    the other runs are not read.  Token ids that are not integers raise
-    ValueError.
+    the other runs are not read.  Token ids that are not integers or not
+    in the vocab raise ValueError, forced or not.
 
     Run by run, dJ/dz of all n positions is built in one pass over an
     (n, m, V) gather of the run's forcing, position-major so that each
@@ -526,6 +526,9 @@ def grad_objective(params: PolicyParams, states, utterances,
     spec = params.spec
     n, V = spec.n, spec.vocab_size
     toks = integer_array(utterances, "token ids").astype(np.intp, copy=False)
+    # one comparison: as unsigned, a negative id is above every vocab id
+    if np.any(toks.view(np.uintp) >= V):
+        raise ValueError("token out of vocab")
     _, runs, m = _runs(params, len(states))
     if forced is None:
         forced, forced_rows = teacher_forced_batch(params, states, toks), None

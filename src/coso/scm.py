@@ -216,6 +216,13 @@ def scm_likelihood_batch(phi: ScmParams, ys) -> np.ndarray:
     return _likelihoods(phi, ys).T
 
 
+def draw_rows(rng: np.random.Generator, m: int, steps: int,
+              batch_size: int) -> np.ndarray:
+    """The (steps, min(batch_size, m)) row indices, with replacement, that
+    one run's classifier update of steps steps draws from its m rows."""
+    return rng.integers(0, m, size=(steps, min(batch_size, m)))
+
+
 def train_scm(phis: list, ys, labels, lr: float, steps: int,
               batch_size: int, rngs: list) -> tuple[list, list]:
     """Minibatch cross-entropy training of R runs' classifiers in lockstep;
@@ -227,9 +234,9 @@ def train_scm(phis: list, ys, labels, lr: float, steps: int,
     one Adam step of cross-entropy on them.  The tokens and labels are
     checked and the tokens turned into feature indices once per call,
     before any draw; each run then draws the rows of all its steps in one
-    call, which leaves its generator where steps draws of one step's rows
-    would.  The phis stay untouched: each run gets a shallow copy with new
-    arrays.
+    draw_rows call, which leaves its generator where steps draws of one
+    step's rows would.  The phis stay untouched: each run gets a shallow
+    copy with new arrays.
 
     Weights and their Adam moments are action-major (A, R * n * V) inside
     the loop and go back to the runs' (n * V, A) layout on exit.
@@ -247,8 +254,7 @@ def train_scm(phis: list, ys, labels, lr: float, steps: int,
     # feature indices into the stacked weights, run r's block at r * n * V
     idx = _feature_indices(phi, ys)
     idx += np.repeat(np.arange(runs) * nv, m)
-    picks = (stack_runs([g.integers(0, m, size=(steps, min(batch_size, m)))
-                         for g in rngs])
+    picks = (stack_runs([draw_rows(g, m, steps, batch_size) for g in rngs])
              + (np.arange(runs) * m)[:, None, None])
     rows = picks[:, 0].size  # R * B
     # bias-gradient bins: (action, run) of every entry of the (A, R * B) dz

@@ -25,7 +25,7 @@ from coso.policy import FeatureSpec, PolicyParams
 from coso.scm import ScmParams, accuracy, train_scm
 from coso.textmdp import ACTION_ARG, ACTION_KIND, EnvState, make_env
 
-from test_coso_rl import constant_causal_weights
+from test_coso_rl import assert_untrained_scm, constant_causal_weights
 from test_policy import nudged, objective_value
 
 
@@ -201,7 +201,9 @@ def test_criterion_5_degeneracy_identities(monkeypatch):
     monkeypatch.undo()
     assert len(asked) == 3  # the coso run's one query per iteration
     assert np.array_equal(a.policy.weights, b.policy.weights)
-    assert np.array_equal(a.scm.weights, b.scm.weights)
+    # rl_h trains no classifier, but draws its rows: one generator state
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+    assert_untrained_scm(a)
 
     # alpha == 0 makes the update independent of B: coso equals rl, bitwise
     hp0 = Hyperparams(alpha=0.0, rollout_steps=64, num_envs=8, scm_steps=2)

@@ -6,11 +6,12 @@ import pytest
 from coso import coso_rl
 from coso import counterfactual as cf
 from coso import policy as pol
+from coso import scm as scm_mod
 from coso.coso_rl import (Hyperparams, RolloutBatch, Trainer,
                           augmented_reward, awr_update, fit_value,
                           gae_advantages, ppo_update, value_features)
 from coso.policy import FeatureSpec, PolicyParams
-from coso.scm import AdamState
+from coso.scm import AdamState, ScmParams
 from coso.textmdp import EnvState, make_env, state_arrays
 
 
@@ -244,6 +245,16 @@ def constant_causal_weights(monkeypatch):
     return asked
 
 
+def assert_untrained_scm(tr):
+    """tr's classifier is its initial one: zero weights and biases, and
+    Adam at step 0."""
+    env, phi = tr.env, tr.scm
+    zero = ScmParams.zeros(env.grammar.n, env.vocab.size, env.num_actions)
+    for got, want in ((phi.weights, zero.weights), (phi.bias, zero.bias)):
+        assert got.tobytes() == want.tobytes()
+    assert phi.opt_w.step == phi.opt_b.step == 0
+
+
 def test_constant_causal_weights_match_rl_h_bitwise(monkeypatch):
     asked = constant_causal_weights(monkeypatch)
     env = make_env("numberline")
@@ -254,7 +265,9 @@ def test_constant_causal_weights_match_rl_h_bitwise(monkeypatch):
         b.train_iteration()
     assert len(asked) == 3
     np.testing.assert_array_equal(a.policy.weights, b.policy.weights)
-    np.testing.assert_array_equal(a.scm.weights, b.scm.weights)
+    # rl_h trains no classifier, but draws its rows: one generator state
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+    assert_untrained_scm(a)
 
 
 def test_alpha_zero_updates_independent_of_weights():
@@ -400,6 +413,28 @@ def test_loss_bonus_vs_reward_bonus_both_learn_shapes():
         rep, = tr.train_iteration()
         assert np.isfinite(rep.policy_loss)
         assert np.isfinite(rep.scm_loss)
+
+
+def test_only_coso_runs_report_an_scm_loss(monkeypatch):
+    """A baseline's scm_loss is None and passes the divergence check; a
+    coso run's NaN loss still aborts the iteration."""
+    env = make_env("numberline")
+    lead, *others = [Trainer(env, small_hyper(), seed=0, arm=arm)
+                     for arm in ("rl", "rl_h", "coso")]
+    reports = lead.train_iteration(*others)
+    assert [r.scm_loss is None for r in reports] == [True, True, False]
+    assert np.isfinite(reports[2].scm_loss)
+    original = scm_mod.train_scm
+
+    def nan_losses(*args, **kw):
+        phis, losses = original(*args, **kw)
+        return phis, [float("nan")] * len(losses)
+    monkeypatch.setattr(scm_mod, "train_scm", nan_losses)
+    with pytest.raises(RuntimeError, match="SCM update diverged"):
+        lead.train_iteration(*others)
+    rl, rl_h = (Trainer(env, small_hyper(), seed=0, arm=arm)
+                for arm in ("rl", "rl_h"))
+    assert [r.scm_loss for r in rl.train_iteration(rl_h)] == [None, None]
 
 
 def test_invalid_rate_reported():

@@ -253,18 +253,25 @@ def test_run_artifacts_and_byte_determinism(tmp_path, monkeypatch):
 
 
 def test_metrics_rows_schema(tmp_path, monkeypatch):
+    """Every arm writes every key; scm_loss is null for rl and rl_h, which
+    train no classifier, and finite for coso."""
     monkeypatch.setenv("COSO_OUTPUT_DIR", str(tmp_path))
-    cfg = tiny_config()
-    res = run_single_seed(cfg, seed=0)
-    lines = (Path(res.run_dir) / "metrics.jsonl").read_text().splitlines()
-    assert lines
-    for line in lines:
-        row = json.loads(line)
-        assert row["schema_version"] == 1
-        for key in ("env_steps", "eval_success", "mean_return",
-                    "invalid_rate", "mean_entropy", "policy_loss",
-                    "scm_loss"):
-            assert key in row
+    for arm in ARMS:
+        res = run_single_seed(tiny_config(arm=arm), seed=0)
+        lines = (Path(res.run_dir) / "metrics.jsonl").read_text().splitlines()
+        assert lines
+        for line in lines:
+            row = json.loads(line)
+            assert row["schema_version"] == 1
+            for key in ("env_steps", "eval_success", "mean_return",
+                        "invalid_rate", "mean_entropy", "policy_loss",
+                        "scm_loss"):
+                assert key in row
+            if arm == "coso":
+                assert np.isfinite(row["scm_loss"])
+            else:
+                assert row["scm_loss"] is None
+                assert '"scm_loss": null' in line
 
 
 def test_experiment_summary_csv(tmp_path, monkeypatch):

@@ -18,9 +18,12 @@ import pytest
 
 from coso import coso_rl, harness
 from coso import counterfactual as cf
+from coso import scm as scm_mod
 from coso.coso_rl import Hyperparams, Trainer, _check_group
 from coso.harness import RunConfig
 from coso.textmdp import make_env
+
+from test_coso_rl import assert_untrained_scm
 
 
 def small_hyper(**kw):
@@ -123,6 +126,69 @@ def test_only_coso_runs_query_the_classifier(monkeypatch):
         assert_same_state(a, b)
     for tr in grouped + solo:
         assert queried[id(tr)] == (iters if tr.arm == "coso" else 0), tr.arm
+
+
+def test_arms_of_a_seed_consume_identical_randomness():
+    """The rl, rl_h and coso runs of a seed end every iteration at one
+    generator state, alone and in a mixed group, and the baselines keep
+    their initial classifier."""
+    arms = [("rl", 0.1), ("rl_h", 0.1), ("coso", 0.1)]
+    solo, grouped = (make_runs("numberline", small_hyper(), runs=arms)
+                     for _ in range(2))
+    lead, *others = grouped
+    for _ in range(3):
+        for tr in solo:
+            tr.train_iteration()
+        lead.train_iteration(*others)
+        for seed in (0, 1):
+            states = [tr.rng.bit_generator.state for tr in solo + grouped
+                      if tr.seed == seed]
+            assert len(states) == 6
+            assert all(state == states[0] for state in states)
+    for tr in solo + grouped:
+        if tr.arm == "coso":
+            assert tr.scm.opt_w.step == 3 * tr.hyper.scm_steps
+        else:
+            assert_untrained_scm(tr)
+
+
+def test_train_scm_sees_only_the_coso_runs(monkeypatch):
+    """update_scm hands train_scm the coso runs' classifiers, generators
+    and rows, in group order; a group of baselines makes no call."""
+    original, update = scm_mod.train_scm, Trainer.update_scm
+    calls, groups = [], []
+
+    def train_scm(phis, ys, labels, **kw):
+        calls.append((list(phis), np.array(ys), np.array(labels),
+                      list(kw["rngs"])))
+        return original(phis, ys, labels, **kw)
+
+    def update_scm(tr, batch, *others):
+        trs = [tr, *others]
+        groups.append((batch, trs, [run.scm for run in trs]))
+        return update(tr, batch, *others)
+    monkeypatch.setattr(scm_mod, "train_scm", train_scm)
+    monkeypatch.setattr(Trainer, "update_scm", update_scm)
+    lead, *others = make_runs("numberline", small_hyper())
+    for _ in range(2):
+        lead.train_iteration(*others)
+    assert len(calls) == len(groups) == 2
+    for (phis, ys, labels, rngs), (batch, trs, scms) in zip(calls, groups):
+        coso = [r for r, tr in enumerate(trs) if tr.arm == "coso"]
+        assert len(coso) == 4 and len(phis) == 4
+        assert all(phi is scms[r] for phi, r in zip(phis, coso))
+        assert all(g is trs[r].rng for g, r in zip(rngs, coso))
+        views = [batch.run(r) for r in coso]
+        np.testing.assert_array_equal(
+            ys, np.concatenate([v.utterances for v in views]))
+        np.testing.assert_array_equal(
+            labels, np.concatenate([v.action_idx for v in views]))
+    del calls[:]
+    lead, *others = make_runs("numberline", small_hyper(),
+                              runs=[("rl", 0.1), ("rl_h", 0.1)])
+    reports = lead.train_iteration(*others)
+    assert calls == []
+    assert all(r.scm_loss is None for r in reports)
 
 
 def test_awr_filter_group_with_some_runs_skipping_equals_solo_runs():

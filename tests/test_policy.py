@@ -324,6 +324,24 @@ def test_grad_objective_rejects_non_integer_tokens():
             grad_objective(p, states, bad, sample_weights=w, forced=given)
 
 
+def test_grad_objective_rejects_out_of_vocab_tokens():
+    """An out-of-vocab id raises with the forcing given too: indexing the
+    flat forcing with it would read the next row's block, with no error."""
+    spec = small_spec()
+    assert spec.vocab_size == 5
+    p = random_params(spec, np.random.default_rng(3))
+    states, ys = make_batch(spec, np.random.default_rng(4))
+    w = np.ones(len(ys))
+    forced = teacher_forced_batch(p, states, ys)
+    for token in (spec.vocab_size, -1):
+        bad = np.array(ys)
+        bad[0, 0] = token
+        for given in (None, forced):
+            with pytest.raises(ValueError, match="token out of vocab"):
+                grad_objective(p, states, bad, sample_weights=w,
+                               forced=given)
+
+
 def test_state_ids_reject_non_integer_features():
     with pytest.raises(ValueError, match="not integer"):
         pol.state_ids((10, 10), np.array([[1.5, 3.0]]))
