@@ -657,12 +657,10 @@ class Trainer:
         if not any(coso):
             return losses
         keep = np.flatnonzero(coso)
-        ys, labels = batch.utterances, batch.action_idx
-        if len(keep) < len(trs):
-            rows = batch.rows(keep)
-            ys, labels = ys[rows], labels[rows]
+        rows = batch.rows(keep)
         phis, trained = scm_mod.train_scm(
-            [trs[r].scm for r in keep], ys, labels, lr=hyper.scm_lr,
+            [trs[r].scm for r in keep], batch.utterances[rows],
+            batch.action_idx[rows], lr=hyper.scm_lr,
             steps=hyper.scm_steps, batch_size=hyper.scm_batch_size,
             rngs=[trs[r].rng for r in keep])
         for r, phi, loss in zip(keep, phis, trained):

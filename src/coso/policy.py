@@ -48,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .textmdp import NULL, EnvState, TextEnv, integer_array, state_arrays
+from .textmdp import (NULL, EnvState, TextEnv, integer_array, state_arrays,
+                      vocab_tokens)
 
 
 @dataclass(frozen=True)
@@ -458,14 +459,11 @@ def teacher_forced_batch(params: PolicyParams, states, utterances):
     cardinalities and non-finite weights raise ValueError.
     """
     spec = params.spec
-    toks = integer_array(utterances, "token ids")
+    toks = vocab_tokens(utterances, spec.vocab_size)
     m = len(states)
     if toks.shape != (m, spec.n):
         raise ValueError(f"utterances of shape {toks.shape}, not ({m}, "
                          f"{spec.n})")
-    if np.any((toks < 0) | (toks >= spec.vocab_size)):
-        raise ValueError("token out of vocab")
-    toks = toks.astype(np.intp, copy=False)
     probs = np.empty((m, spec.n, spec.vocab_size))
     logprobs = np.empty_like(probs)
     _decode(params, states, None, out=(probs, logprobs), tokens=toks)
@@ -525,10 +523,7 @@ def grad_objective(params: PolicyParams, states, utterances,
         raise ValueError("objective has no term")
     spec = params.spec
     n, V = spec.n, spec.vocab_size
-    toks = integer_array(utterances, "token ids").astype(np.intp, copy=False)
-    # one comparison: as unsigned, a negative id is above every vocab id
-    if np.any(toks.view(np.uintp) >= V):
-        raise ValueError("token out of vocab")
+    toks = vocab_tokens(utterances, V)
     _, runs, m = _runs(params, len(states))
     if forced is None:
         forced, forced_rows = teacher_forced_batch(params, states, toks), None

@@ -106,6 +106,16 @@ def integer_array(a, what: str) -> np.ndarray:
     return a
 
 
+def vocab_tokens(a, vocab_size: int) -> np.ndarray:
+    """a as an intp array of token ids; ValueError unless its dtype is an
+    integer one and every id is in [0, vocab_size)."""
+    toks = integer_array(a, "token ids").astype(np.intp, copy=False)
+    # one comparison: as unsigned, a negative id is above every vocab id
+    if np.any(toks.view(np.uintp) >= vocab_size):
+        raise ValueError("token out of vocab")
+    return toks
+
+
 _TABLES: dict = {}  # env class -> its read-only lookup tables (_build_tables)
 
 

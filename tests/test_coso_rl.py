@@ -290,7 +290,7 @@ def test_only_coso_weights_query_the_classifier(arm, constant, monkeypatch):
     ones and its hb the plain entropy sum."""
     env = make_env("numberline")
     tr = Trainer(env, small_hyper(), seed=6, arm=arm)
-    tr.train_iteration()  # a trained classifier, not the zero one
+    tr.train_iteration()  # coso: a trained classifier; rl, rl_h: still zero
     if constant:
         constant_causal_weights(monkeypatch)
     calls = []

@@ -7,6 +7,7 @@ import pytest
 
 from coso import checkpoint as ckpt
 from coso import cli, harness, tabular
+from coso import counterfactual as cf
 from coso import policy as pol
 from coso.coso_rl import Hyperparams, Trainer
 from coso.harness import (ARMS, EVAL_SEED_BASE, RunConfig, TheoryCheckSpec,
@@ -357,6 +358,26 @@ def test_cf_report_fields(tmp_path):
     assert rec["slot_roles"][2] == "ACTION_KIND"
     hist = rep["histogram"]
     assert abs(sum(hist["fractions"]) - 1.0) <= 1e-9
+
+
+def test_cf_report_of_a_baseline_shows_floor_weights(tmp_path):
+    """An rl_h run trains no classifier, so its checkpoint holds the zero
+    one: every nullified utterance scores alike, every raw weight is 0
+    and every normalized weight sits at the floor, in the first bin."""
+    tr = Trainer(make_env("numberline"), Hyperparams(alpha=0.1), seed=0,
+                 arm="rl_h")
+    for _ in range(3):
+        tr.train_iteration()
+    assert tr.scm.opt_w.step == tr.scm.opt_b.step == 0
+    path = tmp_path / "ckpt.json"
+    ckpt.save_bundle(path, tr.policy, tr.scm, "numberline")
+    rep = cf_report(path, "numberline", num_episodes=2)
+    assert rep["records"]
+    for rec in rep["records"]:
+        assert rec["raw_weights"] == [0.0] * 3
+        assert rec["normalized_weights"] == [cf.W_FLOOR] * 3
+    counts = rep["histogram"]["counts"]
+    assert counts[0] == 3 * len(rep["records"]) and not any(counts[1:])
 
 
 def test_cf_report_env_mismatch(tmp_path):
