@@ -32,7 +32,7 @@ def causal_weights_batch(phi, ys, actions) -> np.ndarray:
     """(m, n) raw weights for m (utterance, parsed action) pairs.
 
     Scores exactly n+1 sequences per utterance: the utterance itself plus one
-    nullified variant per position.
+    nullified variant per position, checking ys and actions only.
     """
     ys = scm_mod.checked_tokens(phi, ys)
     m, n = ys.shape
@@ -40,9 +40,7 @@ def causal_weights_batch(phi, ys, actions) -> np.ndarray:
     stacked = np.repeat(ys[:, None, :], n + 1, axis=1)  # (m, n+1, n)
     for i in range(n):
         stacked[:, i + 1, i] = NULL
-    # the transpose of the transpose view: the (A, m * (n+1)) likelihoods
-    probs = scm_mod.scm_likelihood_batch(phi,
-                                         stacked.reshape(m * (n + 1), n)).T
+    probs = scm_mod._likelihoods(phi, stacked.reshape(m * (n + 1), n))
     probs = probs.reshape(-1, m, n + 1)[actions, np.arange(m)]
     return np.abs(probs[:, :1] - probs[:, 1:])
 
@@ -50,7 +48,9 @@ def causal_weights_batch(phi, ys, actions) -> np.ndarray:
 def normalize_weights_batch(raw: np.ndarray,
                             mode: str = "maxnorm") -> np.ndarray:
     """Row-wise max-normalization with floor W_FLOOR (rows peaking at or
-    below EPS_B sit at the floor); 'raw' returns a copy."""
+    below EPS_B sit at the floor); 'raw' returns a copy.  NaN/inf raise."""
+    if not np.isfinite(raw).all():
+        raise ValueError("non-finite raw weight")
     if mode == "raw":
         return raw.copy()
     if mode != "maxnorm":
@@ -62,10 +62,12 @@ def normalize_weights_batch(raw: np.ndarray,
 
 
 def weight_stats(weights) -> WeightHistogram:
-    """Histogram over every position of an (m, n) normalized weight array."""
+    """Histogram over every position of an (m, n) weight array in [0, 1]."""
     flat = np.asarray(weights, dtype=np.float64).ravel()
     if flat.size == 0:
         raise ValueError("empty weight batch")
+    if not ((flat >= 0.0) & (flat <= 1.0)).all():
+        raise ValueError("weight outside [0, 1]")
     counts, _ = np.histogram(flat, bins=np.asarray(DEFAULT_BIN_EDGES))
     # np.histogram puts values == last edge in the final bin already
     fractions = counts / flat.size

@@ -48,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .textmdp import (NULL, EnvState, TextEnv, integer_array, state_arrays,
-                      vocab_tokens)
+from .textmdp import (NULL, EnvState, TextEnv, id_array, integer_array,
+                      state_arrays)
 
 
 @dataclass(frozen=True)
@@ -459,7 +459,7 @@ def teacher_forced_batch(params: PolicyParams, states, utterances):
     cardinalities and non-finite weights raise ValueError.
     """
     spec = params.spec
-    toks = vocab_tokens(utterances, spec.vocab_size)
+    toks = id_array(utterances, spec.vocab_size, "token ids")
     m = len(states)
     if toks.shape != (m, spec.n):
         raise ValueError(f"utterances of shape {toks.shape}, not ({m}, "
@@ -523,7 +523,7 @@ def grad_objective(params: PolicyParams, states, utterances,
         raise ValueError("objective has no term")
     spec = params.spec
     n, V = spec.n, spec.vocab_size
-    toks = vocab_tokens(utterances, V)
+    toks = id_array(utterances, V, "token ids")
     _, runs, m = _runs(params, len(states))
     if forced is None:
         forced, forced_rows = teacher_forced_batch(params, states, toks), None

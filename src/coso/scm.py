@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .textmdp import integer_array
+from .textmdp import id_array
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -127,27 +127,21 @@ def _feature_indices(phi: ScmParams, ys: np.ndarray) -> np.ndarray:
 def checked_tokens(phi: ScmParams, ys) -> np.ndarray:
     """ys as an (M, n) intp array; a 1-d sequence is a batch of one.
     Raises ValueError unless they are integer token ids in the vocab."""
-    ys = integer_array(ys, "token ids")
-    if ys.ndim == 1:
-        ys = ys[None, :]
+    ys = np.atleast_2d(id_array(ys, phi.vocab_size, "token ids"))
     if ys.ndim != 2 or ys.shape[1] != phi.n:
         raise ValueError(f"token ids of shape {ys.shape}, not (rows, "
                          f"{phi.n})")
-    if np.any(ys < 0) or np.any(ys >= phi.vocab_size):
-        raise ValueError("token id outside vocab")
-    return ys.astype(np.intp, copy=False)
+    return ys
 
 
 def checked_actions(phi: ScmParams, actions, rows: int) -> np.ndarray:
     """actions as an intp array of one action class per row.  Raises
     ValueError unless they are an integer (rows,) array in [0, actions)."""
-    actions = integer_array(actions, "action classes")
+    actions = id_array(actions, phi.num_actions, "action classes")
     if actions.shape != (rows,):
         raise ValueError(f"action classes of shape {actions.shape} for "
                          f"{rows} rows")
-    if np.any(actions < 0) or np.any(actions >= phi.num_actions):
-        raise ValueError(f"action class outside [0, {phi.num_actions})")
-    return actions.astype(np.intp, copy=False)
+    return actions
 
 
 def _gathered_logits(wt: np.ndarray, bias: np.ndarray,
@@ -199,9 +193,10 @@ def _action_sum(t: np.ndarray) -> np.ndarray:
     return _pairwise_sum(t) + 0.0
 
 
-def _likelihoods(phi: ScmParams, ys) -> np.ndarray:
-    """(A, M) softmax likelihoods of the M sequences ys."""
-    idx = _feature_indices(phi, checked_tokens(phi, ys))
+def _likelihoods(phi: ScmParams, ys: np.ndarray) -> np.ndarray:
+    """(A, M) softmax likelihoods of the M sequences ys, unchecked: ys is
+    an (M, n) intp array from checked_tokens, or built from one."""
+    idx = _feature_indices(phi, ys)
     z = _gathered_logits(np.ascontiguousarray(phi.weights.T),
                          phi.bias[:, None], idx)
     z -= np.max(z, axis=0)
@@ -213,7 +208,7 @@ def _likelihoods(phi: ScmParams, ys) -> np.ndarray:
 def scm_likelihood_batch(phi: ScmParams, ys) -> np.ndarray:
     """(batch, actions) softmax likelihoods; NULL tokens are allowed.  The
     array is the transpose view of an action-major (actions, batch) one."""
-    return _likelihoods(phi, ys).T
+    return _likelihoods(phi, checked_tokens(phi, ys)).T
 
 
 def draw_rows(rng: np.random.Generator, m: int, steps: int,
@@ -236,12 +231,16 @@ def train_scm(phis: list, ys, labels, lr: float, steps: int,
     before any draw; each run then draws the rows of all its steps in one
     draw_rows call, which leaves its generator where steps draws of one
     step's rows would.  The phis stay untouched: each run gets a shallow
-    copy with new arrays.
+    copy with new arrays.  steps < 0 and batch_size < 1 raise ValueError.
 
     Weights and their Adam moments are action-major (A, R * n * V) inside
     the loop and go back to the runs' (n * V, A) layout on exit.
     """
     phi, runs = phis[0], len(phis)
+    if steps < 0:
+        raise ValueError(f"steps={steps}, not >= 0")
+    if batch_size < 1:
+        raise ValueError(f"batch_size={batch_size}, not >= 1")
     ys = checked_tokens(phi, ys)
     if ys.size == 0:
         raise ValueError("empty batch")

@@ -11,6 +11,9 @@ tables once per process, on its first instance; every instance shares them
 read-only.  parse_batch and step_batch read them for whole batches of int
 arrays: states as (m, k) features plus (m,) step counts, actions as indices
 into action_classes().
+
+id_array is the one id rule (integer ids in [0, size)): token ids, action
+classes and step_batch's step counts pass it once per public call.
 """
 from __future__ import annotations
 
@@ -87,16 +90,6 @@ def state_arrays(states) -> tuple[np.ndarray, np.ndarray]:
     return feats, steps
 
 
-def check_utterance(y: Sequence[int], n: int, vocab_size: int) -> None:
-    if len(y) != n:
-        raise ValueError(f"utterance length {len(y)} != {n}")
-    for t in y:
-        if not (0 <= t < vocab_size):
-            raise ValueError(f"token id {t} outside vocab")
-        if t == NULL:
-            raise ValueError("NULL token in utterance")
-
-
 def integer_array(a, what: str) -> np.ndarray:
     """a as an array, if its dtype is an integer one; else ValueError naming
     what.  Reads the dtype only, so it makes no pass over the elements."""
@@ -106,14 +99,14 @@ def integer_array(a, what: str) -> np.ndarray:
     return a
 
 
-def vocab_tokens(a, vocab_size: int) -> np.ndarray:
-    """a as an intp array of token ids; ValueError unless its dtype is an
-    integer one and every id is in [0, vocab_size)."""
-    toks = integer_array(a, "token ids").astype(np.intp, copy=False)
-    # one comparison: as unsigned, a negative id is above every vocab id
-    if np.any(toks.view(np.uintp) >= vocab_size):
-        raise ValueError("token out of vocab")
-    return toks
+def id_array(a, size: int, what: str) -> np.ndarray:
+    """a as an intp array of ids; ValueError naming what unless its dtype is
+    an integer one and every id is in [0, size)."""
+    ids = integer_array(a, what).astype(np.intp, copy=False)
+    # one pass: as unsigned, a negative id is above every id in range
+    if ids.view(np.uintp).max(initial=0) >= size:
+        raise ValueError(f"{what} outside [0, {size})")
+    return ids
 
 
 _TABLES: dict = {}  # env class -> its read-only lookup tables (_build_tables)
@@ -136,15 +129,14 @@ class TextEnv:
 
     def parse(self, y: Sequence[int]) -> Action:
         """Deterministic utterance -> action map; reads only action slots."""
-        check_utterance(y, self.grammar.n, self.vocab.size)
+        y = self._utterances([y])[0]
         kind_tok = y[self.grammar.kind_slot]
         if kind_tok not in self.kind_tokens:
             raise ParseError(f"illegal token {kind_tok} in ACTION_KIND slot")
         kind = self.kind_tokens[kind_tok]
         arg = None
         if kind in self.kinds_with_payload():
-            slot = self.grammar.arg_slots[0]
-            arg_tok = y[slot]
+            arg_tok = y[self.grammar.arg_slots[0]]
             if arg_tok not in self.arg_tokens:
                 raise ParseError(f"illegal token {arg_tok} in ACTION_ARG slot")
             arg = self.arg_tokens[arg_tok]
@@ -184,9 +176,14 @@ class TextEnv:
         """Build a state from a 'key=value,key=value' string (probe CLI)."""
         raise NotImplementedError
 
-    def _check_step(self, state: EnvState) -> None:
-        if state.step_count >= self.horizon:
-            raise ValueError("stepping a finished episode")
+    def _advance(self, state: EnvState, features: tuple, reward: float,
+                 done: bool) -> tuple[EnvState, float, bool]:
+        """step's result, moving state to features: ValueError unless its
+        step count is in [0, horizon), and done at the horizon."""
+        t = state.step_count
+        if not 0 <= t < self.horizon:
+            raise ValueError(f"step count {t} outside [0, {self.horizon})")
+        return EnvState(features, t + 1), reward, done or t + 1 >= self.horizon
 
     def _state_from_kv(self, spec: str, keys: tuple[str, ...],
                        defaults: dict | None = None) -> EnvState:
@@ -284,19 +281,26 @@ class TextEnv:
                 "_next_feats": next_feats, "_reward": reward,
                 "_terminal": terminal, "_table_dims": dims}
 
+    def _utterances(self, ys) -> np.ndarray:
+        """ys as an (m, n) intp array; ValueError on any other shape, a NULL
+        token, and ids that are not integers in the vocab."""
+        ys = id_array(ys, self.vocab.size, "token ids")
+        if ys.ndim != 2 or ys.shape[1] != self.grammar.n:
+            raise ValueError(f"utterances of shape {ys.shape}, not (m, "
+                             f"{self.grammar.n})")
+        if not ys.all():  # NULL is id 0, so no id is NULL iff all are nonzero
+            raise ValueError("NULL token in utterance")
+        return ys
+
     def parse_batch(self, ys) -> tuple[np.ndarray, np.ndarray]:
         """(action index, parse_ok) per row of an (m, n) token array.
 
-        Table lookups equal to parse_or_noop + action_index; NULL and
-        out-of-vocab tokens raise ValueError, as check_utterance does, and
-        so do token ids that are not integers.
+        Table lookups equal to parse_or_noop + action_index; NULL tokens
+        and token ids that are not integers in the vocab raise ValueError,
+        as in parse.
         """
-        ys = integer_array(ys, "token ids")
+        ys = self._utterances(ys)
         g = self.grammar
-        if ys.ndim != 2 or ys.shape[1] != g.n:
-            raise ValueError(f"utterances of shape {ys.shape}, not (m, {g.n})")
-        if ((ys <= NULL) | (ys >= self.vocab.size)).any():
-            raise ValueError("NULL or out-of-vocab token in utterance")
         kind = ys[:, g.kind_slot]
         arg = ys[:, g.arg_slots[0]] if g.arg_slots else 0
         return self._parse_action[kind, arg], self._parse_ok[kind, arg]
@@ -305,15 +309,18 @@ class TextEnv:
         """Step m states at once: (next feats, next steps, rewards, dones).
 
         feats is (m, k), steps (m,) and actions (m,) action indices.  Table
-        lookups equal to step; a feature outside its cardinality, an unknown
-        action, a finished episode and an array that is not of integers
-        raise ValueError.
+        lookups equal to step; rows that disagree, a feature outside its
+        cardinality, an unknown action, a step count outside [0, horizon)
+        and an array that is not of integers raise ValueError.
         """
         feats = integer_array(feats, "state features")
-        steps = integer_array(steps, "step counts")
+        steps = id_array(steps, self.horizon,
+                         "step counts of unfinished episodes")
         actions = integer_array(actions, "action indices")
-        if np.any(steps >= self.horizon):
-            raise ValueError("stepping a finished episode")
+        if feats.ndim != 2 or not (steps.shape == actions.shape
+                                   == feats.shape[:1]):
+            raise ValueError(f"shapes {feats.shape}, {steps.shape} and "
+                             f"{actions.shape}: not one row per state")
         row = np.ravel_multi_index((*feats.T, actions), self._table_dims)
         steps = steps + 1
         dones = self._terminal[row] | (steps >= self.horizon)
@@ -354,7 +361,6 @@ class NumberLineEnv(TextEnv):
         return EnvState(features=(c, t), step_count=0)
 
     def step(self, state: EnvState, action: Action) -> tuple[EnvState, float, bool]:
-        self._check_step(state)
         c, t = state.features
         if action.kind == "PLUS":
             c = min(self.N, c + 1)
@@ -370,10 +376,7 @@ class NumberLineEnv(TextEnv):
         if c == t:
             reward = 1.0
             done = True
-        nxt = EnvState(features=(c, t), step_count=state.step_count + 1)
-        if nxt.step_count >= self.horizon:
-            done = True
-        return nxt, reward, done
+        return self._advance(state, (c, t), reward, done)
 
     def state_from_spec(self, spec: str) -> EnvState:
         return self._state_from_kv(spec, ("c", "tau"))
@@ -424,7 +427,6 @@ class MenuNavEnv(TextEnv):
         return EnvState(features=(self.HOME, 0), step_count=0)
 
     def step(self, state: EnvState, action: Action) -> tuple[EnvState, float, bool]:
-        self._check_step(state)
         screen, typed = state.features
         reward = -0.01
         done = False
@@ -456,10 +458,7 @@ class MenuNavEnv(TextEnv):
         else:
             raise ValueError(f"unknown action {action}")
 
-        nxt = EnvState(features=(screen, typed), step_count=state.step_count + 1)
-        if nxt.step_count >= self.horizon:
-            done = True
-        return nxt, reward, done
+        return self._advance(state, (screen, typed), reward, done)
 
     def trap_state(self) -> EnvState:
         return EnvState(features=(self.SHARE, 0), step_count=0)

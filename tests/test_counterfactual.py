@@ -168,6 +168,18 @@ def test_weight_stats_empty_raises():
         weight_stats([])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_raise(bad):
+    """A NaN would be floored to W_FLOOR, and dropped from the histogram
+    whose fractions would then sum to 0.5."""
+    with pytest.raises(ValueError, match="non-finite"):
+        normalize_weights_batch(np.array([[bad, 0.5]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        normalize_weights_batch(np.array([[bad, 0.5]]), "raw")
+    with pytest.raises(ValueError, match="outside"):
+        weight_stats(np.array([[bad, 0.5]]))
+
+
 def test_converged_scm_localizes_on_action_slot():
     env, phi = converged_numberline_scm()
     rng = np.random.default_rng(5)

@@ -337,7 +337,7 @@ def test_grad_objective_rejects_out_of_vocab_tokens():
         bad = np.array(ys)
         bad[0, 0] = token
         for given in (None, forced):
-            with pytest.raises(ValueError, match="token out of vocab"):
+            with pytest.raises(ValueError, match="token ids outside"):
                 grad_objective(p, states, bad, sample_weights=w,
                                forced=given)
 

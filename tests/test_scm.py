@@ -260,12 +260,27 @@ def test_train_scm_rejects_out_of_vocab_before_any_step():
     draws = np.random.default_rng(1)
     state = draws.bit_generator.state
     before = scm.eval_count()
-    with pytest.raises(ValueError, match="outside vocab"):
+    with pytest.raises(ValueError, match="token ids outside"):
         train_scm([phi], ys, labels, lr=1e-2, steps=4, batch_size=8,
                   rngs=[draws])
     assert draws.bit_generator.state == state
     assert scm.eval_count() == before
     assert phi.opt_w.step == 0 and not phi.weights.any()
+
+
+@pytest.mark.parametrize("arg, value", [("batch_size", 0), ("steps", -1)])
+def test_train_scm_rejects_bad_step_arguments(arg, value):
+    """batch_size=0 would take Adam steps on empty minibatches and report a
+    NaN loss; steps=-1 would fail inside numpy."""
+    env = make_env("numberline")
+    ys, labels = rollout_pairs(env, np.random.default_rng(6), 16)
+    phi = ScmParams.zeros(env.grammar.n, env.vocab.size, env.num_actions)
+    draws = np.random.default_rng(1)
+    state = draws.bit_generator.state
+    kwargs = {"steps": 4, "batch_size": 8, arg: value}
+    with pytest.raises(ValueError, match=arg):
+        train_scm([phi], ys, labels, lr=1e-2, rngs=[draws], **kwargs)
+    assert draws.bit_generator.state == state
 
 
 BAD_LABELS = {

@@ -167,6 +167,17 @@ def test_step_after_done_raises():
         env.step(s, Action("PLUS"))
 
 
+def test_scalar_step_and_parse_reject_bad_input():
+    """A step count of -4 would step to -3, and the float tokens
+    (1.5, 1.0, 2.0) would parse as PLUS."""
+    env = make_env("numberline")
+    with pytest.raises(ValueError, match="step count -4"):
+        env.step(EnvState((1, 5), -4), Action("PLUS"))
+    with pytest.raises(ValueError, match="token ids of dtype float64"):
+        env.parse((1.5, 1.0, 2.0))
+    assert env.parse((1, 1, 2)) == Action("PLUS")
+
+
 def test_state_from_spec():
     nl = make_env("numberline")
     assert nl.state_from_spec("c=3,tau=7").features == (3, 7)
@@ -316,6 +327,9 @@ def test_step_batch_rejects_finished_and_unknown_inputs(env_id):
     zeros = np.zeros((1, k), dtype=int)
     with pytest.raises(ValueError, match="finished"):
         env.step_batch(zeros, [env.horizon], [0])
+    # a negative count would step to -2, an episode that is not done
+    with pytest.raises(ValueError, match="step counts"):
+        env.step_batch(zeros, [-3], [0])
     for j, card in enumerate(env.state_feature_cards()):
         for bad in (card, -1):
             feats = zeros.copy()
@@ -336,6 +350,18 @@ def test_step_batch_rejects_non_integer_inputs():
         with pytest.raises(ValueError, match="not integer"):
             env.step_batch(*args)
     assert env.step_batch([[1, 3]], [0], [0])[0].tolist() == [[2, 3]]
+
+
+def test_step_batch_rows_must_agree():
+    """Two states, one step count: no next state for a row with no step
+    count."""
+    env = make_env("numberline")
+    with pytest.raises(ValueError, match="not one row per state"):
+        env.step_batch(np.array([[1, 5], [2, 3]]), np.array([0]),
+                       np.array([0, 1]))
+    with pytest.raises(ValueError, match="not one row per state"):
+        env.step_batch(np.array([[1, 5], [2, 3]]), np.array([0, 0]),
+                       np.array([0]))
 
 
 TABLES = ("_parse_action", "_parse_ok", "_next_feats", "_reward",
