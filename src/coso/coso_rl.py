@@ -28,8 +28,6 @@ params move.
 from __future__ import annotations
 
 import dataclasses
-import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,34 +38,21 @@ from . import policy as pol
 from . import scm as scm_mod
 from .policy import FeatureSpec, PolicyParams
 from .scm import AdamState, ScmParams, adam_update_runs, stack_runs
-from .textmdp import EnvState, TextEnv, state_arrays
+from .textmdp import EnvState, TextEnv, check_scalar, state_arrays
 
 
 ARMS = ("rl", "rl_h", "coso")
 OPTIMIZERS = ("ppo", "awr")
 
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
-                "str": str}
-
 
 def check_field_types(obj) -> None:
-    """Raise ValueError naming the first int, float, bool or str field of the
-    dataclass obj that holds a value of another type, or a float field that
-    holds NaN or an infinity (JSON parses both).  As in JSON, an int is a
-    float, but a bool is no int."""
+    """Raise ValueError naming the first int, float or str field of the
+    dataclass obj whose value fails textmdp.check_scalar: a value of another
+    type, or NaN or an infinity in a float field."""
     for f in dataclasses.fields(obj):
-        want = _FIELD_TYPES.get(f.type)
-        value = getattr(obj, f.name)
-        if want is not None and not (
-                isinstance(value, want)
-                and isinstance(value, bool) == (f.type == "bool")):
-            raise ValueError(f"bad config value: {f.name}={value!r}: "
-                             f"{type(value).__name__} not supported as "
-                             f"{f.type}")
-        if f.type == "float" and not isinstance(value, numbers.Integral) \
-                and not math.isfinite(value):
-            raise ValueError(f"bad config value: {f.name}={value!r}: not "
-                             f"finite")
+        if f.type in ("int", "float", "str"):
+            check_scalar(getattr(obj, f.name), f.type,
+                         f"bad config value: {f.name}")
 
 
 @dataclass
@@ -77,8 +62,6 @@ class Hyperparams:
     clip_eps: float = 0.2
     awr_beta: float = 1.0
     awr_weight_clamp: float = 20.0
-    awr_mode: str = "exp"  # 'exp' or 'filter'
-    adv_filter_threshold: float = 0.0
     policy_lr: float = 0.05
     scm_lr: float = 1e-3
     rollout_steps: int = 256
@@ -89,10 +72,8 @@ class Hyperparams:
     scm_batch_size: int = 256
     gae_lambda: float = 0.95
     value_ridge: float = 1e-2
-    weight_mode: str = "maxnorm"  # 'raw' or 'maxnorm'
     entropy_placement: str = "loss_bonus"  # or 'reward_bonus'
     context: int = 3
-    normalize_advantages: bool = True
 
     def __post_init__(self):
         check_field_types(self)
@@ -100,21 +81,18 @@ class Hyperparams:
             raise ValueError("alpha must be >= 0")
         if not (0 < self.gamma < 1):
             raise ValueError("gamma must be in (0, 1)")
-        # otherwise AWR skips every step or inverts its weighting, the
-        # optimizers stall or climb the loss, or the value fit is singular
+        # otherwise AWR inverts its weighting, the optimizers stall or climb
+        # the loss, or the value fit is singular
         for name in ("clip_eps", "awr_beta", "awr_weight_clamp", "policy_lr",
                      "scm_lr", "value_ridge"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
         if not (0 <= self.gae_lambda <= 1):
             raise ValueError("gae_lambda must be in [0, 1]")
-        for name, allowed in (("awr_mode", ("exp", "filter")),
-                              ("weight_mode", ("raw", "maxnorm")),
-                              ("entropy_placement",
-                               ("loss_bonus", "reward_bonus"))):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, not "
-                                 f"{getattr(self, name)!r}")
+        allowed = ("loss_bonus", "reward_bonus")
+        if self.entropy_placement not in allowed:
+            raise ValueError(f"entropy_placement must be one of {allowed}, "
+                             f"not {self.entropy_placement!r}")
         for name in ("rollout_steps", "num_envs", "minibatch_size",
                      "scm_batch_size", "ppo_epochs", "scm_steps"):
             if getattr(self, name) <= 0:
@@ -135,7 +113,6 @@ class UpdateReport:
     invalid_rate: float
     grad_norm: float
     env_steps: int = 0
-    skipped: bool = False
 
 
 @dataclass
@@ -175,22 +152,14 @@ class RolloutBatch:
         m = self.per_run
         return (runs[:, None] * m + np.arange(m)).ravel()
 
-    def _take(self, rows, runs) -> "RolloutBatch":
-        return replace(self, snapshot_id=tuple(
-            self.snapshot_id[r] for r in runs), **{
+    def run(self, r: int) -> "RolloutBatch":
+        """Run r's rows as a batch of one whose arrays are views."""
+        rows = slice(r * self.per_run, (r + 1) * self.per_run)
+        return replace(self, snapshot_id=(self.snapshot_id[r],), **{
             f.name: getattr(self, f.name)[rows]
             for f in dataclasses.fields(self)
             if f.name not in ("num_streams", "snapshot_id")
             and getattr(self, f.name) is not None})
-
-    def run(self, r: int) -> "RolloutBatch":
-        """Run r's rows as a batch of one whose arrays are views."""
-        m = self.per_run
-        return self._take(slice(r * m, (r + 1) * m), [r])
-
-    def select(self, runs: np.ndarray) -> "RolloutBatch":
-        """The given runs' rows, in their order."""
-        return self._take(self.rows(runs), runs)
 
     def by_run(self, a: np.ndarray) -> np.ndarray:
         """(R, m) view of a per-row array."""
@@ -297,8 +266,7 @@ def _augment_rewards(batch: RolloutBatch, alphas, gamma: float) -> np.ndarray:
 # ppo_update and awr_update take R runs in lockstep: stacked (R, dim, V)
 # policy weights and the runs' batch, Hyperparams (which differ in alpha
 # alone), Adam states and generators.  The advantages and forced cover the
-# batch's rows, and the losses, grad norms and skipped flags come back as
-# per-run lists.
+# batch's rows, and the losses and grad norms come back as per-run lists.
 
 
 def _entropy_runs(hyper: Hyperparams, alphas) -> list:
@@ -396,50 +364,24 @@ def ppo_update(params: PolicyParams, batch: RolloutBatch, hyper,
 
 def awr_update(params: PolicyParams, batch: RolloutBatch, hyper,
                advantages: np.ndarray, opt, rng, forced=None) -> tuple:
-    """Advantage-weighted regression step (off-policy tolerated).
+    """Advantage-weighted regression step (off-policy tolerated): each row
+    weighs its log-likelihood by clip(exp(A / awr_beta), 0, awr_weight_clamp).
 
     forced is as for ppo_update; without it the step teacher-forces the
-    stepping runs' rows once, for the losses and the first minibatch's
-    gradient.
+    batch once, for the losses and the first minibatch's gradient.
 
-    Returns (params, losses, grad norms, skipped).  A run whose advantages
-    all fail the hard filter skips its step: it draws nothing, keeps its
-    weights and Adam state, and reports a loss and grad norm of 0.
+    Returns (params, losses, grad norms).  update_policy standardises each
+    run's advantages, so every run has one >= 0, a weight >= min(1,
+    awr_weight_clamp) > 0, and steps.
     """
     alphas, h = [x.alpha for x in hyper], hyper[0]
-    if h.awr_mode == "filter":
-        w = (advantages > h.adv_filter_threshold).astype(np.float64)
-    else:
-        w = np.clip(np.exp(advantages / h.awr_beta), 0.0, h.awr_weight_clamp)
-    steps = np.any(batch.by_run(w > 0.0), axis=1)
-    losses, gnorms = [0.0] * batch.runs, [0.0] * batch.runs
-    weights = params.weights
-    if steps.any():
-        keep = np.flatnonzero(steps)
-        sub, sub_batch = params, batch
-        if not steps.all():  # the stepping runs alone
-            rows = batch.rows(keep)
-            sub = PolicyParams(spec=params.spec, weights=params.weights[keep])
-            sub_batch, w = batch.select(keep), w[rows]
-            alphas, opt, rng = ([x[r] for r in keep]
-                                for x in (alphas, opt, rng))
-            if forced is not None:
-                forced = tuple(a[rows] for a in forced)
-        if forced is None:
-            forced = pol.teacher_forced_batch(sub, sub_batch.states,
-                                              sub_batch.utterances)
-        stepped = _loss_values(w * np.sum(forced[2], axis=1), h, alphas,
-                               sub_batch)
-        new, norms = _descend(sub, sub_batch, w, h, alphas, opt, rng, forced)
-        if steps.all():
-            weights = new
-        else:
-            weights = weights.copy()
-            weights[keep] = new
-        for r, loss, gnorm in zip(keep, stepped, norms):
-            losses[r], gnorms[r] = loss, gnorm
-    return (PolicyParams(spec=params.spec, weights=weights), losses, gnorms,
-            [not s for s in steps])
+    w = np.clip(np.exp(advantages / h.awr_beta), 0.0, h.awr_weight_clamp)
+    if forced is None:
+        forced = pol.teacher_forced_batch(params, batch.states,
+                                          batch.utterances)
+    losses = _loss_values(w * np.sum(forced[2], axis=1), h, alphas, batch)
+    weights, gnorms = _descend(params, batch, w, h, alphas, opt, rng, forced)
+    return PolicyParams(spec=params.spec, weights=weights), losses, gnorms
 
 
 class Trainer:
@@ -602,8 +544,7 @@ class Trainer:
         if self.arm == "coso":
             used = cf.normalize_weights_batch(
                 cf.causal_weights_batch(self.scm, batch.utterances,
-                                        batch.action_idx),
-                mode=self.hyper.weight_mode)
+                                        batch.action_idx))
         else:
             used = np.ones(batch.utterances.shape)
         batch.weights = used
@@ -632,8 +573,8 @@ class Trainer:
             mean_entropy=float(np.mean(np.sum(view.entropy, axis=1))),
             policy_loss=policy_loss, scm_loss=scm_loss,
             invalid_rate=float(np.mean(~view.parse_ok)),
-            grad_norm=gnorm, env_steps=tr.total_env_steps, skipped=skipped)
-            for tr, view, scm_loss, (policy_loss, gnorm, skipped)
+            grad_norm=gnorm, env_steps=tr.total_env_steps)
+            for tr, view, scm_loss, (policy_loss, gnorm)
             in zip(trs, views, scm_losses,
                    self.update_policy(batch, *others, forced=forced))]
         return reports
@@ -669,8 +610,8 @@ class Trainer:
 
     def update_policy(self, batch: RolloutBatch, *others: "Trainer",
                       forced=None) -> list:
-        """Value fit, advantages, then the PPO epochs or the AWR step; per
-        run (loss, grad norm, skipped).
+        """Value fit, advantages standardised per run, then the PPO epochs
+        or the AWR step; per run (loss, grad norm).
 
         forced is teacher_forced_batch of the batch at the runs' current
         params, which train_iteration has from the rollout; the first PPO
@@ -695,10 +636,9 @@ class Trainer:
         adv = gae_advantages(feats, batch, hyper.gamma, hyper.gae_lambda,
                              betas)
         del feats  # the policy step reads none: free them before its own
-        if hyper.normalize_advantages:
-            a = batch.by_run(adv)
-            adv = ((a - np.mean(a, axis=1, keepdims=True))
-                   / (np.std(a, axis=1, keepdims=True) + 1e-8)).ravel()
+        a = batch.by_run(adv)
+        adv = ((a - np.mean(a, axis=1, keepdims=True))
+               / (np.std(a, axis=1, keepdims=True) + 1e-8)).ravel()
         params = PolicyParams(spec=spec, weights=stack_runs(
             [tr.policy.weights for tr in trs]))
         hypers = [tr.hyper for tr in trs]
@@ -710,15 +650,13 @@ class Trainer:
                     params, batch, hypers, adv, opts, rngs,
                     [tr.snapshot_id for tr in trs], forced=forced)
                 forced = None  # later epochs start from moved params
-            skipped = [False] * len(trs)
         else:
-            params, losses, gnorms, skipped = awr_update(
+            params, losses, gnorms = awr_update(
                 params, batch, hypers, adv, opts, rngs, forced=forced)
         for r, tr in enumerate(trs):
-            if not skipped[r]:
-                tr.policy = PolicyParams(spec=spec, weights=params.weights[r])
-                tr.snapshot_id += 1
-        return list(zip(losses, gnorms, skipped))
+            tr.policy = PolicyParams(spec=spec, weights=params.weights[r])
+            tr.snapshot_id += 1
+        return list(zip(losses, gnorms))
 
 
 def lockstep_key(env_id: str, optimizer: str, hyper: Hyperparams) -> tuple:

@@ -2,9 +2,9 @@
 
 The weight of token i is the absolute change in the surrogate classifier's
 likelihood of the realized action when position i is replaced by NULL.  Raw
-weights live in [0, 1]; max-normalization (with a small floor so an
-undertrained classifier never fully silences the entropy signal) is the
-default mode consumed by the training objective.
+weights live in [0, 1]; the training objective consumes them
+max-normalized, with a small floor so an undertrained classifier never
+fully silences the entropy signal.
 """
 from __future__ import annotations
 
@@ -45,16 +45,12 @@ def causal_weights_batch(phi, ys, actions) -> np.ndarray:
     return np.abs(probs[:, :1] - probs[:, 1:])
 
 
-def normalize_weights_batch(raw: np.ndarray,
-                            mode: str = "maxnorm") -> np.ndarray:
+def normalize_weights_batch(raw: np.ndarray) -> np.ndarray:
     """Row-wise max-normalization with floor W_FLOOR (rows peaking at or
-    below EPS_B sit at the floor); 'raw' returns a copy.  NaN/inf raise."""
+    below EPS_B sit at the floor): the B the objective consumes.  NaN/inf
+    raise."""
     if not np.isfinite(raw).all():
         raise ValueError("non-finite raw weight")
-    if mode == "raw":
-        return raw.copy()
-    if mode != "maxnorm":
-        raise ValueError(f"unknown weight mode {mode!r}")
     top = np.max(raw, axis=1, keepdims=True)
     return np.where(top > EPS_B,
                     np.maximum(raw / np.where(top > EPS_B, top, 1.0), W_FLOOR),

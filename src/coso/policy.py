@@ -48,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .textmdp import (NULL, EnvState, TextEnv, id_array, integer_array,
-                      state_arrays)
+from .textmdp import (NULL, EnvState, TextEnv, id_array, state_arrays,
+                      state_id_array)
 
 
 @dataclass(frozen=True)
@@ -225,15 +225,13 @@ def state_grid(state_cards) -> np.ndarray:
 def state_ids(state_cards, states) -> np.ndarray:
     """(m,) row-major index of each state's features over state_cards.
 
-    states is an (m, k) int feature array or a sequence of EnvStates; a
-    feature outside its cardinality or an array that is not of integers
-    raises ValueError.
+    states is an (m, k) int feature array or a sequence of EnvStates; it
+    passes textmdp.state_id_array, so a feature outside its cardinality or
+    an array that is not of integers raises ValueError.
     """
     if not isinstance(states, np.ndarray):
         states = state_arrays(states)[0]
-    integer_array(states, "state features")
-    return np.ravel_multi_index(states.reshape(-1, len(state_cards)).T,
-                                state_cards)
+    return state_id_array(states, state_cards)
 
 
 @dataclass(frozen=True)
@@ -306,7 +304,12 @@ def record_position0(tables: DecodeTables, states, out: tuple) -> None:
     position 0 of out, a (probs, logprobs) pair of (..., n, V) arrays whose
     leading axes hold the rows in order: one gather from the tables each,
     so a caller that records many decode calls may do it once for all."""
-    at = _table_rows(tables, states).reshape(out[0].shape[:-2])
+    _record_rows0(tables, _table_rows(tables, states), out)
+
+
+def _record_rows0(tables: DecodeTables, rows: np.ndarray, out: tuple) -> None:
+    """record_position0 of the states at the given rows of tables."""
+    at = rows.reshape(out[0].shape[:-2])
     # the rows are in range, so clip mode only skips the bounds check.  A
     # take into the strided position-0 view would copy it in and back out,
     # so the rows are gathered whole and then assigned
@@ -380,7 +383,7 @@ def _decode(policy, states, u: np.ndarray | None, out: tuple | None = None,
         rows = out_probs.shape[:-2] + (V,)  # one position's
         first = out_probs.shape[-2] == n  # else position i goes to i - 1
         if first:
-            record_position0(tables, states, out)
+            _record_rows0(tables, sid, out)
     base = tables.base[sid]
     for i in range(1, n):
         if runs > 1:

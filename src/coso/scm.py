@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .textmdp import id_array
+from .textmdp import check_scalar, id_array
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -231,12 +231,19 @@ def train_scm(phis: list, ys, labels, lr: float, steps: int,
     before any draw; each run then draws the rows of all its steps in one
     draw_rows call, which leaves its generator where steps draws of one
     step's rows would.  The phis stay untouched: each run gets a shallow
-    copy with new arrays.  steps < 0 and batch_size < 1 raise ValueError.
+    copy with new arrays.  steps and batch_size that are not ints, an lr
+    that is not a finite float, steps < 0, batch_size < 1 and lr <= 0 raise
+    ValueError naming the argument.
 
     Weights and their Adam moments are action-major (A, R * n * V) inside
     the loop and go back to the runs' (n * V, A) layout on exit.
     """
     phi, runs = phis[0], len(phis)
+    check_scalar(steps, "int", "steps")
+    check_scalar(batch_size, "int", "batch_size")
+    check_scalar(lr, "float", "lr")
+    if not lr > 0:
+        raise ValueError(f"lr={lr}, not > 0")
     if steps < 0:
         raise ValueError(f"steps={steps}, not >= 0")
     if batch_size < 1:

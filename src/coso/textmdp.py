@@ -13,11 +13,16 @@ arrays: states as (m, k) features plus (m,) step counts, actions as indices
 into action_classes().
 
 id_array is the one id rule (integer ids in [0, size)): token ids, action
-classes and step_batch's step counts pass it once per public call.
+classes and step_batch's step counts and action indices pass it once per
+public call.  State features pass state_id_array (integer features, each in
+[0, its cardinality)), and config values and scm.train_scm's scalars pass
+check_scalar.
 """
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -107,6 +112,35 @@ def id_array(a, size: int, what: str) -> np.ndarray:
     if ids.view(np.uintp).max(initial=0) >= size:
         raise ValueError(f"{what} outside [0, {size})")
     return ids
+
+
+def state_id_array(feats, cards) -> np.ndarray:
+    """(m,) row-major ids over cards of the rows of an (m, len(cards))
+    feature array; ValueError naming the state features unless its dtype is
+    an integer one and every feature j is in [0, cards[j])."""
+    feats = integer_array(feats, "state features")
+    if feats.ndim != 2 or feats.shape[1] != len(cards):
+        raise ValueError(f"state features of shape {feats.shape}, not (m, "
+                         f"{len(cards)})")
+    try:  # its bounds check, negatives included, is the range test
+        return np.ravel_multi_index(feats.T, cards)
+    except ValueError:
+        raise ValueError(f"state features outside [0, cardinality) for "
+                         f"cardinalities {tuple(cards)}") from None
+
+
+_SCALAR_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+
+
+def check_scalar(value, kind: str, what: str) -> None:
+    """ValueError naming what unless value is of kind 'int', 'float' or
+    'str', and finite if a float (JSON parses NaN and infinities).  As in
+    JSON, an int is a float, but a bool is neither an int nor a float."""
+    if not isinstance(value, _SCALAR_TYPES[kind]) or isinstance(value, bool):
+        raise ValueError(f"{what}={value!r}: {type(value).__name__} not "
+                         f"supported as {kind}")
+    if kind == "float" and not math.isfinite(value):
+        raise ValueError(f"{what}={value!r}: not finite")
 
 
 _TABLES: dict = {}  # env class -> its read-only lookup tables (_build_tables)
@@ -311,17 +345,19 @@ class TextEnv:
         feats is (m, k), steps (m,) and actions (m,) action indices.  Table
         lookups equal to step; rows that disagree, a feature outside its
         cardinality, an unknown action, a step count outside [0, horizon)
-        and an array that is not of integers raise ValueError.
+        and an array that is not of integers raise ValueError naming the
+        input.
         """
-        feats = integer_array(feats, "state features")
+        *cards, num_actions = self._table_dims
+        sid = state_id_array(feats, cards)
         steps = id_array(steps, self.horizon,
                          "step counts of unfinished episodes")
-        actions = integer_array(actions, "action indices")
-        if feats.ndim != 2 or not (steps.shape == actions.shape
-                                   == feats.shape[:1]):
-            raise ValueError(f"shapes {feats.shape}, {steps.shape} and "
+        actions = id_array(actions, num_actions, "action indices")
+        if not steps.shape == actions.shape == sid.shape:
+            raise ValueError(f"{len(sid)} state rows, step counts of shape "
+                             f"{steps.shape} and actions of shape "
                              f"{actions.shape}: not one row per state")
-        row = np.ravel_multi_index((*feats.T, actions), self._table_dims)
+        row = sid * num_actions + actions
         steps = steps + 1
         dones = self._terminal[row] | (steps >= self.horizon)
         return self._next_feats[row], steps, self._reward[row], dones

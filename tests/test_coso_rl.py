@@ -72,8 +72,6 @@ def test_hyperparam_validation():
 @pytest.mark.parametrize("field, bad", [
     ("entropy_placement", "loss-bonus"),  # a typo once disabled the bonus
     ("entropy_placement", "none"),
-    ("weight_mode", "max"),
-    ("awr_mode", "exponential"),
 ])
 def test_hyperparam_enum_validation(field, bad):
     with pytest.raises(ValueError, match=field):
@@ -199,16 +197,6 @@ def test_ppo_zero_advantage_zero_alpha_keeps_params():
     np.testing.assert_array_equal(params.weights[0], tr.policy.weights)
 
 
-def test_awr_filter_all_negative_skips():
-    tr, batch = fresh_rollout(awr_mode="filter")
-    adv = -np.ones(batch.size)
-    params, loss, gnorm, skipped = awr_update(
-        group_of_one(tr.policy), batch, [tr.hyper], adv, [AdamState()],
-        [np.random.default_rng(0)])
-    assert skipped == [True] and loss == gnorm == [0.0]
-    np.testing.assert_array_equal(params.weights[0], tr.policy.weights)
-
-
 def test_awr_exp_weight_clamped():
     hp = small_hyper(awr_beta=1.0, awr_weight_clamp=20.0)
     w = np.clip(np.exp(np.array([50.0]) / hp.awr_beta), 0.0,
@@ -216,10 +204,9 @@ def test_awr_exp_weight_clamped():
     assert w[0] == 20.0
     tr, batch = fresh_rollout(awr_beta=1.0, awr_weight_clamp=20.0)
     adv = np.full(batch.size, 50.0)
-    params, _, _, skipped = awr_update(
+    params, _, _ = awr_update(
         group_of_one(tr.policy), batch, [tr.hyper], adv, [AdamState()],
         [np.random.default_rng(0)])
-    assert skipped == [False]
     assert np.any(params.weights[0] != tr.policy.weights)
 
 
@@ -305,8 +292,7 @@ def test_only_coso_weights_query_the_classifier(arm, constant, monkeypatch):
     if arm == "coso":
         assert len(calls) == 1 and calls[0][0] is tr.scm
         want = cf.normalize_weights_batch(
-            original(tr.scm, batch.utterances, batch.action_idx),
-            mode=tr.hyper.weight_mode)
+            original(tr.scm, batch.utterances, batch.action_idx))
         assert np.any(want != 1.0) != constant
     else:
         assert calls == []
@@ -799,8 +785,7 @@ def test_train_iteration_teacher_forces_once(optimizer, monkeypatch):
                  seed=2, optimizer=optimizer)
     calls = count_forcing(monkeypatch)
     for _ in range(3):
-        rep, = tr.train_iteration()
-        assert not rep.skipped
+        tr.train_iteration()
     assert calls == []
     assert tr._rollout_forcing is None
 
@@ -821,21 +806,18 @@ def reference_update_policy(tr, batch):
     beta = fit_value(feats, batch, hyper.gamma, hyper.value_ridge, prev)
     tr.value_beta = beta[0]
     adv = gae_advantages(feats, batch, hyper.gamma, hyper.gae_lambda, beta)
-    if hyper.normalize_advantages:
-        adv = (adv - np.mean(adv)) / (np.std(adv) + 1e-8)
+    adv = (adv - np.mean(adv)) / (np.std(adv) + 1e-8)
     params = group_of_one(tr.policy)
     args = (batch, [hyper], adv, [tr.policy_opt], [tr.rng])
-    skipped = [False]
     if tr.optimizer == "ppo":
         for _ in range(hyper.ppo_epochs):
             params, loss, gnorm = ppo_update(
                 params, *args, [tr.snapshot_id], forced=None)
     else:
-        params, loss, gnorm, skipped = awr_update(params, *args, forced=None)
-    if not skipped[0]:
-        tr.policy = PolicyParams(spec=spec, weights=params.weights[0])
-        tr.snapshot_id += 1
-    return loss[0], gnorm[0], skipped[0]
+        params, loss, gnorm = awr_update(params, *args, forced=None)
+    tr.policy = PolicyParams(spec=spec, weights=params.weights[0])
+    tr.snapshot_id += 1
+    return loss[0], gnorm[0]
 
 
 @pytest.mark.parametrize("env_id, optimizer, hkw", [
@@ -884,14 +866,11 @@ def test_update_outside_train_iteration_teacher_forces_once(optimizer,
     tr, batch = fresh_rollout(minibatch_size=64)
     tr.optimizer = optimizer
     calls = count_forcing(monkeypatch)
-    (_, _, skipped), = tr.update_policy(batch)
-    assert calls == [64] and not skipped
+    tr.update_policy(batch)
+    assert calls == [64]
 
 
-@pytest.mark.parametrize("optimizer, hkw", [
-    ("ppo", {}), ("awr", {}),
-    ("awr", dict(awr_mode="filter", adv_filter_threshold=1e9)),  # skips
-])
+@pytest.mark.parametrize("optimizer, hkw", [("ppo", {}), ("awr", {})])
 def test_train_iteration_leaves_no_run_holding_a_forcing(optimizer, hkw):
     """The rollout's forcing lives only until the iteration's update: once
     train_iteration returns, no run of the group holds it."""
@@ -899,9 +878,7 @@ def test_train_iteration_leaves_no_run_holding_a_forcing(optimizer, hkw):
     for runs in (1, 2):
         group = [Trainer(env, small_hyper(**hkw), seed=s, optimizer=optimizer)
                  for s in range(runs)]
-        reports = group[0].train_iteration(*group[1:])
-        assert all(r.skipped == ("adv_filter_threshold" in hkw)
-                   for r in reports)
+        group[0].train_iteration(*group[1:])
         assert all(tr._rollout_forcing is None for tr in group)
 
 

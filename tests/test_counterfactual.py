@@ -23,9 +23,9 @@ def weights_of(phi, y, a):
     return causal_weights_batch(phi, [y], [a])[0]
 
 
-def normalized(values, mode="maxnorm"):
-    return normalize_weights_batch(np.asarray(values, dtype=float)[None, :],
-                                   mode)[0]
+def normalized(values):
+    return normalize_weights_batch(
+        np.asarray(values, dtype=float)[None, :])[0]
 
 
 def converged_numberline_scm(seed=0, samples=3000):
@@ -141,18 +141,11 @@ def test_normalize_idempotent():
     np.testing.assert_allclose(once, normalized(once))
 
 
-def test_normalize_raw_is_identity():
-    w = np.array([[0.2, 0.03, 0.9]])
-    out = normalize_weights_batch(w, "raw")
-    np.testing.assert_array_equal(out, w)
-    assert out is not w
-
-
 def test_normalize_batch_matches_single():
     rng = np.random.default_rng(4)
     raw = rng.uniform(0, 1, size=(30, 4))
     raw[5] = 0.0  # degenerate row
-    batch = normalize_weights_batch(raw, "maxnorm")
+    batch = normalize_weights_batch(raw)
     for k in range(30):
         np.testing.assert_array_equal(batch[k], normalized(raw[k]))
 
@@ -174,8 +167,6 @@ def test_non_finite_weights_raise(bad):
     whose fractions would then sum to 0.5."""
     with pytest.raises(ValueError, match="non-finite"):
         normalize_weights_batch(np.array([[bad, 0.5]]))
-    with pytest.raises(ValueError, match="non-finite"):
-        normalize_weights_batch(np.array([[bad, 0.5]]), "raw")
     with pytest.raises(ValueError, match="outside"):
         weight_stats(np.array([[bad, 0.5]]))
 

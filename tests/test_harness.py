@@ -100,6 +100,14 @@ def test_checkpoint_round_trip(tmp_path):
     # the arm alone decides B; no field overrides it
     ({"force_uniform_weights": False},
      "unknown config key(s): force_uniform_weights"),
+    # AWR always weighs by exp(A / beta) of advantages standardised per run,
+    # and B is always max-normalized
+    ({"hyper": {"awr_mode": "filter"}}, "unknown hyper key(s): awr_mode"),
+    ({"hyper": {"adv_filter_threshold": 0.0}},
+     "unknown hyper key(s): adv_filter_threshold"),
+    ({"hyper": {"weight_mode": "raw"}}, "unknown hyper key(s): weight_mode"),
+    ({"hyper": {"normalize_advantages": False}},
+     "unknown hyper key(s): normalize_advantages"),
 ])
 def test_cli_train_and_ablate_reject_bad_config(command, config, message,
                                                 tmp_path, monkeypatch,
@@ -768,15 +776,14 @@ def test_decode_tables_built_once_per_call(env_id, tmp_path, monkeypatch):
     ({"eval_episodes": 2.5}, "eval_episodes"),
     ({"eval_every_iters": True}, "eval_every_iters"),
     ({"out_dir": 5}, "out_dir"),
-    ({"hyper": {"normalize_advantages": 1}}, "normalize_advantages"),
+    ({"hyper": {"entropy_placement": 1}}, "entropy_placement"),
     ({"hyper": {"context": 1.5}}, "context"),
     ({"hyper": {"num_envs": True}}, "num_envs"),
     ({"hyper": {"alpha": "x"}}, "alpha"),
-    ({"hyper": {"normalize_advantages": "yes"}}, "normalize_advantages"),
+    ({"hyper": {"gamma": True}}, "gamma"),
     ({"seeds": [0, -1]}, "seeds"),
     (json.loads('{"hyper": {"alpha": NaN}}'), "alpha"),
-    (json.loads('{"hyper": {"adv_filter_threshold": NaN}}'),
-     "adv_filter_threshold"),
+    (json.loads('{"hyper": {"gae_lambda": NaN}}'), "gae_lambda"),
     (json.loads('{"hyper": {"policy_lr": Infinity}}'), "policy_lr"),
     (json.loads('{"hyper": {"awr_weight_clamp": -Infinity}}'),
      "awr_weight_clamp"),

@@ -1,6 +1,8 @@
-"""One id rule: every public call that reads token ids, action classes or
-step counts checks them with textmdp.id_array (integer dtype, every id in
-[0, size)), once per id input."""
+"""One id rule: every public call that reads token ids, action classes,
+step counts or action indices checks them with textmdp.id_array (integer
+dtype, every id in [0, size)), once per id input.  State features pass
+textmdp.state_id_array, and train_scm's scalars textmdp.check_scalar, the
+rule config values pass."""
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from coso.textmdp import EnvState, make_env
 
 ENV = make_env("numberline")
 V, A, H = ENV.vocab.size, ENV.num_actions, ENV.horizon
+CARDS = ENV.state_feature_cards()  # (10, 10): a bad last feature is 10
 STATES = [EnvState((1, 5)), EnvState((2, 3))]
 FEATS = np.array([s.features for s in STATES])
 TOKENS = np.array([[5, 6, 2], [7, 8, 3]])
@@ -34,6 +37,12 @@ READERS = [
     ("parse_batch", "token ids", V, TOKENS, ENV.parse_batch),
     ("step_batch", "step counts", H, STEPS,
      lambda s: ENV.step_batch(FEATS, s, ACTIONS)),
+    ("step_batch", "action indices", A, ACTIONS,
+     lambda a: ENV.step_batch(FEATS, STEPS, a)),
+    ("step_batch", "state features", CARDS[-1], FEATS,
+     lambda f: ENV.step_batch(f, STEPS, ACTIONS)),
+    ("state_ids", "state features", CARDS[-1], FEATS,
+     lambda f: policy.state_ids(CARDS, f)),
     ("teacher_forced_batch", "token ids", V, TOKENS,
      lambda ys: teacher_forced_batch(POLICY, STATES, ys)),
     ("grad_objective", "token ids", V, TOKENS,
@@ -81,15 +90,18 @@ def test_every_id_reader_rejects_bad_ids(reader, bad):
         call(BAD[bad](good, size))
 
 
-# public call -> the ids it checks, in order.  grad_objective without
-# forced checks its tokens again inside teacher_forced_batch, the one
-# teacher-forcing seam.
+# public call -> the ids and state features it checks, in order.
+# grad_objective without forced checks its tokens again inside
+# teacher_forced_batch, the one teacher-forcing seam; with forced it reads
+# its states unchecked (ROADMAP item 19).
 CHECKS = {
     "parse": ["token ids"],
     "parse_batch": ["token ids"],
-    "step_batch": ["step counts of unfinished episodes"],
-    "teacher_forced_batch": ["token ids"],
-    "grad_objective": ["token ids", "token ids"],
+    "step_batch": ["state features", "step counts of unfinished episodes",
+                   "action indices"],
+    "state_ids": ["state features"],
+    "teacher_forced_batch": ["token ids", "state features"],
+    "grad_objective": ["token ids", "token ids", "state features"],
     "grad_objective_forced": ["token ids"],
     "causal_weights_batch": ["token ids", "action classes"],
     "train_scm": ["token ids", "action classes"],
@@ -101,13 +113,38 @@ CHECKS = {
 @pytest.mark.parametrize("name", sorted(CHECKS))
 def test_one_public_call_checks_each_id_input_once(name, monkeypatch):
     seen = []
-    real = textmdp.id_array
+    real, real_states = textmdp.id_array, textmdp.state_id_array
 
     def counting(a, size, what):
         seen.append(what)
         return real(a, size, what)
+
+    def counting_states(feats, cards):
+        seen.append("state features")
+        return real_states(feats, cards)
     for mod in (textmdp, scm, policy):
         monkeypatch.setattr(mod, "id_array", counting)
+    for mod in (textmdp, policy):
+        monkeypatch.setattr(mod, "state_id_array", counting_states)
     _, _, _, good, call = next(r for r in READERS if r[0] == name)
     call(good)
     assert seen == CHECKS[name]
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("steps", 2.5), ("steps", 2.0), ("steps", True), ("steps", "2"),
+    ("batch_size", 2.0), ("batch_size", False),
+    ("lr", float("nan")), ("lr", float("inf")), ("lr", 0.0), ("lr", -1e-2),
+    ("lr", True), ("lr", "0.01"),
+])
+def test_train_scm_rejects_bad_scalars_before_any_draw(name, bad):
+    """steps and batch_size must be ints and lr a finite float > 0, by the
+    rules Hyperparams applies (a bool is neither); the generator stays
+    where it was."""
+    rng = np.random.default_rng(0)
+    start = rng.bit_generator.state
+    kw = dict(lr=1e-2, steps=1, batch_size=2)
+    kw[name] = bad
+    with pytest.raises(ValueError, match=name):
+        train_scm([PHI], TOKENS, ACTIONS, rngs=[rng], **kw)
+    assert rng.bit_generator.state == start

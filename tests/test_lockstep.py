@@ -10,6 +10,7 @@ hashes of tools/golden_hashes.py.
 import copy
 import dataclasses
 import gc
+import itertools
 import json
 import weakref
 
@@ -191,17 +192,37 @@ def test_train_scm_sees_only_the_coso_runs(monkeypatch):
     assert all(r.scm_loss is None for r in reports)
 
 
-def test_awr_filter_group_with_some_runs_skipping_equals_solo_runs():
-    hyper = small_hyper(awr_mode="filter", adv_filter_threshold=2.0,
-                        scm_steps=2)
-    grouped, got = check_group_equals_solo(
-        lambda: make_runs("numberline", hyper, optimizer="awr"), iters=6)
-    mixed = [it for it in got if 0 < sum(r.skipped for r in it) < len(it)]
-    assert mixed  # some runs skipped while others stepped
-    # a skipped step moves neither the params nor the snapshot id
-    for r, tr in enumerate(grouped):
-        assert tr.snapshot_id == sum(not it[r].skipped for it in got)
-        assert tr.policy_opt.step == tr.snapshot_id
+def test_awr_group_with_flat_and_negative_advantages_equals_solo_runs(
+        monkeypatch):
+    """AWR's exp weights are > 0, so every run steps: a run whose GAE
+    advantages are all equal and one whose advantages are all negative
+    both move their weights, snapshot id and Adam step once per iteration,
+    and the group equals its runs trained alone."""
+    original = coso_rl.gae_advantages
+    # per run, in call order: alone each call is one run, in the group one
+    # call takes all four in group order
+    plans = itertools.cycle([lambda a: np.full_like(a, 0.5),
+                             lambda a: -1.0 - np.abs(a)])
+
+    def gae_advantages(feats, batch, *args):
+        adv = batch.by_run(original(feats, batch, *args)).copy()
+        for r in range(batch.runs):
+            adv[r] = next(plans)(adv[r])
+        return adv.ravel()
+    monkeypatch.setattr(coso_rl, "gae_advantages", gae_advantages)
+    solo, grouped = (make_runs("numberline", small_hyper(), optimizer="awr",
+                               runs=[("rl_h", 0.1), ("coso", 0.4)])
+                     for _ in range(2))
+    lead, *others = grouped
+    for it in range(1, 4):
+        before = [tr.policy.weights.copy() for tr in grouped]
+        want = [tr.train_iteration()[0] for tr in solo]
+        assert lead.train_iteration(*others) == want
+        for tr, weights in zip(grouped, before):
+            assert np.any(tr.policy.weights != weights)
+            assert tr.snapshot_id == tr.policy_opt.step == it
+    for a, b in zip(grouped, solo):
+        assert_same_state(a, b)
 
 
 def test_reward_bonus_group_equals_solo_runs():

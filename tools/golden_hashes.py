@@ -43,9 +43,8 @@ RUNS = (
      {"arm": "coso", "total_env_steps": 16384}),
     ("numberline_coso_reward_bonus", "ablation_numberline.json",
      {"total_env_steps": 8192, "hyper": {"entropy_placement": "reward_bonus"}}),
-    ("numberline_coso_awr_filter_raw", "ablation_numberline.json",
-     {"optimizer": "awr", "total_env_steps": 8192,
-      "hyper": {"awr_mode": "filter", "weight_mode": "raw"}}),
+    ("numberline_coso_awr", "ablation_numberline.json",
+     {"optimizer": "awr", "total_env_steps": 8192}),
     ("menunav_coso_ppo", "ablation_menunav.json",
      {"total_env_steps": 200_000}),
     ("menunav_coso_awr", "ablation_menunav.json",
