@@ -20,10 +20,10 @@ its own training alone, bit for bit.  One run is a group of one, with a
 batch of one run and a list of one report.  The runs of a group that share
 a seed also share their episode starts: each (seed, episode number) start
 is computed once per group, by the first run to reach it.  The rollout
-records each token's distribution while it samples, which is the batch's
-teacher forcing at the sampling policies; the first PPO epoch or the AWR
-step takes it, and teacher_forced_batch serves only the steps after the
-params move.
+records each token's distribution while it samples and returns it with
+the batch: the batch's teacher forcing at the sampling policies.  The
+first PPO epoch or the AWR step takes it, and teacher_forced_batch serves
+only the steps after the params move.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from . import heap
 from . import policy as pol
 from . import scm as scm_mod
 from .policy import FeatureSpec, PolicyParams
-from .scm import AdamState, ScmParams, adam_update_runs, stack_runs
+from .scm import AdamState, ScmParams, adam_update_runs
 from .textmdp import EnvState, TextEnv, check_scalar, state_arrays
 
 
@@ -204,16 +204,14 @@ def _run_values(F: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 def fit_value(feats: tuple, batch: RolloutBatch, gamma: float, ridge: float,
-              prev_beta: np.ndarray | None) -> np.ndarray:
+              prev_beta: np.ndarray) -> np.ndarray:
     """Ridge fits of linear state values on bootstrapped returns-to-go, one
     per run of batch: (R, d), from the runs' (R, d) previous fits
-    prev_beta, or None.  feats is value_features(spec, batch)."""
+    prev_beta (zeros for a run's first fit).  feats is
+    value_features(spec, batch)."""
     F, F_next = feats
-    boot = np.zeros((batch.runs, batch.per_run))
-    if prev_beta is not None:
-        boot = _run_values(F_next, prev_beta)
-    r, done, boot = (batch.by_tick(a) for a in (batch.rewards, batch.dones,
-                                                boot))
+    r, done, boot = (batch.by_tick(a) for a in (
+        batch.rewards, batch.dones, _run_values(F_next, prev_beta)))
     returns = np.empty_like(r)
     # backward over ticks, all runs' streams at once; the last tick
     # bootstraps
@@ -292,7 +290,7 @@ def _descend(params: PolicyParams, batch: RolloutBatch, coef: np.ndarray,
     use_entropy = _entropy_runs(hyper, alphas)
     m = batch.per_run
     # run r's permutation of its own rows, as row indices of the stack
-    order = (stack_runs([g.permutation(m) for g in rngs])
+    order = (np.stack([g.permutation(m) for g in rngs])
              + (np.arange(batch.runs) * m)[:, None])
     weights = params.weights
     gnorms = [0.0] * batch.runs
@@ -418,11 +416,9 @@ class Trainer:
         self.scm = ScmParams.zeros(env.grammar.n, env.vocab.size,
                                    env.num_actions)
         self.policy_opt = AdamState()
-        self.value_beta: np.ndarray | None = None
+        # the value fit, zeros before the first: it bootstraps from zero
+        self.value_beta = np.zeros(sum(spec.state_cards) + 1)
         self.snapshot_id = 0
-        # the stacked teacher forcing of the last rollout this run led,
-        # until train_iteration takes it
-        self._rollout_forcing = None
         self.total_env_steps = 0
         self._episode_counter = 0
         # the episode starts this run shares with its group's runs of the
@@ -456,18 +452,15 @@ class Trainer:
 
     # -- phases ------------------------------------------------------------
 
-    def collect_rollouts(self, *others: "Trainer") -> RolloutBatch:
-        """The rollout batch of this run and the others, stepped in
-        lockstep, in that order; each run's streams get arrays of their
-        own.
+    def collect_rollouts(self, *others: "Trainer") -> tuple:
+        """(batch, forced): the rollout batch of this run and the others,
+        stepped in lockstep, in that order, and its teacher forcing at the
+        sampling policies; each run's streams get arrays of their own.
 
         This is where an iteration checks its group (_check_group), before
         any draw.  The decoder records every token's distribution as it
-        samples, so the batch's teacher forcing at the sampling policies
-        (teacher_forced_batch runs the same decoder on given tokens) costs
-        no second pass.  It stays on this run for train_iteration, which
-        takes it at once; a rollout called on its own leaves it until the
-        next one replaces it.
+        samples, so forced (teacher_forced_batch runs the same decoder on
+        given tokens) costs no second pass.
         """
         trs = [self, *others]
         _check_group(trs)
@@ -488,21 +481,20 @@ class Trainer:
         dones = np.empty((runs, ticks, ns), dtype=bool)
         oks = np.empty((runs, ticks, ns), dtype=bool)
         # the distributions each token is drawn from, the batch's teacher
-        # forcing: the decoder records positions 1 onward tick by tick, and
-        # position 0, a row of the tables per state, is gathered once
+        # forcing, recorded tick by tick
         probs = np.empty((runs, ticks, ns, n, spec.vocab_size))
         logprobs = np.empty_like(probs)
         # per run, one row of ns uniforms per (tick, token position): the
         # stream of ticks * n successive draws of ns
-        uniforms = stack_runs([tr.rng.random((ticks, n, ns)) for tr in trs])
+        uniforms = np.stack([tr.rng.random((ticks, n, ns)) for tr in trs])
         # the policies are frozen here
-        tables = pol.decode_tables(PolicyParams(spec=spec, weights=stack_runs(
+        tables = pol.decode_tables(PolicyParams(spec=spec, weights=np.stack(
             [tr.policy.weights for tr in trs])))
         for t in range(ticks):
             toks = pol.sample_utterances_batch(
                 tables, feats,
                 uniforms[:, t].transpose(0, 2, 1).reshape(runs * ns, n),
-                out=(probs[:, t, :, 1:], logprobs[:, t, :, 1:]))
+                out=(probs[:, t], logprobs[:, t]))
             act, ok = env.parse_batch(toks)
             states[:, t] = feats.reshape(runs, ns, k)
             utts[:, t] = toks.reshape(runs, ns, n)
@@ -518,19 +510,18 @@ class Trainer:
         states, utts = states.reshape(-1, k), utts.reshape(-1, n)
         probs, logprobs = (a.reshape(-1, n, spec.vocab_size)
                            for a in (probs, logprobs))
-        pol.record_position0(tables, states, (probs, logprobs))
         forced = (probs, logprobs) + pol.token_stats(probs, logprobs, utts)
         for r, tr in enumerate(trs):
             tr._feats = feats[r * ns:(r + 1) * ns].copy()
             tr._steps = steps[r * ns:(r + 1) * ns].copy()
             tr.total_env_steps += ticks * ns
-        self._rollout_forcing = forced
         return RolloutBatch(
             states=states, next_states=next_states.reshape(-1, k),
             utterances=utts, action_idx=acts.ravel(),
             rewards=rewards.ravel(), dones=dones.ravel(),
             parse_ok=oks.ravel(), old_logprob=forced[2], entropy=forced[3],
-            num_streams=ns, snapshot_id=tuple(tr.snapshot_id for tr in trs))
+            num_streams=ns,
+            snapshot_id=tuple(tr.snapshot_id for tr in trs)), forced
 
     def compute_weights(self, batch: RolloutBatch) -> None:
         """Fill batch.weights/hb according to the arm (B for every (y, a)).
@@ -555,14 +546,13 @@ class Trainer:
         counterfactual weights, the coso runs' SCM update, then the policy
         update.  Returns their UpdateReports in order, a list of one
         without others; a baseline's scm_loss is None."""
-        batch = self.collect_rollouts(*others)
-        forced, self._rollout_forcing = self._rollout_forcing, None
+        batch, forced = self.collect_rollouts(*others)
         trs, views = [self, *others], [batch.run(r) for r in range(batch.runs)]
         for tr, view in zip(trs, views):
             tr.compute_weights(view)
         for name in ("weights", "hb"):  # the group batch gets the runs' B
             parts = [getattr(view, name) for view in views]
-            setattr(batch, name, np.concatenate(parts) if others else parts[0])
+            setattr(batch, name, np.concatenate(parts))
         scm_losses = self.update_scm(batch, *others)
         if not np.all(np.isfinite([x for x in scm_losses if x is not None])):
             raise RuntimeError("SCM update diverged; policy update aborted")
@@ -623,14 +613,9 @@ class Trainer:
         if hyper.entropy_placement == "reward_bonus":
             batch = replace(batch, rewards=_augment_rewards(
                 batch, [tr.hyper.alpha for tr in trs], hyper.gamma))
-        prev = None
-        if any(tr.value_beta is not None for tr in trs):
-            d = sum(spec.state_cards) + 1
-            # a run without a fit bootstraps from zero, as alone
-            prev = stack_runs([np.zeros(d) if tr.value_beta is None
-                               else tr.value_beta for tr in trs])
         feats = value_features(spec, batch)
-        betas = fit_value(feats, batch, hyper.gamma, hyper.value_ridge, prev)
+        betas = fit_value(feats, batch, hyper.gamma, hyper.value_ridge,
+                          np.stack([tr.value_beta for tr in trs]))
         for r, tr in enumerate(trs):
             tr.value_beta = betas[r]
         adv = gae_advantages(feats, batch, hyper.gamma, hyper.gae_lambda,
@@ -639,7 +624,7 @@ class Trainer:
         a = batch.by_run(adv)
         adv = ((a - np.mean(a, axis=1, keepdims=True))
                / (np.std(a, axis=1, keepdims=True) + 1e-8)).ravel()
-        params = PolicyParams(spec=spec, weights=stack_runs(
+        params = PolicyParams(spec=spec, weights=np.stack(
             [tr.policy.weights for tr in trs]))
         hypers = [tr.hyper for tr in trs]
         opts = [tr.policy_opt for tr in trs]

@@ -25,7 +25,6 @@ from . import counterfactual as cf
 from . import policy as pol
 from . import tabular
 from .coso_rl import ARMS, OPTIMIZERS, Hyperparams, Trainer, check_field_types
-from .scm import stack_runs
 from .textmdp import EnvState, TextEnv, env_ids, make_env, state_arrays
 
 EVAL_SEED_BASE = 990_000  # fixed eval episode seeds, shared by every run
@@ -242,22 +241,12 @@ def _train_group(jobs, write_artifacts: bool) -> list:
                 lead.total_env_steps < first.total_env_steps:
             continue
         rates = evaluate_greedy(env, pol.PolicyParams(
-            spec=lead.policy.spec, weights=stack_runs(
+            spec=lead.policy.spec, weights=np.stack(
                 [tr.policy.weights for tr in trainers])), first.eval_episodes)
         for report, rate, run_rows in zip(reports, rates, rows):
-            run_rows.append({
-                "schema_version": 1,
-                "iteration": it,
-                "env_steps": report.env_steps,
-                "eval_success": rate,
-                "mean_return": report.mean_return,
-                "invalid_rate": report.invalid_rate,
-                "mean_entropy": report.mean_entropy,
-                "mean_weighted_entropy": report.mean_weighted_entropy,
-                "policy_loss": report.policy_loss,
-                "scm_loss": report.scm_loss,
-                "grad_norm": report.grad_norm,
-            })
+            run_rows.append({"schema_version": 1, "iteration": it,
+                             "eval_success": rate,
+                             **dataclasses.asdict(report)})
     return [_finish_run(config, seed, tr, run_rows, write_artifacts)
             for (config, seed), tr, run_rows in zip(jobs, trainers, rows)]
 

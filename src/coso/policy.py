@@ -289,34 +289,6 @@ def decode_tables(params: PolicyParams) -> DecodeTables:
     return tables
 
 
-def _table_rows(tables: DecodeTables, states) -> np.ndarray:
-    """(m,) rows of tables of the m states; for R runs, run r's rows are
-    states r * m / R onward."""
-    sid = state_ids(tables.spec.state_cards, states)
-    runs = tables.runs
-    if len(sid) % runs:
-        raise ValueError(f"{len(sid)} rows do not split into {runs} runs")
-    return _in_run_blocks(sid, runs, len(tables.base) // runs)
-
-
-def record_position0(tables: DecodeTables, states, out: tuple) -> None:
-    """Copy the position-0 distributions and log-probs of states into
-    position 0 of out, a (probs, logprobs) pair of (..., n, V) arrays whose
-    leading axes hold the rows in order: one gather from the tables each,
-    so a caller that records many decode calls may do it once for all."""
-    _record_rows0(tables, _table_rows(tables, states), out)
-
-
-def _record_rows0(tables: DecodeTables, rows: np.ndarray, out: tuple) -> None:
-    """record_position0 of the states at the given rows of tables."""
-    at = rows.reshape(out[0].shape[:-2])
-    # the rows are in range, so clip mode only skips the bounds check.  A
-    # take into the strided position-0 view would copy it in and back out,
-    # so the rows are gathered whole and then assigned
-    for table, a in zip((tables.probs0, tables.logprobs0), out):
-        a[..., 0, :] = table.take(at, axis=0, mode="clip")
-
-
 def _first_above(cdf: np.ndarray, u: np.ndarray, mask: np.ndarray,
                  out: np.ndarray) -> np.ndarray:
     """Per row, the first column whose cumulative probability exceeds u, or
@@ -331,11 +303,12 @@ def _first_above(cdf: np.ndarray, u: np.ndarray, mask: np.ndarray,
     return mask.argmax(axis=1, out=out)
 
 
-def _decode(policy, states, u: np.ndarray | None, out: tuple | None = None,
+def _decode(policy, sid: np.ndarray, u: np.ndarray | None,
+            out: tuple | None = None,
             tokens: np.ndarray | None = None) -> np.ndarray:
-    """(m, n) tokens decoded left to right.  policy is PolicyParams or its
-    DecodeTables; for R stacked runs, rows r * m / R onward decode with
-    run r's policy.
+    """(m, n) tokens decoded left to right from the states of the (m,) state
+    ids sid.  policy is PolicyParams or its DecodeTables; for R stacked
+    runs, rows r * m / R onward decode with run r's policy.
 
     Each position's token is picked by one of three rules: the given token
     if tokens, an (m, n) intp array of in-vocab ids, is given (teacher
@@ -348,16 +321,18 @@ def _decode(policy, states, u: np.ndarray | None, out: tuple | None = None,
 
     out, if given, is a (probs, logprobs) pair of (..., n, V) arrays whose
     leading axes hold the m rows in order; each position's distribution
-    and log-probs are copied into it as they are computed.  Arrays of
-    (..., n - 1, V) receive positions 1 onward, and the caller fills
-    position 0 (record_position0).
+    and log-probs are copied into it as they are computed, position 0's
+    from the tables.
     """
     tables = (policy if isinstance(policy, DecodeTables)
               else decode_tables(policy))
     spec = tables.spec
     n, V, runs = spec.n, spec.vocab_size, tables.runs
-    sid = _table_rows(tables, states)
     m = len(sid)
+    if m % runs:
+        raise ValueError(f"{m} rows do not split into {runs} runs")
+    # the rows of tables of the m states, run r's at r * S
+    sid = _in_run_blocks(sid, runs, len(tables.base) // runs)
     z, probs, cdf = np.empty((3, m, V))
     mask = np.empty((m, V), dtype=bool)
     mx, total = np.empty((2, m, 1))
@@ -381,9 +356,11 @@ def _decode(policy, states, u: np.ndarray | None, out: tuple | None = None,
     if out is not None:
         out_probs, out_logprobs = out
         rows = out_probs.shape[:-2] + (V,)  # one position's
-        first = out_probs.shape[-2] == n  # else position i goes to i - 1
-        if first:
-            _record_rows0(tables, sid, out)
+        # a take into the strided position-0 view would copy it in and back
+        # out, so the rows are gathered whole and then assigned
+        at = sid.reshape(rows[:-1])
+        for table, a in zip((tables.probs0, tables.logprobs0), out):
+            a[..., 0, :] = table.take(at, axis=0, mode="clip")
     base = tables.base[sid]
     for i in range(1, n):
         if runs > 1:
@@ -399,8 +376,8 @@ def _decode(policy, states, u: np.ndarray | None, out: tuple | None = None,
             # a subtraction per position: one pass over out after the loop
             # read slower on 9-run rollout ticks
             z -= np.log(total)
-            out_probs[..., i - 1 + first, :] = probs.reshape(rows)
-            out_logprobs[..., i - 1 + first, :] = z.reshape(rows)
+            out_probs[..., i, :] = probs.reshape(rows)
+            out_logprobs[..., i, :] = z.reshape(rows)
     return toks.T
 
 
@@ -411,15 +388,12 @@ def sample_utterances_batch(policy, states, u, out=None) -> np.ndarray:
     decodes many batches.  Token i of row b is drawn by inverse CDF on
     u[b, i].  Returns the (m, n) tokens.
 
-    out, if given, is a (probs, logprobs) pair of float arrays of shape
-    (..., n, V) whose leading axes hold the m rows in order (a view such as
-    a tick of a larger array will do).  The call fills them with the
-    distributions it sampled from, which are teacher_forced_batch's probs
-    and logprobs of the returned tokens; token_stats gives their log-probs
-    and entropies.  Arrays of shape (..., n - 1, V) receive positions 1
-    onward: position 0's distribution is a row of the tables per state,
-    which a caller that records many calls copies in once, by
-    record_position0 on all their states.
+    out, if given, is a (probs, logprobs) pair of float arrays of one
+    shape (..., n, V) whose leading axes hold the m rows in order (a view
+    such as a tick of a larger array will do).  The call fills them with
+    the distributions it sampled from, position 0 included, which are
+    teacher_forced_batch's probs and logprobs of the returned tokens;
+    token_stats gives their log-probs and entropies.
     """
     u = np.asarray(u, dtype=np.float64)
     spec = policy.spec
@@ -428,14 +402,13 @@ def sample_utterances_batch(policy, states, u, out=None) -> np.ndarray:
                          f"{spec.n})")
     if out is not None:
         for a in out:
-            if a.shape[-2:] != out[0].shape[-2:] \
-                    or a.shape[-2] not in (spec.n - 1, spec.n) \
-                    or a.shape[-1] != spec.vocab_size \
+            if a.shape != out[0].shape \
+                    or a.shape[-2:] != (spec.n, spec.vocab_size) \
                     or math.prod(a.shape[:-2]) != len(states):
                 raise ValueError(f"output of shape {a.shape} for "
                                  f"{len(states)} rows of ({spec.n}, "
                                  f"{spec.vocab_size})")
-    return _decode(policy, states, u, out)
+    return _decode(policy, state_ids(spec.state_cards, states), u, out)
 
 
 def sample_utterance(params: PolicyParams, state: EnvState,
@@ -449,7 +422,30 @@ def sample_utterance(params: PolicyParams, state: EnvState,
 def greedy_utterance(policy, states) -> np.ndarray:
     """(m, n) per-position argmax decoding (ties to lowest token id);
     policy is PolicyParams or its DecodeTables."""
-    return _decode(policy, states, None)
+    return _decode(policy, state_ids(policy.spec.state_cards, states), None)
+
+
+def _forcing_inputs(spec: FeatureSpec, states,
+                    utterances) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, n) intp tokens and (m,) state ids of a forcing's m states
+    and utterances, each input checked once: ValueError naming the token
+    ids, the utterances' shape or the state features."""
+    toks = id_array(utterances, spec.vocab_size, "token ids")
+    m = len(states)
+    if toks.shape != (m, spec.n):
+        raise ValueError(f"utterances of shape {toks.shape}, not ({m}, "
+                         f"{spec.n})")
+    return toks, state_ids(spec.state_cards, states)
+
+
+def _teacher_force(params: PolicyParams, sid: np.ndarray,
+                   toks: np.ndarray) -> tuple:
+    """teacher_forced_batch of checked inputs (_forcing_inputs)."""
+    spec = params.spec
+    probs = np.empty((len(sid), spec.n, spec.vocab_size))
+    logprobs = np.empty_like(probs)
+    _decode(params, sid, None, out=(probs, logprobs), tokens=toks)
+    return (probs, logprobs) + token_stats(probs, logprobs, toks)
 
 
 def teacher_forced_batch(params: PolicyParams, states, utterances):
@@ -458,19 +454,12 @@ def teacher_forced_batch(params: PolicyParams, states, utterances):
 
     Returns (probs, logprobs, tok_logprob, tok_entropy) with shapes
     (m, n, V), (m, n, V), (m, n), (m, n).  Token ids that are not an
-    integer array of in-vocab ids, state features outside their
-    cardinalities and non-finite weights raise ValueError.
+    integer array of in-vocab ids, utterances not of shape (m, n), state
+    features outside their cardinalities and non-finite weights raise
+    ValueError.
     """
-    spec = params.spec
-    toks = id_array(utterances, spec.vocab_size, "token ids")
-    m = len(states)
-    if toks.shape != (m, spec.n):
-        raise ValueError(f"utterances of shape {toks.shape}, not ({m}, "
-                         f"{spec.n})")
-    probs = np.empty((m, spec.n, spec.vocab_size))
-    logprobs = np.empty_like(probs)
-    _decode(params, states, None, out=(probs, logprobs), tokens=toks)
-    return (probs, logprobs) + token_stats(probs, logprobs, toks)
+    toks, sid = _forcing_inputs(params.spec, states, utterances)
+    return _teacher_force(params, sid, toks)
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +497,9 @@ def grad_objective(params: PolicyParams, states, utterances,
     be that of a larger batch whose rows forced_rows are these, so that no
     caller copies it whole.  For stacked runs, token_runs is a boolean mask
     over the runs whose token term counts (None: all); the token weights of
-    the other runs are not read.  Token ids that are not integers or not
-    in the vocab raise ValueError, forced or not.
+    the other runs are not read.  Forced or not, the token ids, the
+    utterances' shape and the state features are checked once, as
+    teacher_forced_batch checks them.
 
     Run by run, dJ/dz of all n positions is built in one pass over an
     (n, m, V) gather of the run's forcing, position-major so that each
@@ -526,10 +516,10 @@ def grad_objective(params: PolicyParams, states, utterances,
         raise ValueError("objective has no term")
     spec = params.spec
     n, V = spec.n, spec.vocab_size
-    toks = id_array(utterances, V, "token ids")
+    toks, sid = _forcing_inputs(spec, states, utterances)
     _, runs, m = _runs(params, len(states))
     if forced is None:
-        forced, forced_rows = teacher_forced_batch(params, states, toks), None
+        forced, forced_rows = _teacher_force(params, sid, toks), None
     # one row per (row, position): gathers of these rows are position-major
     probs, logprobs = (a.reshape(-1, V) for a in forced[:2])
     tok_ent = forced[3].reshape(-1)

@@ -31,12 +31,6 @@ from .textmdp import check_scalar, id_array
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def stack_runs(arrays) -> np.ndarray:
-    """Arrays of R runs stacked on a new leading axis; one run's array gets
-    the axis as a view."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 def adam_update(params, grad, m, v, steps, lr: float):
     """One Adam step of R runs at once: every array has a leading run axis
     and steps[r] is run r's step number, counting this one.  Returns new
@@ -71,9 +65,9 @@ class AdamState:
 def _moments(opts, params) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (m, v) of R runs' Adam states, zeros for a state that has
     taken no step."""
-    return tuple(stack_runs([np.zeros_like(p) if getattr(o, k) is None
-                             else getattr(o, k)
-                             for o, p in zip(opts, params)])
+    return tuple(np.stack([np.zeros_like(p) if getattr(o, k) is None
+                           else getattr(o, k)
+                           for o, p in zip(opts, params)])
                  for k in ("m", "v"))
 
 
@@ -260,7 +254,7 @@ def train_scm(phis: list, ys, labels, lr: float, steps: int,
     # feature indices into the stacked weights, run r's block at r * n * V
     idx = _feature_indices(phi, ys)
     idx += np.repeat(np.arange(runs) * nv, m)
-    picks = (stack_runs([draw_rows(g, m, steps, batch_size) for g in rngs])
+    picks = (np.stack([draw_rows(g, m, steps, batch_size) for g in rngs])
              + (np.arange(runs) * m)[:, None, None])
     rows = picks[:, 0].size  # R * B
     # bias-gradient bins: (action, run) of every entry of the (A, R * B) dz
@@ -269,8 +263,8 @@ def train_scm(phis: list, ys, labels, lr: float, steps: int,
     cols = np.arange(rows)
     spread = np.empty((a, phi.n, rows))
 
-    w = stack_runs([p.weights for p in phis])
-    b = stack_runs([p.bias for p in phis])
+    w = np.stack([p.weights for p in phis])
+    b = np.stack([p.bias for p in phis])
     opt_w = [replace(p.opt_w) for p in phis]
     opt_b = [replace(p.opt_b) for p in phis]
     mw, vw = _moments(opt_w, w)

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -152,7 +153,7 @@ def test_fit_value_recovers_constant_reward_value():
     spec = FeatureSpec(state_cards=(1,), vocab_size=4, n=2)
     m, gamma = 400, 0.9
     batch = synthetic_batch([1.0] * m, [False] * m, spec)
-    beta, feats = None, value_features(spec, batch)
+    beta, feats = np.zeros((1, 2)), value_features(spec, batch)
     for _ in range(200):
         beta = fit_value(feats, batch, gamma, ridge=1e-8, prev_beta=beta)
     value = beta[0, 0] + beta[0, 1]  # one-hot state feature plus bias
@@ -165,7 +166,7 @@ def test_fit_value_recovers_constant_reward_value():
 def fresh_rollout(seed=0, arm="coso", **hkw):
     env = make_env("numberline")
     tr = Trainer(env, small_hyper(**hkw), seed=seed, arm=arm)
-    batch = tr.collect_rollouts()
+    batch, _ = tr.collect_rollouts()
     tr.compute_weights(batch)
     return tr, batch
 
@@ -287,7 +288,7 @@ def test_only_coso_weights_query_the_classifier(arm, constant, monkeypatch):
         calls.append(args)
         return original(*args)
     monkeypatch.setattr(cf, "causal_weights_batch", counting)
-    batch = tr.collect_rollouts()
+    batch, _ = tr.collect_rollouts()
     tr.compute_weights(batch)
     if arm == "coso":
         assert len(calls) == 1 and calls[0][0] is tr.scm
@@ -355,14 +356,14 @@ def test_buffer_size_and_env_step_accounting():
     assert reports[0].env_steps == 64
     assert reports[1].env_steps == 128
     assert tr.total_env_steps == 128
-    assert tr.collect_rollouts().size == 64  # the buffer: one rollout
+    assert tr.collect_rollouts()[0].size == 64  # the buffer: one rollout
     assert tr.total_env_steps == 192
 
 
 def test_weighted_entropy_within_bound():
     env = make_env("numberline")
     tr = Trainer(env, small_hyper(), seed=2, arm="coso")
-    batch = tr.collect_rollouts()
+    batch, _ = tr.collect_rollouts()
     tr.compute_weights(batch)
     n = env.grammar.n
     cap = np.max(batch.weights, axis=1) * n * np.log(env.vocab.size - 1)
@@ -378,7 +379,7 @@ def test_reward_bonus_placement_augments_rewards():
     env = make_env("numberline")
     tr = Trainer(env, small_hyper(entropy_placement="reward_bonus",
                                   alpha=0.5), seed=4, arm="coso")
-    batch = tr.collect_rollouts()
+    batch, _ = tr.collect_rollouts()
     tr.compute_weights(batch)
     out = coso_rl._augment_rewards(batch, [tr.hyper.alpha], 0.99)
     ns = batch.num_streams
@@ -480,7 +481,7 @@ def test_array_rollouts_match_scalar_reference(env_id):
     ref.policy.weights[:] = weights
     done_rows = 0
     for _ in range(4):  # 48 ticks: episodes end by success and by horizon
-        batch = fast.collect_rollouts()
+        batch, _ = fast.collect_rollouts()
         want = scalar_rollouts(ref)
         got = [batch.states, batch.next_states, batch.utterances,
                batch.action_idx, batch.rewards, batch.dones, batch.parse_ok,
@@ -532,9 +533,9 @@ def test_recursions_match_row_by_row_references():
                                   alpha=0.5), seed=4)
     tr.policy.weights[:] = np.random.default_rng(1).normal(
         0, 1.5, tr.policy.weights.shape)
-    batch = tr.collect_rollouts()
+    batch, _ = tr.collect_rollouts()
     while not batch.dones.any():  # the horizon is 20 ticks away at most
-        batch = tr.collect_rollouts()
+        batch, _ = tr.collect_rollouts()
     tr.compute_weights(batch)
     spec, gamma = tr.policy.spec, 0.99
     beta = np.random.default_rng(2).normal(size=sum(spec.state_cards) + 1)
@@ -546,11 +547,11 @@ def test_recursions_match_row_by_row_references():
         reference_gae(batch, gamma, 0.95, v, v_next))
     F = coso_rl._value_features(spec, batch.states)
     A = F.T @ F + 1e-2 * np.eye(F.shape[1])
-    for prev, boot in ((None, np.zeros(batch.size)), (beta, v_next)):
+    for prev, boot in ((np.zeros_like(beta), np.zeros(batch.size)),
+                       (beta, v_next)):
         want = np.linalg.solve(A, F.T @ reference_returns(batch, gamma, boot))
         np.testing.assert_array_equal(
-            fit_value(feats, batch, gamma, 1e-2,
-                      None if prev is None else prev[None])[0], want)
+            fit_value(feats, batch, gamma, 1e-2, prev[None])[0], want)
     want = batch.rewards.copy()
     for j in range(batch.size - batch.num_streams):
         if not batch.dones[j]:
@@ -566,7 +567,7 @@ def random_policy_rollout(**hkw):
     tr = Trainer(env, small_hyper(**hkw), seed=12)
     tr.policy.weights[:] = np.random.default_rng(3).normal(
         0, 1.0, tr.policy.weights.shape)
-    batch = tr.collect_rollouts()
+    batch, _ = tr.collect_rollouts()
     tr.compute_weights(batch)
     return tr, batch
 
@@ -589,16 +590,11 @@ def test_rollouts_teacher_force_once(monkeypatch):
     tr = Trainer(env, small_hyper(rollout_steps=64, num_envs=8), seed=2)
     tr.policy.weights[:] = np.random.default_rng(4).normal(
         0, 1.0, tr.policy.weights.shape)
-    calls = []
-    original = pol.teacher_forced_batch
-
-    def counting(params, states, utterances):
-        calls.append(len(states))
-        return original(params, states, utterances)
-    monkeypatch.setattr(pol, "teacher_forced_batch", counting)
-    batch = tr.collect_rollouts()
+    calls = count_forcing(monkeypatch)
+    batch, _ = tr.collect_rollouts()
     assert calls == []
-    _, _, lps, ents = original(tr.policy, batch.states, batch.utterances)
+    _, _, lps, ents = pol.teacher_forced_batch(tr.policy, batch.states,
+                                               batch.utterances)
     assert batch.old_logprob.tobytes() == lps.tobytes()
     assert batch.entropy.tobytes() == ents.tobytes()
 
@@ -627,19 +623,19 @@ def test_recorded_forcing_equals_teacher_forcing(env_id, arms, seeds,
 
     def collect_rollouts(self, *others):
         policy = group_policy([self, *others])
-        batch = original(self, *others)
+        batch, forced = original(self, *others)
         want = pol.teacher_forced_batch(policy, batch.states,
                                         batch.utterances)
-        for got, ref in zip(self._rollout_forcing, want):
+        for got, ref in zip(forced, want):
             assert got.shape == ref.shape and got.dtype == ref.dtype
             assert got.tobytes() == ref.tobytes()
-        assert batch.old_logprob is self._rollout_forcing[2]
-        assert batch.entropy is self._rollout_forcing[3]
-        probs, logprobs = self._rollout_forcing[:2]
+        assert batch.old_logprob is forced[2]
+        assert batch.entropy is forced[3]
+        probs, logprobs = forced[:2]
         saturated.append(np.any(probs[..., 1:] == 0.0)
                          and logprobs[..., 1:].min() < -745.0)
         checked.append(batch.size)
-        return batch
+        return batch, forced
     monkeypatch.setattr(Trainer, "collect_rollouts", collect_rollouts)
     rng = np.random.default_rng(7)
     for scale in (1.0, 200.0):
@@ -700,10 +696,10 @@ def test_sample_utterances_batch_rejects_a_misshapen_output():
 
 
 @pytest.mark.parametrize("runs", [1, 3])
-def test_later_positions_plus_position0_record_the_forcing(runs):
-    """A record of positions 1 onward, tick by tick, plus position 0 of
-    every tick in one record_position0 call, is teacher forcing bit for
-    bit, as collect_rollouts assembles it."""
+def test_tick_records_are_the_forcing(runs):
+    """(..., n, V) records written tick by tick, as collect_rollouts writes
+    them, are teacher forcing bit for bit; a record of n - 1 positions is
+    rejected."""
     env = make_env("numberline")
     spec = FeatureSpec.for_env(env)
     rng = np.random.default_rng(runs)
@@ -716,12 +712,15 @@ def test_later_positions_plus_position0_record_the_forcing(runs):
     toks = np.empty((runs, ticks, ns, spec.n), dtype=np.intp)
     tables = pol.decode_tables(params)
     for t in range(ticks):
+        u = rng.random((runs * ns, spec.n))
+        tick_feats = feats[:, t].reshape(runs * ns, -1)
+        with pytest.raises(ValueError, match="output of shape"):
+            pol.sample_utterances_batch(tables, tick_feats, u,
+                                        out=tuple(record[:, :, t, :, 1:]))
         toks[:, t] = pol.sample_utterances_batch(
-            tables, feats[:, t].reshape(runs * ns, -1),
-            rng.random((runs * ns, spec.n)),
-            out=tuple(record[:, :, t, :, 1:])).reshape(runs, ns, -1)
+            tables, tick_feats, u,
+            out=tuple(record[:, :, t])).reshape(runs, ns, -1)
     feats = feats.reshape(-1, len(spec.state_cards))
-    pol.record_position0(tables, feats, tuple(record))
     want = pol.teacher_forced_batch(params, feats, toks.reshape(-1, spec.n))
     for got, ref in zip(record, want):
         assert got.reshape(ref.shape).tobytes() == ref.tobytes()
@@ -735,16 +734,9 @@ def test_update_teacher_forces_once_per_param_state(optimizer, minibatch_size,
     later minibatch sees moved params and teacher-forces its own rows."""
     tr, batch = random_policy_rollout(rollout_steps=64, num_envs=8,
                                       minibatch_size=minibatch_size)
-    count = 0
-    original = pol.teacher_forced_batch
-
-    def counting(*args, **kwargs):
-        nonlocal count
-        count += 1
-        return original(*args, **kwargs)
-    monkeypatch.setattr(pol, "teacher_forced_batch", counting)
+    forcings = count_forcing(monkeypatch)
     run_update(optimizer, tr, batch)
-    assert count == calls
+    assert len(forcings) == calls
 
 
 @pytest.mark.parametrize("optimizer", ["ppo", "awr"])
@@ -765,13 +757,15 @@ def test_minibatches_match_recompute_reference(optimizer, monkeypatch):
 
 
 def count_forcing(monkeypatch):
+    """The rows of each teacher-forcing pass, public or inside
+    grad_objective: every one runs policy._teacher_force."""
     calls = []
-    original = pol.teacher_forced_batch
+    original = pol._teacher_force
 
-    def counting(*args, **kwargs):
-        calls.append(len(args[1]))
-        return original(*args, **kwargs)
-    monkeypatch.setattr(pol, "teacher_forced_batch", counting)
+    def counting(params, sid, toks):
+        calls.append(len(sid))
+        return original(params, sid, toks)
+    monkeypatch.setattr(pol, "_teacher_force", counting)
     return calls
 
 
@@ -787,7 +781,6 @@ def test_train_iteration_teacher_forces_once(optimizer, monkeypatch):
     for _ in range(3):
         tr.train_iteration()
     assert calls == []
-    assert tr._rollout_forcing is None
 
 
 def reference_update_policy(tr, batch):
@@ -801,9 +794,9 @@ def reference_update_policy(tr, batch):
         rewards = coso_rl._augment_rewards(batch, [hyper.alpha],
                                            hyper.gamma)
         batch = replace(batch, rewards=rewards)
-    prev = None if tr.value_beta is None else tr.value_beta[None]
     feats = value_features(spec, batch)
-    beta = fit_value(feats, batch, hyper.gamma, hyper.value_ridge, prev)
+    beta = fit_value(feats, batch, hyper.gamma, hyper.value_ridge,
+                     tr.value_beta[None])
     tr.value_beta = beta[0]
     adv = gae_advantages(feats, batch, hyper.gamma, hyper.gae_lambda, beta)
     adv = (adv - np.mean(adv)) / (np.std(adv) + 1e-8)
@@ -870,16 +863,27 @@ def test_update_outside_train_iteration_teacher_forces_once(optimizer,
     assert calls == [64]
 
 
-@pytest.mark.parametrize("optimizer, hkw", [("ppo", {}), ("awr", {})])
-def test_train_iteration_leaves_no_run_holding_a_forcing(optimizer, hkw):
+@pytest.mark.parametrize("optimizer", ["ppo", "awr"])
+def test_train_iteration_frees_the_rollout_forcing(optimizer, monkeypatch):
     """The rollout's forcing lives only until the iteration's update: once
-    train_iteration returns, no run of the group holds it."""
+    train_iteration returns, its arrays are freed, with no garbage
+    collection."""
     env = make_env("numberline")
+    original, refs = Trainer.collect_rollouts, []
+
+    def collect_rollouts(self, *others):
+        batch, forced = original(self, *others)
+        refs.extend(weakref.ref(a) for a in forced)
+        refs.extend(weakref.ref(a.base) for a in forced[:2])
+        return batch, forced
+    monkeypatch.setattr(Trainer, "collect_rollouts", collect_rollouts)
     for runs in (1, 2):
-        group = [Trainer(env, small_hyper(**hkw), seed=s, optimizer=optimizer)
+        group = [Trainer(env, small_hyper(), seed=s, optimizer=optimizer)
                  for s in range(runs)]
+        refs.clear()
         group[0].train_iteration(*group[1:])
-        assert all(tr._rollout_forcing is None for tr in group)
+        assert len(refs) == 6
+        assert all(ref() is None for ref in refs)
 
 
 def test_training_iterations_reuse_freed_heap_memory():
@@ -928,11 +932,10 @@ def test_rollout_builds_tables_once_from_the_current_policy(env_id,
     assert updated.weights.any()
     feats = tr._feats.copy()
     rng_state = tr.rng.bit_generator.state
-    batch = tr.collect_rollouts()  # 8 ticks, one build
-    # a group of one decodes from a view of the run's current weights
+    batch, _ = tr.collect_rollouts()  # 8 ticks, one build
+    # a group of one decodes from a stack of the run's current weights
     assert len(built) == 2 and built[1].weights.shape == (1,) + \
         updated.weights.shape
-    assert np.shares_memory(built[1].weights, updated.weights)
     np.testing.assert_array_equal(built[1].weights[0], updated.weights)
     # the first tick's tokens are those of the updated weights
     rng = np.random.default_rng()
@@ -956,7 +959,7 @@ def test_seed_free_reset_builds_no_seed_sequence(monkeypatch):
     def no_seed_sequence(*args, **kwargs):
         raise AssertionError("SeedSequence built for a seed-free reset")
     monkeypatch.setattr(np.random, "SeedSequence", no_seed_sequence)
-    batch = tr.collect_rollouts()  # 20 ticks, twice the horizon
+    batch, _ = tr.collect_rollouts()  # 20 ticks, twice the horizon
     assert tr._episode_counter == 8 + int(batch.dones.sum()) >= 16
     restarted = batch.dones[-8:]
     assert restarted.any()

@@ -45,12 +45,19 @@ READERS = [
      lambda f: policy.state_ids(CARDS, f)),
     ("teacher_forced_batch", "token ids", V, TOKENS,
      lambda ys: teacher_forced_batch(POLICY, STATES, ys)),
+    ("teacher_forced_batch", "state features", CARDS[-1], FEATS,
+     lambda f: teacher_forced_batch(POLICY, f, TOKENS)),
     ("grad_objective", "token ids", V, TOKENS,
      lambda ys: grad_objective(POLICY, STATES, ys,
                                sample_weights=np.ones(2))),
+    ("grad_objective", "state features", CARDS[-1], FEATS,
+     lambda f: grad_objective(POLICY, f, TOKENS, sample_weights=np.ones(2))),
     ("grad_objective_forced", "token ids", V, TOKENS,
      lambda ys: grad_objective(POLICY, STATES, ys, sample_weights=np.ones(2),
                                forced=FORCED)),
+    ("grad_objective_forced", "state features", CARDS[-1], FEATS,
+     lambda f: grad_objective(POLICY, f, TOKENS, sample_weights=np.ones(2),
+                              forced=FORCED)),
     ("causal_weights_batch", "token ids", V, TOKENS,
      lambda ys: causal_weights_batch(PHI, ys, ACTIONS)),
     ("causal_weights_batch", "action classes", A, ACTIONS,
@@ -91,9 +98,6 @@ def test_every_id_reader_rejects_bad_ids(reader, bad):
 
 
 # public call -> the ids and state features it checks, in order.
-# grad_objective without forced checks its tokens again inside
-# teacher_forced_batch, the one teacher-forcing seam; with forced it reads
-# its states unchecked (ROADMAP item 19).
 CHECKS = {
     "parse": ["token ids"],
     "parse_batch": ["token ids"],
@@ -101,8 +105,8 @@ CHECKS = {
                    "action indices"],
     "state_ids": ["state features"],
     "teacher_forced_batch": ["token ids", "state features"],
-    "grad_objective": ["token ids", "token ids", "state features"],
-    "grad_objective_forced": ["token ids"],
+    "grad_objective": ["token ids", "state features"],
+    "grad_objective_forced": ["token ids", "state features"],
     "causal_weights_batch": ["token ids", "action classes"],
     "train_scm": ["token ids", "action classes"],
     "scm_likelihood_batch": ["token ids"],
@@ -129,6 +133,26 @@ def test_one_public_call_checks_each_id_input_once(name, monkeypatch):
     _, _, _, good, call = next(r for r in READERS if r[0] == name)
     call(good)
     assert seen == CHECKS[name]
+
+
+# the public calls that pair utterances with states, on utterances
+UTTERANCE_READERS = {
+    "teacher_forced_batch": lambda ys: teacher_forced_batch(POLICY, STATES,
+                                                            ys),
+    "grad_objective": lambda ys: grad_objective(POLICY, STATES, ys,
+                                                sample_weights=np.ones(2)),
+    "grad_objective_forced": lambda ys: grad_objective(
+        POLICY, STATES, ys, sample_weights=np.ones(2), forced=FORCED),
+}
+N = ENV.grammar.n
+
+
+@pytest.mark.parametrize("shape", [(1, N), (2, N - 1), (2, N + 1), (2 * N,)])
+@pytest.mark.parametrize("name", sorted(UTTERANCE_READERS))
+def test_utterances_must_be_one_row_of_n_per_state(name, shape):
+    UTTERANCE_READERS[name](TOKENS)
+    with pytest.raises(ValueError, match="utterances of shape"):
+        UTTERANCE_READERS[name](np.ones(shape, dtype=np.intp))
 
 
 @pytest.mark.parametrize("name, bad", [

@@ -247,8 +247,9 @@ def test_group_hands_each_run_a_view_of_the_group_batch(monkeypatch):
     collect, weigh = Trainer.collect_rollouts, Trainer.compute_weights
 
     def collect_rollouts(tr, *others):
-        group_batches.append(collect(tr, *others))
-        return group_batches[-1]
+        batch, forced = collect(tr, *others)
+        group_batches.append(batch)
+        return batch, forced
 
     def compute_weights(tr, batch):
         run_batches.append(batch)
