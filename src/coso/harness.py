@@ -25,7 +25,8 @@ from . import counterfactual as cf
 from . import policy as pol
 from . import tabular
 from .coso_rl import ARMS, OPTIMIZERS, Hyperparams, Trainer, check_field_types
-from .textmdp import EnvState, TextEnv, env_ids, make_env, state_arrays
+from .textmdp import (TextEnv, check_scalar, env_ids, make_env,
+                      state_arrays)
 
 EVAL_SEED_BASE = 990_000  # fixed eval episode seeds, shared by every run
 
@@ -390,70 +391,69 @@ def ablation_matrix(configs: list,
 # Counterfactual report and sampling probe
 
 
+def _check_int_arg(value, what: str, least: int) -> None:
+    """The config-value rule for an int argument: an int, not a bool, and
+    >= least, or ValueError naming what."""
+    check_scalar(value, "int", what)
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}")
+
+
 def cf_report(ckpt_path, env_id: str, num_episodes: int,
               sample_seed: int = 1234) -> dict:
-    """Per-step token/weight records plus an aggregate weight histogram."""
-    if num_episodes < 1:
-        raise ValueError("num_episodes must be >= 1")
+    """Per-step token/weight records plus an aggregate weight histogram.
+
+    Episode e's step t samples on row (e, t) of one (num_episodes, horizon,
+    n) draw of uniforms, so an episode's records do not depend on the
+    others.  The episodes run in lockstep from the eval start states: each
+    step is one decode, one parse and one step_batch over the unfinished
+    episodes.  Records are episode-major, their causal weights one batch.
+    """
+    _check_int_arg(num_episodes, "num_episodes", 1)
+    _check_int_arg(sample_seed, "sample_seed", 0)
     policy_params, scm_params, ckpt_env, _ = ckpt_mod.load_bundle(ckpt_path)
     if ckpt_env != env_id:
         raise ValueError(f"checkpoint is for env {ckpt_env!r}, not {env_id!r}")
     env = make_env(env_id)
-    classes = env.action_classes()
-    names = [str(a) for a in classes]
-    token_names = list(env.vocab.names)
     n, horizon = policy_params.spec.n, env.horizon
-    # Step g of the run (episodes one after another) samples on row g: the
-    # stream of one draw of n uniforms per step.  Episodes are short and
-    # revisit states, so a state is decoded once per episode, on every row
-    # from its first visit to the horizon; rows are decoded independently,
-    # so each step's tokens are those of a batch of one on its row.  The
-    # episode itself moves by the scalar step, one state at a time.
     uniforms = np.random.default_rng(sample_seed).random(
-        (num_episodes * horizon, n))
+        (num_episodes, horizon, n))
     tables = pol.decode_tables(policy_params)
-    used = 0
-    records, ys, acts = [], [], []
-    start_feats, start_steps = _eval_starts(env, num_episodes)
-    for ep in range(num_episodes):
-        state = EnvState(features=tuple(start_feats[ep].tolist()),
-                         step_count=int(start_steps[ep]))
-        rows = uniforms[used:used + horizon]
-        decoded = {}  # features -> (first step, tokens, actions, parse_ok)
-        done = False
-        t = 0
-        while not done:
-            if state.features not in decoded:
-                toks = pol.sample_utterances_batch(
-                    tables, np.repeat([state.features], horizon - t, axis=0),
-                    rows[t:])
-                actions, oks = env.parse_batch(toks)
-                decoded[state.features] = (t, toks.tolist(),
-                                           actions.tolist(), oks.tolist())
-            first, toks, actions, oks = decoded[state.features]
-            y, action = toks[t - first], actions[t - first]
-            ys.append(y)
-            acts.append(action)
-            records.append({
-                "episode": ep,
-                "step": t,
-                "tokens": y,
-                "token_names": [token_names[x] for x in y],
-                "slot_roles": list(env.grammar.roles),
-                "raw_weights": None,  # filled below, in one batch
-                "normalized_weights": None,
-                "action": names[action],
-                "parse_ok": oks[t - first],
-            })
-            state, _, done = env.step(state, classes[action])
-            t += 1
-        used += t
-    raw = cf.causal_weights_batch(scm_params,
-                                  np.reshape(ys, (-1, env.grammar.n)), acts)
+    tokens = np.empty((num_episodes, horizon, n), dtype=np.intp)
+    actions = np.empty((num_episodes, horizon), dtype=np.intp)
+    oks = np.empty((num_episodes, horizon), dtype=bool)
+    taken = np.zeros((num_episodes, horizon), dtype=bool)
+    feats, steps = _eval_starts(env, num_episodes)
+    live = np.arange(num_episodes)  # the unfinished episodes
+    t = 0
+    while len(live):  # every episode is done by step horizon - 1
+        toks = pol.sample_utterances_batch(tables, feats, uniforms[live, t])
+        acts, ok = env.parse_batch(toks)
+        tokens[live, t], actions[live, t], oks[live, t] = toks, acts, ok
+        taken[live, t] = True
+        feats, steps, _, dones = env.step_batch(feats, steps, acts)
+        feats, steps, live = feats[~dones], steps[~dones], live[~dones]
+        t += 1
+    # boolean indexing reads (episode, step) in C order: episode-major
+    episode, step = np.nonzero(taken)
+    ys, acts = tokens[taken], actions[taken]
+    raw = cf.causal_weights_batch(scm_params, ys, acts)
     norm = cf.normalize_weights_batch(raw)
-    for rec, raw_row, norm_row in zip(records, raw.tolist(), norm.tolist()):
-        rec["raw_weights"] = raw_row
-        rec["normalized_weights"] = norm_row
+    names = [str(a) for a in env.action_classes()]
+    token_names = list(env.vocab.names)
+    records = [{
+        "episode": ep,
+        "step": t,
+        "tokens": y,
+        "token_names": [token_names[x] for x in y],
+        "slot_roles": list(env.grammar.roles),
+        "raw_weights": raw_row,
+        "normalized_weights": norm_row,
+        "action": names[a],
+        "parse_ok": ok,
+    } for ep, t, y, a, ok, raw_row, norm_row in zip(
+        episode.tolist(), step.tolist(), ys.tolist(), acts.tolist(),
+        oks[taken].tolist(), raw.tolist(), norm.tolist())]
     hist = cf.weight_stats(norm)
     return {
         "env_id": env_id,
@@ -470,8 +470,8 @@ def cf_report(ckpt_path, env_id: str, num_episodes: int,
 def repeated_sampling_probe(ckpt_path, state_spec: str, k: int,
                             sample_seed: int = 1234) -> dict:
     """Sample k utterances at one state; tabulate actions + format errors."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_int_arg(k, "k", 1)
+    _check_int_arg(sample_seed, "sample_seed", 0)
     policy_params, _, env_id, _ = ckpt_mod.load_bundle(ckpt_path)
     env = make_env(env_id)
     state = env.state_from_spec(state_spec)

@@ -657,19 +657,24 @@ def test_cli_probe_rejects_missing_checkpoint(capsys):
 
 def cf_records_reference(path, env_id, num_episodes, sample_seed):
     """(tokens, action, parse_ok) per step, one step at a time: a batch of
-    one per step on the next n uniforms, the scalar parser and step."""
+    one per step on uniform row (episode, step), the scalar parser and
+    step."""
     policy, _, _, _ = ckpt.load_bundle(path)
     env = make_env(env_id)
-    rng = np.random.default_rng(sample_seed)
+    uniforms = np.random.default_rng(sample_seed).random(
+        (num_episodes, env.horizon, policy.spec.n))
     out = []
     for ep in range(num_episodes):
         state = env.reset(EVAL_SEED_BASE + ep)
         done = False
+        t = 0
         while not done:
-            y = sample_utterance(policy, state, rng)
+            y = tuple(sample_utterances_batch(
+                policy, [state], uniforms[ep, t:t + 1])[0].tolist())
             action, ok = env.parse_or_noop(y)
             out.append((ep, list(y), str(action), ok))
             state, _, done = env.step(state, action)
+            t += 1
     return out
 
 
@@ -686,14 +691,39 @@ def test_cf_report_matches_step_by_step_reference(env_id, tmp_path):
 
 
 @pytest.mark.parametrize("env_id", ["numberline", "menunav"])
-def test_cf_report_steps_episodes_by_the_scalar_step(env_id, tmp_path,
-                                                     monkeypatch):
+def test_cf_report_steps_all_episodes_in_lockstep(env_id, tmp_path,
+                                                  monkeypatch):
+    """Each lockstep step is one decode and one step_batch over the live
+    episodes: at most horizon decode calls, one row per record."""
     path = trained_checkpoint(tmp_path, env_id=env_id, iters=2)
+    decoded, stepped = [], []
+    real_decode, real_step = pol._decode, TextEnv.step_batch
+
+    def decode(policy, sid, *args, **kw):
+        decoded.append(len(sid))
+        return real_decode(policy, sid, *args, **kw)
 
     def step_batch(self, feats, steps, actions):
-        raise AssertionError("cf_report stepped a batch")
+        stepped.append(len(feats))
+        return real_step(self, feats, steps, actions)
+    monkeypatch.setattr(pol, "_decode", decode)
     monkeypatch.setattr(TextEnv, "step_batch", step_batch)
-    assert len(cf_report(path, env_id, num_episodes=4)["records"]) > 4
+    records = cf_report(path, env_id, num_episodes=12)["records"]
+    assert decoded == stepped  # per step: the same live episodes
+    assert len(decoded) == 1 + max(r["step"] for r in records) \
+        <= make_env(env_id).horizon
+    assert sum(decoded) == len(records) > 12 == decoded[0]
+
+
+@pytest.mark.parametrize("env_id", ["numberline", "menunav"])
+def test_cf_report_episode_does_not_depend_on_the_others(env_id, tmp_path):
+    """Episode e reads its own uniform rows, so a shorter report is the
+    first episodes of a longer one."""
+    path = trained_checkpoint(tmp_path, env_id=env_id, iters=3)
+    short = cf_report(path, env_id, num_episodes=5, sample_seed=7)["records"]
+    long = cf_report(path, env_id, num_episodes=12, sample_seed=7)["records"]
+    assert short == [r for r in long if r["episode"] < 5]
+    assert {r["episode"] for r in long} == set(range(12))
 
 
 @pytest.mark.parametrize("env_id", ["numberline", "menunav"])

@@ -1,13 +1,14 @@
 """One id rule: every public call that reads token ids, action classes,
 step counts or action indices checks them with textmdp.id_array (integer
 dtype, every id in [0, size)), once per id input.  State features pass
-textmdp.state_id_array, and train_scm's scalars textmdp.check_scalar, the
-rule config values pass."""
+textmdp.state_id_array, and the scalars of train_scm, cf_report and the
+sampling probe textmdp.check_scalar, the rule config values pass."""
 import numpy as np
 import pytest
 
-from coso import policy, scm, textmdp
+from coso import checkpoint, policy, scm, textmdp
 from coso.counterfactual import causal_weights_batch
+from coso.harness import cf_report, repeated_sampling_probe
 from coso.policy import (FeatureSpec, PolicyParams, grad_objective,
                          teacher_forced_batch)
 from coso.scm import ScmParams, accuracy, scm_likelihood_batch, train_scm
@@ -172,3 +173,26 @@ def test_train_scm_rejects_bad_scalars_before_any_draw(name, bad):
     with pytest.raises(ValueError, match=name):
         train_scm([PHI], TOKENS, ACTIONS, rngs=[rng], **kw)
     assert rng.bit_generator.state == start
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("num_episodes", True), ("num_episodes", 2.5), ("num_episodes", 2.0),
+    ("num_episodes", "2"), ("num_episodes", 0),
+    ("sample_seed", True), ("sample_seed", 2.5), ("sample_seed", "5"),
+    ("sample_seed", -1),
+    ("k", True), ("k", 2.5), ("k", 2.0), ("k", "2"), ("k", 0),
+])
+def test_report_and_probe_reject_bad_int_args(name, bad, tmp_path):
+    """cf_report's num_episodes and the probe's k must be ints >= 1 and
+    either's sample_seed an int >= 0, by the rule config values pass."""
+    path = tmp_path / "ckpt.json"
+    checkpoint.save_bundle(path, POLICY, PHI, "numberline")
+    calls = [lambda **kw: cf_report(path, "numberline", **kw),
+             lambda **kw: repeated_sampling_probe(path, "c=3,tau=7", **kw)]
+    good = [{"num_episodes": 2, "sample_seed": 0},
+            {"k": 2, "sample_seed": 0}]
+    for call, kw in zip(calls, good):
+        call(**kw)
+        if name in kw:
+            with pytest.raises(ValueError, match=name):
+                call(**{**kw, name: bad})
