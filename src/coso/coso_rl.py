@@ -119,7 +119,8 @@ class UpdateReport:
 class RolloutBatch:
     """The rollouts of R runs stacked run-first, R = len(snapshot_id): each
     per-row array holds run r's m rows at r * m, in batch order (row j of a
-    run is tick j // num_streams of stream j % num_streams)."""
+    run is tick j // num_streams of stream j % num_streams).  weights and
+    hb are NaN until each run's compute_weights writes its rows."""
 
     states: np.ndarray  # (R * m, k) int state features
     next_states: np.ndarray  # (R * m, k) features after the step
@@ -132,8 +133,8 @@ class RolloutBatch:
     entropy: np.ndarray  # (R * m, n) exact conditional entropies at sampling
     num_streams: int
     snapshot_id: tuple  # each run's policy snapshot at sampling
-    weights: np.ndarray | None = None  # (R * m, n) B consumed by the objective
-    hb: np.ndarray | None = None  # (R * m,) weighted entropies
+    weights: np.ndarray  # (R * m, n) B consumed by the objective
+    hb: np.ndarray  # (R * m,) weighted entropies
 
     @property
     def size(self) -> int:
@@ -158,8 +159,7 @@ class RolloutBatch:
         return replace(self, snapshot_id=(self.snapshot_id[r],), **{
             f.name: getattr(self, f.name)[rows]
             for f in dataclasses.fields(self)
-            if f.name not in ("num_streams", "snapshot_id")
-            and getattr(self, f.name) is not None})
+            if f.name not in ("num_streams", "snapshot_id")})
 
     def by_run(self, a: np.ndarray) -> np.ndarray:
         """(R, m) view of a per-row array."""
@@ -263,8 +263,9 @@ def _augment_rewards(batch: RolloutBatch, alphas, gamma: float) -> np.ndarray:
 #
 # ppo_update and awr_update take R runs in lockstep: stacked (R, dim, V)
 # policy weights and the runs' batch, Hyperparams (which differ in alpha
-# alone), Adam states and generators.  The advantages and forced cover the
-# batch's rows, and the losses and grad norms come back as per-run lists.
+# alone), Adam states and generators, and forced, teacher_forced_batch of
+# the batch at those weights.  The advantages and forced cover the batch's
+# rows, and the losses and grad norms come back as per-run lists.
 
 
 def _entropy_runs(hyper: Hyperparams, alphas) -> list:
@@ -275,17 +276,16 @@ def _entropy_runs(hyper: Hyperparams, alphas) -> list:
 
 def _descend(params: PolicyParams, batch: RolloutBatch, coef: np.ndarray,
              hyper: Hyperparams, alphas, opts, rngs,
-             forced: tuple | None) -> tuple[np.ndarray, list]:
+             forced: tuple) -> tuple[np.ndarray, list]:
     """Adam steps over shuffled minibatches on each run's
     loss = -(1/m) sum coef * logp(y) - alpha * mean(H^B).
 
     coef is treated as constant (ratio/advantage weighting evaluated by the
-    caller).  forced is teacher_forced_batch of the whole stack at params,
-    which the caller has already used for its loss and coefficients: the
-    first minibatch takes its rows, later ones teacher-force again because
-    the params have moved.  A run without the entropy bonus leaves its
-    token term out.  Returns the new stacked weights and each run's last
-    gradient norm.
+    caller).  forced is teacher_forced_batch of the whole stack at params:
+    the first minibatch takes its rows, and each later one teacher-forces
+    its own rows at the params the steps before it left.  A run without
+    the entropy bonus leaves its token term out.  Returns the new stacked
+    weights and each run's last gradient norm.
     """
     use_entropy = _entropy_runs(hyper, alphas)
     m = batch.per_run
@@ -302,12 +302,14 @@ def _descend(params: PolicyParams, batch: RolloutBatch, coef: np.ndarray,
         if any(use_entropy):
             token = (np.repeat(np.asarray(alphas, dtype=np.float64),
                                size)[:, None] * batch.weights[idx])
+        policy = PolicyParams(spec=params.spec, weights=weights)
+        states, utts, rows = batch.states[idx], batch.utterances[idx], idx
+        if lo:  # the params have moved
+            forced = pol.teacher_forced_batch(policy, states, utts)
+            rows = None
         grad = pol.grad_objective(
-            PolicyParams(spec=params.spec, weights=weights), batch.states[idx],
-            batch.utterances[idx], sample_weights=coef[idx],
-            token_weights=token, token_runs=use_entropy, forced=forced,
-            forced_rows=idx)
-        forced = None
+            policy, states, utts, coef[idx], token, forced=forced,
+            token_runs=use_entropy, forced_rows=rows)
         grad = -grad / size  # gradient of the loss (objective negated)
         weights = adam_update_runs(opts, weights, grad, hyper.policy_lr)
         sq = grad * grad
@@ -315,71 +317,64 @@ def _descend(params: PolicyParams, batch: RolloutBatch, coef: np.ndarray,
     return weights, gnorms
 
 
-def _loss_values(coef_term: np.ndarray, hyper: Hyperparams, alphas,
-                 batch: RolloutBatch) -> list:
-    """Each run's loss: minus its mean coef_term, minus alpha times its
-    mean weighted entropy where the loss carries that bonus."""
-    means = np.mean(batch.by_run(coef_term), axis=1)
-    use_entropy = _entropy_runs(hyper, alphas)
-    hb = np.mean(batch.by_run(batch.hb), axis=1) if any(use_entropy) else None
-    return [-float(means[r]) - alpha * float(hb[r]) if use_entropy[r]
-            else -float(means[r]) for r, alpha in enumerate(alphas)]
+def _step(params: PolicyParams, batch: RolloutBatch, hyper, term: np.ndarray,
+          coef: np.ndarray, opt, rng, forced: tuple) -> tuple:
+    """The step both optimizers take: each run's loss, minus its mean term
+    and, where the loss carries the bonus, minus alpha times its mean
+    weighted entropy; then _descend on the gradient coefficients coef.
+    Returns (params, losses at call start, grad norms)."""
+    alphas, h = [x.alpha for x in hyper], hyper[0]
+    use_entropy = _entropy_runs(h, alphas)
+    means = np.mean(batch.by_run(term), axis=1)
+    hb = np.mean(batch.by_run(batch.hb), axis=1)
+    losses = [-float(means[r]) - alpha * float(hb[r]) if use_entropy[r]
+              else -float(means[r]) for r, alpha in enumerate(alphas)]
+    weights, gnorms = _descend(params, batch, coef, h, alphas, opt, rng,
+                               forced)
+    return PolicyParams(spec=params.spec, weights=weights), losses, gnorms
 
 
 def ppo_update(params: PolicyParams, batch: RolloutBatch, hyper,
                advantages: np.ndarray, opt, rng, snapshot_id,
-               forced=None) -> tuple:
+               forced: tuple) -> tuple:
     """One epoch of clipped-surrogate updates over shuffled minibatches.
 
-    forced is teacher_forced_batch of the batch at params if the caller
-    already has it (the forcing the rollout recorded, before any step);
-    otherwise this call teacher-forces the batch once.  That one forcing
-    gives the ratios, the losses and the first minibatch's gradient.
+    forced, teacher_forced_batch of the batch at params, gives the ratios,
+    the losses and the first minibatch's gradient.
 
     Returns (params, losses at call start, grad norms).  Raises if a run's
     rollout snapshot does not match its snapshot_id.
     """
     if batch.snapshot_id != tuple(snapshot_id):
         raise ValueError("stale trajectories: snapshot id mismatch")
-    alphas, h = [x.alpha for x in hyper], hyper[0]
-    if forced is None:
-        forced = pol.teacher_forced_batch(params, batch.states,
-                                          batch.utterances)
-    tok_lp = forced[2]
+    h = hyper[0]
     old = np.sum(batch.old_logprob, axis=1)
-    ratio = np.exp(np.sum(tok_lp, axis=1) - old)
+    ratio = np.exp(np.sum(forced[2], axis=1) - old)
     clipped = np.clip(ratio, 1.0 - h.clip_eps, 1.0 + h.clip_eps)
     surr = np.minimum(ratio * advantages, clipped * advantages)
-    losses = _loss_values(surr, h, alphas, batch)
     # gradient coefficient of d(sum logp): A * ratio where the unclipped
     # branch is active, zero where the clip binds
     active = ratio * advantages <= clipped * advantages
     coef = np.where(active, advantages * ratio, 0.0)
-    weights, gnorms = _descend(params, batch, coef, h, alphas, opt, rng,
-                               forced)
-    return PolicyParams(spec=params.spec, weights=weights), losses, gnorms
+    return _step(params, batch, hyper, surr, coef, opt, rng, forced)
 
 
 def awr_update(params: PolicyParams, batch: RolloutBatch, hyper,
-               advantages: np.ndarray, opt, rng, forced=None) -> tuple:
+               advantages: np.ndarray, opt, rng, forced: tuple) -> tuple:
     """Advantage-weighted regression step (off-policy tolerated): each row
     weighs its log-likelihood by clip(exp(A / awr_beta), 0, awr_weight_clamp).
 
-    forced is as for ppo_update; without it the step teacher-forces the
-    batch once, for the losses and the first minibatch's gradient.
+    forced is as for ppo_update: it gives the losses and the first
+    minibatch's gradient.
 
     Returns (params, losses, grad norms).  update_policy standardises each
     run's advantages, so every run has one >= 0, a weight >= min(1,
     awr_weight_clamp) > 0, and steps.
     """
-    alphas, h = [x.alpha for x in hyper], hyper[0]
+    h = hyper[0]
     w = np.clip(np.exp(advantages / h.awr_beta), 0.0, h.awr_weight_clamp)
-    if forced is None:
-        forced = pol.teacher_forced_batch(params, batch.states,
-                                          batch.utterances)
-    losses = _loss_values(w * np.sum(forced[2], axis=1), h, alphas, batch)
-    weights, gnorms = _descend(params, batch, w, h, alphas, opt, rng, forced)
-    return PolicyParams(spec=params.spec, weights=weights), losses, gnorms
+    return _step(params, batch, hyper, w * np.sum(forced[2], axis=1), w,
+                 opt, rng, forced)
 
 
 class Trainer:
@@ -404,6 +399,9 @@ class Trainer:
             raise ValueError(f"unknown arm {arm!r}")
         if optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {optimizer!r}")
+        check_scalar(seed, "int", "seed")
+        if seed < 0:  # SeedSequence takes none
+            raise ValueError(f"seed={seed}, not >= 0")
         heap.keep_heap()  # the loop reuses its freed arrays' memory
         self.env = env
         self.hyper = hyper if arm != "rl" else replace(hyper, alpha=0.0)
@@ -520,11 +518,13 @@ class Trainer:
             utterances=utts, action_idx=acts.ravel(),
             rewards=rewards.ravel(), dones=dones.ravel(),
             parse_ok=oks.ravel(), old_logprob=forced[2], entropy=forced[3],
-            num_streams=ns,
-            snapshot_id=tuple(tr.snapshot_id for tr in trs)), forced
+            num_streams=ns, snapshot_id=tuple(tr.snapshot_id for tr in trs),
+            weights=np.full(utts.shape, np.nan),
+            hb=np.full(len(utts), np.nan)), forced
 
     def compute_weights(self, batch: RolloutBatch) -> None:
-        """Fill batch.weights/hb according to the arm (B for every (y, a)).
+        """Write batch.weights/hb in place according to the arm (B for
+        every (y, a)); batch is this run's view of its group's batch.
 
         Only a coso run queries its classifier.  An rl or rl_h run's B is
         ones, so its hb is the plain entropy sum: rl_h's bonus is uniform,
@@ -533,13 +533,12 @@ class Trainer:
         it moves no run.
         """
         if self.arm == "coso":
-            used = cf.normalize_weights_batch(
+            batch.weights[:] = cf.normalize_weights_batch(
                 cf.causal_weights_batch(self.scm, batch.utterances,
                                         batch.action_idx))
         else:
-            used = np.ones(batch.utterances.shape)
-        batch.weights = used
-        batch.hb = np.sum(used * batch.entropy, axis=1)
+            batch.weights[:] = 1.0
+        batch.hb[:] = np.sum(batch.weights * batch.entropy, axis=1)
 
     def train_iteration(self, *others: "Trainer") -> list:
         """One pass of this run and the others in lockstep: rollout,
@@ -550,9 +549,6 @@ class Trainer:
         trs, views = [self, *others], [batch.run(r) for r in range(batch.runs)]
         for tr, view in zip(trs, views):
             tr.compute_weights(view)
-        for name in ("weights", "hb"):  # the group batch gets the runs' B
-            parts = [getattr(view, name) for view in views]
-            setattr(batch, name, np.concatenate(parts))
         scm_losses = self.update_scm(batch, *others)
         if not np.all(np.isfinite([x for x in scm_losses if x is not None])):
             raise RuntimeError("SCM update diverged; policy update aborted")
@@ -599,14 +595,14 @@ class Trainer:
         return losses
 
     def update_policy(self, batch: RolloutBatch, *others: "Trainer",
-                      forced=None) -> list:
+                      forced: tuple) -> list:
         """Value fit, advantages standardised per run, then the PPO epochs
         or the AWR step; per run (loss, grad norm).
 
         forced is teacher_forced_batch of the batch at the runs' current
-        params, which train_iteration has from the rollout; the first PPO
-        epoch or the AWR step then takes it instead of teacher-forcing.
-        Without it the update teacher-forces afresh.
+        params, which train_iteration has from the rollout.  The first PPO
+        epoch or the AWR step takes it, and each later PPO epoch
+        teacher-forces the batch at the params the epoch before it left.
         """
         trs = [self, *others]
         hyper, spec = self.hyper, self.policy.spec
@@ -630,14 +626,16 @@ class Trainer:
         opts = [tr.policy_opt for tr in trs]
         rngs = [tr.rng for tr in trs]
         if self.optimizer == "ppo":
-            for _ in range(hyper.ppo_epochs):
+            for epoch in range(hyper.ppo_epochs):
+                if epoch:  # the params have moved
+                    forced = pol.teacher_forced_batch(params, batch.states,
+                                                      batch.utterances)
                 params, losses, gnorms = ppo_update(
                     params, batch, hypers, adv, opts, rngs,
-                    [tr.snapshot_id for tr in trs], forced=forced)
-                forced = None  # later epochs start from moved params
+                    [tr.snapshot_id for tr in trs], forced)
         else:
             params, losses, gnorms = awr_update(
-                params, batch, hypers, adv, opts, rngs, forced=forced)
+                params, batch, hypers, adv, opts, rngs, forced)
         for r, tr in enumerate(trs):
             tr.policy = PolicyParams(spec=spec, weights=params.weights[r])
             tr.snapshot_id += 1

@@ -170,8 +170,9 @@ def evaluate_greedy(env: TextEnv, policy_params,
     decode of the R * S states, and the R * episodes episodes in one
     lockstep loop, run r's reading its own table.  Returns the list of the
     R rates, each equal to its run's own call; (dim, V) weights are one
-    run, a list of one rate.
+    run, a list of one rate.  episodes must be an int >= 1.
     """
+    _check_int_arg(episodes, "episodes", 1)
     cards = policy_params.spec.state_cards
     tables = pol.decode_tables(policy_params)
     grid = pol.state_grid(cards)
@@ -515,6 +516,8 @@ class TheoryCheckSpec:
         for name in ("instances", "q_pairs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:  # SeedSequence takes none
+            raise ValueError("seed must be >= 0")
         for name in ("contraction_tol", "fixed_point_tol", "improvement_tol",
                      "monotonicity_tol", "decomposition_tol"):
             if not getattr(self, name) > 0:

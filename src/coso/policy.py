@@ -386,7 +386,9 @@ def sample_utterances_batch(policy, states, u, out=None) -> np.ndarray:
 
     policy is PolicyParams, or decode_tables of them when one frozen policy
     decodes many batches.  Token i of row b is drawn by inverse CDF on
-    u[b, i].  Returns the (m, n) tokens.
+    u[b, i].  Returns the (m, n) tokens.  A uniform outside [0, 1), NaN
+    included, raises ValueError: the inverse CDF would map it to the last
+    token.
 
     out, if given, is a (probs, logprobs) pair of float arrays of one
     shape (..., n, V) whose leading axes hold the m rows in order (a view
@@ -400,6 +402,10 @@ def sample_utterances_batch(policy, states, u, out=None) -> np.ndarray:
     if u.shape != (len(states), spec.n):
         raise ValueError(f"uniforms of shape {u.shape}, not ({len(states)}, "
                          f"{spec.n})")
+    # minimum and maximum propagate NaN, which fails both comparisons
+    if not (np.minimum.reduce(u, axis=None, initial=0.0) >= 0.0
+            and np.maximum.reduce(u, axis=None, initial=0.0) < 1.0):
+        raise ValueError("uniforms outside [0, 1)")
     if out is not None:
         for a in out:
             if a.shape != out[0].shape \
@@ -438,16 +444,6 @@ def _forcing_inputs(spec: FeatureSpec, states,
     return toks, state_ids(spec.state_cards, states)
 
 
-def _teacher_force(params: PolicyParams, sid: np.ndarray,
-                   toks: np.ndarray) -> tuple:
-    """teacher_forced_batch of checked inputs (_forcing_inputs)."""
-    spec = params.spec
-    probs = np.empty((len(sid), spec.n, spec.vocab_size))
-    logprobs = np.empty_like(probs)
-    _decode(params, sid, None, out=(probs, logprobs), tokens=toks)
-    return (probs, logprobs) + token_stats(probs, logprobs, toks)
-
-
 def teacher_forced_batch(params: PolicyParams, states, utterances):
     """Per-token log-probs and exact conditional entropies of the given
     utterances: the decoder run on their tokens.
@@ -458,8 +454,12 @@ def teacher_forced_batch(params: PolicyParams, states, utterances):
     features outside their cardinalities and non-finite weights raise
     ValueError.
     """
-    toks, sid = _forcing_inputs(params.spec, states, utterances)
-    return _teacher_force(params, sid, toks)
+    spec = params.spec
+    toks, sid = _forcing_inputs(spec, states, utterances)
+    probs = np.empty((len(sid), spec.n, spec.vocab_size))
+    logprobs = np.empty_like(probs)
+    _decode(params, sid, None, out=(probs, logprobs), tokens=toks)
+    return (probs, logprobs) + token_stats(probs, logprobs, toks)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +468,8 @@ def teacher_forced_batch(params: PolicyParams, states, utterances):
 #   J = sum_b w_b log pi(y_b | s_b) + sum_{b,i} B_bi H(y_bi | y_b,<i, s_b)
 #
 # w are the per-sample weights (ratio/advantage coefficients), B the
-# per-token entropy weights; a term whose weights are None is left out.
+# per-token entropy weights; B None leaves the entropy term out, and zero
+# w the log-prob term.
 
 
 def _entropy_dlogits(probs: np.ndarray, logprobs: np.ndarray,
@@ -485,19 +486,17 @@ def _entropy_dlogits(probs: np.ndarray, logprobs: np.ndarray,
     return np.negative(logprobs, out=logprobs)
 
 
-def grad_objective(params: PolicyParams, states, utterances,
-                   sample_weights=None, token_weights=None,
-                   forced=None, token_runs=None,
+def grad_objective(params: PolicyParams, states, utterances, sample_weights,
+                   token_weights=None, *, forced, token_runs=None,
                    forced_rows=None) -> np.ndarray:
     """Analytic gradient of J (above) over a batch of (state, utterance)
     pairs w.r.t. the weight matrix, of the shape of params.weights.
 
-    forced is teacher_forced_batch(params, states, utterances) if the
-    caller already has it; otherwise it is computed here.  forced may also
-    be that of a larger batch whose rows forced_rows are these, so that no
-    caller copies it whole.  For stacked runs, token_runs is a boolean mask
-    over the runs whose token term counts (None: all); the token weights of
-    the other runs are not read.  Forced or not, the token ids, the
+    forced is teacher_forced_batch(params, states, utterances), or that of
+    a larger batch whose rows forced_rows are these, so that no caller
+    copies it whole.  For stacked runs, token_runs is a boolean mask with
+    one entry per run, over the runs whose token term counts (None: all);
+    the token weights of the other runs are not read.  The token ids, the
     utterances' shape and the state features are checked once, as
     teacher_forced_batch checks them.
 
@@ -510,26 +509,22 @@ def grad_objective(params: PolicyParams, states, utterances,
     """
     if len(states) == 0:
         raise ValueError("empty batch")
-    if token_runs is not None and not np.any(token_runs):
-        token_weights = None
-    if sample_weights is None and token_weights is None:
-        raise ValueError("objective has no term")
     spec = params.spec
     n, V = spec.n, spec.vocab_size
-    toks, sid = _forcing_inputs(spec, states, utterances)
+    toks, _ = _forcing_inputs(spec, states, utterances)
     _, runs, m = _runs(params, len(states))
-    if forced is None:
-        forced, forced_rows = _teacher_force(params, sid, toks), None
-    # one row per (row, position): gathers of these rows are position-major
-    probs, logprobs = (a.reshape(-1, V) for a in forced[:2])
-    tok_ent = forced[3].reshape(-1)
-    if sample_weights is not None:
-        w = np.asarray(sample_weights, dtype=np.float64)[:, None]
-    if token_weights is not None:
-        B = np.asarray(token_weights, dtype=np.float64)
+    if token_runs is not None and len(token_runs) != runs:
+        raise ValueError(f"token_runs of {len(token_runs)} entries for "
+                         f"{runs} runs")
     token = [token_weights is not None
              and (token_runs is None or bool(token_runs[r]))
              for r in range(runs)]
+    # one row per (row, position): gathers of these rows are position-major
+    probs, logprobs = (a.reshape(-1, V) for a in forced[:2])
+    tok_ent = forced[3].reshape(-1)
+    w = np.asarray(sample_weights, dtype=np.float64)[:, None]
+    if any(token):
+        B = np.asarray(token_weights, dtype=np.float64)
     sidx = state_index(spec.state_cards, states)
     rows = np.arange(m)
     positions = np.arange(n)[:, None]
@@ -539,8 +534,6 @@ def grad_objective(params: PolicyParams, states, utterances,
     grad = np.zeros((runs, spec.dim, V))
     F = np.zeros((m, spec.dim))
     for r in range(runs):
-        if sample_weights is None and not token[r]:
-            continue  # the run's gradient stays zero
         run = slice(r * m, (r + 1) * m)
         at = rows + r * m if forced_rows is None else forced_rows[run]
         at = at * n + positions
@@ -550,16 +543,13 @@ def grad_objective(params: PolicyParams, states, utterances,
             dent = _entropy_dlogits(dz, logprobs.take(at, axis=0),
                                     tok_ent.take(at))
             dent *= B[run].T[..., None]
-        if sample_weights is not None:
-            # d log p(y_i) / dz = onehot(y_i) - p
-            np.negative(dz, out=dz)
-            dz[..., NULL] = 0.0
-            dz.reshape(-1)[targets + toks[run].T] += 1.0
-            dz *= w[run]
-            if dent is not None:
-                dz += dent
-        else:
-            dz = dent
+        # d log p(y_i) / dz = onehot(y_i) - p
+        np.negative(dz, out=dz)
+        dz[..., NULL] = 0.0
+        dz.reshape(-1)[targets + toks[run].T] += 1.0
+        dz *= w[run]
+        if dent is not None:
+            dz += dent
         # F_i: the run's state one-hots, set once, plus position i's
         # context and position one-hots, set and cleared per position
         state = rows[:, None], sidx[run]

@@ -225,13 +225,17 @@ def train_scm(phis: list, ys, labels, lr: float, steps: int,
     before any draw; each run then draws the rows of all its steps in one
     draw_rows call, which leaves its generator where steps draws of one
     step's rows would.  The phis stay untouched: each run gets a shallow
-    copy with new arrays.  steps and batch_size that are not ints, an lr
-    that is not a finite float, steps < 0, batch_size < 1 and lr <= 0 raise
+    copy with new arrays.  rngs that are not one generator per classifier
+    (at least one), steps and batch_size that are not ints, an lr that is
+    not a finite float, steps < 0, batch_size < 1 and lr <= 0 raise
     ValueError naming the argument.
 
     Weights and their Adam moments are action-major (A, R * n * V) inside
     the loop and go back to the runs' (n * V, A) layout on exit.
     """
+    if not len(rngs) == len(phis) >= 1:
+        raise ValueError(f"rngs: {len(rngs)} generators for {len(phis)} "
+                         f"classifiers, not one per classifier")
     phi, runs = phis[0], len(phis)
     check_scalar(steps, "int", "steps")
     check_scalar(batch_size, "int", "batch_size")

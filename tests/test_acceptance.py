@@ -234,17 +234,21 @@ def test_criterion_6_gradient_correctness():
             ys.append(tuple(int(rng.integers(1, spec.vocab_size))
                             for _ in range(spec.n)))
         # one (sample, token) weight draw per objective kind; the entropy
-        # kind uses unit token weights and None drops a term
+        # kind uses unit token weights, zero sample weights drop the
+        # log-prob term and None token weights the entropy term
         draws = [(rng.normal(size=len(ys)),
                   rng.uniform(0, 1, (len(ys), spec.n))) for _ in range(3)]
         sw, tw = draws[0][0], draws[2][1]
+        no_logprob = np.zeros(len(ys))
         cases = {"logprob-weighted": (sw, None),
-                 "entropy": (None, np.ones((len(ys), spec.n))),
-                 "weighted-entropy": (None, tw),
+                 "entropy": (no_logprob, np.ones((len(ys), spec.n))),
+                 "weighted-entropy": (no_logprob, tw),
                  # the training objective, as PPO and AWR call it
                  "combined": (sw, tw)}
+        # the gradient takes the batch's forcing, as the trainer hands it
+        forced = pol.teacher_forced_batch(params, states, ys)
         for kind, (sw, tw) in cases.items():
-            g = pol.grad_objective(params, states, ys, sw, tw)
+            g = pol.grad_objective(params, states, ys, sw, tw, forced=forced)
             fd = np.zeros_like(g)
             for i in range(g.shape[0]):
                 for j in range(g.shape[1]):

@@ -123,7 +123,8 @@ def synthetic_batch(rewards, dones, spec, num_streams=1):
         parse_ok=np.ones(m, dtype=bool),
         old_logprob=np.zeros((m, spec.n)),
         entropy=np.zeros((m, spec.n)),
-        num_streams=num_streams, snapshot_id=(0,))
+        num_streams=num_streams, snapshot_id=(0,),
+        weights=np.ones((m, spec.n)), hb=np.zeros(m))
 
 
 def test_gae_with_zero_baseline_matches_hand_computation():
@@ -164,36 +165,38 @@ def test_fit_value_recovers_constant_reward_value():
 
 
 def fresh_rollout(seed=0, arm="coso", **hkw):
+    """A run, its first rollout batch with B written, and the batch's
+    forcing the rollout recorded."""
     env = make_env("numberline")
     tr = Trainer(env, small_hyper(**hkw), seed=seed, arm=arm)
-    batch, _ = tr.collect_rollouts()
+    batch, forced = tr.collect_rollouts()
     tr.compute_weights(batch)
-    return tr, batch
+    return tr, batch, forced
 
 
 def test_ppo_first_pass_ratios_are_one():
     # at alpha 0 and unit advantages, the loss at call start is minus the
     # mean ratio
-    tr, batch = fresh_rollout(arm="rl")
+    tr, batch, forced = fresh_rollout(arm="rl")
     _, (loss,), _ = ppo_update(
         group_of_one(tr.policy), batch, [tr.hyper], np.ones(batch.size),
-        [AdamState()], [np.random.default_rng(0)], snapshot_id=[0])
+        [AdamState()], [np.random.default_rng(0)], [0], forced)
     assert abs(loss + 1.0) <= 1e-9
 
 
 def test_ppo_rejects_stale_snapshot():
-    tr, batch = fresh_rollout()
+    tr, batch, forced = fresh_rollout()
     with pytest.raises(ValueError):
         ppo_update(group_of_one(tr.policy), batch, [tr.hyper],
                    np.zeros(batch.size), [AdamState()],
-                   [np.random.default_rng(0)], snapshot_id=[7])
+                   [np.random.default_rng(0)], [7], forced)
 
 
 def test_ppo_zero_advantage_zero_alpha_keeps_params():
-    tr, batch = fresh_rollout(arm="rl")
+    tr, batch, forced = fresh_rollout(arm="rl")
     params, _, (gnorm,) = ppo_update(
         group_of_one(tr.policy), batch, [tr.hyper], np.zeros(batch.size),
-        [AdamState()], [np.random.default_rng(0)], snapshot_id=[0])
+        [AdamState()], [np.random.default_rng(0)], [0], forced)
     assert gnorm == 0.0
     np.testing.assert_array_equal(params.weights[0], tr.policy.weights)
 
@@ -203,11 +206,11 @@ def test_awr_exp_weight_clamped():
     w = np.clip(np.exp(np.array([50.0]) / hp.awr_beta), 0.0,
                 hp.awr_weight_clamp)
     assert w[0] == 20.0
-    tr, batch = fresh_rollout(awr_beta=1.0, awr_weight_clamp=20.0)
+    tr, batch, forced = fresh_rollout(awr_beta=1.0, awr_weight_clamp=20.0)
     adv = np.full(batch.size, 50.0)
     params, _, _ = awr_update(
         group_of_one(tr.policy), batch, [tr.hyper], adv, [AdamState()],
-        [np.random.default_rng(0)])
+        [np.random.default_rng(0)], forced)
     assert np.any(params.weights[0] != tr.policy.weights)
 
 
@@ -567,19 +570,19 @@ def random_policy_rollout(**hkw):
     tr = Trainer(env, small_hyper(**hkw), seed=12)
     tr.policy.weights[:] = np.random.default_rng(3).normal(
         0, 1.0, tr.policy.weights.shape)
-    batch, _ = tr.collect_rollouts()
+    batch, forced = tr.collect_rollouts()
     tr.compute_weights(batch)
-    return tr, batch
+    return tr, batch, forced
 
 
-def run_update(optimizer, tr, batch):
+def run_update(optimizer, tr, batch, forced):
     """The run's new policy weights after one update as a group of one."""
     adv = np.random.default_rng(5).normal(size=batch.size)
     args = (group_of_one(tr.policy), batch, [tr.hyper], adv, [AdamState()],
             [np.random.default_rng(6)])
     if optimizer == "ppo":
-        return ppo_update(*args, snapshot_id=[0])[0].weights[0]
-    return awr_update(*args)[0].weights[0]
+        return ppo_update(*args, [0], forced)[0].weights[0]
+    return awr_update(*args, forced)[0].weights[0]
 
 
 def test_rollouts_teacher_force_once(monkeypatch):
@@ -727,28 +730,34 @@ def test_tick_records_are_the_forcing(runs):
 
 
 @pytest.mark.parametrize("optimizer", ["ppo", "awr"])
-@pytest.mark.parametrize("minibatch_size, calls", [(64, 1), (16, 4)])
+@pytest.mark.parametrize("minibatch_size, states", [(64, 1), (16, 4)])
 def test_update_teacher_forces_once_per_param_state(optimizer, minibatch_size,
-                                                    calls, monkeypatch):
-    """One full-batch pass serves the loss and the first minibatch; each
-    later minibatch sees moved params and teacher-forces its own rows."""
-    tr, batch = random_policy_rollout(rollout_steps=64, num_envs=8,
-                                      minibatch_size=minibatch_size)
+                                                    states, monkeypatch):
+    """One forcing per param state: the rollout's serves the loss and the
+    first minibatch, and each later minibatch sees moved params and
+    teacher-forces its own rows."""
+    tr, batch, forced = random_policy_rollout(rollout_steps=64, num_envs=8,
+                                              minibatch_size=minibatch_size)
     forcings = count_forcing(monkeypatch)
-    run_update(optimizer, tr, batch)
-    assert len(forcings) == calls
+    run_update(optimizer, tr, batch, forced)
+    assert forcings == [minibatch_size] * (states - 1)
 
 
 @pytest.mark.parametrize("optimizer", ["ppo", "awr"])
 def test_minibatches_match_recompute_reference(optimizer, monkeypatch):
-    tr, batch = random_policy_rollout(rollout_steps=256, num_envs=16,
-                                      minibatch_size=64)
-    fast = run_update(optimizer, tr, batch)
+    tr, batch, forced = random_policy_rollout(rollout_steps=256,
+                                              num_envs=16, minibatch_size=64)
+    fast = run_update(optimizer, tr, batch, forced)
     original = pol.grad_objective
+
+    def forcing_afresh(params, states, utts, *args, forced, forced_rows=None,
+                       **kw):
+        """grad_objective on a forcing of its own rows at params."""
+        return original(params, states, utts, *args, forced=(
+            pol.teacher_forced_batch(params, states, utts)), **kw)
     # the reference teacher-forces every minibatch itself
-    monkeypatch.setattr(pol, "grad_objective",
-                        lambda *a, forced=None, **kw: original(*a, **kw))
-    ref = run_update(optimizer, tr, batch)
+    monkeypatch.setattr(pol, "grad_objective", forcing_afresh)
+    ref = run_update(optimizer, tr, batch, forced)
     assert np.any(fast != tr.policy.weights)
     np.testing.assert_array_equal(fast, ref)
 
@@ -757,15 +766,15 @@ def test_minibatches_match_recompute_reference(optimizer, monkeypatch):
 
 
 def count_forcing(monkeypatch):
-    """The rows of each teacher-forcing pass, public or inside
-    grad_objective: every one runs policy._teacher_force."""
+    """The rows of each teacher-forcing pass: every one is a call of
+    policy.teacher_forced_batch."""
     calls = []
-    original = pol._teacher_force
+    original = pol.teacher_forced_batch
 
-    def counting(params, sid, toks):
-        calls.append(len(sid))
-        return original(params, sid, toks)
-    monkeypatch.setattr(pol, "_teacher_force", counting)
+    def counting(params, states, utterances):
+        calls.append(len(states))
+        return original(params, states, utterances)
+    monkeypatch.setattr(pol, "teacher_forced_batch", counting)
     return calls
 
 
@@ -785,8 +794,8 @@ def test_train_iteration_teacher_forces_once(optimizer, monkeypatch):
 
 def reference_update_policy(tr, batch):
     """Trainer.update_policy for a run alone as it was with two passes:
-    ppo_update and awr_update get forced=None and teacher-force the batch
-    themselves."""
+    every PPO epoch and the AWR step get a forcing of the batch made
+    afresh at the params they start from."""
     hyper = tr.hyper
     spec = tr.policy.spec
     rewards = batch.rewards
@@ -802,12 +811,16 @@ def reference_update_policy(tr, batch):
     adv = (adv - np.mean(adv)) / (np.std(adv) + 1e-8)
     params = group_of_one(tr.policy)
     args = (batch, [hyper], adv, [tr.policy_opt], [tr.rng])
+
+    def afresh(params):
+        return pol.teacher_forced_batch(params, batch.states,
+                                        batch.utterances)
     if tr.optimizer == "ppo":
         for _ in range(hyper.ppo_epochs):
             params, loss, gnorm = ppo_update(
-                params, *args, [tr.snapshot_id], forced=None)
+                params, *args, [tr.snapshot_id], afresh(params))
     else:
-        params, loss, gnorm = awr_update(params, *args, forced=None)
+        params, loss, gnorm = awr_update(params, *args, afresh(params))
     tr.policy = PolicyParams(spec=spec, weights=params.weights[0])
     tr.snapshot_id += 1
     return loss[0], gnorm[0]
@@ -828,7 +841,7 @@ def test_train_iterations_match_two_pass_reference(env_id, optimizer, hkw,
     # ref's iterations take the reference policy update, fast's the real one
     original, used = Trainer.update_policy, []
 
-    def update_policy(tr, batch, *others, forced=None):
+    def update_policy(tr, batch, *others, forced):
         if [tr, *others] != [ref]:
             return original(tr, batch, *others, forced=forced)
         used.append(ref)
@@ -849,18 +862,6 @@ def test_train_iterations_match_two_pass_reference(env_id, optimizer, hkw,
         np.testing.assert_array_equal(a, b)
     assert fast.snapshot_id == ref.snapshot_id
     assert (fast.rng.bit_generator.state == ref.rng.bit_generator.state)
-
-
-@pytest.mark.parametrize("optimizer", ["ppo", "awr"])
-def test_update_outside_train_iteration_teacher_forces_once(optimizer,
-                                                            monkeypatch):
-    """An update not handed the rollout's forcing teacher-forces its batch
-    afresh, once, even right after a rollout."""
-    tr, batch = fresh_rollout(minibatch_size=64)
-    tr.optimizer = optimizer
-    calls = count_forcing(monkeypatch)
-    tr.update_policy(batch)
-    assert calls == [64]
 
 
 @pytest.mark.parametrize("optimizer", ["ppo", "awr"])

@@ -1,14 +1,17 @@
 """One id rule: every public call that reads token ids, action classes,
 step counts or action indices checks them with textmdp.id_array (integer
 dtype, every id in [0, size)), once per id input.  State features pass
-textmdp.state_id_array, and the scalars of train_scm, cf_report and the
-sampling probe textmdp.check_scalar, the rule config values pass."""
+textmdp.state_id_array, and the scalars of train_scm, cf_report, the
+sampling probe, evaluate_greedy and the seeds of Trainer and
+TheoryCheckSpec textmdp.check_scalar, the rule config values pass."""
 import numpy as np
 import pytest
 
 from coso import checkpoint, policy, scm, textmdp
+from coso.coso_rl import Hyperparams, Trainer
 from coso.counterfactual import causal_weights_batch
-from coso.harness import cf_report, repeated_sampling_probe
+from coso.harness import (TheoryCheckSpec, cf_report, evaluate_greedy,
+                          repeated_sampling_probe)
 from coso.policy import (FeatureSpec, PolicyParams, grad_objective,
                          teacher_forced_batch)
 from coso.scm import ScmParams, accuracy, scm_likelihood_batch, train_scm
@@ -24,6 +27,11 @@ ACTIONS = np.array([0, 1])
 STEPS = np.array([0, 3])
 POLICY = PolicyParams.zeros(FeatureSpec.for_env(ENV))
 FORCED = teacher_forced_batch(POLICY, STATES, TOKENS)
+# a larger batch whose rows 2 and 0 are STATES and TOKENS, and its forcing,
+# as a minibatch takes its rows of the rollout's
+WIDE = teacher_forced_batch(POLICY, [STATES[1], EnvState((3, 3)), STATES[0]],
+                            [TOKENS[1], [4, 4, 4], TOKENS[0]])
+ROWS = np.array([2, 0])
 PHI = ScmParams.zeros(ENV.grammar.n, V, A)
 
 
@@ -49,16 +57,16 @@ READERS = [
     ("teacher_forced_batch", "state features", CARDS[-1], FEATS,
      lambda f: teacher_forced_batch(POLICY, f, TOKENS)),
     ("grad_objective", "token ids", V, TOKENS,
-     lambda ys: grad_objective(POLICY, STATES, ys,
-                               sample_weights=np.ones(2))),
-    ("grad_objective", "state features", CARDS[-1], FEATS,
-     lambda f: grad_objective(POLICY, f, TOKENS, sample_weights=np.ones(2))),
-    ("grad_objective_forced", "token ids", V, TOKENS,
-     lambda ys: grad_objective(POLICY, STATES, ys, sample_weights=np.ones(2),
+     lambda ys: grad_objective(POLICY, STATES, ys, np.ones(2),
                                forced=FORCED)),
+    ("grad_objective", "state features", CARDS[-1], FEATS,
+     lambda f: grad_objective(POLICY, f, TOKENS, np.ones(2), forced=FORCED)),
+    ("grad_objective_forced", "token ids", V, TOKENS,
+     lambda ys: grad_objective(POLICY, STATES, ys, np.ones(2), forced=WIDE,
+                               forced_rows=ROWS)),
     ("grad_objective_forced", "state features", CARDS[-1], FEATS,
-     lambda f: grad_objective(POLICY, f, TOKENS, sample_weights=np.ones(2),
-                              forced=FORCED)),
+     lambda f: grad_objective(POLICY, f, TOKENS, np.ones(2), forced=WIDE,
+                              forced_rows=ROWS)),
     ("causal_weights_batch", "token ids", V, TOKENS,
      lambda ys: causal_weights_batch(PHI, ys, ACTIONS)),
     ("causal_weights_batch", "action classes", A, ACTIONS,
@@ -141,9 +149,9 @@ UTTERANCE_READERS = {
     "teacher_forced_batch": lambda ys: teacher_forced_batch(POLICY, STATES,
                                                             ys),
     "grad_objective": lambda ys: grad_objective(POLICY, STATES, ys,
-                                                sample_weights=np.ones(2)),
+                                                np.ones(2), forced=FORCED),
     "grad_objective_forced": lambda ys: grad_objective(
-        POLICY, STATES, ys, sample_weights=np.ones(2), forced=FORCED),
+        POLICY, STATES, ys, np.ones(2), forced=WIDE, forced_rows=ROWS),
 }
 N = ENV.grammar.n
 
@@ -173,6 +181,45 @@ def test_train_scm_rejects_bad_scalars_before_any_draw(name, bad):
     with pytest.raises(ValueError, match=name):
         train_scm([PHI], TOKENS, ACTIONS, rngs=[rng], **kw)
     assert rng.bit_generator.state == start
+
+
+@pytest.mark.parametrize("classifiers, generators", [(2, 1), (2, 3), (0, 0),
+                                                     (0, 1)])
+def test_train_scm_takes_one_generator_per_classifier(classifiers,
+                                                      generators):
+    """With fewer generators two runs drew the same rows, with more numpy
+    raised a broadcast error, and with no classifiers an IndexError; no
+    generator moves."""
+    rngs = [np.random.default_rng(g) for g in range(generators)]
+    starts = [g.bit_generator.state for g in rngs]
+    ys = np.tile(TOKENS, (max(classifiers, 1), 1))
+    labels = np.tile(ACTIONS, max(classifiers, 1))
+    with pytest.raises(ValueError, match="rngs"):
+        train_scm([PHI] * classifiers, ys, labels, lr=1e-2, steps=1,
+                  batch_size=2, rngs=rngs)
+    assert [g.bit_generator.state for g in rngs] == starts
+
+
+@pytest.mark.parametrize("bad", [-1, True, 1.5, "1"])
+def test_seeds_are_checked_at_construction(bad):
+    """A run's and the theory check's seed must be an int >= 0: -1 failed
+    only inside SeedSequence, True trained as seed 1 and 1.5 raised
+    numpy's TypeError."""
+    Trainer(ENV, Hyperparams(), seed=0)
+    TheoryCheckSpec(seed=0)
+    with pytest.raises(ValueError, match="seed"):
+        Trainer(ENV, Hyperparams(), seed=bad)
+    with pytest.raises(ValueError, match="seed"):
+        TheoryCheckSpec(seed=bad)
+
+
+@pytest.mark.parametrize("bad", [0, -1, True, 2.0, "2"])
+def test_evaluate_greedy_checks_episodes(bad):
+    """episodes must be an int >= 1: 0 failed on a (1, 0) feature array,
+    -1 in numpy and True ran one episode."""
+    evaluate_greedy(ENV, POLICY, 2)
+    with pytest.raises(ValueError, match="episodes"):
+        evaluate_greedy(ENV, POLICY, bad)
 
 
 @pytest.mark.parametrize("name, bad", [

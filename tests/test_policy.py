@@ -170,6 +170,21 @@ def test_batch_sampling_matches_single():
     assert y == tuple(t1[0].tolist())
 
 
+@pytest.mark.parametrize("bad", [2.0, 1.0, -0.1, np.nan, np.inf])
+def test_sampling_rejects_uniforms_outside_the_unit_interval(bad):
+    """A uniform of 2.0 or NaN sampled the last token; every uniform must
+    be in [0, 1)."""
+    env = make_env("numberline")
+    p = PolicyParams.zeros(FeatureSpec.for_env(env))
+    states = [env.reset(0)] * 2
+    u = np.full((2, p.spec.n), np.nextafter(1.0, 0.0))
+    u[0] = 0.0
+    sample_utterances_batch(p, states, u)
+    u[1, 1] = bad
+    with pytest.raises(ValueError, match="uniforms"):
+        sample_utterances_batch(p, states, u)
+
+
 def test_rescoring_matches_sampling():
     # sampling and greedy decoding read the same per-position distributions
     # that teacher forcing their tokens returns, to the bit
@@ -276,11 +291,22 @@ def test_greedy_is_argmax_path():
 
 
 def objective_terms(kind, sample_weights, token_weights):
-    """(sample_weights, token_weights) of one objective; None drops a term."""
+    """(sample_weights, token_weights) of one objective: zero sample
+    weights drop the log-prob term, and None token weights the entropy
+    term."""
+    zeros = np.zeros_like(sample_weights)
     return {"logprob-weighted": (sample_weights, None),
-            "entropy": (None, np.ones_like(token_weights)),
-            "weighted-entropy": (None, token_weights),
+            "entropy": (zeros, np.ones_like(token_weights)),
+            "weighted-entropy": (zeros, token_weights),
             "combined": (sample_weights, token_weights)}[kind]
+
+
+def forced_grad(params, states, ys, sample_weights, token_weights=None,
+                **kw):
+    """grad_objective handed the forcing of its batch at params."""
+    return grad_objective(params, states, ys, sample_weights, token_weights,
+                          forced=teacher_forced_batch(params, states, ys),
+                          **kw)
 
 
 def nudged(params, i, j, h):
@@ -312,21 +338,20 @@ def make_batch(spec, rng, size=3):
 
 def test_grad_objective_rejects_non_integer_tokens():
     """Float token ids are rejected, not truncated to the integer tokens'
-    gradient, with or without the forcing given."""
+    gradient."""
     spec = small_spec()
     p = random_params(spec, np.random.default_rng(3))
     states, ys = make_batch(spec, np.random.default_rng(4))
     w = np.ones(len(ys))
     forced = teacher_forced_batch(p, states, ys)
     bad = np.asarray(ys) + 0.25
-    for given in (None, forced):
-        with pytest.raises(ValueError, match="not integer"):
-            grad_objective(p, states, bad, sample_weights=w, forced=given)
+    with pytest.raises(ValueError, match="not integer"):
+        grad_objective(p, states, bad, w, forced=forced)
 
 
 def test_grad_objective_rejects_out_of_vocab_tokens():
-    """An out-of-vocab id raises with the forcing given too: indexing the
-    flat forcing with it would read the next row's block, with no error."""
+    """An out-of-vocab id raises: indexing the flat forcing with it would
+    read the next row's block, with no error."""
     spec = small_spec()
     assert spec.vocab_size == 5
     p = random_params(spec, np.random.default_rng(3))
@@ -336,10 +361,23 @@ def test_grad_objective_rejects_out_of_vocab_tokens():
     for token in (spec.vocab_size, -1):
         bad = np.array(ys)
         bad[0, 0] = token
-        for given in (None, forced):
-            with pytest.raises(ValueError, match="token ids outside"):
-                grad_objective(p, states, bad, sample_weights=w,
-                               forced=given)
+        with pytest.raises(ValueError, match="token ids outside"):
+            grad_objective(p, states, bad, w, forced=forced)
+
+
+def test_grad_objective_rejects_token_runs_of_the_wrong_length():
+    """token_runs has one entry per run: for a 2-run stack, [True] read
+    past its end and [True, False, True] passed."""
+    spec = small_spec()
+    rng = np.random.default_rng(5)
+    p = PolicyParams(spec=spec, weights=rng.normal(
+        0, 0.7, (2, spec.dim, spec.vocab_size)))
+    states, ys = make_batch(spec, rng, size=4)
+    w, tw = np.ones(len(ys)), np.ones((len(ys), spec.n))
+    forced_grad(p, states, ys, w, tw, token_runs=[True, False])
+    for bad in ([True], [True, False, True], []):
+        with pytest.raises(ValueError, match="token_runs"):
+            forced_grad(p, states, ys, w, tw, token_runs=bad)
 
 
 def test_state_ids_reject_non_integer_features():
@@ -352,7 +390,7 @@ def test_entropy_gradient_zero_at_uniform():
     spec = small_spec()
     p = PolicyParams.zeros(spec)
     states, ys = make_batch(spec, np.random.default_rng(0))
-    g = grad_objective(p, states, ys, token_weights=np.ones((3, spec.n)))
+    g = forced_grad(p, states, ys, np.zeros(3), np.ones((3, spec.n)))
     np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
 
@@ -366,9 +404,11 @@ def test_weighted_entropy_with_unit_weights_equals_entropy():
     assert objective_value(p, states, ys, token_weights=ones) == \
         pytest.approx(tok_ent.sum(), abs=1e-12)
     # the entropy sum's gradient is the sum of its per-position gradients
-    g = grad_objective(p, states, ys, token_weights=ones)
-    parts = sum(grad_objective(p, states, ys, token_weights=np.eye(spec.n)[
-        [i] * len(ys)]) for i in range(spec.n))
+    no_logprob = np.zeros(len(ys))
+    g = forced_grad(p, states, ys, no_logprob, ones)
+    parts = sum(forced_grad(p, states, ys, no_logprob,
+                            np.eye(spec.n)[[i] * len(ys)])
+                for i in range(spec.n))
     np.testing.assert_allclose(g, parts, rtol=0, atol=1e-12)
 
 
@@ -382,7 +422,7 @@ def test_gradients_match_finite_differences(kind):
         states, ys = make_batch(spec, rng, size=2)
         sw, tw = objective_terms(kind, rng.normal(size=len(ys)),
                                  rng.uniform(0, 1, (len(ys), spec.n)))
-        g = grad_objective(p, states, ys, sw, tw)
+        g = forced_grad(p, states, ys, sw, tw)
         fd = finite_difference(p, states, ys, sw, tw)
         denom = max(np.max(np.abs(fd)), 1e-8)
         assert np.max(np.abs(g - fd)) / denom <= 1e-4, f"trial {trial}"
@@ -391,12 +431,11 @@ def test_gradients_match_finite_differences(kind):
 def test_grad_empty_batch_raises():
     spec = small_spec()
     p = PolicyParams.zeros(spec)
-    with pytest.raises(ValueError):
-        grad_objective(p, [], np.zeros((0, spec.n), dtype=int),
-                       token_weights=np.zeros((0, spec.n)))
     states, ys = make_batch(spec, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        grad_objective(p, states, ys)  # no objective term
+    forced = tuple(a[:0] for a in teacher_forced_batch(p, states, ys))
+    with pytest.raises(ValueError, match="empty batch"):
+        grad_objective(p, [], np.zeros((0, spec.n), dtype=int), np.zeros(0),
+                       np.zeros((0, spec.n)), forced=forced)
 
 
 def test_teacher_forced_batch_consistency():
@@ -411,8 +450,8 @@ def test_teacher_forced_batch_consistency():
         np.testing.assert_allclose(tok_ent[k], ents[0], atol=1e-14)
 
 
-def grad_objective_loop(params, states, utterances, sample_weights=None,
-                        token_weights=None, forced=None, token_runs=None,
+def grad_objective_loop(params, states, utterances, sample_weights,
+                        token_weights=None, *, forced, token_runs=None,
                         forced_rows=None):
     """grad_objective a (run, position) block at a time: each position's
     (m, V) dz/dlogits from its own gather of the forcing, times its own
@@ -424,8 +463,6 @@ def grad_objective_loop(params, states, utterances, sample_weights=None,
     toks = np.asarray(utterances, dtype=np.intp)
     runs = 1 if params.weights.ndim == 2 else params.weights.shape[0]
     m = len(states) // runs
-    if forced is None:
-        forced, forced_rows = teacher_forced_batch(params, states, toks), None
     probs, logprobs, _, tok_ent = forced
     sidx = pol.state_index(spec.state_cards, states)
     rows = np.arange(m)
@@ -437,12 +474,10 @@ def grad_objective_loop(params, states, utterances, sample_weights=None,
                                                or bool(token_runs[r]))
         for i in range(spec.n):
             p = probs[at, i]
-            dz = None
-            if sample_weights is not None:
-                dz = -p
-                dz[:, NULL] = 0.0
-                dz[rows, toks[run, i]] += 1.0
-                dz *= np.asarray(sample_weights, dtype=np.float64)[run, None]
+            dz = -p
+            dz[:, NULL] = 0.0
+            dz[rows, toks[run, i]] += 1.0
+            dz *= np.asarray(sample_weights, dtype=np.float64)[run, None]
             if token:
                 support = p > 0.0
                 dent = np.where(support, logprobs[at, i], 0.0)
@@ -452,9 +487,8 @@ def grad_objective_loop(params, states, utterances, sample_weights=None,
                 dent *= support
                 dent *= np.asarray(token_weights,
                                    dtype=np.float64)[run, i][:, None]
-                dz = dent if dz is None else dz + dent
-            if dz is not None:
-                grad[r] += dense_features(spec, sidx[run], toks[run], i).T @ dz
+                dz = dz + dent
+            grad[r] += dense_features(spec, sidx[run], toks[run], i).T @ dz
     return grad.reshape(params.weights.shape)
 
 
@@ -462,9 +496,10 @@ def grad_objective_loop(params, states, utterances, sample_weights=None,
 @pytest.mark.parametrize("runs", [1, 3])
 def test_gradient_equals_the_per_position_loop(env_id, runs):
     """grad_objective's one pass per run adds the same doubles as the
-    per-position loop: each term alone and both, a token_runs mask, and
-    permuted minibatch rows of a larger forcing, at a weight scale (200)
-    that makes some probabilities exactly 0."""
+    per-position loop: each term alone (zero sample weights leave the
+    log-prob term out) and both, a token_runs mask, and the batch's own
+    forcing or permuted minibatch rows of a larger one, at a weight scale
+    (200) that makes some probabilities exactly 0."""
     env = make_env(env_id)
     spec = FeatureSpec.for_env(env)
     rng = np.random.default_rng(14 + runs)
@@ -481,16 +516,16 @@ def test_gradient_equals_the_per_position_loop(env_id, runs):
                                        rng.random((runs * m, spec.n)))
         forced = teacher_forced_batch(params, feats, toks)
         zeros += np.count_nonzero(forced[0][..., 1:] == 0.0)
-        sw = rng.normal(size=runs * m)
+        sw, no_logprob = rng.normal(size=runs * m), np.zeros(runs * m)
         tw = rng.uniform(0, 2, (runs * m, spec.n))
         # each run's permutation of its own rows, cut to a minibatch
         perm = np.concatenate([rng.permutation(m)[:m // 2] + r * m
                                for r in range(runs)])
-        for rows, kw in ((slice(None), {}),
+        for rows, kw in ((slice(None), dict(forced=forced)),
                          (perm, dict(forced=forced, forced_rows=perm))):
-            for terms in ((sw, None), (None, tw), (sw, tw)):
+            for terms in ((sw, None), (no_logprob, tw), (sw, tw)):
                 for token_runs in (None, mask):
-                    if terms[0] is None and token_runs is mask \
+                    if terms[0] is no_logprob and token_runs is mask \
                             and not any(mask):
                         continue  # no term left
                     args = (params, feats[rows], toks[rows]) + tuple(
@@ -645,16 +680,16 @@ def test_table_decoder_matches_dense_reference(env_id):
     np.testing.assert_array_equal(pol.state_ids(spec.state_cards, grid),
                                   np.arange(S))
     rng = np.random.default_rng(11)
-    # every state four times; rows 0-2 of each state's first block take the
-    # extreme uniforms 0, the largest double below 1, and 1 itself, where
-    # rounding can leave the cumulative total below u and the V - 1 clamp
-    # decides.  The second block's uniforms are set below to cumulative
-    # values of the distributions they pick from.
+    # every state four times; rows 0-1 of each state's first block take the
+    # extreme uniforms 0 and the largest double below 1, where rounding can
+    # leave the cumulative total below u and the V - 1 clamp decides.  The
+    # second block's uniforms are set below to cumulative values of the
+    # distributions they pick from, capped at that largest double.
     feats = np.tile(grid, (4, 1))
     u = rng.random((len(feats), spec.n))
     u[:S:3] = 0.0
-    u[1:S:3] = np.nextafter(1.0, 0.0)
-    u[2:S:3] = 1.0
+    top = np.nextafter(1.0, 0.0)
+    u[1:S:3] = top
     block = slice(S, 2 * S)
     cols = np.random.default_rng(12).integers(0, spec.vocab_size,
                                               (S, spec.n))
@@ -664,14 +699,15 @@ def test_table_decoder_matches_dense_reference(env_id):
     for scale in (0.3, 2.0, 8.0, 200.0):
         p = random_params(spec, rng, scale=scale)
         tables = pol.decode_tables(p)
-        # u = 1 rows whose position-0 total does not exceed u
-        clamped += np.count_nonzero(tables.cdf0[2:S:3, -1] <= 1.0)
+        # rows at the top uniform whose position-0 total does not exceed it
+        clamped += np.count_nonzero(tables.cdf0[1:S:3, -1] <= top)
         probs = np.empty((len(feats), spec.n, spec.vocab_size))
         for i in range(spec.n):  # earlier tokens fix position i's cdf
             sample_utterances_batch(tables, feats, u,
                                     out=(probs, np.empty_like(probs)))
             cdf = probs[block, i].cumsum(axis=1)
-            u[block, i] = np.take_along_axis(cdf, cols[:, i, None], 1)[:, 0]
+            u[block, i] = np.minimum(
+                np.take_along_axis(cdf, cols[:, i, None], 1)[:, 0], top)
             # rows whose u sits on a flat run: the next column equals it
             nxt = np.take_along_axis(cdf, np.minimum(cols[:, i, None] + 1,
                                                      spec.vocab_size - 1), 1)
